@@ -13,18 +13,17 @@ from .errors import (BfstabError, CapabilityError, ConditioningError,
                      DomainError, EvaluationError, InvariantViolation,
                      NumericalWarning, ParseError, UnderflowError)
 from .density1d import (Density1D, GaussianMixture1D, GridDensity1D,
-                        RelFunction1D, StandardGaussian, ent_gamma,
-                        entropy_rel_gauss, fisher_integral, load_grid_csv)
+                        StandardGaussian, entropy_rel_gauss, fisher_rel_gauss,
+                        load_grid_csv)
 from .transport1d import (TransportMap1D, bf_distance, bf_distance_full,
                           bregman_integral, build_map,
                           pointwise_bregman_bound, talagrand_deficit_1d,
                           talagrand_deficit_1d_full, w2_squared_1d,
                           w2_squared_1d_full)
 from .densitynd import (Direction, GaussianMixtureND, ProductFunction,
-                        RelDensityND, conditional_slice, directional_marginal,
-                        entropy_nd, fisher_nd, marginal_without,
-                        mixture_from_json, relative_density,
-                        tensorize_entropy_bound)
+                        RelDensityND, directional_marginal, entropy_nd,
+                        fisher_nd, marginal_without, mixture_from_json,
+                        relative_density)
 from .sphereopt import (DnCertificate, DnResult, SphereSearchConfig,
                         dn_distance, lower_bound_certificate)
 from .deficits import (DeficitReport, GFun, LambdaDiagRow, PLTriple,
@@ -42,9 +41,8 @@ __all__ = [
     "UnderflowError", "EvaluationError", "CapabilityError",
     "InvariantViolation", "NumericalWarning",
     # one-dimensional densities
-    "Density1D", "GaussianMixture1D", "GridDensity1D", "RelFunction1D",
-    "StandardGaussian", "ent_gamma", "entropy_rel_gauss", "fisher_integral",
-    "load_grid_csv",
+    "Density1D", "GaussianMixture1D", "GridDensity1D", "StandardGaussian",
+    "entropy_rel_gauss", "fisher_rel_gauss", "load_grid_csv",
     # transport
     "TransportMap1D", "build_map", "bf_distance", "bf_distance_full",
     "w2_squared_1d", "w2_squared_1d_full", "talagrand_deficit_1d",
@@ -52,9 +50,8 @@ __all__ = [
     "pointwise_bregman_bound",
     # n dimensions
     "Direction", "GaussianMixtureND", "ProductFunction", "RelDensityND",
-    "conditional_slice", "directional_marginal", "entropy_nd", "fisher_nd",
-    "marginal_without", "mixture_from_json", "relative_density",
-    "tensorize_entropy_bound",
+    "directional_marginal", "entropy_nd", "fisher_nd", "marginal_without",
+    "mixture_from_json", "relative_density",
     # sphere search
     "SphereSearchConfig", "DnResult", "DnCertificate", "dn_distance",
     "lower_bound_certificate",

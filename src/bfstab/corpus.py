@@ -14,7 +14,7 @@ import numpy as np
 
 from .deficits import (DeficitReport, GFun, PLTriple, pl_deficit_check,
                        verify_corollary, verify_talagrand, verify_thm_main)
-from .density1d import GaussianMixture1D
+from .density1d import Density1D, GaussianMixture1D
 from .densitynd import GaussianMixtureND, ProductFunction
 from .errors import DomainError
 from .sphereopt import SphereSearchConfig
@@ -248,7 +248,7 @@ def _as_nd(obj):
 
 
 def _talagrand_mode(obj):
-    if isinstance(obj, GaussianMixture1D):
+    if isinstance(obj, Density1D):
         return "1d", obj
     if isinstance(obj, ProductFunction):
         return "product", obj

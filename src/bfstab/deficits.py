@@ -3,8 +3,8 @@
 Three families of statements are certified numerically, each as a
 DeficitReport with an explicit error budget:
 
-  * log-Sobolev: delta_LS(f) = 1/2 int |grad f|^2/f dgamma - Ent_gamma(f)
-    dominates half the squared sup-directional transport distance;
+  * log-Sobolev: delta_LS(nu) = 1/2 I(nu|gamma) - H(nu|gamma) dominates
+    half the squared sup-directional transport distance;
   * Talagrand: delta_Tal = 2 H(nu|gamma) - W2^2(nu, gamma) dominates the same
     quantity, with the 1-D chain passing through int (T'-1-log T') dgamma;
   * quantitative Prekopa-Leindler: for the triple u = e^{g/(1-lam)} phi / A,
@@ -28,9 +28,9 @@ from scipy.optimize import linear_sum_assignment
 from scipy.spatial.distance import cdist
 
 from .density1d import (Density1D, GaussianMixture1D, GridDensity1D,
-                        RelFunction1D, StandardGaussian, WORKING_RADIUS,
-                        _breaks, ent_gamma_full, fisher_integral_full,
-                        gauss_pdf)
+                        StandardGaussian, WORKING_RADIUS, _breaks, _log_ratio,
+                        _tail_bound, entropy_rel_gauss_full,
+                        fisher_rel_gauss_full, gauss_pdf)
 from .densitynd import (GaussianMixtureND, ProductFunction,
                         conditional_slice_batch, entropy_nd, fisher_nd,
                         marginal_without)
@@ -103,30 +103,39 @@ class DeficitReport:
 # log-Sobolev deficit
 
 
-def lsi_deficit(f, *, mc_budget: int = 10 ** 6, seed: int = 0):
-    """delta_LS as (value, error) for a normalized relative density.
+def _lsi_deficit_1d(nu: Density1D):
+    fi = fisher_rel_gauss_full(nu)
+    e = entropy_rel_gauss_full(nu)
+    e_err = e.error + _tail_bound(nu, _log_ratio(nu))
+    return 0.5 * fi.value - e.value, 0.5 * fi.error + e_err
 
-    Accepts a RelFunction1D, a 1-D density (taken relative to gamma), a
-    coordinatewise ProductFunction, or an n-D Gaussian mixture.
+
+def lsi_deficit(nu, *, mc_budget: int = 10 ** 6, seed: int = 0):
+    """delta_LS = 1/2 I(nu|gamma) - H(nu|gamma) as (value, error).
+
+    Both terms are nu-expectations in log space, E_nu[|grad log p + x|^2]
+    and E_nu[log p - log phi_n]:
+
+      * Density1D: adaptive 1-D quadrature;
+      * ProductFunction: the sum of its factors' 1-D deficits, since
+        entropy and Fisher information tensorize;
+      * GaussianMixtureND: whitened Gauss-Hermite for n <= 3, scrambled
+        Sobol replicates above (``mc_budget``, ``seed``).
     """
-    if isinstance(f, ProductFunction):
-        f = f.as_mixture()
-    if isinstance(f, GaussianMixtureND):
-        e, e_err = entropy_nd(f, mc_budget=mc_budget, seed=seed)
-        fi, fi_err = fisher_nd(f, mc_budget=mc_budget, seed=seed)
+    if isinstance(nu, ProductFunction):
+        parts = [_lsi_deficit_1d(h) for h in nu.factors]
+        value = sum(v for v, _ in parts)
+        err = sum(e for _, e in parts)
+    elif isinstance(nu, GaussianMixtureND):
+        e, e_err = entropy_nd(nu, mc_budget=mc_budget, seed=seed)
+        fi, fi_err = fisher_nd(nu, mc_budget=mc_budget, seed=seed)
         value = 0.5 * fi - e
         err = 0.5 * fi_err + e_err
+    elif isinstance(nu, Density1D):
+        value, err = _lsi_deficit_1d(nu)
     else:
-        if isinstance(f, Density1D):
-            f = RelFunction1D.from_measure(f)
-        if not isinstance(f, RelFunction1D):
-            raise DomainError("lsi_deficit expects a relative density")
-        if f.mass is None or abs(f.mass - 1.0) > 1e-8:
-            raise DomainError("relative density must be normalized within 1e-8")
-        fi = fisher_integral_full(f)
-        e = ent_gamma_full(f)
-        value = 0.5 * fi.value - e.value
-        err = 0.5 * fi.error + e.error
+        raise DomainError("lsi_deficit expects a 1-D density, a product or "
+                          "an n-D Gaussian mixture")
     if value < -(1e-7 + err):
         raise InvariantViolation(
             f"log-Sobolev deficit {value:.3e} below the numerical guard")
@@ -145,24 +154,26 @@ def _dn_method(res: DnResult) -> str:
             f"evals={res.directions_evaluated}")
 
 
-def verify_thm_main(nu: GaussianMixtureND,
-                    cfg: Optional[SphereSearchConfig] = None, *,
+def verify_thm_main(nu, cfg: Optional[SphereSearchConfig] = None, *,
                     case_id: str = "", tol: float = 1e-6,
                     mc_budget: int = 10 ** 6, seed: int = 0) -> DeficitReport:
-    """delta_LS(f) >= 1/2 d_n(f phi_n, phi_n)^2 for the mixture's relative f.
+    """delta_LS(nu) >= 1/2 d_n(nu, gamma_n)^2.
 
-    The direction search only ever under-estimates the supremum, so the
-    check is conservative: a sharper search can only shrink the margin.
+    nu is a 1-D density, a ProductFunction or an n-D Gaussian mixture. In
+    one dimension d_n is the distance itself; above, the direction search
+    only ever under-estimates the supremum, so the check is conservative: a
+    sharper search can only shrink the margin.
     """
-    if isinstance(nu, ProductFunction):
-        nu = nu.as_mixture()
-    if isinstance(nu, GaussianMixture1D):
-        deficit, d_err = lsi_deficit(nu)
-        nu = GaussianMixtureND(nu.weights, nu.means[:, None],
-                               (nu.stds ** 2)[:, None, None])
+    deficit, d_err = lsi_deficit(nu, mc_budget=mc_budget, seed=seed)
+    if isinstance(nu, Density1D):
+        dist, dist_err = bf_distance_full(nu, StandardGaussian(), tol=1e-10)
+        res = DnResult(value=dist, argmax=np.ones(1), coarse_max=dist,
+                       refined_gain=0.0, directions_evaluated=1,
+                       value_error=dist_err)
     else:
-        deficit, d_err = lsi_deficit(nu, mc_budget=mc_budget, seed=seed)
-    res = dn_distance(nu, cfg)
+        if isinstance(nu, ProductFunction):
+            nu = nu.as_mixture()
+        res = dn_distance(nu, cfg)
     lower = 0.5 * res.value ** 2
     err = d_err + res.value * res.value_error
     method = (f"entropy+fisher whitened-GH/QMC; {_dn_method(res)}")

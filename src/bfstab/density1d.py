@@ -1,9 +1,11 @@
-"""One-dimensional densities and relative functionals against the Gaussian.
+"""One-dimensional densities and their entropy and Fisher information
+relative to the Gaussian.
 
 The reference measure throughout is the standard Gaussian gamma with density
-phi(x) = exp(-x^2/2)/sqrt(2 pi). A "relative function" f is a nonnegative
-function integrated against gamma; when f is normalized, f*phi is a
-probability density and the pair carries both views.
+phi(x) = exp(-x^2/2)/sqrt(2 pi). Both relative functionals are expectations
+under the density p itself, in log space: H(nu | gamma) = E_nu[log p - log phi]
+and I(nu | gamma) = E_nu[(score + x)^2] with score = (log p)'. Neither forms
+p/phi, which overflows for wide densities.
 
 Densities come in three concrete flavors:
 
@@ -15,7 +17,7 @@ Densities come in three concrete flavors:
   between nodes with matched Gaussian tails; cdf and quantile are closed-form
   per panel, so no iteration is ever needed.
 
-Regularity beyond positivity (continuity, C^1 relative functions,
+Regularity beyond positivity (continuity, a differentiable log-density,
 normalization) is the caller's responsibility; constructors validate only
 what can be checked cheaply.
 """
@@ -23,13 +25,11 @@ what can be checked cheaply.
 from __future__ import annotations
 
 import math
-from typing import Callable, Optional
 
 import numpy as np
 from scipy.special import log_ndtr, ndtr, ndtri
 
-from .errors import (CapabilityError, DomainError, EvaluationError, ParseError,
-                     UnderflowError)
+from .errors import DomainError, EvaluationError, ParseError, UnderflowError
 from .quadrature import QuadResult, adaptive_quad
 
 __all__ = [
@@ -41,13 +41,10 @@ __all__ = [
     "StandardGaussian",
     "GaussianMixture1D",
     "GridDensity1D",
-    "RelFunction1D",
-    "cdf",
-    "quantile",
     "entropy_rel_gauss",
-    "ent_gamma",
-    "fisher_integral",
-    "normalize",
+    "entropy_rel_gauss_full",
+    "fisher_rel_gauss",
+    "fisher_rel_gauss_full",
     "load_grid_csv",
 ]
 
@@ -90,8 +87,8 @@ class Density1D:
     def logpdf(self, x):
         return np.log(np.maximum(self.pdf(x), _TINY))
 
-    def dpdf(self, x):
-        """Derivative of the pdf (analytic where available)."""
+    def score(self, x):
+        """Derivative of the log-density, d log p / dx."""
         raise NotImplementedError
 
     def cdf(self, x):
@@ -131,9 +128,8 @@ class StandardGaussian(Density1D):
     def logpdf(self, x):
         return gauss_logpdf(x)
 
-    def dpdf(self, x):
-        x = np.asarray(x, dtype=float)
-        return -x * gauss_pdf(x)
+    def score(self, x):
+        return -np.asarray(x, dtype=float)
 
     def cdf(self, x):
         return ndtr(np.asarray(x, dtype=float))
@@ -210,16 +206,21 @@ class GaussianMixture1D(Density1D):
         comp = np.exp(-0.5 * z * z) / (self.stds * SQRT_2PI)
         return comp @ self.weights
 
-    def logpdf(self, x):
+    def _log_terms(self, x):
+        """(z, log w_k N(x; m_k, s_k^2)) with components on the last axis."""
         z = self._z(x)
-        logs = -0.5 * z * z - np.log(self.stds * SQRT_2PI) + np.log(self.weights)
+        return z, -0.5 * z * z - np.log(self.stds * SQRT_2PI) + np.log(self.weights)
+
+    def logpdf(self, x):
+        _, logs = self._log_terms(x)
         mx = logs.max(axis=-1, keepdims=True)
         return np.squeeze(mx, -1) + np.log(np.exp(logs - mx).sum(axis=-1))
 
-    def dpdf(self, x):
-        z = self._z(x)
-        comp = np.exp(-0.5 * z * z) / (self.stds * SQRT_2PI)
-        return (comp * (-z / self.stds)) @ self.weights
+    def score(self, x):
+        """Responsibility-weighted component scores, via log-sum-exp."""
+        z, logs = self._log_terms(x)
+        resp = np.exp(logs - logs.max(axis=-1, keepdims=True))
+        return (resp * (-z / self.stds)).sum(axis=-1) / resp.sum(axis=-1)
 
     def cdf(self, x):
         return ndtr(self._z(x)) @ self.weights
@@ -503,8 +504,8 @@ class GridDensity1D(Density1D):
     def pdf(self, x):
         return np.exp(self.logpdf(x))
 
-    def dpdf(self, x):
-        """Piecewise log-slope times pdf; jumps at the nodes."""
+    def score(self, x):
+        """Piecewise log-slope; jumps at the nodes."""
         x = np.asarray(x, dtype=float)
         idx = self._locate(x)
         dlog = np.empty_like(x, dtype=float)
@@ -518,7 +519,7 @@ class GridDensity1D(Density1D):
             dlog[right] = -(x[right] - R["mean"]) / R["std"] ** 2
         if mid.any():
             dlog[mid] = self._slopes[idx[mid]]
-        return self.pdf(x) * dlog
+        return dlog
 
     def cdf(self, x):
         x = np.asarray(x, dtype=float)
@@ -618,95 +619,6 @@ def _moment_quad(d: Density1D, k: int) -> float:
     return res.value
 
 
-class RelFunction1D:
-    """A nonnegative function paired with its derivative and gamma-mass.
-
-    ``measure`` optionally carries the probability density f*phi when f is
-    normalized, which downstream code uses for exact transport computations.
-    The mass is computed lazily by quadrature when not supplied.
-    """
-
-    def __init__(self, f: Callable, df: Optional[Callable] = None,
-                 mass: Optional[float] = None,
-                 measure: Optional[Density1D] = None, label: str = ""):
-        self._f = f
-        self._df = df
-        self._mass = mass
-        self.measure = measure
-        self.label = label
-
-    def __call__(self, x):
-        return self._f(np.asarray(x, dtype=float))
-
-    def deriv(self, x):
-        if self._df is None:
-            raise CapabilityError("this relative function has no derivative")
-        return self._df(np.asarray(x, dtype=float))
-
-    @property
-    def has_deriv(self) -> bool:
-        return self._df is not None
-
-    @property
-    def mass(self) -> float:
-        if self._mass is None:
-            self._mass = _mass_quad(self).value
-        return self._mass
-
-    @property
-    def normalized(self) -> bool:
-        return abs(self.mass - 1.0) <= 1e-8
-
-    @classmethod
-    def from_measure(cls, d: Density1D, label: str = ""):
-        """Relative density f = d nu / d gamma of a probability measure nu."""
-
-        def f(x):
-            return np.exp(d.logpdf(x) - gauss_logpdf(x))
-
-        def df(x):
-            # (p/phi)' = (p' + x p)/phi
-            return (d.dpdf(x) + x * d.pdf(x)) / gauss_pdf(x)
-
-        return cls(f, df, mass=1.0, measure=d, label=label)
-
-    @classmethod
-    def exp_tilt(cls, a: float):
-        """The extremal family member exp(a x - a^2/2)."""
-        a = float(a)
-
-        def f(x):
-            return np.exp(a * x - 0.5 * a * a)
-
-        def df(x):
-            return a * np.exp(a * x - 0.5 * a * a)
-
-        return cls(f, df, mass=1.0,
-                   measure=GaussianMixture1D([1.0], [a], [1.0]),
-                   label=f"tilt({a})")
-
-    def scaled(self, c: float):
-        if not (c > 0.0 and math.isfinite(c)):
-            raise DomainError("scaling constant must be positive and finite")
-        df = None
-        if self._df is not None:
-            df = lambda x, _d=self._df: c * _d(x)
-        mass = None if self._mass is None else self._mass * c
-        return RelFunction1D(lambda x, _f=self._f: c * _f(x), df, mass=mass,
-                             measure=self.measure, label=self.label)
-
-
-def _auto_interval(g, lo=-WORKING_RADIUS, hi=WORKING_RADIUS, cutoff=1e-16):
-    """Extend [lo, hi] until |g| is negligible at the edges."""
-    for _ in range(12):
-        edge = float(np.max(np.abs(g(np.asarray([lo, hi])))))
-        if edge < cutoff or not math.isfinite(edge):
-            break
-        lo -= 5.0
-        hi += 5.0
-    return lo, hi
-
-
 def _breaks(lo, hi, interior=()):
     pts = [lo, hi]
     pts.extend(float(t) for t in interior if lo < t < hi)
@@ -714,44 +626,63 @@ def _breaks(lo, hi, interior=()):
     return sorted(set(pts))
 
 
-def _mass_quad(f: "RelFunction1D") -> QuadResult:
-    def g(x):
-        return f(x) * gauss_pdf(x)
-
-    lo, hi = _auto_interval(g)
-    return adaptive_quad(g, _breaks(lo, hi), tol_abs=1e-12)
-
-
 # ---------------------------------------------------------------------------
-# functional surface
+# functionals relative to gamma, as nu-expectations in log space
 # ---------------------------------------------------------------------------
 
-def cdf(d: Density1D, x):
-    return d.cdf(x)
-
-
-def quantile(d: Density1D, p):
-    return d.quantile(p)
+# nu-mass left outside the integration interval of the expectations below
+_TAIL_MASS = 1e-15
 
 
 def _measure_interval(nu: Density1D):
-    lo, hi = nu.working_interval(1e-15)
+    lo, hi = nu.working_interval(_TAIL_MASS)
     return min(lo, -WORKING_RADIUS), max(hi, WORKING_RADIUS)
 
 
-def entropy_rel_gauss_full(nu: Density1D, *, tol: float = 1e-11) -> QuadResult:
-    """H(nu | gamma) with an error estimate.
+def _expect(nu: Density1D, fn, tol: float) -> QuadResult:
+    """E_nu[fn(X)] over ``_measure_interval(nu)`` with an error estimate.
 
-    Computed as the nu-expectation of log(d nu/d gamma); the integration
-    interval follows nu's own tails, not just the gamma working domain.
+    The integration interval follows nu's own tails, not just the gamma
+    working domain. Mixture means seed the panel breakpoints, and so do grid
+    nodes, where a grid density's score jumps.
     """
 
     def g(x):
-        return (nu.logpdf(x) - gauss_logpdf(x)) * nu.pdf(x)
+        return fn(x) * nu.pdf(x)
 
     lo, hi = _measure_interval(nu)
-    interior = tuple(nu.means) if isinstance(nu, GaussianMixture1D) else ()
+    interior = ()
+    if isinstance(nu, GaussianMixture1D):
+        interior = tuple(nu.means)
+    elif isinstance(nu, GridDensity1D):
+        interior = tuple(nu.nodes)
     return adaptive_quad(g, _breaks(lo, hi, interior), tol_abs=tol)
+
+
+def _tail_bound(nu: Density1D, fn) -> float:
+    """Bound on the part of E_nu[fn(X)] that ``_expect`` leaves out.
+
+    Each tail beyond the interval carries at most _TAIL_MASS / 2 of nu. The
+    log-ratio and the squared score gap grow at most quadratically there,
+    and nu's tails are Gaussian, so twice |fn| at the edge bounds the
+    conditional mean of |fn| over each tail.
+    """
+    edges = np.asarray(_measure_interval(nu))
+    return _TAIL_MASS * float(np.sum(np.abs(fn(edges))))
+
+
+def _log_ratio(nu: Density1D):
+    """x -> log(d nu / d gamma)(x) = log p(x) - log phi(x)."""
+    return lambda x: nu.logpdf(x) - gauss_logpdf(x)
+
+
+def entropy_rel_gauss_full(nu: Density1D, *, tol: float = 1e-11) -> QuadResult:
+    """H(nu | gamma) = E_nu[log p - log phi] with an error estimate.
+
+    The error covers the quadrature on ``_measure_interval(nu)`` only;
+    ``_tail_bound`` gives the part beyond it.
+    """
+    return _expect(nu, _log_ratio(nu), tol)
 
 
 def entropy_rel_gauss(nu: Density1D, *, tol: float = 1e-11) -> float:
@@ -759,67 +690,24 @@ def entropy_rel_gauss(nu: Density1D, *, tol: float = 1e-11) -> float:
     return entropy_rel_gauss_full(nu, tol=tol).value
 
 
-def ent_gamma_full(f: RelFunction1D, *, tol: float = 1e-11) -> QuadResult:
-    def g(x):
-        fx = f(x)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            term = np.where(fx > _TINY, fx * np.log(np.maximum(fx, _TINY)), 0.0)
-        return term * gauss_pdf(x)
+def fisher_rel_gauss_full(nu: Density1D, *, tol: float = 1e-11) -> QuadResult:
+    """I(nu | gamma) = E_nu[(score + x)^2] with an error estimate.
 
-    if f.measure is not None:
-        lo, hi = _measure_interval(f.measure)
-    else:
-        lo, hi = _auto_interval(g)
-    res = adaptive_quad(g, _breaks(lo, hi), tol_abs=tol)
-    m = f.mass
-    if not (math.isfinite(m) and m > 0.0):
-        raise UnderflowError("relative function has non-positive mass")
-    return QuadResult(res.value - m * math.log(m), res.error,
+    The error includes the bound on the tails beyond the interval.
+    """
+
+    def fn(x):
+        r = nu.score(x) + x
+        return r * r
+
+    res = _expect(nu, fn, tol)
+    return QuadResult(res.value, res.error + _tail_bound(nu, fn),
                       res.evaluations, res.panels)
 
 
-def ent_gamma(f: RelFunction1D, *, tol: float = 1e-11) -> float:
-    """Ent_gamma(f) = int f log f dgamma - mass log mass.
-
-    1-homogeneous in f; nonnegative, and zero only for constants.
-    """
-    return ent_gamma_full(f, tol=tol).value
-
-
-def fisher_integral_full(f: RelFunction1D, *, tol: float = 1e-11) -> QuadResult:
-    if not f.has_deriv:
-        raise CapabilityError("fisher_integral needs a derivative")
-
-    def g(x):
-        fx = np.maximum(f(x), _TINY)
-        dfx = f.deriv(x)
-        return (dfx * dfx / fx) * gauss_pdf(x)
-
-    if f.measure is not None:
-        lo, hi = _measure_interval(f.measure)
-    else:
-        lo, hi = _auto_interval(g)
-    return adaptive_quad(g, _breaks(lo, hi), tol_abs=tol)
-
-
-def fisher_integral(f: RelFunction1D, *, tol: float = 1e-11) -> float:
-    """Relative Fisher information int f'(x)^2 / f(x) dgamma(x)."""
-    return fisher_integral_full(f, tol=tol).value
-
-
-def normalize(f: RelFunction1D):
-    """Split f into (mass, normalized copy). Raises on vanishing mass."""
-    m = f.mass
-    if not (math.isfinite(m) and m > 0.0):
-        raise UnderflowError(f"cannot normalize: mass = {m!r}")
-    if abs(m - 1.0) <= 1e-15:
-        return m, f
-    df = None
-    if f.has_deriv:
-        df = lambda x: f.deriv(x) / m
-    g = RelFunction1D(lambda x: f(x) / m, df, mass=1.0, measure=f.measure,
-                      label=f.label)
-    return m, g
+def fisher_rel_gauss(nu: Density1D, *, tol: float = 1e-11) -> float:
+    """Relative Fisher information I(nu | gamma) >= 0."""
+    return fisher_rel_gauss_full(nu, tol=tol).value
 
 
 def load_grid_csv(path) -> GridDensity1D:

@@ -3,8 +3,8 @@
 The central object is a finite mixture of full-covariance Gaussians. Around
 it: directional marginals (1-D mixtures), coordinate slices (the conditional
 law along one axis at a fixed value of the others, again a 1-D mixture times
-an explicit mass factor), relative entropy and Fisher information w.r.t. the
-standard Gaussian, and the per-axis tensorization bound for the entropy.
+an explicit mass factor), and relative entropy and Fisher information w.r.t.
+the standard Gaussian.
 
 Expectations against the mixture are computed component-wise in whitened
 coordinates: for each component, Gauss-Hermite nodes are mapped through the
@@ -23,25 +23,22 @@ import numpy as np
 from scipy.special import logsumexp, ndtri
 from scipy.stats import qmc
 
-from .density1d import GaussianMixture1D, RelFunction1D
+from .density1d import GaussianMixture1D
 from .errors import ConditioningError, DomainError, ParseError
-from .quadrature import gh_nodes, gh_tensor
+from .quadrature import gh_tensor
 
 __all__ = [
     "GaussianMixtureND",
     "Direction",
-    "SliceSpec",
     "SliceBatch",
     "RelDensityND",
     "ProductFunction",
     "directional_marginal",
     "relative_density",
-    "conditional_slice",
     "conditional_slice_batch",
     "marginal_without",
     "entropy_nd",
     "fisher_nd",
-    "tensorize_entropy_bound",
     "mixture_from_json",
 ]
 
@@ -202,22 +199,6 @@ class Direction:
         return self.vector.shape[0]
 
 
-@dataclass(frozen=True)
-class SliceSpec:
-    """Coordinate slice: vary ``axis`` (0-based), pin the others at ``point``."""
-
-    axis: int
-    point: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "point",
-                           np.asarray(self.point, dtype=float).reshape(-1))
-        if self.axis < 0:
-            raise DomainError("slice axis must be nonnegative")
-        if not np.all(np.isfinite(self.point)):
-            raise DomainError("slice point must be finite")
-
-
 def directional_marginal(nu: GaussianMixtureND, xi) -> GaussianMixture1D:
     """Law of <xi, X> under the mixture; xi is normalized first."""
     v = xi.vector if isinstance(xi, Direction) else Direction(xi).vector
@@ -329,19 +310,6 @@ def conditional_slice_batch(nu: GaussianMixtureND, axis: int,
                       means=m_cond, stds=s_cond)
 
 
-def conditional_slice(nu: GaussianMixtureND, spec: SliceSpec):
-    """Relative density of one coordinate slice.
-
-    Returns (mass, g) where g(t) = p(t, point) / (phi(t) phi_{n-1}(point)) as a
-    RelFunction1D carrying the conditional 1-D mixture as its measure, and
-    mass = int g dgamma. The slice of the full relative density equals g.
-    """
-    batch = conditional_slice_batch(nu, spec.axis, spec.point[None, :])
-    mix = batch.mixture(0)
-    mass = float(batch.mass[0])
-    return mass, RelFunction1D.from_measure(mix).scaled(mass)
-
-
 class ProductFunction:
     """Tensor product of 1-D mixtures, viewable as a diagonal ND mixture."""
 
@@ -444,58 +412,6 @@ def fisher_nd(nu: GaussianMixtureND, *, order: int = _GH_ORDER,
 
     return _expectation(nu, g, order=order, check_order=check_order,
                         mc_budget=mc_budget, seed=seed)
-
-
-def _batch_h_rel_gauss(batch: SliceBatch, order: int) -> np.ndarray:
-    """H(slice mixture | gamma) for every row of a SliceBatch, via 1-D GH."""
-    t, wts = gh_nodes(order)
-    m = batch.means                      # (B, K)
-    s = batch.stds                       # (K,)
-    pw = batch.weights                   # (B, K)
-    # evaluation points per (row, component, node)
-    x = m[:, :, None] + s[None, :, None] * t[None, None, :]
-    # log mixture density at x: contributions from every component j
-    z = (x[:, :, :, None] - m[:, None, None, :]) / s[None, None, None, :]
-    log_comp = (-0.5 * z * z - np.log(s)[None, None, None, :]
-                - 0.5 * _LOG_2PI + np.log(np.maximum(pw, 1e-300))[:, None, None, :])
-    log_mix = logsumexp(log_comp, axis=3)
-    log_phi = -0.5 * x * x - 0.5 * _LOG_2PI
-    inner = (log_mix - log_phi) @ wts    # (B, K)
-    return np.sum(pw * inner, axis=1)
-
-
-def _outer_orders(n: int):
-    # outer rule over n-1 pinned coordinates
-    return (_GH_ORDER, _GH_CHECK) if n == 2 else (20, 14)
-
-
-def tensorize_entropy_bound(nu: GaussianMixtureND, *, inner_order: int = _GH_ORDER):
-    """Per-axis slice entropies: terms[i] = E over the other coordinates of
-    H(conditional slice | gamma); their sum dominates Ent_gamma of the
-    relative density, with equality for products. Returns (terms, total, err).
-    """
-    if nu.dim < 2:
-        raise DomainError("tensorization needs dimension at least 2")
-    if nu.dim > 3:
-        raise DomainError("tensorization bound is computed for n <= 3")
-    outer_hi, outer_lo = _outer_orders(nu.dim)
-    terms = np.empty(nu.dim)
-    errs = np.empty(nu.dim)
-    for axis in range(nu.dim):
-        rest_mix = marginal_without(nu, axis)
-        vals = []
-        for order in (outer_hi, outer_lo):
-            nodes, wts = gh_tensor(order, nu.dim - 1)
-            acc = 0.0
-            for k in range(rest_mix.n_components):
-                pts = rest_mix.means[k] + nodes @ rest_mix._chol[k].T
-                batch = conditional_slice_batch(nu, axis, pts)
-                h = _batch_h_rel_gauss(batch, inner_order)
-                acc += rest_mix.weights[k] * float(wts @ h)
-            vals.append(acc)
-        terms[axis] = vals[0]
-        errs[axis] = abs(vals[0] - vals[1]) + 1e-15
-    return terms, float(terms.sum()), float(errs.sum())
 
 
 def mixture_from_json(payload) -> GaussianMixtureND:

@@ -111,6 +111,19 @@ def test_deficit_pl_via_flags(capsys):
     assert json.loads(out)["report"]["theorem"] == "pl"
 
 
+def test_grid_csv_gets_verdicts(tmp_path, capsys):
+    xs = np.linspace(-6.0, 6.0, 121)
+    dens = (0.5 * np.exp(-0.5 * ((xs + 0.8) / 0.9) ** 2) / 0.9
+            + 0.5 * np.exp(-0.5 * ((xs - 1.0) / 1.2) ** 2) / 1.2)
+    path = tmp_path / "g.csv"
+    path.write_text("x,density\n" + "".join(f"{x:.17g},{v:.17g}\n"
+                                            for x, v in zip(xs, dens)))
+    for argv in (("deficit", "--theorem", "main"), ("talagrand",)):
+        code, out, _ = run_cli(capsys, *argv, "--measure", f"file:{path}")
+        assert code == 0, argv
+        assert json.loads(out)["report"]["status"] == "pass", argv
+
+
 def test_talagrand_sampled_nd_inconclusive_exit(capsys, mix2d_file):
     code, out, _ = run_cli(capsys, "talagrand", "--measure",
                            f"file:{mix2d_file}", "--mode", "sampled-nd",
@@ -167,6 +180,14 @@ def test_sweep_sigma_csv_format(capsys):
     assert out.endswith("\n") and "\r" not in out
     deficit = float(lines[1].split(",")[2])
     assert abs(deficit - 0.8068528194400546) < 1e-9
+
+
+def test_sweep_sigma_readme_example(capsys):
+    # wide Gaussians (sigma = 4) get a verdict, not an error
+    code, out, _ = run_cli(capsys, "sweep", "--kind", "sigma",
+                           "--values", "0.5,1,2,4")
+    assert code == 0
+    assert json.loads(out)["summary"]["pass"] == 4
 
 
 def test_sweep_continues_past_case_errors(capsys):

@@ -95,10 +95,14 @@ def test_lsi_deficit_nd_gaussian():
     assert abs(val - 2 * LSI_SIGMA2) < 1e-9 + err
 
 
-def test_lsi_deficit_rejects_unnormalized():
-    from bfstab import RelFunction1D
-    with pytest.raises(DomainError):
-        lsi_deficit(RelFunction1D.from_measure(scaled(1.5)).scaled(2.0))
+@pytest.mark.parametrize("sigma", [1e-3, 0.05, 0.5, 2.0, 3.5, 4.0, 10.0,
+                                   100.0, 1e3])
+def test_lsi_deficit_gaussian_closed_form_across_scales(sigma):
+    # delta_LS(N(0, s^2)) = (s^2 - 1)^2 / (2 s^2) - (s^2 - 1 - ln s^2) / 2
+    s2 = sigma * sigma
+    ref = (s2 - 1.0) ** 2 / (2.0 * s2) - 0.5 * (s2 - 1.0 - math.log(s2))
+    val, err = lsi_deficit(scaled(sigma))
+    assert abs(val - ref) <= err + 1e-12 * max(1.0, abs(ref))
 
 
 # ---------------------------------------------------------------------------

@@ -4,14 +4,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 from scipy import integrate, stats
 
 from bfstab import (ConditioningError, DomainError, GaussianMixture1D,
-                    GridDensity1D, ParseError, RelFunction1D,
-                    StandardGaussian, ent_gamma, entropy_rel_gauss,
-                    fisher_integral, load_grid_csv)
-from bfstab.density1d import normalize
+                    GridDensity1D, ParseError, StandardGaussian,
+                    entropy_rel_gauss, fisher_rel_gauss, load_grid_csv)
 
 GAUSS = StandardGaussian()
 
@@ -76,12 +74,22 @@ def test_mixture_logpdf_consistent():
     assert np.allclose(np.exp(mix.logpdf(xs)), mix.pdf(xs), rtol=1e-13)
 
 
-def test_mixture_dpdf_matches_numeric_derivative():
+def test_score_matches_logpdf_central_difference():
+    h = 1e-6
     mix = mixtures()[3]
     xs = np.linspace(-4, 4, 17)
-    h = 1e-6
-    num = (mix.pdf(xs + h) - mix.pdf(xs - h)) / (2 * h)
-    assert np.allclose(mix.dpdf(xs), num, atol=1e-7)
+    num = (mix.logpdf(xs + h) - mix.logpdf(xs - h)) / (2 * h)
+    assert np.allclose(mix.score(xs), num, atol=1e-7)
+    # far out every component density underflows; the score is still the
+    # widest component's, -(x - 0) / 1
+    assert np.isclose(mix.score(np.array([60.0]))[0], -60.0)
+    # a grid's score is its piecewise log-slope; probe between nodes and in
+    # both Gaussian tails
+    xs_g, vals = _gaussian_grid(n=61, lo=-3.0, hi=3.0)
+    grid = GridDensity1D(xs_g, vals)
+    probe = np.concatenate([[-4.5, -3.2], 0.5 * (xs_g[:-1] + xs_g[1:]), [3.3, 5.0]])
+    num = (grid.logpdf(probe + h) - grid.logpdf(probe - h)) / (2 * h)
+    assert np.allclose(grid.score(probe), num, atol=1e-6)
 
 
 @given(mixture_strategy(), st.floats(1e-7, 1.0 - 1e-7))
@@ -163,49 +171,23 @@ def test_entropy_mixture_against_scipy_quad():
 
 
 def test_fisher_closed_form_scaled_gaussian():
-    f = RelFunction1D.from_measure(GaussianMixture1D([1.0], [0.0], [2.0]))
-    assert abs(fisher_integral(f) - FISHER_SIGMA2) < 1e-11
+    nu = GaussianMixture1D([1.0], [0.0], [2.0])
+    assert abs(fisher_rel_gauss(nu) - FISHER_SIGMA2) < 1e-11
 
 
 def test_fisher_mixture_against_scipy_quad():
     mix = mixtures()[3]
-    f = RelFunction1D.from_measure(mix)
 
     def integrand(x):
-        # |f'|^2 / f against the gaussian weight
-        fx = f(np.array([x]))[0]
-        dfx = f.deriv(np.array([x]))[0]
-        return dfx * dfx / fx * GAUSS.pdf(x)
+        # (d/dx log p + x)^2 against nu, written through the pdf derivative
+        z = (x - mix.means) / mix.stds
+        comp = mix.weights * np.exp(-0.5 * z * z) / (mix.stds * math.sqrt(2 * math.pi))
+        p = comp.sum()
+        dp = (comp * (-z / mix.stds)).sum()
+        return (dp / p + x) ** 2 * p
 
     ref, err = integrate.quad(integrand, -30, 30, limit=300)
-    assert abs(fisher_integral(f) - ref) < 1e-8 + err
-
-
-@given(st.floats(0.1, 10.0))
-@settings(max_examples=20)
-def test_ent_gamma_one_homogeneous(c):
-    base = RelFunction1D.from_measure(mixtures()[2])
-    assert abs(ent_gamma(base.scaled(c)) - c * ent_gamma(base)) < 1e-9 * (1 + c)
-
-
-def test_exp_tilt_has_zero_entropy_and_fisher_gap():
-    # f = exp(a x - a^2/2) saturates both functionals at the same value
-    f = RelFunction1D.exp_tilt(0.8)
-    assert abs(f.mass - 1.0) < 1e-12
-    assert abs(0.5 * fisher_integral(f) - ent_gamma(f)) < 1e-11
-
-
-def test_scaled_keeps_measure_attribute():
-    mix = mixtures()[1]
-    f = RelFunction1D.from_measure(mix)
-    assert f.scaled(2.0).measure is mix
-
-
-def test_normalize():
-    f = RelFunction1D.from_measure(mixtures()[2]).scaled(3.0)
-    m, g = normalize(f)
-    assert abs(m - 3.0) < 1e-9
-    assert abs(g.mass - 1.0) < 1e-10
+    assert abs(fisher_rel_gauss(mix) - ref) < 1e-8 + err
 
 
 # ---------------------------------------------------------------------------

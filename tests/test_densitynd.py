@@ -9,11 +9,12 @@ from scipy import stats
 
 from bfstab import (ConditioningError, Direction, DomainError,
                     GaussianMixture1D, GaussianMixtureND, ParseError,
-                    ProductFunction, conditional_slice, directional_marginal,
-                    entropy_nd, entropy_rel_gauss, fisher_nd,
-                    marginal_without, mixture_from_json, relative_density,
-                    tensorize_entropy_bound)
-from bfstab.densitynd import SliceSpec
+                    ProductFunction, directional_marginal, entropy_nd,
+                    entropy_rel_gauss, fisher_nd, fisher_rel_gauss,
+                    marginal_without, mixture_from_json, relative_density)
+from bfstab.corpus import main_corpus
+from bfstab.density1d import entropy_rel_gauss_full, fisher_rel_gauss_full
+from bfstab.densitynd import conditional_slice_batch
 
 # frozen closed forms for N(0, 4 I_2) against gamma_2
 ENT_4I2 = 1.6137056388801092
@@ -159,25 +160,34 @@ def test_product_as_mixture_pdf_factorizes():
 
 
 def test_conditional_slice_pointwise_identity():
-    # nu(x) = mass(point) * phi_{n-1}(point) * slice_mixture(t)
+    # nu(x) = mass(point) * phi_{n-1}(point) * slice_mixture(t), row by row;
+    # at (12, 0) the first component's slice weight underflows below 1e-16
+    # and the row's mixture drops it
     nu = mix3d()
-    point = np.array([0.4, -0.7])
-    mass, g = conditional_slice(nu, SliceSpec(0, point))
-    mix = g.measure
+    points = np.array([[0.4, -0.7], [-1.1, 0.5], [12.0, 0.0]])
+    batch = conditional_slice_batch(nu, 0, points)
+    assert batch.mass.shape == (3,) and batch.weights.shape == (3, 2)
+    assert np.allclose(batch.weights.sum(axis=1), 1.0, atol=1e-14)
     ts = np.linspace(-3, 3, 13)
-    pts = np.column_stack([ts, np.tile(point, (13, 1))])
-    log_rest = stats.multivariate_normal(np.zeros(2), np.eye(2)).logpdf(point)
-    ref = math.log(mass) + log_rest + np.log(mix.pdf(ts))
-    assert np.allclose(nu.logpdf(pts), ref, atol=1e-10)
+    gauss_rest = stats.multivariate_normal(np.zeros(2), np.eye(2))
+    for b, point in enumerate(points):
+        mix = batch.mixture(b)
+        pts = np.column_stack([ts, np.tile(point, (13, 1))])
+        ref = (math.log(batch.mass[b]) + gauss_rest.logpdf(point)
+               + np.log(mix.pdf(ts)))
+        assert np.allclose(nu.logpdf(pts), ref, atol=1e-10)
+    assert [batch.mixture(b).weights.size for b in range(3)] == [2, 2, 1]
 
 
 def test_conditional_slice_mass_integrates_marginal():
     nu = mix2d()
-    point = np.array([0.9])
-    mass, _ = conditional_slice(nu, SliceSpec(1, point))
+    points = np.array([[0.9], [-1.4], [2.5], [-10.0]])
+    batch = conditional_slice_batch(nu, 1, points)
     marg = marginal_without(nu, 1)
-    ref = marg.pdf(point[None, :])[0] / stats.norm.pdf(point[0])
-    assert abs(mass - ref) < 1e-12
+    ref = marg.pdf(points) / stats.norm.pdf(points[:, 0])
+    assert np.allclose(batch.mass, ref, rtol=1e-12, atol=1e-12)
+    # far out in the pinned coordinate only one component survives
+    assert batch.mixture(3).weights.size == 1
 
 
 def test_relative_density_grad():
@@ -230,33 +240,27 @@ def test_entropy_mixture_matches_1d_embedding():
     h = GaussianMixture1D([0.3, 0.7], [-1.0, 1.5], [0.6, 1.2])
     nu = GaussianMixtureND(h.weights, h.means[:, None],
                            (h.stds ** 2)[:, None, None])
-    # 1-D embedded mixture must agree with the adaptive 1-D integral
-    ref = entropy_rel_gauss(h)
+    # 1-D embedded mixture must agree with the adaptive 1-D integrals
     val, err = entropy_nd(nu)
-    assert abs(val - ref) < 1e-9 + err
+    assert abs(val - entropy_rel_gauss(h)) < 1e-9 + err
+    val, err = fisher_nd(nu)
+    assert abs(val - fisher_rel_gauss(h)) < 1e-9 + err
 
 
-def test_tensorize_entropy_bound_product_equality():
-    h1 = GaussianMixture1D([1.0], [0.0], [2.0])
-    h2 = GaussianMixture1D([1.0], [0.3], [1.0])
-    nu = ProductFunction([h1, h2]).as_mixture()
-    terms, total, err = tensorize_entropy_bound(nu)
-    assert abs(terms[0] - entropy_rel_gauss(h1)) < 1e-9 + err
-    assert abs(terms[1] - entropy_rel_gauss(h2)) < 1e-9 + err
+def test_entropy_fisher_gh_match_product_factor_sums():
+    # lsi_deficit sums 1-D terms over a product's factors; the whitened
+    # Gauss-Hermite layer must agree on the expanded mixture
+    prod = dict(main_corpus())["main-2d-prod-1"]
+    assert prod.dim == 2 and prod.factors[0].weights.size == 2
+    nu = prod.as_mixture()
     ent, ent_err = entropy_nd(nu)
-    assert total >= ent - 1e-8 - err - ent_err
-
-
-def test_tensorize_entropy_bound_dominates_mixture_entropy():
-    nu = mix2d()
-    terms, total, err = tensorize_entropy_bound(nu)
-    ent, ent_err = entropy_nd(nu)
-    assert total >= ent - 1e-8 - err - ent_err
-
-
-def test_tensorize_rejects_wrong_dims():
-    with pytest.raises(DomainError):
-        tensorize_entropy_bound(gaussian_nd([0.0], [[1.0]]))
+    fis, fis_err = fisher_nd(nu)
+    ent_1d = [entropy_rel_gauss_full(h) for h in prod.factors]
+    fis_1d = [fisher_rel_gauss_full(h) for h in prod.factors]
+    assert (abs(ent - sum(r.value for r in ent_1d))
+            <= ent_err + sum(r.error for r in ent_1d))
+    assert (abs(fis - sum(r.value for r in fis_1d))
+            <= fis_err + sum(r.error for r in fis_1d))
 
 
 # ---------------------------------------------------------------------------
