@@ -220,7 +220,7 @@ def run_case(case_id: str, obj, theorem: str, *, tol: Optional[float] = None,
             return verify_thm_main(obj, cfg, case_id=case_id, tol=tol,
                                    mc_budget=mc_budget, seed=seed)
         if theorem == "corollary":
-            return verify_corollary(_as_nd(obj), mc_budget, case_id=case_id,
+            return verify_corollary(obj, mc_budget, case_id=case_id,
                                     tol=tol, seed=seed)
         if theorem == "talagrand":
             mode, payload = _talagrand_mode(obj)
@@ -236,15 +236,6 @@ def run_case(case_id: str, obj, theorem: str, *, tol: Optional[float] = None,
                              lower_bound=0.0, margin=0.0, error_estimate=0.0,
                              status="error",
                              method=f"error: {type(exc).__name__}: {exc}")
-
-
-def _as_nd(obj):
-    if isinstance(obj, ProductFunction):
-        return obj.as_mixture()
-    if isinstance(obj, GaussianMixture1D):
-        return GaussianMixtureND(obj.weights, obj.means[:, None],
-                                 (obj.stds ** 2)[:, None, None])
-    return obj
 
 
 def _talagrand_mode(obj):

@@ -38,8 +38,9 @@ from .errors import (CapabilityError, DomainError, EvaluationError,
                      InvariantViolation)
 from .quadrature import adaptive_quad, gh_tensor
 from .sphereopt import DnResult, SphereSearchConfig, dn_distance
-from .transport1d import (TransportMap1D, _directed_distance, bf_distance_full,
-                          bregman_integral_full, talagrand_deficit_1d_full)
+from .transport1d import (TransportMap1D, bf_distance_full,
+                          bregman_integral_full, gauss_distance_rows,
+                          talagrand_deficit_1d_full)
 
 __all__ = [
     "DeficitReport",
@@ -187,73 +188,103 @@ def verify_thm_main(nu, cfg: Optional[SphereSearchConfig] = None, *,
 
 
 def _slice_distances(nu: GaussianMixtureND, axis: int, pts: np.ndarray,
-                     gauss: StandardGaussian, inner_tol: float):
+                     inner_tol: float):
+    """d(slice, gamma) and its error at each pinned point, in one kernel call."""
     batch = conditional_slice_batch(nu, axis, pts)
-    d = np.empty(pts.shape[0])
-    derr = np.empty(pts.shape[0])
-    for b in range(pts.shape[0]):
-        res = _directed_distance(batch.mixture(b), gauss, inner_tol)
-        d[b] = res.value
-        derr[b] = res.error
-    return d, derr, batch.mass
+    return gauss_distance_rows(batch.weights, batch.means, batch.stds,
+                               tol=inner_tol)
 
 
-def _corollary_axis_quad(nu, axis, order, gauss, inner_tol):
-    """(mass-weighted, literal, inner-error) contributions at one GH order."""
+def _corollary_axis_quad(nu, axis, orders, inner_tol):
+    """Per-order mass-weighted terms, plus the literal term and inner error
+    at the first order, from one stacked set of pinned points.
+
+    At each order the pinned points are every component of the marginal
+    without ``axis`` mapped through its Cholesky factor; the first order
+    adds the raw Gauss-Hermite nodes for the literal gamma average.
+    """
     rest = marginal_without(nu, axis)
-    dim_out = nu.dim - 1
-    nodes, wts = gh_tensor(order, dim_out)
-    weighted = 0.0
+    rules = [gh_tensor(order, nu.dim - 1) for order in orders]
+    pts = [rest.means[k] + nodes @ rest._chol[k].T
+           for nodes, _ in rules for k in range(rest.n_components)]
+    pts.append(rules[0][0])
+    d, derr = _slice_distances(nu, axis, np.concatenate(pts), inner_tol)
+    weighted = []
     werr = 0.0
-    for k in range(rest.n_components):
-        pts = rest.means[k] + nodes @ rest._chol[k].T
-        d, derr, _ = _slice_distances(nu, axis, pts, gauss, inner_tol)
-        weighted += rest.weights[k] * float(wts @ (d * d))
-        werr += rest.weights[k] * float(wts @ (2.0 * d * derr))
-    d0, derr0, _ = _slice_distances(nu, axis, nodes, gauss, inner_tol)
+    pos = 0
+    for i, (_, wts) in enumerate(rules):
+        total = 0.0
+        for k in range(rest.n_components):
+            dk, ek = d[pos:pos + wts.size], derr[pos:pos + wts.size]
+            pos += wts.size
+            total += rest.weights[k] * float(wts @ (dk * dk))
+            if i == 0:
+                werr += rest.weights[k] * float(wts @ (2.0 * dk * ek))
+        weighted.append(total)
+    d0, derr0 = d[pos:], derr[pos:]
+    wts = rules[0][1]
     literal = float(wts @ (d0 * d0))
     werr += float(wts @ (2.0 * d0 * derr0))
     return weighted, literal, werr
 
 
-def _corollary_axis_mc(nu, axis, budget, gauss, inner_tol, rng):
+def _corollary_axis_mc(nu, axis, budget, inner_tol, rng):
     rest = marginal_without(nu, axis)
     n_pts = max(min(budget, 2048), 64)
     pts = rest.sample(rng, n_pts)
-    d, derr, _ = _slice_distances(nu, axis, pts, gauss, inner_tol)
+    pts_g = rng.standard_normal((n_pts, nu.dim - 1))
+    d_all, derr_all = _slice_distances(nu, axis, np.concatenate([pts, pts_g]),
+                                       inner_tol)
+    d, d0, derr = d_all[:n_pts], d_all[n_pts:], derr_all[:n_pts]
     weighted = float(np.mean(d * d))
     se = float(np.std(d * d, ddof=1) / math.sqrt(n_pts))
-    pts_g = rng.standard_normal((n_pts, nu.dim - 1))
-    d0, _, _ = _slice_distances(nu, axis, pts_g, gauss, inner_tol)
     literal = float(np.mean(d0 * d0))
     se += float(np.std(d0 * d0, ddof=1) / math.sqrt(n_pts))
     return weighted, literal, se + float(np.mean(2.0 * d * derr))
 
 
-def verify_corollary(nu: GaussianMixtureND, mc_budget: int = 10 ** 6, *,
+def _product_slice_distances(nu: ProductFunction, inner_tol: float):
+    """d(h_i, gamma) and its error per factor: every slice of a product
+    along axis i is the factor h_i, whatever the pinned point."""
+    k = max(h.weights.size for h in nu.factors)
+    w = np.zeros((nu.dim, k))
+    m = np.zeros((nu.dim, k))
+    s = np.ones((nu.dim, k))
+    for i, h in enumerate(nu.factors):
+        n = h.weights.size
+        w[i, :n], m[i, :n], s[i, :n] = h.weights, h.means, h.stds
+    return gauss_distance_rows(w, m, s, tol=inner_tol)
+
+
+def verify_corollary(nu, mc_budget: int = 10 ** 6, *,
                      case_id: str = "", tol: float = 1e-5, seed: int = 0,
                      inner_tol: float = 1e-9) -> DeficitReport:
     """delta_LS >= 1/2 sum_i E[d(slice_i, gamma)^2] over pinned coordinates.
 
-    The pass criterion weighs each slice by its mass (the expectation runs
-    over the mixture's own marginal), which is the form the tensorization
+    nu is a GaussianMixtureND or a ProductFunction of dimension >= 2. The
+    pass criterion weighs each slice by its mass (the expectation runs over
+    the mixture's own marginal), which is the form the tensorization
     argument produces; the literal unweighted average over gamma_{n-1} is
-    evaluated alongside and recorded in the method string.
+    evaluated alongside and recorded in the method string. A product needs
+    no outer average: its slices along axis i are all the factor h_i, so
+    both averages are d(h_i, gamma)^2.
     """
-    if isinstance(nu, ProductFunction):
-        nu = nu.as_mixture()
-    if nu.dim < 2:
+    if isinstance(nu, Density1D) or nu.dim < 2:
         raise DomainError("the corollary needs dimension at least 2")
-    gauss = StandardGaussian()
     deficit, d_err = lsi_deficit(nu, mc_budget=mc_budget, seed=seed)
     weighted_terms = np.zeros(nu.dim)
     literal_terms = np.zeros(nu.dim)
     err = 0.0
-    if nu.dim <= 3:
+    if isinstance(nu, ProductFunction):
+        d, derr = _product_slice_distances(nu, inner_tol)
+        weighted_terms = literal_terms = d * d
+        err = float(np.sum(2.0 * d * derr))
+        mode = "per-factor slices (product)"
+    elif nu.dim <= 3:
         hi, lo = (64, 48) if nu.dim == 2 else (20, 14)
         for axis in range(nu.dim):
-            w_hi, l_hi, ierr = _corollary_axis_quad(nu, axis, hi, gauss, inner_tol)
-            w_lo, l_lo, _ = _corollary_axis_quad(nu, axis, lo, gauss, inner_tol)
+            (w_hi, w_lo), l_hi, ierr = _corollary_axis_quad(
+                nu, axis, (hi, lo), inner_tol)
             weighted_terms[axis] = w_hi
             literal_terms[axis] = l_hi
             err += abs(w_hi - w_lo) + ierr
@@ -262,7 +293,7 @@ def verify_corollary(nu: GaussianMixtureND, mc_budget: int = 10 ** 6, *,
         rng = np.random.default_rng(seed)
         per_axis = mc_budget // max(nu.dim, 1)
         for axis in range(nu.dim):
-            w, l, se = _corollary_axis_mc(nu, axis, per_axis, gauss, inner_tol, rng)
+            w, l, se = _corollary_axis_mc(nu, axis, per_axis, inner_tol, rng)
             weighted_terms[axis] = w
             literal_terms[axis] = l
             err += se

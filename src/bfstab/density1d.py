@@ -71,7 +71,8 @@ def gauss_logpdf(x):
 
 
 def _check_prob_open(p):
-    if np.any(~np.isfinite(p)) or np.any(p <= 0.0) or np.any(p >= 1.0):
+    # NaN fails both comparisons, so this rejects non-finite p too
+    if not np.logical_and(p > 0.0, p < 1.0).all():
         raise DomainError("probability arguments must lie strictly in (0, 1)")
 
 

@@ -244,23 +244,29 @@ class SliceBatch:
     """Conditionals of a mixture along one axis at a batch of pinned points.
 
     For Gaussian components the conditional standard deviations do not depend
-    on the pinned point, so they are shared across the batch.
+    on the pinned point, so they are shared across the batch. Far in the
+    pinned-point tails remote components underflow: a weight at or below
+    1e-16 is set to 0 (the component is absent from that row) and the row
+    renormalized, keeping at least its largest component.
     """
 
     axis: int
     mass: np.ndarray          # (B,)
-    weights: np.ndarray       # (B, K) rows sum to 1
+    weights: np.ndarray       # (B, K) rows sum to 1; 0 = absent
     means: np.ndarray         # (B, K)
     stds: np.ndarray          # (K,)
 
+    def __post_init__(self):
+        w = self.weights
+        keep = (w > 1e-16) | ((w == w.max(axis=1, keepdims=True))
+                              & ~np.any(w > 1e-16, axis=1, keepdims=True))
+        w = np.where(keep, w, 0.0)
+        self.weights = w / w.sum(axis=1, keepdims=True)
+
     def mixture(self, b: int) -> GaussianMixture1D:
-        w = self.weights[b]
-        # far in the pinned-point tails remote components underflow to 0
-        keep = w > 1e-16
-        if not np.any(keep):
-            keep = w == w.max()
-        w = w[keep]
-        return GaussianMixture1D(w / w.sum(), self.means[b][keep],
+        """Row b as a 1-D mixture of its present components."""
+        keep = self.weights[b] > 0.0
+        return GaussianMixture1D(self.weights[b][keep], self.means[b][keep],
                                  self.stds[keep])
 
 

@@ -9,7 +9,9 @@ takes values in [0, 1] and vanishes exactly when v is a translate of u. The
 derivative is always evaluated through the densities, T'(x) = u(x)/v(T(x)),
 never by finite differences. Both directed integrals are computed; they agree
 analytically, so a gap beyond 1e-6 raises a NumericalWarning and the average
-is returned.
+is returned. ``gauss_distance_rows`` computes the directed integral from
+many 1-D mixtures to gamma in one batched quadrature, with the same
+breakpoint rule (``_distance_breaks``) as the single-pair path.
 
 Also here: the quantile-coupling W2^2, the Talagrand deficit against gamma,
 the Bregman-type integral int (T' - 1 - log T') dgamma for maps with Gaussian
@@ -23,18 +25,19 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr
+from scipy.special import ndtr, ndtri
 
-from .density1d import (Density1D, GaussianMixture1D, StandardGaussian,
-                        _breaks, gauss_pdf)
+from .density1d import (SQRT_2PI, Density1D, GaussianMixture1D,
+                        StandardGaussian, _breaks, gauss_logpdf, gauss_pdf)
 from .errors import DomainError, EvaluationError, InvariantViolation, NumericalWarning
-from .quadrature import adaptive_quad
+from .quadrature import adaptive_quad, adaptive_quad_rows
 
 __all__ = [
     "TransportMap1D",
     "build_map",
     "bf_distance",
     "bf_distance_full",
+    "gauss_distance_rows",
     "w2_squared_1d",
     "w2_squared_1d_full",
     "talagrand_deficit_1d",
@@ -79,28 +82,125 @@ def build_map(mu: Density1D, nu: Density1D) -> TransportMap1D:
     return TransportMap1D(mu, nu)
 
 
+# Pre-scan of T' - 1 on this many points of the working interval; a row
+# whose sign changes number at most _MAX_FLIPS gets breakpoints at them.
+_SCAN_POINTS = 257
+_MAX_FLIPS = 32
+# Points x components the row kernel evaluates at once (1 MiB per
+# temporary), so its memory does not grow with the number of rows.
+_ROW_CHUNK = 1 << 17
+# Tail mass the directed distance leaves outside its working interval.
+_DIST_TAIL = 1e-15
+
+
+def _distance_breaks(lo, hi, means, deriv):
+    """Panel breakpoints of the directed distance integrand, one row each.
+
+    lo, hi: (B,) working intervals of the sources; means: (B, K) source
+    means, NaN where there is none. ``deriv`` maps a (B, 257) pre-scan grid
+    to T' there. Where T' - 1 changes sign between 1 and 32 times, both ends
+    of each sign-change cell become breakpoints, so the kinks of |1 - T'|
+    sit near panel edges. The means inside (lo, hi) and the even 8-panel
+    split of [lo, hi] are breakpoints too. Returns a (B, M) NaN-padded
+    array for ``adaptive_quad_rows``.
+    """
+    # np.linspace(lo[r], hi[r], 257) for every row r, the same values
+    xs = (np.arange(_SCAN_POINTS) * ((hi - lo) / (_SCAN_POINTS - 1))[:, None]
+          + lo[:, None])
+    xs[:, -1] = hi
+    dv = deriv(xs) - 1.0
+    sgn = np.sign(dv)
+    flip = sgn[:, :-1] * sgn[:, 1:] < 0
+    pinned = ((np.maximum.reduce(np.abs(dv), axis=1) > 1e-9)
+              & (flip.sum(axis=1) <= _MAX_FLIPS))
+    flip &= pinned[:, None]
+    cols = np.flatnonzero(np.logical_or.reduce(flip, axis=0))  # in some row
+    sel = flip[:, cols]
+    interior = np.concatenate([means, np.where(sel, xs[:, cols], np.nan),
+                               np.where(sel, xs[:, cols + 1], np.nan)], axis=1)
+    inside = (interior > lo[:, None]) & (interior < hi[:, None])
+    # every 32nd pre-scan point: np.linspace(lo, hi, 9), the same values
+    split = xs[:, ::(_SCAN_POINTS - 1) // 8]
+    return np.concatenate([split, np.where(inside, interior, np.nan)], axis=1)
+
+
 def _directed_distance(mu: Density1D, nu: Density1D, tol: float):
     tmap = TransportMap1D(mu, nu)
-    lo, hi = mu.working_interval(1e-15)
-    interior = []
-    if isinstance(mu, GaussianMixture1D):
-        interior.extend(float(m) for m in mu.means)
-
-    # pre-locate cells where T' crosses 1 so the kink sits near panel edges
-    xs = np.linspace(lo, hi, 257)
-    dv = tmap.deriv(xs) - 1.0
-    if float(np.max(np.abs(dv))) > 1e-9:
-        sgn = np.sign(dv)
-        flips = np.flatnonzero(sgn[:-1] * sgn[1:] < 0)
-        if 0 < flips.size <= 32:
-            interior.extend(float(xs[i]) for i in flips)
-            interior.extend(float(xs[i + 1]) for i in flips)
+    lo, hi = mu.working_interval(_DIST_TAIL)
+    means = mu.means if isinstance(mu, GaussianMixture1D) else np.empty(0)
+    bp = _distance_breaks(np.array([lo]), np.array([hi]), means[None, :],
+                          lambda xs: tmap.deriv(xs.ravel()).reshape(xs.shape))
 
     def g(x):
         s = tmap.deriv(x)
         return np.abs(1.0 - s) / np.maximum(1.0, s) * mu.pdf(x)
 
-    return adaptive_quad(g, _breaks(lo, hi, interior), tol_abs=tol, tol_rel=1e-12)
+    return adaptive_quad(g, bp[np.isfinite(bp)], tol_abs=tol, tol_rel=1e-12)
+
+
+def _rows_deriv_pdf(x, weights, means, stds, log_w, log_norm):
+    """(T', u) at the points x (P, n) of row mixtures u against gamma.
+
+    The parameter arrays are (P, K), one row per row of x. The formulas are
+    those of TransportMap1D with a gamma target, T = Phi^{-1}(F_u) from the
+    survival side where F_u > 1/2, and both sides come from one ndtr call
+    on -|z| per component.
+    """
+    z = (x[:, :, None] - means[:, None, :]) / stds[:, None, :]
+    logs = -0.5 * z * z - log_norm[:, None, :] + log_w[:, None, :]
+    mx = logs.max(axis=-1, keepdims=True)
+    logpdf = np.squeeze(mx, -1) + np.log(np.exp(logs - mx).sum(axis=-1))
+    tail = ndtr(-np.abs(z))
+    left = z < 0.0
+    w = weights[:, None, :]
+    F = np.clip((np.where(left, tail, 1.0 - tail) * w).sum(axis=-1),
+                _PROB_FLOOR, _PROB_CEIL)
+    S = np.clip((np.where(left, 1.0 - tail, tail) * w).sum(axis=-1),
+                _PROB_FLOOR, _PROB_CEIL)
+    low = F <= 0.5
+    t = ndtri(np.where(low, F, S))
+    t = np.where(low, t, -t)
+    return np.exp(logpdf - gauss_logpdf(t)), np.exp(logpdf)
+
+
+def gauss_distance_rows(weights, means, stds, *, tol: float = 1e-9):
+    """Directed distances d(u_b, gamma) of many 1-D mixtures u_b at once.
+
+    Row b of the (B, K) arrays is u_b = sum_k w_bk N(m_bk, s_bk^2); a zero
+    weight marks an absent component, whose mean and std must still be
+    finite. ``stds`` may be (K,), shared by all rows. Each row gets the
+    working interval, pre-scan, breakpoints and quadrature budget of
+    ``_directed_distance(u_b, gamma, tol)`` and agrees with it up to
+    rounding. Rows run in chunks of at most _ROW_CHUNK pre-scan points x
+    components. Returns (value, error), each of shape (B,).
+    """
+    w = np.atleast_2d(np.asarray(weights, dtype=float))
+    m = np.atleast_2d(np.asarray(means, dtype=float))
+    s = np.broadcast_to(np.asarray(stds, dtype=float), w.shape)
+    present = w > 0.0
+    z = float(-ndtri(_DIST_TAIL / 2.0))  # as GaussianMixture1D.working_interval
+    lo = np.min(np.where(present, m - z * s, np.inf), axis=1)
+    hi = np.max(np.where(present, m + z * s, -np.inf), axis=1)
+    with np.errstate(divide="ignore"):
+        log_w = np.log(w)
+    params = (w, m, s, log_w, np.log(s * SQRT_2PI))
+    value = np.empty(w.shape[0])
+    error = np.empty(w.shape[0])
+    step = max(1, _ROW_CHUNK // (_SCAN_POINTS * w.shape[1]))
+    for start in range(0, w.shape[0], step):
+        rows = slice(start, start + step)
+        chunk = [p[rows] for p in params]
+
+        def g(x, row):
+            d, pdf = _rows_deriv_pdf(x, *(p[row] for p in chunk))
+            return np.abs(1.0 - d) / np.maximum(1.0, d) * pdf
+
+        bp = _distance_breaks(lo[rows], hi[rows],
+                              np.where(present[rows], m[rows], np.nan),
+                              lambda xs: _rows_deriv_pdf(xs, *chunk)[0])
+        res = adaptive_quad_rows(g, bp, tol_abs=tol, tol_rel=1e-12)
+        value[rows], error[rows] = res.value, res.error
+    return value, error
 
 
 def bf_distance_full(u: Density1D, v: Density1D, *, tol: float = 1e-9):

@@ -1,6 +1,7 @@
 """Command-line contract: specs, formats, exit codes, determinism."""
 
 import json
+import math
 import os
 
 import numpy as np
@@ -122,6 +123,20 @@ def test_grid_csv_gets_verdicts(tmp_path, capsys):
         code, out, _ = run_cli(capsys, *argv, "--measure", f"file:{path}")
         assert code == 0, argv
         assert json.loads(out)["report"]["status"] == "pass", argv
+
+
+def test_grid_csv_corollary_needs_two_dims(tmp_path, capsys):
+    xs = np.linspace(-6.0, 6.0, 121)
+    path = tmp_path / "g.csv"
+    path.write_text("x,density\n" + "".join(
+        f"{x:.17g},{math.exp(-0.5 * x * x):.17g}\n" for x in xs))
+    code, out, _ = run_cli(capsys, "deficit", "--theorem", "corollary",
+                           "--measure", f"file:{path}")
+    assert code == 2
+    report = json.loads(out)["report"]
+    assert report["status"] == "error"
+    assert report["method"] == ("error: DomainError: the corollary needs "
+                                "dimension at least 2")
 
 
 def test_talagrand_sampled_nd_inconclusive_exit(capsys, mix2d_file):

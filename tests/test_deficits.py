@@ -12,7 +12,7 @@ from bfstab import (CapabilityError, DeficitReport, DomainError, GFun,
                     ProductFunction, lambda_limit_diagnostics, lsi_deficit,
                     pl_deficit_check, sup_convolution, verify_corollary,
                     verify_talagrand, verify_thm_main)
-from bfstab.corpus import _sin_bump
+from bfstab.corpus import _sin_bump, main_corpus
 
 LSI_SIGMA2 = 0.3181471805599453   # fisher/2 - entropy at sigma = 2
 TAL_SIGMA2 = 0.6137056388801092
@@ -153,6 +153,24 @@ def test_corollary_mixture_2d():
 def test_corollary_needs_two_dims():
     with pytest.raises(DomainError):
         verify_corollary(GaussianMixtureND([1.0], [[0.0]], [[[4.0]]]))
+    with pytest.raises(DomainError, match="dimension at least 2"):
+        verify_corollary(scaled(2.0))
+
+
+def test_corollary_product_per_factor_matches_mixture_path():
+    # main-2d-prod-1: two two-component factors, so the expanded mixture
+    # has four components and its slices depend on the pinned point only
+    # through their weights, which all reduce to the factor
+    prod = dict(main_corpus())["main-2d-prod-1"]
+    assert [f.weights.size for f in prod.factors] == [2, 2]
+    per_factor = verify_corollary(prod)
+    mixture = verify_corollary(prod.as_mixture())
+    assert per_factor.method.startswith("per-factor slices (product);")
+    assert mixture.method.startswith("outer GH 64/48")
+    both = per_factor.error_estimate + mixture.error_estimate
+    assert abs(per_factor.deficit - mixture.deficit) <= both
+    assert abs(per_factor.lower_bound - mixture.lower_bound) <= both
+    assert per_factor.status == mixture.status == "pass"
 
 
 # ---------------------------------------------------------------------------

@@ -9,10 +9,12 @@ from hypothesis import given, settings, strategies as st
 from scipy import integrate, stats
 from scipy.special import ndtri
 
-from bfstab import (DomainError, GaussianMixture1D, StandardGaussian,
-                    bf_distance, bf_distance_full, bregman_integral,
-                    build_map, pointwise_bregman_bound, talagrand_deficit_1d,
-                    w2_squared_1d)
+from bfstab import (DomainError, GaussianMixture1D, GaussianMixtureND,
+                    StandardGaussian, bf_distance, bf_distance_full,
+                    bregman_integral, build_map, pointwise_bregman_bound,
+                    talagrand_deficit_1d, w2_squared_1d)
+from bfstab.densitynd import conditional_slice_batch
+from bfstab.transport1d import _directed_distance, gauss_distance_rows
 
 GAUSS = StandardGaussian()
 
@@ -134,6 +136,34 @@ def test_distance_triangle(u, v, w):
 def test_distance_translation_invariant(u, a):
     shifted = GaussianMixture1D(u.weights, u.means + a, u.stds)
     assert abs(bf_distance(u, GAUSS) - bf_distance(shifted, GAUSS)) < 1e-7
+
+
+def test_row_kernel_matches_per_row_distance():
+    # two slice batches with different conditional stds, stacked into one
+    # call: row 0 is a two-component slice, row 2 sits so far out that one
+    # component's weight underflows and is trimmed to 0
+    nu = GaussianMixtureND(
+        [0.4, 0.6], [[-0.5, 0.3], [1.0, -0.2]],
+        [[[1.2, 0.3], [0.3, 0.8]], [[0.7, -0.1], [-0.1, 1.5]]])
+    first = conditional_slice_batch(nu, 0, np.array([[0.3], [-1.0], [14.0]]))
+    second = conditional_slice_batch(nu, 1, np.array([[0.9], [-2.5]]))
+    batches = [(first, b) for b in range(3)] + [(second, b) for b in range(2)]
+    weights = np.vstack([first.weights, second.weights])
+    means = np.vstack([first.means, second.means])
+    stds = np.vstack([np.tile(first.stds, (3, 1)), np.tile(second.stds, (2, 1))])
+    assert not np.allclose(first.stds, second.stds)
+    assert np.count_nonzero(first.weights[2]) == 1
+    two = first.mixture(0)
+    assert two.weights.size == 2
+    lo, hi = two.working_interval(1e-15)
+    sgn = np.sign(build_map(two, GAUSS).deriv(np.linspace(lo, hi, 257)) - 1.0)
+    assert 1 <= np.count_nonzero(sgn[:-1] * sgn[1:] < 0) <= 32
+
+    value, error = gauss_distance_rows(weights, means, stds, tol=1e-9)
+    for r, (batch, b) in enumerate(batches):
+        ref = _directed_distance(batch.mixture(b), GAUSS, 1e-9)
+        assert abs(value[r] - ref.value) <= 1e-15, r
+        assert abs(error[r] - ref.error) <= 1e-15, r
 
 
 def test_directed_integrals_agree():
