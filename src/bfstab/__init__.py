@@ -24,8 +24,8 @@ from .densitynd import (Direction, GaussianMixtureND, ProductFunction,
                         RelDensityND, directional_marginal, entropy_nd,
                         fisher_nd, marginal_without, mixture_from_json,
                         relative_density)
-from .sphereopt import (DnCertificate, DnResult, SphereSearchConfig,
-                        dn_distance, lower_bound_certificate)
+from .sphereopt import (DnCertificate, DnResult, dn_distance,
+                        lower_bound_certificate)
 from .deficits import (DeficitReport, GFun, LambdaDiagRow, PLTriple,
                        lambda_limit_diagnostics, lsi_deficit, pl_deficit_check,
                        sup_convolution, verify_corollary, verify_talagrand,
@@ -53,8 +53,7 @@ __all__ = [
     "directional_marginal", "entropy_nd", "fisher_nd", "marginal_without",
     "mixture_from_json", "relative_density",
     # sphere search
-    "SphereSearchConfig", "DnResult", "DnCertificate", "dn_distance",
-    "lower_bound_certificate",
+    "DnResult", "DnCertificate", "dn_distance", "lower_bound_certificate",
     # deficits and reports
     "DeficitReport", "GFun", "PLTriple", "LambdaDiagRow", "lsi_deficit",
     "verify_thm_main", "verify_corollary", "verify_talagrand",

@@ -303,7 +303,6 @@ def _cmd_talagrand(args) -> int:
     if args.mode != "auto":
         from .deficits import verify_talagrand
         kw = _budget_kwargs(args)
-        kw.pop("directions", None)
         kw.pop("mc_budget", None)
         tol = kw.pop("tol", DEFAULT_TOL["talagrand"])
         try:

@@ -17,7 +17,6 @@ from .deficits import (DeficitReport, GFun, PLTriple, pl_deficit_check,
 from .density1d import Density1D, GaussianMixture1D
 from .densitynd import GaussianMixtureND, ProductFunction
 from .errors import DomainError
-from .sphereopt import SphereSearchConfig
 
 __all__ = [
     "SUITES",
@@ -212,12 +211,10 @@ def run_case(case_id: str, obj, theorem: str, *, tol: Optional[float] = None,
     suite runs and sweeps continue past it.
     """
     tol = DEFAULT_TOL[theorem] if tol is None else tol
-    cfg = None
-    if directions is not None:
-        cfg = SphereSearchConfig(coarse_count=directions)
     try:
         if theorem == "main":
-            return verify_thm_main(obj, cfg, case_id=case_id, tol=tol,
+            return verify_thm_main(obj, directions=directions,
+                                   case_id=case_id, tol=tol,
                                    mc_budget=mc_budget, seed=seed)
         if theorem == "corollary":
             return verify_corollary(obj, mc_budget, case_id=case_id,
@@ -226,7 +223,7 @@ def run_case(case_id: str, obj, theorem: str, *, tol: Optional[float] = None,
             mode, payload = _talagrand_mode(obj)
             return verify_talagrand(payload, mode, case_id=case_id, tol=tol,
                                     m_samples=m_samples, repeats=repeats,
-                                    seed=seed, cfg=cfg)
+                                    seed=seed, directions=directions)
         if theorem == "pl":
             g, lam = obj
             return pl_deficit_check(PLTriple(g, lam), case_id=case_id, tol=tol)

@@ -28,16 +28,16 @@ from scipy.optimize import linear_sum_assignment
 from scipy.spatial.distance import cdist
 
 from .density1d import (Density1D, GaussianMixture1D, GridDensity1D,
-                        StandardGaussian, WORKING_RADIUS, _breaks, _log_ratio,
-                        _tail_bound, entropy_rel_gauss_full,
-                        fisher_rel_gauss_full, gauss_pdf)
+                        StandardGaussian, WORKING_RADIUS, _breaks,
+                        entropy_rel_gauss_full, fisher_rel_gauss_full,
+                        gauss_pdf)
 from .densitynd import (GaussianMixtureND, ProductFunction,
                         conditional_slice_batch, entropy_nd, fisher_nd,
                         marginal_without)
 from .errors import (CapabilityError, DomainError, EvaluationError,
                      InvariantViolation)
 from .quadrature import adaptive_quad, gh_tensor
-from .sphereopt import DnResult, SphereSearchConfig, dn_distance
+from .sphereopt import DnResult, dn_distance
 from .transport1d import (TransportMap1D, bf_distance_full,
                           bregman_integral_full, gauss_distance_rows,
                           talagrand_deficit_1d_full)
@@ -107,8 +107,7 @@ class DeficitReport:
 def _lsi_deficit_1d(nu: Density1D):
     fi = fisher_rel_gauss_full(nu)
     e = entropy_rel_gauss_full(nu)
-    e_err = e.error + _tail_bound(nu, _log_ratio(nu))
-    return 0.5 * fi.value - e.value, 0.5 * fi.error + e_err
+    return 0.5 * fi.value - e.value, 0.5 * fi.error + e.error
 
 
 def lsi_deficit(nu, *, mc_budget: int = 10 ** 6, seed: int = 0):
@@ -155,15 +154,16 @@ def _dn_method(res: DnResult) -> str:
             f"evals={res.directions_evaluated}")
 
 
-def verify_thm_main(nu, cfg: Optional[SphereSearchConfig] = None, *,
+def verify_thm_main(nu, *, directions: Optional[int] = None,
                     case_id: str = "", tol: float = 1e-6,
                     mc_budget: int = 10 ** 6, seed: int = 0) -> DeficitReport:
     """delta_LS(nu) >= 1/2 d_n(nu, gamma_n)^2.
 
     nu is a 1-D density, a ProductFunction or an n-D Gaussian mixture. In
     one dimension d_n is the distance itself; above, the direction search
-    only ever under-estimates the supremum, so the check is conservative: a
-    sharper search can only shrink the margin.
+    (``directions`` coarse lattice points, see ``dn_distance``) only ever
+    under-estimates the supremum, so the check is conservative: a sharper
+    search can only shrink the margin.
     """
     deficit, d_err = lsi_deficit(nu, mc_budget=mc_budget, seed=seed)
     if isinstance(nu, Density1D):
@@ -174,7 +174,7 @@ def verify_thm_main(nu, cfg: Optional[SphereSearchConfig] = None, *,
     else:
         if isinstance(nu, ProductFunction):
             nu = nu.as_mixture()
-        res = dn_distance(nu, cfg)
+        res = dn_distance(nu, directions=directions)
     lower = 0.5 * res.value ** 2
     err = d_err + res.value * res.value_error
     method = (f"entropy+fisher whitened-GH/QMC; {_dn_method(res)}")
@@ -345,7 +345,7 @@ _SAMPLED_SE_CAP = 0.05
 
 def verify_talagrand(nu, mode: str, *, case_id: str = "", tol: float = 1e-6,
                      m_samples: int = 2048, repeats: int = 16, seed: int = 0,
-                     cfg: Optional[SphereSearchConfig] = None) -> DeficitReport:
+                     directions: Optional[int] = None) -> DeficitReport:
     """2 H(nu|gamma) - W2^2(nu, gamma) >= 1/2 d_n^2 in three regimes.
 
     1d and product are exact (the quantile coupling, and coordinatewise
@@ -382,7 +382,7 @@ def verify_talagrand(nu, mode: str, *, case_id: str = "", tol: float = 1e-6,
             d_i, e_i = talagrand_deficit_1d_full(factor)
             deficit += d_i
             err += e_i
-        res = dn_distance(nu.as_mixture(), cfg)
+        res = dn_distance(nu.as_mixture(), directions=directions)
         lower = 0.5 * res.value ** 2
         err += res.value * res.value_error
         method = f"tensorized per-axis W2 and entropy; {_dn_method(res)}"
@@ -395,7 +395,7 @@ def verify_talagrand(nu, mode: str, *, case_id: str = "", tol: float = 1e-6,
         w2, w2_err, cal = _empirical_w2(nu, m_samples, repeats, seed)
         deficit = 2.0 * h - w2
         err = 2.0 * h_err + w2_err
-        res = dn_distance(nu, cfg)
+        res = dn_distance(nu, directions=directions)
         lower = 0.5 * res.value ** 2
         err += res.value * res.value_error
         method = (f"empirical assignment W2 m={m_samples} reps={repeats} "

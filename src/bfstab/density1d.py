@@ -672,18 +672,18 @@ def _tail_bound(nu: Density1D, fn) -> float:
     return _TAIL_MASS * float(np.sum(np.abs(fn(edges))))
 
 
-def _log_ratio(nu: Density1D):
-    """x -> log(d nu / d gamma)(x) = log p(x) - log phi(x)."""
-    return lambda x: nu.logpdf(x) - gauss_logpdf(x)
-
-
 def entropy_rel_gauss_full(nu: Density1D, *, tol: float = 1e-11) -> QuadResult:
     """H(nu | gamma) = E_nu[log p - log phi] with an error estimate.
 
-    The error covers the quadrature on ``_measure_interval(nu)`` only;
-    ``_tail_bound`` gives the part beyond it.
+    The error includes the bound on the tails beyond the interval.
     """
-    return _expect(nu, _log_ratio(nu), tol)
+
+    def fn(x):
+        return nu.logpdf(x) - gauss_logpdf(x)
+
+    res = _expect(nu, fn, tol)
+    return QuadResult(res.value, res.error + _tail_bound(nu, fn),
+                      res.evaluations, res.panels)
 
 
 def entropy_rel_gauss(nu: Density1D, *, tol: float = 1e-11) -> float:

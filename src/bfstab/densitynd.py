@@ -33,6 +33,8 @@ __all__ = [
     "SliceBatch",
     "RelDensityND",
     "ProductFunction",
+    "canonical_directions",
+    "marginal_parameters",
     "directional_marginal",
     "relative_density",
     "conditional_slice_batch",
@@ -177,6 +179,23 @@ class GaussianMixtureND:
         return second - np.outer(mu, mu)
 
 
+def canonical_directions(rows) -> np.ndarray:
+    """(B, n) rows scaled to unit length, each on its canonical antipodal side.
+
+    Opposite directions give the same marginal distance, so each row is
+    flipped until its first entry with |v| > 1e-14 is positive; negative
+    zeros are dropped. A zero or non-finite row raises DomainError.
+    """
+    v = np.atleast_2d(np.asarray(rows, dtype=float))
+    norms = np.sqrt(np.vecdot(v, v))  # per row, the bits of np.linalg.norm
+    if not np.all(np.isfinite(norms) & (norms > 0.0)):
+        raise DomainError("direction must be a nonzero finite vector")
+    v = v / norms[:, None]
+    big = np.abs(v) > 1e-14
+    lead = v[np.arange(v.shape[0]), np.argmax(big, axis=1)]
+    return np.where((lead < 0.0)[:, None], -v, v) + 0.0
+
+
 @dataclass(frozen=True)
 class Direction:
     """Unit vector on the sphere, canonicalized against the antipodal copy."""
@@ -185,28 +204,27 @@ class Direction:
 
     def __post_init__(self):
         v = np.asarray(self.vector, dtype=float).reshape(-1)
-        norm = float(np.linalg.norm(v))
-        if not np.isfinite(norm) or norm <= 0.0:
-            raise DomainError("direction must be a nonzero finite vector")
-        v = v / norm
-        nz = np.flatnonzero(np.abs(v) > 1e-14)
-        if nz.size and v[nz[0]] < 0.0:
-            v = -v
-        object.__setattr__(self, "vector", v + 0.0)  # drop negative zeros
+        object.__setattr__(self, "vector", canonical_directions(v)[0])
 
     @property
     def dim(self) -> int:
         return self.vector.shape[0]
 
 
+def marginal_parameters(nu: GaussianMixtureND, rows: np.ndarray):
+    """(B, K) means and stds of the laws of <v_b, X> for unit rows v_b."""
+    if rows.shape[1] != nu.dim:
+        raise DomainError("direction dimension does not match the mixture")
+    means = rows @ nu.means.T
+    variances = np.einsum("ba,kac,bc->bk", rows, nu.covs, rows)
+    return means, np.sqrt(variances)
+
+
 def directional_marginal(nu: GaussianMixtureND, xi) -> GaussianMixture1D:
     """Law of <xi, X> under the mixture; xi is normalized first."""
     v = xi.vector if isinstance(xi, Direction) else Direction(xi).vector
-    if v.shape[0] != nu.dim:
-        raise DomainError("direction dimension does not match the mixture")
-    means = nu.means @ v
-    variances = np.einsum("a,kab,b->k", v, nu.covs, v)
-    return GaussianMixture1D(nu.weights, means, np.sqrt(variances))
+    means, stds = marginal_parameters(nu, v[None, :])
+    return GaussianMixture1D(nu.weights, means[0], stds[0])
 
 
 @dataclass

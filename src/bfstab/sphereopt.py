@@ -8,7 +8,10 @@ value monotone in the budget), a structure-aware augmentation (coordinate
 axes, normalized differences of component means, covariance eigenvectors),
 then Nelder-Mead refinement in tangent coordinates from the best spread-out
 seeds. Directions are canonicalized against the antipodal map since opposite
-directions give the same marginal distance.
+directions give the same marginal distance. Every distance the search itself
+evaluates, the whole lattice at once and each Nelder-Mead point as one row,
+comes from the batched kernel ``gauss_distance_rows``; only the final
+candidates get both directed integrals (``lower_bound_certificate``).
 """
 
 from __future__ import annotations
@@ -23,38 +26,25 @@ from scipy.special import ndtri
 from scipy.stats import qmc
 
 from .density1d import StandardGaussian
-from .densitynd import Direction, GaussianMixtureND, directional_marginal
+from .densitynd import (Direction, GaussianMixtureND, canonical_directions,
+                        directional_marginal, marginal_parameters)
 from .errors import DomainError
-from .transport1d import _directed_distance, bf_distance_full
+from .transport1d import bf_distance_full, gauss_distance_rows
 
 __all__ = [
-    "SphereSearchConfig",
     "DnResult",
     "DnCertificate",
     "dn_distance",
     "lower_bound_certificate",
 ]
 
-
-@dataclass(frozen=True)
-class SphereSearchConfig:
-    """Budget knobs for the direction search.
-
-    coarse_count of None picks 512 for n <= 3 and 4096 above. tolerance is
-    the Nelder-Mead simplex size at which refinement stops, in radians.
-    """
-
-    coarse_count: Optional[int] = None
-    refinement_iterations: int = 200
-    restarts: int = 8
-    tolerance: float = 1e-6
-
-    def resolve_count(self, dim: int) -> int:
-        if self.coarse_count is not None:
-            if self.coarse_count < 1:
-                raise DomainError("coarse_count must be positive")
-            return int(self.coarse_count)
-        return 512 if dim <= 3 else 4096
+# Nelder-Mead refinement: seeds refined, iterations per seed, and the
+# simplex size at which refinement stops, in radians.
+_RESTARTS = 8
+_ITERATIONS = 200
+_XATOL = 1e-6
+# Rows per Gram block in _dedup: 512 x 512 doubles are 2 MiB.
+_DEDUP_BLOCK = 512
 
 
 @dataclass(frozen=True)
@@ -95,9 +85,8 @@ def _lattice(dim: int, count: int) -> np.ndarray:
         return np.column_stack([r * np.cos(theta), r * np.sin(theta), z])
     u = _sobol_block(dim, count)
     z = ndtri(np.clip(u, 1e-12, 1.0 - 1e-12))
-    norms = np.linalg.norm(z, axis=1)
-    norms[norms < 1e-12] = 1.0
-    return z / norms[:, None]
+    # (1/2, ..., 1/2) maps to the origin, which is no direction
+    return z[np.linalg.norm(z, axis=1) >= 1e-12]
 
 
 def _augmentation(nu: GaussianMixtureND) -> np.ndarray:
@@ -116,25 +105,33 @@ def _augmentation(nu: GaussianMixtureND) -> np.ndarray:
     return cand
 
 
-def _canonicalize(rows: np.ndarray) -> np.ndarray:
-    out = rows.copy()
-    for i in range(out.shape[0]):
-        nz = np.flatnonzero(np.abs(out[i]) > 1e-14)
-        if nz.size and out[i, nz[0]] < 0.0:
-            out[i] = -out[i]
-    return out + 0.0  # -0.0 entries from the flip confuse report diffs
-
-
 def _dedup(rows: np.ndarray, tol: float = 1e-10) -> np.ndarray:
-    keep = []
-    for i in range(rows.shape[0]):
-        if not keep:
-            keep.append(i)
-            continue
-        dots = np.abs(rows[keep] @ rows[i])
-        if np.max(dots) < 1.0 - tol:
-            keep.append(i)
+    """Rows in order, less each row within tol of an earlier kept row.
+
+    A row is dropped when |<row, kept>| >= 1 - tol for a kept row before it
+    (the greedy rule), decided a block of rows at a time, so no Gram matrix
+    larger than a block squared is formed.
+    """
+    keep = np.zeros(rows.shape[0], dtype=bool)
+    for start in range(0, rows.shape[0], _DEDUP_BLOCK):
+        blk = rows[start:start + _DEDUP_BLOCK]
+        kept = rows[:start][keep[:start]]
+        ok = np.ones(blk.shape[0], dtype=bool)
+        for k in range(0, kept.shape[0], _DEDUP_BLOCK):
+            gram = blk @ kept[k:k + _DEDUP_BLOCK].T
+            ok &= np.max(np.abs(gram), axis=1) < 1.0 - tol
+        near = np.tril(np.abs(blk @ blk.T) >= 1.0 - tol, -1)
+        for i in np.flatnonzero(ok & near.any(axis=1)):
+            ok[i] = not np.any(near[i, :i] & ok[:i])
+        keep[start:start + blk.shape[0]] = ok
     return rows[keep]
+
+
+def _distances(nu: GaussianMixtureND, rows: np.ndarray) -> np.ndarray:
+    """d(<v, X> law, gamma) for canonical unit rows v, in one kernel call."""
+    means, stds = marginal_parameters(nu, rows)
+    weights = np.broadcast_to(nu.weights, means.shape)
+    return gauss_distance_rows(weights, means, stds, tol=1e-10)[0]
 
 
 def _tangent_basis(xi: np.ndarray) -> np.ndarray:
@@ -154,24 +151,25 @@ def lower_bound_certificate(nu: GaussianMixtureND, direction) -> DnCertificate:
     return DnCertificate(direction=d.vector, value=value, error=err)
 
 
-def dn_distance(nu: GaussianMixtureND,
-                config: Optional[SphereSearchConfig] = None) -> DnResult:
+def dn_distance(nu: GaussianMixtureND, *,
+                directions: Optional[int] = None) -> DnResult:
     """Search the sphere for the largest marginal distance to gamma.
 
-    The returned value is a certified lower bound on the supremum (it is the
-    exact distance at the reported argmax, up to value_error); the search
-    cannot overshoot.
+    ``directions`` is the coarse lattice size; None picks 512 for n <= 3
+    and 4096 above. The returned value is a certified lower bound on the
+    supremum (it is the exact distance at the reported argmax, up to
+    value_error); the search cannot overshoot.
     """
-    if config is None:
-        config = SphereSearchConfig()
-    gauss = StandardGaussian()
+    if directions is None:
+        directions = 512 if nu.dim <= 3 else 4096
+    if directions < 1:
+        raise DomainError("directions must be positive")
     evals = 0
 
     def objective(vec: np.ndarray) -> float:
         nonlocal evals
         evals += 1
-        marg = directional_marginal(nu, Direction(vec))
-        return _directed_distance(marg, gauss, 1e-10).value
+        return float(_distances(nu, canonical_directions(vec))[0])
 
     if nu.dim == 1:
         cert = lower_bound_certificate(nu, np.ones(1))
@@ -179,17 +177,17 @@ def dn_distance(nu: GaussianMixtureND,
                         coarse_max=cert.value, refined_gain=0.0,
                         directions_evaluated=1, value_error=cert.error)
 
-    count = config.resolve_count(nu.dim)
-    cand = np.vstack([_lattice(nu.dim, count), _augmentation(nu)])
-    cand = _dedup(_canonicalize(cand))
-    values = np.array([objective(v) for v in cand])
+    cand = np.vstack([_lattice(nu.dim, int(directions)), _augmentation(nu)])
+    cand = _dedup(canonical_directions(cand))
+    values = _distances(nu, cand)
+    evals += cand.shape[0]
     coarse_max = float(values.max())
 
     # spread-out seeds: best first, then best outside 0.15 rad of the picks
     order = np.argsort(-values)
     seeds = []
     for idx in order:
-        if len(seeds) >= max(config.restarts, 1):
+        if len(seeds) >= _RESTARTS:
             break
         v = cand[idx]
         if seeds and np.max(np.abs(np.array(seeds) @ v)) > math.cos(0.15):
@@ -211,9 +209,9 @@ def dn_distance(nu: GaussianMixtureND,
         t_dim = nu.dim - 1
         simplex = np.vstack([np.zeros(t_dim), 0.1 * np.eye(t_dim)])
         res = minimize(neg, np.zeros(t_dim), method="Nelder-Mead",
-                       options={"maxiter": config.refinement_iterations,
+                       options={"maxiter": _ITERATIONS,
                                 "initial_simplex": simplex,
-                                "xatol": config.tolerance,
+                                "xatol": _XATOL,
                                 "fatol": 1e-12})
         vec = s + basis @ res.x
         nrm = np.linalg.norm(vec)

@@ -131,6 +131,15 @@ def test_main_theorem_mixture_2d():
     assert "dn=" in rep.method
 
 
+def test_main_theorem_mixture_4d():
+    nu = GaussianMixtureND(
+        [0.3, 0.7], [[0.0, 1.0, -0.5, 0.2], [0.4, -0.3, 0.0, 1.1]],
+        [np.diag([1.0, 2.0, 0.5, 1.5]), np.eye(4)])
+    rep = verify_thm_main(nu, mc_budget=1024)
+    assert rep.status == "pass", rep.method
+    assert rep.lower_bound > 0.0
+
+
 # ---------------------------------------------------------------------------
 # corollary
 

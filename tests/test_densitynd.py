@@ -14,7 +14,8 @@ from bfstab import (ConditioningError, Direction, DomainError,
                     marginal_without, mixture_from_json, relative_density)
 from bfstab.corpus import main_corpus
 from bfstab.density1d import entropy_rel_gauss_full, fisher_rel_gauss_full
-from bfstab.densitynd import conditional_slice_batch
+from bfstab.densitynd import (canonical_directions, conditional_slice_batch,
+                              marginal_parameters)
 
 # frozen closed forms for N(0, 4 I_2) against gamma_2
 ENT_4I2 = 1.6137056388801092
@@ -126,6 +127,37 @@ def test_direction_canonical():
     assert abs(np.linalg.norm(d1.vector) - 1.0) < 1e-14
     with pytest.raises(DomainError):
         Direction([0.0, 0.0])
+
+
+def test_canonical_directions_match_direction_bitwise():
+    rng = np.random.default_rng(3)
+    for n in (2, 3, 4, 6):
+        rows = rng.standard_normal((200, n)) * rng.uniform(1e-3, 1e3, (200, 1))
+        rows[:50, 0] = -np.abs(rows[:50, 0])        # negative first entry
+        rows[50:100, 0] = -0.0                      # -0 leading entry
+        rows[100:120, :n - 1] = 0.0                 # one nonzero entry
+        rows[120:140, 0] = 1e-15 * rng.choice([-1.0, 1.0], 20)  # below 1e-14
+        batch = canonical_directions(rows)
+        one = np.vstack([Direction(r).vector for r in rows])
+        assert np.array_equal(batch, one)
+        assert not np.any(np.signbit(batch) & (batch == 0.0))
+        lead = batch[np.arange(200), np.argmax(np.abs(batch) > 1e-14, axis=1)]
+        assert np.all(lead > 0.0)
+    for bad in ([[1.0, 0.0], [0.0, 0.0]], [[1.0, np.nan]], [[np.inf, 1.0]]):
+        with pytest.raises(DomainError):
+            canonical_directions(np.array(bad))
+
+
+def test_marginal_parameters_rows_match_directional_marginal():
+    nu = mix2d()
+    rows = canonical_directions(np.random.default_rng(4).standard_normal((9, 2)))
+    means, stds = marginal_parameters(nu, rows)
+    for b, v in enumerate(rows):
+        marg = directional_marginal(nu, v)
+        assert np.allclose(means[b], marg.means, rtol=0, atol=1e-15)
+        assert np.allclose(stds[b], marg.stds, rtol=0, atol=1e-15)
+    with pytest.raises(DomainError):
+        marginal_parameters(nu, np.ones((2, 3)) / math.sqrt(3.0))
 
 
 def test_directional_marginal_matches_hand_built():

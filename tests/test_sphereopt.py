@@ -6,8 +6,13 @@ import numpy as np
 import pytest
 
 from bfstab import (DomainError, GaussianMixture1D, GaussianMixtureND,
-                    ProductFunction, SphereSearchConfig, bf_distance,
-                    StandardGaussian, dn_distance, lower_bound_certificate)
+                    ProductFunction, bf_distance, StandardGaussian,
+                    directional_marginal, dn_distance,
+                    lower_bound_certificate)
+from bfstab.corpus import main_corpus
+from bfstab.densitynd import canonical_directions
+from bfstab.sphereopt import _augmentation, _dedup, _distances, _lattice
+from bfstab.transport1d import _directed_distance
 
 
 def diag_gauss(*variances):
@@ -71,7 +76,7 @@ def test_rotation_equivariance():
 
 def test_value_monotone_in_coarse_count():
     nu = skew_mixture_2d()
-    values = [dn_distance(nu, SphereSearchConfig(coarse_count=c)).value
+    values = [dn_distance(nu, directions=c).value
               for c in (64, 128, 256, 512)]
     for lo, hi in zip(values, values[1:]):
         assert hi >= lo - 5e-13
@@ -110,7 +115,7 @@ def test_three_dimensional_product_axis():
 
 def test_refinement_beats_coarse_grid():
     nu = skew_mixture_2d().rotate(np.array([[0.0, -1.0], [1.0, 0.0]]))
-    res = dn_distance(nu, SphereSearchConfig(coarse_count=32))
+    res = dn_distance(nu, directions=32)
     assert res.refined_gain >= -1e-12
     assert res.value >= res.coarse_max - 1e-12
 
@@ -121,3 +126,65 @@ def test_reports_are_deterministic():
     r2 = dn_distance(nu)
     assert r1.value == r2.value
     assert np.array_equal(r1.argmax, r2.argmax)
+
+
+def test_directions_must_be_positive():
+    with pytest.raises(DomainError):
+        dn_distance(skew_mixture_2d(), directions=0)
+
+
+@pytest.mark.parametrize("dim", [4, 5, 6])
+def test_lattice_has_no_zero_direction(dim):
+    # the first Sobol point after the origin, (1/2, ..., 1/2), maps to 0
+    rows = _lattice(dim, 64)
+    assert np.all(np.linalg.norm(rows, axis=1) > 0.5)
+
+
+def test_four_and_five_dimensional_diagonals():
+    res = dn_distance(diag_gauss(1.0, 1.0, 1.0, 4.0))
+    assert abs(res.value - 0.5) < 1e-9
+    assert abs(abs(res.argmax[3]) - 1.0) < 1e-6
+    res = dn_distance(diag_gauss(1.0, 1.0, 0.0625, 1.0, 1.0))
+    assert abs(res.value - 0.75) < 1e-9
+    assert abs(abs(res.argmax[2]) - 1.0) < 1e-6
+
+
+def _greedy_dedup(rows, tol=1e-10):
+    # the one-row-at-a-time rule _dedup must reproduce
+    keep = []
+    for i in range(rows.shape[0]):
+        if not keep or np.max(np.abs(rows[keep] @ rows[i])) < 1.0 - tol:
+            keep.append(i)
+    return rows[keep]
+
+
+def test_dedup_keeps_the_greedy_set():
+    rng = np.random.default_rng(5)
+    base = canonical_directions(rng.standard_normal((500, 3)))
+    near = base[7] + 1e-11 * np.array([0.0, 1.0, -1.0])
+    rows = np.vstack([base, base[:40], -base[40:90], near, base[200:260]])
+    rows = rows[rng.permutation(rows.shape[0])]
+    nu = GaussianMixtureND(
+        [0.3, 0.7], [[0.0, 1.0, -0.5, 0.2], [0.4, -0.3, 0.0, 1.1]],
+        [np.diag([1.0, 2.0, 0.5, 1.5]), np.eye(4)])
+    lattice = canonical_directions(np.vstack([_lattice(4, 4096),
+                                              _augmentation(nu)]))
+    assert rows.shape[0] > 512 and lattice.shape[0] > 4096  # several blocks
+    for cand in (rows, lattice):
+        assert np.array_equal(_dedup(cand), _greedy_dedup(cand))
+    assert _dedup(rows).shape[0] == 500
+
+
+@pytest.mark.parametrize("case_id", [None, "main-3d-01"])
+def test_search_distances_match_single_solves(case_id):
+    # the lattice of the search in one kernel call against one
+    # _directed_distance solve per direction
+    nu = skew_mixture_2d() if case_id is None else dict(main_corpus())[case_id]
+    assert nu.n_components >= 2
+    rows = _dedup(canonical_directions(
+        np.vstack([_lattice(nu.dim, 512), _augmentation(nu)])))
+    values = _distances(nu, rows)
+    gauss = StandardGaussian()
+    for v, value in zip(rows, values):
+        ref = _directed_distance(directional_marginal(nu, v), gauss, 1e-10)
+        assert abs(value - ref.value) <= 1e-15

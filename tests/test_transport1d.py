@@ -12,7 +12,8 @@ from scipy.special import ndtri
 from bfstab import (DomainError, GaussianMixture1D, GaussianMixtureND,
                     StandardGaussian, bf_distance, bf_distance_full,
                     bregman_integral, build_map, pointwise_bregman_bound,
-                    talagrand_deficit_1d, w2_squared_1d)
+                    talagrand_deficit_1d, talagrand_deficit_1d_full,
+                    w2_squared_1d)
 from bfstab.densitynd import conditional_slice_batch
 from bfstab.transport1d import _directed_distance, gauss_distance_rows
 
@@ -176,6 +177,15 @@ def test_directed_integrals_agree():
 
 # ---------------------------------------------------------------------------
 # W2 and the Talagrand deficit
+
+
+@pytest.mark.parametrize("m", [0.0, -0.357, 1.5])
+@pytest.mark.parametrize("s", [0.05, 0.2, 0.5, 1.492, 3.0, 10.0, 50.0])
+def test_talagrand_deficit_gaussian_within_error(m, s):
+    # 2 H(N(m, s^2) | gamma) - W2^2 = 2 (s - 1) - 2 ln s; the entropy's
+    # error must cover its nu-tails beyond the integration interval
+    value, err = talagrand_deficit_1d_full(scaled(s, m))
+    assert abs(value - (2.0 * (s - 1.0) - 2.0 * math.log(s))) <= err
 
 
 @pytest.mark.parametrize("a,s", [(0.0, 2.0), (0.3, 1.0), (-1.0, 0.5)])
