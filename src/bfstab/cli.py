@@ -227,7 +227,8 @@ def _run_task(task):
 def _run_tasks(tasks, jobs: int):
     if jobs <= 1 or len(tasks) <= 1:
         return [_run_task(t) for t in tasks]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
+    # under fork, the pool starts all max_workers processes at once
+    with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
         return list(pool.map(_run_task, tasks))
 
 
@@ -385,6 +386,16 @@ def _cmd_pl_check(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _add_common(p):
     p.add_argument("--seed", type=int, default=0,
                    help="seed for all stochastic stages (default 0)")
@@ -394,7 +405,7 @@ def _add_common(p):
                    help="pass tolerance override")
     p.add_argument("--mc-budget", dest="mc_budget", type=int, default=10 ** 6,
                    help="Monte Carlo budget for high-dimensional stages")
-    p.add_argument("--directions", type=int, default=None,
+    p.add_argument("--directions", type=_positive_int, default=None,
                    help="coarse sphere-lattice size override")
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.add_argument("--out", default=None, help="output path (atomic write)")

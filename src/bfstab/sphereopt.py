@@ -9,9 +9,10 @@ axes, normalized differences of component means, covariance eigenvectors),
 then Nelder-Mead refinement in tangent coordinates from the best spread-out
 seeds. Directions are canonicalized against the antipodal map since opposite
 directions give the same marginal distance. Every distance the search itself
-evaluates, the whole lattice at once and each Nelder-Mead point as one row,
-comes from the batched kernel ``gauss_distance_rows``; only the final
-candidates get both directed integrals (``lower_bound_certificate``).
+evaluates comes from the batched kernel ``gauss_distance_rows``: the whole
+lattice in one call, then one call per round of the Nelder-Mead restarts,
+which advance in lockstep. Only the final candidates get both directed
+integrals (``lower_bound_certificate``).
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.optimize import minimize
 from scipy.special import ndtri
 from scipy.stats import qmc
 
@@ -39,10 +39,12 @@ __all__ = [
 ]
 
 # Nelder-Mead refinement: seeds refined, iterations per seed, and the
-# simplex size at which refinement stops, in radians.
+# simplex size (in radians) and spread of simplex values at which
+# refinement stops.
 _RESTARTS = 8
 _ITERATIONS = 200
 _XATOL = 1e-6
+_FATOL = 1e-12
 # Rows per Gram block in _dedup: 512 x 512 doubles are 2 MiB.
 _DEDUP_BLOCK = 512
 
@@ -141,6 +143,134 @@ def _tangent_basis(xi: np.ndarray) -> np.ndarray:
     return basis
 
 
+def _seeds(cand: np.ndarray, values: np.ndarray) -> list:
+    """Spread-out seeds: best first, then best outside 0.15 rad of the picks."""
+    seeds = []
+    for idx in np.argsort(-values):
+        if len(seeds) >= _RESTARTS:
+            break
+        v = cand[idx]
+        if seeds and np.max(np.abs(np.array(seeds) @ v)) > math.cos(0.15):
+            continue
+        seeds.append(v)
+    return seeds
+
+
+def _nelder_mead(sim: np.ndarray):
+    """Minimize from the (N + 1, N) simplex ``sim``, as a generator.
+
+    A line-for-line transcription of SciPy's non-adaptive Nelder-Mead
+    (rho 1, chi 2, psi 1/2, sigma 1/2, maxiter _ITERATIONS, no evaluation
+    cap, xatol _XATOL, fatol _FATOL), so that it takes the same steps and
+    returns the same point bit for bit. It yields each (P, N) block of
+    points it needs, the N + 1 vertices first and a shrink's N points
+    together, is sent their (P,) values, and returns (x, f(x)).
+    """
+    rho, chi, psi, sigma = 1, 2, 0.5, 0.5
+    N = sim.shape[1]
+    sim = np.array(sim, dtype=float)
+    fsim = np.array((yield sim), dtype=float)
+    ind = np.argsort(fsim)
+    sim = np.take(sim, ind, 0)
+    fsim = np.take(fsim, ind, 0)
+    ind = np.argsort(fsim)
+    fsim = np.take(fsim, ind, 0)
+    sim = np.take(sim, ind, 0)
+    iterations = 1
+    while iterations < _ITERATIONS:
+        if (np.max(np.ravel(np.abs(sim[1:] - sim[0]))) <= _XATOL and
+                np.max(np.abs(fsim[0] - fsim[1:])) <= _FATOL):
+            break
+        xbar = np.add.reduce(sim[:-1], 0) / N
+        xr = (1 + rho) * xbar - rho * sim[-1]
+        fxr, = yield xr[None]
+        doshrink = 0
+        if fxr < fsim[0]:
+            xe = (1 + rho * chi) * xbar - rho * chi * sim[-1]
+            fxe, = yield xe[None]
+            if fxe < fxr:
+                sim[-1] = xe
+                fsim[-1] = fxe
+            else:
+                sim[-1] = xr
+                fsim[-1] = fxr
+        elif fxr < fsim[-2]:
+            sim[-1] = xr
+            fsim[-1] = fxr
+        else:
+            if fxr < fsim[-1]:
+                xc = (1 + psi * rho) * xbar - psi * rho * sim[-1]
+                fxc, = yield xc[None]
+                if fxc <= fxr:
+                    sim[-1] = xc
+                    fsim[-1] = fxc
+                else:
+                    doshrink = 1
+            else:
+                xcc = (1 - psi) * xbar + psi * sim[-1]
+                fxcc, = yield xcc[None]
+                if fxcc < fsim[-1]:
+                    sim[-1] = xcc
+                    fsim[-1] = fxcc
+                else:
+                    doshrink = 1
+            if doshrink:
+                sim[1:] = sim[0] + sigma * (sim[1:] - sim[0])
+                fsim[1:] = yield sim[1:]
+        iterations += 1
+        ind = np.argsort(fsim)
+        sim = np.take(sim, ind, 0)
+        fsim = np.take(fsim, ind, 0)
+    return sim[0], fsim[0]
+
+
+def _refine(nu: GaussianMixtureND, seeds, bases):
+    """Nelder-Mead from every seed in lockstep, in tangent coordinates.
+
+    Restart i minimizes -d(<v, X> law, gamma) over v = s_i + bases[i] @ t
+    normalized, from the simplex {0, 0.1 e_j}; a v of norm below 1e-12
+    scores 0 unsolved. Each round solves the pending points of every live
+    restart in one kernel call. Returns each restart's (t, value, points
+    tried) and the number of points solved.
+    """
+    t_dim = nu.dim - 1
+    simplex = np.vstack([np.zeros(t_dim), 0.1 * np.eye(t_dim)])
+    runs = [_nelder_mead(simplex) for _ in seeds]
+    blocks = {i: run.send(None) for i, run in enumerate(runs)}
+    tried = [0] * len(runs)
+    results = [None] * len(runs)
+    solved = 0
+    while blocks:
+        vecs = [seeds[i] + bases[i] @ t
+                for i, block in blocks.items() for t in block]
+        norms = np.array([np.linalg.norm(v) for v in vecs])
+        ok = norms >= 1e-12
+        values = np.zeros(len(vecs))
+        if ok.any():
+            rows = canonical_directions(
+                [v / nrm for v, nrm, k in zip(vecs, norms, ok) if k])
+            # one-row marginal_parameters calls: a batched product rounds
+            # differently from the one-row one, and ties between symmetric
+            # directions turn on the last bit
+            means, stds = map(np.vstack, zip(*(marginal_parameters(nu, r[None])
+                                                for r in rows)))
+            values[ok] = -gauss_distance_rows(
+                np.broadcast_to(nu.weights, means.shape), means, stds,
+                tol=1e-10)[0]
+            solved += rows.shape[0]
+        start = 0
+        for i, block in list(blocks.items()):
+            stop = start + block.shape[0]
+            tried[i] += block.shape[0]
+            try:
+                blocks[i] = runs[i].send(values[start:stop])
+            except StopIteration as done:
+                results[i] = (*done.value, tried[i])
+                del blocks[i]
+            start = stop
+    return results, solved
+
+
 def lower_bound_certificate(nu: GaussianMixtureND, direction) -> DnCertificate:
     """Full-precision distance of one directional marginal to gamma."""
     d = direction if isinstance(direction, Direction) else Direction(direction)
@@ -164,13 +294,6 @@ def dn_distance(nu: GaussianMixtureND, *,
         directions = 512 if nu.dim <= 3 else 4096
     if directions < 1:
         raise DomainError("directions must be positive")
-    evals = 0
-
-    def objective(vec: np.ndarray) -> float:
-        nonlocal evals
-        evals += 1
-        return float(_distances(nu, canonical_directions(vec))[0])
-
     if nu.dim == 1:
         cert = lower_bound_certificate(nu, np.ones(1))
         return DnResult(value=cert.value, argmax=cert.direction,
@@ -180,40 +303,15 @@ def dn_distance(nu: GaussianMixtureND, *,
     cand = np.vstack([_lattice(nu.dim, int(directions)), _augmentation(nu)])
     cand = _dedup(canonical_directions(cand))
     values = _distances(nu, cand)
-    evals += cand.shape[0]
     coarse_max = float(values.max())
 
-    # spread-out seeds: best first, then best outside 0.15 rad of the picks
-    order = np.argsort(-values)
-    seeds = []
-    for idx in order:
-        if len(seeds) >= _RESTARTS:
-            break
-        v = cand[idx]
-        if seeds and np.max(np.abs(np.array(seeds) @ v)) > math.cos(0.15):
-            continue
-        seeds.append(v)
-
+    seeds = _seeds(cand, values)
+    bases = [_tangent_basis(s) for s in seeds]
+    refined, solved = _refine(nu, seeds, bases)
     finals = []
-    for s in seeds:
+    for s, basis, (t, _, _) in zip(seeds, bases, refined):
         finals.append(np.asarray(s, dtype=float))
-        basis = _tangent_basis(s)
-
-        def neg(t, _s=s, _b=basis):
-            vec = _s + _b @ t
-            nrm = np.linalg.norm(vec)
-            if nrm < 1e-12:
-                return 0.0
-            return -objective(vec / nrm)
-
-        t_dim = nu.dim - 1
-        simplex = np.vstack([np.zeros(t_dim), 0.1 * np.eye(t_dim)])
-        res = minimize(neg, np.zeros(t_dim), method="Nelder-Mead",
-                       options={"maxiter": _ITERATIONS,
-                                "initial_simplex": simplex,
-                                "xatol": _XATOL,
-                                "fatol": 1e-12})
-        vec = s + basis @ res.x
+        vec = s + basis @ t
         nrm = np.linalg.norm(vec)
         if nrm > 1e-12:
             finals.append(vec / nrm)
@@ -229,5 +327,5 @@ def dn_distance(nu: GaussianMixtureND, *,
     return DnResult(value=cert.value, argmax=cert.direction,
                     coarse_max=coarse_max,
                     refined_gain=cert.value - coarse_max,
-                    directions_evaluated=evals,
+                    directions_evaluated=cand.shape[0] + solved,
                     value_error=cert.error)

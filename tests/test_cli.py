@@ -7,6 +7,7 @@ import os
 import numpy as np
 import pytest
 
+from bfstab import cli
 from bfstab.cli import main, parse_density_spec, parse_g_spec
 from bfstab.density1d import GaussianMixture1D
 from bfstab.densitynd import GaussianMixtureND, ProductFunction
@@ -175,6 +176,40 @@ def test_verify_suite_and_jobs_determinism(tmp_path, capsys):
     assert len(payload["reports"]) == 30
     # config captures science knobs, never the worker count
     assert "jobs" not in payload["config"]
+
+
+@pytest.mark.parametrize("value", ["0", "-3", "many"])
+def test_directions_below_one_is_a_parse_error(capsys, value):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--suite", "main-corpus", "--directions", value])
+    assert exc.value.code == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert "--directions" in out.err
+
+
+def test_process_pool_is_capped_at_the_task_count(monkeypatch):
+    sizes = []
+
+    class FakePool:
+        # records the pool size and runs nothing, so no process starts
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return [task[0] for task in tasks]
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", FakePool)
+    tasks = [(f"case-{i}", None, "main", {}) for i in range(3)]
+    assert cli._run_tasks(tasks, 64) == ["case-0", "case-1", "case-2"]
+    assert cli._run_tasks(tasks, 2) == ["case-0", "case-1", "case-2"]
+    assert sizes == [3, 2]
 
 
 def test_verify_unknown_suite_exits_one(capsys):
