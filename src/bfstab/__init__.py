@@ -21,9 +21,8 @@ from .transport1d import (TransportMap1D, bf_distance, bf_distance_full,
                           talagrand_deficit_1d_full, w2_squared_1d,
                           w2_squared_1d_full)
 from .densitynd import (Direction, GaussianMixtureND, ProductFunction,
-                        RelDensityND, directional_marginal, entropy_nd,
-                        fisher_nd, marginal_without, mixture_from_json,
-                        relative_density)
+                        RelDensityND, entropy_nd, fisher_nd,
+                        marginal_without, mixture_from_json, relative_density)
 from .sphereopt import (DnCertificate, DnResult, dn_distance,
                         lower_bound_certificate)
 from .deficits import (DeficitReport, GFun, LambdaDiagRow, PLTriple,
@@ -50,8 +49,8 @@ __all__ = [
     "pointwise_bregman_bound",
     # n dimensions
     "Direction", "GaussianMixtureND", "ProductFunction", "RelDensityND",
-    "directional_marginal", "entropy_nd", "fisher_nd", "marginal_without",
-    "mixture_from_json", "relative_density",
+    "entropy_nd", "fisher_nd", "marginal_without", "mixture_from_json",
+    "relative_density",
     # sphere search
     "DnResult", "DnCertificate", "dn_distance", "lower_bound_certificate",
     # deficits and reports

@@ -640,24 +640,27 @@ def _measure_interval(nu: Density1D):
     return min(lo, -WORKING_RADIUS), max(hi, WORKING_RADIUS)
 
 
-def _expect(nu: Density1D, fn, tol: float) -> QuadResult:
-    """E_nu[fn(X)] over ``_measure_interval(nu)`` with an error estimate.
+def _measure_breaks(nu: Density1D):
+    """Panel breakpoints of ``_measure_interval(nu)``: a mixture's m_k and
+    m_k +- 8 s_k, so no narrow component hides between quadrature nodes,
+    or a grid's nodes, where its score jumps."""
+    lo, hi = _measure_interval(nu)
+    interior = ()
+    if isinstance(nu, GaussianMixture1D):
+        interior = np.concatenate([nu.means, nu.means - 8.0 * nu.stds,
+                                   nu.means + 8.0 * nu.stds])
+    elif isinstance(nu, GridDensity1D):
+        interior = nu.nodes
+    return _breaks(lo, hi, interior)
 
-    The integration interval follows nu's own tails, not just the gamma
-    working domain. Mixture means seed the panel breakpoints, and so do grid
-    nodes, where a grid density's score jumps.
-    """
+
+def _expect(nu: Density1D, fn, tol: float) -> QuadResult:
+    """E_nu[fn(X)] over ``_measure_interval(nu)`` with an error estimate."""
 
     def g(x):
         return fn(x) * nu.pdf(x)
 
-    lo, hi = _measure_interval(nu)
-    interior = ()
-    if isinstance(nu, GaussianMixture1D):
-        interior = tuple(nu.means)
-    elif isinstance(nu, GridDensity1D):
-        interior = tuple(nu.nodes)
-    return adaptive_quad(g, _breaks(lo, hi, interior), tol_abs=tol)
+    return adaptive_quad(g, _measure_breaks(nu), tol_abs=tol)
 
 
 def _tail_bound(nu: Density1D, fn) -> float:

@@ -1,10 +1,10 @@
 """Gaussian mixtures in n dimensions and their Gaussian-relative calculus.
 
 The central object is a finite mixture of full-covariance Gaussians. Around
-it: directional marginals (1-D mixtures), coordinate slices (the conditional
-law along one axis at a fixed value of the others, again a 1-D mixture times
-an explicit mass factor), and relative entropy and Fisher information w.r.t.
-the standard Gaussian.
+it: the parameters of directional marginals (1-D mixtures), coordinate
+slices (the conditional law along one axis at a fixed value of the others,
+again a 1-D mixture), and relative entropy and Fisher information w.r.t. the
+standard Gaussian.
 
 Expectations against the mixture are computed component-wise in whitened
 coordinates: for each component, Gauss-Hermite nodes are mapped through the
@@ -35,7 +35,6 @@ __all__ = [
     "ProductFunction",
     "canonical_directions",
     "marginal_parameters",
-    "directional_marginal",
     "relative_density",
     "conditional_slice_batch",
     "marginal_without",
@@ -220,13 +219,6 @@ def marginal_parameters(nu: GaussianMixtureND, rows: np.ndarray):
     return means, np.sqrt(variances)
 
 
-def directional_marginal(nu: GaussianMixtureND, xi) -> GaussianMixture1D:
-    """Law of <xi, X> under the mixture; xi is normalized first."""
-    v = xi.vector if isinstance(xi, Direction) else Direction(xi).vector
-    means, stds = marginal_parameters(nu, v[None, :])
-    return GaussianMixture1D(nu.weights, means[0], stds[0])
-
-
 @dataclass
 class RelDensityND:
     """Density of the mixture relative to the standard Gaussian."""
@@ -269,7 +261,6 @@ class SliceBatch:
     """
 
     axis: int
-    mass: np.ndarray          # (B,)
     weights: np.ndarray       # (B, K) rows sum to 1; 0 = absent
     means: np.ndarray         # (B, K)
     stds: np.ndarray          # (K,)
@@ -327,11 +318,8 @@ def conditional_slice_batch(nu: GaussianMixtureND, axis: int,
         log_norm = -0.5 * (2.0 * np.sum(np.log(np.diag(chol)))
                            + (nu.dim - 1) * _LOG_2PI)
         log_w[:, k] = math.log(nu.weights[k]) + log_norm - 0.5 * np.sum(y * y, axis=0)
-    log_tot = logsumexp(log_w, axis=1)
-    mass = np.exp(log_tot - _gauss_logpdf_nd(pts))
-    weights = np.exp(log_w - log_tot[:, None])
-    return SliceBatch(axis=axis, mass=mass, weights=weights,
-                      means=m_cond, stds=s_cond)
+    weights = np.exp(log_w - logsumexp(log_w, axis=1)[:, None])
+    return SliceBatch(axis=axis, weights=weights, means=m_cond, stds=s_cond)
 
 
 class ProductFunction:

@@ -11,8 +11,8 @@ seeds. Directions are canonicalized against the antipodal map since opposite
 directions give the same marginal distance. Every distance the search itself
 evaluates comes from the batched kernel ``gauss_distance_rows``: the whole
 lattice in one call, then one call per round of the Nelder-Mead restarts,
-which advance in lockstep. Only the final candidates get both directed
-integrals (``lower_bound_certificate``).
+which advance in lockstep, and one call certifies the final candidates
+(``lower_bound_certificate`` is its one-row case).
 """
 
 from __future__ import annotations
@@ -25,11 +25,10 @@ import numpy as np
 from scipy.special import ndtri
 from scipy.stats import qmc
 
-from .density1d import StandardGaussian
 from .densitynd import (Direction, GaussianMixtureND, canonical_directions,
-                        directional_marginal, marginal_parameters)
+                        marginal_parameters)
 from .errors import DomainError
-from .transport1d import bf_distance_full, gauss_distance_rows
+from .transport1d import gauss_distance_rows
 
 __all__ = [
     "DnResult",
@@ -134,6 +133,17 @@ def _distances(nu: GaussianMixtureND, rows: np.ndarray) -> np.ndarray:
     means, stds = marginal_parameters(nu, rows)
     weights = np.broadcast_to(nu.weights, means.shape)
     return gauss_distance_rows(weights, means, stds, tol=1e-10)[0]
+
+
+def _solve_rows(nu: GaussianMixtureND, rows: np.ndarray):
+    """(value, error) of d(<v, X> law, gamma) for canonical unit rows v, in
+    one kernel call. Each row's marginal parameters come from a one-row
+    ``marginal_parameters`` call: a batched product rounds differently, and
+    ties between symmetric directions turn on the last bit."""
+    means, stds = map(np.vstack, zip(*(marginal_parameters(nu, r[None])
+                                        for r in rows)))
+    return gauss_distance_rows(np.broadcast_to(nu.weights, means.shape),
+                               means, stds, tol=1e-10)
 
 
 def _tangent_basis(xi: np.ndarray) -> np.ndarray:
@@ -249,14 +259,7 @@ def _refine(nu: GaussianMixtureND, seeds, bases):
         if ok.any():
             rows = canonical_directions(
                 [v / nrm for v, nrm, k in zip(vecs, norms, ok) if k])
-            # one-row marginal_parameters calls: a batched product rounds
-            # differently from the one-row one, and ties between symmetric
-            # directions turn on the last bit
-            means, stds = map(np.vstack, zip(*(marginal_parameters(nu, r[None])
-                                                for r in rows)))
-            values[ok] = -gauss_distance_rows(
-                np.broadcast_to(nu.weights, means.shape), means, stds,
-                tol=1e-10)[0]
+            values[ok] = -_solve_rows(nu, rows)[0]
             solved += rows.shape[0]
         start = 0
         for i, block in list(blocks.items()):
@@ -272,13 +275,13 @@ def _refine(nu: GaussianMixtureND, seeds, bases):
 
 
 def lower_bound_certificate(nu: GaussianMixtureND, direction) -> DnCertificate:
-    """Full-precision distance of one directional marginal to gamma."""
+    """Distance of one directional marginal to gamma, with its error."""
     d = direction if isinstance(direction, Direction) else Direction(direction)
     if d.dim != nu.dim:
         raise DomainError("certificate direction has the wrong dimension")
-    marg = directional_marginal(nu, d)
-    value, err = bf_distance_full(marg, StandardGaussian(), tol=1e-10)
-    return DnCertificate(direction=d.vector, value=value, error=err)
+    value, error = _solve_rows(nu, d.vector[None])
+    return DnCertificate(direction=d.vector, value=float(value[0]),
+                         error=float(error[0]))
 
 
 def dn_distance(nu: GaussianMixtureND, *,
@@ -316,16 +319,13 @@ def dn_distance(nu: GaussianMixtureND, *,
         if nrm > 1e-12:
             finals.append(vec / nrm)
 
-    # full-precision (both directed integrals) at every final candidate
-    best = None
-    for vec in finals:
-        cert = lower_bound_certificate(nu, vec)
-        key = (-cert.value, tuple(cert.direction))
-        if best is None or key < best[0]:
-            best = (key, cert)
-    cert = best[1]
-    return DnResult(value=cert.value, argmax=cert.direction,
+    # every final candidate certified in one kernel call; ties go to the
+    # lexicographically smallest direction
+    rows = canonical_directions(finals)
+    value, error = _solve_rows(nu, rows)
+    best = min(range(len(rows)), key=lambda i: (-value[i], tuple(rows[i])))
+    return DnResult(value=float(value[best]), argmax=rows[best],
                     coarse_max=coarse_max,
-                    refined_gain=cert.value - coarse_max,
+                    refined_gain=float(value[best]) - coarse_max,
                     directions_evaluated=cand.shape[0] + solved,
-                    value_error=cert.error)
+                    value_error=float(error[best]))

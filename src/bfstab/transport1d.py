@@ -7,20 +7,18 @@ pushes u dx to v dx. The distance
 
 takes values in [0, 1] and vanishes exactly when v is a translate of u. The
 derivative is always evaluated through the densities, T'(x) = u(x)/v(T(x)),
-never by finite differences. Both directed integrals are computed; they agree
-analytically, so a gap beyond 1e-6 raises a NumericalWarning and the average
-is returned. ``gauss_distance_rows`` computes the directed integral from
-many 1-D mixtures to gamma in one batched quadrature, with the same
-breakpoint rule (``_distance_breaks``) as the single-pair path.
-
-Also here: the quantile-coupling W2^2, the Talagrand deficit against gamma,
-the Bregman-type integral int (T' - 1 - log T') dgamma for maps with Gaussian
-source, and its pointwise scalar bound.
+never by finite differences. Against gamma the map S = Phi^{-1} o F_u has a
+closed form, so every 1-D quantity with gamma on one side is an integral
+over u of S, with no quantile inversion: d(u, gamma) is the one directed
+integral from u (``gauss_distance_rows`` batches it over many mixtures),
+W2^2(u, gamma) = E_u[(y - S(y))^2], and so is the Bregman-type integral
+int (T' - 1 - log T') dgamma of T = S^{-1}. Between two non-Gaussian
+densities both directed integrals are computed; they agree analytically, so
+a gap beyond 1e-6 raises a NumericalWarning and the average is returned.
 """
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass
 
@@ -28,8 +26,9 @@ import numpy as np
 from scipy.special import ndtr, ndtri
 
 from .density1d import (SQRT_2PI, Density1D, GaussianMixture1D,
-                        StandardGaussian, _breaks, gauss_logpdf, gauss_pdf)
-from .errors import DomainError, EvaluationError, InvariantViolation, NumericalWarning
+                        StandardGaussian, _expect, _measure_breaks,
+                        _tail_bound, entropy_rel_gauss_full, gauss_logpdf)
+from .errors import DomainError, InvariantViolation, NumericalWarning
 from .quadrature import adaptive_quad, adaptive_quad_rows
 
 __all__ = [
@@ -203,8 +202,25 @@ def gauss_distance_rows(weights, means, stds, *, tol: float = 1e-9):
     return value, error
 
 
+def _is_gamma(d: Density1D) -> bool:
+    """gamma, or the one-component N(0, 1) mixture that gauss:0,1 builds."""
+    return isinstance(d, StandardGaussian) or (
+        isinstance(d, GaussianMixture1D) and d.weights.size == 1
+        and d.means[0] == 0.0 and d.stds[0] == 1.0)
+
+
 def bf_distance_full(u: Density1D, v: Density1D, *, tol: float = 1e-9):
     """Distance with error estimate: (value, error)."""
+    if _is_gamma(u):
+        u, v = v, u
+    if _is_gamma(v):
+        if isinstance(u, GaussianMixture1D):
+            value, error = (float(r[0]) for r in gauss_distance_rows(
+                u.weights, u.means, u.stds, tol=tol))
+        else:
+            res = _directed_distance(u, StandardGaussian(), tol)
+            value, error = res.value, res.error
+        return min(max(value, 0.0), 1.0), error
     r_uv = _directed_distance(u, v, tol)
     r_vu = _directed_distance(v, u, tol)
     gap = abs(r_uv.value - r_vu.value)
@@ -222,60 +238,30 @@ def bf_distance(u: Density1D, v: Density1D, *, tol: float = 1e-9) -> float:
     return bf_distance_full(u, v, tol=tol)[0]
 
 
-_T_MAX = 8.0  # integration cut in the Gaussian quantile variable
+def w2_squared_1d_full(nu: Density1D, *, tol: float = 1e-10):
+    """W2(nu, gamma)^2 = E_nu[(y - S(y))^2] with an error estimate.
 
-
-def _quantile_gap(nu: Density1D, mu: Density1D, t):
-    """F_nu^{-1}(Phi(t)) - F_mu^{-1}(Phi(t)), survival side used for t > 0."""
-    t = np.asarray(t, dtype=float)
-    out = np.empty_like(t)
-    neg = t <= 0.0
-    if neg.any():
-        p = np.clip(ndtr(t[neg]), _PROB_FLOOR, _PROB_CEIL)
-        out[neg] = nu.quantile(p) - mu.quantile(p)
-    if (~neg).any():
-        s = np.clip(ndtr(-t[~neg]), _PROB_FLOOR, _PROB_CEIL)
-        out[~neg] = nu.quantile_sf(s) - mu.quantile_sf(s)
-    return out
-
-
-def w2_squared_1d_full(nu: Density1D, mu: Density1D | None = None, *,
-                       tol: float = 1e-10):
-    """Quantile-coupling W2^2 with error estimate.
-
-    The p-integral over (eps, 1-eps) is evaluated in the Gaussian quantile
-    variable p = Phi(t), |t| <= 8 (eps ~ 6e-16); the discarded tail windows
-    are bounded using the evaluated quantile gaps at the cut and added to the
-    error estimate, which keeps the result honest for Gaussian-tailed inputs.
+    S = Phi^{-1} o F_nu pushes nu to gamma. The error includes the bound on
+    nu's tails beyond the integration interval.
     """
-    if mu is None:
-        mu = StandardGaussian()
+    smap = TransportMap1D(nu, StandardGaussian())
 
-    def g(t):
-        d = _quantile_gap(nu, mu, t)
-        return d * d * gauss_pdf(t)
+    def fn(y):
+        gap = y - smap(y)
+        return gap * gap
 
-    res = adaptive_quad(g, _breaks(-_T_MAX, _T_MAX), tol_abs=tol, tol_rel=1e-12)
-    edge = float(np.max(np.abs(_quantile_gap(nu, mu, np.array([-_T_MAX, _T_MAX])))))
-    # |gap(t)| <= C (1 + |t|) beyond the cut for Gaussian-dominated tails
-    c = edge / (1.0 + _T_MAX)
-    z = _T_MAX
-    tail_weight = 2.0 * (2.0 * ndtr(-z) + 10.0 * gauss_pdf(z))
-    trunc = c * c * tail_weight
-    return res.value, res.error + trunc
+    res = _expect(nu, fn, tol)
+    return res.value, res.error + _tail_bound(nu, fn)
 
 
-def w2_squared_1d(nu: Density1D, mu: Density1D | None = None, *,
-                  tol: float = 1e-10) -> float:
-    """W2(nu, mu)^2 via the quantile coupling."""
-    return w2_squared_1d_full(nu, mu, tol=tol)[0]
+def w2_squared_1d(nu: Density1D, *, tol: float = 1e-10) -> float:
+    """W2(nu, gamma)^2 through the monotone coupling."""
+    return w2_squared_1d_full(nu, tol=tol)[0]
 
 
 def talagrand_deficit_1d_full(nu: Density1D, *, tol: float = 1e-10):
-    from .density1d import entropy_rel_gauss_full
-
     h = entropy_rel_gauss_full(nu, tol=tol)
-    w2, w2_err = w2_squared_1d_full(nu, None, tol=tol)
+    w2, w2_err = w2_squared_1d_full(nu, tol=tol)
     value = 2.0 * h.value - w2
     err = 2.0 * h.error + w2_err
     if value < -1e-8 - err:
@@ -290,18 +276,26 @@ def talagrand_deficit_1d(nu: Density1D, *, tol: float = 1e-10) -> float:
 
 
 def bregman_integral_full(tmap: TransportMap1D, *, tol: float = 1e-11):
+    """int (T' - 1 - log T') dgamma for a map T with source gamma: (value, error).
+
+    Substituting y = T(x) moves the integral to the target u:
+    int (phi(S) - u + u log S') dy with S = T^{-1} = Phi^{-1} o F_u and
+    log S' = log u - log phi(S). T' = 1/S' is never formed: it overflows
+    between separated modes of u.
+    """
     if not isinstance(tmap.source, StandardGaussian):
         raise DomainError("bregman_integral requires a map with source gamma")
+    u = tmap.target
+    smap = TransportMap1D(u, tmap.source)
 
-    def g(x):
-        s = tmap.deriv(x)
-        if np.any(s <= 0.0):
-            raise EvaluationError("transport derivative must be positive")
-        return (s - 1.0 - np.log(s)) * gauss_pdf(x)
+    def g(y):
+        log_u = u.logpdf(y)
+        log_phi = gauss_logpdf(smap(y))
+        pdf = np.exp(log_u)
+        return np.exp(log_phi) - pdf + pdf * (log_u - log_phi)
 
-    lo, hi = tmap.source.working_interval(1e-16)
-    res = adaptive_quad(g, _breaks(lo, hi), tol_abs=tol, tol_rel=1e-12)
-    return res.value, res.error
+    res = adaptive_quad(g, _measure_breaks(u), tol_abs=tol, tol_rel=1e-12)
+    return max(res.value, 0.0), res.error  # the integrand is >= 0
 
 
 def bregman_integral(tmap: TransportMap1D, *, tol: float = 1e-11) -> float:

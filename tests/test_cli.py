@@ -140,6 +140,35 @@ def test_grid_csv_corollary_needs_two_dims(tmp_path, capsys):
                                 "dimension at least 2")
 
 
+NARROW_MODES = "mix:[0.5,-8,0.0025;0.5,8,0.0025]"
+
+
+def test_narrow_separated_modes_get_verdicts(capsys):
+    # the mixture quantile inversion used to stall on the flat cdf between
+    # these modes; against gamma no quantile is inverted
+    code, out, _ = run_cli(capsys, "distance", "--u", NARROW_MODES,
+                           "--v", "gauss:0,1")
+    assert code == 0
+    assert abs(json.loads(out)["value"] - 0.876859) <= 1e-6
+    code, out, _ = run_cli(capsys, "deficit", "--theorem", "main",
+                           "--measure", NARROW_MODES)
+    assert code == 0
+    assert json.loads(out)["report"]["status"] == "pass"
+
+
+def test_talagrand_separated_modes_and_narrow_gaussian_pass(capsys):
+    code, out, _ = run_cli(capsys, "talagrand", "--measure",
+                           "mix:[0.5,-3,0.16;0.5,3,0.49]")
+    assert code == 0
+    report = json.loads(out)["report"]
+    assert report["status"] == "pass"
+    middle = float(report["method"].split("bregman-chain middle=")[1])
+    assert abs(middle - 1.65619) <= 1e-4
+    code, out, _ = run_cli(capsys, "talagrand", "--measure", "gauss:0,1e-6")
+    assert code == 0
+    assert json.loads(out)["report"]["status"] == "pass"
+
+
 def test_talagrand_sampled_nd_inconclusive_exit(capsys, mix2d_file):
     code, out, _ = run_cli(capsys, "talagrand", "--measure",
                            f"file:{mix2d_file}", "--mode", "sampled-nd",

@@ -2,6 +2,7 @@
 
 import math
 import pickle
+import warnings
 
 import numpy as np
 import pytest
@@ -157,6 +158,16 @@ def test_corollary_mixture_2d():
     rep = verify_corollary(mix2d(), case_id="m2")
     assert rep.status == "pass"
     assert "mass-weighted" in rep.method and "literal" in rep.method
+
+
+def test_corollary_wide_gaussian_warns_nothing():
+    # N(0, 400 I): every slice is N(0, 400), at distance 0.95 from gamma
+    nu = GaussianMixtureND([1.0], [[0.0, 0.0]], [400.0 * np.eye(2)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = verify_corollary(nu)
+    assert rep.status == "pass"
+    assert abs(rep.lower_bound - 0.9025) <= rep.error_estimate + 1e-12
 
 
 def test_corollary_needs_two_dims():

@@ -9,9 +9,9 @@ from scipy import stats
 
 from bfstab import (ConditioningError, Direction, DomainError,
                     GaussianMixture1D, GaussianMixtureND, ParseError,
-                    ProductFunction, directional_marginal, entropy_nd,
-                    entropy_rel_gauss, fisher_nd, fisher_rel_gauss,
-                    marginal_without, mixture_from_json, relative_density)
+                    ProductFunction, entropy_nd, entropy_rel_gauss, fisher_nd,
+                    fisher_rel_gauss, marginal_without, mixture_from_json,
+                    relative_density)
 from bfstab.corpus import main_corpus
 from bfstab.density1d import entropy_rel_gauss_full, fisher_rel_gauss_full
 from bfstab.densitynd import (canonical_directions, conditional_slice_batch,
@@ -148,23 +148,23 @@ def test_canonical_directions_match_direction_bitwise():
             canonical_directions(np.array(bad))
 
 
-def test_marginal_parameters_rows_match_directional_marginal():
+def test_marginal_parameters_rows_match_one_row_calls():
     nu = mix2d()
     rows = canonical_directions(np.random.default_rng(4).standard_normal((9, 2)))
     means, stds = marginal_parameters(nu, rows)
     for b, v in enumerate(rows):
-        marg = directional_marginal(nu, v)
-        assert np.allclose(means[b], marg.means, rtol=0, atol=1e-15)
-        assert np.allclose(stds[b], marg.stds, rtol=0, atol=1e-15)
+        m1, s1 = marginal_parameters(nu, v[None])
+        assert np.allclose(means[b], m1[0], rtol=0, atol=1e-15)
+        assert np.allclose(stds[b], s1[0], rtol=0, atol=1e-15)
     with pytest.raises(DomainError):
         marginal_parameters(nu, np.ones((2, 3)) / math.sqrt(3.0))
 
 
-def test_directional_marginal_matches_hand_built():
+def test_marginal_parameters_match_hand_built():
     nu = mix2d()
-    xi = Direction([0.6, 0.8])
-    marg = directional_marginal(nu, xi)
-    v = xi.vector
+    v = Direction([0.6, 0.8]).vector
+    means, stds = marginal_parameters(nu, v[None])
+    marg = GaussianMixture1D(nu.weights, means[0], stds[0])
     ref = GaussianMixture1D(
         nu.weights, nu.means @ v,
         np.sqrt(np.einsum("a,kab,b->k", v, nu.covs, v)))
@@ -191,33 +191,39 @@ def test_product_as_mixture_pdf_factorizes():
 # conditional slices
 
 
+def _slice_log_gap(nu, axis, point, mix, ts):
+    """log nu(x) - log mix(t) along the line x_axis = t, x_rest = point."""
+    pts = np.insert(np.tile(point, (ts.size, 1)), axis, ts, axis=1)
+    return nu.logpdf(pts) - np.log(mix.pdf(ts))
+
+
 def test_conditional_slice_pointwise_identity():
-    # nu(x) = mass(point) * phi_{n-1}(point) * slice_mixture(t), row by row;
-    # at (12, 0) the first component's slice weight underflows below 1e-16
-    # and the row's mixture drops it
+    # nu(x) = c(point) * slice_mixture(t) row by row, so the log-gap is
+    # constant in t; at (12, 0) the first component's slice weight
+    # underflows below 1e-16 and the row's mixture drops it
     nu = mix3d()
     points = np.array([[0.4, -0.7], [-1.1, 0.5], [12.0, 0.0]])
     batch = conditional_slice_batch(nu, 0, points)
-    assert batch.mass.shape == (3,) and batch.weights.shape == (3, 2)
+    assert batch.weights.shape == (3, 2)
     assert np.allclose(batch.weights.sum(axis=1), 1.0, atol=1e-14)
     ts = np.linspace(-3, 3, 13)
-    gauss_rest = stats.multivariate_normal(np.zeros(2), np.eye(2))
     for b, point in enumerate(points):
-        mix = batch.mixture(b)
-        pts = np.column_stack([ts, np.tile(point, (13, 1))])
-        ref = (math.log(batch.mass[b]) + gauss_rest.logpdf(point)
-               + np.log(mix.pdf(ts)))
-        assert np.allclose(nu.logpdf(pts), ref, atol=1e-10)
+        gap = _slice_log_gap(nu, 0, point, batch.mixture(b), ts)
+        assert np.ptp(gap) < 1e-10, b
     assert [batch.mixture(b).weights.size for b in range(3)] == [2, 2, 1]
 
 
 def test_conditional_slice_mass_integrates_marginal():
+    # the constant is the log-density of the marginal at the pinned point
     nu = mix2d()
     points = np.array([[0.9], [-1.4], [2.5], [-10.0]])
     batch = conditional_slice_batch(nu, 1, points)
     marg = marginal_without(nu, 1)
-    ref = marg.pdf(points) / stats.norm.pdf(points[:, 0])
-    assert np.allclose(batch.mass, ref, rtol=1e-12, atol=1e-12)
+    ts = np.linspace(-2, 2, 9)
+    for b, point in enumerate(points):
+        gap = _slice_log_gap(nu, 1, point, batch.mixture(b), ts)
+        assert np.allclose(gap, marg.logpdf(point[None])[0], rtol=0,
+                           atol=1e-10), b
     # far out in the pinned coordinate only one component survives
     assert batch.mixture(3).weights.size == 1
 

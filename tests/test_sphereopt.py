@@ -8,10 +8,9 @@ from scipy.optimize import minimize, rosen
 
 from bfstab import (DomainError, GaussianMixture1D, GaussianMixtureND,
                     ProductFunction, bf_distance, StandardGaussian,
-                    directional_marginal, dn_distance,
-                    lower_bound_certificate)
+                    dn_distance, lower_bound_certificate)
 from bfstab.corpus import main_corpus
-from bfstab.densitynd import canonical_directions
+from bfstab.densitynd import canonical_directions, marginal_parameters
 from bfstab.sphereopt import (_ITERATIONS, _RESTARTS, _augmentation, _dedup,
                                _distances, _lattice, _nelder_mead, _refine,
                                _seeds, _tangent_basis)
@@ -193,7 +192,9 @@ def test_search_distances_match_single_solves(case_id):
     values = _distances(nu, rows)
     gauss = StandardGaussian()
     for v, value in zip(rows, values):
-        ref = _directed_distance(directional_marginal(nu, v), gauss, 1e-10)
+        means, stds = marginal_parameters(nu, v[None])
+        marg = GaussianMixture1D(nu.weights, means[0], stds[0])
+        ref = _directed_distance(marg, gauss, 1e-10)
         assert abs(value - ref.value) <= 1e-15
 
 
@@ -255,17 +256,20 @@ def test_nelder_mead_iteration_cap_matches_scipy():
     assert tried == ref.nfev
 
 
-# (value, argmax, coarse_max, directions_evaluated) as first recorded
+# (value, argmax, coarse_max, directions_evaluated): coarse_max and
+# directions_evaluated as first recorded, value and argmax as recorded once
+# the final candidates were certified by the batched kernel
 _PINNED_SEARCHES = {
-    "main-2d-prod-0": (0.14299451636990232,
+    "main-2d-prod-0": (0.14299451636990235,
                        [0.012369187123402925, -0.9999234986787272],
                        0.14299451636990235, 903),
-    "main-3d-prod-1": (0.32972441970514976,
-                       [0.1515019243927872, -0.9415826073976302, 0.30078125],
+    "main-3d-prod-1": (0.3297244197051498,
+                       [0.9345461496970233, -0.0920914396842199,
+                        -0.3437188688788511],
                        0.3297244197051497, 1170),
     "qmc-4d-prod-0": (0.47965858052998017,
-                      [0.04243993030259743, 0.8237342448775199,
-                       0.35748858974667047, 0.4380212943829441],
+                      [0.5134595118718466, 0.762424957284151,
+                       -0.32495811071686836, 0.22241794095330847],
                       0.47965858052998017, 4943),
 }
 

@@ -7,15 +7,18 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import integrate, stats
-from scipy.special import ndtri
+from scipy.optimize import brentq
+from scipy.special import ndtr, ndtri
 
 from bfstab import (DomainError, GaussianMixture1D, GaussianMixtureND,
                     StandardGaussian, bf_distance, bf_distance_full,
                     bregman_integral, build_map, pointwise_bregman_bound,
                     talagrand_deficit_1d, talagrand_deficit_1d_full,
                     w2_squared_1d)
+from bfstab.corpus import main_corpus
 from bfstab.densitynd import conditional_slice_batch
-from bfstab.transport1d import _directed_distance, gauss_distance_rows
+from bfstab.transport1d import (_directed_distance, bregman_integral_full,
+                                gauss_distance_rows)
 
 GAUSS = StandardGaussian()
 
@@ -115,6 +118,74 @@ def test_distance_mixture_against_scipy_oracle():
     assert abs(value - ref) < 1e-7 + err + our_err
 
 
+def _gamma_side_oracle(mix):
+    """d(gamma, mix) from SciPy alone: T = F^{-1}(Phi) by brentq on the cdf
+    (on the survival side right of 0), T' = phi / mix(T), and
+    integrate.quad split where T' - 1 changes sign."""
+    w, m, s = mix.weights, mix.means, mix.stds
+
+    def t_of(x):
+        if x <= 0.0:
+            p = ndtr(x)
+            return brentq(lambda y: float(w @ ndtr((y - m) / s)) - p,
+                          -60, 60, xtol=1e-14, rtol=1e-15)
+        q = ndtr(-x)
+        return brentq(lambda y: float(w @ ndtr((m - y) / s)) - q,
+                      -60, 60, xtol=1e-14, rtol=1e-15)
+
+    def excess(x):
+        return stats.norm.pdf(x) / float(mix.pdf(t_of(x))) - 1.0
+
+    def integrand(x):
+        tp = excess(x) + 1.0
+        return abs(1.0 - tp) / max(1.0, tp) * stats.norm.pdf(x)
+
+    xs = np.linspace(-9, 9, 361)
+    ex = [excess(x) for x in xs]
+    kinks = [brentq(excess, a, b, xtol=1e-14, rtol=1e-15)
+             for a, b, fa, fb in zip(xs, xs[1:], ex, ex[1:]) if fa * fb < 0]
+    pieces = [integrate.quad(integrand, a, b, limit=200, epsabs=1e-13,
+                             epsrel=1e-13)
+              for a, b in zip([-9.0, *kinks], [*kinks, 9.0])]
+    return sum(p[0] for p in pieces), sum(p[1] for p in pieces)
+
+
+def test_distance_against_gamma_side_oracle_on_pool():
+    # the one directed integral from u, at the tolerance of the verifiers,
+    # against the other direction computed without bfstab
+    for mix in mixture_pool():
+        ref, ref_err = _gamma_side_oracle(mix)
+        value, err = bf_distance_full(mix, GAUSS, tol=1e-10)
+        assert abs(value - ref) <= err + ref_err, mix
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="a kink of |1 - T'| inside a "
+                   "panel: the embedded Gauss-Legendre pair under-reports "
+                   "the error there")
+@pytest.mark.parametrize("case,tol", [("pool-2", 1e-9), ("main-1d-17", 1e-10),
+                                      ("main-2d-11-argmax", 1e-10)])
+def test_distance_error_misses_kinks(case, tol):
+    # pool-2 at the default tolerance misses by 1.7x its error estimate,
+    # main-1d-17 at the verifiers' tolerance by 6.5x, and the marginal of
+    # main-2d-11 along its searched argmax by 8.0e-8, 845x
+    if case == "pool-2":
+        mix = mixture_pool()[2]
+    elif case == "main-1d-17":
+        mix = dict(main_corpus())[case]
+    else:
+        mix = GaussianMixture1D(
+            [0.2149089003287826, 0.22481278990189776, 0.381099429741788,
+             0.17917888002753157],
+            [-1.2359828464830023, 0.08654483689940558, -1.9585421380611707,
+             1.5391629208150934],
+            [0.7182556253418636, 0.7360631371957169, 0.5977909301273445,
+             1.078616101114277])
+    ref, ref_err = _gamma_side_oracle(mix)
+    value, err = bf_distance_full(mix, GAUSS, tol=tol)
+    assert abs(value - ref) <= err + ref_err
+
+
 def test_distance_bounds():
     assert 0.0 <= bf_distance(scaled(50.0), GAUSS) <= 1.0
     assert bf_distance(scaled(50.0), GAUSS) > 0.97
@@ -168,11 +239,33 @@ def test_row_kernel_matches_per_row_distance():
 
 
 def test_directed_integrals_agree():
+    # between two non-Gaussian densities both directions are computed
+    pool = mixture_pool()
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # NumericalWarning must not fire
-        for mix in mixture_pool():
-            value, err = bf_distance_full(mix, GAUSS)
+        for u, v in zip(pool, pool[1:]):
+            value, err = bf_distance_full(u, v)
             assert err < 1e-8
+
+
+def test_gamma_side_quantities_invert_no_quantile(monkeypatch):
+    # separated narrow modes stalled the mixture quantile inversion, and the
+    # gamma-side Bregman integrand spiked between separated modes
+    def refuse(self, t):
+        raise AssertionError("mixture quantile inverted")
+
+    monkeypatch.setattr(GaussianMixture1D, "_invert_cdf", refuse)
+    narrow = GaussianMixture1D([0.5, 0.5], [-8.0, 8.0], [0.05, 0.05])
+    apart = GaussianMixture1D([0.5, 0.5], [-3.0, 3.0], [0.4, 0.7])
+    cli_gamma = GaussianMixture1D([1.0], [0.0], [1.0])
+    for mix in (narrow, apart, *mixture_pool()):
+        value, _ = bf_distance_full(mix, GAUSS)
+        assert bf_distance_full(GAUSS, mix)[0] == value
+        assert bf_distance_full(cli_gamma, mix)[0] == value
+        talagrand_deficit_1d_full(mix)
+        bregman_integral_full(build_map(GAUSS, mix))
+    assert abs(bf_distance(narrow, cli_gamma) - 0.876859) < 1e-6
+    assert abs(bregman_integral(build_map(GAUSS, apart)) - 1.65619) < 1e-4
 
 
 # ---------------------------------------------------------------------------
@@ -180,7 +273,8 @@ def test_directed_integrals_agree():
 
 
 @pytest.mark.parametrize("m", [0.0, -0.357, 1.5])
-@pytest.mark.parametrize("s", [0.05, 0.2, 0.5, 1.492, 3.0, 10.0, 50.0])
+@pytest.mark.parametrize("s", [1e-4, 1e-3, 0.05, 0.2, 0.5, 1.492, 3.0, 10.0,
+                               50.0])
 def test_talagrand_deficit_gaussian_within_error(m, s):
     # 2 H(N(m, s^2) | gamma) - W2^2 = 2 (s - 1) - 2 ln s; the entropy's
     # error must cover its nu-tails beyond the integration interval
@@ -228,6 +322,14 @@ def test_talagrand_nonnegative_on_pool():
 def test_bregman_sigma2_frozen():
     t = build_map(GAUSS, scaled(2.0))
     assert abs(bregman_integral(t) - BREGMAN_SIGMA2) < 1e-8
+
+
+@pytest.mark.parametrize("s", [0.05, 0.1, 0.2, 0.5, 2.0, 5.0, 10.0, 50.0])
+def test_bregman_scaled_gaussian_closed_form(s):
+    # T(x) = s x, so the integrand is the constant s - 1 - ln s
+    value, err = bregman_integral_full(build_map(GAUSS, scaled(s)))
+    ref = s - 1.0 - math.log(s)
+    assert abs(value - ref) <= err + 1e-15 * ref
 
 
 def test_bregman_requires_gamma_source():
