@@ -27,7 +27,8 @@ from . import __version__
 from .corpus import (DEFAULT_TOL, compatible, run_case, suite_cases,
                      suite_theorems, SUITES)
 from .deficits import GFun, lambda_limit_diagnostics
-from .density1d import Density1D, GaussianMixture1D, load_grid_csv
+from .density1d import (Density1D, GaussianMixture1D, StandardGaussian,
+                        load_grid_csv)
 from .densitynd import GaussianMixtureND, ProductFunction, mixture_from_json
 from .errors import BfstabError, ParseError
 from .transport1d import bf_distance_full
@@ -70,6 +71,8 @@ def parse_density_spec(text: str):
         m, v = vals
         if v <= 0:
             raise ParseError(f"gauss spec variance must be positive, got {v}")
+        if m == 0.0 and v == 1.0:
+            return StandardGaussian()
         return GaussianMixture1D([1.0], [m], [np.sqrt(v)])
     if kind == "mix":
         body = payload.strip()

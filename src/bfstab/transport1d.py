@@ -10,8 +10,9 @@ derivative is always evaluated through the densities, T'(x) = u(x)/v(T(x)),
 never by finite differences. Against gamma the map S = Phi^{-1} o F_u has a
 closed form, so every 1-D quantity with gamma on one side is an integral
 over u of S, with no quantile inversion: d(u, gamma) is the one directed
-integral from u (``gauss_distance_rows`` batches it over many mixtures),
-W2^2(u, gamma) = E_u[(y - S(y))^2], and so is the Bregman-type integral
+integral from u (``gauss_distance_rows`` batches it over many mixtures;
+both put each kink of |1 - T'| on a panel edge), W2^2(u, gamma) =
+E_u[(y - S(y))^2], and so is the Bregman-type integral
 int (T' - 1 - log T') dgamma of T = S^{-1}. Between two non-Gaussian
 densities both directed integrals are computed; they agree analytically, so
 a gap beyond 1e-6 raises a NumericalWarning and the average is returned.
@@ -85,6 +86,12 @@ def build_map(mu: Density1D, nu: Density1D) -> TransportMap1D:
 # whose sign changes number at most _MAX_FLIPS gets breakpoints at them.
 _SCAN_POINTS = 257
 _MAX_FLIPS = 32
+# Illinois steps that locate each sign change inside its pre-scan cell.
+_KINK_STEPS = 8
+# Golden-section steps that find where T' - 1 turns back towards 0 between
+# three pre-scan points (the bracket shrinks to 0.618^20 < 1e-4 of two
+# cells).
+_TURN_STEPS = 20
 # Points x components the row kernel evaluates at once (1 MiB per
 # temporary), so its memory does not grow with the number of rows.
 _ROW_CHUNK = 1 << 17
@@ -92,16 +99,75 @@ _ROW_CHUNK = 1 << 17
 _DIST_TAIL = 1e-15
 
 
+def _kinks(a, b, fa, fb, deriv):
+    """Roots of T' - 1 in the cells [a, b], by _KINK_STEPS Illinois steps.
+
+    a, b: (B, C) cell ends, where fa = T'(a) - 1 and fb = T'(b) - 1 have
+    opposite signs; ``deriv`` maps (B, C) points to T' there. A secant
+    point that is not finite (T' overflowed at a cell end) is replaced by
+    the cell's midpoint.
+    """
+    side = np.zeros(a.shape)  # which end the last step kept: -1 a, +1 b
+    for _ in range(_KINK_STEPS):
+        c = (a * fb - b * fa) / (fb - fa)
+        c = np.where(np.isfinite(c), c, 0.5 * (a + b))
+        fc = deriv(c) - 1.0
+        left = fc * fb > 0.0  # the root lies in [a, c]
+        right = fc * fa > 0.0  # the root lies in [c, b]
+        fa = np.where(left & (side == 1.0), 0.5 * fa, fa)
+        fb = np.where(right & (side == -1.0), 0.5 * fb, fb)
+        exact = ~(left | right)
+        a = np.where(right | exact, c, a)
+        b = np.where(left | exact, c, b)
+        fa = np.where(right, fc, fa)
+        fb = np.where(left, fc, fb)
+        side = np.where(left, 1.0, np.where(right, -1.0, side))
+    return c
+
+
+def _turns(a, b, sign, deriv):
+    """Where sign * (T' - 1) is least in [a, b], by _TURN_STEPS golden-section
+    steps: the point and T' - 1 there, each (B, C)."""
+    r = 0.5 * (np.sqrt(5.0) - 1.0)
+    c, d = b - r * (b - a), a + r * (b - a)
+    fc, fd = sign * (deriv(c) - 1.0), sign * (deriv(d) - 1.0)
+    for _ in range(_TURN_STEPS):
+        left = fc < fd  # the least value lies in [a, d]
+        a = np.where(left, a, c)
+        b = np.where(left, d, b)
+        keep, fkeep = np.where(left, c, d), np.where(left, fc, fd)
+        new = np.where(left, b - r * (b - a), a + r * (b - a))
+        fnew = sign * (deriv(new) - 1.0)
+        c, fc = np.where(left, new, keep), np.where(left, fnew, fkeep)
+        d, fd = np.where(left, keep, new), np.where(left, fkeep, fnew)
+    left = fc < fd
+    return np.where(left, c, d), sign * np.where(left, fc, fd)
+
+
+def _leading(mask):
+    """Column indices of each row's True entries, in order, then padding;
+    and the (B, C) mask of the real ones."""
+    count = mask.sum(axis=1)
+    cols = np.argsort(~mask, axis=1, kind="stable")[:, :count.max()]
+    return cols, np.arange(cols.shape[1]) < count[:, None]
+
+
 def _distance_breaks(lo, hi, means, deriv):
     """Panel breakpoints of the directed distance integrand, one row each.
 
     lo, hi: (B,) working intervals of the sources; means: (B, K) source
-    means, NaN where there is none. ``deriv`` maps a (B, 257) pre-scan grid
-    to T' there. Where T' - 1 changes sign between 1 and 32 times, both ends
-    of each sign-change cell become breakpoints, so the kinks of |1 - T'|
-    sit near panel edges. The means inside (lo, hi) and the even 8-panel
-    split of [lo, hi] are breakpoints too. Returns a (B, M) NaN-padded
-    array for ``adaptive_quad_rows``.
+    means, NaN where there is none. ``deriv`` maps (B, n) points to T'
+    there. T' - 1 is pre-scanned on 257 points. Where it changes sign
+    between 1 and 32 times, each sign change is located inside its cell
+    (``_kinks``) and becomes a breakpoint. Where it turns back towards 0
+    at a scan point without changing sign, near enough 0 to cross it (at
+    most 32 times), the turn is found between the neighbouring scan points
+    (``_turns``); a turn past 0 is a dip across it, whose two sign changes
+    are located and become breakpoints too. So every kink of |1 - T'| sits
+    on a panel edge, where the embedded Gauss-Legendre pair estimates the
+    error honestly. The means inside (lo, hi) and the even 8-panel split of
+    [lo, hi] are breakpoints too. Returns a (B, M) NaN-padded array for
+    ``adaptive_quad_rows``.
     """
     # np.linspace(lo[r], hi[r], 257) for every row r, the same values
     xs = (np.arange(_SCAN_POINTS) * ((hi - lo) / (_SCAN_POINTS - 1))[:, None]
@@ -113,10 +179,37 @@ def _distance_breaks(lo, hi, means, deriv):
     pinned = ((np.maximum.reduce(np.abs(dv), axis=1) > 1e-9)
               & (flip.sum(axis=1) <= _MAX_FLIPS))
     flip &= pinned[:, None]
-    cols = np.flatnonzero(np.logical_or.reduce(flip, axis=0))  # in some row
-    sel = flip[:, cols]
-    interior = np.concatenate([means, np.where(sel, xs[:, cols], np.nan),
-                               np.where(sel, xs[:, cols + 1], np.nan)], axis=1)
+    mid, side = dv[:, 1:-1], sgn[:, 1:-1]
+    # a parabola through three scan points with its least value at the
+    # middle one bottoms out at most a quarter of the larger neighbour
+    # difference below it; a turn further from 0 than that difference
+    # cannot cross 0
+    reach = np.maximum(np.abs(dv[:, :-2] - mid), np.abs(dv[:, 2:] - mid))
+    turn = ((side * (dv[:, :-2] - mid) > 0) & (side * (dv[:, 2:] - mid) >= 0)
+            & (side * sgn[:, :-2] > 0) & (side * sgn[:, 2:] > 0)
+            & (np.abs(mid) <= reach))
+    turn &= (pinned & (turn.sum(axis=1) <= _MAX_FLIPS))[:, None]
+    rows = np.arange(xs.shape[0])[:, None]
+    cells = []  # sign-change cells (a, b, fa, fb, real), each (B, C)
+    if flip.any():
+        j, real = _leading(flip)
+        cells.append((xs[rows, j], xs[rows, j + 1], dv[rows, j],
+                      dv[rows, j + 1], real))
+    if turn.any():
+        j, real = _leading(turn)  # scan point j + 1, between j and j + 2
+        x, fx = _turns(xs[rows, j], xs[rows, j + 2], side[rows, j], deriv)
+        real &= fx * side[rows, j] < 0
+        cells += [(xs[rows, j], x, dv[rows, j], fx, real),
+                  (x, xs[rows, j + 2], fx, dv[rows, j + 2], real)]
+    interior = means
+    if cells:
+        a, b, fa, fb, real = (np.concatenate(c, axis=1) for c in zip(*cells))
+        # padding gets a dummy cell [lo, lo] with a sign change
+        edge = lo[:, None]
+        kink = _kinks(np.where(real, a, edge), np.where(real, b, edge),
+                      np.where(real, fa, -1.0), np.where(real, fb, 1.0), deriv)
+        interior = np.concatenate([means, np.where(real, kink, np.nan)],
+                                  axis=1)
     inside = (interior > lo[:, None]) & (interior < hi[:, None])
     # every 32nd pre-scan point: np.linspace(lo, hi, 9), the same values
     split = xs[:, ::(_SCAN_POINTS - 1) // 8]
@@ -202,25 +295,18 @@ def gauss_distance_rows(weights, means, stds, *, tol: float = 1e-9):
     return value, error
 
 
-def _is_gamma(d: Density1D) -> bool:
-    """gamma, or the one-component N(0, 1) mixture that gauss:0,1 builds."""
-    return isinstance(d, StandardGaussian) or (
-        isinstance(d, GaussianMixture1D) and d.weights.size == 1
-        and d.means[0] == 0.0 and d.stds[0] == 1.0)
-
-
 def bf_distance_full(u: Density1D, v: Density1D, *, tol: float = 1e-9):
-    """Distance with error estimate: (value, error)."""
-    if _is_gamma(u):
+    """Distance with error estimate: (value, error).
+
+    Against gamma the one directed integral has no second direction to check
+    it against, so its error carries tol / 2 on top of the quadrature's
+    estimate, as the two-direction path carries half their gap.
+    """
+    if isinstance(u, StandardGaussian):
         u, v = v, u
-    if _is_gamma(v):
-        if isinstance(u, GaussianMixture1D):
-            value, error = (float(r[0]) for r in gauss_distance_rows(
-                u.weights, u.means, u.stds, tol=tol))
-        else:
-            res = _directed_distance(u, StandardGaussian(), tol)
-            value, error = res.value, res.error
-        return min(max(value, 0.0), 1.0), error
+    if isinstance(v, StandardGaussian):
+        res = _directed_distance(u, v, tol)
+        return min(max(res.value, 0.0), 1.0), res.error + 0.5 * tol
     r_uv = _directed_distance(u, v, tol)
     r_vu = _directed_distance(v, u, tol)
     gap = abs(r_uv.value - r_vu.value)

@@ -9,7 +9,7 @@ import pytest
 
 from bfstab import cli
 from bfstab.cli import main, parse_density_spec, parse_g_spec
-from bfstab.density1d import GaussianMixture1D
+from bfstab.density1d import GaussianMixture1D, StandardGaussian
 from bfstab.densitynd import GaussianMixtureND, ProductFunction
 from bfstab.errors import ParseError
 
@@ -40,6 +40,9 @@ def test_parse_gauss_spec():
     assert isinstance(d, GaussianMixture1D)
     assert abs(d.mean() - 0.5) < 1e-15
     assert abs(d.variance() - 4.0) < 1e-12
+    # the standard Gaussian is gamma itself, whose distances take one
+    # directed integral
+    assert isinstance(parse_density_spec("gauss:0,1"), StandardGaussian)
 
 
 def test_parse_mix_spec_normalizes_weights():
