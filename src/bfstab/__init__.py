@@ -21,8 +21,8 @@ from .transport1d import (TransportMap1D, bf_distance, bf_distance_full,
                           talagrand_deficit_1d_full, w2_squared_1d,
                           w2_squared_1d_full)
 from .densitynd import (Direction, GaussianMixtureND, ProductFunction,
-                        RelDensityND, entropy_nd, fisher_nd,
-                        marginal_without, mixture_from_json, relative_density)
+                        entropy_fisher_nd, marginal_without,
+                        mixture_from_json)
 from .sphereopt import (DnCertificate, DnResult, dn_distance,
                         lower_bound_certificate)
 from .deficits import (DeficitReport, GFun, LambdaDiagRow, PLTriple,
@@ -48,9 +48,8 @@ __all__ = [
     "talagrand_deficit_1d_full", "bregman_integral",
     "pointwise_bregman_bound",
     # n dimensions
-    "Direction", "GaussianMixtureND", "ProductFunction", "RelDensityND",
-    "entropy_nd", "fisher_nd", "marginal_without", "mixture_from_json",
-    "relative_density",
+    "Direction", "GaussianMixtureND", "ProductFunction", "entropy_fisher_nd",
+    "marginal_without", "mixture_from_json",
     # sphere search
     "DnResult", "DnCertificate", "dn_distance", "lower_bound_certificate",
     # deficits and reports

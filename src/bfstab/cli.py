@@ -26,7 +26,7 @@ import numpy as np
 from . import __version__
 from .corpus import (DEFAULT_TOL, compatible, run_case, suite_cases,
                      suite_theorems, SUITES)
-from .deficits import GFun, lambda_limit_diagnostics
+from .deficits import GFun, lambda_limit_diagnostics, verify_talagrand
 from .density1d import (Density1D, GaussianMixture1D, StandardGaussian,
                         load_grid_csv)
 from .densitynd import GaussianMixtureND, ProductFunction, mixture_from_json
@@ -277,17 +277,20 @@ def _cmd_distance(args) -> int:
     return 0
 
 
-def _single_report_cmd(args, obj, theorem) -> int:
-    kw = _budget_kwargs(args)
-    rep = run_case(args.case_id, obj, theorem, **kw)
-    exit_code = _EXIT_BY_STATUS[rep.status]
-    config = _science_config(args, [theorem], theorem=theorem)
+def _emit_report(args, config: dict, rep, **body) -> int:
+    """Write one report (plus any extra JSON fields); exit by its status."""
     if args.format == "csv":
         _emit(_reports_csv([rep]), args.out)
     else:
         _emit(_payload_json(args.command, config,
-                            {"report": rep.to_json_dict()}), args.out)
-    return exit_code
+                            {"report": rep.to_json_dict(), **body}), args.out)
+    return _EXIT_BY_STATUS[rep.status]
+
+
+def _single_report_cmd(args, obj, theorem) -> int:
+    rep = run_case(args.case_id, obj, theorem, **_budget_kwargs(args))
+    config = _science_config(args, [theorem], theorem=theorem)
+    return _emit_report(args, config, rep)
 
 
 def _cmd_deficit(args) -> int:
@@ -304,24 +307,20 @@ def _cmd_deficit(args) -> int:
 
 def _cmd_talagrand(args) -> int:
     obj = parse_density_spec(args.measure)
-    if args.mode != "auto":
-        from .deficits import verify_talagrand
-        kw = _budget_kwargs(args)
-        kw.pop("mc_budget", None)
-        tol = kw.pop("tol", DEFAULT_TOL["talagrand"])
-        try:
-            rep = verify_talagrand(obj, args.mode, case_id=args.case_id,
-                                   tol=tol, **kw)
-        except BfstabError as exc:
-            raise ParseError(f"--mode {args.mode}: {exc}") from None
-        config = _science_config(args, ["talagrand"], mode=args.mode)
-        if args.format == "csv":
-            _emit(_reports_csv([rep]), args.out)
-        else:
-            _emit(_payload_json("talagrand", config,
-                                {"report": rep.to_json_dict()}), args.out)
-        return _EXIT_BY_STATUS[rep.status]
-    return _single_report_cmd(args, obj, "talagrand")
+    if args.mode == "auto":
+        return _single_report_cmd(args, obj, "talagrand")
+    # an explicit mode the measure cannot take is a usage error, not a case
+    # error, so this path calls the verifier itself instead of run_case
+    kw = _budget_kwargs(args)
+    kw.pop("mc_budget")
+    tol = kw.pop("tol", DEFAULT_TOL["talagrand"])
+    try:
+        rep = verify_talagrand(obj, args.mode, case_id=args.case_id, tol=tol,
+                               **kw)
+    except BfstabError as exc:
+        raise ParseError(f"--mode {args.mode}: {exc}") from None
+    config = _science_config(args, ["talagrand"], mode=args.mode)
+    return _emit_report(args, config, rep)
 
 
 def _cmd_verify(args) -> int:
@@ -375,15 +374,10 @@ def _cmd_pl_check(args) -> int:
     kw = _budget_kwargs(args)
     rep = run_case(args.case_id, (g, args.lam), "pl", **kw)
     config = _science_config(args, ["pl"], g=args.g, lam=args.lam)
-    body = {"report": rep.to_json_dict()}
+    body = {}
     if args.diagnostics:
-        rows = lambda_limit_diagnostics(g)
-        body["diagnostics"] = [vars(r) for r in rows]
-    if args.format == "csv":
-        _emit(_reports_csv([rep]), args.out)
-    else:
-        _emit(_payload_json("pl-check", config, body), args.out)
-    return _EXIT_BY_STATUS[rep.status]
+        body["diagnostics"] = [vars(r) for r in lambda_limit_diagnostics(g)]
+    return _emit_report(args, config, rep, **body)
 
 
 # ---------------------------------------------------------------------------

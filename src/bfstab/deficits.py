@@ -32,7 +32,7 @@ from .density1d import (Density1D, GaussianMixture1D, GridDensity1D,
                         entropy_rel_gauss_full, fisher_rel_gauss_full,
                         gauss_pdf)
 from .densitynd import (GaussianMixtureND, ProductFunction,
-                        conditional_slice_batch, entropy_nd, fisher_nd,
+                        conditional_slice_batch, entropy_fisher_nd,
                         marginal_without)
 from .errors import (CapabilityError, DomainError, EvaluationError,
                      InvariantViolation)
@@ -127,8 +127,8 @@ def lsi_deficit(nu, *, mc_budget: int = 10 ** 6, seed: int = 0):
         value = sum(v for v, _ in parts)
         err = sum(e for _, e in parts)
     elif isinstance(nu, GaussianMixtureND):
-        e, e_err = entropy_nd(nu, mc_budget=mc_budget, seed=seed)
-        fi, fi_err = fisher_nd(nu, mc_budget=mc_budget, seed=seed)
+        (e, e_err), (fi, fi_err) = entropy_fisher_nd(
+            nu, mc_budget=mc_budget, seed=seed)
         value = 0.5 * fi - e
         err = 0.5 * fi_err + e_err
     elif isinstance(nu, Density1D):
@@ -371,11 +371,8 @@ def verify_talagrand(nu, mode: str, *, case_id: str = "", tol: float = 1e-6,
         method = (f"quantile-coupling W2; d={dist:.9f}; "
                   f"bregman-chain middle={breg:.9f}")
     elif mode == "product":
-        if isinstance(nu, GaussianMixtureND):
-            raise DomainError("product mode expects the factor list, "
-                              "not the assembled mixture")
         if not isinstance(nu, ProductFunction):
-            nu = ProductFunction(list(nu))
+            raise DomainError("product mode expects a product of 1-D factors")
         deficit = 0.0
         err = 0.0
         for factor in nu.factors:
@@ -391,7 +388,7 @@ def verify_talagrand(nu, mode: str, *, case_id: str = "", tol: float = 1e-6,
             raise DomainError("sampled-nd mode expects a Gaussian mixture")
         if nu.dim > 3:
             raise DomainError("sampled-nd mode is limited to n <= 3")
-        h, h_err = entropy_nd(nu)
+        (h, h_err), _ = entropy_fisher_nd(nu)
         w2, w2_err, cal = _empirical_w2(nu, m_samples, repeats, seed)
         deficit = 2.0 * h - w2
         err = 2.0 * h_err + w2_err

@@ -180,6 +180,41 @@ def test_talagrand_sampled_nd_inconclusive_exit(capsys, mix2d_file):
     assert json.loads(out)["report"]["status"] == "inconclusive"
 
 
+def test_talagrand_mode_the_measure_cannot_take(capsys, mix2d_file):
+    # a usage error: exit 1 and one error line, never a traceback
+    for measure, mode in (("gauss:0,2", "product"),
+                          ("mix:[0.5,-1,1;0.5,1,1]", "product"),
+                          (f"file:{mix2d_file}", "1d")):
+        code, out, err = run_cli(capsys, "talagrand", "--measure", measure,
+                                 "--mode", mode)
+        assert code == 1
+        assert out == ""
+        assert err.startswith(f"bfstab: error: --mode {mode}: ")
+        assert "Traceback" not in err and err.count("\n") == 1
+
+
+def test_talagrand_explicit_mode_matches_auto(capsys, tmp_path):
+    # an explicit mode emits through the single-report path; the JSON
+    # config records the mode in place of the theorem
+    prod = tmp_path / "prod.json"
+    prod.write_text(json.dumps({"factors": [
+        {"weights": [1.0], "means": [0.0], "stds": [2.0]},
+        {"weights": [1.0], "means": [0.3], "stds": [1.0]}]}))
+    spec = f"file:{prod}"
+    code_auto, out_auto, _ = run_cli(capsys, "talagrand", "--measure", spec,
+                                     "--format", "csv")
+    code, out, _ = run_cli(capsys, "talagrand", "--measure", spec,
+                           "--mode", "product", "--format", "csv")
+    assert code == code_auto == 0
+    assert out == out_auto
+    code, out, _ = run_cli(capsys, "talagrand", "--measure", spec,
+                           "--mode", "product")
+    payload = json.loads(out)
+    assert payload["command"] == "talagrand"
+    assert payload["config"]["mode"] == "product"
+    assert payload["report"]["status"] == "pass"
+
+
 def test_pl_check_with_diagnostics(capsys):
     code, out, _ = run_cli(capsys, "pl-check", "--g", "linear:1",
                            "--lam", "0.25", "--diagnostics")

@@ -96,6 +96,27 @@ def test_lsi_deficit_nd_gaussian():
     assert abs(val - 2 * LSI_SIGMA2) < 1e-9 + err
 
 
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_lsi_deficit_evaluates_each_node_set_once(monkeypatch, n):
+    # entropy and Fisher information share one component pass per node set:
+    # per component, both Gauss-Hermite orders for n <= 3, and one Sobol set
+    # per replicate (8 of them) above
+    k = 3
+    rng = np.random.default_rng(n)
+    nu = GaussianMixtureND(np.full(k, 1.0 / k), rng.uniform(-1.0, 1.0, (k, n)),
+                           np.stack([np.eye(n) * s for s in (0.5, 1.0, 2.0)]))
+    calls = []
+    original = GaussianMixtureND._component_logpdf
+
+    def counted(self, x):
+        calls.append(len(x))
+        return original(self, x)
+
+    monkeypatch.setattr(GaussianMixtureND, "_component_logpdf", counted)
+    lsi_deficit(nu, mc_budget=4096)
+    assert len(calls) == (2 if n <= 3 else 8) * k
+
+
 @pytest.mark.parametrize("sigma", [1e-3, 0.05, 0.5, 2.0, 3.5, 4.0, 10.0,
                                    100.0, 1e3])
 def test_lsi_deficit_gaussian_closed_form_across_scales(sigma):

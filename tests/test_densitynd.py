@@ -9,13 +9,12 @@ from scipy import stats
 
 from bfstab import (ConditioningError, Direction, DomainError,
                     GaussianMixture1D, GaussianMixtureND, ParseError,
-                    ProductFunction, entropy_nd, entropy_rel_gauss, fisher_nd,
-                    fisher_rel_gauss, marginal_without, mixture_from_json,
-                    relative_density)
+                    ProductFunction, entropy_fisher_nd, entropy_rel_gauss,
+                    fisher_rel_gauss, marginal_without, mixture_from_json)
 from bfstab.corpus import main_corpus
 from bfstab.density1d import entropy_rel_gauss_full, fisher_rel_gauss_full
-from bfstab.densitynd import (canonical_directions, conditional_slice_batch,
-                              marginal_parameters)
+from bfstab.densitynd import (_log_ratio_and_score, canonical_directions,
+                              conditional_slice_batch, marginal_parameters)
 
 # frozen closed forms for N(0, 4 I_2) against gamma_2
 ENT_4I2 = 1.6137056388801092
@@ -73,15 +72,36 @@ def test_logpdf_matches_scipy_multivariate():
 
 
 def test_grad_logpdf_matches_finite_differences():
+    # the score half of the fused helper is grad log p + x; check grad log p
+    # against central differences of logpdf
     nu = mix3d()
     pts = np.random.default_rng(1).normal(size=(20, 3))
-    grad = nu.grad_logpdf(pts)
+    _, score = _log_ratio_and_score(nu, pts)
+    grad = score - pts
     h = 1e-6
     for j in range(3):
         e = np.zeros(3)
         e[j] = h
         num = (nu.logpdf(pts + e) - nu.logpdf(pts - e)) / (2 * h)
         assert np.allclose(grad[:, j], num, atol=1e-6)
+
+
+def test_relative_density_grad():
+    # log f = log p - log phi_n against SciPy, and grad log f = score
+    # against central differences of logpdf, plus x
+    nu = mix2d()
+    pts = np.random.default_rng(4).normal(size=(10, 2))
+    log_ratio, score = _log_ratio_and_score(nu, pts)
+    assert np.allclose(log_ratio, nu.logpdf(pts)
+                       - stats.multivariate_normal(np.zeros(2),
+                                                   np.eye(2)).logpdf(pts),
+                       atol=1e-12)
+    h = 1e-6
+    for j in range(2):
+        e = np.zeros(2)
+        e[j] = h
+        num = (nu.logpdf(pts + e) - nu.logpdf(pts - e)) / (2 * h)
+        assert np.allclose(score[:, j], num + pts[:, j], atol=1e-6)
 
 
 def test_moments_and_sampling(rng):
@@ -228,26 +248,13 @@ def test_conditional_slice_mass_integrates_marginal():
     assert batch.mixture(3).weights.size == 1
 
 
-def test_relative_density_grad():
-    nu = mix2d()
-    f = relative_density(nu)
-    pts = np.random.default_rng(4).normal(size=(10, 2))
-    assert np.allclose(np.log(f(pts)), nu.logpdf(pts)
-                       - stats.multivariate_normal(np.zeros(2),
-                                                   np.eye(2)).logpdf(pts),
-                       atol=1e-12)
-    grad = f.grad_log_f(pts)
-    assert np.allclose(grad, nu.grad_logpdf(pts) + pts, atol=1e-12)
-
-
 # ---------------------------------------------------------------------------
 # entropy and fisher in n dimensions
 
 
 def test_entropy_fisher_frozen_4i2():
     nu = gaussian_nd([0.0, 0.0], 4.0 * np.eye(2))
-    ent, ent_err = entropy_nd(nu)
-    fis, fis_err = fisher_nd(nu)
+    (ent, ent_err), (fis, fis_err) = entropy_fisher_nd(nu)
     assert abs(ent - ENT_4I2) < 1e-9 + ent_err
     assert abs(fis - FISHER_4I2) < 1e-9 + fis_err
 
@@ -259,8 +266,7 @@ def test_entropy_fisher_gaussian_closed_form(n):
     cov = q @ np.diag(rng.uniform(0.4, 3.0, n)) @ q.T
     mean = rng.uniform(-1.0, 1.0, n)
     nu = gaussian_nd(mean, cov)
-    ent, ent_err = entropy_nd(nu)
-    fis, fis_err = fisher_nd(nu)
+    (ent, ent_err), (fis, fis_err) = entropy_fisher_nd(nu)
     assert abs(ent - gaussian_entropy(mean, cov)) < 1e-8 + ent_err
     assert abs(fis - gaussian_fisher(mean, cov)) < 1e-8 + fis_err
 
@@ -268,8 +274,7 @@ def test_entropy_fisher_gaussian_closed_form(n):
 def test_entropy_fisher_qmc_path_dim4():
     cov = np.diag([4.0, 1.0, 1.0, 1.0])
     nu = gaussian_nd(np.zeros(4), cov)
-    ent, ent_err = entropy_nd(nu, seed=5)
-    fis, fis_err = fisher_nd(nu, seed=5)
+    (ent, ent_err), (fis, fis_err) = entropy_fisher_nd(nu, seed=5)
     assert abs(ent - gaussian_entropy(np.zeros(4), cov)) < 5 * ent_err + 1e-3
     assert abs(fis - gaussian_fisher(np.zeros(4), cov)) < 5 * fis_err + 1e-2
 
@@ -279,10 +284,9 @@ def test_entropy_mixture_matches_1d_embedding():
     nu = GaussianMixtureND(h.weights, h.means[:, None],
                            (h.stds ** 2)[:, None, None])
     # 1-D embedded mixture must agree with the adaptive 1-D integrals
-    val, err = entropy_nd(nu)
-    assert abs(val - entropy_rel_gauss(h)) < 1e-9 + err
-    val, err = fisher_nd(nu)
-    assert abs(val - fisher_rel_gauss(h)) < 1e-9 + err
+    (ent, ent_err), (fis, fis_err) = entropy_fisher_nd(nu)
+    assert abs(ent - entropy_rel_gauss(h)) < 1e-9 + ent_err
+    assert abs(fis - fisher_rel_gauss(h)) < 1e-9 + fis_err
 
 
 def test_entropy_fisher_gh_match_product_factor_sums():
@@ -291,8 +295,7 @@ def test_entropy_fisher_gh_match_product_factor_sums():
     prod = dict(main_corpus())["main-2d-prod-1"]
     assert prod.dim == 2 and prod.factors[0].weights.size == 2
     nu = prod.as_mixture()
-    ent, ent_err = entropy_nd(nu)
-    fis, fis_err = fisher_nd(nu)
+    (ent, ent_err), (fis, fis_err) = entropy_fisher_nd(nu)
     ent_1d = [entropy_rel_gauss_full(h) for h in prod.factors]
     fis_1d = [fisher_rel_gauss_full(h) for h in prod.factors]
     assert (abs(ent - sum(r.value for r in ent_1d))
