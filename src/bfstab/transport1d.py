@@ -16,6 +16,13 @@ E_u[(y - S(y))^2], and so is the Bregman-type integral
 int (T' - 1 - log T') dgamma of T = S^{-1}. Between two non-Gaussian
 densities both directed integrals are computed; they agree analytically, so
 a gap beyond 1e-6 raises a NumericalWarning and the average is returned.
+
+The batched kernel evaluates T' and u one mixture component at a time, each
+on a contiguous array shaped like the points, and combines components with
+element-wise maxima and adds. Mixtures have few components (at most 8 in
+the shipped suites), and reductions over such a short last axis cost more
+than the ndtr calls; the adds keep NumPy's reduction order, so values are
+bit for bit those of a stacked (points, K) formula.
 """
 
 from __future__ import annotations
@@ -92,8 +99,9 @@ _KINK_STEPS = 8
 # three pre-scan points (the bracket shrinks to 0.618^20 < 1e-4 of two
 # cells).
 _TURN_STEPS = 20
-# Points x components the row kernel evaluates at once (1 MiB per
-# temporary), so its memory does not grow with the number of rows.
+# Points x components the row kernel evaluates at once: each temporary is
+# K arrays of the chunk's points, 1 MiB in all, so its memory does not grow
+# with the number of rows.
 _ROW_CHUNK = 1 << 17
 # Tail mass the directed distance leaves outside its working interval.
 _DIST_TAIL = 1e-15
@@ -230,29 +238,75 @@ def _directed_distance(mu: Density1D, nu: Density1D, tol: float):
     return adaptive_quad(g, bp[np.isfinite(bp)], tol_abs=tol, tol_rel=1e-12)
 
 
-def _rows_deriv_pdf(x, weights, means, stds, log_w, log_norm):
-    """(T', u) at the points x (P, n) of row mixtures u against gamma.
+def _component_sum(parts):
+    """Sum of equal-shape arrays in the order np.add.reduce sums a last axis
+    of len(parts): one by one below 8 terms; from 8 on, 8 running sums
+    combined pairwise and then the leftover terms one by one; past 128
+    terms, the two halves (split at a multiple of 8) summed so and added.
+    """
+    n = len(parts)
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        return _component_sum(parts[:half]) + _component_sum(parts[half:])
+    if n < 8:
+        out, rest = parts[0], parts[1:]
+    else:
+        r = list(parts[:8])
+        for i in range(8, n - n % 8):
+            r[i % 8] = r[i % 8] + parts[i]
+        out = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+        rest = parts[n - n % 8:]
+    for p in rest:
+        out = out + p
+    return out
+
+
+def _rows_deriv_pdf(x, weights, means, stds, log_w, log_norm, pdf=True):
+    """(T', u) at the points x (P, n) of row mixtures u against gamma, or
+    T' alone if not ``pdf``.
 
     The parameter arrays are (P, K), one row per row of x. The formulas are
     those of TransportMap1D with a gamma target, T = Phi^{-1}(F_u) from the
     survival side where F_u > 1/2, and both sides come from one ndtr call
-    on -|z| per component.
+    on -|z| per component. Components are outermost: each one's terms are
+    contiguous arrays shaped like x, combined by element-wise maxima and by
+    ``_component_sum``, which adds in the order of a sum over a stacked
+    (P, n, K) axis, so the values are bit for bit those of the stacked
+    formula without its costly reductions over a short strided axis.
     """
-    z = (x[:, :, None] - means[:, None, :]) / stds[:, None, :]
-    logs = -0.5 * z * z - log_norm[:, None, :] + log_w[:, None, :]
-    mx = logs.max(axis=-1, keepdims=True)
-    logpdf = np.squeeze(mx, -1) + np.log(np.exp(logs - mx).sum(axis=-1))
-    tail = ndtr(-np.abs(z))
-    left = z < 0.0
-    w = weights[:, None, :]
-    F = np.clip((np.where(left, tail, 1.0 - tail) * w).sum(axis=-1),
-                _PROB_FLOOR, _PROB_CEIL)
-    S = np.clip((np.where(left, 1.0 - tail, tail) * w).sum(axis=-1),
-                _PROB_FLOOR, _PROB_CEIL)
+    logs, F, S = [], [], []
+    for k in range(weights.shape[1]):
+        # in-place steps in the stacked formula's order: the same values
+        # with fewer temporaries
+        z = x - means[:, k, None]
+        z /= stds[:, k, None]
+        log_k = -0.5 * z
+        log_k *= z
+        log_k -= log_norm[:, k, None]
+        log_k += log_w[:, k, None]
+        logs.append(log_k)
+        left = z < 0.0
+        tail = ndtr(np.negative(np.abs(z, out=z), out=z), out=z)
+        rest = 1.0 - tail
+        w = weights[:, k, None]
+        F.append(np.where(left, tail, rest) * w)
+        S.append(np.where(left, rest, tail) * w)
+    if len(logs) == 1:
+        logpdf = logs[0]  # max + log(exp(0)) is this exactly
+    else:
+        mx = logs[0].copy()
+        for v in logs[1:]:
+            np.maximum(mx, v, out=mx)
+        for v in logs:
+            np.exp(np.subtract(v, mx, out=v), out=v)
+        logpdf = mx + np.log(_component_sum(logs))
+    F = np.minimum(np.maximum(_component_sum(F), _PROB_FLOOR), _PROB_CEIL)
+    S = np.minimum(np.maximum(_component_sum(S), _PROB_FLOOR), _PROB_CEIL)
     low = F <= 0.5
     t = ndtri(np.where(low, F, S))
     t = np.where(low, t, -t)
-    return np.exp(logpdf - gauss_logpdf(t)), np.exp(logpdf)
+    deriv = np.exp(logpdf - gauss_logpdf(t))
+    return (deriv, np.exp(logpdf)) if pdf else deriv
 
 
 def gauss_distance_rows(weights, means, stds, *, tol: float = 1e-9):
@@ -289,7 +343,7 @@ def gauss_distance_rows(weights, means, stds, *, tol: float = 1e-9):
 
         bp = _distance_breaks(lo[rows], hi[rows],
                               np.where(present[rows], m[rows], np.nan),
-                              lambda xs: _rows_deriv_pdf(xs, *chunk)[0])
+                              lambda xs: _rows_deriv_pdf(xs, *chunk, pdf=False))
         res = adaptive_quad_rows(g, bp, tol_abs=tol, tol_rel=1e-12)
         value[rows], error[rows] = res.value, res.error
     return value, error

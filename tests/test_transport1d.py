@@ -16,8 +16,10 @@ from bfstab import (DomainError, GaussianMixture1D, GaussianMixtureND,
                     talagrand_deficit_1d, talagrand_deficit_1d_full,
                     w2_squared_1d)
 from bfstab.corpus import main_corpus
+from bfstab.density1d import gauss_logpdf
 from bfstab.densitynd import conditional_slice_batch
-from bfstab.transport1d import (_directed_distance, bregman_integral_full,
+from bfstab.transport1d import (_component_sum, _directed_distance,
+                                _rows_deriv_pdf, bregman_integral_full,
                                 gauss_distance_rows)
 
 GAUSS = StandardGaussian()
@@ -243,6 +245,66 @@ def test_row_kernel_matches_per_row_distance():
         ref = _directed_distance(batch.mixture(b), GAUSS, 1e-9)
         assert abs(value[r] - ref.value) <= 1e-15, r
         assert abs(error[r] - ref.error) <= 1e-15, r
+
+
+def _stacked_deriv_pdf(x, weights, means, stds, log_w, log_norm):
+    """The row kernel's formula over a stacked (P, n, K) component axis."""
+    z = (x[:, :, None] - means[:, None, :]) / stds[:, None, :]
+    logs = -0.5 * z * z - log_norm[:, None, :] + log_w[:, None, :]
+    mx = logs.max(axis=-1, keepdims=True)
+    logpdf = np.squeeze(mx, -1) + np.log(np.exp(logs - mx).sum(axis=-1))
+    tail = ndtr(-np.abs(z))
+    left = z < 0.0
+    w = weights[:, None, :]
+    F = np.clip((np.where(left, tail, 1.0 - tail) * w).sum(axis=-1),
+                1e-300, 1.0 - 1e-16)
+    S = np.clip((np.where(left, 1.0 - tail, tail) * w).sum(axis=-1),
+                1e-300, 1.0 - 1e-16)
+    low = F <= 0.5
+    t = ndtri(np.where(low, F, S))
+    t = np.where(low, t, -t)
+    return np.exp(logpdf - gauss_logpdf(t)), np.exp(logpdf)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 7, 8, 9, 16])
+def test_row_kernel_component_major_matches_stacked(k):
+    rng = np.random.default_rng(100 + k)
+    b = 6
+    weights = rng.dirichlet(np.ones(k), size=b)
+    if k > 1:
+        weights[1, 0] = 0.0  # absent components, as trimmed slices have
+        weights[3, k // 2:] = 0.0
+        weights /= weights.sum(axis=1, keepdims=True)
+    means = rng.uniform(-3.0, 3.0, (b, k))
+    stds = np.exp(rng.uniform(np.log(0.05), np.log(3.0), (b, k)))
+    with np.errstate(divide="ignore"):
+        log_w = np.log(weights)
+    params = (weights, means, stds, log_w, np.log(stds * math.sqrt(2.0 * math.pi)))
+    lo = np.min(means - 8.0 * stds, axis=1)
+    hi = np.max(means + 8.0 * stds, axis=1)
+    prescan = lo[:, None] + np.linspace(0.0, 1.0, 257) * (hi - lo)[:, None]
+    row = rng.integers(0, b, 40)  # quadrature panels carry their row's mixture
+    panels = rng.uniform(lo[row, None], hi[row, None], (40, 31))
+    cells = rng.uniform(lo[:, None], hi[:, None], (b, 5))
+    for x, p in [(prescan, params), (panels, [q[row] for q in params]),
+                 (cells, params)]:
+        deriv, pdf = _rows_deriv_pdf(x, *p)
+        ref_deriv, ref_pdf = _stacked_deriv_pdf(x, *p)
+        assert np.array_equal(deriv, ref_deriv)
+        assert np.array_equal(pdf, ref_pdf)
+        assert np.array_equal(_rows_deriv_pdf(x, *p, pdf=False), deriv)
+
+
+def test_component_sum_keeps_add_reduce_order():
+    # the row kernel's values stay those of a stacked sum only while this
+    # mirrors NumPy's reduction order; terms of both signs spread over
+    # 1e-30..1e30 make almost any other order round differently
+    rng = np.random.default_rng(7)
+    for k in [*range(1, 41), 128, 129, 200]:
+        parts = [rng.choice([-1.0, 1.0], (4, 9))
+                 * 10.0 ** rng.uniform(-30.0, 30.0, (4, 9)) for _ in range(k)]
+        ref = np.add.reduce(np.stack(parts, -1), axis=-1)
+        assert np.array_equal(_component_sum(parts), ref), k
 
 
 def test_directed_integrals_agree():
