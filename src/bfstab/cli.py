@@ -383,14 +383,26 @@ def _cmd_pl_check(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
+def _int_at_least(low: int):
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+    return parse
+
+
+_positive_int = _int_at_least(1)
+
+
+def _add_sampling(p):
+    p.add_argument("--m-samples", dest="m_samples", type=_positive_int,
+                   default=2048)
+    # a standard error needs at least two replicates
+    p.add_argument("--repeats", type=_int_at_least(2), default=16)
 
 
 def _add_common(p):
@@ -430,8 +442,7 @@ def build_parser() -> _Parser:
                                          "pl"), default="main")
     p.add_argument("--g", default=None, help="g spec for --theorem pl")
     p.add_argument("--lam", type=float, default=0.5)
-    p.add_argument("--m-samples", dest="m_samples", type=int, default=2048)
-    p.add_argument("--repeats", type=int, default=16)
+    _add_sampling(p)
     _add_common(p)
     p.set_defaults(fn=_cmd_deficit)
 
@@ -439,8 +450,7 @@ def build_parser() -> _Parser:
     p.add_argument("--measure", required=True)
     p.add_argument("--mode", choices=("auto", "1d", "product", "sampled-nd"),
                    default="auto")
-    p.add_argument("--m-samples", dest="m_samples", type=int, default=2048)
-    p.add_argument("--repeats", type=int, default=16)
+    _add_sampling(p)
     _add_common(p)
     p.set_defaults(fn=_cmd_talagrand)
 
@@ -448,8 +458,7 @@ def build_parser() -> _Parser:
     p.add_argument("--suite", required=True, choices=sorted(SUITES))
     p.add_argument("--theorem", choices=("main", "corollary", "talagrand",
                                          "pl"), default=None)
-    p.add_argument("--m-samples", dest="m_samples", type=int, default=2048)
-    p.add_argument("--repeats", type=int, default=16)
+    _add_sampling(p)
     _add_common(p)
     p.set_defaults(fn=_cmd_verify)
 

@@ -388,6 +388,10 @@ def verify_talagrand(nu, mode: str, *, case_id: str = "", tol: float = 1e-6,
             raise DomainError("sampled-nd mode expects a Gaussian mixture")
         if nu.dim > 3:
             raise DomainError("sampled-nd mode is limited to n <= 3")
+        if m_samples < 1 or repeats < 2:
+            raise DomainError("sampled-nd mode needs m_samples >= 1 and "
+                              "repeats >= 2 (a standard error needs two "
+                              "replicates)")
         (h, h_err), _ = entropy_fisher_nd(nu)
         w2, w2_err, cal = _empirical_w2(nu, m_samples, repeats, seed)
         deficit = 2.0 * h - w2

@@ -117,7 +117,8 @@ def _kinks(a, b, fa, fb, deriv):
     """
     side = np.zeros(a.shape)  # which end the last step kept: -1 a, +1 b
     for _ in range(_KINK_STEPS):
-        c = (a * fb - b * fa) / (fb - fa)
+        with np.errstate(invalid="ignore"):  # inf / inf where T' overflowed
+            c = (a * fb - b * fa) / (fb - fa)
         c = np.where(np.isfinite(c), c, 0.5 * (a + b))
         fc = deriv(c) - 1.0
         left = fc * fb > 0.0  # the root lies in [a, c]
@@ -181,7 +182,10 @@ def _distance_breaks(lo, hi, means, deriv):
     xs = (np.arange(_SCAN_POINTS) * ((hi - lo) / (_SCAN_POINTS - 1))[:, None]
           + lo[:, None])
     xs[:, -1] = hi
-    dv = deriv(xs) - 1.0
+    # T' overflows to inf where the target's density underflows; the scan
+    # needs only the sign of T' - 1 there
+    with np.errstate(over="ignore"):
+        dv = deriv(xs) - 1.0
     sgn = np.sign(dv)
     flip = sgn[:, :-1] * sgn[:, 1:] < 0
     pinned = ((np.maximum.reduce(np.abs(dv), axis=1) > 1e-9)

@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -159,6 +160,39 @@ def test_narrow_separated_modes_get_verdicts(capsys):
     assert json.loads(out)["report"]["status"] == "pass"
 
 
+FAR_NARROW = "mix:[0.01,-20,0.0001;0.99,0,1]"
+
+
+def _distance(capsys, u, v):
+    code, out, _ = run_cli(capsys, "distance", "--u", u, "--v", v)
+    assert code == 0, (u, v)
+    payload = json.loads(out)
+    return payload["value"], payload["error_estimate"]
+
+
+@pytest.mark.parametrize("u", [NARROW_MODES, FAR_NARROW])
+@pytest.mark.parametrize("c", ["1", "-2.5"])
+def test_distance_to_a_translate_of_gamma_matches_gamma(capsys, u, c):
+    # v = N(c, 1) is a translate of gamma, so d(u, v) = d(u, gamma); the
+    # first inverts both quantiles, u's across the flat stretches of its
+    # cdf; the second inverts none
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        value, err = _distance(capsys, u, f"gauss:{c},1")
+        ref, ref_err = _distance(capsys, u, "gauss:0,1")
+    assert abs(value - ref) <= err + ref_err
+
+
+def test_distance_between_separated_mixtures(capsys):
+    # both directed integrals invert a mixture quantile across flat stretches
+    # of the other's cdf; they must agree (no NumericalWarning)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        value, err = _distance(capsys, NARROW_MODES,
+                               "mix:[0.5,-3,0.16;0.5,3,0.49]")
+    assert 0.0 < value <= 1.0 and err < 1e-8
+
+
 def test_talagrand_separated_modes_and_narrow_gaussian_pass(capsys):
     code, out, _ = run_cli(capsys, "talagrand", "--measure",
                            "mix:[0.5,-3,0.16;0.5,3,0.49]")
@@ -253,6 +287,26 @@ def test_directions_below_one_is_a_parse_error(capsys, value):
     out = capsys.readouterr()
     assert out.out == ""
     assert "--directions" in out.err
+
+
+@pytest.mark.parametrize("command", ["deficit", "talagrand", "verify"])
+@pytest.mark.parametrize("option,value", [("--repeats", "1"),
+                                          ("--repeats", "0"),
+                                          ("--m-samples", "0"),
+                                          ("--m-samples", "-2")])
+def test_sampling_budget_below_minimum_is_a_parse_error(capsys, mix2d_file,
+                                                        command, option,
+                                                        value):
+    # one replicate printed a NaN error estimate (not valid JSON), and an
+    # empty sample a NaN deficit; a standard error needs two replicates
+    target = (["--suite", "main-corpus"] if command == "verify"
+              else ["--measure", f"file:{mix2d_file}"])
+    with pytest.raises(SystemExit) as exc:
+        main([command, *target, option, value])
+    assert exc.value.code == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert option in out.err
 
 
 def test_process_pool_is_capped_at_the_task_count(monkeypatch):

@@ -261,6 +261,15 @@ def test_talagrand_mode_validation():
         verify_talagrand(nu4, "sampled-nd")
 
 
+@pytest.mark.parametrize("m_samples,repeats", [(0, 16), (64, 1), (64, 0)])
+def test_talagrand_sampled_nd_needs_two_replicates(m_samples, repeats):
+    # one replicate has no standard error (ddof = 1 gave NaN) and an empty
+    # cloud no estimate
+    with pytest.raises(DomainError, match="repeats >= 2"):
+        verify_talagrand(mix2d(), "sampled-nd", m_samples=m_samples,
+                         repeats=repeats)
+
+
 # ---------------------------------------------------------------------------
 # sup-convolution
 

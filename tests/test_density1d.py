@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 from scipy import integrate, stats
+from scipy.special import ndtri
 
 from bfstab import (ConditioningError, DomainError, GaussianMixture1D,
                     GridDensity1D, ParseError, StandardGaussian,
@@ -111,6 +112,66 @@ def test_deep_tail_quantiles_are_finite_and_monotone():
     assert np.all(np.isfinite(qs))
     assert np.all(np.diff(qs) > 0)
     assert np.all(np.diff(mix.quantile_sf(ps)) < 0)
+
+
+# separated narrow modes, a far narrow component, modes 6 apart, a bimodal
+# mixture and a mixture whose T' - 1 dips across 0 (see test_transport1d)
+TAIL_MIXTURES = [
+    GaussianMixture1D([0.5, 0.5], [-8.0, 8.0], [0.0025, 0.0025]),
+    GaussianMixture1D([0.01, 0.99], [-20.0, 0.0], [1e-4, 1.0]),
+    GaussianMixture1D([0.5, 0.5], [-3.0, 3.0], [0.4, 0.7]),
+    GaussianMixture1D([0.5, 0.5], [-1.0, 1.0], [1.0, 0.5]),
+    GaussianMixture1D(
+        [0.2834406098432843, 0.5293372215781421, 0.18722216857857352],
+        [0.361551471339407, -1.3359553878111319, 0.7114948342692378],
+        [0.3358281025546148, 0.8279693349904313, 1.8951801876698438]),
+]
+
+
+def _random_tail_mixtures(count, seed=20261018):
+    """Means within +-20, stds log-uniform in [0.01, 10], 1-4 components."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for _ in range(count):
+        k = int(rng.integers(1, 5))
+        w = rng.uniform(0.05, 1.0, k)
+        out.append(GaussianMixture1D(w / w.sum(), rng.uniform(-20.0, 20.0, k),
+                                     10.0 ** rng.uniform(-2.0, 1.0, k)))
+    return out
+
+
+@pytest.mark.parametrize(
+    "mix", TAIL_MIXTURES + _random_tail_mixtures(24),
+    ids=["narrow-modes", "far-narrow", "apart", "bimodal", "dip",
+         *(f"random-{i:02d}" for i in range(24))])
+def test_quantiles_bracketed_down_to_1e_300(mix):
+    # within delta = 1e-12 (1 + |x|) of the root on both sides, for mass
+    # down to 1e-300 and across flat stretches of the cdf
+    rng = np.random.default_rng(7)
+    mass = 10.0 ** rng.uniform(-300.0, math.log10(0.5), 200)
+    x = mix.quantile(mass)
+    delta = 1e-12 * (1.0 + np.abs(x))
+    assert np.all(mix.cdf(x - delta) <= mass)
+    assert np.all(mass <= mix.cdf(x + delta))
+    x = mix.quantile_sf(mass)
+    delta = 1e-12 * (1.0 + np.abs(x))
+    assert np.all(mix.survival(x + delta) <= mass)
+    assert np.all(mass <= mix.survival(x - delta))
+    # the upper half through quantile, and a scalar argument
+    upper = rng.uniform(0.5, 1.0 - 1e-9, 50)
+    x = mix.quantile(upper)
+    delta = 1e-12 * (1.0 + np.abs(x))
+    assert np.all(mix.cdf(x - delta) <= upper)
+    assert np.all(upper <= mix.cdf(x + delta))
+    assert mix.quantile(0.25) == mix.quantile(np.array([0.25]))[0]
+
+
+def test_single_component_quantile_is_closed_form():
+    # the bracket [min_k, max_k] (m_k + s_k z) is one point when K = 1
+    mix = GaussianMixture1D([1.0], [1.5], [0.01])
+    ps = np.array([1e-300, 1e-20, 0.3, 0.5])
+    assert np.array_equal(mix.quantile(ps), 1.5 + 0.01 * ndtri(ps))
+    assert np.array_equal(mix.quantile_sf(ps), 1.5 - 0.01 * ndtri(ps))
 
 
 def test_mixture_moments():

@@ -323,7 +323,8 @@ def test_gamma_side_quantities_invert_no_quantile(monkeypatch):
     def refuse(self, t):
         raise AssertionError("mixture quantile inverted")
 
-    monkeypatch.setattr(GaussianMixture1D, "_invert_cdf", refuse)
+    monkeypatch.setattr(GaussianMixture1D, "quantile", refuse)
+    monkeypatch.setattr(GaussianMixture1D, "quantile_sf", refuse)
     narrow = GaussianMixture1D([0.5, 0.5], [-8.0, 8.0], [0.05, 0.05])
     apart = GaussianMixture1D([0.5, 0.5], [-3.0, 3.0], [0.4, 0.7])
     for mix in (narrow, apart, *mixture_pool()):
