@@ -16,6 +16,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import sys
 import tempfile
@@ -24,12 +25,12 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 
 from . import __version__
-from .corpus import (DEFAULT_TOL, compatible, run_case, suite_cases,
-                     suite_theorems, SUITES)
-from .deficits import GFun, lambda_limit_diagnostics, verify_talagrand
+from .corpus import (DEFAULT_TOL, _talagrand_mode, compatible, run_case,
+                     suite_cases, suite_theorems, SUITES)
+from .deficits import GFun, lambda_limit_diagnostics
 from .density1d import (Density1D, GaussianMixture1D, StandardGaussian,
                         load_grid_csv)
-from .densitynd import GaussianMixtureND, ProductFunction, mixture_from_json
+from .densitynd import ProductFunction, mixture_from_json
 from .errors import BfstabError, ParseError
 from .transport1d import bf_distance_full
 
@@ -287,9 +288,9 @@ def _emit_report(args, config: dict, rep, **body) -> int:
     return _EXIT_BY_STATUS[rep.status]
 
 
-def _single_report_cmd(args, obj, theorem) -> int:
+def _single_report_cmd(args, obj, theorem, **extra) -> int:
     rep = run_case(args.case_id, obj, theorem, **_budget_kwargs(args))
-    config = _science_config(args, [theorem], theorem=theorem)
+    config = _science_config(args, [theorem], theorem=theorem, **extra)
     return _emit_report(args, config, rep)
 
 
@@ -307,20 +308,13 @@ def _cmd_deficit(args) -> int:
 
 def _cmd_talagrand(args) -> int:
     obj = parse_density_spec(args.measure)
-    if args.mode == "auto":
-        return _single_report_cmd(args, obj, "talagrand")
-    # an explicit mode the measure cannot take is a usage error, not a case
-    # error, so this path calls the verifier itself instead of run_case
-    kw = _budget_kwargs(args)
-    kw.pop("mc_budget")
-    tol = kw.pop("tol", DEFAULT_TOL["talagrand"])
-    try:
-        rep = verify_talagrand(obj, args.mode, case_id=args.case_id, tol=tol,
-                               **kw)
-    except BfstabError as exc:
-        raise ParseError(f"--mode {args.mode}: {exc}") from None
-    config = _science_config(args, ["talagrand"], mode=args.mode)
-    return _emit_report(args, config, rep)
+    # every measure takes exactly one mode, the one auto picks; asking for
+    # another is a usage error, not a case error
+    mode = _talagrand_mode(obj)
+    if args.mode not in ("auto", mode):
+        raise ParseError(f"--mode {args.mode}: this measure takes only "
+                         f"--mode {mode} (or auto)")
+    return _single_report_cmd(args, obj, "talagrand", mode=mode)
 
 
 def _cmd_verify(args) -> int:
@@ -383,26 +377,35 @@ def _cmd_pl_check(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _int_at_least(low: int):
-    def parse(text: str) -> int:
+def _checked(convert, ok, what: str):
+    """argparse type: ``convert(text)``, rejected unless ``ok(value)``."""
+    def parse(text: str):
         try:
-            value = int(text)
+            value = convert(text)
         except ValueError:
-            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-        if value < low:
-            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+            raise argparse.ArgumentTypeError(
+                f"invalid {convert.__name__} value: {text!r}") from None
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {what}, got {text}")
         return value
     return parse
 
 
-_positive_int = _int_at_least(1)
+_positive_int = _checked(int, lambda n: n >= 1, "at least 1")
+# a negative tolerance raises the pass line above a true margin and a NaN
+# one fails every comparison, so neither can give an honest verdict
+_tolerance = _checked(float, lambda t: 0.0 <= t < math.inf,
+                      "a finite number >= 0")
+_lambda = _checked(float, lambda lam: 0.0 < lam < 1.0,
+                   "strictly inside (0, 1)")
 
 
 def _add_sampling(p):
     p.add_argument("--m-samples", dest="m_samples", type=_positive_int,
                    default=2048)
     # a standard error needs at least two replicates
-    p.add_argument("--repeats", type=_int_at_least(2), default=16)
+    p.add_argument("--repeats", type=_checked(int, lambda n: n >= 2,
+                                              "at least 2"), default=16)
 
 
 def _add_common(p):
@@ -410,7 +413,7 @@ def _add_common(p):
                    help="seed for all stochastic stages (default 0)")
     p.add_argument("--jobs", type=int, default=1,
                    help="parallel case workers (default 1)")
-    p.add_argument("--tol", type=float, default=None,
+    p.add_argument("--tol", type=_tolerance, default=None,
                    help="pass tolerance override")
     p.add_argument("--mc-budget", dest="mc_budget", type=int, default=10 ** 6,
                    help="Monte Carlo budget for high-dimensional stages")
@@ -441,7 +444,7 @@ def build_parser() -> _Parser:
     p.add_argument("--theorem", choices=("main", "corollary", "talagrand",
                                          "pl"), default="main")
     p.add_argument("--g", default=None, help="g spec for --theorem pl")
-    p.add_argument("--lam", type=float, default=0.5)
+    p.add_argument("--lam", type=_lambda, default=0.5)
     _add_sampling(p)
     _add_common(p)
     p.set_defaults(fn=_cmd_deficit)
@@ -476,7 +479,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("pl-check", help="quantitative Prekopa-Leindler check")
     p.add_argument("--g", required=True)
-    p.add_argument("--lam", type=float, required=True)
+    p.add_argument("--lam", type=_lambda, required=True)
     p.add_argument("--diagnostics", action="store_true",
                    help="append the lambda-limit expansion table")
     _add_common(p)

@@ -196,18 +196,17 @@ def _slice_distances(nu: GaussianMixtureND, axis: int, pts: np.ndarray,
 
 
 def _corollary_axis_quad(nu, axis, orders, inner_tol):
-    """Per-order mass-weighted terms, plus the literal term and inner error
-    at the first order, from one stacked set of pinned points.
+    """Mass-weighted E[d(slice, gamma)^2] along ``axis`` at each outer
+    order, plus the inner error of the first order's term.
 
     At each order the pinned points are every component of the marginal
-    without ``axis`` mapped through its Cholesky factor; the first order
-    adds the raw Gauss-Hermite nodes for the literal gamma average.
+    without ``axis`` mapped through its Cholesky factor, so the outer
+    average runs over nu's own marginal; all orders share one kernel call.
     """
     rest = marginal_without(nu, axis)
     rules = [gh_tensor(order, nu.dim - 1) for order in orders]
     pts = [rest.means[k] + nodes @ rest._chol[k].T
            for nodes, _ in rules for k in range(rest.n_components)]
-    pts.append(rules[0][0])
     d, derr = _slice_distances(nu, axis, np.concatenate(pts), inner_tol)
     weighted = []
     werr = 0.0
@@ -221,26 +220,19 @@ def _corollary_axis_quad(nu, axis, orders, inner_tol):
             if i == 0:
                 werr += rest.weights[k] * float(wts @ (2.0 * dk * ek))
         weighted.append(total)
-    d0, derr0 = d[pos:], derr[pos:]
-    wts = rules[0][1]
-    literal = float(wts @ (d0 * d0))
-    werr += float(wts @ (2.0 * d0 * derr0))
-    return weighted, literal, werr
+    return weighted, werr
 
 
 def _corollary_axis_mc(nu, axis, budget, inner_tol, rng):
+    """Mass-weighted E[d(slice, gamma)^2] along ``axis`` from points drawn
+    from nu's marginal without ``axis``, with its standard error plus the
+    inner error."""
     rest = marginal_without(nu, axis)
     n_pts = max(min(budget, 2048), 64)
-    pts = rest.sample(rng, n_pts)
-    pts_g = rng.standard_normal((n_pts, nu.dim - 1))
-    d_all, derr_all = _slice_distances(nu, axis, np.concatenate([pts, pts_g]),
-                                       inner_tol)
-    d, d0, derr = d_all[:n_pts], d_all[n_pts:], derr_all[:n_pts]
+    d, derr = _slice_distances(nu, axis, rest.sample(rng, n_pts), inner_tol)
     weighted = float(np.mean(d * d))
     se = float(np.std(d * d, ddof=1) / math.sqrt(n_pts))
-    literal = float(np.mean(d0 * d0))
-    se += float(np.std(d0 * d0, ddof=1) / math.sqrt(n_pts))
-    return weighted, literal, se + float(np.mean(2.0 * d * derr))
+    return weighted, se + float(np.mean(2.0 * d * derr))
 
 
 def _product_slice_distances(nu: ProductFunction, inner_tol: float):
@@ -261,47 +253,43 @@ def verify_corollary(nu, mc_budget: int = 10 ** 6, *,
                      inner_tol: float = 1e-9) -> DeficitReport:
     """delta_LS >= 1/2 sum_i E[d(slice_i, gamma)^2] over pinned coordinates.
 
-    nu is a GaussianMixtureND or a ProductFunction of dimension >= 2. The
-    pass criterion weighs each slice by its mass (the expectation runs over
-    the mixture's own marginal), which is the form the tensorization
-    argument produces; the literal unweighted average over gamma_{n-1} is
-    evaluated alongside and recorded in the method string. A product needs
-    no outer average: its slices along axis i are all the factor h_i, so
-    both averages are d(h_i, gamma)^2.
+    nu is a GaussianMixtureND or a ProductFunction of dimension >= 2. Each
+    slice is weighed by its mass: the expectation runs over nu's own
+    marginal without axis i, which is the form the tensorization argument
+    produces. For n <= 3 that average is a Gauss-Hermite rule anchored at
+    each marginal component, with the gap between two orders in the error;
+    above, it is a Monte Carlo mean over mc_budget / n draws per axis (at
+    least 64, at most 2048), with its standard error. A product needs no
+    outer average: its slices along axis i are all the factor h_i.
     """
     if isinstance(nu, Density1D) or nu.dim < 2:
         raise DomainError("the corollary needs dimension at least 2")
     deficit, d_err = lsi_deficit(nu, mc_budget=mc_budget, seed=seed)
     weighted_terms = np.zeros(nu.dim)
-    literal_terms = np.zeros(nu.dim)
     err = 0.0
     if isinstance(nu, ProductFunction):
         d, derr = _product_slice_distances(nu, inner_tol)
-        weighted_terms = literal_terms = d * d
+        weighted_terms = d * d
         err = float(np.sum(2.0 * d * derr))
         mode = "per-factor slices (product)"
     elif nu.dim <= 3:
         hi, lo = (64, 48) if nu.dim == 2 else (20, 14)
         for axis in range(nu.dim):
-            (w_hi, w_lo), l_hi, ierr = _corollary_axis_quad(
-                nu, axis, (hi, lo), inner_tol)
+            (w_hi, w_lo), ierr = _corollary_axis_quad(nu, axis, (hi, lo),
+                                                      inner_tol)
             weighted_terms[axis] = w_hi
-            literal_terms[axis] = l_hi
             err += abs(w_hi - w_lo) + ierr
         mode = f"outer GH {hi}/{lo} anchored at the mixture"
     else:
         rng = np.random.default_rng(seed)
         per_axis = mc_budget // max(nu.dim, 1)
         for axis in range(nu.dim):
-            w, l, se = _corollary_axis_mc(nu, axis, per_axis, inner_tol, rng)
-            weighted_terms[axis] = w
-            literal_terms[axis] = l
+            weighted_terms[axis], se = _corollary_axis_mc(
+                nu, axis, per_axis, inner_tol, rng)
             err += se
         mode = "outer MC with standard error"
     lower = 0.5 * float(weighted_terms.sum())
-    literal = 0.5 * float(literal_terms.sum())
-    method = (f"{mode}; mass-weighted lower={lower:.9f} "
-              f"literal={literal:.9f}; per-axis weighted="
+    method = (f"{mode}; mass-weighted lower={lower:.9f}; per-axis weighted="
               + np.array2string(weighted_terms, precision=7, separator=","))
     return DeficitReport.build(case_id=case_id, theorem="corollary",
                                deficit=deficit, lower_bound=lower,

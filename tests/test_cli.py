@@ -249,6 +249,39 @@ def test_talagrand_explicit_mode_matches_auto(capsys, tmp_path):
     assert payload["report"]["status"] == "pass"
 
 
+def test_talagrand_config_records_theorem_and_resolved_mode(capsys,
+                                                         mix2d_file):
+    for extra in ((), ("--mode", "sampled-nd")):
+        code, out, _ = run_cli(capsys, "talagrand", "--measure",
+                               f"file:{mix2d_file}", "--m-samples", "64",
+                               "--repeats", "2", *extra)
+        assert code == 3
+        config = json.loads(out)["config"]
+        assert config["theorem"] == "talagrand"
+        assert config["mode"] == "sampled-nd"
+
+
+def test_talagrand_sampled_nd_above_three_dims_matches_auto(capsys,
+                                                            tmp_path):
+    # the mode the measure takes, named explicitly, runs like auto: an n >= 4
+    # mixture gets the same error report (exit 2), not a usage error
+    path = tmp_path / "mix4d.json"
+    path.write_text(json.dumps({
+        "weights": [0.5, 0.5],
+        "means": [[0.0, 0.0, 0.0, 0.0], [1.0, -1.0, 0.5, 0.0]],
+        "covs": [np.eye(4).tolist(), np.diag([2.0, 1.0, 0.5, 1.0]).tolist()],
+    }))
+    outs = []
+    for mode in ("auto", "sampled-nd"):
+        code, out, err = run_cli(capsys, "talagrand", "--measure",
+                                 f"file:{path}", "--mode", mode,
+                                 "--format", "csv")
+        assert code == 2 and err == ""
+        outs.append(out)
+    assert outs[0] == outs[1]
+    assert ",error,error: DomainError: sampled-nd mode is limited" in outs[0]
+
+
 def test_pl_check_with_diagnostics(capsys):
     code, out, _ = run_cli(capsys, "pl-check", "--g", "linear:1",
                            "--lam", "0.25", "--diagnostics")
@@ -287,6 +320,41 @@ def test_directions_below_one_is_a_parse_error(capsys, value):
     out = capsys.readouterr()
     assert out.out == ""
     assert "--directions" in out.err
+
+
+@pytest.mark.parametrize("value", ["-1", "nan", "inf"])
+def test_tol_must_be_finite_and_nonnegative(capsys, value):
+    # a negative tolerance failed a case that passes at the default, and a
+    # NaN one left every case inconclusive
+    with pytest.raises(SystemExit) as exc:
+        main(["deficit", "--measure", "gauss:0,2", "--tol", value])
+    assert exc.value.code == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert "--tol" in out.err
+
+
+def test_tol_zero_is_accepted(capsys):
+    code, out, _ = run_cli(capsys, "deficit", "--measure", "gauss:0,2",
+                           "--tol", "0")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["config"]["tol"] == 0.0
+    assert payload["report"]["status"] == "pass"
+
+
+@pytest.mark.parametrize("argv", [["pl-check", "--g", "quad:0.5"],
+                                  ["deficit", "--theorem", "pl", "--g",
+                                   "quad:0.5"]])
+@pytest.mark.parametrize("value", ["0", "1", "1.5"])
+def test_lam_outside_unit_interval_is_a_parse_error(capsys, argv, value):
+    # it used to reach the verifier and come back as an error report
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--lam", value])
+    assert exc.value.code == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert "--lam" in out.err
 
 
 @pytest.mark.parametrize("command", ["deficit", "talagrand", "verify"])

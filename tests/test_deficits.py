@@ -14,6 +14,7 @@ from bfstab import (CapabilityError, DeficitReport, DomainError, GFun,
                     pl_deficit_check, sup_convolution, verify_corollary,
                     verify_talagrand, verify_thm_main)
 from bfstab.corpus import _sin_bump, main_corpus
+from bfstab.deficits import _corollary_axis_quad
 
 LSI_SIGMA2 = 0.3181471805599453   # fisher/2 - entropy at sigma = 2
 TAL_SIGMA2 = 0.6137056388801092
@@ -178,7 +179,8 @@ def test_corollary_product_exact():
 def test_corollary_mixture_2d():
     rep = verify_corollary(mix2d(), case_id="m2")
     assert rep.status == "pass"
-    assert "mass-weighted" in rep.method and "literal" in rep.method
+    assert "mass-weighted lower=" in rep.method
+    assert "literal" not in rep.method
 
 
 def test_corollary_wide_gaussian_warns_nothing():
@@ -189,6 +191,55 @@ def test_corollary_wide_gaussian_warns_nothing():
         rep = verify_corollary(nu)
     assert rep.status == "pass"
     assert abs(rep.lower_bound - 0.9025) <= rep.error_estimate + 1e-12
+
+
+def test_corollary_error_covers_higher_gauss_hermite_orders():
+    # the outer rule's error is |w_64 - w_48| per axis plus the inner and
+    # deficit errors; against orders 96 to 256 the per-axis gap alone
+    # under-reports (11.6x on main-2d-07, axis 0), but the total covers
+    # (0.44 and 0.11 of it here)
+    cases = dict(main_corpus())
+    for case_id in ("main-2d-07", "main-2d-12"):
+        nu = cases[case_id]
+        rep = verify_corollary(nu)
+        assert rep.status == "pass"
+        oracle_gap = 0.0
+        for axis in range(nu.dim):
+            w, _ = _corollary_axis_quad(nu, axis, (64, 96, 128, 192, 256),
+                                        1e-9)
+            oracle_gap += 0.5 * max(abs(w[0] - wo) for wo in w[1:])
+        assert oracle_gap <= rep.error_estimate, case_id
+
+
+def test_corollary_monte_carlo_gaussian_closed_form():
+    # n = 4 takes the outer Monte Carlo path. Every slice of N(m, C) along
+    # axis i is Gaussian with std s_i = (C^-1)_ii^(-1/2), whatever the
+    # pinned point, so the bound is 1/2 sum_i (|1 - s_i| / max(1, s_i))^2
+    a = np.array([[1.2, 0.3, -0.4, 0.1], [0.0, 0.6, 0.5, -0.2],
+                  [0.3, -0.1, 0.4, 0.7], [0.2, 0.8, 0.0, 1.5]])
+    cov = a @ a.T + 0.05 * np.eye(4)
+    nu = GaussianMixtureND([1.0], [[0.3, -0.5, 1.0, 0.0]], [cov])
+    s = np.diag(np.linalg.inv(cov)) ** -0.5
+    assert s.min() < 1.0 < s.max()
+    d = np.abs(1.0 - s) / np.maximum(1.0, s)
+    rep = verify_corollary(nu, mc_budget=1024)
+    assert rep.method.startswith("outer MC with standard error;")
+    assert abs(rep.lower_bound - 0.5 * float(d @ d)) <= rep.error_estimate
+    # every draw sees the same slices, so only the inner solve is left
+    assert abs(rep.lower_bound - 0.5 * float(d @ d)) <= 1e-10
+    assert rep.status == "pass"
+
+
+def test_corollary_monte_carlo_mixture_4d_passes():
+    cov = np.array([[1.5, 0.4, 0.0, 0.2], [0.4, 0.8, -0.1, 0.0],
+                    [0.0, -0.1, 0.6, 0.3], [0.2, 0.0, 0.3, 2.0]])
+    nu = GaussianMixtureND(
+        [0.35, 0.65], [[-1.0, 0.5, 0.0, 1.2], [0.8, -0.4, 0.6, -0.3]],
+        [cov, np.diag([0.5, 1.5, 1.0, 0.7])])
+    rep = verify_corollary(nu, mc_budget=1024)
+    assert rep.method.startswith("outer MC with standard error;")
+    assert rep.status == "pass", rep.method
+    assert rep.lower_bound > 0.0
 
 
 def test_corollary_needs_two_dims():

@@ -317,6 +317,88 @@ def test_directed_integrals_agree():
             assert err < 1e-8
 
 
+def _random_pairs(count):
+    """The first ``count`` of 100 seeded pairs of random mixtures: 1-4
+    components, weights U(0.2, 1), means U(-4, 4), stds log-uniform on
+    [0.1, 3]."""
+    rng = np.random.default_rng(17)
+
+    def mix():
+        k = int(rng.integers(1, 5))
+        w = rng.uniform(0.2, 1.0, k)
+        m = rng.uniform(-4.0, 4.0, k)
+        s = np.exp(rng.uniform(math.log(0.1), math.log(3.0), k))
+        return GaussianMixture1D(w / w.sum(), m, s)
+
+    return [(mix(), mix()) for _ in range(count)]
+
+
+def _mixture_pair_oracle(u, v):
+    """d(u, v) from SciPy alone: T = F_v^{-1}(F_u) by brentq (on the
+    survival side right of u's median), T' = u / v(T), and integrate.quad
+    split where T' - 1 changes sign on a 2,001-point scan."""
+    def cdf(mix, x):
+        return float(mix.weights @ ndtr((x - mix.means) / mix.stds))
+
+    def sf(mix, x):
+        return float(mix.weights @ ndtr((mix.means - x) / mix.stds))
+
+    def pdf(mix, x):
+        return float(mix.weights @ stats.norm.pdf(x, mix.means, mix.stds))
+
+    lo, hi = np.min(u.means - 12 * u.stds), np.max(u.means + 12 * u.stds)
+    b_lo, b_hi = np.min(v.means - 40 * v.stds), np.max(v.means + 40 * v.stds)
+
+    def t_of(x):
+        p, q = cdf(u, x), sf(u, x)
+        if p <= 0.5:
+            return brentq(lambda y: cdf(v, y) - p, b_lo, b_hi, xtol=1e-15,
+                          rtol=1e-15)
+        return brentq(lambda y: q - sf(v, y), b_lo, b_hi, xtol=1e-15,
+                      rtol=1e-15)
+
+    def excess(x):
+        return pdf(u, x) / pdf(v, t_of(x)) - 1.0
+
+    def integrand(x):
+        tp = excess(x) + 1.0
+        return abs(1.0 - tp) / max(1.0, tp) * pdf(u, x)
+
+    xs = np.linspace(lo, hi, 2001)
+    ex = [excess(x) for x in xs]
+    kinks = [brentq(excess, a, b, xtol=1e-15, rtol=1e-15)
+             for a, b, fa, fb in zip(xs, xs[1:], ex, ex[1:]) if fa * fb < 0]
+    pieces = [integrate.quad(integrand, a, b, limit=400, epsabs=1e-14,
+                             epsrel=1e-13)
+              for a, b in zip([lo, *kinks], [*kinks, hi])]
+    return sum(p[0] for p in pieces), sum(p[1] for p in pieces)
+
+
+@pytest.fixture(scope="module")
+def kink_pairs():
+    """Pairs 33 and 35 of _random_pairs(100), each with its oracle."""
+    pairs = _random_pairs(36)
+    return {i: (*pairs[i], *_mixture_pair_oracle(*pairs[i])) for i in (33, 35)}
+
+
+@pytest.mark.parametrize("pair", [33, 35])
+def test_two_direction_average_covers_oracle(kink_pairs, pair):
+    # _KINK_STEPS Illinois steps leave a kink up to 6.9e-5 from its root,
+    # which one directed integral does not see in its own error (pair 33
+    # from u, pair 35 from v); bf_distance_full's half-gap term covers it
+    u, v, ref, ref_err = kink_pairs[pair]
+    value, err = bf_distance_full(u, v)
+    assert abs(value - ref) <= err + ref_err
+
+
+@pytest.mark.xfail(strict=True, reason="one directed integral under-reports "
+                   "a kink left short of its root by _KINK_STEPS steps")
+def test_single_direction_covers_oracle(kink_pairs):
+    u, v, ref, ref_err = kink_pairs[33]
+    res = _directed_distance(u, v, 1e-9)
+    assert abs(res.value - ref) <= res.error + ref_err
+
+
 def test_gamma_side_quantities_invert_no_quantile(monkeypatch):
     # separated narrow modes stalled the mixture quantile inversion, and the
     # gamma-side Bregman integrand spiked between separated modes
