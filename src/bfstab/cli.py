@@ -217,9 +217,6 @@ def _budget_kwargs(args) -> dict:
           "directions": args.directions}
     if getattr(args, "tol", None) is not None:
         kw["tol"] = args.tol
-    if hasattr(args, "m_samples"):
-        kw["m_samples"] = args.m_samples
-        kw["repeats"] = args.repeats
     return kw
 
 
@@ -245,9 +242,6 @@ def _science_config(args, for_theorems, **extra) -> dict:
         tol = resolved if len(resolved) > 1 else next(iter(resolved.values()))
     cfg = {"seed": args.seed, "mc_budget": args.mc_budget,
            "directions": args.directions, "tol": tol}
-    if hasattr(args, "m_samples"):
-        cfg["m_samples"] = args.m_samples
-        cfg["repeats"] = args.repeats
     cfg.update(extra)
     return cfg
 
@@ -392,6 +386,7 @@ def _checked(convert, ok, what: str):
 
 
 _positive_int = _checked(int, lambda n: n >= 1, "at least 1")
+_seed = _checked(int, lambda n: n >= 0, "at least 0")
 # a negative tolerance raises the pass line above a true margin and a NaN
 # one fails every comparison, so neither can give an honest verdict
 _tolerance = _checked(float, lambda t: 0.0 <= t < math.inf,
@@ -400,16 +395,8 @@ _lambda = _checked(float, lambda lam: 0.0 < lam < 1.0,
                    "strictly inside (0, 1)")
 
 
-def _add_sampling(p):
-    p.add_argument("--m-samples", dest="m_samples", type=_positive_int,
-                   default=2048)
-    # a standard error needs at least two replicates
-    p.add_argument("--repeats", type=_checked(int, lambda n: n >= 2,
-                                              "at least 2"), default=16)
-
-
 def _add_common(p):
-    p.add_argument("--seed", type=int, default=0,
+    p.add_argument("--seed", type=_seed, default=0,
                    help="seed for all stochastic stages (default 0)")
     p.add_argument("--jobs", type=int, default=1,
                    help="parallel case workers (default 1)")
@@ -445,15 +432,13 @@ def build_parser() -> _Parser:
                                          "pl"), default="main")
     p.add_argument("--g", default=None, help="g spec for --theorem pl")
     p.add_argument("--lam", type=_lambda, default=0.5)
-    _add_sampling(p)
     _add_common(p)
     p.set_defaults(fn=_cmd_deficit)
 
     p = sub.add_parser("talagrand", help="Talagrand deficit bound")
     p.add_argument("--measure", required=True)
-    p.add_argument("--mode", choices=("auto", "1d", "product", "sampled-nd"),
+    p.add_argument("--mode", choices=("auto", "1d", "product", "knothe-nd"),
                    default="auto")
-    _add_sampling(p)
     _add_common(p)
     p.set_defaults(fn=_cmd_talagrand)
 
@@ -461,7 +446,6 @@ def build_parser() -> _Parser:
     p.add_argument("--suite", required=True, choices=sorted(SUITES))
     p.add_argument("--theorem", choices=("main", "corollary", "talagrand",
                                          "pl"), default=None)
-    _add_sampling(p)
     _add_common(p)
     p.set_defaults(fn=_cmd_verify)
 

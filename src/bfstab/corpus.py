@@ -202,8 +202,7 @@ def suite_theorems(name: str, theorem: Optional[str] = None) -> List[str]:
 
 def run_case(case_id: str, obj, theorem: str, *, tol: Optional[float] = None,
              seed: int = 0, mc_budget: int = 10 ** 6,
-             directions: Optional[int] = None, m_samples: int = 2048,
-             repeats: int = 16) -> DeficitReport:
+             directions: Optional[int] = None) -> DeficitReport:
     """Verify one theorem on one corpus object; never raises on case errors.
 
     A case that cannot run (wrong dimension for the theorem, numerical
@@ -222,8 +221,8 @@ def run_case(case_id: str, obj, theorem: str, *, tol: Optional[float] = None,
         if theorem == "talagrand":
             return verify_talagrand(obj, _talagrand_mode(obj),
                                     case_id=case_id, tol=tol,
-                                    m_samples=m_samples, repeats=repeats,
-                                    seed=seed, directions=directions)
+                                    mc_budget=mc_budget, seed=seed,
+                                    directions=directions)
         if theorem == "pl":
             g, lam = obj
             return pl_deficit_check(PLTriple(g, lam), case_id=case_id, tol=tol)
@@ -236,11 +235,12 @@ def run_case(case_id: str, obj, theorem: str, *, tol: Optional[float] = None,
 
 
 def _talagrand_mode(obj) -> str:
-    """The one Talagrand mode a measure takes (what ``auto`` resolves to)."""
+    """The one Talagrand mode a measure takes (what ``auto`` resolves to);
+    knothe-nd serves n-D mixtures in any dimension."""
     if isinstance(obj, Density1D):
         return "1d"
     if isinstance(obj, ProductFunction):
         return "product"
     if isinstance(obj, GaussianMixtureND):
-        return "1d" if obj.dim == 1 else "sampled-nd"
+        return "1d" if obj.dim == 1 else "knothe-nd"
     raise DomainError("unsupported measure for the Talagrand check")

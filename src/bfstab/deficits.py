@@ -24,8 +24,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
-from scipy.spatial.distance import cdist
 
 from .density1d import (Density1D, GaussianMixture1D, GridDensity1D,
                         StandardGaussian, WORKING_RADIUS, _breaks,
@@ -33,7 +31,7 @@ from .density1d import (Density1D, GaussianMixture1D, GridDensity1D,
                         gauss_pdf)
 from .densitynd import (GaussianMixtureND, ProductFunction,
                         conditional_slice_batch, entropy_fisher_nd,
-                        marginal_without)
+                        knothe_w2_bound, marginal_without)
 from .errors import (CapabilityError, DomainError, EvaluationError,
                      InvariantViolation)
 from .quadrature import adaptive_quad, gh_tensor
@@ -87,10 +85,11 @@ class DeficitReport:
 
     @classmethod
     def build(cls, *, case_id, theorem, deficit, lower_bound, error, tol,
-              method, force_inconclusive=False):
+              method, deficit_is_lower_bound=False):
         margin = deficit - lower_bound
         status = _status(margin, tol, error)
-        if force_inconclusive and status != FAIL:
+        # a deficit known only from below cannot show the bound fails
+        if deficit_is_lower_bound and status == FAIL:
             status = INCONCLUSIVE
         return cls(case_id=case_id, theorem=theorem, deficit=float(deficit),
                    lower_bound=float(lower_bound), margin=float(margin),
@@ -300,49 +299,18 @@ def verify_corollary(nu, mc_budget: int = 10 ** 6, *,
 # Talagrand
 
 
-def _empirical_w2(nu: GaussianMixtureND, m: int, repeats: int, seed: int):
-    """Assignment-based W2^2 estimate, calibrated on a gamma-gamma pair.
-
-    The raw matched cost between two m-point clouds overshoots the true
-    W2^2 by a sampling term; the same term measured between two independent
-    gamma samples is subtracted, and both spreads enter the error.
-    """
-    rng = np.random.default_rng(seed)
-    vals = np.empty(repeats)
-    cal = np.empty(repeats)
-    for r in range(repeats):
-        x = nu.sample(rng, m)
-        y = rng.standard_normal((m, nu.dim))
-        cost = cdist(x, y, metric="sqeuclidean")
-        rows, cols = linear_sum_assignment(cost)
-        vals[r] = float(cost[rows, cols].mean())
-        a = rng.standard_normal((m, nu.dim))
-        b = rng.standard_normal((m, nu.dim))
-        cost0 = cdist(a, b, metric="sqeuclidean")
-        rows0, cols0 = linear_sum_assignment(cost0)
-        cal[r] = float(cost0[rows0, cols0].mean())
-    est = float(vals.mean() - cal.mean())
-    se = float(vals.std(ddof=1) / math.sqrt(repeats)
-               + cal.std(ddof=1) / math.sqrt(repeats))
-    # half the calibration shift is kept as residual bias allowance
-    return est, se + 0.5 * float(cal.mean()), float(cal.mean())
-
-
-_SAMPLED_SE_CAP = 0.05
-
-
 def verify_talagrand(nu, mode: str, *, case_id: str = "", tol: float = 1e-6,
-                     m_samples: int = 2048, repeats: int = 16, seed: int = 0,
+                     mc_budget: int = 10 ** 6, seed: int = 0,
                      directions: Optional[int] = None) -> DeficitReport:
     """2 H(nu|gamma) - W2^2(nu, gamma) >= 1/2 d_n^2 in three regimes.
 
     1d and product are exact (the quantile coupling, and coordinatewise
-    tensorization of both entropy and W2); sampled-nd replaces W2^2 with an
-    empirical assignment estimate and is diagnostic: a noisy estimate can
-    only render the verdict inconclusive, never a failure.
+    tensorization of both entropy and W2). knothe-nd, for an n-D mixture,
+    bounds W2^2 from above by ``knothe_w2_bound`` (Sobol replicates from
+    ``mc_budget`` and ``seed`` above n = 3), so its deficit is a lower
+    bound and a shortfall is inconclusive, never a failure.
     """
     gauss = StandardGaussian()
-    force_inconclusive = False
     if mode == "1d":
         if isinstance(nu, GaussianMixtureND):
             if nu.dim != 1:
@@ -371,33 +339,26 @@ def verify_talagrand(nu, mode: str, *, case_id: str = "", tol: float = 1e-6,
         lower = 0.5 * res.value ** 2
         err += res.value * res.value_error
         method = f"tensorized per-axis W2 and entropy; {_dn_method(res)}"
-    elif mode == "sampled-nd":
+    elif mode == "knothe-nd":
         if not isinstance(nu, GaussianMixtureND):
-            raise DomainError("sampled-nd mode expects a Gaussian mixture")
-        if nu.dim > 3:
-            raise DomainError("sampled-nd mode is limited to n <= 3")
-        if m_samples < 1 or repeats < 2:
-            raise DomainError("sampled-nd mode needs m_samples >= 1 and "
-                              "repeats >= 2 (a standard error needs two "
-                              "replicates)")
-        (h, h_err), _ = entropy_fisher_nd(nu)
-        w2, w2_err, cal = _empirical_w2(nu, m_samples, repeats, seed)
+            raise DomainError("knothe-nd mode expects a Gaussian mixture")
+        (h, h_err), _ = entropy_fisher_nd(nu, mc_budget=mc_budget, seed=seed)
+        w2, w2_err, label = knothe_w2_bound(nu, mc_budget=mc_budget,
+                                            seed=seed)
         deficit = 2.0 * h - w2
         err = 2.0 * h_err + w2_err
         res = dn_distance(nu, directions=directions)
         lower = 0.5 * res.value ** 2
         err += res.value * res.value_error
-        method = (f"empirical assignment W2 m={m_samples} reps={repeats} "
-                  f"gamma-calibration={cal:.5f} (estimate, not proof); "
+        method = (f"Knothe-Rosenblatt W2^2 upper bound={w2:.9f} "
+                  f"rotation={label} (deficit is a lower bound); "
                   + _dn_method(res))
-        if w2_err > _SAMPLED_SE_CAP:
-            force_inconclusive = True
     else:
         raise DomainError(f"unknown talagrand mode {mode!r}")
     return DeficitReport.build(case_id=case_id, theorem="talagrand",
                                deficit=deficit, lower_bound=lower, error=err,
                                tol=tol, method=method,
-                               force_inconclusive=force_inconclusive)
+                               deficit_is_lower_bound=mode == "knothe-nd")
 
 
 # ---------------------------------------------------------------------------

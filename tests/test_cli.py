@@ -206,12 +206,17 @@ def test_talagrand_separated_modes_and_narrow_gaussian_pass(capsys):
     assert json.loads(out)["report"]["status"] == "pass"
 
 
-def test_talagrand_sampled_nd_inconclusive_exit(capsys, mix2d_file):
+def test_talagrand_gaussian_2d_closed_form(capsys, mix2d_file):
+    # N(0, diag(4, 1)): 2H = 3 - log 4 and W2^2 = 1, which the principal
+    # axes reach exactly; d_n = 1 - 1/2 along the first axis
     code, out, _ = run_cli(capsys, "talagrand", "--measure",
-                           f"file:{mix2d_file}", "--mode", "sampled-nd",
-                           "--m-samples", "64", "--repeats", "2")
-    assert code == 3
-    assert json.loads(out)["report"]["status"] == "inconclusive"
+                           f"file:{mix2d_file}")
+    assert code == 0
+    report = json.loads(out)["report"]
+    assert report["status"] == "pass"
+    err = report["error_estimate"]
+    assert abs(report["deficit"] - (2.0 - math.log(4.0))) <= err
+    assert abs(report["margin"] - (2.0 - math.log(4.0) - 0.125)) <= err
 
 
 def test_talagrand_mode_the_measure_cannot_take(capsys, mix2d_file):
@@ -251,20 +256,19 @@ def test_talagrand_explicit_mode_matches_auto(capsys, tmp_path):
 
 def test_talagrand_config_records_theorem_and_resolved_mode(capsys,
                                                          mix2d_file):
-    for extra in ((), ("--mode", "sampled-nd")):
+    for extra in ((), ("--mode", "knothe-nd")):
         code, out, _ = run_cli(capsys, "talagrand", "--measure",
-                               f"file:{mix2d_file}", "--m-samples", "64",
-                               "--repeats", "2", *extra)
-        assert code == 3
+                               f"file:{mix2d_file}", *extra)
+        assert code == 0
         config = json.loads(out)["config"]
         assert config["theorem"] == "talagrand"
-        assert config["mode"] == "sampled-nd"
+        assert config["mode"] == "knothe-nd"
 
 
 def test_talagrand_sampled_nd_above_three_dims_matches_auto(capsys,
                                                             tmp_path):
     # the mode the measure takes, named explicitly, runs like auto: an n >= 4
-    # mixture gets the same error report (exit 2), not a usage error
+    # mixture gets the same pass report from the Sobol path
     path = tmp_path / "mix4d.json"
     path.write_text(json.dumps({
         "weights": [0.5, 0.5],
@@ -272,14 +276,14 @@ def test_talagrand_sampled_nd_above_three_dims_matches_auto(capsys,
         "covs": [np.eye(4).tolist(), np.diag([2.0, 1.0, 0.5, 1.0]).tolist()],
     }))
     outs = []
-    for mode in ("auto", "sampled-nd"):
+    for mode in ("auto", "knothe-nd"):
         code, out, err = run_cli(capsys, "talagrand", "--measure",
                                  f"file:{path}", "--mode", mode,
-                                 "--format", "csv")
-        assert code == 2 and err == ""
+                                 "--mc-budget", "32768", "--format", "csv")
+        assert code == 0 and err == ""
         outs.append(out)
     assert outs[0] == outs[1]
-    assert ",error,error: DomainError: sampled-nd mode is limited" in outs[0]
+    assert ',pass,"Knothe-Rosenblatt W2^2 upper bound=' in outs[0]
 
 
 def test_pl_check_with_diagnostics(capsys):
@@ -365,8 +369,25 @@ def test_lam_outside_unit_interval_is_a_parse_error(capsys, argv, value):
 def test_sampling_budget_below_minimum_is_a_parse_error(capsys, mix2d_file,
                                                         command, option,
                                                         value):
-    # one replicate printed a NaN error estimate (not valid JSON), and an
-    # empty sample a NaN deficit; a standard error needs two replicates
+    # the sampled W2 estimator and its budget flags are gone: a command line
+    # that still passes them stops at parse time instead of running a case
+    # with the budget silently ignored
+    target = (["--suite", "main-corpus"] if command == "verify"
+              else ["--measure", f"file:{mix2d_file}"])
+    with pytest.raises(SystemExit) as exc:
+        main([command, *target, option, value])
+    assert exc.value.code == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert "unrecognized arguments" in out.err and option in out.err
+
+
+@pytest.mark.parametrize("command", ["deficit", "talagrand", "verify"])
+@pytest.mark.parametrize("option,value", [("--seed", "-1")])
+def test_negative_seed_is_a_parse_error(capsys, mix2d_file, command, option,
+                                        value):
+    # NumPy's and SciPy's generators reject a negative seed, which used to
+    # surface as an error report (exit 2) after the case had started
     target = (["--suite", "main-corpus"] if command == "verify"
               else ["--measure", f"file:{mix2d_file}"])
     with pytest.raises(SystemExit) as exc:
