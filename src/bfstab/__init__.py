@@ -20,11 +20,10 @@ from .transport1d import (TransportMap1D, bf_distance, bf_distance_full,
                           pointwise_bregman_bound, talagrand_deficit_1d,
                           talagrand_deficit_1d_full, w2_squared_1d,
                           w2_squared_1d_full)
-from .densitynd import (Direction, GaussianMixtureND, ProductFunction,
+from .densitynd import (GaussianMixtureND, ProductFunction,
                         entropy_fisher_nd, marginal_without,
                         mixture_from_json)
-from .sphereopt import (DnCertificate, DnResult, dn_distance,
-                        lower_bound_certificate)
+from .sphereopt import DnResult, dn_distance
 from .deficits import (DeficitReport, GFun, LambdaDiagRow, PLTriple,
                        lambda_limit_diagnostics, lsi_deficit, pl_deficit_check,
                        sup_convolution, verify_corollary, verify_talagrand,
@@ -48,10 +47,10 @@ __all__ = [
     "talagrand_deficit_1d_full", "bregman_integral",
     "pointwise_bregman_bound",
     # n dimensions
-    "Direction", "GaussianMixtureND", "ProductFunction", "entropy_fisher_nd",
+    "GaussianMixtureND", "ProductFunction", "entropy_fisher_nd",
     "marginal_without", "mixture_from_json",
     # sphere search
-    "DnResult", "DnCertificate", "dn_distance", "lower_bound_certificate",
+    "DnResult", "dn_distance",
     # deficits and reports
     "DeficitReport", "GFun", "PLTriple", "LambdaDiagRow", "lsi_deficit",
     "verify_thm_main", "verify_corollary", "verify_talagrand",

@@ -25,7 +25,7 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 
 from . import __version__
-from .corpus import (DEFAULT_TOL, _talagrand_mode, compatible, run_case,
+from .corpus import (DEFAULT_TOL, _SIN_BUMP, compatible, run_case,
                      suite_cases, suite_theorems, SUITES)
 from .deficits import GFun, lambda_limit_diagnostics
 from .density1d import (Density1D, GaussianMixture1D, StandardGaussian,
@@ -113,14 +113,12 @@ def _load_density_file(path: str):
         except json.JSONDecodeError as exc:
             raise ParseError(f"{path}: invalid JSON: {exc}") from None
     if isinstance(payload, dict) and "factors" in payload:
-        factors = []
-        for i, spec in enumerate(payload["factors"]):
-            try:
-                factors.append(GaussianMixture1D(
-                    spec["weights"], spec["means"], spec["stds"]))
-            except (KeyError, TypeError, ValueError, BfstabError) as exc:
-                raise ParseError(f"{path}: factor {i}: {exc}") from None
-        return ProductFunction(factors)
+        factors = [_mixture_1d(spec, f"{path}: factor {i}")
+                   for i, spec in enumerate(payload["factors"])]
+        # a one-factor product is its factor, a 1-D measure
+        return factors[0] if len(factors) == 1 else ProductFunction(factors)
+    if isinstance(payload, dict) and "stds" in payload:
+        return _mixture_1d(payload, path)
     mix = mixture_from_json(payload)
     if mix.dim == 1:
         return GaussianMixture1D(mix.weights, mix.means[:, 0],
@@ -128,15 +126,23 @@ def _load_density_file(path: str):
     return mix
 
 
+def _mixture_1d(spec, where: str) -> GaussianMixture1D:
+    """A 1-D mixture from a JSON object {weights, means, stds}."""
+    try:
+        return GaussianMixture1D(spec["weights"], spec["means"], spec["stds"])
+    except KeyError as exc:
+        raise ParseError(f"{where}: missing field {exc}") from None
+    except (TypeError, ValueError, BfstabError) as exc:
+        raise ParseError(f"{where}: {exc}") from None
+
+
 def parse_g_spec(text: str) -> GFun:
     """zero | const:b | linear:a[,b] | quad:k[,a[,b]] | bump."""
-    from .corpus import _sin_bump
-
     kind, _, payload = text.partition(":")
     if kind == "zero":
         return GFun.const(0.0)
     if kind == "bump":
-        return GFun.from_callable(_sin_bump)
+        return _SIN_BUMP
     vals = _parse_floats(payload, f"g spec {kind}") if payload else []
     if kind == "const":
         return GFun.const(*(vals or [0.0]))
@@ -282,9 +288,17 @@ def _emit_report(args, config: dict, rep, **body) -> int:
     return _EXIT_BY_STATUS[rep.status]
 
 
-def _single_report_cmd(args, obj, theorem, **extra) -> int:
+def _require_compatible(obj, theorem: str, what: str):
+    """A theorem the input cannot take is a usage error, not a case error."""
+    if not compatible(obj, theorem):
+        hint = (" (the corollary needs dimension at least 2)"
+                if theorem == "corollary" else "")
+        raise ParseError(f"--theorem {theorem} does not apply to {what}{hint}")
+
+
+def _single_report_cmd(args, obj, theorem) -> int:
     rep = run_case(args.case_id, obj, theorem, **_budget_kwargs(args))
-    config = _science_config(args, [theorem], theorem=theorem, **extra)
+    config = _science_config(args, [theorem], theorem=theorem)
     return _emit_report(args, config, rep)
 
 
@@ -296,19 +310,9 @@ def _cmd_deficit(args) -> int:
                                   "pl")
     if args.measure is None:
         raise ParseError("--measure is required")
-    return _single_report_cmd(args, parse_density_spec(args.measure),
-                              args.theorem)
-
-
-def _cmd_talagrand(args) -> int:
     obj = parse_density_spec(args.measure)
-    # every measure takes exactly one mode, the one auto picks; asking for
-    # another is a usage error, not a case error
-    mode = _talagrand_mode(obj)
-    if args.mode not in ("auto", mode):
-        raise ParseError(f"--mode {args.mode}: this measure takes only "
-                         f"--mode {mode} (or auto)")
-    return _single_report_cmd(args, obj, "talagrand", mode=mode)
+    _require_compatible(obj, args.theorem, f"--measure {args.measure}")
+    return _single_report_cmd(args, obj, args.theorem)
 
 
 def _cmd_verify(args) -> int:
@@ -329,29 +333,32 @@ def _cmd_sweep(args) -> int:
     if not values:
         raise ParseError("--values must contain at least one number")
     kw = _budget_kwargs(args)
-    tasks = []
+    cases = []
     if args.kind == "sigma":
         theorem = args.theorem or "main"
         for v in values:
             if v <= 0:
                 raise ParseError("sigma values must be positive")
             mix = GaussianMixture1D([1.0], [0.0], [v])
-            tasks.append((f"sigma-{v:g}", mix, theorem, kw))
+            cases.append((f"sigma-{v:g}", mix))
     elif args.kind == "tilt":
         theorem = args.theorem or "main"
         for a in values:
             mix = GaussianMixture1D([1.0], [a], [1.0])
-            tasks.append((f"tilt-{a:g}", mix, theorem, kw))
+            cases.append((f"tilt-{a:g}", mix))
     elif args.kind == "lambda":
-        theorem = "pl"
+        theorem = args.theorem or "pl"
         g = parse_g_spec(args.g or "quad:0.5")
         for lam in values:
             if not 0.0 < lam < 1.0:
                 raise ParseError("lambda values must lie in (0, 1)")
-            tasks.append((f"lambda-{lam:g}", (g, lam), "pl", kw))
+            cases.append((f"lambda-{lam:g}", (g, lam)))
     else:  # pragma: no cover - argparse restricts choices
         raise ParseError(f"unknown sweep kind {args.kind!r}")
-    reports = _run_tasks(tasks, args.jobs)
+    for _, obj in cases:
+        _require_compatible(obj, theorem, f"--kind {args.kind}")
+    reports = _run_tasks([(cid, obj, theorem, kw) for cid, obj in cases],
+                         args.jobs)
     config = _science_config(args, [theorem], kind=args.kind, values=values,
                              theorem=theorem)
     return _emit_reports(args, config, reports)
@@ -398,11 +405,12 @@ _lambda = _checked(float, lambda lam: 0.0 < lam < 1.0,
 def _add_common(p):
     p.add_argument("--seed", type=_seed, default=0,
                    help="seed for all stochastic stages (default 0)")
-    p.add_argument("--jobs", type=int, default=1,
+    p.add_argument("--jobs", type=_positive_int, default=1,
                    help="parallel case workers (default 1)")
     p.add_argument("--tol", type=_tolerance, default=None,
                    help="pass tolerance override")
-    p.add_argument("--mc-budget", dest="mc_budget", type=int, default=10 ** 6,
+    p.add_argument("--mc-budget", dest="mc_budget", type=_positive_int,
+                   default=10 ** 6,
                    help="Monte Carlo budget for high-dimensional stages")
     p.add_argument("--directions", type=_positive_int, default=None,
                    help="coarse sphere-lattice size override")
@@ -435,12 +443,11 @@ def build_parser() -> _Parser:
     _add_common(p)
     p.set_defaults(fn=_cmd_deficit)
 
-    p = sub.add_parser("talagrand", help="Talagrand deficit bound")
+    p = sub.add_parser("talagrand", help="Talagrand deficit bound, the same "
+                                         "as deficit --theorem talagrand")
     p.add_argument("--measure", required=True)
-    p.add_argument("--mode", choices=("auto", "1d", "product", "knothe-nd"),
-                   default="auto")
     _add_common(p)
-    p.set_defaults(fn=_cmd_talagrand)
+    p.set_defaults(fn=_cmd_deficit, theorem="talagrand")
 
     p = sub.add_parser("verify", help="run a verification suite")
     p.add_argument("--suite", required=True, choices=sorted(SUITES))

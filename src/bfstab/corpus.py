@@ -14,7 +14,7 @@ import numpy as np
 
 from .deficits import (DeficitReport, GFun, PLTriple, pl_deficit_check,
                        verify_corollary, verify_talagrand, verify_thm_main)
-from .density1d import Density1D, GaussianMixture1D
+from .density1d import GaussianMixture1D
 from .densitynd import GaussianMixtureND, ProductFunction
 from .errors import DomainError
 
@@ -131,11 +131,13 @@ def _sin_bump_deriv(x):
     return np.where(inside, val, 0.0)
 
 
+_SIN_BUMP = GFun.from_callable(_sin_bump, _sin_bump_deriv)
+
 _PL_GS = (
     ("zero", GFun.const(0.0)),
     ("linear", GFun.linear(1.0)),
     ("negquad", GFun.quadratic(0.5)),
-    ("sinbump", GFun.from_callable(_sin_bump, _sin_bump_deriv)),
+    ("sinbump", _SIN_BUMP),
 )
 
 _PL_LAMBDAS = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)
@@ -219,8 +221,7 @@ def run_case(case_id: str, obj, theorem: str, *, tol: Optional[float] = None,
             return verify_corollary(obj, mc_budget, case_id=case_id,
                                     tol=tol, seed=seed)
         if theorem == "talagrand":
-            return verify_talagrand(obj, _talagrand_mode(obj),
-                                    case_id=case_id, tol=tol,
+            return verify_talagrand(obj, case_id=case_id, tol=tol,
                                     mc_budget=mc_budget, seed=seed,
                                     directions=directions)
         if theorem == "pl":
@@ -232,15 +233,3 @@ def run_case(case_id: str, obj, theorem: str, *, tol: Optional[float] = None,
                              lower_bound=0.0, margin=0.0, error_estimate=0.0,
                              status="error",
                              method=f"error: {type(exc).__name__}: {exc}")
-
-
-def _talagrand_mode(obj) -> str:
-    """The one Talagrand mode a measure takes (what ``auto`` resolves to);
-    knothe-nd serves n-D mixtures in any dimension."""
-    if isinstance(obj, Density1D):
-        return "1d"
-    if isinstance(obj, ProductFunction):
-        return "product"
-    if isinstance(obj, GaussianMixtureND):
-        return "1d" if obj.dim == 1 else "knothe-nd"
-    raise DomainError("unsupported measure for the Talagrand check")

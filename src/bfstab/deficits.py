@@ -185,16 +185,18 @@ def verify_thm_main(nu, *, directions: Optional[int] = None,
 # ---------------------------------------------------------------------------
 # Corollary: per-axis slice distances
 
+# tolerance of every slice distance solve
+_INNER_TOL = 1e-9
 
-def _slice_distances(nu: GaussianMixtureND, axis: int, pts: np.ndarray,
-                     inner_tol: float):
+
+def _slice_distances(nu: GaussianMixtureND, axis: int, pts: np.ndarray):
     """d(slice, gamma) and its error at each pinned point, in one kernel call."""
     batch = conditional_slice_batch(nu, axis, pts)
     return gauss_distance_rows(batch.weights, batch.means, batch.stds,
-                               tol=inner_tol)
+                               tol=_INNER_TOL)
 
 
-def _corollary_axis_quad(nu, axis, orders, inner_tol):
+def _corollary_axis_quad(nu, axis, orders):
     """Mass-weighted E[d(slice, gamma)^2] along ``axis`` at each outer
     order, plus the inner error of the first order's term.
 
@@ -206,7 +208,7 @@ def _corollary_axis_quad(nu, axis, orders, inner_tol):
     rules = [gh_tensor(order, nu.dim - 1) for order in orders]
     pts = [rest.means[k] + nodes @ rest._chol[k].T
            for nodes, _ in rules for k in range(rest.n_components)]
-    d, derr = _slice_distances(nu, axis, np.concatenate(pts), inner_tol)
+    d, derr = _slice_distances(nu, axis, np.concatenate(pts))
     weighted = []
     werr = 0.0
     pos = 0
@@ -222,19 +224,19 @@ def _corollary_axis_quad(nu, axis, orders, inner_tol):
     return weighted, werr
 
 
-def _corollary_axis_mc(nu, axis, budget, inner_tol, rng):
+def _corollary_axis_mc(nu, axis, budget, rng):
     """Mass-weighted E[d(slice, gamma)^2] along ``axis`` from points drawn
     from nu's marginal without ``axis``, with its standard error plus the
     inner error."""
     rest = marginal_without(nu, axis)
     n_pts = max(min(budget, 2048), 64)
-    d, derr = _slice_distances(nu, axis, rest.sample(rng, n_pts), inner_tol)
+    d, derr = _slice_distances(nu, axis, rest.sample(rng, n_pts))
     weighted = float(np.mean(d * d))
     se = float(np.std(d * d, ddof=1) / math.sqrt(n_pts))
     return weighted, se + float(np.mean(2.0 * d * derr))
 
 
-def _product_slice_distances(nu: ProductFunction, inner_tol: float):
+def _product_slice_distances(nu: ProductFunction):
     """d(h_i, gamma) and its error per factor: every slice of a product
     along axis i is the factor h_i, whatever the pinned point."""
     k = max(h.weights.size for h in nu.factors)
@@ -244,12 +246,12 @@ def _product_slice_distances(nu: ProductFunction, inner_tol: float):
     for i, h in enumerate(nu.factors):
         n = h.weights.size
         w[i, :n], m[i, :n], s[i, :n] = h.weights, h.means, h.stds
-    return gauss_distance_rows(w, m, s, tol=inner_tol)
+    return gauss_distance_rows(w, m, s, tol=_INNER_TOL)
 
 
 def verify_corollary(nu, mc_budget: int = 10 ** 6, *,
-                     case_id: str = "", tol: float = 1e-5, seed: int = 0,
-                     inner_tol: float = 1e-9) -> DeficitReport:
+                     case_id: str = "", tol: float = 1e-5,
+                     seed: int = 0) -> DeficitReport:
     """delta_LS >= 1/2 sum_i E[d(slice_i, gamma)^2] over pinned coordinates.
 
     nu is a GaussianMixtureND or a ProductFunction of dimension >= 2. Each
@@ -267,15 +269,14 @@ def verify_corollary(nu, mc_budget: int = 10 ** 6, *,
     weighted_terms = np.zeros(nu.dim)
     err = 0.0
     if isinstance(nu, ProductFunction):
-        d, derr = _product_slice_distances(nu, inner_tol)
+        d, derr = _product_slice_distances(nu)
         weighted_terms = d * d
         err = float(np.sum(2.0 * d * derr))
         mode = "per-factor slices (product)"
     elif nu.dim <= 3:
         hi, lo = (64, 48) if nu.dim == 2 else (20, 14)
         for axis in range(nu.dim):
-            (w_hi, w_lo), ierr = _corollary_axis_quad(nu, axis, (hi, lo),
-                                                      inner_tol)
+            (w_hi, w_lo), ierr = _corollary_axis_quad(nu, axis, (hi, lo))
             weighted_terms[axis] = w_hi
             err += abs(w_hi - w_lo) + ierr
         mode = f"outer GH {hi}/{lo} anchored at the mixture"
@@ -284,7 +285,7 @@ def verify_corollary(nu, mc_budget: int = 10 ** 6, *,
         per_axis = mc_budget // max(nu.dim, 1)
         for axis in range(nu.dim):
             weighted_terms[axis], se = _corollary_axis_mc(
-                nu, axis, per_axis, inner_tol, rng)
+                nu, axis, per_axis, rng)
             err += se
         mode = "outer MC with standard error"
     lower = 0.5 * float(weighted_terms.sum())
@@ -299,26 +300,20 @@ def verify_corollary(nu, mc_budget: int = 10 ** 6, *,
 # Talagrand
 
 
-def verify_talagrand(nu, mode: str, *, case_id: str = "", tol: float = 1e-6,
+def verify_talagrand(nu, *, case_id: str = "", tol: float = 1e-6,
                      mc_budget: int = 10 ** 6, seed: int = 0,
                      directions: Optional[int] = None) -> DeficitReport:
-    """2 H(nu|gamma) - W2^2(nu, gamma) >= 1/2 d_n^2 in three regimes.
+    """2 H(nu|gamma) - W2^2(nu, gamma) >= 1/2 d_n^2, routed by nu's type.
 
-    1d and product are exact (the quantile coupling, and coordinatewise
-    tensorization of both entropy and W2). knothe-nd, for an n-D mixture,
-    bounds W2^2 from above by ``knothe_w2_bound`` (Sobol replicates from
-    ``mc_budget`` and ``seed`` above n = 3), so its deficit is a lower
-    bound and a shortfall is inconclusive, never a failure.
+    A Density1D and a ProductFunction are exact (the quantile coupling, and
+    coordinatewise tensorization of both entropy and W2). An n-D
+    GaussianMixtureND bounds W2^2 from above by ``knothe_w2_bound`` (Sobol
+    replicates from ``mc_budget`` and ``seed`` above n = 3), so its deficit
+    is a lower bound and a shortfall is inconclusive, never a failure.
     """
     gauss = StandardGaussian()
-    if mode == "1d":
-        if isinstance(nu, GaussianMixtureND):
-            if nu.dim != 1:
-                raise DomainError("1d mode needs a one-dimensional measure")
-            nu = GaussianMixture1D(nu.weights, nu.means[:, 0],
-                                   np.sqrt(nu.covs[:, 0, 0]))
-        if not isinstance(nu, Density1D):
-            raise DomainError("1d mode expects a Density1D")
+    knothe = isinstance(nu, GaussianMixtureND)
+    if isinstance(nu, Density1D):
         deficit, err = talagrand_deficit_1d_full(nu)
         dist, dist_err = bf_distance_full(nu, gauss, tol=1e-10)
         lower = 0.5 * dist * dist
@@ -326,9 +321,7 @@ def verify_talagrand(nu, mode: str, *, case_id: str = "", tol: float = 1e-6,
         breg, _ = bregman_integral_full(TransportMap1D(gauss, nu))
         method = (f"quantile-coupling W2; d={dist:.9f}; "
                   f"bregman-chain middle={breg:.9f}")
-    elif mode == "product":
-        if not isinstance(nu, ProductFunction):
-            raise DomainError("product mode expects a product of 1-D factors")
+    elif isinstance(nu, ProductFunction):
         deficit = 0.0
         err = 0.0
         for factor in nu.factors:
@@ -339,9 +332,7 @@ def verify_talagrand(nu, mode: str, *, case_id: str = "", tol: float = 1e-6,
         lower = 0.5 * res.value ** 2
         err += res.value * res.value_error
         method = f"tensorized per-axis W2 and entropy; {_dn_method(res)}"
-    elif mode == "knothe-nd":
-        if not isinstance(nu, GaussianMixtureND):
-            raise DomainError("knothe-nd mode expects a Gaussian mixture")
+    elif knothe:
         (h, h_err), _ = entropy_fisher_nd(nu, mc_budget=mc_budget, seed=seed)
         w2, w2_err, label = knothe_w2_bound(nu, mc_budget=mc_budget,
                                             seed=seed)
@@ -354,11 +345,12 @@ def verify_talagrand(nu, mode: str, *, case_id: str = "", tol: float = 1e-6,
                   f"rotation={label} (deficit is a lower bound); "
                   + _dn_method(res))
     else:
-        raise DomainError(f"unknown talagrand mode {mode!r}")
+        raise DomainError("verify_talagrand expects a 1-D density, a product "
+                          "or an n-D Gaussian mixture")
     return DeficitReport.build(case_id=case_id, theorem="talagrand",
                                deficit=deficit, lower_bound=lower, error=err,
                                tol=tol, method=method,
-                               deficit_is_lower_bound=mode == "knothe-nd")
+                               deficit_is_lower_bound=knothe)
 
 
 # ---------------------------------------------------------------------------
@@ -421,7 +413,9 @@ class GFun:
         return cls(kind="generic", fn=fn, dfn=dfn)
 
 
-_PL_GRID = 4097
+# the grid a generic g is searched and tabulated on
+_PL_XS = np.linspace(-WORKING_RADIUS, WORKING_RADIUS, 4097)
+_PL_XS.setflags(write=False)
 
 
 @dataclass
@@ -430,13 +424,10 @@ class PLTriple:
 
     g: GFun
     lam: float
-    grid: Optional[np.ndarray] = None
 
     def __post_init__(self):
         if not 0.0 < self.lam < 1.0:
             raise DomainError("lambda must lie strictly inside (0, 1)")
-        if self.grid is None and self.g.kind == "generic":
-            self.grid = np.linspace(-WORKING_RADIUS, WORKING_RADIUS, _PL_GRID)
 
 
 def _monotone_argmax(gvals: np.ndarray, xs: np.ndarray, c: float,
@@ -486,11 +477,12 @@ def _sup_conv_generic(g: GFun, c: float, z: np.ndarray, xs: np.ndarray):
     return h, err
 
 
-def sup_convolution(g: GFun, lam: float, z, *, grid=None):
+def sup_convolution(g: GFun, lam: float, z):
     """h_lam(z) = sup_x [g(x) - (1-lam)/(2 lam) (x-z)^2], pointwise.
 
-    Closed form for the analytic kinds; grid search plus local refinement
-    for generic g. Always >= g(z) since x = z competes.
+    Closed form for the analytic kinds; a search of the grid ``_PL_XS``
+    plus local refinement for generic g. Always >= g(z) since x = z
+    competes.
     """
     if not 0.0 < lam < 1.0:
         raise DomainError("lambda must lie strictly inside (0, 1)")
@@ -505,9 +497,7 @@ def sup_convolution(g: GFun, lam: float, z, *, grid=None):
         h = (g.offset - c * z_arr ** 2
              + (g.slope + 2.0 * c * z_arr) ** 2 / (2.0 * denom))
     else:
-        xs = np.linspace(-WORKING_RADIUS, WORKING_RADIUS, _PL_GRID) \
-            if grid is None else np.asarray(grid, dtype=float)
-        h, _ = _sup_conv_generic(g, c, z_arr, xs)
+        h, _ = _sup_conv_generic(g, c, z_arr, _PL_XS)
     low = g(z_arr)
     if np.any(h < low - 1e-10):
         raise InvariantViolation("sup-convolution fell below its input")
@@ -558,7 +548,7 @@ def _sup_conv_quadratic(g: GFun, lam: float) -> GFun:
                           g.offset + g.slope ** 2 / (2.0 * denom))
 
 
-def _pl_u_density(g: GFun, lam: float, grid) -> Density1D:
+def _pl_u_density(g: GFun, lam: float) -> Density1D:
     """The normalized left factor u = e^{g/(1-lam)} phi / A as a density."""
     s = 1.0 / (1.0 - lam)
     if g.kind in ("const", "linear", "quadratic"):
@@ -567,10 +557,9 @@ def _pl_u_density(g: GFun, lam: float, grid) -> Density1D:
             raise DomainError("u is not integrable for this curvature")
         mean = g.slope * s / tau
         return GaussianMixture1D([1.0], [mean], [1.0 / math.sqrt(tau)])
-    xs = np.linspace(-WORKING_RADIUS, WORKING_RADIUS, _PL_GRID) \
-        if grid is None else np.asarray(grid, dtype=float)
-    logvals = g(xs) * s - 0.5 * xs * xs - 0.5 * math.log(2.0 * math.pi)
-    return GridDensity1D(xs, np.exp(logvals - logvals.max()))
+    logvals = (g(_PL_XS) * s - 0.5 * _PL_XS * _PL_XS
+               - 0.5 * math.log(2.0 * math.pi))
+    return GridDensity1D(_PL_XS, np.exp(logvals - logvals.max()))
 
 
 def pl_deficit_check(t: PLTriple, *, case_id: str = "",
@@ -591,14 +580,14 @@ def pl_deficit_check(t: PLTriple, *, case_id: str = "",
     else:
         b_center, b_width = _exponent_window(_sup_conv_quadratic(g, lam), 1.0)
     b_val, b_err = _exp_integral(
-        lambda x: sup_convolution(g, lam, x, grid=t.grid),
+        lambda x: sup_convolution(g, lam, x),
         center=b_center, width=b_width)
     if a_val <= 0.0 or not math.isfinite(a_val):
         raise EvaluationError("left normalization integral failed")
     scale = a_val ** (lam - 1.0)
     deficit = b_val * scale - 1.0
     err = b_err * scale + (1.0 - lam) * b_val * scale / a_val * a_err
-    u = _pl_u_density(g, lam, t.grid)
+    u = _pl_u_density(g, lam)
     dist, dist_err = bf_distance_full(u, StandardGaussian(), tol=1e-10)
     coeff = 0.5 * lam ** (1.0 + lam) * (1.0 - lam) ** (2.0 - lam)
     lower = coeff * dist * dist

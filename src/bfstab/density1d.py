@@ -111,9 +111,6 @@ class Density1D:
         """Upper quantile from survival mass, accurate for small ``s``."""
         return self.quantile(1.0 - np.asarray(s, dtype=float))
 
-    def sample(self, rng: np.random.Generator, size: int):
-        return self.quantile(rng.uniform(size=size))
-
     def working_interval(self, tail_mass: float = 1e-14):
         """Interval carrying all but ``tail_mass`` of the probability."""
         raise NotImplementedError
@@ -153,9 +150,6 @@ class StandardGaussian(Density1D):
         s = np.asarray(s, dtype=float)
         _check_prob_open(s)
         return -ndtri(s)
-
-    def sample(self, rng, size):
-        return rng.standard_normal(size)
 
     def working_interval(self, tail_mass: float = 1e-14):
         z = float(-ndtri(tail_mass / 2.0))
@@ -245,10 +239,6 @@ class GaussianMixture1D(Density1D):
         lo = float(np.min(self.means - z * self.stds))
         hi = float(np.max(self.means + z * self.stds))
         return (lo, hi)
-
-    def sample(self, rng, size):
-        idx = rng.choice(self.weights.size, size=size, p=self.weights / self.weights.sum())
-        return self.means[idx] + self.stds[idx] * rng.standard_normal(size)
 
     def __repr__(self):
         return (f"GaussianMixture1D(weights={self.weights.tolist()}, "

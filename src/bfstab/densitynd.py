@@ -33,7 +33,6 @@ from .transport1d import _PROB_CEIL, _PROB_FLOOR
 
 __all__ = [
     "GaussianMixtureND",
-    "Direction",
     "SliceBatch",
     "ProductFunction",
     "canonical_directions",
@@ -185,21 +184,6 @@ def canonical_directions(rows) -> np.ndarray:
     big = np.abs(v) > 1e-14
     lead = v[np.arange(v.shape[0]), np.argmax(big, axis=1)]
     return np.where((lead < 0.0)[:, None], -v, v) + 0.0
-
-
-@dataclass(frozen=True)
-class Direction:
-    """Unit vector on the sphere, canonicalized against the antipodal copy."""
-
-    vector: np.ndarray
-
-    def __post_init__(self):
-        v = np.asarray(self.vector, dtype=float).reshape(-1)
-        object.__setattr__(self, "vector", canonical_directions(v)[0])
-
-    @property
-    def dim(self) -> int:
-        return self.vector.shape[0]
 
 
 def marginal_parameters(nu: GaussianMixtureND, rows: np.ndarray):

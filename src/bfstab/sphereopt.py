@@ -11,8 +11,7 @@ seeds. Directions are canonicalized against the antipodal map since opposite
 directions give the same marginal distance. Every distance the search itself
 evaluates comes from the batched kernel ``gauss_distance_rows``: the whole
 lattice in one call, then one call per round of the Nelder-Mead restarts,
-which advance in lockstep, and one call certifies the final candidates
-(``lower_bound_certificate`` is its one-row case).
+which advance in lockstep, and one call certifies the final candidates.
 """
 
 from __future__ import annotations
@@ -25,16 +24,14 @@ import numpy as np
 from scipy.special import ndtri
 from scipy.stats import qmc
 
-from .densitynd import (Direction, GaussianMixtureND, canonical_directions,
+from .densitynd import (GaussianMixtureND, canonical_directions,
                         marginal_parameters)
 from .errors import DomainError
 from .transport1d import gauss_distance_rows
 
 __all__ = [
     "DnResult",
-    "DnCertificate",
     "dn_distance",
-    "lower_bound_certificate",
 ]
 
 # Nelder-Mead refinement: seeds refined, iterations per seed, and the
@@ -56,15 +53,6 @@ class DnResult:
     refined_gain: float
     directions_evaluated: int
     value_error: float
-
-
-@dataclass(frozen=True)
-class DnCertificate:
-    """d_n(nu) >= value - error, witnessed by the stated direction."""
-
-    direction: np.ndarray
-    value: float
-    error: float
 
 
 def _sobol_block(d: int, count: int) -> np.ndarray:
@@ -274,16 +262,6 @@ def _refine(nu: GaussianMixtureND, seeds, bases):
     return results, solved
 
 
-def lower_bound_certificate(nu: GaussianMixtureND, direction) -> DnCertificate:
-    """Distance of one directional marginal to gamma, with its error."""
-    d = direction if isinstance(direction, Direction) else Direction(direction)
-    if d.dim != nu.dim:
-        raise DomainError("certificate direction has the wrong dimension")
-    value, error = _solve_rows(nu, d.vector[None])
-    return DnCertificate(direction=d.vector, value=float(value[0]),
-                         error=float(error[0]))
-
-
 def dn_distance(nu: GaussianMixtureND, *,
                 directions: Optional[int] = None) -> DnResult:
     """Search the sphere for the largest marginal distance to gamma.
@@ -291,17 +269,16 @@ def dn_distance(nu: GaussianMixtureND, *,
     ``directions`` is the coarse lattice size; None picks 512 for n <= 3
     and 4096 above. The returned value is a certified lower bound on the
     supremum (it is the exact distance at the reported argmax, up to
-    value_error); the search cannot overshoot.
+    value_error); the search cannot overshoot. nu has dimension at least
+    2: in one dimension d_n is the distance itself.
     """
+    if nu.dim < 2:
+        raise DomainError("dn_distance needs dimension at least 2; give a "
+                          "one-dimensional measure as a GaussianMixture1D")
     if directions is None:
         directions = 512 if nu.dim <= 3 else 4096
     if directions < 1:
         raise DomainError("directions must be positive")
-    if nu.dim == 1:
-        cert = lower_bound_certificate(nu, np.ones(1))
-        return DnResult(value=cert.value, argmax=cert.direction,
-                        coarse_max=cert.value, refined_gain=0.0,
-                        directions_evaluated=1, value_error=cert.error)
 
     cand = np.vstack([_lattice(nu.dim, int(directions)), _augmentation(nu)])
     cand = _dedup(canonical_directions(cand))

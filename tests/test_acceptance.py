@@ -30,12 +30,12 @@ MAIN_MARGIN_SIGMA2 = 0.1931471805599453
 TAL_MARGIN_SIGMA2 = 0.4887056388801092
 
 
-def _as_nd(obj):
+def _distance_to_gamma(obj):
+    """d_n(obj, gamma): the sphere search for a product, and in one
+    dimension the distance itself."""
     if isinstance(obj, ProductFunction):
-        return obj.as_mixture()
-    from bfstab import GaussianMixtureND
-    return GaussianMixtureND(obj.weights, obj.means[:, None],
-                             (obj.stds ** 2)[:, None, None])
+        return dn_distance(obj.as_mixture()).value
+    return bf_distance(obj, GAUSS)
 
 
 def test_criterion_1_equality_suite():
@@ -44,7 +44,7 @@ def test_criterion_1_equality_suite():
     for case_id, obj in equality_cases():
         deficit, err = lsi_deficit(obj)
         assert abs(deficit) <= 1e-7 + err, case_id
-        assert dn_distance(_as_nd(obj)).value <= 1e-6, case_id
+        assert _distance_to_gamma(obj) <= 1e-6, case_id
         if isinstance(obj, ProductFunction):
             tal = sum(talagrand_deficit_1d(f) for f in obj.factors)
         else:

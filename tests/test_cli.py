@@ -1,5 +1,7 @@
 """Command-line contract: specs, formats, exit codes, determinism."""
 
+import csv
+import io
 import json
 import math
 import os
@@ -10,6 +12,8 @@ import pytest
 
 from bfstab import cli
 from bfstab.cli import main, parse_density_spec, parse_g_spec
+from bfstab.corpus import _PL_GS
+from bfstab.deficits import GFun, lambda_limit_diagnostics
 from bfstab.density1d import GaussianMixture1D, StandardGaussian
 from bfstab.densitynd import GaussianMixtureND, ProductFunction
 from bfstab.errors import ParseError
@@ -61,6 +65,20 @@ def test_parse_file_specs(tmp_path, mix2d_file):
         {"weights": [1.0], "means": [0.3], "stds": [1.0]},
     ]}))
     assert isinstance(parse_density_spec(f"file:{prod}"), ProductFunction)
+    # the 1-D forms: weights/means/stds, the fields of a product factor,
+    # and a one-factor product, which is its factor
+    one = {"weights": [0.5, 0.5], "means": [-1.0, 1.0], "stds": [1.0, 2.0]}
+    for name, payload in (("mix1d.json", one),
+                          ("prod1.json", {"factors": [one]})):
+        path = tmp_path / name
+        path.write_text(json.dumps(payload))
+        d = parse_density_spec(f"file:{path}")
+        assert isinstance(d, GaussianMixture1D), name
+        assert np.array_equal(d.stds, [1.0, 2.0]), name
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"weights": [1.0], "stds": [1.0]}))
+    with pytest.raises(ParseError, match="missing field 'means'"):
+        parse_density_spec(f"file:{bad}")
 
 
 def test_parse_spec_errors():
@@ -130,18 +148,26 @@ def test_grid_csv_gets_verdicts(tmp_path, capsys):
         assert json.loads(out)["report"]["status"] == "pass", argv
 
 
+def assert_usage_error(code, out, err, prefix):
+    # exit 1, one error line and nothing on stdout: no report, no traceback
+    assert code == 1
+    assert out == ""
+    assert err.startswith(prefix) and err.count("\n") == 1, err
+
+
 def test_grid_csv_corollary_needs_two_dims(tmp_path, capsys):
+    # a theorem the measure cannot take is a usage error, not an error row
     xs = np.linspace(-6.0, 6.0, 121)
     path = tmp_path / "g.csv"
     path.write_text("x,density\n" + "".join(
         f"{x:.17g},{math.exp(-0.5 * x * x):.17g}\n" for x in xs))
-    code, out, _ = run_cli(capsys, "deficit", "--theorem", "corollary",
-                           "--measure", f"file:{path}")
-    assert code == 2
-    report = json.loads(out)["report"]
-    assert report["status"] == "error"
-    assert report["method"] == ("error: DomainError: the corollary needs "
-                                "dimension at least 2")
+    for measure in (f"file:{path}", "gauss:0,2"):
+        code, out, err = run_cli(capsys, "deficit", "--theorem", "corollary",
+                                 "--measure", measure)
+        assert_usage_error(code, out, err,
+                           "bfstab: error: --theorem corollary does not "
+                           f"apply to --measure {measure} (the corollary "
+                           "needs dimension at least 2)")
 
 
 NARROW_MODES = "mix:[0.5,-8,0.0025;0.5,8,0.0025]"
@@ -220,80 +246,84 @@ def test_talagrand_gaussian_2d_closed_form(capsys, mix2d_file):
 
 
 def test_talagrand_mode_the_measure_cannot_take(capsys, mix2d_file):
-    # a usage error: exit 1 and one error line, never a traceback
+    # the measure picks the route, so the talagrand command has no --mode
+    # flag: naming any mode is a parse error, never a report
     for measure, mode in (("gauss:0,2", "product"),
-                          ("mix:[0.5,-1,1;0.5,1,1]", "product"),
-                          (f"file:{mix2d_file}", "1d")):
-        code, out, err = run_cli(capsys, "talagrand", "--measure", measure,
-                                 "--mode", mode)
-        assert code == 1
-        assert out == ""
-        assert err.startswith(f"bfstab: error: --mode {mode}: ")
-        assert "Traceback" not in err and err.count("\n") == 1
+                          (f"file:{mix2d_file}", "1d"),
+                          (f"file:{mix2d_file}", "knothe-nd")):
+        with pytest.raises(SystemExit) as exc:
+            main(["talagrand", "--measure", measure, "--mode", mode])
+        assert exc.value.code == 1
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert "unrecognized arguments: --mode" in out.err
 
 
-def test_talagrand_explicit_mode_matches_auto(capsys, tmp_path):
-    # an explicit mode emits through the single-report path; the JSON
-    # config records the mode in place of the theorem
+def test_talagrand_command_matches_deficit_theorem_talagrand(capsys,
+                                                             tmp_path,
+                                                             mix2d_file):
+    # one handler serves both, and the measure picks the route
     prod = tmp_path / "prod.json"
     prod.write_text(json.dumps({"factors": [
         {"weights": [1.0], "means": [0.0], "stds": [2.0]},
         {"weights": [1.0], "means": [0.3], "stds": [1.0]}]}))
-    spec = f"file:{prod}"
-    code_auto, out_auto, _ = run_cli(capsys, "talagrand", "--measure", spec,
-                                     "--format", "csv")
-    code, out, _ = run_cli(capsys, "talagrand", "--measure", spec,
-                           "--mode", "product", "--format", "csv")
-    assert code == code_auto == 0
-    assert out == out_auto
-    code, out, _ = run_cli(capsys, "talagrand", "--measure", spec,
-                           "--mode", "product")
-    payload = json.loads(out)
-    assert payload["command"] == "talagrand"
-    assert payload["config"]["mode"] == "product"
-    assert payload["report"]["status"] == "pass"
+    for spec, route in ((f"file:{prod}", "tensorized per-axis W2"),
+                        (f"file:{mix2d_file}", "Knothe-Rosenblatt"),
+                        ("gauss:0,2", "quantile-coupling W2")):
+        outs = []
+        for argv in (("talagrand",), ("deficit", "--theorem", "talagrand")):
+            code, out, _ = run_cli(capsys, *argv, "--measure", spec,
+                                   "--format", "csv")
+            assert code == 0, argv
+            outs.append(out)
+        assert outs[0] == outs[1]
+        row = next(csv.DictReader(io.StringIO(outs[0])))
+        assert row["status"] == "pass"
+        assert row["method"].startswith(route), spec
 
 
 def test_talagrand_config_records_theorem_and_resolved_mode(capsys,
                                                          mix2d_file):
-    for extra in ((), ("--mode", "knothe-nd")):
-        code, out, _ = run_cli(capsys, "talagrand", "--measure",
-                               f"file:{mix2d_file}", *extra)
-        assert code == 0
-        config = json.loads(out)["config"]
-        assert config["theorem"] == "talagrand"
-        assert config["mode"] == "knothe-nd"
+    # the route the measure resolves to is no setting, so the config
+    # records the theorem alone and the report's method names the route
+    code, out, _ = run_cli(capsys, "talagrand", "--measure",
+                           f"file:{mix2d_file}")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["command"] == "talagrand"
+    assert payload["config"]["theorem"] == "talagrand"
+    assert "mode" not in payload["config"]
+    assert payload["report"]["method"].startswith("Knothe-Rosenblatt")
 
 
-def test_talagrand_sampled_nd_above_three_dims_matches_auto(capsys,
-                                                            tmp_path):
-    # the mode the measure takes, named explicitly, runs like auto: an n >= 4
-    # mixture gets the same pass report from the Sobol path
+def test_talagrand_above_three_dims_passes(capsys, tmp_path):
+    # an n >= 4 mixture takes the Knothe-Rosenblatt route on Sobol nodes
     path = tmp_path / "mix4d.json"
     path.write_text(json.dumps({
         "weights": [0.5, 0.5],
         "means": [[0.0, 0.0, 0.0, 0.0], [1.0, -1.0, 0.5, 0.0]],
         "covs": [np.eye(4).tolist(), np.diag([2.0, 1.0, 0.5, 1.0]).tolist()],
     }))
-    outs = []
-    for mode in ("auto", "knothe-nd"):
-        code, out, err = run_cli(capsys, "talagrand", "--measure",
-                                 f"file:{path}", "--mode", mode,
-                                 "--mc-budget", "32768", "--format", "csv")
-        assert code == 0 and err == ""
-        outs.append(out)
-    assert outs[0] == outs[1]
-    assert ',pass,"Knothe-Rosenblatt W2^2 upper bound=' in outs[0]
+    code, out, err = run_cli(capsys, "talagrand", "--measure", f"file:{path}",
+                             "--mc-budget", "32768", "--format", "csv")
+    assert code == 0 and err == ""
+    assert ',pass,"Knothe-Rosenblatt W2^2 upper bound=' in out
 
 
 def test_pl_check_with_diagnostics(capsys):
-    code, out, _ = run_cli(capsys, "pl-check", "--g", "linear:1",
-                           "--lam", "0.25", "--diagnostics")
-    assert code == 0
-    payload = json.loads(out)
-    assert payload["report"]["status"] == "pass"
-    lams = [row["lam"] for row in payload["diagnostics"]]
-    assert lams == sorted(lams, reverse=True)
+    # bump's Fisher limit needs g', which the CLI's bump used to lack; it
+    # is the corpus sinbump entry
+    for spec, g in (("linear:1", GFun.linear(1.0)),
+                    ("bump", dict(_PL_GS)["sinbump"])):
+        code, out, err = run_cli(capsys, "pl-check", "--g", spec,
+                                 "--lam", "0.25", "--diagnostics")
+        assert code == 0, err
+        payload = json.loads(out)
+        assert payload["report"]["status"] == "pass"
+        assert payload["diagnostics"] == [
+            vars(r) for r in lambda_limit_diagnostics(g)]
+        lams = [row["lam"] for row in payload["diagnostics"]]
+        assert lams == sorted(lams, reverse=True)
 
 
 # ---------------------------------------------------------------------------
@@ -382,12 +412,7 @@ def test_sampling_budget_below_minimum_is_a_parse_error(capsys, mix2d_file,
     assert "unrecognized arguments" in out.err and option in out.err
 
 
-@pytest.mark.parametrize("command", ["deficit", "talagrand", "verify"])
-@pytest.mark.parametrize("option,value", [("--seed", "-1")])
-def test_negative_seed_is_a_parse_error(capsys, mix2d_file, command, option,
-                                        value):
-    # NumPy's and SciPy's generators reject a negative seed, which used to
-    # surface as an error report (exit 2) after the case had started
+def assert_parse_error(capsys, mix2d_file, command, option, value):
     target = (["--suite", "main-corpus"] if command == "verify"
               else ["--measure", f"file:{mix2d_file}"])
     with pytest.raises(SystemExit) as exc:
@@ -396,6 +421,25 @@ def test_negative_seed_is_a_parse_error(capsys, mix2d_file, command, option,
     out = capsys.readouterr()
     assert out.out == ""
     assert option in out.err
+
+
+@pytest.mark.parametrize("command", ["deficit", "talagrand", "verify"])
+@pytest.mark.parametrize("option,value", [("--seed", "-1")])
+def test_negative_seed_is_a_parse_error(capsys, mix2d_file, command, option,
+                                        value):
+    # NumPy's and SciPy's generators reject a negative seed, which used to
+    # surface as an error report (exit 2) after the case had started
+    assert_parse_error(capsys, mix2d_file, command, option, value)
+
+
+@pytest.mark.parametrize("command", ["deficit", "talagrand", "verify"])
+@pytest.mark.parametrize("option,value", [("--mc-budget", "-5"),
+                                          ("--mc-budget", "0"),
+                                          ("--jobs", "0")])
+def test_budget_and_jobs_below_one_are_parse_errors(capsys, mix2d_file,
+                                                    command, option, value):
+    # a budget below 1 used to run with silent floors, and --jobs 0 serially
+    assert_parse_error(capsys, mix2d_file, command, option, value)
 
 
 def test_process_pool_is_capped_at_the_task_count(monkeypatch):
@@ -450,14 +494,19 @@ def test_sweep_sigma_readme_example(capsys):
     assert json.loads(out)["summary"]["pass"] == 4
 
 
-def test_sweep_continues_past_case_errors(capsys):
-    code, out, _ = run_cli(capsys, "sweep", "--kind", "sigma",
-                           "--values", "1,2", "--theorem", "corollary",
-                           "--format", "csv")
-    assert code == 2
-    lines = [l for l in out.strip().split("\n")[1:] if l]
-    assert len(lines) == 2
-    assert all(",error," in l for l in lines)
+@pytest.mark.parametrize("kind,values,theorem", [
+    ("sigma", "1,2", "corollary"),
+    ("tilt", "0.5", "corollary"),
+    ("lambda", "0.5", "main"),
+])
+def test_sweep_theorem_the_measure_cannot_take_is_a_parse_error(
+        capsys, kind, values, theorem):
+    # 1-D sweeps cannot take the corollary and a lambda sweep runs the pl
+    # check only; each used to emit error rows or ignore --theorem
+    code, out, err = run_cli(capsys, "sweep", "--kind", kind, "--values",
+                             values, "--theorem", theorem, "--format", "csv")
+    assert_usage_error(code, out, err, f"bfstab: error: --theorem {theorem} "
+                                       f"does not apply to --kind {kind}")
 
 
 def test_sweep_lambda_default_g(capsys):

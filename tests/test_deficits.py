@@ -212,8 +212,7 @@ def test_corollary_error_covers_higher_gauss_hermite_orders():
         assert rep.status == "pass"
         oracle_gap = 0.0
         for axis in range(nu.dim):
-            w, _ = _corollary_axis_quad(nu, axis, (64, 96, 128, 192, 256),
-                                        1e-9)
+            w, _ = _corollary_axis_quad(nu, axis, (64, 96, 128, 192, 256))
             oracle_gap += 0.5 * max(abs(w[0] - wo) for wo in w[1:])
         assert oracle_gap <= rep.error_estimate, case_id
 
@@ -277,7 +276,7 @@ def test_corollary_product_per_factor_matches_mixture_path():
 
 
 def test_talagrand_1d_sigma2_frozen():
-    rep = verify_talagrand(scaled(2.0), "1d")
+    rep = verify_talagrand(scaled(2.0))
     assert rep.status == "pass"
     assert abs(rep.deficit - TAL_SIGMA2) < 1e-9
     assert abs(rep.lower_bound - 0.125) < 1e-8
@@ -287,28 +286,34 @@ def test_talagrand_1d_sigma2_frozen():
 
 def test_talagrand_product_tensorizes():
     h = scaled(2.0)
-    rep = verify_talagrand(ProductFunction([h, h]), "product")
+    rep = verify_talagrand(ProductFunction([h, h]))
     assert rep.status == "pass"
     assert abs(rep.deficit - 2 * TAL_SIGMA2) < 1e-8
     assert abs(rep.lower_bound - 0.125) < 1e-7
 
 
 def test_talagrand_knothe_nd_mixture_passes_with_lower_bound_deficit():
-    rep = verify_talagrand(mix2d(), "knothe-nd")
+    rep = verify_talagrand(mix2d())
     assert rep.status == "pass"
     assert "W2^2 upper bound=" in rep.method
     assert "deficit is a lower bound" in rep.method
 
 
 def test_talagrand_mode_validation():
-    with pytest.raises(DomainError):
-        verify_talagrand(mix2d(), "product")
-    with pytest.raises(DomainError):
-        verify_talagrand(mix2d(), "1d")
-    with pytest.raises(DomainError):
-        verify_talagrand(mix2d(), "there-is-no-such-mode")
-    with pytest.raises(DomainError):
-        verify_talagrand(ProductFunction([scaled(2.0)] * 2), "knothe-nd")
+    # the measure's type picks the route; a 1-D measure stored as an n-D
+    # mixture has none (its Gauss-Hermite entropy is far less accurate
+    # than the 1-D quadrature) and is pointed at GaussianMixture1D
+    weights, means, stds = [0.2, 0.5, 0.3], [-2.0, 0.0, 2.5], [0.5, 1.5, 0.2]
+    as_nd = GaussianMixtureND(weights, np.array(means)[:, None],
+                              (np.array(stds) ** 2)[:, None, None])
+    with pytest.raises(DomainError, match="GaussianMixture1D"):
+        verify_talagrand(as_nd)
+    rep = verify_talagrand(GaussianMixture1D(weights, means, stds))
+    assert rep.status == "pass"
+    assert rep.error_estimate < 1e-9
+    assert rep.method.startswith("quantile-coupling W2")
+    with pytest.raises(DomainError, match="expects a 1-D density"):
+        verify_talagrand((GFun.const(0.0), 0.5))
 
 
 # ---------------------------------------------------------------------------

@@ -182,13 +182,6 @@ def test_mixture_moments():
     assert abs(mix.variance() - var) < 1e-13
 
 
-def test_sampling_moments(rng):
-    mix = mixtures()[2]
-    xs = mix.sample(rng, 200_000)
-    assert abs(xs.mean() - mix.mean()) < 0.02
-    assert abs(xs.var() - mix.variance()) < 0.05
-
-
 # ---------------------------------------------------------------------------
 # validation
 

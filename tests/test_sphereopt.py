@@ -8,12 +8,12 @@ from scipy.optimize import minimize, rosen
 
 from bfstab import (DomainError, GaussianMixture1D, GaussianMixtureND,
                     ProductFunction, bf_distance, StandardGaussian,
-                    dn_distance, lower_bound_certificate)
+                    dn_distance, verify_thm_main)
 from bfstab.corpus import main_corpus
 from bfstab.densitynd import canonical_directions, marginal_parameters
 from bfstab.sphereopt import (_ITERATIONS, _RESTARTS, _augmentation, _dedup,
                                _distances, _lattice, _nelder_mead, _refine,
-                               _seeds, _tangent_basis)
+                               _seeds, _solve_rows, _tangent_basis)
 from bfstab.transport1d import _directed_distance
 
 
@@ -35,10 +35,13 @@ def four_dim_mixture():
 
 
 def test_one_dimensional_passthrough():
-    nu = GaussianMixtureND([1.0], [[0.0]], [[[4.0]]])
-    res = dn_distance(nu)
-    assert abs(res.value - 0.5) < 1e-9
-    assert res.directions_evaluated == 1
+    # in 1-D, d_n is the distance itself: the search refuses an n = 1
+    # mixture and names the 1-D type, whose route reports the distance
+    with pytest.raises(DomainError, match="GaussianMixture1D"):
+        dn_distance(GaussianMixtureND([1.0], [[0.0]], [[[4.0]]]))
+    rep = verify_thm_main(GaussianMixture1D([1.0], [0.0], [2.0]))
+    assert abs(rep.lower_bound - 0.5 * 0.5 ** 2) < 1e-9
+    assert "evals=1" in rep.method
 
 
 def test_axis_aligned_product_exact():
@@ -96,23 +99,26 @@ def test_result_dominates_any_fixed_direction():
     nu = skew_mixture_2d()
     res = dn_distance(nu)
     rng = np.random.default_rng(11)
-    for _ in range(12):
-        v = rng.standard_normal(2)
-        cert = lower_bound_certificate(nu, v)
-        assert res.value >= cert.value - 1e-9
+    values, _ = _solve_rows(nu, canonical_directions(
+        rng.standard_normal((12, 2))))
+    assert np.all(res.value >= values - 1e-9)
 
 
 def test_certificate_matches_marginal_distance():
+    # the returned value is the distance of the marginal along the argmax
     nu = skew_mixture_2d()
-    cert = lower_bound_certificate(nu, [1.0, 0.0])
-    marg = GaussianMixture1D(nu.weights, nu.means[:, 0],
-                             np.sqrt(nu.covs[:, 0, 0]))
-    assert abs(cert.value - bf_distance(marg, StandardGaussian())) < 1e-9
+    res = dn_distance(nu)
+    v = res.argmax
+    marg = GaussianMixture1D(nu.weights, nu.means @ v,
+                             np.sqrt(np.einsum("a,kab,b->k", v, nu.covs, v)))
+    ref = bf_distance(marg, StandardGaussian())
+    assert abs(res.value - ref) < 1e-9
+    assert res.value_error < 1e-8
 
 
 def test_certificate_dimension_check():
     with pytest.raises(DomainError):
-        lower_bound_certificate(skew_mixture_2d(), [1.0, 0.0, 0.0])
+        _solve_rows(skew_mixture_2d(), np.array([[1.0, 0.0, 0.0]]))
 
 
 def test_three_dimensional_product_axis():
