@@ -113,6 +113,9 @@ def _load_density_file(path: str):
         except json.JSONDecodeError as exc:
             raise ParseError(f"{path}: invalid JSON: {exc}") from None
     if isinstance(payload, dict) and "factors" in payload:
+        if not isinstance(payload["factors"], list) or not payload["factors"]:
+            raise ParseError(f"{path}: factors must be a non-empty list of "
+                             "{weights, means, stds} objects")
         factors = [_mixture_1d(spec, f"{path}: factor {i}")
                    for i, spec in enumerate(payload["factors"])]
         # a one-factor product is its factor, a 1-D measure
@@ -288,9 +291,10 @@ def _emit_report(args, config: dict, rep, **body) -> int:
     return _EXIT_BY_STATUS[rep.status]
 
 
-def _require_compatible(obj, theorem: str, what: str):
-    """A theorem the input cannot take is a usage error, not a case error."""
-    if not compatible(obj, theorem):
+def _require_compatible(objs, theorem: str, what: str):
+    """A theorem that no input can take is a usage error, not a case error
+    (nor a run that verifies nothing)."""
+    if not any(compatible(obj, theorem) for obj in objs):
         hint = (" (the corollary needs dimension at least 2)"
                 if theorem == "corollary" else "")
         raise ParseError(f"--theorem {theorem} does not apply to {what}{hint}")
@@ -311,13 +315,16 @@ def _cmd_deficit(args) -> int:
     if args.measure is None:
         raise ParseError("--measure is required")
     obj = parse_density_spec(args.measure)
-    _require_compatible(obj, args.theorem, f"--measure {args.measure}")
+    _require_compatible([obj], args.theorem, f"--measure {args.measure}")
     return _single_report_cmd(args, obj, args.theorem)
 
 
 def _cmd_verify(args) -> int:
     cases = suite_cases(args.suite)
     theorems = suite_theorems(args.suite, args.theorem)
+    for thm in theorems:
+        _require_compatible([obj for _, obj in cases], thm,
+                            f"any case of --suite {args.suite}")
     kw = _budget_kwargs(args)
     tasks = [(cid, obj, thm, kw)
              for thm in theorems
@@ -355,8 +362,8 @@ def _cmd_sweep(args) -> int:
             cases.append((f"lambda-{lam:g}", (g, lam)))
     else:  # pragma: no cover - argparse restricts choices
         raise ParseError(f"unknown sweep kind {args.kind!r}")
-    for _, obj in cases:
-        _require_compatible(obj, theorem, f"--kind {args.kind}")
+    _require_compatible([obj for _, obj in cases], theorem,
+                        f"--kind {args.kind}")
     reports = _run_tasks([(cid, obj, theorem, kw) for cid, obj in cases],
                          args.jobs)
     config = _science_config(args, [theorem], kind=args.kind, values=values,

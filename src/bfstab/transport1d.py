@@ -17,12 +17,16 @@ int (T' - 1 - log T') dgamma of T = S^{-1}. Between two non-Gaussian
 densities both directed integrals are computed; they agree analytically, so
 a gap beyond 1e-6 raises a NumericalWarning and the average is returned.
 
-The batched kernel evaluates T' and u one mixture component at a time, each
-on a contiguous array shaped like the points, and combines components with
-element-wise maxima and adds. Mixtures have few components (at most 8 in
-the shipped suites), and reductions over such a short last axis cost more
-than the ndtr calls; the adds keep NumPy's reduction order, so values are
-bit for bit those of a stacked (points, K) formula.
+A row of the batched kernel with one present component N(m, s^2) needs no
+integral: S = (x - m) / s has the constant derivative 1/s, so
+d = 1 - min(s, 1/s), returned with a rounding allowance of 1e-15 as its
+error. The other rows are integrated: the kernel evaluates T' and u one
+mixture component at a time, each on a contiguous array shaped like the
+points, and combines components with element-wise maxima and adds.
+Mixtures have few components (at most 8 in the shipped suites), and
+reductions over such a short last axis cost more than the ndtr calls; the
+adds keep NumPy's reduction order, so values are bit for bit those of a
+stacked (points, K) formula.
 """
 
 from __future__ import annotations
@@ -105,6 +109,9 @@ _TURN_STEPS = 20
 _ROW_CHUNK = 1 << 17
 # Tail mass the directed distance leaves outside its working interval.
 _DIST_TAIL = 1e-15
+# Error of a closed-form one-component row: its rounding is at most eps,
+# 2.2e-16 (see gauss_distance_rows), and this is 4.5 eps.
+_ONE_COMPONENT_ERR = 1e-15
 
 
 def _kinks(a, b, fa, fb, deriv):
@@ -295,15 +302,12 @@ def _rows_deriv_pdf(x, weights, means, stds, log_w, log_norm, pdf=True):
         w = weights[:, k, None]
         F.append(np.where(left, tail, rest) * w)
         S.append(np.where(left, rest, tail) * w)
-    if len(logs) == 1:
-        logpdf = logs[0]  # max + log(exp(0)) is this exactly
-    else:
-        mx = logs[0].copy()
-        for v in logs[1:]:
-            np.maximum(mx, v, out=mx)
-        for v in logs:
-            np.exp(np.subtract(v, mx, out=v), out=v)
-        logpdf = mx + np.log(_component_sum(logs))
+    mx = logs[0].copy()
+    for v in logs[1:]:
+        np.maximum(mx, v, out=mx)
+    for v in logs:
+        np.exp(np.subtract(v, mx, out=v), out=v)
+    logpdf = mx + np.log(_component_sum(logs))
     F = np.minimum(np.maximum(_component_sum(F), _PROB_FLOOR), _PROB_CEIL)
     S = np.minimum(np.maximum(_component_sum(S), _PROB_FLOOR), _PROB_CEIL)
     low = F <= 0.5
@@ -318,24 +322,43 @@ def gauss_distance_rows(weights, means, stds, *, tol: float = 1e-9):
 
     Row b of the (B, K) arrays is u_b = sum_k w_bk N(m_bk, s_bk^2); a zero
     weight marks an absent component, whose mean and std must still be
-    finite. ``stds`` may be (K,), shared by all rows. Each row gets the
-    working interval, pre-scan, breakpoints and quadrature budget of
-    ``_directed_distance(u_b, gamma, tol)`` and agrees with it up to
-    rounding. Rows run in chunks of at most _ROW_CHUNK pre-scan points x
-    components. Returns (value, error), each of shape (B,).
+    finite. ``stds`` may be (K,), shared by all rows.
+
+    A row with one present component, N(m, s^2), has S = (x - m) / s, so
+    T' = 1/s is constant and d = |1 - 1/s| / max(1, 1/s) = 1 - min(s, 1/s)
+    exactly; it is computed so, with no pre-scan or quadrature. The value
+    is 0 only for s = 1: fl(1/s) < 1 for every float s > 1, and 1 - s is
+    at least eps/2 for s < 1. Its error is _ONE_COMPONENT_ERR, which bounds
+    the rounding of the two operations: each is off by at most eps/2
+    relative to a result at most 1, so the value is within eps = 2.2e-16
+    of the distance of the given s.
+
+    Every other row gets the working interval, pre-scan, breakpoints and
+    quadrature budget of ``_directed_distance(u_b, gamma, tol)`` and agrees
+    with it up to rounding; its (value, error) does not depend on the rows
+    batched with it. These rows run in chunks of at most _ROW_CHUNK
+    pre-scan points x components. Returns (value, error), each of shape
+    (B,), in row order.
     """
     w = np.atleast_2d(np.asarray(weights, dtype=float))
     m = np.atleast_2d(np.asarray(means, dtype=float))
     s = np.broadcast_to(np.asarray(stds, dtype=float), w.shape)
     present = w > 0.0
+    value = np.empty(w.shape[0])
+    error = np.empty(w.shape[0])
+    one = present.sum(axis=1) == 1
+    if one.any():
+        s_one = s[one, np.argmax(present[one], axis=1)]
+        value[one] = 1.0 - np.minimum(s_one, 1.0 / s_one)
+        error[one] = _ONE_COMPONENT_ERR
+    quad = np.flatnonzero(~one)
+    w, m, s, present = w[quad], m[quad], s[quad], present[quad]
     z = float(-ndtri(_DIST_TAIL / 2.0))  # as GaussianMixture1D.working_interval
     lo = np.min(np.where(present, m - z * s, np.inf), axis=1)
     hi = np.max(np.where(present, m + z * s, -np.inf), axis=1)
     with np.errstate(divide="ignore"):
         log_w = np.log(w)
     params = (w, m, s, log_w, np.log(s * SQRT_2PI))
-    value = np.empty(w.shape[0])
-    error = np.empty(w.shape[0])
     step = max(1, _ROW_CHUNK // (_SCAN_POINTS * w.shape[1]))
     for start in range(0, w.shape[0], step):
         rows = slice(start, start + step)
@@ -349,7 +372,7 @@ def gauss_distance_rows(weights, means, stds, *, tol: float = 1e-9):
                               np.where(present[rows], m[rows], np.nan),
                               lambda xs: _rows_deriv_pdf(xs, *chunk, pdf=False))
         res = adaptive_quad_rows(g, bp, tol_abs=tol, tol_rel=1e-12)
-        value[rows], error[rows] = res.value, res.error
+        value[quad[rows]], error[quad[rows]] = res.value, res.error
     return value, error
 
 

@@ -170,6 +170,31 @@ def test_grid_csv_corollary_needs_two_dims(tmp_path, capsys):
                            "needs dimension at least 2)")
 
 
+@pytest.mark.parametrize("suite,theorem,hint", [
+    ("talagrand-1d", "corollary",
+     " (the corollary needs dimension at least 2)"),
+    ("pl-grid", "main", ""),
+])
+def test_verify_theorem_no_case_can_take_is_a_parse_error(capsys, suite,
+                                                          theorem, hint):
+    # no case of the suite fits: this used to print a bare header and exit 0
+    code, out, err = run_cli(capsys, "verify", "--suite", suite, "--theorem",
+                             theorem, "--format", "csv")
+    assert_usage_error(code, out, err,
+                       f"bfstab: error: --theorem {theorem} does not apply "
+                       f"to any case of --suite {suite}{hint}\n")
+
+
+@pytest.mark.parametrize("factors", [5, [], "abc", None])
+def test_density_file_factors_must_be_a_list(tmp_path, capsys, factors):
+    # {"factors": 5} ended in a TypeError traceback and [] in an IndexError
+    path = tmp_path / "prod.json"
+    path.write_text(json.dumps({"factors": factors}))
+    code, out, err = run_cli(capsys, "deficit", "--measure", f"file:{path}")
+    assert_usage_error(code, out, err, f"bfstab: error: {path}: factors "
+                                       "must be a non-empty list")
+
+
 NARROW_MODES = "mix:[0.5,-8,0.0025;0.5,8,0.0025]"
 
 

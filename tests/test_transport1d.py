@@ -2,6 +2,7 @@
 
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from bfstab import (DomainError, GaussianMixture1D, GaussianMixtureND,
                     bregman_integral, build_map, pointwise_bregman_bound,
                     talagrand_deficit_1d, talagrand_deficit_1d_full,
                     w2_squared_1d)
+from bfstab import transport1d
 from bfstab.corpus import main_corpus
 from bfstab.density1d import gauss_logpdf
 from bfstab.densitynd import conditional_slice_batch
@@ -245,6 +247,95 @@ def test_row_kernel_matches_per_row_distance():
         ref = _directed_distance(batch.mixture(b), GAUSS, 1e-9)
         assert abs(value[r] - ref.value) <= 1e-15, r
         assert abs(error[r] - ref.error) <= 1e-15, r
+
+
+def test_one_component_rows_match_quadrature():
+    # N(m, s^2) has T' = 1/s, so the kernel returns 1 - min(s, 1/s) with a
+    # rounding allowance. Checked against the exact rational value of that
+    # formula, and against the quadrature of _directed_distance. The
+    # quadrature forms z = (x - m) / s at nodes x near m, which rounds by
+    # about eps |m| / s, and its Gauss-Legendre estimate does not count
+    # that: without the eps (1 + |m| / s) term, about a fifth of these rows
+    # missed the summed errors, by up to 32x
+    rng = np.random.default_rng(23)
+    n = 40
+    s = np.exp(rng.uniform(np.log(1e-3), np.log(1e3), n))
+    m = rng.uniform(-30.0, 30.0, n)
+    value, error = gauss_distance_rows(np.ones((n, 1)), m[:, None],
+                                       s[:, None], tol=1e-10)
+    eps = np.finfo(float).eps
+    for r in range(n):
+        exact = 1 - min(Fraction(s[r]), 1 / Fraction(s[r]))
+        assert abs(Fraction(value[r]) - exact) <= Fraction(error[r]), r
+        ref = _directed_distance(GaussianMixture1D([1.0], [m[r]], [s[r]]),
+                                 GAUSS, 1e-10)
+        rounding = eps * (1.0 + abs(m[r]) / s[r])
+        assert abs(value[r] - ref.value) <= error[r] + ref.error + rounding, r
+    assert np.all(error > 0.0) and np.all(error <= 1e-15)
+
+
+def test_one_component_rows_vanish_only_at_unit_std():
+    s = np.array([1.0, np.nextafter(1.0, 0.0), np.nextafter(1.0, 2.0),
+                  0.5, 2.0])
+    value, error = gauss_distance_rows(np.ones((5, 1)), np.zeros((5, 1)),
+                                       s[:, None])
+    assert value[0] == 0.0
+    assert np.all(value[1:] > 0.0)
+    assert np.array_equal(value[3:], [0.5, 0.5])
+    assert np.all(error > 0.0)
+
+
+def _mixed_rows():
+    """Rows with one, two and three present components among four columns,
+    absent ones zero-weight padding, in shuffled order."""
+    rng = np.random.default_rng(31)
+    b, k = 12, 4
+    present = np.zeros((b, k), dtype=bool)
+    for r in range(b):
+        present[r, rng.choice(k, size=1 + r % 3, replace=False)] = True
+    weights = np.where(present, rng.uniform(0.2, 1.0, (b, k)), 0.0)
+    weights /= weights.sum(axis=1, keepdims=True)
+    means = rng.uniform(-3.0, 3.0, (b, k))
+    stds = np.exp(rng.uniform(np.log(0.2), np.log(3.0), (b, k)))
+    order = rng.permutation(b)
+    return weights[order], means[order], stds[order]
+
+
+def test_mixed_batch_rows_match_rows_alone(monkeypatch):
+    # each K >= 2 row's (value, error) is bit for bit that of the row alone,
+    # whatever one-component rows are batched with it, in chunks of 3 rows
+    weights, means, stds = _mixed_rows()
+    several = np.count_nonzero(weights, axis=1) >= 2
+    assert several.any() and not several.all()
+    with monkeypatch.context() as patch:
+        patch.setattr(transport1d, "_ROW_CHUNK",
+                      3 * transport1d._SCAN_POINTS * weights.shape[1])
+        value, error = gauss_distance_rows(weights, means, stds, tol=1e-9)
+    for r in np.flatnonzero(several):
+        alone = gauss_distance_rows(weights[r:r + 1], means[r:r + 1],
+                                    stds[r:r + 1], tol=1e-9)
+        assert value[r] == alone[0][0] and error[r] == alone[1][0], r
+
+
+def test_padded_one_component_row_takes_closed_form(monkeypatch):
+    # a row whose other components have zero weight is N(m, s^2) too: it
+    # skips the pre-scan and the quadrature
+    weights, means, stds = _mixed_rows()
+    one = np.count_nonzero(weights, axis=1) == 1
+    col = np.argmax(weights[one] > 0.0, axis=1)
+    s = stds[one, col]
+    assert np.any(col > 0)
+    value, error = gauss_distance_rows(weights, means, stds)
+
+    def no_scan(*args):
+        raise AssertionError("one-component rows need no pre-scan")
+
+    monkeypatch.setattr(transport1d, "_distance_breaks", no_scan)
+    only, only_err = gauss_distance_rows(weights[one], means[one], stds[one])
+    assert np.array_equal(only, 1.0 - np.minimum(s, 1.0 / s))
+    assert np.array_equal(value[one], only)
+    assert np.array_equal(error[one], only_err)
+    assert np.all(only_err == transport1d._ONE_COMPONENT_ERR)
 
 
 def _stacked_deriv_pdf(x, weights, means, stds, log_w, log_norm):
