@@ -7,13 +7,17 @@ again a 1-D mixture), relative entropy and Fisher information w.r.t. the
 standard Gaussian, and a Knothe-Rosenblatt upper bound on W2 to it.
 
 ``entropy_fisher_nd`` computes the two information terms together: both are
-nu-expectations, and one evaluation of the component log-densities at a
-node set gives log p (the log-sum-exp) and grad log p (the responsibilities).
-These and the Knothe-Rosenblatt cost go through one expectation, computed
-component-wise in whitened coordinates: for each component, Gauss-Hermite
-nodes are mapped through the Cholesky factor, so the rule sees a standard
-Gaussian regardless of how eccentric the component is. Dimensions four and
-up switch to scrambled Sobol replicates with an empirical error bar.
+nu-expectations, and one component pass at a node set gives log p (the
+log-sum-exp) and grad log p (the responsibilities). These and the
+Knothe-Rosenblatt cost go through one expectation, computed component-wise
+in whitened coordinates: for each anchor component k, standard Gaussian
+nodes z (Gauss-Hermite for n <= 3, scrambled Sobol replicates with an
+empirical error bar above) are mapped to x = m_k + L_k z, so the rule sees a
+standard Gaussian regardless of how eccentric the component is. The pass
+then whitens x against every component j with the stored inverse Cholesky
+factor, y_j = L_j^{-1} (x - m_j), one small matrix product each, and takes
+y_k = z for the anchor itself. Nodes are columns, so every sum over the
+short coordinate axis is a run of row adds.
 """
 
 from __future__ import annotations
@@ -23,6 +27,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import solve_triangular
 from scipy.special import logsumexp, ndtr, ndtri
 from scipy.stats import qmc
 
@@ -48,11 +53,6 @@ _LOG_2PI = math.log(2.0 * math.pi)
 _MIN_EIG = 1e-10
 
 
-def _gauss_logpdf_nd(x: np.ndarray) -> np.ndarray:
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    return -0.5 * np.sum(x * x, axis=1) - 0.5 * x.shape[1] * _LOG_2PI
-
-
 class GaussianMixtureND:
     """Finite Gaussian mixture on R^n with full covariances.
 
@@ -61,7 +61,7 @@ class GaussianMixtureND:
     covs:    (K, n, n) symmetric, smallest eigenvalue > 1e-10.
     """
 
-    __slots__ = ("weights", "means", "covs", "_chol", "_prec", "_log_norm")
+    __slots__ = ("weights", "means", "covs", "_chol", "_chol_inv", "_log_norm")
 
     def __init__(self, weights, means, covs):
         w = np.asarray(weights, dtype=float).reshape(-1)
@@ -89,7 +89,9 @@ class GaussianMixtureND:
         self.means = m
         self.covs = 0.5 * (c + np.transpose(c, (0, 2, 1)))
         self._chol = np.linalg.cholesky(self.covs)
-        self._prec = np.linalg.inv(self.covs)
+        eye = np.eye(self.dim)
+        self._chol_inv = np.stack([solve_triangular(low, eye, lower=True)
+                                   for low in self._chol])
         logdet = 2.0 * np.sum(np.log(np.diagonal(self._chol, axis1=1, axis2=2)), axis=1)
         self._log_norm = -0.5 * (logdet + self.dim * _LOG_2PI)
 
@@ -239,32 +241,33 @@ def marginal_without(nu: GaussianMixtureND, axis: int) -> GaussianMixtureND:
 
 def conditional_slice_batch(nu: GaussianMixtureND, axis: int,
                             points: np.ndarray) -> SliceBatch:
+    """Conditionals of nu along ``axis`` at the pinned points (B, n - 1).
+
+    Component k of the marginal without ``axis`` has whitened coordinates
+    y_k = L_k^{-1} (p - m_k) at a pinned point p (one component pass gives
+    them and the log-weights). With g_k = L_k^{-1} C_k[rest, axis], the
+    conditional of component k has mean m_k[axis] + g_k . y_k and variance
+    C_k[axis, axis] - |g_k|^2, and its weight is the responsibility of
+    component k for p.
+    """
     rest = _partition(nu, axis)
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if pts.shape[1] != nu.dim - 1:
         raise DomainError("pinned points must have dimension n - 1")
+    sub = nu.marginal(rest)
+    ys, logs = _component_pass(sub, np.ascontiguousarray(pts.T))
+    _, resp = _log_sum_exp(logs)
     K = nu.n_components
-    B = pts.shape[0]
-    log_w = np.empty((B, K))
-    m_cond = np.empty((B, K))
+    m_cond = np.empty((pts.shape[0], K))
     s_cond = np.empty(K)
     for k in range(K):
-        a = nu.covs[k][axis, axis]
-        b = nu.covs[k][axis, rest]
-        c_block = nu.covs[k][np.ix_(rest, rest)]
-        sol = np.linalg.solve(c_block, b)
-        var = float(a - b @ sol)
+        g = sub._chol_inv[k] @ nu.covs[k][rest, axis]
+        var = float(nu.covs[k][axis, axis] - g @ g)
         if var <= _MIN_EIG:
             raise ConditioningError("conditional variance collapsed")
         s_cond[k] = math.sqrt(var)
-        d = pts - nu.means[k][rest]
-        m_cond[:, k] = nu.means[k][axis] + d @ sol
-        chol = np.linalg.cholesky(c_block)
-        y = np.linalg.solve(chol, d.T)
-        log_norm = -0.5 * (2.0 * np.sum(np.log(np.diag(chol)))
-                           + (nu.dim - 1) * _LOG_2PI)
-        log_w[:, k] = math.log(nu.weights[k]) + log_norm - 0.5 * np.sum(y * y, axis=0)
-    weights = np.exp(log_w - logsumexp(log_w, axis=1)[:, None])
+        m_cond[:, k] = nu.means[k][axis] + g @ ys[k]
+    weights = np.ones((pts.shape[0], 1)) if resp is None else resp.T
     return SliceBatch(axis=axis, weights=weights, means=m_cond, stds=s_cond)
 
 
@@ -311,38 +314,82 @@ _GH_CHECK = 48
 _QMC_REPLICATES = 8
 
 
-def _log_ratio_and_score(nu: GaussianMixtureND, x):
-    """log p - log phi_n and grad log p + x at the rows of x.
+def _row_sum(a: np.ndarray) -> np.ndarray:
+    """np.sum(a, axis=0) as row adds, in the same order and so bit for bit
+    (each column is summed first row to last), without the reduction's
+    overhead on a short first axis."""
+    out = a[0].copy()
+    for row in a[1:]:
+        out += row
+    return out
 
-    One component pass gives both: the log-sum-exp of the weighted
-    component log-densities is log p, and its softmax (the
-    responsibilities) weights each component's pull S_k^{-1} (m_k - x).
+
+def _component_pass(nu: GaussianMixtureND, x, anchor=None, z=None):
+    """Whitened coordinates and log-weights of every component at the
+    columns of x (n, N).
+
+    Returns (ys, logs): ys[j] = L_j^{-1} (x - m_j) and logs[j] = log w_j -
+    log det L_j - |ys[j]|^2 / 2, which is log(w_j N(x; m_j, C_j)) +
+    n log(2 pi) / 2. If x = m_k + L_k z for the ``anchor`` k, ys[k] is z
+    itself and is not recomputed.
     """
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    comp = nu._component_logpdf(x) + np.log(nu.weights)[:, None]
-    log_p = logsumexp(comp, axis=0)
-    resp = np.exp(comp - log_p[None, :])
-    grad = np.zeros_like(x)
-    for k in range(nu.n_components):
-        grad += resp[k][:, None] * ((nu.means[k] - x) @ nu._prec[k].T)
-    return log_p - _gauss_logpdf_nd(x), grad + x
+    const = np.log(nu.weights) - np.sum(
+        np.log(np.diagonal(nu._chol, axis1=1, axis2=2)), axis=1)
+    ys = []
+    logs = np.empty((nu.n_components, x.shape[1]))
+    for j in range(nu.n_components):
+        y = z if j == anchor else nu._chol_inv[j] @ (x - nu.means[j][:, None])
+        ys.append(y)
+        logs[j] = const[j] - 0.5 * _row_sum(y * y)
+    return ys, logs
 
 
-def _integrands(nu: GaussianMixtureND, x):
-    """The entropy and Fisher information integrands at the rows of x."""
-    log_ratio, score = _log_ratio_and_score(nu, x)
-    return log_ratio, np.sum(score * score, axis=1)
+def _log_sum_exp(logs: np.ndarray):
+    """(log sum_j exp(logs[j]), softmax of logs over j), the softmax
+    overwriting logs. One row is its own log-sum-exp, with softmax None."""
+    if logs.shape[0] == 1:
+        return logs[0], None
+    top = np.max(logs, axis=0)
+    logs -= top
+    np.exp(logs, out=logs)
+    total = _row_sum(logs)
+    logs /= total
+    return top + np.log(total), logs
+
+
+def _log_ratio_and_score(nu: GaussianMixtureND, x, anchor=None, z=None):
+    """log p - log phi_n and grad log p + x at the columns of x (n, N).
+
+    One component pass gives both: the log-sum-exp of the log-weights is
+    log p + n log(2 pi) / 2, and the responsibilities r_j weight each
+    component's pull -C_j^{-1} (x - m_j) = -L_j^{-T} y_j. ``anchor`` and
+    ``z`` are passed on to ``_component_pass``.
+    """
+    ys, logs = _component_pass(nu, x, anchor, z)
+    log_p, resp = _log_sum_exp(logs)
+    score = x.copy()
+    for j, y in enumerate(ys):
+        score -= nu._chol_inv[j].T @ (y if resp is None else resp[j] * y)
+    return log_p + 0.5 * _row_sum(x * x), score
+
+
+def _integrands(nu: GaussianMixtureND, x, anchor, z):
+    """The entropy and Fisher information integrands at the columns of
+    x = m_anchor + L_anchor z."""
+    log_ratio, score = _log_ratio_and_score(nu, x, anchor, z)
+    return log_ratio, _row_sum(score * score)
 
 
 def _expect_gh(nu: GaussianMixtureND, order: int, integrand) -> np.ndarray:
     nodes, wts = gh_tensor(order, nu.dim)
+    z = np.ascontiguousarray(nodes.T)
     total = 0.0
     for k in range(nu.n_components):
-        x = nu.means[k] + nodes @ nu._chol[k].T
+        x = nu.means[k][:, None] + nu._chol[k] @ z
         # one wts @ row per integrand: one product with the rows stacked
         # would sum in another order and move the last bits
         total = total + np.array([nu.weights[k] * float(wts @ row)
-                                  for row in integrand(nu, x)])
+                                  for row in integrand(nu, x, k, z)])
     return total
 
 
@@ -358,10 +405,10 @@ def _expect_qmc(nu: GaussianMixtureND, budget: int, seed: int, integrand):
             engine = qmc.Sobol(d=nu.dim, scramble=True,
                                seed=seed + 1009 * r + k)
             u = engine.random_base2(m_bits)[: int(alloc[k])]
-            z = ndtri(np.clip(u, 1e-15, 1.0 - 1e-15))
-            x = nu.means[k] + z @ nu._chol[k].T
+            z = ndtri(np.clip(np.ascontiguousarray(u.T), 1e-15, 1.0 - 1e-15))
+            x = nu.means[k][:, None] + nu._chol[k] @ z
             total = total + np.array([nu.weights[k] * float(np.mean(row))
-                                      for row in integrand(nu, x)])
+                                      for row in integrand(nu, x, k, z)])
         reps.append(total)
     reps = np.stack(reps, axis=1)
     return (reps.mean(axis=1),
@@ -393,24 +440,32 @@ def entropy_fisher_nd(nu: GaussianMixtureND, *, order: int = _GH_ORDER,
     return tuple(zip(value.tolist(), err.tolist()))
 
 
-def _knothe_cost(nu: GaussianMixtureND, x):
-    """(|x - S(x)|^2,) at the rows of x for the Knothe-Rosenblatt map S of
-    nu onto gamma_n. With z_k = L_k^{-1} (x - m_k), x_i given x_<i has cdf
-    sum_k pi_ki Phi(z_ki), pi_ki ~ w_k exp(-|z_k,<i|^2 / 2) / prod_{j<i}
-    L_k,jj; S_i is Phi^{-1} of it, from the survival side above 1/2."""
-    log_w, cdf, sf = [], [], []
-    for k in range(nu.n_components):
-        z = np.linalg.solve(nu._chol[k], (x - nu.means[k]).T).T
-        step = 0.5 * z * z + np.log(np.diagonal(nu._chol[k]))
-        log_w.append(math.log(nu.weights[k]) - np.cumsum(step, axis=1) + step)
-        tail = ndtr(-np.abs(z))
-        cdf.append(np.where(z < 0.0, tail, 1.0 - tail))
-        sf.append(np.where(z < 0.0, 1.0 - tail, tail))
-    pi = np.exp(log_w - logsumexp(log_w, axis=0))
-    cdf = np.clip(np.sum(pi * cdf, axis=0), _PROB_FLOOR, _PROB_CEIL)
-    sf = np.clip(np.sum(pi * sf, axis=0), _PROB_FLOOR, _PROB_CEIL)
+def _knothe_cost(nu: GaussianMixtureND, x, anchor, z):
+    """(|x - S(x)|^2,) at the columns of x = m_anchor + L_anchor z for the
+    Knothe-Rosenblatt map S of nu onto gamma_n. With the whitened
+    coordinates y_k = L_k^{-1} (x - m_k) of the component pass, x_i given
+    x_<i has cdf sum_k pi_ki Phi(y_ki), pi_ki ~ w_k exp(-|y_k,<i|^2 / 2) /
+    prod_{j<i} L_k,jj; S_i is Phi^{-1} of it, from the survival side above
+    1/2."""
+    ys, _ = _component_pass(nu, x, anchor, z)
+    log_diag = np.log(np.diagonal(nu._chol, axis1=1, axis2=2))
+    log_w = np.log(nu.weights)[:, None] + np.zeros_like(x[0])
+    cdf = np.zeros_like(x)
+    sf = np.zeros_like(x)
+    for i in range(x.shape[0]):
+        _, pi = _log_sum_exp(log_w.copy())
+        for k, y in enumerate(ys):
+            tail = ndtr(-np.abs(y[i]))
+            left = y[i] < 0.0
+            p = 1.0 if pi is None else pi[k]
+            cdf[i] += p * np.where(left, tail, 1.0 - tail)
+            sf[i] += p * np.where(left, 1.0 - tail, tail)
+            log_w[k] -= 0.5 * y[i] * y[i] + log_diag[k, i]
+    np.clip(cdf, _PROB_FLOOR, _PROB_CEIL, out=cdf)
+    np.clip(sf, _PROB_FLOOR, _PROB_CEIL, out=sf)
     t = ndtri(np.where(cdf <= 0.5, cdf, sf))
-    return (np.sum((x - np.where(cdf <= 0.5, t, -t)) ** 2, axis=1),)
+    gap = x - np.where(cdf <= 0.5, t, -t)
+    return (_row_sum(gap * gap),)
 
 
 def knothe_w2_bound(nu: GaussianMixtureND, *, mc_budget: int = 10 ** 6,

@@ -13,6 +13,7 @@ from bfstab import (CapabilityError, DeficitReport, DomainError, GFun,
                     ProductFunction, lambda_limit_diagnostics, lsi_deficit,
                     pl_deficit_check, sup_convolution, verify_corollary,
                     verify_talagrand, verify_thm_main)
+from bfstab import densitynd
 from bfstab.corpus import _sin_bump, main_corpus
 from bfstab.deficits import _corollary_axis_quad
 
@@ -107,20 +108,20 @@ def test_lsi_deficit_nd_gaussian():
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_lsi_deficit_evaluates_each_node_set_once(monkeypatch, n):
     # entropy and Fisher information share one component pass per node set:
-    # per component, both Gauss-Hermite orders for n <= 3, and one Sobol set
-    # per replicate (8 of them) above
+    # per anchor component, both Gauss-Hermite orders for n <= 3, and one
+    # Sobol set per replicate (8 of them) above
     k = 3
     rng = np.random.default_rng(n)
     nu = GaussianMixtureND(np.full(k, 1.0 / k), rng.uniform(-1.0, 1.0, (k, n)),
                            np.stack([np.eye(n) * s for s in (0.5, 1.0, 2.0)]))
     calls = []
-    original = GaussianMixtureND._component_logpdf
+    original = densitynd._component_pass
 
-    def counted(self, x):
-        calls.append(len(x))
-        return original(self, x)
+    def counted(nu, x, *args):
+        calls.append(x.shape[1])
+        return original(nu, x, *args)
 
-    monkeypatch.setattr(GaussianMixtureND, "_component_logpdf", counted)
+    monkeypatch.setattr(densitynd, "_component_pass", counted)
     lsi_deficit(nu, mc_budget=4096)
     assert len(calls) == (2 if n <= 3 else 8) * k
 

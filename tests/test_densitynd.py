@@ -6,6 +6,7 @@ import pickle
 import numpy as np
 import pytest
 from scipy import stats
+from scipy.special import logsumexp, ndtr, ndtri
 
 from bfstab import (ConditioningError, DomainError,
                     GaussianMixture1D, GaussianMixtureND, ParseError,
@@ -14,9 +15,10 @@ from bfstab import (ConditioningError, DomainError,
                     w2_squared_1d_full)
 from bfstab.corpus import main_corpus
 from bfstab.density1d import entropy_rel_gauss_full, fisher_rel_gauss_full
-from bfstab.densitynd import (_log_ratio_and_score, canonical_directions,
-                              conditional_slice_batch, knothe_w2_bound,
-                              marginal_parameters)
+from bfstab.densitynd import (_PROB_CEIL, _PROB_FLOOR, _integrands,
+                              _knothe_cost, _log_ratio_and_score,
+                              canonical_directions, conditional_slice_batch,
+                              knothe_w2_bound, marginal_parameters)
 
 # frozen closed forms for N(0, 4 I_2) against gamma_2
 ENT_4I2 = 1.6137056388801092
@@ -78,8 +80,8 @@ def test_grad_logpdf_matches_finite_differences():
     # against central differences of logpdf
     nu = mix3d()
     pts = np.random.default_rng(1).normal(size=(20, 3))
-    _, score = _log_ratio_and_score(nu, pts)
-    grad = score - pts
+    _, score = _log_ratio_and_score(nu, pts.T)
+    grad = score.T - pts
     h = 1e-6
     for j in range(3):
         e = np.zeros(3)
@@ -93,7 +95,7 @@ def test_relative_density_grad():
     # against central differences of logpdf, plus x
     nu = mix2d()
     pts = np.random.default_rng(4).normal(size=(10, 2))
-    log_ratio, score = _log_ratio_and_score(nu, pts)
+    log_ratio, score = _log_ratio_and_score(nu, pts.T)
     assert np.allclose(log_ratio, nu.logpdf(pts)
                        - stats.multivariate_normal(np.zeros(2),
                                                    np.eye(2)).logpdf(pts),
@@ -103,7 +105,7 @@ def test_relative_density_grad():
         e = np.zeros(2)
         e[j] = h
         num = (nu.logpdf(pts + e) - nu.logpdf(pts - e)) / (2 * h)
-        assert np.allclose(score[:, j], num + pts[:, j], atol=1e-6)
+        assert np.allclose(score[j], num + pts[:, j], atol=1e-6)
 
 
 def test_moments_and_sampling(rng):
@@ -307,6 +309,74 @@ def test_entropy_fisher_gh_match_product_factor_sums():
 
 # ---------------------------------------------------------------------------
 # Knothe-Rosenblatt bound on W2^2
+
+
+def _pass_oracle(nu, x):
+    """log p - log phi_n, |grad log p + x|^2 and the Knothe-Rosenblatt cost
+    |x - S(x)|^2 at the rows of x, from inverse covariances (of nu's and of
+    its leading blocks) and SciPy's logsumexp: no Cholesky factor."""
+    w, m, c = nu.weights, nu.means, nu.covs
+    n = x.shape[1]
+    d = x[None, :, :] - m[:, None, :]
+    prec = np.linalg.inv(c)
+    comp = np.log(w)[:, None] - 0.5 * (
+        np.einsum("kpa,kab,kpb->kp", d, prec, d)
+        + np.linalg.slogdet(c)[1][:, None] + n * math.log(2 * math.pi))
+    log_p = logsumexp(comp, axis=0)
+    resp = np.exp(comp - log_p)
+    score = x - np.einsum("kp,kab,kpb->pa", resp, prec, d)
+    s = np.empty_like(x)
+    for i in range(n):
+        # x_i given x_<i: each component's conditional, weighed by its
+        # density on the leading i coordinates
+        inv = np.linalg.inv(c[:, :i, :i])
+        beta = np.einsum("kab,kb->ka", inv, c[:, :i, i])
+        lead = d[:, :, :i]
+        log_w = np.log(w)[:, None] - 0.5 * (
+            np.einsum("kpa,kab,kpb->kp", lead, inv, lead)
+            + np.linalg.slogdet(c[:, :i, :i])[1][:, None])
+        pi = np.exp(log_w - logsumexp(log_w, axis=0))
+        mu = m[:, i, None] + np.einsum("kpa,ka->kp", lead, beta)
+        sd = np.sqrt(c[:, i, i] - np.einsum("ka,ka->k", c[:, :i, i], beta))
+        t = (x[:, i] - mu) / sd[:, None]
+        cdf = np.clip(np.sum(pi * ndtr(t), axis=0), _PROB_FLOOR, _PROB_CEIL)
+        sf = np.clip(np.sum(pi * ndtr(-t), axis=0), _PROB_FLOOR, _PROB_CEIL)
+        s[:, i] = np.where(cdf <= 0.5, ndtri(cdf), -ndtri(sf))
+    half_sq = 0.5 * np.sum(x * x, axis=1)
+    return (log_p + 0.5 * n * math.log(2 * math.pi) + half_sq, half_sq,
+            np.sum(score * score, axis=1), np.sum((x - s) ** 2, axis=1))
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_component_pass_matches_inverse_covariance_oracle(k, n):
+    # random rotated covariances with eigenvalues log-uniform on
+    # [1e-2, 1e2], at nodes anchored at each component the way the
+    # expectations place them (x = m_j + L_j z, the anchor's y_j = z).
+    # Both sides are float64 and inherit kappa eps from a Cholesky factor or
+    # an inverse (kappa the largest condition number), so the bound is 1e-12
+    # relative, widened to 64 kappa eps where that is larger: against a
+    # 40-digit reference the pass was off by up to 18 kappa eps and the
+    # oracle's Knothe-Rosenblatt cost by up to 21 kappa eps.
+    # The entropy integrand is relative to the two terms it subtracts.
+    rng = np.random.default_rng(100 * k + n)
+    eig = np.exp(rng.uniform(math.log(1e-2), math.log(1e2), (k, n)))
+    rot = [np.linalg.qr(rng.standard_normal((n, n)))[0] for _ in range(k)]
+    nu = GaussianMixtureND(rng.dirichlet(np.ones(k)),
+                           rng.uniform(-3.0, 3.0, (k, n)),
+                           [q @ np.diag(e) @ q.T for q, e in zip(rot, eig)])
+    kappa = float(np.max(eig.max(axis=1) / eig.min(axis=1)))
+    rtol = max(1e-12, 64.0 * np.finfo(float).eps * kappa)
+    for j in range(k):
+        z = rng.standard_normal((n, 50))
+        x = nu.means[j][:, None] + nu._chol[j] @ z
+        log_ratio, fisher = _integrands(nu, x, j, z)
+        (cost,) = _knothe_cost(nu, x, j, z)
+        ref_ratio, half_sq, ref_fisher, ref_cost = _pass_oracle(nu, x.T)
+        scale = np.abs(ref_ratio - half_sq) + half_sq
+        assert np.all(np.abs(log_ratio - ref_ratio) <= rtol * scale), j
+        assert np.all(np.abs(fisher - ref_fisher) <= rtol * ref_fisher), j
+        assert np.all(np.abs(cost - ref_cost) <= rtol * ref_cost), j
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
