@@ -430,79 +430,76 @@ class PLTriple:
             raise DomainError("lambda must lie strictly inside (0, 1)")
 
 
-def _monotone_argmax(gvals: np.ndarray, xs: np.ndarray, c: float,
-                     z: np.ndarray) -> np.ndarray:
-    """Grid argmax of g(x) - c (x-z)^2 per z; the argmax is nondecreasing
-    in z (increasing differences), enabling divide and conquer."""
-    out = np.empty(z.size, dtype=np.int64)
-    stack = [(0, z.size - 1, 0, xs.size - 1)]
-    while stack:
-        zlo, zhi, xlo, xhi = stack.pop()
-        if zlo > zhi:
-            continue
-        zm = (zlo + zhi) // 2
-        seg = gvals[xlo:xhi + 1] - c * (xs[xlo:xhi + 1] - z[zm]) ** 2
-        j = xlo + int(np.argmax(seg))
-        out[zm] = j
-        stack.append((zlo, zm - 1, xlo, j))
-        stack.append((zm + 1, zhi, j, xhi))
-    return out
+def _upper_envelope(a: np.ndarray, b: np.ndarray):
+    """(breaks, idx) of the upper envelope of the lines a_i + b_i z, slopes
+    b increasing: line idx[k] tops (breaks[k-1], breaks[k]], the lower index
+    on a tie. One monotone-chain pass; the pop test is cross-multiplied."""
+    a_l, b_l = a.tolist(), b.tolist()
+    hull = []
+    for i, (a3, b3) in enumerate(zip(a_l, b_l)):
+        while len(hull) >= 2:
+            (a1, b1, _), (a2, b2, _) = hull[-2], hull[-1]
+            # the top line never beats both neighbours: z_13 <= z_12
+            if (a1 - a3) * (b2 - b1) > (a1 - a2) * (b3 - b1):
+                break
+            hull.pop()
+        hull.append((a3, b3, i))
+    idx = np.array([line[2] for line in hull])
+    return (a[idx[:-1]] - a[idx[1:]]) / (b[idx[1:]] - b[idx[:-1]]), idx
 
 
-def _sup_conv_generic(g: GFun, c: float, z: np.ndarray, xs: np.ndarray):
-    order = np.argsort(z, kind="stable")
-    zs = z[order]
-    gvals = g(xs)
-    j = _monotone_argmax(gvals, xs, c, zs)
-    jm = np.clip(j - 1, 0, xs.size - 1)
-    jp = np.clip(j + 1, 0, xs.size - 1)
+def _sup_conv_fn(g: GFun, lam: float):
+    """Vectorized z -> h_lam(z); a generic g's envelope is built here, once."""
+    if not 0.0 < lam < 1.0:
+        raise DomainError("lambda must lie strictly inside (0, 1)")
+    c = (1.0 - lam) / (2.0 * lam)
+    if g.kind in ("const", "linear", "quadratic"):
+        denom = g.curvature + 2.0 * c
+        if denom <= 0.0:
+            raise DomainError("sup-convolution diverges: penalty too weak")
 
-    def psi(x, zz):
-        return g(x) - c * (x - zz) ** 2
+        def raw(z):
+            return (g.offset - c * z ** 2
+                    + (g.slope + 2.0 * c * z) ** 2 / (2.0 * denom))
+    else:
+        xs, step = _PL_XS, _PL_XS[1] - _PL_XS[0]
+        breaks, idx = _upper_envelope(g(xs) - c * xs * xs, 2.0 * c * xs)
 
-    node_best = psi(xs[j], zs)
-    # parabola vertex through three uniformly spaced nodes, clamped to the
-    # bracketing cells; g is re-evaluated exactly at the vertex
-    y0, y1, y2 = psi(xs[jm], zs), node_best, psi(xs[jp], zs)
-    step = xs[1] - xs[0]
-    hump = y0 - 2.0 * y1 + y2
-    with np.errstate(divide="ignore", invalid="ignore"):
-        shift = np.where(hump < -1e-300, 0.5 * step * (y0 - y2) / hump, 0.0)
-    vertex = np.clip(xs[j] + shift, xs[jm], xs[jp])
-    cands = np.stack([node_best, psi(vertex, zs), psi(zs, zs)])
-    h_sorted = np.max(cands, axis=0)
-    err = float(np.max(h_sorted - node_best)) if zs.size else 0.0
-    h = np.empty_like(h_sorted)
-    h[order] = h_sorted
-    return h, err
+        def psi(x, z):
+            return g(x) - c * (x - z) ** 2
+
+        def raw(z):
+            j = idx[np.searchsorted(breaks, z, side="left")]
+            jm, jp = np.maximum(j - 1, 0), np.minimum(j + 1, xs.size - 1)
+            # parabola vertex through three uniformly spaced nodes, clamped
+            # to the bracketing cells; g is re-evaluated exactly there
+            y0, y1, y2 = psi(xs[jm], z), psi(xs[j], z), psi(xs[jp], z)
+            hump = y0 - 2.0 * y1 + y2
+            with np.errstate(divide="ignore", invalid="ignore"):
+                shift = np.where(hump < -1e-300,
+                                 0.5 * step * (y0 - y2) / hump, 0.0)
+            vertex = np.clip(xs[j] + shift, xs[jm], xs[jp])
+            return np.max(np.stack([y1, psi(vertex, z), psi(z, z)]), axis=0)
+
+    def h(z):
+        val, low = raw(z), g(z)
+        if np.any(val < low - 1e-10):
+            raise InvariantViolation("sup-convolution fell below its input")
+        return np.maximum(val, low)
+
+    return h
 
 
 def sup_convolution(g: GFun, lam: float, z):
     """h_lam(z) = sup_x [g(x) - (1-lam)/(2 lam) (x-z)^2], pointwise.
 
-    Closed form for the analytic kinds; a search of the grid ``_PL_XS``
-    plus local refinement for generic g. Always >= g(z) since x = z
-    competes.
+    Closed form for the analytic kinds. For generic g, the grid maximum
+    over ``_PL_XS`` is max_i [a_i + b_i z] - c z^2 (a_i = g(x_i) - c x_i^2,
+    b_i = 2 c x_i), read off the upper envelope of those lines, then refined
+    by a parabola through the winning node. Always >= g(z) (x = z competes).
     """
-    if not 0.0 < lam < 1.0:
-        raise DomainError("lambda must lie strictly inside (0, 1)")
-    c = (1.0 - lam) / (2.0 * lam)
-    z_arr = np.asarray(z, dtype=float)
-    scalar = z_arr.ndim == 0
-    z_arr = np.atleast_1d(z_arr)
-    if g.kind in ("const", "linear", "quadratic"):
-        denom = g.curvature + 2.0 * c
-        if denom <= 0.0:
-            raise DomainError("sup-convolution diverges: penalty too weak")
-        h = (g.offset - c * z_arr ** 2
-             + (g.slope + 2.0 * c * z_arr) ** 2 / (2.0 * denom))
-    else:
-        h, _ = _sup_conv_generic(g, c, z_arr, _PL_XS)
-    low = g(z_arr)
-    if np.any(h < low - 1e-10):
-        raise InvariantViolation("sup-convolution fell below its input")
-    h = np.maximum(h, low)
-    return float(h[0]) if scalar else h
+    h = _sup_conv_fn(g, lam)(np.atleast_1d(np.asarray(z, dtype=float)))
+    return float(h[0]) if np.ndim(z) == 0 else h
 
 
 def _exp_integral(fn, *, tol=1e-12, center=0.0, width=1.0):
@@ -579,9 +576,8 @@ def pl_deficit_check(t: PLTriple, *, case_id: str = "",
         b_center, b_width = 0.0, 1.0
     else:
         b_center, b_width = _exponent_window(_sup_conv_quadratic(g, lam), 1.0)
-    b_val, b_err = _exp_integral(
-        lambda x: sup_convolution(g, lam, x),
-        center=b_center, width=b_width)
+    b_val, b_err = _exp_integral(_sup_conv_fn(g, lam),
+                                 center=b_center, width=b_width)
     if a_val <= 0.0 or not math.isfinite(a_val):
         raise EvaluationError("left normalization integral failed")
     scale = a_val ** (lam - 1.0)
@@ -650,7 +646,7 @@ def lambda_limit_diagnostics(g: GFun, lambdas: Optional[Sequence[float]] = None)
         a_center, a_width = _exponent_window(g, s)
         a_val, _ = _exp_integral(lambda x: g(x) * s,
                                  center=a_center, width=a_width)
-        b_val, _ = _exp_integral(lambda x: sup_convolution(g, lam, x))
+        b_val, _ = _exp_integral(_sup_conv_fn(g, lam))
         r1 = (a_val ** (1.0 - lam) - m_val) / lam
         r2 = (b_val - m_val) / lam
         lim2 = fisher_part / (2.0 * (1.0 - lam))

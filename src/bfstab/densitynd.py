@@ -476,17 +476,21 @@ def knothe_w2_bound(nu: GaussianMixtureND, *, mc_budget: int = 10 ** 6,
     ascending and descending variance order. It is W2^2 on products and on
     Gaussians. Gauss-Hermite 64/48 up to n = 2 and 20/14 at n = 3; the
     error adds 1e-12 value for rounding, above N eps value for the sum of
-    N <= 20^3 nonnegative node terms.
+    N <= 20^3 nonnegative node terms. A later R must win by more than both
+    errors, so a rounding-level tie keeps the earlier label.
     """
     orders = (64, 48) if nu.dim <= 2 else (20, 14)
     axes = np.linalg.eigh(nu.covariance())[1]
-    runs = [(_expectation(nu.rotate(q), _knothe_cost, orders, mc_budget,
-                          seed), label)
-            for label, q in (("identity", np.eye(nu.dim)),
-                             ("principal-ascending", axes.T),
-                             ("principal-descending", axes[:, ::-1].T))]
-    (value, err), label = min(runs, key=lambda run: run[0][0][0])
-    return float(value[0]), float(err[0] + 1e-12 * value[0]), label
+    best = None
+    for label, q in (("identity", np.eye(nu.dim)),
+                     ("principal-ascending", axes.T),
+                     ("principal-descending", axes[:, ::-1].T)):
+        (value,), (err,) = _expectation(nu.rotate(q), _knothe_cost, orders,
+                                        mc_budget, seed)
+        err = float(err + 1e-12 * value)
+        if best is None or value < best[0] - (err + best[1]):
+            best = (float(value), err, label)
+    return best
 
 
 def mixture_from_json(payload) -> GaussianMixtureND:

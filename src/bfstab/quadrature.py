@@ -9,8 +9,8 @@ the same loop: every panel carries a row id, each row settles against its
 own budget (the per-integral bookkeeping of QUADPACK, Piessens et al. 1983),
 and one integrand call per round covers the panels of all rows.
 ``adaptive_quad`` is its one-row case. Integrands with expensive inner
-solves (sup-convolutions, slice distances) thus see a handful of large
-batched calls instead of thousands of scalar ones.
+solves (transport-map quantile inversions, slice distances) thus see a
+handful of large batched calls instead of thousands of scalar ones.
 """
 
 from __future__ import annotations

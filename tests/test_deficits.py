@@ -13,8 +13,8 @@ from bfstab import (CapabilityError, DeficitReport, DomainError, GFun,
                     ProductFunction, lambda_limit_diagnostics, lsi_deficit,
                     pl_deficit_check, sup_convolution, verify_corollary,
                     verify_talagrand, verify_thm_main)
-from bfstab import densitynd
-from bfstab.corpus import _sin_bump, main_corpus
+from bfstab import deficits, densitynd
+from bfstab.corpus import _SIN_BUMP, _sin_bump, main_corpus
 from bfstab.deficits import _corollary_axis_quad
 
 LSI_SIGMA2 = 0.3181471805599453   # fisher/2 - entropy at sigma = 2
@@ -373,6 +373,66 @@ def test_sup_convolution_monotone_in_lambda(z, lam):
     g = GFun.from_callable(_sin_bump)
     assert (sup_convolution(g, 2.0 * lam, z)
             >= sup_convolution(g, lam, z) - 1e-12)
+
+
+_ENVELOPE_GS = {
+    "sinbump": _sin_bump,
+    "sin7": lambda x: 0.3 * np.sin(7.0 * x) * np.exp(-x * x / 10.0),
+    "zero": np.zeros_like,
+    "step": lambda x: np.where(x < 0.0, -1.0, 1.0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_ENVELOPE_GS))
+def test_sup_convolution_envelope_dominates_grid_maximum(name):
+    # h must reach the brute-force maximum over the grid and g(z) itself;
+    # each line a_i + b_i z is rounded by at most a few eps (|a_i| + |b_i z|)
+    fn = _ENVELOPE_GS[name]
+    g = GFun.from_callable(fn)
+    xs = deficits._PL_XS
+    rng = np.random.default_rng(11)
+    zs = np.concatenate([rng.uniform(-12.0, 12.0, 400), xs[::16]])
+    for lam in (1e-4, 1e-3, 0.1, 0.5, 0.9, 0.999, 0.9999):
+        c = (1.0 - lam) / (2.0 * lam)
+        h = sup_convolution(g, lam, zs)
+        brute = np.max(fn(xs) - c * (xs - zs[:, None]) ** 2, axis=1)
+        slack = 4.0 * np.finfo(float).eps * (1.0 + 3.0 * c * 144.0)
+        assert np.all(h >= brute - slack)
+        assert np.all(h >= fn(zs))
+        breaks, _ = deficits._upper_envelope(fn(xs) - c * xs * xs,
+                                             2.0 * c * xs)
+        assert np.all(np.diff(breaks) >= 0.0)
+
+
+@pytest.mark.parametrize("lam", [0.1, 0.5, 0.9])
+def test_sup_convolution_grid_allowance_covers_finer_grid(monkeypatch, lam):
+    # pl_deficit_check charges a flat 1e-7 for the grid sup-convolution; B on
+    # a 16x finer grid must stay inside it
+    def b_value():
+        return deficits._exp_integral(deficits._sup_conv_fn(_SIN_BUMP, lam))[0]
+
+    coarse = b_value()
+    fine = np.linspace(-12.0, 12.0, 16 * (deficits._PL_XS.size - 1) + 1)
+    monkeypatch.setattr(deficits, "_PL_XS", fine)
+    assert abs(b_value() - coarse) <= 1e-7
+
+
+def test_sup_convolution_envelope_built_once_per_check(monkeypatch):
+    calls = []
+    original = deficits._upper_envelope
+
+    def counted(a, b):
+        calls.append(a.size)
+        return original(a, b)
+
+    monkeypatch.setattr(deficits, "_upper_envelope", counted)
+    pl_deficit_check(PLTriple(_SIN_BUMP, 0.3))
+    assert calls == [deficits._PL_XS.size]
+    for g in (GFun.const(0.0), GFun.linear(1.0), GFun.quadratic(0.5)):
+        pl_deficit_check(PLTriple(g, 0.3))
+    assert len(calls) == 1
+    lambda_limit_diagnostics(_SIN_BUMP, (0.2, 0.1, 0.05))
+    assert len(calls) == 4
 
 
 def test_gfun_validation():

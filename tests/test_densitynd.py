@@ -1,5 +1,6 @@
 """n-dimensional mixtures: moments, slices, entropy/fisher with oracles."""
 
+import itertools
 import math
 import pickle
 
@@ -13,6 +14,7 @@ from bfstab import (ConditioningError, DomainError,
                     ProductFunction, entropy_fisher_nd, entropy_rel_gauss,
                     fisher_rel_gauss, marginal_without, mixture_from_json,
                     w2_squared_1d_full)
+from bfstab import densitynd
 from bfstab.corpus import main_corpus
 from bfstab.density1d import entropy_rel_gauss_full, fisher_rel_gauss_full
 from bfstab.densitynd import (_PROB_CEIL, _PROB_FLOOR, _integrands,
@@ -396,6 +398,33 @@ def test_knothe_bound_gaussian_closed_form(n):
     # it is one standard error of 8 Sobol replicates, which a t law with 7
     # degrees of freedom exceeds about a third of the time, so allow three
     assert abs(value - exact) <= (err if n <= 3 else 3.0 * err)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_knothe_label_ignores_rounding_level_cost_changes(monkeypatch, n):
+    # on a rotated Gaussian both principal orders give the Brenier map, so
+    # their costs tie up to rounding; nudging the three costs by 1e-14
+    # relative, in every direction, must keep the earlier label and report
+    # that rotation's own value and error
+    rng = np.random.default_rng(40 + n)
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    nu = gaussian_nd(rng.uniform(-1.0, 1.0, n),
+                     q @ np.diag(rng.uniform(0.3, 3.0, n)) @ q.T)
+    original = densitynd._expectation
+    runs = []
+
+    def nudged(*args):
+        value, err = original(*args)
+        runs.append((value * (1.0 + signs[len(runs)] * 1e-14), err))
+        return runs[-1]
+
+    monkeypatch.setattr(densitynd, "_expectation", nudged)
+    for signs in itertools.product((-1.0, 0.0, 1.0), repeat=3):
+        runs.clear()
+        value, err, label = knothe_w2_bound(nu)
+        assert label == "principal-ascending"
+        (kept,), (kept_err,) = runs[1]
+        assert (value, err) == (float(kept), float(kept_err + 1e-12 * kept))
 
 
 @pytest.mark.parametrize("case_id", ["main-2d-prod-0", "main-2d-prod-1",
