@@ -13,12 +13,10 @@ from .errors import (BfstabError, CapabilityError, ConditioningError,
                      DomainError, EvaluationError, InvariantViolation,
                      NumericalWarning, ParseError, UnderflowError)
 from .density1d import (Density1D, GaussianMixture1D, GridDensity1D,
-                        StandardGaussian, entropy_rel_gauss, fisher_rel_gauss,
-                        load_grid_csv)
-from .transport1d import (TransportMap1D, bf_distance, bf_distance_full,
-                          bregman_integral, build_map,
-                          pointwise_bregman_bound, talagrand_deficit_1d,
-                          talagrand_deficit_1d_full, w2_squared_1d,
+                        StandardGaussian, entropy_rel_gauss_full,
+                        fisher_rel_gauss_full, load_grid_csv)
+from .transport1d import (TransportMap1D, bf_distance_full,
+                          bregman_integral_full, talagrand_deficit_1d_full,
                           w2_squared_1d_full)
 from .densitynd import (GaussianMixtureND, ProductFunction,
                         entropy_fisher_nd, marginal_without,
@@ -40,12 +38,10 @@ __all__ = [
     "InvariantViolation", "NumericalWarning",
     # one-dimensional densities
     "Density1D", "GaussianMixture1D", "GridDensity1D", "StandardGaussian",
-    "entropy_rel_gauss", "fisher_rel_gauss", "load_grid_csv",
+    "entropy_rel_gauss_full", "fisher_rel_gauss_full", "load_grid_csv",
     # transport
-    "TransportMap1D", "build_map", "bf_distance", "bf_distance_full",
-    "w2_squared_1d", "w2_squared_1d_full", "talagrand_deficit_1d",
-    "talagrand_deficit_1d_full", "bregman_integral",
-    "pointwise_bregman_bound",
+    "TransportMap1D", "bf_distance_full", "w2_squared_1d_full",
+    "talagrand_deficit_1d_full", "bregman_integral_full",
     # n dimensions
     "GaussianMixtureND", "ProductFunction", "entropy_fisher_nd",
     "marginal_without", "mixture_from_json",

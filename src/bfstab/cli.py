@@ -490,13 +490,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except ParseError as exc:
-        print(f"bfstab: error: {exc}", file=sys.stderr)
-        return 1
-    except BfstabError as exc:
-        print(f"bfstab: error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (BfstabError, OSError) as exc:
         print(f"bfstab: error: {exc}", file=sys.stderr)
         return 1
 

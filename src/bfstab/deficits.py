@@ -36,9 +36,8 @@ from .errors import (CapabilityError, DomainError, EvaluationError,
                      InvariantViolation)
 from .quadrature import adaptive_quad, gh_tensor
 from .sphereopt import DnResult, dn_distance
-from .transport1d import (TransportMap1D, bf_distance_full,
-                          bregman_integral_full, gauss_distance_rows,
-                          talagrand_deficit_1d_full)
+from .transport1d import (bf_distance_full, bregman_integral_full,
+                          gauss_distance_rows, talagrand_deficit_1d_full)
 
 __all__ = [
     "DeficitReport",
@@ -318,7 +317,7 @@ def verify_talagrand(nu, *, case_id: str = "", tol: float = 1e-6,
         dist, dist_err = bf_distance_full(nu, gauss, tol=1e-10)
         lower = 0.5 * dist * dist
         err += dist * dist_err
-        breg, _ = bregman_integral_full(TransportMap1D(gauss, nu))
+        breg, _ = bregman_integral_full(nu)
         method = (f"quantile-coupling W2; d={dist:.9f}; "
                   f"bregman-chain middle={breg:.9f}")
     elif isinstance(nu, ProductFunction):

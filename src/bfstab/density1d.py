@@ -28,7 +28,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import log_ndtr, ndtr, ndtri
+from scipy.special import log_ndtr, ndtr, ndtri, ndtri_exp
 
 from .errors import DomainError, EvaluationError, ParseError, UnderflowError
 from .quadrature import QuadResult, adaptive_quad
@@ -42,9 +42,7 @@ __all__ = [
     "StandardGaussian",
     "GaussianMixture1D",
     "GridDensity1D",
-    "entropy_rel_gauss",
     "entropy_rel_gauss_full",
-    "fisher_rel_gauss",
     "fisher_rel_gauss_full",
     "load_grid_csv",
 ]
@@ -58,7 +56,10 @@ _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 # interval to that measure's own tails instead.
 WORKING_RADIUS = 10.0
 
-_TINY = 1e-300
+# Probabilities are clipped into [_PROB_FLOOR, _PROB_CEIL] before a normal
+# quantile is taken of them, so the result stays finite.
+_PROB_FLOOR = 1e-300
+_PROB_CEIL = 1.0 - 1e-16
 
 # Cap on the mixture quantile solve's iterations. Mixtures with means
 # within +-30 and stds in [1e-4, 30] took at most 22 per point, with mass
@@ -92,7 +93,7 @@ class Density1D:
         raise NotImplementedError
 
     def logpdf(self, x):
-        return np.log(np.maximum(self.pdf(x), _TINY))
+        raise NotImplementedError
 
     def score(self, x):
         """Derivative of the log-density, d log p / dx."""
@@ -102,25 +103,18 @@ class Density1D:
         raise NotImplementedError
 
     def survival(self, x):
-        return 1.0 - self.cdf(x)
+        raise NotImplementedError
 
     def quantile(self, p):
         raise NotImplementedError
 
     def quantile_sf(self, s):
         """Upper quantile from survival mass, accurate for small ``s``."""
-        return self.quantile(1.0 - np.asarray(s, dtype=float))
+        raise NotImplementedError
 
     def working_interval(self, tail_mass: float = 1e-14):
         """Interval carrying all but ``tail_mass`` of the probability."""
         raise NotImplementedError
-
-    def mean(self) -> float:
-        return _moment_quad(self, 1)
-
-    def variance(self) -> float:
-        m = self.mean()
-        return _moment_quad(self, 2) - m * m
 
 
 class StandardGaussian(Density1D):
@@ -154,12 +148,6 @@ class StandardGaussian(Density1D):
     def working_interval(self, tail_mass: float = 1e-14):
         z = float(-ndtri(tail_mass / 2.0))
         return (-z, z)
-
-    def mean(self):
-        return 0.0
-
-    def variance(self):
-        return 1.0
 
     def __repr__(self):
         return "StandardGaussian()"
@@ -340,25 +328,6 @@ def _expm1_over(d):
     return np.where(small, 1.0 + 0.5 * d, np.expm1(safe) / safe)
 
 
-def _ndtri_log(log_p):
-    """Inverse standard normal cdf from log-probability, stable deep in the tail."""
-    log_p = np.asarray(log_p, dtype=float)
-    p = np.exp(log_p)
-    out = np.empty_like(log_p)
-    ok = p > 1e-280
-    if ok.any():
-        out[ok] = ndtri(np.clip(p[ok], _TINY, 1.0 - 1e-16))
-    deep = ~ok
-    if deep.any():
-        t = np.sqrt(-2.0 * log_p[deep])
-        xx = -t + (np.log(t) + _LOG_SQRT_2PI) / t
-        for _ in range(4):
-            f = log_ndtr(xx) - log_p[deep]
-            xx = xx - f * np.exp(log_ndtr(xx) - gauss_logpdf(xx))
-        out[deep] = xx
-    return out
-
-
 class GridDensity1D(Density1D):
     """Tabulated density, log-linear between nodes, Gaussian tails.
 
@@ -530,9 +499,9 @@ class GridDensity1D(Density1D):
         if left.any():
             z0 = (self.nodes[0] - L["mean"]) / L["std"]
             target = np.log(pf[left]) - math.log(L["mass"]) + float(log_ndtr(z0))
-            out[left] = L["mean"] + L["std"] * _ndtri_log(target)
+            out[left] = L["mean"] + L["std"] * ndtri_exp(target)
         if right.any():
-            out[right] = self._tail_quantile_sf(np.maximum(1.0 - pf[right], _TINY))
+            out[right] = self._tail_quantile_sf(np.maximum(1.0 - pf[right], _PROB_FLOOR))
         if mid.any():
             jm = np.clip(j[mid], 0, self.nodes.size - 2)
             b = self._slopes[jm]
@@ -548,7 +517,7 @@ class GridDensity1D(Density1D):
         R = self.tail_policy["right"]
         z0 = (self.nodes[-1] - R["mean"]) / R["std"]
         target = np.log(s) - math.log(R["mass"]) + float(log_ndtr(-z0))
-        return R["mean"] - R["std"] * _ndtri_log(target)
+        return R["mean"] - R["std"] * ndtri_exp(target)
 
     def quantile_sf(self, s):
         s = np.asarray(s, dtype=float)
@@ -567,13 +536,6 @@ class GridDensity1D(Density1D):
         lo = float(self.quantile(np.asarray(tail_mass / 2.0)))
         hi = float(self.quantile_sf(np.asarray(tail_mass / 2.0)))
         return (min(lo, float(self.nodes[0])), max(hi, float(self.nodes[-1])))
-
-
-def _moment_quad(d: Density1D, k: int) -> float:
-    lo, hi = d.working_interval(1e-15)
-    res = adaptive_quad(lambda x: (x**k) * d.pdf(x), np.linspace(lo, hi, 9),
-                        tol_abs=1e-11)
-    return res.value
 
 
 def _breaks(lo, hi, interior=()):
@@ -645,11 +607,6 @@ def entropy_rel_gauss_full(nu: Density1D, *, tol: float = 1e-11) -> QuadResult:
                       res.evaluations, res.panels)
 
 
-def entropy_rel_gauss(nu: Density1D, *, tol: float = 1e-11) -> float:
-    """Relative entropy H(nu | gamma) >= 0."""
-    return entropy_rel_gauss_full(nu, tol=tol).value
-
-
 def fisher_rel_gauss_full(nu: Density1D, *, tol: float = 1e-11) -> QuadResult:
     """I(nu | gamma) = E_nu[(score + x)^2] with an error estimate.
 
@@ -663,11 +620,6 @@ def fisher_rel_gauss_full(nu: Density1D, *, tol: float = 1e-11) -> QuadResult:
     res = _expect(nu, fn, tol)
     return QuadResult(res.value, res.error + _tail_bound(nu, fn),
                       res.evaluations, res.panels)
-
-
-def fisher_rel_gauss(nu: Density1D, *, tol: float = 1e-11) -> float:
-    """Relative Fisher information I(nu | gamma) >= 0."""
-    return fisher_rel_gauss_full(nu, tol=tol).value
 
 
 def load_grid_csv(path) -> GridDensity1D:

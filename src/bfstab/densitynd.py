@@ -28,13 +28,12 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import solve_triangular
-from scipy.special import logsumexp, ndtr, ndtri
+from scipy.special import ndtr, ndtri
 from scipy.stats import qmc
 
-from .density1d import GaussianMixture1D
+from .density1d import _PROB_CEIL, _PROB_FLOOR, GaussianMixture1D
 from .errors import ConditioningError, DomainError, ParseError
 from .quadrature import gh_tensor
-from .transport1d import _PROB_CEIL, _PROB_FLOOR
 
 __all__ = [
     "GaussianMixtureND",
@@ -61,7 +60,7 @@ class GaussianMixtureND:
     covs:    (K, n, n) symmetric, smallest eigenvalue > 1e-10.
     """
 
-    __slots__ = ("weights", "means", "covs", "_chol", "_chol_inv", "_log_norm")
+    __slots__ = ("weights", "means", "covs", "_chol", "_chol_inv")
 
     def __init__(self, weights, means, covs):
         w = np.asarray(weights, dtype=float).reshape(-1)
@@ -92,8 +91,6 @@ class GaussianMixtureND:
         eye = np.eye(self.dim)
         self._chol_inv = np.stack([solve_triangular(low, eye, lower=True)
                                    for low in self._chol])
-        logdet = 2.0 * np.sum(np.log(np.diagonal(self._chol, axis1=1, axis2=2)), axis=1)
-        self._log_norm = -0.5 * (logdet + self.dim * _LOG_2PI)
 
     @property
     def dim(self) -> int:
@@ -103,28 +100,13 @@ class GaussianMixtureND:
     def n_components(self) -> int:
         return self.weights.shape[0]
 
-    @classmethod
-    def standard(cls, n: int) -> "GaussianMixtureND":
-        return cls([1.0], np.zeros((1, n)), np.eye(n)[None, :, :])
-
-    def _component_logpdf(self, x: np.ndarray) -> np.ndarray:
-        """(K, m) matrix of log N(x_j; m_k, S_k)."""
+    def logpdf(self, x):
+        """log p at the rows of x (m, n), through one component pass."""
         x = np.atleast_2d(np.asarray(x, dtype=float))
         if x.shape[1] != self.dim:
             raise DomainError(f"points have dim {x.shape[1]}, mixture has {self.dim}")
-        out = np.empty((self.n_components, x.shape[0]))
-        for k in range(self.n_components):
-            d = x - self.means[k]
-            y = np.linalg.solve(self._chol[k], d.T)
-            out[k] = self._log_norm[k] - 0.5 * np.sum(y * y, axis=0)
-        return out
-
-    def logpdf(self, x):
-        comp = self._component_logpdf(x)
-        return logsumexp(comp + np.log(self.weights)[:, None], axis=0)
-
-    def pdf(self, x):
-        return np.exp(self.logpdf(x))
+        _, logs = _component_pass(self, np.ascontiguousarray(x.T))
+        return _log_sum_exp(logs)[0] - 0.5 * self.dim * _LOG_2PI
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         counts = rng.multinomial(size, self.weights)
@@ -425,17 +407,17 @@ def _expectation(nu: GaussianMixtureND, integrand, orders, mc_budget: int,
     return value, np.abs(value - check) + 1e-15
 
 
-def entropy_fisher_nd(nu: GaussianMixtureND, *, order: int = _GH_ORDER,
-                      check_order: int = _GH_CHECK, mc_budget: int = 10 ** 6,
+def entropy_fisher_nd(nu: GaussianMixtureND, *, mc_budget: int = 10 ** 6,
                       seed: int = 0):
     """Ent_gamma and Fisher information of the relative density, with errors.
 
     Returns ((H, H_err), (I, I_err)) for H = E_nu[log(p/phi_n)] and
     I = int |grad f|^2 / f dgamma = E_nu[|grad log p + x|^2], both from one
-    evaluation per node set. For n <= 3 the error is the gap to the
-    ``check_order`` rule; above, the standard error of the Sobol replicates.
+    evaluation per node set. For n <= 3 the value is the Gauss-Hermite
+    rule of order _GH_ORDER and the error its gap to order _GH_CHECK;
+    above, the standard error of the Sobol replicates.
     """
-    value, err = _expectation(nu, _integrands, (order, check_order),
+    value, err = _expectation(nu, _integrands, (_GH_ORDER, _GH_CHECK),
                               mc_budget, seed)
     return tuple(zip(value.tolist(), err.tolist()))
 

@@ -1,13 +1,14 @@
 """Adaptive panel quadrature and Gauss-Hermite tensor rules.
 
 Integrands are vectorized callables (ndarray in, same-shape ndarray out). The
-adaptive integrator keeps a worklist of panels, evaluates an embedded pair of
-Gauss-Legendre rules on all active panels in a single integrand call, and
-bisects the panels whose local error exceeds a share of the budget
-proportional to panel width. ``adaptive_quad_rows`` runs many integrals in
-the same loop: every panel carries a row id, each row settles against its
-own budget (the per-integral bookkeeping of QUADPACK, Piessens et al. 1983),
-and one integrand call per round covers the panels of all rows.
+adaptive integrator keeps a worklist of panels, evaluates two Gauss-Legendre
+rules, GL10 and GL21 (they share no node), on all active panels in a single
+integrand call, takes their gap as each panel's error, and bisects the
+panels whose local error exceeds a share of the budget proportional to panel
+width. ``adaptive_quad_rows`` runs many integrals in the same loop: every
+panel carries a row id, each row settles against its own budget (the
+per-integral bookkeeping of QUADPACK, Piessens et al. 1983), and one
+integrand call per round covers the panels of all rows.
 ``adaptive_quad`` is its one-row case. Integrands with expensive inner
 solves (transport-map quantile inversions, slice distances) thus see a
 handful of large batched calls instead of thousands of scalar ones.
@@ -28,6 +29,16 @@ from .errors import DomainError, EvaluationError
 __all__ = ["QuadResult", "adaptive_quad", "adaptive_quad_rows", "gh_nodes",
            "gh_tensor"]
 
+# Gauss-Legendre orders of the check rule (_LOW) and the value rule
+# (_HIGH), and the most rounds of bisection one call runs.
+_LOW = 10
+_HIGH = 21
+_MAX_ROUNDS = 64
+# the nodes of both rules side by side, and each rule's weights
+_GL_WL = leggauss(_LOW)[1]
+_GL_WH = leggauss(_HIGH)[1]
+_GL_NODES = np.concatenate([leggauss(_LOW)[0], leggauss(_HIGH)[0]])
+
 
 @dataclass(frozen=True)
 class QuadResult:
@@ -40,14 +51,6 @@ class QuadResult:
     error: float
     evaluations: int
     panels: int
-
-
-@lru_cache(maxsize=8)
-def _gl_pair(low: int, high: int):
-    """Nodes of both rules side by side, and each rule's weights."""
-    xl, wl = leggauss(low)
-    xh, wh = leggauss(high)
-    return np.concatenate([xl, xh]), wl, wh
 
 
 def _row_sums(x, counts):
@@ -71,15 +74,14 @@ def _row_sums(x, counts):
 
 
 def adaptive_quad_rows(f, row_breakpoints, *, tol_abs: float = 1e-11,
-                       tol_rel: float = 1e-13, low: int = 10, high: int = 21,
-                       max_panels: int = 8192,
-                       max_rounds: int = 64) -> QuadResult:
+                       tol_rel: float = 1e-13,
+                       max_panels: int = 8192) -> QuadResult:
     """Integrate B integrals at once, row r over the span of its breakpoints.
 
     ``row_breakpoints`` is a (B, M) array: row r's finite entries seed its
     panels (they need not be sorted or distinct) and NaN pads shorter rows.
     ``f(x, row)`` is called once per round on the active panels of all
-    rows: x is (P, low + high), and row[i] is the row of the points x[i].
+    rows: x is (P, 31), and row[i] is the row of the points x[i].
     Each row keeps the budget max(tol_abs, tol_rel |row estimate|) and is
     settled, capped at ``max_panels`` and accepted exactly as one integral
     is (see ``adaptive_quad``), so B rows in one call give the same results
@@ -99,19 +101,17 @@ def adaptive_quad_rows(f, row_breakpoints, *, tol_abs: float = 1e-11,
     # panel ends (a, b) as rows of ab, each row's panels kept together
     ab = np.array([bp[row, col], bp[row, col + 1]])
 
-    nodes, wl, wh = _gl_pair(low, high)
-
     def eval_panels(ab, row):
-        """(2, P) array of GL(high) values and |GL(high) - GL(low)| errors."""
+        """(2, P) array of GL21 values and |GL21 - GL10| errors."""
         mid = 0.5 * (ab[0] + ab[1])[:, None]
         half = 0.5 * (ab[1] - ab[0])[:, None]
-        pts = mid + half * nodes
+        pts = mid + half * _GL_NODES
         vals = np.asarray(f(pts, row), dtype=float).reshape(pts.shape)
         if not np.isfinite(vals).all():
             raise EvaluationError("integrand returned non-finite values")
         ve = np.empty((2, pts.shape[0]))
-        vlow = np.add.reduce(vals[:, :low] * wl, axis=1) * half[:, 0]
-        np.multiply(np.add.reduce(vals[:, low:] * wh, axis=1), half[:, 0], out=ve[0])
+        vlow = np.add.reduce(vals[:, :_LOW] * _GL_WL, axis=1) * half[:, 0]
+        np.multiply(np.add.reduce(vals[:, _LOW:] * _GL_WH, axis=1), half[:, 0], out=ve[0])
         np.abs(ve[0] - vlow, out=ve[1])
         return ve
 
@@ -134,7 +134,7 @@ def adaptive_quad_rows(f, row_breakpoints, *, tol_abs: float = 1e-11,
         count[rows] = 0
         return rows[row]
 
-    for _ in range(max_rounds):
+    for _ in range(_MAX_ROUNDS):
         total = done + _row_sums(ve, count)  # estimate and error per row
         budget = np.maximum(tol_abs, tol_rel * np.abs(total[0]))
         # every panel of a row is settled once the row's total fits, and a
@@ -174,31 +174,29 @@ def adaptive_quad_rows(f, row_breakpoints, *, tol_abs: float = 1e-11,
     else:
         close(count > 0)
     # every split evaluates two new panels and adds one to the row
-    evaluations = (2 * n_panels - initial) * (low + high)
+    evaluations = (2 * n_panels - initial) * (_LOW + _HIGH)
     return QuadResult(done[0], done[1], evaluations, n_panels)
 
 
 def adaptive_quad(f, breakpoints, *, tol_abs: float = 1e-11, tol_rel: float = 1e-13,
-                  low: int = 10, high: int = 21, max_panels: int = 8192,
-                  max_rounds: int = 64) -> QuadResult:
+                  max_panels: int = 8192) -> QuadResult:
     """Integrate ``f`` from breakpoints[0] to breakpoints[-1].
 
     Interior breakpoints seed the initial panels; put known kinks there. The
-    per-panel error estimate is |GL(high) - GL(low)|; a panel is settled once
+    per-panel error estimate is |GL21 - GL10|; a panel is settled once
     its error fits its width-proportional share of the budget
     max(tol_abs, tol_rel |estimate|), and all panels are settled once the
     total fits. Raises EvaluationError (carrying the partial result) if the
     error is still above ten times the budget when ``max_panels`` or
-    ``max_rounds`` runs out. This is the one-row case of
+    _MAX_ROUNDS rounds run out. This is the one-row case of
     ``adaptive_quad_rows``.
     """
     bp = np.asarray(list(breakpoints), dtype=float)
     if not np.isfinite(bp).all():
         raise DomainError("breakpoints must be finite")
     res = adaptive_quad_rows(lambda x, row: f(x.ravel()), bp[None, :],
-                             tol_abs=tol_abs, tol_rel=tol_rel, low=low,
-                             high=high, max_panels=max_panels,
-                             max_rounds=max_rounds)
+                             tol_abs=tol_abs, tol_rel=tol_rel,
+                             max_panels=max_panels)
     return QuadResult(float(res.value[0]), float(res.error[0]),
                       int(res.evaluations[0]), int(res.panels[0]))
 
@@ -217,8 +215,6 @@ def gh_nodes(order: int):
 def gh_tensor(order: int, dim: int):
     """Tensorized Gaussian rule: nodes (order**dim, dim), weights (order**dim,)."""
     z, w = gh_nodes(order)
-    if dim == 0:
-        return np.zeros((1, 0)), np.ones(1)
     grids = np.meshgrid(*([z] * dim), indexing="ij")
     nodes = np.stack([g.ravel() for g in grids], axis=-1)
     wgrids = np.meshgrid(*([w] * dim), indexing="ij")

@@ -37,29 +37,21 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtr, ndtri
 
-from .density1d import (SQRT_2PI, Density1D, GaussianMixture1D,
-                        StandardGaussian, _expect, _measure_breaks,
-                        _tail_bound, entropy_rel_gauss_full, gauss_logpdf)
-from .errors import DomainError, InvariantViolation, NumericalWarning
+from .density1d import (_PROB_CEIL, _PROB_FLOOR, SQRT_2PI, Density1D,
+                        GaussianMixture1D, StandardGaussian, _expect,
+                        _measure_breaks, _tail_bound, entropy_rel_gauss_full,
+                        gauss_logpdf)
+from .errors import InvariantViolation, NumericalWarning
 from .quadrature import adaptive_quad, adaptive_quad_rows
 
 __all__ = [
     "TransportMap1D",
-    "build_map",
-    "bf_distance",
     "bf_distance_full",
     "gauss_distance_rows",
-    "w2_squared_1d",
     "w2_squared_1d_full",
-    "talagrand_deficit_1d",
     "talagrand_deficit_1d_full",
-    "bregman_integral",
     "bregman_integral_full",
-    "pointwise_bregman_bound",
 ]
-
-_PROB_FLOOR = 1e-300
-_PROB_CEIL = 1.0 - 1e-16
 
 
 @dataclass
@@ -85,12 +77,6 @@ class TransportMap1D:
         """T'(x) = u(x) / v(T(x)), strictly positive."""
         x = np.asarray(x, dtype=float)
         return np.exp(self.source.logpdf(x) - self.target.logpdf(self(x)))
-
-
-def build_map(mu: Density1D, nu: Density1D) -> TransportMap1D:
-    if not isinstance(mu, Density1D) or not isinstance(nu, Density1D):
-        raise DomainError("build_map expects Density1D instances")
-    return TransportMap1D(mu, nu)
 
 
 # Pre-scan of T' - 1 on this many points of the working interval; a row
@@ -184,7 +170,7 @@ def _distance_breaks(lo, hi, means, deriv):
     most 32 times), the turn is found between the neighbouring scan points
     (``_turns``); a turn past 0 is a dip across it, whose two sign changes
     are located and become breakpoints too. So every kink of |1 - T'| sits
-    on a panel edge, where the embedded Gauss-Legendre pair estimates the
+    on a panel edge, where the two Gauss-Legendre rules estimate the
     error honestly. The means inside (lo, hi) and the even 8-panel split of
     [lo, hi] are breakpoints too. Returns a (B, M) NaN-padded array for
     ``adaptive_quad_rows``.
@@ -391,7 +377,8 @@ def gauss_distance_rows(weights, means, stds, *, tol: float = 1e-9):
 
 
 def bf_distance_full(u: Density1D, v: Density1D, *, tol: float = 1e-9):
-    """Distance with error estimate: (value, error).
+    """Distance in [0, 1] with error estimate: (value, error). The value
+    is zero iff v is a translate of u.
 
     Against gamma the one directed integral has no second direction to check
     it against, so its error carries tol / 2 on top of the quadrature's
@@ -414,11 +401,6 @@ def bf_distance_full(u: Density1D, v: Density1D, *, tol: float = 1e-9):
     return value, 0.5 * (r_uv.error + r_vu.error) + 0.5 * gap
 
 
-def bf_distance(u: Density1D, v: Density1D, *, tol: float = 1e-9) -> float:
-    """Transport distance in [0, 1]; zero iff v is a translate of u."""
-    return bf_distance_full(u, v, tol=tol)[0]
-
-
 def w2_squared_1d_full(nu: Density1D, *, tol: float = 1e-10):
     """W2(nu, gamma)^2 = E_nu[(y - S(y))^2] with an error estimate.
 
@@ -435,12 +417,9 @@ def w2_squared_1d_full(nu: Density1D, *, tol: float = 1e-10):
     return res.value, res.error + _tail_bound(nu, fn)
 
 
-def w2_squared_1d(nu: Density1D, *, tol: float = 1e-10) -> float:
-    """W2(nu, gamma)^2 through the monotone coupling."""
-    return w2_squared_1d_full(nu, tol=tol)[0]
-
-
 def talagrand_deficit_1d_full(nu: Density1D, *, tol: float = 1e-10):
+    """2 H(nu | gamma) - W2(nu, gamma)^2 >= 0 with an error estimate:
+    (value, error)."""
     h = entropy_rel_gauss_full(nu, tol=tol)
     w2, w2_err = w2_squared_1d_full(nu, tol=tol)
     value = 2.0 * h.value - w2
@@ -451,23 +430,16 @@ def talagrand_deficit_1d_full(nu: Density1D, *, tol: float = 1e-10):
     return value, err
 
 
-def talagrand_deficit_1d(nu: Density1D, *, tol: float = 1e-10) -> float:
-    """2 H(nu | gamma) - W2(nu, gamma)^2 >= 0."""
-    return talagrand_deficit_1d_full(nu, tol=tol)[0]
-
-
-def bregman_integral_full(tmap: TransportMap1D, *, tol: float = 1e-11):
-    """int (T' - 1 - log T') dgamma for a map T with source gamma: (value, error).
+def bregman_integral_full(u: Density1D, *, tol: float = 1e-11):
+    """int (T' - 1 - log T') dgamma >= 0 for the monotone map T pushing
+    gamma to u: (value, error).
 
     Substituting y = T(x) moves the integral to the target u:
     int (phi(S) - u + u log S') dy with S = T^{-1} = Phi^{-1} o F_u and
     log S' = log u - log phi(S). T' = 1/S' is never formed: it overflows
     between separated modes of u.
     """
-    if not isinstance(tmap.source, StandardGaussian):
-        raise DomainError("bregman_integral requires a map with source gamma")
-    u = tmap.target
-    smap = TransportMap1D(u, tmap.source)
+    smap = TransportMap1D(u, StandardGaussian())
 
     def g(y):
         log_u = u.logpdf(y)
@@ -477,18 +449,3 @@ def bregman_integral_full(tmap: TransportMap1D, *, tol: float = 1e-11):
 
     res = adaptive_quad(g, _measure_breaks(u), tol_abs=tol, tol_rel=1e-12)
     return max(res.value, 0.0), res.error  # the integrand is >= 0
-
-
-def bregman_integral(tmap: TransportMap1D, *, tol: float = 1e-11) -> float:
-    """int (T' - 1 - log T') dgamma >= 0 for maps with source gamma."""
-    return bregman_integral_full(tmap, tol=tol)[0]
-
-
-def pointwise_bregman_bound(s):
-    """(s - 1 - log s, 0.5 ((1-s)/max(1,s))^2); the first dominates the second."""
-    s = np.asarray(s, dtype=float)
-    if np.any(s <= 0.0) or np.any(~np.isfinite(s)):
-        raise DomainError("pointwise bound is defined for finite s > 0")
-    lhs = s - 1.0 - np.log(s)
-    r = (1.0 - s) / np.maximum(1.0, s)
-    return lhs, 0.5 * r * r

@@ -195,6 +195,38 @@ def test_density_file_factors_must_be_a_list(tmp_path, capsys, factors):
                                        "must be a non-empty list")
 
 
+@pytest.mark.parametrize("argv", [
+    ["deficit", "--measure", "gauss:a,1"],
+    ["deficit", "--measure", "mix:[0,0,1]"],
+    ["deficit", "--measure", "file:{bad_json}"],
+    ["pl-check", "--g", "linear:", "--lam", "0.5"],
+    ["pl-check", "--g", "quad:1,2,3,4", "--lam", "0.5"],
+    ["deficit", "--theorem", "pl"],
+    ["deficit"],
+    ["sweep", "--kind", "sigma", "--values", ","],
+])
+def test_malformed_inputs_are_usage_errors(tmp_path, capsys, argv):
+    bad_json = tmp_path / "bad.json"
+    bad_json.write_text("{not json")
+    argv = [a.format(bad_json=bad_json) for a in argv]
+    code, out, err = run_cli(capsys, *argv)
+    assert_usage_error(code, out, err, "bfstab: error: ")
+
+
+def test_one_dimensional_covs_file_matches_mix_spec(tmp_path, capsys):
+    path = tmp_path / "mix1d.json"
+    path.write_text(json.dumps({"weights": [0.3, 0.7],
+                                "means": [[-1.0], [1.2]],
+                                "covs": [[[0.5]], [[2.0]]]}))
+    outputs = []
+    for spec in (f"file:{path}", "mix:[0.3,-1,0.5;0.7,1.2,2]"):
+        code, out, _ = run_cli(capsys, "deficit", "--measure", spec,
+                               "--format", "csv")
+        assert code == 0, spec
+        outputs.append(out)
+    assert outputs[0] == outputs[1]
+
+
 NARROW_MODES = "mix:[0.5,-8,0.0025;0.5,8,0.0025]"
 
 
@@ -564,6 +596,26 @@ def test_atomic_write_leaves_no_temp_files(tmp_path, capsys):
     assert code == 0
     assert json.loads(out.read_text())["value"] < 1e-9
     assert os.listdir(tmp_path) == ["res.json"]
+
+
+def test_out_into_missing_directory_is_an_error(tmp_path, capsys):
+    out = tmp_path / "missing" / "res.json"
+    code, stdout, err = run_cli(capsys, "distance", "--u", "gauss:0,1",
+                                "--v", "gauss:0,1", "--out", str(out))
+    assert_usage_error(code, stdout, err, "bfstab: error: ")
+    assert os.listdir(tmp_path) == []
+
+
+def test_out_naming_a_directory_is_an_error(tmp_path, capsys):
+    # the report is written to a temporary file that cannot replace a
+    # directory; the temporary file is removed
+    out = tmp_path / "res"
+    out.mkdir()
+    code, stdout, err = run_cli(capsys, "distance", "--u", "gauss:0,1",
+                                "--v", "gauss:0,1", "--out", str(out))
+    assert_usage_error(code, stdout, err, "bfstab: error: ")
+    assert os.listdir(tmp_path) == ["res"]
+    assert os.listdir(out) == []
 
 
 def test_csv_single_report(capsys):

@@ -10,7 +10,8 @@ from scipy.special import ndtri
 
 from bfstab import (ConditioningError, DomainError, GaussianMixture1D,
                     GridDensity1D, ParseError, StandardGaussian,
-                    entropy_rel_gauss, fisher_rel_gauss, load_grid_csv)
+                    entropy_rel_gauss_full, fisher_rel_gauss_full,
+                    load_grid_csv)
 
 GAUSS = StandardGaussian()
 
@@ -203,7 +204,7 @@ def test_mixture_validation_errors():
 
 def test_entropy_closed_form_scaled_gaussian():
     nu = GaussianMixture1D([1.0], [0.0], [2.0])
-    assert abs(entropy_rel_gauss(nu) - ENTROPY_SIGMA2) < 1e-12
+    assert abs(entropy_rel_gauss_full(nu).value - ENTROPY_SIGMA2) < 1e-12
 
 
 def test_entropy_closed_form_shifted():
@@ -211,7 +212,7 @@ def test_entropy_closed_form_shifted():
     for a, s in ((0.3, 1.0), (-1.0, 0.5), (2.0, 1.7)):
         nu = GaussianMixture1D([1.0], [a], [s])
         ref = 0.5 * (a * a + s * s - 1.0 - math.log(s * s))
-        assert abs(entropy_rel_gauss(nu) - ref) < 1e-11
+        assert abs(entropy_rel_gauss_full(nu).value - ref) < 1e-11
 
 
 def test_entropy_mixture_against_scipy_quad():
@@ -221,12 +222,12 @@ def test_entropy_mixture_against_scipy_quad():
         return mix.pdf(x) * (mix.logpdf(x) - GAUSS.logpdf(x))
 
     ref, err = integrate.quad(integrand, -40, 40, limit=300)
-    assert abs(entropy_rel_gauss(mix) - ref) < 1e-9 + err
+    assert abs(entropy_rel_gauss_full(mix).value - ref) < 1e-9 + err
 
 
 def test_fisher_closed_form_scaled_gaussian():
     nu = GaussianMixture1D([1.0], [0.0], [2.0])
-    assert abs(fisher_rel_gauss(nu) - FISHER_SIGMA2) < 1e-11
+    assert abs(fisher_rel_gauss_full(nu).value - FISHER_SIGMA2) < 1e-11
 
 
 def test_fisher_mixture_against_scipy_quad():
@@ -241,7 +242,7 @@ def test_fisher_mixture_against_scipy_quad():
         return (dp / p + x) ** 2 * p
 
     ref, err = integrate.quad(integrand, -30, 30, limit=300)
-    assert abs(fisher_rel_gauss(mix) - ref) < 1e-8 + err
+    assert abs(fisher_rel_gauss_full(mix).value - ref) < 1e-8 + err
 
 
 # ---------------------------------------------------------------------------
@@ -296,3 +297,58 @@ def test_load_grid_csv_error_diagnostics(tmp_path):
     path.write_text("wrong,header\n")
     with pytest.raises(ParseError, match="header"):
         load_grid_csv(path)
+
+
+@pytest.mark.parametrize("body,match", [
+    ("0.0,0.1\n1.0,0.2,0.3\n2.0,0.1\n", "line 3: expected 2 fields, got 3"),
+    ("0.0,0.1\n1.0,inf\n2.0,0.1\n", "line 3: non-finite value"),
+    ("0.0,0.1\n", "need at least 2 data rows"),
+    ("0.0,0.1\n1.0,0.2\n1.0,0.1\n", "strictly increasing"),
+])
+def test_load_grid_csv_malformed_rows(tmp_path, body, match):
+    path = tmp_path / "bad.csv"
+    path.write_text("x,density\n" + body)
+    with pytest.raises(ParseError, match=match) as exc:
+        load_grid_csv(path)
+    assert str(exc.value).startswith(f"{path}: ")
+    if match == "strictly increasing":
+        # the grid's own check, re-raised with the file name
+        assert isinstance(exc.value.__cause__, DomainError)
+
+
+def test_load_grid_csv_skips_blank_lines(tmp_path):
+    rows = "-1.0,0.2\n0.0,0.4\n1.0,0.2\n"
+    plain, blank = tmp_path / "plain.csv", tmp_path / "blank.csv"
+    plain.write_text("x,density\n" + rows)
+    blank.write_text("x,density\n\n" + rows.replace("\n", "\n   \n", 1))
+    a, b = load_grid_csv(plain), load_grid_csv(blank)
+    assert np.array_equal(a.nodes, b.nodes)
+    assert np.array_equal(a.values, b.values)
+
+
+# ---------------------------------------------------------------------------
+# probability guards and the deep tail
+
+
+def _three_densities():
+    xs, vals = _gaussian_grid()
+    return [GAUSS, mixtures()[2], GridDensity1D(xs, vals)]
+
+
+@pytest.mark.parametrize("d", _three_densities(),
+                         ids=["gauss", "mixture", "grid"])
+@pytest.mark.parametrize("method", ["quantile", "quantile_sf"])
+@pytest.mark.parametrize("p", [0.0, 1.0, math.nan])
+def test_quantiles_reject_probabilities_outside_open_interval(d, method, p):
+    with pytest.raises(DomainError, match="strictly in"):
+        getattr(d, method)(p)
+    with pytest.raises(DomainError, match="strictly in"):
+        getattr(d, method)(np.array([0.5, p]))
+
+
+@pytest.mark.parametrize("p", [1e-300, 1e-200, 1e-20])
+def test_grid_deep_tail_quantiles_invert_cdf_and_survival(p):
+    d = _three_densities()[2]
+    for quantile, mass in ((d.quantile, d.cdf), (d.quantile_sf, d.survival)):
+        back = float(mass(np.array([quantile(p)]))[0])
+        assert abs(math.log(back) - math.log(p)) <= 1e-12 * abs(math.log(p))

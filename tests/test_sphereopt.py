@@ -7,7 +7,7 @@ import pytest
 from scipy.optimize import minimize, rosen
 
 from bfstab import (DomainError, GaussianMixture1D, GaussianMixtureND,
-                    ProductFunction, bf_distance, StandardGaussian,
+                    ProductFunction, bf_distance_full, StandardGaussian,
                     dn_distance, verify_thm_main)
 from bfstab.corpus import main_corpus
 from bfstab.densitynd import canonical_directions, marginal_parameters
@@ -111,7 +111,7 @@ def test_certificate_matches_marginal_distance():
     v = res.argmax
     marg = GaussianMixture1D(nu.weights, nu.means @ v,
                              np.sqrt(np.einsum("a,kab,b->k", v, nu.covs, v)))
-    ref = bf_distance(marg, StandardGaussian())
+    ref = bf_distance_full(marg, StandardGaussian())[0]
     assert abs(res.value - ref) < 1e-9
     assert res.value_error < 1e-8
 

@@ -11,18 +11,15 @@ from scipy import integrate, stats
 from scipy.optimize import brentq
 from scipy.special import ndtr, ndtri
 
-from bfstab import (DomainError, GaussianMixture1D, GaussianMixtureND,
-                    StandardGaussian, bf_distance, bf_distance_full,
-                    bregman_integral, build_map, pointwise_bregman_bound,
-                    talagrand_deficit_1d, talagrand_deficit_1d_full,
-                    w2_squared_1d)
+from bfstab import (GaussianMixture1D, GaussianMixtureND, StandardGaussian,
+                    TransportMap1D, bf_distance_full, bregman_integral_full,
+                    talagrand_deficit_1d_full, w2_squared_1d_full)
 from bfstab import transport1d
 from bfstab.corpus import main_corpus
 from bfstab.density1d import gauss_logpdf
 from bfstab.densitynd import conditional_slice_batch
 from bfstab.transport1d import (_component_sum, _directed_distance,
-                                _rows_deriv_pdf, bregman_integral_full,
-                                gauss_distance_rows)
+                                _rows_deriv_pdf, gauss_distance_rows)
 
 GAUSS = StandardGaussian()
 
@@ -62,7 +59,7 @@ def small_mixtures():
 
 
 def test_map_between_gaussians_is_affine():
-    t = build_map(scaled(2.0, 1.0), GAUSS)
+    t = TransportMap1D(scaled(2.0, 1.0), GAUSS)
     xs = np.linspace(-5, 7, 25)
     assert np.allclose(t(xs), (xs - 1.0) / 2.0, atol=1e-10)
     assert np.allclose(t.deriv(xs), 0.5, atol=1e-10)
@@ -70,7 +67,7 @@ def test_map_between_gaussians_is_affine():
 
 def test_map_derivative_is_density_ratio_not_difference():
     mu, nu = mixture_pool()[0], mixture_pool()[2]
-    t = build_map(mu, nu)
+    t = TransportMap1D(mu, nu)
     xs = np.linspace(-4, 4, 17)
     assert np.allclose(t.deriv(xs), mu.pdf(xs) / nu.pdf(t(xs)), rtol=1e-9)
 
@@ -78,7 +75,7 @@ def test_map_derivative_is_density_ratio_not_difference():
 def test_pushforward_moment_identity():
     # E_nu[y] = E_mu[T(x)] for T pushing mu to nu
     mu, nu = mixture_pool()[2], mixture_pool()[0]
-    t = build_map(mu, nu)
+    t = TransportMap1D(mu, nu)
     val, err = integrate.quad(lambda x: t(x) * mu.pdf(x), -30, 30, limit=300)
     assert abs(val - nu.mean()) < 1e-6 + err
 
@@ -90,7 +87,7 @@ def test_pushforward_moment_identity():
 @pytest.mark.parametrize("s", [0.25, 0.5, 2.0, 4.0])
 def test_distance_scaled_gaussian_closed_form(s):
     ref = abs(s - 1.0) / max(1.0, s)
-    assert abs(bf_distance(scaled(s), GAUSS) - ref) < 1e-9
+    assert abs(bf_distance_full(scaled(s), GAUSS)[0] - ref) < 1e-9
 
 
 def test_distance_sigma2_frozen():
@@ -101,7 +98,7 @@ def test_distance_sigma2_frozen():
 
 def test_distance_translates_vanish():
     for a in (-2.0, 0.5, 3.0):
-        assert bf_distance(scaled(1.0, a), GAUSS) < 1e-9
+        assert bf_distance_full(scaled(1.0, a), GAUSS)[0] < 1e-9
 
 
 def test_distance_mixture_against_scipy_oracle():
@@ -198,27 +195,29 @@ def test_distance_error_covers_kinks(case, tol):
 
 
 def test_distance_bounds():
-    assert 0.0 <= bf_distance(scaled(50.0), GAUSS) <= 1.0
-    assert bf_distance(scaled(50.0), GAUSS) > 0.97
+    assert 0.0 <= bf_distance_full(scaled(50.0), GAUSS)[0] <= 1.0
+    assert bf_distance_full(scaled(50.0), GAUSS)[0] > 0.97
 
 
 @given(small_mixtures(), small_mixtures())
 @settings(max_examples=15)
 def test_distance_symmetry(u, v):
-    assert abs(bf_distance(u, v) - bf_distance(v, u)) < 1e-7
+    assert abs(bf_distance_full(u, v)[0] - bf_distance_full(v, u)[0]) < 1e-7
 
 
 @given(small_mixtures(), small_mixtures(), small_mixtures())
 @settings(max_examples=10)
 def test_distance_triangle(u, v, w):
-    assert bf_distance(u, w) <= bf_distance(u, v) + bf_distance(v, w) + 1e-7
+    assert bf_distance_full(u, w)[0] <= (bf_distance_full(u, v)[0]
+                                         + bf_distance_full(v, w)[0] + 1e-7)
 
 
 @given(small_mixtures(), st.floats(-2.0, 2.0))
 @settings(max_examples=15)
 def test_distance_translation_invariant(u, a):
     shifted = GaussianMixture1D(u.weights, u.means + a, u.stds)
-    assert abs(bf_distance(u, GAUSS) - bf_distance(shifted, GAUSS)) < 1e-7
+    assert abs(bf_distance_full(u, GAUSS)[0]
+               - bf_distance_full(shifted, GAUSS)[0]) < 1e-7
 
 
 def test_row_kernel_matches_per_row_distance():
@@ -239,7 +238,8 @@ def test_row_kernel_matches_per_row_distance():
     two = first.mixture(0)
     assert two.weights.size == 2
     lo, hi = two.working_interval(1e-15)
-    sgn = np.sign(build_map(two, GAUSS).deriv(np.linspace(lo, hi, 257)) - 1.0)
+    sgn = np.sign(TransportMap1D(two, GAUSS).deriv(np.linspace(lo, hi, 257))
+                  - 1.0)
     assert 1 <= np.count_nonzero(sgn[:-1] * sgn[1:] < 0) <= 32
 
     value, error = gauss_distance_rows(weights, means, stds, tol=1e-9)
@@ -531,9 +531,9 @@ def test_gamma_side_quantities_invert_no_quantile(monkeypatch):
         value, _ = bf_distance_full(mix, GAUSS)
         assert bf_distance_full(GAUSS, mix)[0] == value
         talagrand_deficit_1d_full(mix)
-        bregman_integral_full(build_map(GAUSS, mix))
-    assert abs(bf_distance(narrow, GAUSS) - 0.876859) < 1e-6
-    assert abs(bregman_integral(build_map(GAUSS, apart)) - 1.65619) < 1e-4
+        bregman_integral_full(mix)
+    assert abs(bf_distance_full(narrow, GAUSS)[0] - 0.876859) < 1e-6
+    assert abs(bregman_integral_full(apart)[0] - 1.65619) < 1e-4
 
 
 # ---------------------------------------------------------------------------
@@ -554,7 +554,7 @@ def test_talagrand_deficit_gaussian_within_error(m, s):
 def test_w2_gaussian_closed_form(a, s):
     # W2^2(N(a, s^2), gamma) = a^2 + (s - 1)^2
     ref = a * a + (s - 1.0) ** 2
-    assert abs(w2_squared_1d(scaled(s, a)) - ref) < 1e-9
+    assert abs(w2_squared_1d_full(scaled(s, a))[0] - ref) < 1e-9
 
 
 def test_w2_mixture_against_scipy_oracle():
@@ -571,16 +571,16 @@ def test_w2_mixture_against_scipy_oracle():
         return (quantile(p) - ndtri(p)) ** 2
 
     ref, err = integrate.quad(integrand, 1e-10, 1 - 1e-10, limit=400)
-    assert abs(w2_squared_1d(mix) - ref) < 1e-6 + err
+    assert abs(w2_squared_1d_full(mix)[0] - ref) < 1e-6 + err
 
 
 def test_talagrand_sigma2_frozen():
-    assert abs(talagrand_deficit_1d(scaled(2.0)) - TAL_SIGMA2) < 1e-9
+    assert abs(talagrand_deficit_1d_full(scaled(2.0))[0] - TAL_SIGMA2) < 1e-9
 
 
 def test_talagrand_nonnegative_on_pool():
     for mix in mixture_pool():
-        assert talagrand_deficit_1d(mix) >= -1e-9
+        assert talagrand_deficit_1d_full(mix)[0] >= -1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -588,31 +588,33 @@ def test_talagrand_nonnegative_on_pool():
 
 
 def test_bregman_sigma2_frozen():
-    t = build_map(GAUSS, scaled(2.0))
-    assert abs(bregman_integral(t) - BREGMAN_SIGMA2) < 1e-8
+    assert abs(bregman_integral_full(scaled(2.0))[0] - BREGMAN_SIGMA2) < 1e-8
 
 
 @pytest.mark.parametrize("s", [0.05, 0.1, 0.2, 0.5, 2.0, 5.0, 10.0, 50.0])
 def test_bregman_scaled_gaussian_closed_form(s):
     # T(x) = s x, so the integrand is the constant s - 1 - ln s
-    value, err = bregman_integral_full(build_map(GAUSS, scaled(s)))
+    value, err = bregman_integral_full(scaled(s))
     ref = s - 1.0 - math.log(s)
     assert abs(value - ref) <= err + 1e-15 * ref
-
-
-def test_bregman_requires_gamma_source():
-    with pytest.raises(DomainError):
-        bregman_integral(build_map(scaled(2.0), GAUSS))
 
 
 def test_bregman_chain_orders_on_pool():
     # 2H - W2^2 >= int Bregman dgamma >= d^2 / 2
     for mix in mixture_pool():
-        tal = talagrand_deficit_1d(mix)
-        mid = bregman_integral(build_map(GAUSS, mix))
-        d = bf_distance(mix, GAUSS)
+        tal = talagrand_deficit_1d_full(mix)[0]
+        mid = bregman_integral_full(mix)[0]
+        d = bf_distance_full(mix, GAUSS)[0]
         assert tal >= mid - 1e-8
         assert mid >= 0.5 * d * d - 1e-8
+
+
+def pointwise_bregman_bound(s):
+    """(s - 1 - log s, 0.5 ((1 - s) / max(1, s))^2): the Bregman integrand
+    and the distance integrand it dominates, at T' = s."""
+    s = np.asarray(s, dtype=float)
+    r = (1.0 - s) / np.maximum(1.0, s)
+    return s - 1.0 - np.log(s), 0.5 * r * r
 
 
 def test_pointwise_bound_key_values():
@@ -628,10 +630,3 @@ def test_pointwise_bound_key_values():
 def test_pointwise_bound_dominates(logs):
     lhs, rhs = pointwise_bregman_bound(math.exp(logs))
     assert lhs - rhs >= -1e-14
-
-
-def test_pointwise_bound_domain():
-    with pytest.raises(DomainError):
-        pointwise_bregman_bound(0.0)
-    with pytest.raises(DomainError):
-        pointwise_bregman_bound(np.array([1.0, -2.0]))
