@@ -266,9 +266,8 @@ def _cmd_distance(args) -> int:
         if not isinstance(d, Density1D):
             raise ParseError(f"{name}: the distance command works on 1-D "
                              "densities; use 'deficit --theorem main' for d_n")
-    tol = 1e-9 if args.tol is None else args.tol
-    value, err = bf_distance_full(u, v, tol=tol)
-    config = {"u": args.u, "v": args.v, "tol": tol}
+    value, err = bf_distance_full(u, v, tol=args.tol)
+    config = {"u": args.u, "v": args.v, "tol": args.tol}
     if args.format == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
@@ -421,10 +420,14 @@ def _add_common(p):
                    help="Monte Carlo budget for high-dimensional stages")
     p.add_argument("--directions", type=_positive_int, default=None,
                    help="coarse sphere-lattice size override")
-    p.add_argument("--format", choices=("json", "csv"), default="json")
-    p.add_argument("--out", default=None, help="output path (atomic write)")
+    _add_output(p)
     p.add_argument("--case-id", dest="case_id", default="cli",
                    help="identifier stamped into single-case reports")
+
+
+def _add_output(p):
+    p.add_argument("--format", choices=("json", "csv"), default="json")
+    p.add_argument("--out", default=None, help="output path (atomic write)")
 
 
 def build_parser() -> _Parser:
@@ -438,7 +441,9 @@ def build_parser() -> _Parser:
                                         "1-D densities")
     p.add_argument("--u", required=True, help="first density spec")
     p.add_argument("--v", required=True, help="second density spec")
-    _add_common(p)
+    p.add_argument("--tol", type=_tolerance, default=1e-9,
+                   help="quadrature tolerance of the distance (default 1e-9)")
+    _add_output(p)
     p.set_defaults(fn=_cmd_distance)
 
     p = sub.add_parser("deficit", help="verify one inequality on one measure")

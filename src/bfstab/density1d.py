@@ -15,8 +15,9 @@ Densities come in three concrete flavors:
   bracket [min_k, max_k] (m_k + s_k z). On that Gaussian scale both tails
   keep relative accuracy, the upper one through the survival side.
 * ``GridDensity1D``: strictly positive tabulated densities, log-linear
-  between nodes with matched Gaussian tails; cdf and quantile are closed-form
-  per panel, so no iteration is ever needed.
+  between nodes, with a Gaussian tail on each side matched in value and
+  log-slope at the end node; cdf and quantile are closed-form per piece, so
+  no iteration is ever needed.
 
 Regularity beyond positivity (continuity, a differentiable log-density,
 normalization) is the caller's responsibility; constructors validate only
@@ -331,18 +332,29 @@ def _expm1_over(d):
 class GridDensity1D(Density1D):
     """Tabulated density, log-linear between nodes, Gaussian tails.
 
-    Tail policy per side stores matched (mean, std, mass). The std comes from
-    the one-sided curvature of log-density at the boundary (quadratic fit
-    through the three outermost nodes, fallback 1.0 when the fit is not
-    concave), the mean from matching the boundary log-slope, the amplitude
-    from continuity. The density is normalized at construction and the
-    constant divided out is recorded in ``norm_constant``; the interpolant is
-    an exponential of a piecewise-linear function, hence positive everywhere.
-    Panel masses, cdf and quantile are closed-form.
+    The density is a table of N + 1 pieces over the N nodes x_0 < ... <
+    x_{N-1}. Piece 0 is the left tail (-inf, x_0), piece i = 1..N-1 the
+    panel [x_{i-1}, x_i), piece N the right tail [x_{N-1}, inf), and x lies
+    in piece searchsorted(nodes, x, side="right"). On each piece
+
+        log p(x) = lv + u (slope - curv u / 2),  u = (x - anchor) / scale,
+
+    and the score is slope - curv (x - anchor) / scale^2. A panel has its
+    left node as anchor, scale 1, that node's log value and the panel's
+    log-slope, and curv 0. A tail is exp(log_amp) times the unnormalized
+    N(mean, std^2): anchor mean, scale std, lv log_amp, slope 0 and curv 1.
+    Its std comes from the one-sided curvature of the log-density at the
+    end node (quadratic fit through the three outermost nodes, fallback 1.0
+    when the fit is not concave), its mean from matching the edge panel's
+    log-slope at the end node, its amplitude from continuity there. The
+    density is normalized at construction and the constant divided out is
+    recorded in ``norm_constant``; it is positive everywhere. Panel masses,
+    cdf and quantile are closed-form.
     """
 
-    __slots__ = ("nodes", "values", "log_values", "_slopes", "_panel_mass",
-                 "_cum", "tail_policy", "norm_constant")
+    __slots__ = ("nodes", "values", "norm_constant", "_anchor", "_scale",
+                 "_scale2", "_lv", "_slope", "_curv", "_cum", "_tail_mass",
+                 "_tail_log_phi")
 
     def __init__(self, nodes, values):
         x = np.asarray(nodes, dtype=float).ravel().copy()
@@ -361,13 +373,8 @@ class GridDensity1D(Density1D):
         slopes = np.diff(logv) / h
         panel_mass = v[:-1] * h * _expm1_over(np.diff(logv))
 
-        def tail_params(side: str):
-            if side == "left":
-                xs, ls = x[:3], logv[:3]
-                x0, v0, edge_slope = float(x[0]), float(v[0]), float(slopes[0])
-            else:
-                xs, ls = x[-3:], logv[-3:]
-                x0, v0, edge_slope = float(x[-1]), float(v[-1]), float(slopes[-1])
+        def tail(xs, ls, x0, v0, edge_slope, sign):
+            """(mean, std, log_amp, log Phi(sign z0), mass) of one tail."""
             std = 1.0
             if xs.size >= 3:
                 c2 = float(np.polyfit(xs, ls, 2)[0])
@@ -376,56 +383,45 @@ class GridDensity1D(Density1D):
             mean = x0 + edge_slope * std * std
             z0 = (x0 - mean) / std
             log_amp = math.log(v0) + 0.5 * z0 * z0
-            tail_ln = float(log_ndtr(z0)) if side == "left" else float(log_ndtr(-z0))
-            mass = math.exp(log_amp + math.log(std * SQRT_2PI) + tail_ln)
-            return {"mean": mean, "std": std, "log_amp": log_amp, "mass": mass}
+            log_phi = float(log_ndtr(sign * z0))
+            mass = math.exp(log_amp + math.log(std * SQRT_2PI) + log_phi)
+            return mean, std, log_amp, log_phi, mass
 
-        left = tail_params("left")
-        right = tail_params("right")
-        total = left["mass"] + float(panel_mass.sum()) + right["mass"]
+        mean_l, std_l, amp_l, phi_l, mass_l = tail(
+            x[:3], logv[:3], float(x[0]), float(v[0]), float(slopes[0]), 1.0)
+        mean_r, std_r, amp_r, phi_r, mass_r = tail(
+            x[-3:], logv[-3:], float(x[-1]), float(v[-1]), float(slopes[-1]),
+            -1.0)
+        total = mass_l + float(panel_mass.sum()) + mass_r
         if not (math.isfinite(total) and total > 0.0):
             raise UnderflowError("grid density mass is not a positive finite number")
 
-        v = v / total
-        logv = logv - math.log(total)
-        panel_mass = panel_mass / total
-        for side in (left, right):
-            side["mass"] /= total
-            side["log_amp"] -= math.log(total)
-
+        log_total = math.log(total)
+        ones = np.ones(x.size - 1)
         self.nodes = x
-        self.values = v
-        self.log_values = logv
-        self._slopes = slopes
-        self._panel_mass = panel_mass
-        self._cum = left["mass"] + np.concatenate([[0.0], np.cumsum(panel_mass)])
-        self.tail_policy = {"left": left, "right": right}
+        self.values = v / total
         self.norm_constant = total
-        for arr in (self.nodes, self.values, self.log_values, self._slopes,
-                    self._panel_mass, self._cum):
+        self._anchor = np.concatenate([[mean_l], x[:-1], [mean_r]])
+        self._scale = np.concatenate([[std_l], ones, [std_r]])
+        self._scale2 = np.concatenate([[std_l ** 2], ones, [std_r ** 2]])
+        self._lv = np.concatenate([[amp_l - log_total], (logv - log_total)[:-1],
+                                   [amp_r - log_total]])
+        self._slope = np.concatenate([[0.0], slopes, [0.0]])
+        self._curv = np.concatenate([[1.0], np.zeros(x.size - 1), [1.0]])
+        self._cum = mass_l / total + np.concatenate(
+            [[0.0], np.cumsum(panel_mass / total)])
+        self._tail_mass = (mass_l / total, mass_r / total)
+        self._tail_log_phi = (phi_l, phi_r)
+        for arr in (self.nodes, self.values, self._anchor, self._scale,
+                    self._scale2, self._lv, self._slope, self._curv,
+                    self._cum):
             arr.setflags(write=False)
-
-    def _locate(self, x):
-        return np.searchsorted(self.nodes, x, side="right") - 1
 
     def logpdf(self, x):
         x = np.asarray(x, dtype=float)
-        idx = self._locate(x)
-        out = np.empty_like(x, dtype=float)
-        L, R = self.tail_policy["left"], self.tail_policy["right"]
-        left = idx < 0
-        right = idx >= self.nodes.size - 1
-        mid = ~(left | right)
-        if left.any():
-            zl = (x[left] - L["mean"]) / L["std"]
-            out[left] = L["log_amp"] - 0.5 * zl * zl
-        if right.any():
-            zr = (x[right] - R["mean"]) / R["std"]
-            out[right] = R["log_amp"] - 0.5 * zr * zr
-        if mid.any():
-            jm = idx[mid]
-            out[mid] = self.log_values[jm] + self._slopes[jm] * (x[mid] - self.nodes[jm])
-        return out
+        i = np.searchsorted(self.nodes, x, side="right")
+        u = (x - self._anchor[i]) / self._scale[i]
+        return self._lv[i] + u * (self._slope[i] - 0.5 * self._curv[i] * u)
 
     def pdf(self, x):
         return np.exp(self.logpdf(x))
@@ -433,57 +429,38 @@ class GridDensity1D(Density1D):
     def score(self, x):
         """Piecewise log-slope; jumps at the nodes."""
         x = np.asarray(x, dtype=float)
-        idx = self._locate(x)
-        dlog = np.empty_like(x, dtype=float)
-        L, R = self.tail_policy["left"], self.tail_policy["right"]
-        left = idx < 0
-        right = idx >= self.nodes.size - 1
+        i = np.searchsorted(self.nodes, x, side="right")
+        return self._slope[i] - self._curv[i] * (x - self._anchor[i]) / self._scale2[i]
+
+    def _masses(self, x):
+        """(m, right): m = F(x) off the right tail and 1 - F(x) on it, where
+        the mask ``right`` holds; each point is located once."""
+        i = np.searchsorted(self.nodes, x, side="right")
+        left = i == 0
+        right = i == self.nodes.size
         mid = ~(left | right)
+        out = np.empty_like(x)
         if left.any():
-            dlog[left] = -(x[left] - L["mean"]) / L["std"] ** 2
+            zl = (x[left] - self._anchor[0]) / self._scale[0]
+            out[left] = self._tail_mass[0] * np.exp(log_ndtr(zl) - self._tail_log_phi[0])
         if right.any():
-            dlog[right] = -(x[right] - R["mean"]) / R["std"] ** 2
+            zr = (x[right] - self._anchor[-1]) / self._scale[-1]
+            out[right] = self._tail_mass[1] * np.exp(log_ndtr(-zr) - self._tail_log_phi[1])
         if mid.any():
-            dlog[mid] = self._slopes[idx[mid]]
-        return dlog
+            k = i[mid]
+            dx = x[mid] - self._anchor[k]
+            out[mid] = self._cum[k - 1] + self.values[k - 1] * dx * _expm1_over(self._slope[k] * dx)
+        return out, right
 
     def cdf(self, x):
-        x = np.asarray(x, dtype=float)
-        idx = self._locate(x)
-        out = np.empty_like(x, dtype=float)
-        L, R = self.tail_policy["left"], self.tail_policy["right"]
-        left = idx < 0
-        right = idx >= self.nodes.size - 1
-        mid = ~(left | right)
-        if left.any():
-            zl = (x[left] - L["mean"]) / L["std"]
-            z0 = (self.nodes[0] - L["mean"]) / L["std"]
-            out[left] = L["mass"] * np.exp(log_ndtr(zl) - log_ndtr(z0))
-        if right.any():
-            zr = (x[right] - R["mean"]) / R["std"]
-            z0 = (self.nodes[-1] - R["mean"]) / R["std"]
-            out[right] = 1.0 - R["mass"] * np.exp(log_ndtr(-zr) - log_ndtr(-z0))
-        if mid.any():
-            jm = idx[mid]
-            dx = x[mid] - self.nodes[jm]
-            out[mid] = self._cum[jm] + self.values[jm] * dx * _expm1_over(self._slopes[jm] * dx)
+        out, right = self._masses(np.asarray(x, dtype=float))
+        out[right] = 1.0 - out[right]
         return out
 
     def survival(self, x):
-        x = np.asarray(x, dtype=float)
-        idx = np.atleast_1d(self._locate(x))
-        xf = np.atleast_1d(x)
-        out = np.empty_like(xf, dtype=float)
-        R = self.tail_policy["right"]
-        right = idx >= self.nodes.size - 1
-        if right.any():
-            zr = (xf[right] - R["mean"]) / R["std"]
-            z0 = (self.nodes[-1] - R["mean"]) / R["std"]
-            out[right] = R["mass"] * np.exp(log_ndtr(-zr) - log_ndtr(-z0))
-        rest = ~right
-        if rest.any():
-            out[rest] = 1.0 - self.cdf(xf[rest])
-        return out.reshape(np.shape(x)) if np.ndim(x) else float(out[0])
+        out, right = self._masses(np.asarray(x, dtype=float))
+        out[~right] = 1.0 - out[~right]
+        return out
 
     def quantile(self, p):
         p = np.asarray(p, dtype=float)
@@ -491,20 +468,19 @@ class GridDensity1D(Density1D):
         scalar = p.ndim == 0
         pf = np.atleast_1d(p).ravel()
         out = np.empty_like(pf)
-        L = self.tail_policy["left"]
         j = np.searchsorted(self._cum, pf, side="right") - 1
         left = j < 0
         right = pf > self._cum[-1]
         mid = ~(left | right)
         if left.any():
-            z0 = (self.nodes[0] - L["mean"]) / L["std"]
-            target = np.log(pf[left]) - math.log(L["mass"]) + float(log_ndtr(z0))
-            out[left] = L["mean"] + L["std"] * ndtri_exp(target)
+            target = (np.log(pf[left]) - math.log(self._tail_mass[0])
+                      + self._tail_log_phi[0])
+            out[left] = self._anchor[0] + self._scale[0] * ndtri_exp(target)
         if right.any():
             out[right] = self._tail_quantile_sf(np.maximum(1.0 - pf[right], _PROB_FLOOR))
         if mid.any():
             jm = np.clip(j[mid], 0, self.nodes.size - 2)
-            b = self._slopes[jm]
+            b = self._slope[jm + 1]
             res = pf[mid] - self._cum[jm]
             vj = self.values[jm]
             small = np.abs(b) < 1e-12
@@ -514,10 +490,8 @@ class GridDensity1D(Density1D):
         return float(out[0]) if scalar else out.reshape(np.shape(p))
 
     def _tail_quantile_sf(self, s):
-        R = self.tail_policy["right"]
-        z0 = (self.nodes[-1] - R["mean"]) / R["std"]
-        target = np.log(s) - math.log(R["mass"]) + float(log_ndtr(-z0))
-        return R["mean"] - R["std"] * ndtri_exp(target)
+        target = np.log(s) - math.log(self._tail_mass[1]) + self._tail_log_phi[1]
+        return self._anchor[-1] - self._scale[-1] * ndtri_exp(target)
 
     def quantile_sf(self, s):
         s = np.asarray(s, dtype=float)
@@ -525,7 +499,7 @@ class GridDensity1D(Density1D):
         scalar = s.ndim == 0
         sf = np.atleast_1d(s).ravel()
         out = np.empty_like(sf)
-        tail = sf <= self.tail_policy["right"]["mass"]
+        tail = sf <= self._tail_mass[1]
         if tail.any():
             out[tail] = self._tail_quantile_sf(sf[tail])
         if (~tail).any():

@@ -44,6 +44,7 @@ __all__ = [
     "conditional_slice_batch",
     "marginal_without",
     "entropy_fisher_nd",
+    "entropy_rel_gauss_nd",
     "knothe_w2_bound",
     "mixture_from_json",
 ]
@@ -362,6 +363,14 @@ def _integrands(nu: GaussianMixtureND, x, anchor, z):
     return log_ratio, _row_sum(score * score)
 
 
+def _entropy_integrand(nu: GaussianMixtureND, x, anchor, z):
+    """(log p - log phi_n,) at the columns of x = m_anchor + L_anchor z, by
+    the operations of ``_log_ratio_and_score`` without the score."""
+    _, logs = _component_pass(nu, x, anchor, z)
+    log_p, _ = _log_sum_exp(logs)
+    return (log_p + 0.5 * _row_sum(x * x),)
+
+
 def _expect_gh(nu: GaussianMixtureND, order: int, integrand) -> np.ndarray:
     nodes, wts = gh_tensor(order, nu.dim)
     z = np.ascontiguousarray(nodes.T)
@@ -420,6 +429,15 @@ def entropy_fisher_nd(nu: GaussianMixtureND, *, mc_budget: int = 10 ** 6,
     value, err = _expectation(nu, _integrands, (_GH_ORDER, _GH_CHECK),
                               mc_budget, seed)
     return tuple(zip(value.tolist(), err.tolist()))
+
+
+def entropy_rel_gauss_nd(nu: GaussianMixtureND, *, mc_budget: int = 10 ** 6,
+                         seed: int = 0):
+    """(H, H_err) of ``entropy_fisher_nd`` bit for bit, on the same nodes,
+    without the Fisher information's score pass."""
+    (value,), (err,) = _expectation(nu, _entropy_integrand,
+                                    (_GH_ORDER, _GH_CHECK), mc_budget, seed)
+    return float(value), float(err)
 
 
 def _knothe_cost(nu: GaussianMixtureND, x, anchor, z):

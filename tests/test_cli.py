@@ -634,3 +634,15 @@ def test_bad_flags_exit_one(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["not-a-command"])
     assert exc.value.code == 1
+
+
+@pytest.mark.parametrize("flag", [["--seed", "1"], ["--jobs", "2"],
+                                  ["--mc-budget", "10"],
+                                  ["--directions", "4"], ["--case-id", "x"]])
+def test_distance_rejects_flags_it_does_not_read(capsys, flag):
+    with pytest.raises(SystemExit) as exc:
+        main(["distance", "--u", "gauss:0,4", "--v", "gauss:0,1", *flag])
+    assert exc.value.code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "unrecognized arguments" in captured.err

@@ -1,6 +1,7 @@
 """One-dimensional density layer: closed forms, scipy oracles, invariants."""
 
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -276,6 +277,43 @@ def test_grid_density_validation():
         GridDensity1D([0.0, 1.0, 0.5], [0.1, 0.2, 0.1])  # x not increasing
     with pytest.raises(DomainError):
         GridDensity1D([0.0, 1.0], [0.1, -0.2])
+
+
+def _two_bump_grid():
+    xs = np.linspace(-6.0, 6.0, 301)
+    return xs, (0.4 * stats.norm.pdf(xs, -1.5, 0.6)
+                + 0.6 * stats.norm.pdf(xs, 1.2, 0.9))
+
+
+@pytest.mark.parametrize("grid", [_gaussian_grid, _two_bump_grid],
+                         ids=["gauss", "two-bump"])
+def test_grid_density_piece_boundaries(grid):
+    d = GridDensity1D(*grid())
+    n = d.nodes
+    log_v = np.log(d.values)
+    # each tail meets its end node in value and log-slope
+    for node, outer, lv, slope in (
+            (n[0], np.nextafter(n[0], -np.inf), log_v[0],
+             (log_v[1] - log_v[0]) / (n[1] - n[0])),
+            (n[-1], np.nextafter(n[-1], np.inf), log_v[-1],
+             (log_v[-1] - log_v[-2]) / (n[-1] - n[-2]))):
+        at = np.array([node, outer])
+        assert np.all(np.abs(d.logpdf(at) - lv) <= 1e-12 * (1.0 + abs(lv)))
+        assert np.all(np.abs(d.score(at) - slope) <= 1e-12 * (1.0 + abs(slope)))
+    span = n[-1] - n[0]
+    deep = np.array([n[0] - 20.0 * span, n[0] - 20.0, n[-1] + 20.0,
+                     n[-1] + 20.0 * span])
+    x = np.concatenate([n, np.nextafter(n, -np.inf), np.nextafter(n, np.inf),
+                        deep])
+    eps = np.finfo(float).eps
+    assert np.all(np.abs(d.cdf(x) + d.survival(x) - 1.0) <= 4.0 * eps)
+    assert np.array_equal(d.pdf(x), np.exp(d.logpdf(x)))
+    back = pickle.loads(pickle.dumps(d))
+    for method in ("logpdf", "pdf", "score", "cdf", "survival"):
+        assert np.array_equal(getattr(back, method)(x), getattr(d, method)(x))
+    p = np.array([1e-300, 1e-20, 0.3, 0.7, 1.0 - 1e-16])
+    for method in ("quantile", "quantile_sf"):
+        assert np.array_equal(getattr(back, method)(p), getattr(d, method)(p))
 
 
 def test_load_grid_csv_roundtrip(tmp_path):
