@@ -548,12 +548,9 @@ def _sup_conv_quadratic(g: GFun, lam: float) -> GFun:
 def _pl_u_density(g: GFun, lam: float) -> Density1D:
     """The normalized left factor u = e^{g/(1-lam)} phi / A as a density."""
     s = 1.0 / (1.0 - lam)
-    if g.kind in ("const", "linear", "quadratic"):
-        tau = 1.0 + g.curvature * s
-        if tau <= 0.0:
-            raise DomainError("u is not integrable for this curvature")
-        mean = g.slope * s / tau
-        return GaussianMixture1D([1.0], [mean], [1.0 / math.sqrt(tau)])
+    if g.kind != "generic":
+        # e^{s g} phi is proportional to N(center, width^2) of its window
+        return GaussianMixture1D([1.0], *_exponent_window(g, s))
     logvals = (g(_PL_XS) * s - 0.5 * _PL_XS * _PL_XS
                - 0.5 * math.log(2.0 * math.pi))
     return GridDensity1D(_PL_XS, np.exp(logvals - logvals.max()))

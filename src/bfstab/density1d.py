@@ -78,16 +78,12 @@ def gauss_logpdf(x):
     return -0.5 * x * x - _LOG_SQRT_2PI
 
 
-def _check_prob_open(p):
-    # NaN fails both comparisons, so this rejects non-finite p too
-    if not np.logical_and(p > 0.0, p < 1.0).all():
-        raise DomainError("probability arguments must lie strictly in (0, 1)")
-
-
 class Density1D:
     """A strictly positive probability density on the line.
 
-    All methods are vectorized over ndarray inputs.
+    All methods are vectorized over ndarray inputs. Masses go through one
+    private pair: ``_mass(x)`` gives (m, upper), m = F(x) where F(x) <= 1/2
+    and 1 - F(x) where ``upper``, and ``_invert(m, upper)`` inverts it.
     """
 
     def pdf(self, x):
@@ -106,12 +102,37 @@ class Density1D:
     def survival(self, x):
         raise NotImplementedError
 
-    def quantile(self, p):
+    def _masses(self, x):
+        """``_mass`` unclipped: ``cdf``, then ``survival`` on the upper points."""
+        m = np.asarray(self.cdf(x))
+        upper = m > 0.5
+        m[upper] = self.survival(x[upper])
+        return m, upper
+
+    def _mass(self, x):
+        """(m, upper) at the points x, m clipped to [_PROB_FLOOR, _PROB_CEIL]."""
+        m, upper = self._masses(np.asarray(x, dtype=float))
+        return np.clip(m, _PROB_FLOOR, _PROB_CEIL), upper
+
+    def _invert(self, m, upper):
+        """The x with F(x) = m, or 1 - F(x) = m where ``upper``; any m in
+        (0, 1), elementwise and shaped like m."""
         raise NotImplementedError
+
+    def quantile(self, p):
+        return self._quantile(p, False)
 
     def quantile_sf(self, s):
         """Upper quantile from survival mass, accurate for small ``s``."""
-        raise NotImplementedError
+        return self._quantile(s, True)
+
+    def _quantile(self, m, upper):
+        m = np.asarray(m, dtype=float)
+        # NaN fails both comparisons, so this rejects non-finite m too
+        if not np.logical_and(m > 0.0, m < 1.0).all():
+            raise DomainError("probability arguments must lie strictly in (0, 1)")
+        x = self._invert(m, np.full(m.shape, upper))
+        return float(x) if m.ndim == 0 else x
 
     def working_interval(self, tail_mass: float = 1e-14):
         """Interval carrying all but ``tail_mass`` of the probability."""
@@ -136,15 +157,9 @@ class StandardGaussian(Density1D):
     def survival(self, x):
         return ndtr(-np.asarray(x, dtype=float))
 
-    def quantile(self, p):
-        p = np.asarray(p, dtype=float)
-        _check_prob_open(p)
-        return ndtri(p)
-
-    def quantile_sf(self, s):
-        s = np.asarray(s, dtype=float)
-        _check_prob_open(s)
-        return -ndtri(s)
+    def _invert(self, m, upper):
+        z = ndtri(m)
+        return np.where(upper, -z, z)
 
     def working_interval(self, tail_mass: float = 1e-14):
         z = float(-ndtri(tail_mass / 2.0))
@@ -258,18 +273,16 @@ class GaussianMixture1D(Density1D):
         log_slope = mx + np.log(total) - gauss_logpdf(S)
         return S, log_slope, (resp * dlog).sum(axis=1) / total
 
-    def quantile(self, p):
-        """The x with F(x) = p: the root of S(x) = Phi^{-1}(p)."""
-        p = np.asarray(p, dtype=float)
-        _check_prob_open(p)
-        return self._solve_gauss_scale(ndtri(p))
+    # the benchmark's tracer (bench/layertrace.py) wraps both by name in
+    # the class's own dict
+    quantile = Density1D.quantile
+    quantile_sf = Density1D.quantile_sf
 
-    def quantile_sf(self, s):
-        """The x with 1 - F(x) = s: the root of S(x) = -Phi^{-1}(s), accurate
-        for small ``s``."""
-        s = np.asarray(s, dtype=float)
-        _check_prob_open(s)
-        return self._solve_gauss_scale(-ndtri(s))
+    def _invert(self, m, upper):
+        """The root of S(x) = Phi^{-1}(m), or -Phi^{-1}(m) where ``upper``:
+        one solve for both sides."""
+        z = ndtri(m)
+        return self._solve_gauss_scale(np.where(upper, -z, z))
 
     def _solve_gauss_scale(self, z):
         """The x with S(x) = z, elementwise.
@@ -285,7 +298,6 @@ class GaussianMixture1D(Density1D):
         in a row predict an error below tol / 100 after the second (at least
         quadratic convergence: about last^3 / older^2).
         """
-        scalar = np.ndim(z) == 0
         shape = np.shape(z)
         z = np.atleast_1d(z).ravel()
         ends = self.means + z[:, None] * self.stds
@@ -296,7 +308,7 @@ class GaussianMixture1D(Density1D):
         active = hi > lo
         for _ in range(_SOLVE_STEPS):
             if not active.any():
-                return float(x[0]) if scalar else x.reshape(shape)
+                return x.reshape(shape)
             S, log_slope, score = self._gauss_scale(x)
             r = S - z
             lo = np.where(r < 0.0, x, lo)
@@ -350,11 +362,15 @@ class GridDensity1D(Density1D):
     density is normalized at construction and the constant divided out is
     recorded in ``norm_constant``; it is positive everywhere. Panel masses,
     cdf and quantile are closed-form.
+
+    Masses are summed from both ends: pieces up to the median's carry F
+    from the left, later ones 1 - F from the right, each from a base node,
+    so every mass keeps relative accuracy in its own tail.
     """
 
     __slots__ = ("nodes", "values", "norm_constant", "_anchor", "_scale",
-                 "_scale2", "_lv", "_slope", "_curv", "_cum", "_tail_mass",
-                 "_tail_log_phi")
+                 "_scale2", "_lv", "_slope", "_curv", "_cum", "_cum_r",
+                 "_dir", "_base", "_tail_log_mass", "_tail_log_phi")
 
     def __init__(self, nodes, values):
         x = np.asarray(nodes, dtype=float).ravel().copy()
@@ -408,13 +424,24 @@ class GridDensity1D(Density1D):
                                    [amp_r - log_total]])
         self._slope = np.concatenate([[0.0], slopes, [0.0]])
         self._curv = np.concatenate([[1.0], np.zeros(x.size - 1), [1.0]])
+        # F at the nodes from the left, 1 - F (last node first) from the right
         self._cum = mass_l / total + np.concatenate(
             [[0.0], np.cumsum(panel_mass / total)])
-        self._tail_mass = (mass_l / total, mass_r / total)
-        self._tail_log_phi = (phi_l, phi_r)
+        self._cum_r = mass_r / total + np.concatenate(
+            [[0.0], np.cumsum(panel_mass[::-1] / total)])
+        # pieces up to the median's read F from the left; the right tail,
+        # which has only its right-end formula, always reads 1 - F
+        left = np.arange(x.size + 1) <= np.searchsorted(self._cum, 0.5)
+        left[-1] = False
+        self._dir = np.where(left, 1.0, -1.0)
+        self._base = np.where(left, np.concatenate([[mass_l / total], self._cum]),
+                              np.concatenate([self._cum_r[::-1], [mass_r / total]]))
+        self._tail_log_mass = np.array([math.log(mass_l / total),
+                                        math.log(mass_r / total)])
+        self._tail_log_phi = np.array([phi_l, phi_r])
         for arr in (self.nodes, self.values, self._anchor, self._scale,
                     self._scale2, self._lv, self._slope, self._curv,
-                    self._cum):
+                    self._cum, self._cum_r, self._dir, self._base):
             arr.setflags(write=False)
 
     def logpdf(self, x):
@@ -433,82 +460,61 @@ class GridDensity1D(Density1D):
         return self._slope[i] - self._curv[i] * (x - self._anchor[i]) / self._scale2[i]
 
     def _masses(self, x):
-        """(m, right): m = F(x) off the right tail and 1 - F(x) on it, where
-        the mask ``right`` holds; each point is located once."""
+        """Each point is located once and read from its piece's end."""
         i = np.searchsorted(self.nodes, x, side="right")
-        left = i == 0
-        right = i == self.nodes.size
-        mid = ~(left | right)
-        out = np.empty_like(x)
-        if left.any():
-            zl = (x[left] - self._anchor[0]) / self._scale[0]
-            out[left] = self._tail_mass[0] * np.exp(log_ndtr(zl) - self._tail_log_phi[0])
-        if right.any():
-            zr = (x[right] - self._anchor[-1]) / self._scale[-1]
-            out[right] = self._tail_mass[1] * np.exp(log_ndtr(-zr) - self._tail_log_phi[1])
-        if mid.any():
-            k = i[mid]
-            dx = x[mid] - self._anchor[k]
-            out[mid] = self._cum[k - 1] + self.values[k - 1] * dx * _expm1_over(self._slope[k] * dx)
-        return out, right
+        d = self._dir[i]
+        m = np.empty_like(x)
+        tail = (i == 0) | (i == self.nodes.size)
+        it, dt = i[tail], d[tail]
+        z = dt * (x[tail] - self._anchor[it]) / self._scale[it]
+        m[tail] = self._base[it] * np.exp(
+            log_ndtr(z) - self._tail_log_phi[np.minimum(it, 1)])
+        k, dk = i[~tail], d[~tail]
+        j = k - (dk > 0)  # the piece's base node
+        dx = dk * (x[~tail] - self.nodes[j])
+        m[~tail] = self._base[k] + self.values[j] * dx * _expm1_over(
+            dk * self._slope[k] * dx)
+        return np.minimum(m, 1.0 - m), (d < 0) != (m > 0.5)
 
     def cdf(self, x):
-        out, right = self._masses(np.asarray(x, dtype=float))
-        out[right] = 1.0 - out[right]
-        return out
+        m, upper = self._masses(np.asarray(x, dtype=float))
+        return np.where(upper, 1.0 - m, m)
 
     def survival(self, x):
-        out, right = self._masses(np.asarray(x, dtype=float))
-        out[~right] = 1.0 - out[~right]
-        return out
+        m, upper = self._masses(np.asarray(x, dtype=float))
+        return np.where(upper, m, 1.0 - m)
 
-    def quantile(self, p):
-        p = np.asarray(p, dtype=float)
-        _check_prob_open(p)
-        scalar = p.ndim == 0
-        pf = np.atleast_1d(p).ravel()
-        out = np.empty_like(pf)
-        j = np.searchsorted(self._cum, pf, side="right") - 1
-        left = j < 0
-        right = pf > self._cum[-1]
-        mid = ~(left | right)
-        if left.any():
-            target = (np.log(pf[left]) - math.log(self._tail_mass[0])
-                      + self._tail_log_phi[0])
-            out[left] = self._anchor[0] + self._scale[0] * ndtri_exp(target)
-        if right.any():
-            out[right] = self._tail_quantile_sf(np.maximum(1.0 - pf[right], _PROB_FLOOR))
-        if mid.any():
-            jm = np.clip(j[mid], 0, self.nodes.size - 2)
-            b = self._slope[jm + 1]
-            res = pf[mid] - self._cum[jm]
-            vj = self.values[jm]
-            small = np.abs(b) < 1e-12
-            safe_b = np.where(small, 1.0, b)
-            dx = np.where(small, res / vj, np.log1p(safe_b * res / vj) / safe_b)
-            out[mid] = self.nodes[jm] + dx
-        return float(out[0]) if scalar else out.reshape(np.shape(p))
+    # the benchmark's tracer (bench/layertrace.py) wraps both by name in
+    # the class's own dict
+    quantile = Density1D.quantile
+    quantile_sf = Density1D.quantile_sf
 
-    def _tail_quantile_sf(self, s):
-        target = np.log(s) - math.log(self._tail_mass[1]) + self._tail_log_phi[1]
-        return self._anchor[-1] - self._scale[-1] * ndtri_exp(target)
-
-    def quantile_sf(self, s):
-        s = np.asarray(s, dtype=float)
-        _check_prob_open(s)
-        scalar = s.ndim == 0
-        sf = np.atleast_1d(s).ravel()
-        out = np.empty_like(sf)
-        tail = sf <= self._tail_mass[1]
-        if tail.any():
-            out[tail] = self._tail_quantile_sf(sf[tail])
-        if (~tail).any():
-            out[~tail] = self.quantile(1.0 - sf[~tail])
-        return float(out[0]) if scalar else out.reshape(np.shape(s))
+    def _invert(self, m, upper):
+        n = self.nodes.size
+        i = np.where(upper, n - np.searchsorted(self._cum_r, m, side="right"),
+                     np.searchsorted(self._cum, m, side="right"))
+        d = self._dir[i]
+        m = np.where((d < 0) == upper, m, 1.0 - m)  # as the piece reads it
+        x = np.empty_like(m)
+        tail = (i == 0) | (i == n)
+        it, e = i[tail], np.minimum(i[tail], 1)
+        q = ndtri_exp(np.log(m[tail]) - self._tail_log_mass[e]
+                      + self._tail_log_phi[e])
+        x[tail] = self._anchor[it] + d[tail] * self._scale[it] * q
+        k, dk = i[~tail], d[~tail]
+        j = k - (dk > 0)
+        b = dk * self._slope[k]
+        res = m[~tail] - self._base[k]
+        vj = self.values[j]
+        small = np.abs(b) < 1e-12
+        safe_b = np.where(small, 1.0, b)
+        dx = np.where(small, res / vj, np.log1p(safe_b * res / vj) / safe_b)
+        x[~tail] = self.nodes[j] + dk * dx
+        return x
 
     def working_interval(self, tail_mass: float = 1e-14):
-        lo = float(self.quantile(np.asarray(tail_mass / 2.0)))
-        hi = float(self.quantile_sf(np.asarray(tail_mass / 2.0)))
+        lo = self.quantile(tail_mass / 2.0)
+        hi = self.quantile_sf(tail_mass / 2.0)
         return (min(lo, float(self.nodes[0])), max(hi, float(self.nodes[-1])))
 
 

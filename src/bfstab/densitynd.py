@@ -203,12 +203,6 @@ class SliceBatch:
         w = np.where(keep, w, 0.0)
         self.weights = w / w.sum(axis=1, keepdims=True)
 
-    def mixture(self, b: int) -> GaussianMixture1D:
-        """Row b as a 1-D mixture of its present components."""
-        keep = self.weights[b] > 0.0
-        return GaussianMixture1D(self.weights[b][keep], self.means[b][keep],
-                                 self.stds[keep])
-
 
 def _partition(nu: GaussianMixtureND, axis: int):
     if not 0 <= axis < nu.dim:

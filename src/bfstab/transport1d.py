@@ -56,22 +56,14 @@ __all__ = [
 
 @dataclass
 class TransportMap1D:
-    """Monotone map pushing ``source`` forward to ``target``."""
+    """Monotone map pushing ``source`` forward to ``target``: one call into
+    each, the target's inverse of the source's mass."""
 
     source: Density1D
     target: Density1D
 
     def __call__(self, x):
-        x = np.asarray(x, dtype=float)
-        F = np.clip(self.source.cdf(x), _PROB_FLOOR, _PROB_CEIL)
-        out = np.empty_like(x)
-        low = F <= 0.5
-        if low.any():
-            out[low] = self.target.quantile(F[low])
-        if (~low).any():
-            S = np.clip(self.source.survival(x[~low]), _PROB_FLOOR, _PROB_CEIL)
-            out[~low] = self.target.quantile_sf(S)
-        return out
+        return self.target._invert(*self.source._mass(x))
 
     def deriv(self, x):
         """T'(x) = u(x) / v(T(x)), strictly positive."""

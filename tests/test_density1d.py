@@ -13,6 +13,8 @@ from bfstab import (ConditioningError, DomainError, GaussianMixture1D,
                     GridDensity1D, ParseError, StandardGaussian,
                     entropy_rel_gauss_full, fisher_rel_gauss_full,
                     load_grid_csv)
+from bfstab.corpus import _SIN_BUMP
+from bfstab.deficits import _pl_u_density
 
 GAUSS = StandardGaussian()
 
@@ -165,7 +167,6 @@ def test_quantiles_bracketed_down_to_1e_300(mix):
     delta = 1e-12 * (1.0 + np.abs(x))
     assert np.all(mix.cdf(x - delta) <= upper)
     assert np.all(upper <= mix.cdf(x + delta))
-    assert mix.quantile(0.25) == mix.quantile(np.array([0.25]))[0]
 
 
 def test_single_component_quantile_is_closed_form():
@@ -382,6 +383,42 @@ def test_quantiles_reject_probabilities_outside_open_interval(d, method, p):
         getattr(d, method)(p)
     with pytest.raises(DomainError, match="strictly in"):
         getattr(d, method)(np.array([0.5, p]))
+
+
+@pytest.mark.parametrize("d", _three_densities(),
+                         ids=["gauss", "mixture", "grid"])
+@pytest.mark.parametrize("method", ["quantile", "quantile_sf"])
+def test_scalar_quantile_matches_array_quantile(d, method):
+    q = getattr(d, method)
+    assert isinstance(q(0.25), float)
+    assert q(0.25) == q(np.array([0.25]))[0]
+
+
+@pytest.mark.parametrize("lam", [0.3, 0.9])
+def test_grid_right_tail_reads_survival_from_the_right(lam):
+    # the PL u of the sin bump; summed from the left only, 1 - F rounded to
+    # 0 right of x = 8 and quantile_sf(s) raised for s between the right
+    # tail's mass and 1.1e-16
+    u = _pl_u_density(_SIN_BUMP, lam)
+    s = np.logspace(-300.0, -1.0, 400)
+    x = u.quantile_sf(s)
+    assert np.all(np.isfinite(x))
+    assert np.all(np.diff(x) < 0.0)
+    assert np.all(np.abs(u.survival(x) - s) <= 1e-11 * s)
+
+
+@pytest.mark.parametrize("mean", [2.0, -2.0], ids=["right", "left"])
+def test_grid_with_the_median_in_a_tail_inverts_both_sides(mean):
+    # each tail is read from its own end even when it holds more than half
+    # the mass; the masses past it are complements
+    xs = np.linspace(-1.75, 1.75, 50) - 0.5 * mean
+    d = GridDensity1D(xs, stats.norm.pdf(xs, mean, 1.0))
+    p = np.logspace(-300.0, math.log10(0.999999), 500)
+    for quantile, mass, sign in ((d.quantile, d.cdf, 1.0),
+                                 (d.quantile_sf, d.survival, -1.0)):
+        x = quantile(p)
+        assert np.all(sign * np.diff(x) > 0.0)
+        assert np.all(np.abs(mass(x) - p) <= 1e-11 * p)
 
 
 @pytest.mark.parametrize("p", [1e-300, 1e-200, 1e-20])

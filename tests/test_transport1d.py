@@ -15,8 +15,9 @@ from bfstab import (GaussianMixture1D, GaussianMixtureND, StandardGaussian,
                     TransportMap1D, bf_distance_full, bregman_integral_full,
                     talagrand_deficit_1d_full, w2_squared_1d_full)
 from bfstab import transport1d
-from bfstab.corpus import main_corpus
-from bfstab.density1d import gauss_logpdf
+from bfstab.corpus import _SIN_BUMP, main_corpus
+from bfstab.deficits import _pl_u_density
+from bfstab.density1d import GridDensity1D, gauss_logpdf
 from bfstab.densitynd import conditional_slice_batch
 from bfstab.transport1d import (_component_sum, _directed_distance,
                                 _rows_deriv_pdf, gauss_distance_rows)
@@ -70,6 +71,52 @@ def test_map_derivative_is_density_ratio_not_difference():
     t = TransportMap1D(mu, nu)
     xs = np.linspace(-4, 4, 17)
     assert np.allclose(t.deriv(xs), mu.pdf(xs) / nu.pdf(t(xs)), rtol=1e-9)
+
+
+def _grid():
+    xs = np.linspace(-5.0, 6.0, 201)
+    return GridDensity1D(xs, 0.4 * stats.norm.pdf(xs, -1.0, 0.7)
+                         + 0.6 * stats.norm.pdf(xs, 1.5, 1.1))
+
+
+@pytest.mark.parametrize("source,target", [
+    (mixture_pool()[0], GAUSS), (_grid(), mixture_pool()[2]),
+    (GAUSS, _grid())], ids=["mixture-gauss", "grid-mixture", "gauss-grid"])
+def test_map_keeps_the_input_shape(source, target):
+    t = TransportMap1D(source, target)
+    xs = np.array([[-2.0, -0.3, 0.4], [1.1, 2.5, 6.0]])
+    out = t(xs)
+    assert np.shape(t(0.4)) == ()
+    assert out.shape == (2, 3)
+    assert np.isclose(t(0.4), out[0, 2], rtol=1e-13, atol=0.0)
+    assert np.allclose(target.cdf(out), source.cdf(xs), rtol=1e-10, atol=0)
+
+
+@pytest.mark.parametrize("lam", [0.3, 0.9])
+def test_map_from_grid_increases_in_its_right_tail(lam):
+    # summed from the left only, the grid's 1 - F stuck at 0 (lam = 0.9)
+    # or 2.2e-15 (lam = 0.3) right of x = 8, and T jumped or stalled there
+    t = TransportMap1D(_pl_u_density(_SIN_BUMP, lam), GAUSS)
+    assert np.all(np.diff(t(np.linspace(7.0, 10.0, 31))) > 0.0)
+
+
+def test_map_to_a_mixture_solves_once_per_call(monkeypatch):
+    # one solve for the points on both sides of the source's median
+    calls = []
+    solve = GaussianMixture1D._solve_gauss_scale
+
+    def counted(self, z):
+        calls.append(np.size(z))
+        return solve(self, z)
+
+    monkeypatch.setattr(GaussianMixture1D, "_solve_gauss_scale", counted)
+    for u, v in _random_pairs(3):
+        t = TransportMap1D(u, v)
+        xs = np.linspace(*u.working_interval(1e-12), 41)
+        calls.clear()
+        y = t(xs)
+        assert calls == [41]
+        assert np.allclose(v.cdf(y), u.cdf(xs), rtol=1e-9, atol=1e-300)
 
 
 def test_pushforward_moment_identity():
@@ -220,6 +267,13 @@ def test_distance_translation_invariant(u, a):
                - bf_distance_full(shifted, GAUSS)[0]) < 1e-7
 
 
+def _row_mixture(batch, b):
+    """Row b of a slice batch as a 1-D mixture of its present components."""
+    keep = batch.weights[b] > 0.0
+    return GaussianMixture1D(batch.weights[b][keep], batch.means[b][keep],
+                             batch.stds[keep])
+
+
 def test_row_kernel_matches_per_row_distance():
     # two slice batches with different conditional stds, stacked into one
     # call: row 0 is a two-component slice, row 2 sits so far out that one
@@ -235,7 +289,7 @@ def test_row_kernel_matches_per_row_distance():
     stds = np.vstack([np.tile(first.stds, (3, 1)), np.tile(second.stds, (2, 1))])
     assert not np.allclose(first.stds, second.stds)
     assert np.count_nonzero(first.weights[2]) == 1
-    two = first.mixture(0)
+    two = _row_mixture(first, 0)
     assert two.weights.size == 2
     lo, hi = two.working_interval(1e-15)
     sgn = np.sign(TransportMap1D(two, GAUSS).deriv(np.linspace(lo, hi, 257))
@@ -245,7 +299,7 @@ def test_row_kernel_matches_per_row_distance():
     value, error = gauss_distance_rows(weights, means, stds, tol=1e-9)
     eps = np.finfo(float).eps
     for r, (batch, b) in enumerate(batches):
-        u = batch.mixture(b)
+        u = _row_mixture(batch, b)
         ref = _directed_distance(u, GAUSS, 1e-9)
         assert abs(value[r] - ref.value) <= 1e-15, r
         if u.weights.size == 1:
@@ -520,11 +574,10 @@ def test_single_direction_covers_oracle(kink_pairs):
 def test_gamma_side_quantities_invert_no_quantile(monkeypatch):
     # separated narrow modes stalled the mixture quantile inversion, and the
     # gamma-side Bregman integrand spiked between separated modes
-    def refuse(self, t):
+    def refuse(self, *args):
         raise AssertionError("mixture quantile inverted")
 
-    monkeypatch.setattr(GaussianMixture1D, "quantile", refuse)
-    monkeypatch.setattr(GaussianMixture1D, "quantile_sf", refuse)
+    monkeypatch.setattr(GaussianMixture1D, "_invert", refuse)
     narrow = GaussianMixture1D([0.5, 0.5], [-8.0, 8.0], [0.05, 0.05])
     apart = GaussianMixture1D([0.5, 0.5], [-3.0, 3.0], [0.4, 0.7])
     for mix in (narrow, apart, *mixture_pool()):
