@@ -421,8 +421,13 @@ def _add_common(p):
     p.add_argument("--directions", type=_positive_int, default=None,
                    help="coarse sphere-lattice size override")
     _add_output(p)
+
+
+def _add_single_case(p):
+    """Flags of the commands that verify one case."""
+    _add_common(p)
     p.add_argument("--case-id", dest="case_id", default="cli",
-                   help="identifier stamped into single-case reports")
+                   help="identifier stamped into the report")
 
 
 def _add_output(p):
@@ -452,13 +457,13 @@ def build_parser() -> _Parser:
                                          "pl"), default="main")
     p.add_argument("--g", default=None, help="g spec for --theorem pl")
     p.add_argument("--lam", type=_lambda, default=0.5)
-    _add_common(p)
+    _add_single_case(p)
     p.set_defaults(fn=_cmd_deficit)
 
     p = sub.add_parser("talagrand", help="Talagrand deficit bound, the same "
                                          "as deficit --theorem talagrand")
     p.add_argument("--measure", required=True)
-    _add_common(p)
+    _add_single_case(p)
     p.set_defaults(fn=_cmd_deficit, theorem="talagrand")
 
     p = sub.add_parser("verify", help="run a verification suite")
@@ -485,7 +490,7 @@ def build_parser() -> _Parser:
     p.add_argument("--lam", type=_lambda, required=True)
     p.add_argument("--diagnostics", action="store_true",
                    help="append the lambda-limit expansion table")
-    _add_common(p)
+    _add_single_case(p)
     p.set_defaults(fn=_cmd_pl_check)
     return top
 

@@ -26,9 +26,8 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .density1d import (Density1D, GaussianMixture1D, GridDensity1D,
-                        StandardGaussian, WORKING_RADIUS, _breaks,
-                        entropy_rel_gauss_full, fisher_rel_gauss_full,
-                        gauss_pdf)
+                        WORKING_RADIUS, _breaks, entropy_rel_gauss_full,
+                        fisher_rel_gauss_full, gauss_pdf)
 from .densitynd import (GaussianMixtureND, ProductFunction,
                         conditional_slice_batch, entropy_fisher_nd,
                         entropy_rel_gauss_nd, knothe_w2_bound,
@@ -37,8 +36,8 @@ from .errors import (CapabilityError, DomainError, EvaluationError,
                      InvariantViolation)
 from .quadrature import adaptive_quad, gh_tensor
 from .sphereopt import DnResult, dn_distance
-from .transport1d import (bf_distance_full, bregman_integral_full,
-                          gauss_distance_rows, talagrand_deficit_1d_full)
+from .transport1d import (bregman_integral_full, gauss_distance_rows,
+                          talagrand_deficit_1d_full)
 
 __all__ = [
     "DeficitReport",
@@ -145,6 +144,13 @@ def lsi_deficit(nu, *, mc_budget: int = 10 ** 6, seed: int = 0):
 # Theorem: delta_LS >= 1/2 d_n^2
 
 
+def _dn_bound(nu, directions=None, coeff=0.5):
+    """dn_distance(nu), coeff d_n^2 and its error 2 coeff d_n value_error."""
+    res = dn_distance(nu, directions=directions)
+    return (res, coeff * res.value * res.value,
+            2.0 * coeff * res.value * res.value_error)
+
+
 def _dn_method(res: DnResult) -> str:
     # round first so components below display precision print as 0, not -0
     arg = np.array2string(np.round(res.argmax, 6) + 0.0, precision=6,
@@ -165,21 +171,11 @@ def verify_thm_main(nu, *, directions: Optional[int] = None,
     search can only shrink the margin.
     """
     deficit, d_err = lsi_deficit(nu, mc_budget=mc_budget, seed=seed)
-    if isinstance(nu, Density1D):
-        dist, dist_err = bf_distance_full(nu, StandardGaussian(), tol=1e-10)
-        res = DnResult(value=dist, argmax=np.ones(1), coarse_max=dist,
-                       refined_gain=0.0, directions_evaluated=1,
-                       value_error=dist_err)
-    else:
-        if isinstance(nu, ProductFunction):
-            nu = nu.as_mixture()
-        res = dn_distance(nu, directions=directions)
-    lower = 0.5 * res.value ** 2
-    err = d_err + res.value * res.value_error
+    res, lower, dn_err = _dn_bound(nu, directions)
     method = (f"entropy+fisher whitened-GH/QMC; {_dn_method(res)}")
     return DeficitReport.build(case_id=case_id, theorem="main",
-                               deficit=deficit, lower_bound=lower, error=err,
-                               tol=tol, method=method)
+                               deficit=deficit, lower_bound=lower,
+                               error=d_err + dn_err, tol=tol, method=method)
 
 
 # ---------------------------------------------------------------------------
@@ -204,6 +200,10 @@ def _corollary_axis_quad(nu, axis, orders):
     without ``axis`` mapped through its Cholesky factor, so the outer
     average runs over nu's own marginal; all orders share one kernel call.
     """
+    # One call for every order and component, not densitynd._expect_gh:
+    # that route gives byte-identical reports but makes 2K kernel calls per
+    # axis, 15-22 % slower on 2-D K = 4 cases (2-core x86_64: main-2d-07
+    # 167/184 -> 194/224 ms, main-2d-05 161/172 -> 185/210 ms).
     rest = marginal_without(nu, axis)
     rules = [gh_tensor(order, nu.dim - 1) for order in orders]
     pts = [rest.means[k] + nodes @ rest._chol[k].T
@@ -311,45 +311,32 @@ def verify_talagrand(nu, *, case_id: str = "", tol: float = 1e-6,
     replicates from ``mc_budget`` and ``seed`` above n = 3), so its deficit
     is a lower bound and a shortfall is inconclusive, never a failure.
     """
-    gauss = StandardGaussian()
+    if not isinstance(nu, (Density1D, ProductFunction, GaussianMixtureND)):
+        raise DomainError("verify_talagrand expects a 1-D density, a product "
+                          "or an n-D Gaussian mixture")
+    res, lower, dn_err = _dn_bound(nu, directions)
     knothe = isinstance(nu, GaussianMixtureND)
     if isinstance(nu, Density1D):
         deficit, err = talagrand_deficit_1d_full(nu)
-        dist, dist_err = bf_distance_full(nu, gauss, tol=1e-10)
-        lower = 0.5 * dist * dist
-        err += dist * dist_err
         breg, _ = bregman_integral_full(nu)
-        method = (f"quantile-coupling W2; d={dist:.9f}; "
+        method = (f"quantile-coupling W2; d={res.value:.9f}; "
                   f"bregman-chain middle={breg:.9f}")
-    elif isinstance(nu, ProductFunction):
-        deficit = 0.0
-        err = 0.0
-        for factor in nu.factors:
-            d_i, e_i = talagrand_deficit_1d_full(factor)
-            deficit += d_i
-            err += e_i
-        res = dn_distance(nu.as_mixture(), directions=directions)
-        lower = 0.5 * res.value ** 2
-        err += res.value * res.value_error
-        method = f"tensorized per-axis W2 and entropy; {_dn_method(res)}"
     elif knothe:
         h, h_err = entropy_rel_gauss_nd(nu, mc_budget=mc_budget, seed=seed)
         w2, w2_err, label = knothe_w2_bound(nu, mc_budget=mc_budget,
                                             seed=seed)
         deficit = 2.0 * h - w2
         err = 2.0 * h_err + w2_err
-        res = dn_distance(nu, directions=directions)
-        lower = 0.5 * res.value ** 2
-        err += res.value * res.value_error
         method = (f"Knothe-Rosenblatt W2^2 upper bound={w2:.9f} "
                   f"rotation={label} (deficit is a lower bound); "
                   + _dn_method(res))
     else:
-        raise DomainError("verify_talagrand expects a 1-D density, a product "
-                          "or an n-D Gaussian mixture")
+        parts = [talagrand_deficit_1d_full(h) for h in nu.factors]
+        deficit, err = sum(d for d, _ in parts), sum(e for _, e in parts)
+        method = f"tensorized per-axis W2 and entropy; {_dn_method(res)}"
     return DeficitReport.build(case_id=case_id, theorem="talagrand",
-                               deficit=deficit, lower_bound=lower, error=err,
-                               tol=tol, method=method,
+                               deficit=deficit, lower_bound=lower,
+                               error=err + dn_err, tol=tol, method=method,
                                deficit_is_lower_bound=knothe)
 
 
@@ -452,16 +439,10 @@ def _sup_conv_fn(g: GFun, lam: float):
     """Vectorized z -> h_lam(z); a generic g's envelope is built here, once."""
     if not 0.0 < lam < 1.0:
         raise DomainError("lambda must lie strictly inside (0, 1)")
-    c = (1.0 - lam) / (2.0 * lam)
-    if g.kind in ("const", "linear", "quadratic"):
-        denom = g.curvature + 2.0 * c
-        if denom <= 0.0:
-            raise DomainError("sup-convolution diverges: penalty too weak")
-
-        def raw(z):
-            return (g.offset - c * z ** 2
-                    + (g.slope + 2.0 * c * z) ** 2 / (2.0 * denom))
+    if g.kind != "generic":
+        raw = _sup_conv_quadratic(g, lam)
     else:
+        c = (1.0 - lam) / (2.0 * lam)
         xs, step = _PL_XS, _PL_XS[1] - _PL_XS[0]
         breaks, idx = _upper_envelope(g(xs) - c * xs * xs, 2.0 * c * xs)
 
@@ -502,36 +483,39 @@ def sup_convolution(g: GFun, lam: float, z):
     return float(h[0]) if np.ndim(z) == 0 else h
 
 
-def _exp_integral(fn, *, tol=1e-12, center=0.0, width=1.0):
-    """int e^{fn(x)} dgamma(x) with error estimate.
+def _exp_integral(q):
+    """int e^{q(x)} dgamma(x) with error estimate.
 
-    The interval is centered where exp(fn(x) - x^2/2) actually lives (a
-    strong tilt pushes it far from the origin) and the peak log-value is
-    factored out so the quadrature runs on O(1) numbers.
+    An analytic q = -k x^2/2 + a x + b (a GFun of kind const, linear or
+    quadratic) has the closed form e^{b + a^2/(2(1+k))} / sqrt(1+k), charged
+    4 eps (1 + |b| + a^2/(2(1+k))) times the value: rounding scales with the
+    terms of the exponent, not with their sum. Any other q is integrated on
+    [-13, 13] by adaptive quadrature, with the peak log-value factored out
+    so the quadrature runs on O(1) numbers.
     """
-    w = max(float(width), 1.0)
-    lo, hi = center - 13.0 * w, center + 13.0 * w
-    peak = float(np.max(fn(np.asarray([lo, center, hi]))
-                        - 0.5 * np.asarray([lo, center, hi]) ** 2))
+    if isinstance(q, GFun) and q.kind != "generic":
+        tau = 1.0 + q.curvature
+        tilt = q.slope ** 2 / (2.0 * tau)
+        peak = q.offset + tilt
+        value = 1.0 / math.sqrt(tau)
+        error = 4.0 * math.ulp(1.0) * (1.0 + abs(q.offset) + tilt) * value
+    else:
+        ends = np.asarray([-13.0, 0.0, 13.0])
+        peak = float(np.max(q(ends) - 0.5 * ends ** 2))
 
-    def f(x):
-        return np.exp(fn(x) - 0.5 * x * x - peak) / math.sqrt(2.0 * math.pi)
+        def f(x):
+            return np.exp(q(x) - 0.5 * x * x - peak) / math.sqrt(2.0 * math.pi)
 
-    res = adaptive_quad(f, _breaks(lo, hi), tol_abs=tol, tol_rel=1e-13)
-    scale = math.exp(peak)
-    if not math.isfinite(scale) or not math.isfinite(scale * res.value):
+        res = adaptive_quad(f, _breaks(-13.0, 13.0), tol_abs=1e-12,
+                            tol_rel=1e-13)
+        value, error = res.value, res.error
+    try:
+        scale = math.exp(peak)
+    except OverflowError:
+        scale = math.inf
+    if not math.isfinite(scale * value):
         raise EvaluationError("exponential integral overflows double range")
-    return scale * res.value, scale * res.error
-
-
-def _exponent_window(g: GFun, scale: float):
-    """(center, width) of exp(scale g(x) - x^2/2) for the analytic kinds."""
-    if g.kind == "generic":
-        return 0.0, 1.0  # grid-backed and bounded, default window suffices
-    tau = 1.0 + g.curvature * scale
-    if tau <= 0.0:
-        raise DomainError("exponential-tilt integral diverges")
-    return g.slope * scale / tau, 1.0 / math.sqrt(tau)
+    return scale * value, scale * error
 
 
 def _sup_conv_quadratic(g: GFun, lam: float) -> GFun:
@@ -545,13 +529,24 @@ def _sup_conv_quadratic(g: GFun, lam: float) -> GFun:
                           g.offset + g.slope ** 2 / (2.0 * denom))
 
 
-def _pl_u_density(g: GFun, lam: float) -> Density1D:
-    """The normalized left factor u = e^{g/(1-lam)} phi / A as a density."""
+def _pl_exponents(g: GFun, lam: float):
+    """The exponents of A = int e^{g/(1-lam)} dgamma and B = int e^{h_lam}
+    dgamma: analytic GFuns when g is analytic, else callables."""
     s = 1.0 / (1.0 - lam)
-    if g.kind != "generic":
-        # e^{s g} phi is proportional to N(center, width^2) of its window
-        return GaussianMixture1D([1.0], *_exponent_window(g, s))
-    logvals = (g(_PL_XS) * s - 0.5 * _PL_XS * _PL_XS
+    if g.kind == "generic":
+        return (lambda x: g(x) * s), _sup_conv_fn(g, lam)
+    return (GFun.quadratic(g.curvature * s, g.slope * s, g.offset * s),
+            _sup_conv_quadratic(g, lam))
+
+
+def _pl_u_density(q) -> Density1D:
+    """The normalized left factor u = e^q phi / A as a density, from A's
+    exponent q = g/(1-lam) as ``_pl_exponents`` gives it."""
+    if isinstance(q, GFun):
+        # e^q phi is proportional to N(a / tau, 1 / tau), tau = 1 + k
+        tau = 1.0 + q.curvature
+        return GaussianMixture1D([1.0], q.slope / tau, 1.0 / math.sqrt(tau))
+    logvals = (q(_PL_XS) - 0.5 * _PL_XS * _PL_XS
                - 0.5 * math.log(2.0 * math.pi))
     return GridDensity1D(_PL_XS, np.exp(logvals - logvals.max()))
 
@@ -565,29 +560,21 @@ def pl_deficit_check(t: PLTriple, *, case_id: str = "",
     1/2 lam^{1+lam} (1-lam)^{2-lam} d(u, gamma)^2.
     """
     g, lam = t.g, t.lam
-    s = 1.0 / (1.0 - lam)
-    a_center, a_width = _exponent_window(g, s)
-    a_val, a_err = _exp_integral(lambda x: g(x) * s,
-                                 center=a_center, width=a_width)
-    if g.kind == "generic":
-        b_center, b_width = 0.0, 1.0
-    else:
-        b_center, b_width = _exponent_window(_sup_conv_quadratic(g, lam), 1.0)
-    b_val, b_err = _exp_integral(_sup_conv_fn(g, lam),
-                                 center=b_center, width=b_width)
+    a_exp, b_exp = _pl_exponents(g, lam)
+    a_val, a_err = _exp_integral(a_exp)
+    b_val, b_err = _exp_integral(b_exp)
     if a_val <= 0.0 or not math.isfinite(a_val):
         raise EvaluationError("left normalization integral failed")
     scale = a_val ** (lam - 1.0)
     deficit = b_val * scale - 1.0
     err = b_err * scale + (1.0 - lam) * b_val * scale / a_val * a_err
-    u = _pl_u_density(g, lam)
-    dist, dist_err = bf_distance_full(u, StandardGaussian(), tol=1e-10)
-    coeff = 0.5 * lam ** (1.0 + lam) * (1.0 - lam) ** (2.0 - lam)
-    lower = coeff * dist * dist
-    err += 2.0 * coeff * dist * dist_err
+    res, lower, dn_err = _dn_bound(
+        _pl_u_density(a_exp),
+        coeff=0.5 * lam ** (1.0 + lam) * (1.0 - lam) ** (2.0 - lam))
+    err += dn_err
     if g.kind == "generic":
         err += 1e-7  # grid sup-convolution refinement allowance
-    method = (f"A={a_val:.12f} B={b_val:.12f} d(u,gamma)={dist:.9f} "
+    method = (f"A={a_val:.12f} B={b_val:.12f} d(u,gamma)={res.value:.9f} "
               f"g-kind={g.kind} lam={lam}")
     return DeficitReport.build(case_id=case_id, theorem="pl", deficit=deficit,
                                lower_bound=lower, error=err, tol=tol,
@@ -639,11 +626,7 @@ def lambda_limit_diagnostics(g: GFun, lambdas: Optional[Sequence[float]] = None)
                                 tol_abs=1e-12).value
     rows = []
     for lam in lams:
-        s = 1.0 / (1.0 - lam)
-        a_center, a_width = _exponent_window(g, s)
-        a_val, _ = _exp_integral(lambda x: g(x) * s,
-                                 center=a_center, width=a_width)
-        b_val, _ = _exp_integral(_sup_conv_fn(g, lam))
+        a_val, b_val = (_exp_integral(q)[0] for q in _pl_exponents(g, lam))
         r1 = (a_val ** (1.0 - lam) - m_val) / lam
         r2 = (b_val - m_val) / lam
         lim2 = fisher_part / (2.0 * (1.0 - lam))

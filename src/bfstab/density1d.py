@@ -262,8 +262,10 @@ class GaussianMixture1D(Density1D):
         left = z < 0.0
         tail = ndtr(-np.abs(z))
         rest = 1.0 - tail
-        F = np.where(left, tail, rest) @ self.weights
-        Sv = np.where(left, rest, tail) @ self.weights
+        # row sums, not a BLAS product: a root must not depend on the other
+        # points solved in the same batch
+        F = (np.where(left, tail, rest) * self.weights).sum(axis=1)
+        Sv = (np.where(left, rest, tail) * self.weights).sum(axis=1)
         low = F <= 0.5
         S = ndtri(np.where(low, F, Sv))
         S = np.where(low, S, -S)

@@ -30,10 +30,12 @@ __all__ = ["QuadResult", "adaptive_quad", "adaptive_quad_rows", "gh_nodes",
            "gh_tensor"]
 
 # Gauss-Legendre orders of the check rule (_LOW) and the value rule
-# (_HIGH), and the most rounds of bisection one call runs.
+# (_HIGH), the most rounds of bisection one call runs, and the most panels
+# one integral may split into.
 _LOW = 10
 _HIGH = 21
 _MAX_ROUNDS = 64
+_MAX_PANELS = 8192
 # the nodes of both rules side by side, and each rule's weights
 _GL_WL = leggauss(_LOW)[1]
 _GL_WH = leggauss(_HIGH)[1]
@@ -74,8 +76,7 @@ def _row_sums(x, counts):
 
 
 def adaptive_quad_rows(f, row_breakpoints, *, tol_abs: float = 1e-11,
-                       tol_rel: float = 1e-13,
-                       max_panels: int = 8192) -> QuadResult:
+                       tol_rel: float = 1e-13) -> QuadResult:
     """Integrate B integrals at once, row r over the span of its breakpoints.
 
     ``row_breakpoints`` is a (B, M) array: row r's finite entries seed its
@@ -83,7 +84,7 @@ def adaptive_quad_rows(f, row_breakpoints, *, tol_abs: float = 1e-11,
     ``f(x, row)`` is called once per round on the active panels of all
     rows: x is (P, 31), and row[i] is the row of the points x[i].
     Each row keeps the budget max(tol_abs, tol_rel |row estimate|) and is
-    settled, capped at ``max_panels`` and accepted exactly as one integral
+    settled, capped at _MAX_PANELS and accepted exactly as one integral
     is (see ``adaptive_quad``), so B rows in one call give the same results
     as B calls. Returns a QuadResult whose fields are (B,) arrays. Raises
     EvaluationError if a row ends above ten times its budget or the
@@ -153,8 +154,8 @@ def adaptive_quad_rows(f, row_breakpoints, *, tol_abs: float = 1e-11,
             keep = ~settled
             ab, ve = ab.compress(keep, axis=1), ve.compress(keep, axis=1)
             row = row[keep]
-        # rows whose split would pass max_panels stop here
-        capped = n_panels + count > max_panels
+        # rows whose split would pass _MAX_PANELS stop here
+        capped = n_panels + count > _MAX_PANELS
         if capped.any():
             keep = ~close(capped & (count > 0))
             ab, ve = ab.compress(keep, axis=1), ve.compress(keep, axis=1)
@@ -178,8 +179,8 @@ def adaptive_quad_rows(f, row_breakpoints, *, tol_abs: float = 1e-11,
     return QuadResult(done[0], done[1], evaluations, n_panels)
 
 
-def adaptive_quad(f, breakpoints, *, tol_abs: float = 1e-11, tol_rel: float = 1e-13,
-                  max_panels: int = 8192) -> QuadResult:
+def adaptive_quad(f, breakpoints, *, tol_abs: float = 1e-11,
+                  tol_rel: float = 1e-13) -> QuadResult:
     """Integrate ``f`` from breakpoints[0] to breakpoints[-1].
 
     Interior breakpoints seed the initial panels; put known kinks there. The
@@ -187,7 +188,7 @@ def adaptive_quad(f, breakpoints, *, tol_abs: float = 1e-11, tol_rel: float = 1e
     its error fits its width-proportional share of the budget
     max(tol_abs, tol_rel |estimate|), and all panels are settled once the
     total fits. Raises EvaluationError (carrying the partial result) if the
-    error is still above ten times the budget when ``max_panels`` or
+    error is still above ten times the budget when _MAX_PANELS panels or
     _MAX_ROUNDS rounds run out. This is the one-row case of
     ``adaptive_quad_rows``.
     """
@@ -195,8 +196,7 @@ def adaptive_quad(f, breakpoints, *, tol_abs: float = 1e-11, tol_rel: float = 1e
     if not np.isfinite(bp).all():
         raise DomainError("breakpoints must be finite")
     res = adaptive_quad_rows(lambda x, row: f(x.ravel()), bp[None, :],
-                             tol_abs=tol_abs, tol_rel=tol_rel,
-                             max_panels=max_panels)
+                             tol_abs=tol_abs, tol_rel=tol_rel)
     return QuadResult(float(res.value[0]), float(res.error[0]),
                       int(res.evaluations[0]), int(res.panels[0]))
 

@@ -24,10 +24,11 @@ import numpy as np
 from scipy.special import ndtri
 from scipy.stats import qmc
 
-from .densitynd import (GaussianMixtureND, canonical_directions,
-                        marginal_parameters)
+from .density1d import Density1D, StandardGaussian
+from .densitynd import (GaussianMixtureND, ProductFunction,
+                        canonical_directions, marginal_parameters)
 from .errors import DomainError
-from .transport1d import gauss_distance_rows
+from .transport1d import bf_distance_full, gauss_distance_rows
 
 __all__ = [
     "DnResult",
@@ -262,16 +263,24 @@ def _refine(nu: GaussianMixtureND, seeds, bases):
     return results, solved
 
 
-def dn_distance(nu: GaussianMixtureND, *,
-                directions: Optional[int] = None) -> DnResult:
+def dn_distance(nu, *, directions: Optional[int] = None) -> DnResult:
     """Search the sphere for the largest marginal distance to gamma.
 
-    ``directions`` is the coarse lattice size; None picks 512 for n <= 3
-    and 4096 above. The returned value is a certified lower bound on the
-    supremum (it is the exact distance at the reported argmax, up to
-    value_error); the search cannot overshoot. nu has dimension at least
-    2: in one dimension d_n is the distance itself.
+    nu is any measure the verifiers take. A Density1D has one direction:
+    its d_n is its distance to gamma (tol 1e-10), with argmax [1.], one
+    evaluation and no refinement. A ProductFunction is searched through its
+    mixture. For an n-D mixture, ``directions`` is the coarse lattice size;
+    None picks 512 for n <= 3 and 4096 above. The returned value is a
+    certified lower bound on the supremum (it is the exact distance at the
+    reported argmax, up to value_error); the search cannot overshoot.
     """
+    if isinstance(nu, Density1D):
+        value, error = bf_distance_full(nu, StandardGaussian(), tol=1e-10)
+        return DnResult(value=value, argmax=np.ones(1), coarse_max=value,
+                        refined_gain=0.0, directions_evaluated=1,
+                        value_error=error)
+    if isinstance(nu, ProductFunction):
+        nu = nu.as_mixture()
     if nu.dim < 2:
         raise DomainError("dn_distance needs dimension at least 2; give a "
                           "one-dimensional measure as a GaussianMixture1D")

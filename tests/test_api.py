@@ -1,15 +1,19 @@
-"""The exported API: every listed name resolves, and the README quick start
-prints what its comments say."""
+"""The exported API: every listed name resolves, the README quick start
+prints what its comments say, and the README's command lines run."""
 
 import contextlib
+import csv
 import importlib
 import io
+import json
 import pathlib
 import pkgutil
+import shlex
 
 import pytest
 
 import bfstab
+from bfstab import cli
 
 README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
 
@@ -76,3 +80,26 @@ def test_readme_quick_start_prints_its_comments():
     assert len(printed) == len(expected), printed
     for got, want in zip(printed, expected):
         assert _matches(got, want), (got, want)
+
+
+def _command_lines():
+    section = README.read_text(encoding="utf-8").split("## Command line", 1)[1]
+    return section.split("```sh\n", 1)[1].split("```", 1)[0].splitlines()
+
+
+@pytest.mark.parametrize("line", _command_lines(),
+                         ids=lambda line: line.split()[1])
+def test_readme_command_line_runs(line, tmp_path, monkeypatch, capsys):
+    # every command there passes all it checks, so exits 0
+    (tmp_path / "payload.json").write_text(json.dumps(
+        {"weights": [0.4, 0.6], "means": [-0.5, 1.0], "stds": [0.8, 1.2]}))
+    monkeypatch.chdir(tmp_path)
+    argv = shlex.split(line)
+    assert argv[0] == "bfstab"
+    assert cli.main(argv[1:]) == 0
+    out = capsys.readouterr().out
+    if "csv" in argv:
+        rows = list(csv.reader(io.StringIO(out)))
+        assert len(rows) >= 2 and len({len(r) for r in rows}) == 1
+    else:
+        assert isinstance(json.loads(out), dict)

@@ -646,3 +646,26 @@ def test_distance_rejects_flags_it_does_not_read(capsys, flag):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "unrecognized arguments" in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--suite", "equality-cases"],
+    ["sweep", "--kind", "sigma", "--values", "2"]], ids=["verify", "sweep"])
+def test_case_id_is_a_parse_error_on_suites_and_sweeps(capsys, argv):
+    # their rows carry the suite's or the sweep's own ids
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--case-id", "foo"])
+    assert exc.value.code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "unrecognized arguments: --case-id" in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["deficit", "--measure", "gauss:0,4"], ["talagrand", "--measure", "gauss:0,4"],
+    ["pl-check", "--g", "zero", "--lam", "0.5"]],
+    ids=["deficit", "talagrand", "pl-check"])
+def test_case_id_stamps_single_case_reports(capsys, argv):
+    code, out, _ = run_cli(capsys, *argv, "--case-id", "foo")
+    assert code == 0
+    assert json.loads(out)["report"]["case_id"] == "foo"

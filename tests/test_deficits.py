@@ -1,5 +1,6 @@
 """Inequality verifiers: frozen constants, closed-form oracles, status bands."""
 
+import decimal
 import math
 import pickle
 import warnings
@@ -8,13 +9,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bfstab import (CapabilityError, DeficitReport, DomainError, GFun,
+from bfstab import (CapabilityError, DeficitReport, DomainError,
+                    EvaluationError, GFun,
                     GaussianMixture1D, GaussianMixtureND, PLTriple,
                     ProductFunction, lambda_limit_diagnostics, lsi_deficit,
                     pl_deficit_check, sup_convolution, verify_corollary,
                     verify_talagrand, verify_thm_main)
 from bfstab import deficits, densitynd
-from bfstab.corpus import _SIN_BUMP, _sin_bump, main_corpus
+from bfstab.corpus import _PL_GS, _SIN_BUMP, _sin_bump, main_corpus
 from bfstab.deficits import _corollary_axis_quad
 
 LSI_SIGMA2 = 0.3181471805599453   # fisher/2 - entropy at sigma = 2
@@ -473,6 +475,67 @@ def test_pl_equality_for_flat_and_linear(lam):
         assert rep.status == "pass"
         assert abs(rep.deficit) < 1e-10
         assert rep.lower_bound < 1e-12
+
+
+def _tilt_exact(q):
+    """(int e^q dgamma, |b| + a^2/(2(1+k))) at 50 digits, for
+    q = -k x^2/2 + a x + b."""
+    with decimal.localcontext(prec=50):
+        k, a, b = (decimal.Decimal(v) for v in (q.curvature, q.slope,
+                                                 q.offset))
+        tilt = a * a / (2 * (1 + k))
+        return (b + tilt).exp() / (1 + k).sqrt(), abs(b) + tilt
+
+
+def _tilts():
+    """The exponents of A and B for the corpus g's at lambda in [0.1, 0.99],
+    random tilts with curvature 0-20, slope +-15 and offset +-5, and tilts
+    whose offset cancels most of a^2/(2(1+k))."""
+    for _, g in _PL_GS[:3]:
+        for lam in np.linspace(0.1, 0.99, 90):
+            yield from deficits._pl_exponents(g, float(lam))
+    yield GFun.quadratic(0.0, math.sqrt(2000.0), -1000.0)
+    yield from deficits._pl_exponents(GFun.linear(10.0, -50.0), 0.01)
+    rng = np.random.default_rng(20151)
+    for _ in range(200):
+        yield GFun.quadratic(rng.uniform(0.0, 20.0), rng.uniform(-15.0, 15.0),
+                             rng.uniform(-5.0, 5.0))
+    for _ in range(100):
+        k, a = rng.uniform(0.0, 20.0), rng.uniform(-15.0, 15.0)
+        yield GFun.quadratic(k, a, -a * a / (2.0 * (1.0 + k))
+                             + rng.uniform(-1.0, 1.0))
+
+
+def test_closed_form_tilt_within_its_allowance():
+    # the allowance is 4 eps (1 + |b| + a^2/(2(1+k))) times the value; a
+    # linear g at lambda near 1 has A = e^{a^2 / (2 (1 - lam)^2)}, past the
+    # double range
+    eps = np.finfo(float).eps
+    worst = 0.0
+    for q in _tilts():
+        exact, terms = _tilt_exact(q)
+        if exact > decimal.Decimal(np.finfo(float).max):
+            with pytest.raises(EvaluationError, match="overflows"):
+                deficits._exp_integral(q)
+            continue
+        value, err = deficits._exp_integral(q)
+        miss = float(abs(decimal.Decimal(value) - exact))
+        assert miss <= err, (q, value, err)
+        worst = max(worst, miss / (eps * (1.0 + float(terms)) * value))
+    assert worst > 0.1  # the oracle does see the rounding
+
+
+@pytest.mark.parametrize("k,a,b", [(0.0, 0.0, 0.0), (20.0, -15.0, 5.0),
+                                   (0.5, 1.0 / 0.1, 0.0)])
+def test_closed_form_tilt_matches_quadrature(k, a, b):
+    # the formula itself, against 50-digit quadrature of e^q phi
+    mpmath = pytest.importorskip("mpmath")
+    value, err = deficits._exp_integral(GFun.quadratic(k, a, b))
+    with mpmath.workdps(50):
+        def f(x):
+            return mpmath.npdf(x) * mpmath.exp(-k * x * x / 2 + a * x + b)
+        ref = mpmath.quad(f, [-mpmath.inf, a / (1 + k), mpmath.inf])
+    assert float(abs(value - ref)) <= err
 
 
 def test_pl_generic_bump_passes():

@@ -14,7 +14,7 @@ from bfstab import (ConditioningError, DomainError, GaussianMixture1D,
                     entropy_rel_gauss_full, fisher_rel_gauss_full,
                     load_grid_csv)
 from bfstab.corpus import _SIN_BUMP
-from bfstab.deficits import _pl_u_density
+from bfstab.deficits import _pl_exponents, _pl_u_density
 
 GAUSS = StandardGaussian()
 
@@ -399,7 +399,7 @@ def test_grid_right_tail_reads_survival_from_the_right(lam):
     # the PL u of the sin bump; summed from the left only, 1 - F rounded to
     # 0 right of x = 8 and quantile_sf(s) raised for s between the right
     # tail's mass and 1.1e-16
-    u = _pl_u_density(_SIN_BUMP, lam)
+    u = _pl_u_density(_pl_exponents(_SIN_BUMP, lam)[0])
     s = np.logspace(-300.0, -1.0, 400)
     x = u.quantile_sf(s)
     assert np.all(np.isfinite(x))

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from bfstab import quadrature
 from bfstab.errors import DomainError, EvaluationError
 from bfstab.quadrature import adaptive_quad, adaptive_quad_rows
 
@@ -42,15 +43,15 @@ def test_rows_match_separate_calls():
     assert res.error[0] <= 1e-13 * abs(res.value[0])
 
 
-def test_capped_row_is_accepted_within_ten_budgets():
+def test_capped_row_is_accepted_within_ten_budgets(monkeypatch):
     # at 64 panels row 3 stops near 1e-6, inside 10x its 2e-7 budget
+    monkeypatch.setattr(quadrature, "_MAX_PANELS", 64)
     rows = [1, 2, 3]
     res = adaptive_quad_rows(lambda x, row: wave(x, np.array(rows)[row][:, None]),
                              padded([ROW_BREAKS[r] for r in rows]),
-                             tol_abs=2e-7, max_panels=64)
+                             tol_abs=2e-7)
     for i, r in enumerate(rows):
-        one = adaptive_quad(lambda x: wave(x, r), ROW_BREAKS[r], tol_abs=2e-7,
-                            max_panels=64)
+        one = adaptive_quad(lambda x: wave(x, r), ROW_BREAKS[r], tol_abs=2e-7)
         assert (res.value[i], res.error[i], res.panels[i]) == \
             (one.value, one.error, one.panels), r
     assert 2e-7 < res.error[2] <= 2e-6 and res.panels[2] > 32
@@ -63,18 +64,19 @@ def test_one_row_matches_closed_form():
     assert res.evaluations == 31 * (2 * res.panels - 2)
 
 
-def test_unconverged_row_raises_with_its_partial_result():
+def test_unconverged_row_raises_with_its_partial_result(monkeypatch):
     # row 1 jumps at an irrational point, so no panel edge lands on it
     def f(x, row):
         step = np.where(x < math.sqrt(2.0), 0.0, 1.0)
         return np.where(row[:, None] == 1, step, np.exp(-x * x))
 
+    monkeypatch.setattr(quadrature, "_MAX_PANELS", 16)
     bp = np.array([[-5.0, 5.0], [0.0, 3.0]])
     with pytest.raises(EvaluationError, match="in row 1") as info:
-        adaptive_quad_rows(f, bp, tol_abs=1e-12, max_panels=16)
+        adaptive_quad_rows(f, bp, tol_abs=1e-12)
     assert abs(info.value.value - (3.0 - math.sqrt(2.0))) < 0.2
     # the smooth row alone converges
-    res = adaptive_quad_rows(f, bp[:1], tol_abs=1e-12, max_panels=16)
+    res = adaptive_quad_rows(f, bp[:1], tol_abs=1e-12)
     exact = math.sqrt(math.pi) * math.erf(5.0)
     assert abs(res.value[0] - exact) <= res.error[0] + 1e-14
 

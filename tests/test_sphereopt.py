@@ -1,14 +1,15 @@
 """Directional supremum search: exact cases, equivariance, monotonicity."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 from scipy.optimize import minimize, rosen
 
-from bfstab import (DomainError, GaussianMixture1D, GaussianMixtureND,
-                    ProductFunction, bf_distance_full, StandardGaussian,
-                    dn_distance, verify_thm_main)
+from bfstab import (DnResult, DomainError, GaussianMixture1D,
+                    GaussianMixtureND, ProductFunction, bf_distance_full,
+                    StandardGaussian, dn_distance, verify_thm_main)
 from bfstab.corpus import main_corpus
 from bfstab.densitynd import canonical_directions, marginal_parameters
 from bfstab.sphereopt import (_ITERATIONS, _RESTARTS, _augmentation, _dedup,
@@ -42,6 +43,24 @@ def test_one_dimensional_passthrough():
     rep = verify_thm_main(GaussianMixture1D([1.0], [0.0], [2.0]))
     assert abs(rep.lower_bound - 0.5 * 0.5 ** 2) < 1e-9
     assert "evals=1" in rep.method
+
+
+def test_one_dimensional_measure_is_its_own_distance():
+    mix = GaussianMixture1D([0.2, 0.5, 0.3], [-2.0, 0.0, 2.5], [0.5, 1.5, 0.2])
+    res = dn_distance(mix)
+    value, error = bf_distance_full(mix, StandardGaussian(), tol=1e-10)
+    assert (res.value, res.value_error) == (value, error)
+    assert res.argmax.tolist() == [1.0] and res.directions_evaluated == 1
+    assert (res.coarse_max, res.refined_gain) == (value, 0.0)
+
+
+def test_product_is_searched_through_its_mixture():
+    prod = dict(main_corpus())["main-2d-prod-1"]
+    res, ref = dn_distance(prod, directions=64), dn_distance(
+        prod.as_mixture(), directions=64)
+    for field in dataclasses.fields(DnResult):
+        assert np.array_equal(getattr(res, field.name),
+                              getattr(ref, field.name)), field.name
 
 
 def test_axis_aligned_product_exact():
