@@ -484,14 +484,17 @@ def sup_convolution(g: GFun, lam: float, z):
 
 
 def _exp_integral(q):
-    """int e^{q(x)} dgamma(x) with error estimate.
+    """int e^{q(x)} dgamma(x) = e^peak (value +- error), as (peak, value,
+    error): the exponent stays apart, so integrals past the double range
+    still combine in log space.
 
     An analytic q = -k x^2/2 + a x + b (a GFun of kind const, linear or
-    quadratic) has the closed form e^{b + a^2/(2(1+k))} / sqrt(1+k), charged
-    4 eps (1 + |b| + a^2/(2(1+k))) times the value: rounding scales with the
-    terms of the exponent, not with their sum. Any other q is integrated on
-    [-13, 13] by adaptive quadrature, with the peak log-value factored out
-    so the quadrature runs on O(1) numbers.
+    quadratic) has the closed form e^{b + a^2/(2(1+k))} / sqrt(1+k): peak
+    b + a^2/(2(1+k)) and value 1/sqrt(1+k), charged 4 eps (1 + |b| +
+    a^2/(2(1+k))) times the value, as rounding of the peak scales with its
+    terms, not with their sum. Any other q is integrated on [-13, 13] by
+    adaptive quadrature, with the peak log-value factored out so the
+    quadrature runs on O(1) numbers.
     """
     if isinstance(q, GFun) and q.kind != "generic":
         tau = 1.0 + q.curvature
@@ -509,13 +512,26 @@ def _exp_integral(q):
         res = adaptive_quad(f, _breaks(-13.0, 13.0), tol_abs=1e-12,
                             tol_rel=1e-13)
         value, error = res.value, res.error
+    return peak, value, error
+
+
+def _exp_scaled(log_scale, x):
+    """e^log_scale x; EvaluationError past the double range."""
     try:
-        scale = math.exp(peak)
+        out = math.exp(log_scale) * x
     except OverflowError:
-        scale = math.inf
-    if not math.isfinite(scale * value):
+        out = math.inf
+    if not math.isfinite(out):
         raise EvaluationError("exponential integral overflows double range")
-    return scale * value, scale * error
+    return out
+
+
+def _exp_text(log_scale, x):
+    """e^log_scale x to 12 decimals, or exp(its log) past the double range."""
+    try:
+        return f"{_exp_scaled(log_scale, x):.12f}"
+    except EvaluationError:
+        return f"exp({log_scale + math.log(x):.12f})"
 
 
 def _sup_conv_quadratic(g: GFun, lam: float) -> GFun:
@@ -561,11 +577,13 @@ def pl_deficit_check(t: PLTriple, *, case_id: str = "",
     """
     g, lam = t.g, t.lam
     a_exp, b_exp = _pl_exponents(g, lam)
-    a_val, a_err = _exp_integral(a_exp)
-    b_val, b_err = _exp_integral(b_exp)
+    a_log, a_val, a_err = _exp_integral(a_exp)
+    b_log, b_val, b_err = _exp_integral(b_exp)
     if a_val <= 0.0 or not math.isfinite(a_val):
         raise EvaluationError("left normalization integral failed")
-    scale = a_val ** (lam - 1.0)
+    # B / A^{1-lam} from the peaks' difference: a linear g at lam near 1
+    # puts A and B past the double range with a ratio of exactly 1
+    scale = _exp_scaled(b_log - (1.0 - lam) * a_log, a_val ** (lam - 1.0))
     deficit = b_val * scale - 1.0
     err = b_err * scale + (1.0 - lam) * b_val * scale / a_val * a_err
     res, lower, dn_err = _dn_bound(
@@ -574,8 +592,8 @@ def pl_deficit_check(t: PLTriple, *, case_id: str = "",
     err += dn_err
     if g.kind == "generic":
         err += 1e-7  # grid sup-convolution refinement allowance
-    method = (f"A={a_val:.12f} B={b_val:.12f} d(u,gamma)={res.value:.9f} "
-              f"g-kind={g.kind} lam={lam}")
+    method = (f"A={_exp_text(a_log, a_val)} B={_exp_text(b_log, b_val)} "
+              f"d(u,gamma)={res.value:.9f} g-kind={g.kind} lam={lam}")
     return DeficitReport.build(case_id=case_id, theorem="pl", deficit=deficit,
                                lower_bound=lower, error=err, tol=tol,
                                method=method)
@@ -601,32 +619,45 @@ def lambda_limit_diagnostics(g: GFun, lambdas: Optional[Sequence[float]] = None)
     For each lambda: (A^{1-lam} - m)/lam against Ent_gamma(e^g) and
     (B - m)/lam against 1/(2(1-lam)) int |g'|^2 e^g dgamma, where
     m = int e^g dgamma. Both residuals must shrink linearly in lambda.
+
+    For an analytic g = -k x^2/2 + a x + b, e^g gamma / m is N(a/tau, 1/tau)
+    with tau = 1 + k, so both limits are its Gaussian moments times m:
+    Ent_gamma(e^g) = m (mu^2/2 - k/(2 tau) + log(tau)/2) and
+    int |g'|^2 e^g dgamma = m (mu^2 + k^2/tau), mu = a/tau. A generic g is
+    integrated over [-WORKING_RADIUS, WORKING_RADIUS].
     """
     lams = tuple(_DEFAULT_SWEEP if lambdas is None else lambdas)
     if not lams or any(not 0.0 < l <= 0.5 for l in lams):
         raise DomainError("lambda sweep must live in (0, 0.5]")
     if any(b >= a for a, b in zip(lams, lams[1:])):
         raise DomainError("lambda sweep must be strictly decreasing")
-    m_val, _ = _exp_integral(g)
+    m_val = _exp_scaled(*_exp_integral(g)[:2])
+    if g.kind != "generic":
+        k, tau = g.curvature, 1.0 + g.curvature
+        mu = g.slope / tau
+        ent_limit = m_val * (0.5 * mu * mu - 0.5 * k / tau
+                             + 0.5 * math.log1p(k))
+        fisher_part = m_val * (mu * mu + k * k / tau)
+    else:
+        def ent_integrand(x):
+            return g(x) * np.exp(g(x)) * gauss_pdf(x)
 
-    def ent_integrand(x):
-        return g(x) * np.exp(g(x)) * gauss_pdf(x)
+        ent_part = adaptive_quad(ent_integrand,
+                                 _breaks(-WORKING_RADIUS, WORKING_RADIUS),
+                                 tol_abs=1e-12).value
+        ent_limit = ent_part - m_val * math.log(m_val)
 
-    ent_part = adaptive_quad(ent_integrand,
-                             _breaks(-WORKING_RADIUS, WORKING_RADIUS),
-                             tol_abs=1e-12).value
-    ent_limit = ent_part - m_val * math.log(m_val)
+        def fisher_integrand(x):
+            dg = g.deriv(x)
+            return dg * dg * np.exp(g(x)) * gauss_pdf(x)
 
-    def fisher_integrand(x):
-        dg = g.deriv(x)
-        return dg * dg * np.exp(g(x)) * gauss_pdf(x)
-
-    fisher_part = adaptive_quad(fisher_integrand,
-                                _breaks(-WORKING_RADIUS, WORKING_RADIUS),
-                                tol_abs=1e-12).value
+        fisher_part = adaptive_quad(fisher_integrand,
+                                    _breaks(-WORKING_RADIUS, WORKING_RADIUS),
+                                    tol_abs=1e-12).value
     rows = []
     for lam in lams:
-        a_val, b_val = (_exp_integral(q)[0] for q in _pl_exponents(g, lam))
+        a_val, b_val = (_exp_scaled(*_exp_integral(q)[:2])
+                        for q in _pl_exponents(g, lam))
         r1 = (a_val ** (1.0 - lam) - m_val) / lam
         r2 = (b_val - m_val) / lam
         lim2 = fisher_part / (2.0 * (1.0 - lam))

@@ -84,6 +84,8 @@ class Density1D:
     All methods are vectorized over ndarray inputs. Masses go through one
     private pair: ``_mass(x)`` gives (m, upper), m = F(x) where F(x) <= 1/2
     and 1 - F(x) where ``upper``, and ``_invert(m, upper)`` inverts it.
+    ``_mass_logpdf(x)`` and ``_mass_logpdf_pdf(x)`` add logpdf, and pdf,
+    at the same points, so a grid locates them once for all.
     """
 
     def pdf(self, x):
@@ -113,6 +115,18 @@ class Density1D:
         """(m, upper) at the points x, m clipped to [_PROB_FLOOR, _PROB_CEIL]."""
         m, upper = self._masses(np.asarray(x, dtype=float))
         return np.clip(m, _PROB_FLOOR, _PROB_CEIL), upper
+
+    def _mass_logpdf(self, x):
+        """(m, upper, logpdf) at the points x, each as ``_mass`` and
+        ``logpdf`` give it: what a transport map from this density reads."""
+        x = np.asarray(x, dtype=float)
+        return (*self._mass(x), self.logpdf(x))
+
+    def _mass_logpdf_pdf(self, x):
+        """``_mass_logpdf`` and ``pdf`` at the points x: what an integral
+        over this density of its transport map reads."""
+        x = np.asarray(x, dtype=float)
+        return (*self._mass_logpdf(x), self.pdf(x))
 
     def _invert(self, m, upper):
         """The x with F(x) = m, or 1 - F(x) = m where ``upper``; any m in
@@ -446,11 +460,17 @@ class GridDensity1D(Density1D):
                     self._cum, self._cum_r, self._dir, self._base):
             arr.setflags(write=False)
 
-    def logpdf(self, x):
-        x = np.asarray(x, dtype=float)
-        i = np.searchsorted(self.nodes, x, side="right")
+    def _piece(self, x):
+        return np.searchsorted(self.nodes, x, side="right")
+
+    def _logpdf_in(self, x, i):
+        """logpdf at the points x of the pieces i."""
         u = (x - self._anchor[i]) / self._scale[i]
         return self._lv[i] + u * (self._slope[i] - 0.5 * self._curv[i] * u)
+
+    def logpdf(self, x):
+        x = np.asarray(x, dtype=float)
+        return self._logpdf_in(x, self._piece(x))
 
     def pdf(self, x):
         return np.exp(self.logpdf(x))
@@ -458,12 +478,15 @@ class GridDensity1D(Density1D):
     def score(self, x):
         """Piecewise log-slope; jumps at the nodes."""
         x = np.asarray(x, dtype=float)
-        i = np.searchsorted(self.nodes, x, side="right")
+        i = self._piece(x)
         return self._slope[i] - self._curv[i] * (x - self._anchor[i]) / self._scale2[i]
 
     def _masses(self, x):
-        """Each point is located once and read from its piece's end."""
-        i = np.searchsorted(self.nodes, x, side="right")
+        return self._masses_in(x, self._piece(x))
+
+    def _masses_in(self, x, i):
+        """``_masses`` at the points x of the pieces i, each read from its
+        piece's end."""
         d = self._dir[i]
         m = np.empty_like(x)
         tail = (i == 0) | (i == self.nodes.size)
@@ -477,6 +500,19 @@ class GridDensity1D(Density1D):
         m[~tail] = self._base[k] + self.values[j] * dx * _expm1_over(
             dk * self._slope[k] * dx)
         return np.minimum(m, 1.0 - m), (d < 0) != (m > 0.5)
+
+    def _mass_logpdf(self, x):
+        """One locate serves the masses and the logpdf gather."""
+        x = np.asarray(x, dtype=float)
+        i = self._piece(x)
+        m, upper = self._masses_in(x, i)
+        return (np.clip(m, _PROB_FLOOR, _PROB_CEIL), upper,
+                self._logpdf_in(x, i))
+
+    def _mass_logpdf_pdf(self, x):
+        """pdf is exp(logpdf), as ``pdf`` takes it."""
+        m, upper, logpdf = self._mass_logpdf(x)
+        return m, upper, logpdf, np.exp(logpdf)
 
     def cdf(self, x):
         m, upper = self._masses(np.asarray(x, dtype=float))

@@ -17,6 +17,15 @@ int (T' - 1 - log T') dgamma of T = S^{-1}. Between two non-Gaussian
 densities both directed integrals are computed; they agree analytically, so
 a gap beyond 1e-6 raises a NumericalWarning and the average is returned.
 
+The directed integral's first panels also end at the points where the
+source has structure of its own: a mixture's means, or a grid's nodes,
+where its log-density kinks. A grid is log-linear between nodes, so its
+panels are smooth; on the 4097-node PL grid every one settles in the first
+round. The integrand reads the source once per set of points
+(``Density1D._mass_logpdf_pdf``: a grid locates the points in its node
+table once for mass, log-density and density) and runs in slices of
+_EVAL_SLICE points, so a grid's large first round adds no peak memory.
+
 A row of the batched kernel with one present component N(m, s^2) needs no
 integral: S = (x - m) / s has the constant derivative 1/s, so
 d = 1 - min(s, 1/s), returned with a rounding allowance of 1e-15 as its
@@ -38,9 +47,9 @@ import numpy as np
 from scipy.special import ndtr, ndtri
 
 from .density1d import (_PROB_CEIL, _PROB_FLOOR, SQRT_2PI, Density1D,
-                        GaussianMixture1D, StandardGaussian, _expect,
-                        _measure_breaks, _tail_bound, entropy_rel_gauss_full,
-                        gauss_logpdf)
+                        GaussianMixture1D, GridDensity1D, StandardGaussian,
+                        _expect, _measure_breaks, _tail_bound,
+                        entropy_rel_gauss_full, gauss_logpdf)
 from .errors import InvariantViolation, NumericalWarning
 from .quadrature import adaptive_quad, adaptive_quad_rows
 
@@ -67,8 +76,13 @@ class TransportMap1D:
 
     def deriv(self, x):
         """T'(x) = u(x) / v(T(x)), strictly positive."""
-        x = np.asarray(x, dtype=float)
-        return np.exp(self.source.logpdf(x) - self.target.logpdf(self(x)))
+        return self._deriv(*self.source._mass_logpdf(x))
+
+    def _deriv(self, m, upper, logpdf):
+        """T' at points where the source has masses (m, upper) and log-density
+        logpdf."""
+        target = self.target
+        return np.exp(logpdf - target.logpdf(target._invert(m, upper)))
 
 
 # Pre-scan of T' - 1 on this many points of the working interval; a row
@@ -85,6 +99,10 @@ _TURN_STEPS = 20
 # K arrays of the chunk's points, 1 MiB in all, so its memory does not grow
 # with the number of rows.
 _ROW_CHUNK = 1 << 17
+# Points the directed distance's integrand evaluates at once: a grid
+# source's first round has 31 points per node, and the integrand is
+# elementwise, so slices keep its temporaries this size at no cost in bits.
+_EVAL_SLICE = 1 << 14
 # Tail mass the directed distance leaves outside its working interval.
 _DIST_TAIL = 1e-15
 # Error of a closed-form one-component row: its rounding is at most eps,
@@ -150,22 +168,24 @@ def _leading(mask):
     return cols, np.arange(cols.shape[1]) < count[:, None]
 
 
-def _distance_breaks(lo, hi, means, deriv):
+def _distance_breaks(lo, hi, interior, deriv):
     """Panel breakpoints of the directed distance integrand, one row each.
 
-    lo, hi: (B,) working intervals of the sources; means: (B, K) source
-    means, NaN where there is none. ``deriv`` maps (B, n) points to T'
-    there. T' - 1 is pre-scanned on 257 points. Where it changes sign
-    between 1 and 32 times, each sign change is located inside its cell
+    lo, hi: (B,) working intervals of the sources; interior: (B, K) points
+    where the source itself has structure, NaN-padded: a mixture's means,
+    or a grid's nodes, where its log-density kinks (so a grid source is
+    log-linear on each panel). ``deriv`` maps (B, n) points to T' there.
+    T' - 1 is pre-scanned on 257 points. Where it changes sign between 1
+    and 32 times, each sign change is located inside its cell
     (``_kinks``) and becomes a breakpoint. Where it turns back towards 0
     at a scan point without changing sign, near enough 0 to cross it (at
     most 32 times), the turn is found between the neighbouring scan points
     (``_turns``); a turn past 0 is a dip across it, whose two sign changes
     are located and become breakpoints too. So every kink of |1 - T'| sits
     on a panel edge, where the two Gauss-Legendre rules estimate the
-    error honestly. The means inside (lo, hi) and the even 8-panel split of
-    [lo, hi] are breakpoints too. Returns a (B, M) NaN-padded array for
-    ``adaptive_quad_rows``.
+    error honestly. The interior points inside (lo, hi) and the even
+    8-panel split of [lo, hi] are breakpoints too. Returns a (B, M)
+    NaN-padded array for ``adaptive_quad_rows``.
     """
     # np.linspace(lo[r], hi[r], 257) for every row r, the same values
     xs = (np.arange(_SCAN_POINTS) * ((hi - lo) / (_SCAN_POINTS - 1))[:, None]
@@ -202,14 +222,13 @@ def _distance_breaks(lo, hi, means, deriv):
         real &= fx * side[rows, j] < 0
         cells += [(xs[rows, j], x, dv[rows, j], fx, real),
                   (x, xs[rows, j + 2], fx, dv[rows, j + 2], real)]
-    interior = means
     if cells:
         a, b, fa, fb, real = (np.concatenate(c, axis=1) for c in zip(*cells))
         # padding gets a dummy cell [lo, lo] with a sign change
         edge = lo[:, None]
         kink = _kinks(np.where(real, a, edge), np.where(real, b, edge),
                       np.where(real, fa, -1.0), np.where(real, fb, 1.0), deriv)
-        interior = np.concatenate([means, np.where(real, kink, np.nan)],
+        interior = np.concatenate([interior, np.where(real, kink, np.nan)],
                                   axis=1)
     inside = (interior > lo[:, None]) & (interior < hi[:, None])
     # every 32nd pre-scan point: np.linspace(lo, hi, 9), the same values
@@ -220,13 +239,23 @@ def _distance_breaks(lo, hi, means, deriv):
 def _directed_distance(mu: Density1D, nu: Density1D, tol: float):
     tmap = TransportMap1D(mu, nu)
     lo, hi = mu.working_interval(_DIST_TAIL)
-    means = mu.means if isinstance(mu, GaussianMixture1D) else np.empty(0)
-    bp = _distance_breaks(np.array([lo]), np.array([hi]), means[None, :],
+    if isinstance(mu, GaussianMixture1D):
+        interior = mu.means
+    elif isinstance(mu, GridDensity1D):
+        interior = mu.nodes
+    else:
+        interior = np.empty(0)
+    bp = _distance_breaks(np.array([lo]), np.array([hi]), interior[None, :],
                           lambda xs: tmap.deriv(xs.ravel()).reshape(xs.shape))
 
     def g(x):
-        s = tmap.deriv(x)
-        return np.abs(1.0 - s) / np.maximum(1.0, s) * mu.pdf(x)
+        out = np.empty_like(x)
+        for start in range(0, x.size, _EVAL_SLICE):
+            part = slice(start, start + _EVAL_SLICE)
+            m, upper, logpdf, pdf = mu._mass_logpdf_pdf(x[part])
+            s = tmap._deriv(m, upper, logpdf)
+            out[part] = np.abs(1.0 - s) / np.maximum(1.0, s) * pdf
+        return out
 
     return adaptive_quad(g, bp[np.isfinite(bp)], tol_abs=tol, tol_rel=1e-12)
 

@@ -383,6 +383,22 @@ def test_pl_check_with_diagnostics(capsys):
         assert lams == sorted(lams, reverse=True)
 
 
+def test_pl_check_past_the_double_range(capsys):
+    # A = e^5000 used to end in the catch-all error status
+    code, out, err = run_cli(capsys, "pl-check", "--g", "linear:1", "--lam",
+                             "0.99", "--format", "csv")
+    assert code == 0, err
+    assert ',pass,"A=exp(' in out
+    code, out, err = run_cli(capsys, "pl-check", "--g", "linear:12", "--lam",
+                             "0.5", "--diagnostics")
+    assert code == 0, err
+    payload = json.loads(out)
+    assert payload["report"]["status"] == "pass"
+    m = math.exp(72.0)
+    for row in payload["diagnostics"]:
+        assert row["entropy_limit"] == pytest.approx(72.0 * m, rel=1e-13)
+
+
 # ---------------------------------------------------------------------------
 # suites, sweeps, formats
 

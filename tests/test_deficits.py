@@ -411,7 +411,8 @@ def test_sup_convolution_grid_allowance_covers_finer_grid(monkeypatch, lam):
     # pl_deficit_check charges a flat 1e-7 for the grid sup-convolution; B on
     # a 16x finer grid must stay inside it
     def b_value():
-        return deficits._exp_integral(deficits._sup_conv_fn(_SIN_BUMP, lam))[0]
+        return deficits._exp_scaled(*deficits._exp_integral(
+            deficits._sup_conv_fn(_SIN_BUMP, lam))[:2])
 
     coarse = b_value()
     fine = np.linspace(-12.0, 12.0, 16 * (deficits._PL_XS.size - 1) + 1)
@@ -509,19 +510,20 @@ def _tilts():
 def test_closed_form_tilt_within_its_allowance():
     # the allowance is 4 eps (1 + |b| + a^2/(2(1+k))) times the value; a
     # linear g at lambda near 1 has A = e^{a^2 / (2 (1 - lam)^2)}, past the
-    # double range
+    # double range, and e^peak value still carries it
     eps = np.finfo(float).eps
     worst = 0.0
+    beyond = 0
     for q in _tilts():
         exact, terms = _tilt_exact(q)
-        if exact > decimal.Decimal(np.finfo(float).max):
-            with pytest.raises(EvaluationError, match="overflows"):
-                deficits._exp_integral(q)
-            continue
-        value, err = deficits._exp_integral(q)
-        miss = float(abs(decimal.Decimal(value) - exact))
+        peak, value, err = deficits._exp_integral(q)
+        with decimal.localcontext(prec=50):
+            scale = decimal.Decimal(peak).exp()
+            miss = float(abs(scale * decimal.Decimal(value) - exact) / scale)
+        beyond += exact > decimal.Decimal(np.finfo(float).max)
         assert miss <= err, (q, value, err)
         worst = max(worst, miss / (eps * (1.0 + float(terms)) * value))
+    assert beyond > 0
     assert worst > 0.1  # the oracle does see the rounding
 
 
@@ -530,12 +532,22 @@ def test_closed_form_tilt_within_its_allowance():
 def test_closed_form_tilt_matches_quadrature(k, a, b):
     # the formula itself, against 50-digit quadrature of e^q phi
     mpmath = pytest.importorskip("mpmath")
-    value, err = deficits._exp_integral(GFun.quadratic(k, a, b))
+    peak, value, err = deficits._exp_integral(GFun.quadratic(k, a, b))
     with mpmath.workdps(50):
         def f(x):
             return mpmath.npdf(x) * mpmath.exp(-k * x * x / 2 + a * x + b)
         ref = mpmath.quad(f, [-mpmath.inf, a / (1 + k), mpmath.inf])
-    assert float(abs(value - ref)) <= err
+        assert float(abs(mpmath.exp(peak) * value - ref)) <= (
+            float(mpmath.exp(peak)) * err)
+
+
+@pytest.mark.parametrize("lam", [0.98, 0.99])
+def test_pl_linear_past_the_double_range_passes(lam):
+    # A = e^{1 / (2 (1 - lam)^2)} is e^1250 or e^5000; B / A^{1 - lam} is 1
+    rep = pl_deficit_check(PLTriple(GFun.linear(1.0), lam))
+    assert rep.status == "pass"
+    assert abs(rep.deficit) <= rep.error_estimate
+    assert rep.method.startswith("A=exp(")
 
 
 def test_pl_generic_bump_passes():
@@ -568,6 +580,23 @@ def test_lambda_diagnostics_limits_match_quadrature():
         lambda x: g.deriv(x) ** 2 * math.exp(g(x)) * stats.norm.pdf(x),
         -12, 12)
     assert abs(rows[0].fisher_limit - fisher / (2 * 0.9)) < 1e-9
+
+
+def test_lambda_diagnostics_closed_form_for_a_strong_tilt():
+    # e^g gamma / m is N(a, 1) for g = a x: Ent_gamma(e^g) = (a^2/2) m and
+    # int |g'|^2 e^g dgamma = a^2 m, m = e^{a^2/2}. Integrated over [-10, 10]
+    # only, a = 12 gave -1.29e33 and 5.07e31
+    row = lambda_limit_diagnostics(GFun.linear(12.0), (0.4,))[0]
+    m = math.exp(72.0)
+    assert row.entropy_limit == pytest.approx(72.0 * m, rel=1e-13)
+    assert row.fisher_limit == pytest.approx(144.0 * m / 1.2, rel=1e-13)
+    # at a = 3 the window held, and the quadrature gave these
+    row = lambda_limit_diagnostics(GFun.linear(3.0), (0.4,))[0]
+    assert row.entropy_limit == pytest.approx(405.07709084884453, rel=1e-11)
+    assert row.fisher_limit == pytest.approx(675.1284847530495, rel=1e-11)
+    # m = e^800 itself is past the double range
+    with pytest.raises(EvaluationError, match="overflows"):
+        lambda_limit_diagnostics(GFun.linear(40.0), (0.4,))
 
 
 def test_lambda_diagnostics_validation():

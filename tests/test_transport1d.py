@@ -600,6 +600,93 @@ def test_gamma_side_quantities_invert_no_quantile(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
+# grid sources: nodes as panel edges, one locate per point set
+
+
+@pytest.mark.parametrize("density", [GAUSS, *mixture_pool(), _grid()],
+                         ids=["gauss", "mix0", "mix1", "mix2", "mix3", "grid"])
+def test_mass_logpdf_pdf_matches_separate_calls(density):
+    nodes = _grid().nodes
+    xs = np.concatenate([[-40.0, -9.0, -5.0 - 1e-9], nodes[::3],
+                         0.5 * (nodes[1:] + nodes[:-1])[::3],
+                         [6.0 + 1e-9, 9.0, 40.0]])
+    m, upper, logpdf, pdf = density._mass_logpdf_pdf(xs)
+    m_ref, upper_ref = density._mass(xs)
+    assert np.array_equal(m, m_ref)
+    assert np.array_equal(upper, upper_ref)
+    assert np.array_equal(logpdf, density.logpdf(xs))
+    assert np.array_equal(pdf, density.pdf(xs))
+    for got, ref in zip(density._mass_logpdf(xs), (m, upper, logpdf)):
+        assert np.array_equal(got, ref)
+
+
+def test_grid_distance_integrand_locates_each_point_once(monkeypatch):
+    # the map's mass, the log-density and the density used to locate the
+    # same points three times
+    integrands = []
+    quad = transport1d.adaptive_quad
+
+    def capture(g, breakpoints, **kw):
+        integrands.append(g)
+        return quad(g, breakpoints, **kw)
+
+    monkeypatch.setattr(transport1d, "adaptive_quad", capture)
+    _directed_distance(_grid(), GAUSS, 1e-10)
+    [g] = integrands
+    calls = []
+    search = np.searchsorted
+
+    def counted(a, v, *args, **kw):
+        calls.append(np.size(v))
+        return search(a, v, *args, **kw)
+
+    monkeypatch.setattr(np, "searchsorted", counted)
+    size = transport1d._EVAL_SLICE
+    for n, sizes in ((31 * 9, [31 * 9]), (size + 31, [size, 31])):
+        calls.clear()
+        g(np.linspace(-6.0, 7.0, n))
+        assert calls == sizes
+    t = TransportMap1D(_grid(), GAUSS)
+    calls.clear()
+    t.deriv(np.linspace(-6.0, 7.0, 257))
+    assert calls == [257]
+
+
+@pytest.mark.parametrize("lam", [0.1, 0.5, 0.9])
+def test_grid_distance_settles_in_one_round(lam):
+    # each node is a panel edge, so u is log-linear on every panel: 4,096
+    # panels between the nodes and two more at the kinks of |1 - T'|
+    u = _pl_u_density(_pl_exponents(_SIN_BUMP, lam)[0])
+    res = _directed_distance(u, GAUSS, 1e-10)
+    assert res.panels == u.nodes.size + 1
+    assert res.evaluations == 31 * res.panels
+
+
+@pytest.mark.parametrize("n", [41, 4097, 10001])
+def test_grid_distance_covers_a_quartered_reference(monkeypatch, n):
+    # the mixture of _grid() tabulated on [-9, 9]; the reference cuts every
+    # cell in four and integrates to 1e-14. Before the nodes were panel
+    # edges, 10,001 nodes ran into _MAX_PANELS and accepted an error of
+    # 4.1e-10 against tol 1e-10
+    xs = np.linspace(-9.0, 9.0, n)
+    u = GridDensity1D(xs, 0.4 * stats.norm.pdf(xs, -1.0, 0.7)
+                      + 0.6 * stats.norm.pdf(xs, 1.5, 1.1))
+    value, err = bf_distance_full(u, GAUSS, tol=1e-10)
+    assert err <= 1e-10
+    breaks = transport1d._distance_breaks
+
+    def quartered(lo, hi, interior, deriv):
+        x = interior[0]
+        cuts = x[:-1, None] + np.diff(x)[:, None] * (np.arange(4) / 4.0)
+        return breaks(lo, hi, np.append(cuts, x[-1])[None, :], deriv)
+
+    monkeypatch.setattr(transport1d, "_distance_breaks", quartered)
+    ref = _directed_distance(u, GAUSS, 1e-14)
+    assert ref.panels >= 4 * (n - 1)
+    assert abs(value - ref.value) <= err + ref.error
+
+
+# ---------------------------------------------------------------------------
 # W2 and the Talagrand deficit
 
 
