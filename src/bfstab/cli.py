@@ -371,6 +371,9 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_pl_check(args) -> int:
+    if args.diagnostics and args.format == "csv":
+        raise ParseError("--diagnostics needs --format json: a CSV report "
+                         "has no place for the lambda-limit table")
     g = parse_g_spec(args.g)
     kw = _budget_kwargs(args)
     rep = run_case(args.case_id, (g, args.lam), "pl", **kw)

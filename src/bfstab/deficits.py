@@ -527,11 +527,16 @@ def _exp_scaled(log_scale, x):
 
 
 def _exp_text(log_scale, x):
-    """e^log_scale x to 12 decimals, or exp(its log) past the double range."""
+    """e^log_scale x to 12 decimals, or exp(its log) above 1e15 and past the
+    double range, where fixed point would print a run of meaningless
+    digits."""
     try:
-        return f"{_exp_scaled(log_scale, x):.12f}"
+        value = _exp_scaled(log_scale, x)
     except EvaluationError:
+        value = math.inf
+    if value > 1e15:
         return f"exp({log_scale + math.log(x):.12f})"
+    return f"{value:.12f}"
 
 
 def _sup_conv_quadratic(g: GFun, lam: float) -> GFun:

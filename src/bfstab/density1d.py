@@ -85,7 +85,8 @@ class Density1D:
     private pair: ``_mass(x)`` gives (m, upper), m = F(x) where F(x) <= 1/2
     and 1 - F(x) where ``upper``, and ``_invert(m, upper)`` inverts it.
     ``_mass_logpdf(x)`` and ``_mass_logpdf_pdf(x)`` add logpdf, and pdf,
-    at the same points, so a grid locates them once for all.
+    at the same points, and ``_logpdf_pdf(x)`` and ``_score_pdf(x)`` pair
+    pdf with logpdf or score, so a grid locates them once for all.
     """
 
     def pdf(self, x):
@@ -127,6 +128,14 @@ class Density1D:
         over this density of its transport map reads."""
         x = np.asarray(x, dtype=float)
         return (*self._mass_logpdf(x), self.pdf(x))
+
+    def _logpdf_pdf(self, x):
+        """(logpdf, pdf) at the points x: what an entropy integral reads."""
+        return self.logpdf(x), self.pdf(x)
+
+    def _score_pdf(self, x):
+        """(score, pdf) at the points x: what a Fisher integral reads."""
+        return self.score(x), self.pdf(x)
 
     def _invert(self, m, upper):
         """The x with F(x) = m, or 1 - F(x) = m where ``upper``; any m in
@@ -478,8 +487,21 @@ class GridDensity1D(Density1D):
     def score(self, x):
         """Piecewise log-slope; jumps at the nodes."""
         x = np.asarray(x, dtype=float)
-        i = self._piece(x)
+        return self._score_in(x, self._piece(x))
+
+    def _score_in(self, x, i):
+        """score at the points x of the pieces i."""
         return self._slope[i] - self._curv[i] * (x - self._anchor[i]) / self._scale2[i]
+
+    def _logpdf_pdf(self, x):
+        """One locate; pdf is exp(logpdf), as ``pdf`` takes it."""
+        logpdf = self.logpdf(x)
+        return logpdf, np.exp(logpdf)
+
+    def _score_pdf(self, x):
+        x = np.asarray(x, dtype=float)
+        i = self._piece(x)
+        return self._score_in(x, i), np.exp(self._logpdf_in(x, i))
 
     def _masses(self, x):
         return self._masses_in(x, self._piece(x))
@@ -591,24 +613,25 @@ def _measure_breaks(nu: Density1D):
 
 
 def _expect(nu: Density1D, fn, tol: float) -> QuadResult:
-    """E_nu[fn(X)] over ``_measure_interval(nu)`` with an error estimate."""
-
-    def g(x):
-        return fn(x) * nu.pdf(x)
-
-    return adaptive_quad(g, _measure_breaks(nu), tol_abs=tol)
-
-
-def _tail_bound(nu: Density1D, fn) -> float:
-    """Bound on the part of E_nu[fn(X)] that ``_expect`` leaves out.
+    """E_nu[f(X)] over ``_measure_interval(nu)``, where fn(x) gives (f(x),
+    pdf(x)) at once, with an error estimate that includes a bound on the
+    tails left out.
 
     Each tail beyond the interval carries at most _TAIL_MASS / 2 of nu. The
     log-ratio and the squared score gap grow at most quadratically there,
-    and nu's tails are Gaussian, so twice |fn| at the edge bounds the
-    conditional mean of |fn| over each tail.
+    and nu's tails are Gaussian, so twice |f| at the edge bounds the
+    conditional mean of |f| over each tail.
     """
+
+    def g(x):
+        f, pdf = fn(x)
+        return f * pdf
+
+    res = adaptive_quad(g, _measure_breaks(nu), tol_abs=tol)
     edges = np.asarray(_measure_interval(nu))
-    return _TAIL_MASS * float(np.sum(np.abs(fn(edges))))
+    tail = _TAIL_MASS * float(np.sum(np.abs(fn(edges)[0])))
+    return QuadResult(res.value, res.error + tail, res.evaluations,
+                      res.panels)
 
 
 def entropy_rel_gauss_full(nu: Density1D, *, tol: float = 1e-11) -> QuadResult:
@@ -618,11 +641,10 @@ def entropy_rel_gauss_full(nu: Density1D, *, tol: float = 1e-11) -> QuadResult:
     """
 
     def fn(x):
-        return nu.logpdf(x) - gauss_logpdf(x)
+        logpdf, pdf = nu._logpdf_pdf(x)
+        return logpdf - gauss_logpdf(x), pdf
 
-    res = _expect(nu, fn, tol)
-    return QuadResult(res.value, res.error + _tail_bound(nu, fn),
-                      res.evaluations, res.panels)
+    return _expect(nu, fn, tol)
 
 
 def fisher_rel_gauss_full(nu: Density1D, *, tol: float = 1e-11) -> QuadResult:
@@ -632,12 +654,11 @@ def fisher_rel_gauss_full(nu: Density1D, *, tol: float = 1e-11) -> QuadResult:
     """
 
     def fn(x):
-        r = nu.score(x) + x
-        return r * r
+        score, pdf = nu._score_pdf(x)
+        r = score + x
+        return r * r, pdf
 
-    res = _expect(nu, fn, tol)
-    return QuadResult(res.value, res.error + _tail_bound(nu, fn),
-                      res.evaluations, res.panels)
+    return _expect(nu, fn, tol)
 
 
 def load_grid_csv(path) -> GridDensity1D:

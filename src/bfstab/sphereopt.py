@@ -6,12 +6,13 @@ strong as possible within a budget: a deterministic, prefix-nested lattice on
 the sphere (growing the lattice never loses points, which keeps the returned
 value monotone in the budget), a structure-aware augmentation (coordinate
 axes, normalized differences of component means, covariance eigenvectors),
-then Nelder-Mead refinement in tangent coordinates from the best spread-out
-seeds. Directions are canonicalized against the antipodal map since opposite
-directions give the same marginal distance. Every distance the search itself
-evaluates comes from the batched kernel ``gauss_distance_rows``: the whole
-lattice in one call, then one call per round of the Nelder-Mead restarts,
-which advance in lockstep, and one call certifies the final candidates.
+then quasi-Newton (BFGS) refinement in tangent coordinates from the best
+spread-out seeds. Directions are canonicalized against the antipodal map
+since opposite directions give the same marginal distance. Every distance
+the search itself evaluates comes from the batched kernel
+``gauss_distance_rows``: the whole lattice in one call, then one call per
+round for the central-difference stencils of all restarts, which advance
+in lockstep, and one call that certifies the final candidates.
 """
 
 from __future__ import annotations
@@ -35,15 +36,17 @@ __all__ = [
     "dn_distance",
 ]
 
-# Nelder-Mead refinement: seeds refined, iterations per seed, and the
-# simplex size (in radians) and spread of simplex values at which
-# refinement stops.
+# Quasi-Newton refinement: seeds refined, kernel rounds per search, the
+# largest step (in radians), the central-difference step, Armijo's
+# sufficient-increase constant, and the gradient and step sizes at which a
+# restart stops.
 _RESTARTS = 8
-_ITERATIONS = 200
-_XATOL = 1e-6
-_FATOL = 1e-12
-# Rows per Gram block in _dedup: 512 x 512 doubles are 2 MiB.
-_DEDUP_BLOCK = 512
+_ROUNDS = 60
+_MAX_STEP = 0.1
+_STENCIL_STEP = 1e-5
+_ARMIJO = 1e-4
+_GTOL = 1e-9
+_STEP_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -99,21 +102,30 @@ def _dedup(rows: np.ndarray, tol: float = 1e-10) -> np.ndarray:
     """Rows in order, less each row within tol of an earlier kept row.
 
     A row is dropped when |<row, kept>| >= 1 - tol for a kept row before it
-    (the greedy rule), decided a block of rows at a time, so no Gram matrix
-    larger than a block squared is formed.
+    (the greedy rule). Unit rows that close lie within sqrt(2 tol) of plus
+    or minus each other, so only pairs whose first coordinates lie within
+    twice that of each other, or of each other's negative, are tested:
+    the rows and their negatives sorted on the first coordinate give them.
     """
-    keep = np.zeros(rows.shape[0], dtype=bool)
-    for start in range(0, rows.shape[0], _DEDUP_BLOCK):
-        blk = rows[start:start + _DEDUP_BLOCK]
-        kept = rows[:start][keep[:start]]
-        ok = np.ones(blk.shape[0], dtype=bool)
-        for k in range(0, kept.shape[0], _DEDUP_BLOCK):
-            gram = blk @ kept[k:k + _DEDUP_BLOCK].T
-            ok &= np.max(np.abs(gram), axis=1) < 1.0 - tol
-        near = np.tril(np.abs(blk @ blk.T) >= 1.0 - tol, -1)
-        for i in np.flatnonzero(ok & near.any(axis=1)):
-            ok[i] = not np.any(near[i, :i] & ok[:i])
-        keep[start:start + blk.shape[0]] = ok
+    n = rows.shape[0]
+    margin = 2.0 * math.sqrt(2.0 * tol)
+    keys = np.concatenate([rows[:, 0], -rows[:, 0]])
+    order = np.argsort(keys, kind="stable")
+    owner, keys = np.tile(np.arange(n), 2)[order], keys[order]
+    # row i's candidates are owner[lo[i]:lo[i] + counts[i]], listed flat
+    lo = np.searchsorted(keys, rows[:, 0] - margin, side="left")
+    counts = np.searchsorted(keys, rows[:, 0] + margin, side="right") - lo
+    first = np.cumsum(counts) - counts
+    i = np.repeat(np.arange(n), counts)
+    j = owner[np.arange(i.size) + np.repeat(lo - first, counts)]
+    i, j = i[j < i], j[j < i]
+    near = np.abs(np.vecdot(rows[i], rows[j])) >= 1.0 - tol
+    i, j = i[near], j[near]
+    keep = np.ones(n, dtype=bool)
+    # i ascends, so every j < i is settled before row i is
+    starts = np.flatnonzero(np.diff(i, prepend=-1))
+    for k, js in zip(i[starts], np.split(j, starts[1:])):
+        keep[k] = not keep[js].any()
     return rows[keep]
 
 
@@ -155,111 +167,73 @@ def _seeds(cand: np.ndarray, values: np.ndarray) -> list:
     return seeds
 
 
-def _nelder_mead(sim: np.ndarray):
-    """Minimize from the (N + 1, N) simplex ``sim``, as a generator.
+def _quasi_newton(m: int):
+    """Minimize from t = 0 in R^m, as a generator: BFGS on a difference
+    gradient, with Armijo backtracking.
 
-    A line-for-line transcription of SciPy's non-adaptive Nelder-Mead
-    (rho 1, chi 2, psi 1/2, sigma 1/2, maxiter _ITERATIONS, no evaluation
-    cap, xatol _XATOL, fatol _FATOL), so that it takes the same steps and
-    returns the same point bit for bit. It yields each (P, N) block of
-    points it needs, the N + 1 vertices first and a shrink's N points
-    together, is sent their (P,) values, and returns (x, f(x)).
+    It yields each trial point, first t = 0, and is sent (f, g) there. The
+    step is -H g, H the inverse Hessian, which starts at the identity and
+    takes the BFGS update when s.y > 0, and is capped at _MAX_STEP in norm.
+    A trial that meets Armijo's condition (_ARMIJO) is accepted; one that
+    fails it is retried at half the step. It stops at |g|_inf <= _GTOL, at
+    a step of norm <= _STEP_TOL, or after _ROUNDS trials, and returns the
+    last point accepted, which never scores above t = 0.
     """
-    rho, chi, psi, sigma = 1, 2, 0.5, 0.5
-    N = sim.shape[1]
-    sim = np.array(sim, dtype=float)
-    fsim = np.array((yield sim), dtype=float)
-    ind = np.argsort(fsim)
-    sim = np.take(sim, ind, 0)
-    fsim = np.take(fsim, ind, 0)
-    ind = np.argsort(fsim)
-    fsim = np.take(fsim, ind, 0)
-    sim = np.take(sim, ind, 0)
-    iterations = 1
-    while iterations < _ITERATIONS:
-        if (np.max(np.ravel(np.abs(sim[1:] - sim[0]))) <= _XATOL and
-                np.max(np.abs(fsim[0] - fsim[1:])) <= _FATOL):
+    t, inv_hess, p = np.zeros(m), np.eye(m), None
+    f, g = yield t
+    for _ in range(_ROUNDS - 1):
+        if p is None:
+            if np.max(np.abs(g)) <= _GTOL:
+                break
+            p, frac = -inv_hess @ g, 1.0
+            p *= min(1.0, _MAX_STEP / np.linalg.norm(p))
+        if frac * np.linalg.norm(p) <= _STEP_TOL:
             break
-        xbar = np.add.reduce(sim[:-1], 0) / N
-        xr = (1 + rho) * xbar - rho * sim[-1]
-        fxr, = yield xr[None]
-        doshrink = 0
-        if fxr < fsim[0]:
-            xe = (1 + rho * chi) * xbar - rho * chi * sim[-1]
-            fxe, = yield xe[None]
-            if fxe < fxr:
-                sim[-1] = xe
-                fsim[-1] = fxe
-            else:
-                sim[-1] = xr
-                fsim[-1] = fxr
-        elif fxr < fsim[-2]:
-            sim[-1] = xr
-            fsim[-1] = fxr
-        else:
-            if fxr < fsim[-1]:
-                xc = (1 + psi * rho) * xbar - psi * rho * sim[-1]
-                fxc, = yield xc[None]
-                if fxc <= fxr:
-                    sim[-1] = xc
-                    fsim[-1] = fxc
-                else:
-                    doshrink = 1
-            else:
-                xcc = (1 - psi) * xbar + psi * sim[-1]
-                fxcc, = yield xcc[None]
-                if fxcc < fsim[-1]:
-                    sim[-1] = xcc
-                    fsim[-1] = fxcc
-                else:
-                    doshrink = 1
-            if doshrink:
-                sim[1:] = sim[0] + sigma * (sim[1:] - sim[0])
-                fsim[1:] = yield sim[1:]
-        iterations += 1
-        ind = np.argsort(fsim)
-        sim = np.take(sim, ind, 0)
-        fsim = np.take(fsim, ind, 0)
-    return sim[0], fsim[0]
+        trial = t + frac * p
+        f_trial, g_trial = yield trial
+        if f_trial > f + _ARMIJO * frac * float(g @ p):
+            frac *= 0.5
+            continue
+        s, y = trial - t, g_trial - g
+        sy = float(s @ y)
+        if sy > 0.0:
+            left = np.eye(m) - np.outer(s, y) / sy
+            inv_hess = left @ inv_hess @ left.T + np.outer(s, s) / sy
+        t, f, g, p = trial, f_trial, g_trial, None
+    return t
 
 
 def _refine(nu: GaussianMixtureND, seeds, bases):
-    """Nelder-Mead from every seed in lockstep, in tangent coordinates.
+    """``_quasi_newton`` from every seed in lockstep, in tangent coordinates.
 
     Restart i minimizes -d(<v, X> law, gamma) over v = s_i + bases[i] @ t
-    normalized, from the simplex {0, 0.1 e_j}; a v of norm below 1e-12
-    scores 0 unsolved. Each round solves the pending points of every live
-    restart in one kernel call. Returns each restart's (t, value, points
-    tried) and the number of points solved.
+    normalized; |v|^2 = 1 + |t|^2, so v never vanishes. Each round, every
+    live restart submits a central-difference stencil, its trial point and
+    the points _STENCIL_STEP either side of it along each tangent axis, and
+    one kernel call solves the stencils of all restarts: a value and a
+    gradient at every trial. Returns each restart's t and the number of
+    points solved.
     """
-    t_dim = nu.dim - 1
-    simplex = np.vstack([np.zeros(t_dim), 0.1 * np.eye(t_dim)])
-    runs = [_nelder_mead(simplex) for _ in seeds]
-    blocks = {i: run.send(None) for i, run in enumerate(runs)}
-    tried = [0] * len(runs)
+    m = nu.dim - 1
+    stencil = np.vstack([np.zeros(m), _STENCIL_STEP * np.eye(m),
+                         -_STENCIL_STEP * np.eye(m)])
+    runs = [_quasi_newton(m) for _ in seeds]
+    trials = {i: run.send(None) for i, run in enumerate(runs)}
     results = [None] * len(runs)
     solved = 0
-    while blocks:
-        vecs = [seeds[i] + bases[i] @ t
-                for i, block in blocks.items() for t in block]
-        norms = np.array([np.linalg.norm(v) for v in vecs])
-        ok = norms >= 1e-12
-        values = np.zeros(len(vecs))
-        if ok.any():
-            rows = canonical_directions(
-                [v / nrm for v, nrm, k in zip(vecs, norms, ok) if k])
-            values[ok] = -_solve_rows(nu, rows)[0]
-            solved += rows.shape[0]
-        start = 0
-        for i, block in list(blocks.items()):
-            stop = start + block.shape[0]
-            tried[i] += block.shape[0]
+    while trials:
+        vecs = np.vstack([seeds[i] + (t + stencil) @ bases[i].T
+                          for i, t in trials.items()])
+        vecs /= np.linalg.norm(vecs, axis=1)[:, None]
+        values = -_solve_rows(nu, canonical_directions(vecs))[0]
+        solved += vecs.shape[0]
+        for i, v in zip(list(trials), values.reshape(len(trials), -1)):
+            g = (v[1:m + 1] - v[m + 1:]) / (2.0 * _STENCIL_STEP)
             try:
-                blocks[i] = runs[i].send(values[start:stop])
+                trials[i] = runs[i].send((v[0], g))
             except StopIteration as done:
-                results[i] = (*done.value, tried[i])
-                del blocks[i]
-            start = stop
+                results[i] = done.value
+                del trials[i]
     return results, solved
 
 
@@ -298,12 +272,9 @@ def dn_distance(nu, *, directions: Optional[int] = None) -> DnResult:
     bases = [_tangent_basis(s) for s in seeds]
     refined, solved = _refine(nu, seeds, bases)
     finals = []
-    for s, basis, (t, _, _) in zip(seeds, bases, refined):
-        finals.append(np.asarray(s, dtype=float))
+    for s, basis, t in zip(seeds, bases, refined):
         vec = s + basis @ t
-        nrm = np.linalg.norm(vec)
-        if nrm > 1e-12:
-            finals.append(vec / nrm)
+        finals += [s, vec / np.linalg.norm(vec)]
 
     # every final candidate certified in one kernel call; ties go to the
     # lexicographically smallest direction

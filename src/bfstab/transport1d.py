@@ -48,7 +48,7 @@ from scipy.special import ndtr, ndtri
 
 from .density1d import (_PROB_CEIL, _PROB_FLOOR, SQRT_2PI, Density1D,
                         GaussianMixture1D, GridDensity1D, StandardGaussian,
-                        _expect, _measure_breaks, _tail_bound,
+                        _expect, _measure_breaks,
                         entropy_rel_gauss_full, gauss_logpdf)
 from .errors import InvariantViolation, NumericalWarning
 from .quadrature import adaptive_quad, adaptive_quad_rows
@@ -432,10 +432,10 @@ def w2_squared_1d_full(nu: Density1D, *, tol: float = 1e-10):
 
     def fn(y):
         gap = y - smap(y)
-        return gap * gap
+        return gap * gap, nu.pdf(y)
 
     res = _expect(nu, fn, tol)
-    return res.value, res.error + _tail_bound(nu, fn)
+    return res.value, res.error
 
 
 def talagrand_deficit_1d_full(nu: Density1D, *, tol: float = 1e-10):

@@ -399,6 +399,28 @@ def test_pl_check_past_the_double_range(capsys):
         assert row["entropy_limit"] == pytest.approx(72.0 * m, rel=1e-13)
 
 
+def test_pl_check_diagnostics_need_json(capsys):
+    # CSV output computed the lambda-limit table, then printed only the
+    # report row, with exit 0
+    code, out, err = run_cli(capsys, "pl-check", "--g", "linear:12", "--lam",
+                             "0.5", "--diagnostics", "--format", "csv")
+    assert_usage_error(code, out, err, "bfstab: error: --diagnostics needs "
+                                       "--format json")
+
+
+def test_pl_check_prints_large_integrals_as_exponentials(capsys):
+    # A = e^288 used to print as a 126-digit fixed-point number
+    code, out, err = run_cli(capsys, "pl-check", "--g", "linear:12", "--lam",
+                             "0.5", "--format", "csv")
+    assert code == 0, err
+    assert '"A=exp(288.000000000000) B=exp(144.000000000000) ' in out
+    # below 1e15 the fixed-point text stays
+    code, out, err = run_cli(capsys, "pl-check", "--g", "linear:3", "--lam",
+                             "0.5", "--format", "csv")
+    assert code == 0, err
+    assert '"A=65659969.137330509722 B=8103.083927575384 ' in out
+
+
 # ---------------------------------------------------------------------------
 # suites, sweeps, formats
 

@@ -9,6 +9,7 @@ from hypothesis import given, strategies as st
 from scipy import integrate, stats
 from scipy.special import ndtri
 
+from bfstab import density1d
 from bfstab import (ConditioningError, DomainError, GaussianMixture1D,
                     GridDensity1D, ParseError, StandardGaussian,
                     entropy_rel_gauss_full, fisher_rel_gauss_full,
@@ -245,6 +246,49 @@ def test_fisher_mixture_against_scipy_quad():
 
     ref, err = integrate.quad(integrand, -30, 30, limit=300)
     assert abs(fisher_rel_gauss_full(mix).value - ref) < 1e-8 + err
+
+
+@pytest.mark.parametrize("functional", [entropy_rel_gauss_full,
+                                        fisher_rel_gauss_full])
+def test_grid_expectation_locates_each_point_once(monkeypatch, functional):
+    # the integrand read logpdf or score, then pdf, and so located every
+    # point twice
+    nu = _pl_u_density(_pl_exponents(_SIN_BUMP, 0.5)[0])
+    assert isinstance(nu, GridDensity1D) and nu.nodes.size == 4097
+    evals, calls, inside = [], [], [False]
+    quad, search = density1d.adaptive_quad, np.searchsorted
+
+    def capture(g, breakpoints, **kw):
+        def counted_g(x):
+            evals.append(np.size(x))
+            inside[0] = True
+            try:
+                return g(x)
+            finally:
+                inside[0] = False
+        return quad(counted_g, breakpoints, **kw)
+
+    def counted(a, v, *args, **kw):
+        if inside[0]:
+            calls.append(np.size(v))
+        return search(a, v, *args, **kw)
+
+    monkeypatch.setattr(density1d, "adaptive_quad", capture)
+    monkeypatch.setattr(np, "searchsorted", counted)
+    functional(nu)
+    assert evals and calls == evals
+
+
+@pytest.mark.parametrize("density", [GAUSS, *mixtures(),
+                                     _pl_u_density(_pl_exponents(_SIN_BUMP,
+                                                                 0.5)[0])])
+def test_pdf_pairs_match_separate_calls(density):
+    xs = np.concatenate([[-40.0, -9.0], np.linspace(-6.0, 7.0, 2001),
+                         [9.0, 40.0]])
+    for (got_f, got_pdf), ref in ((density._logpdf_pdf(xs), density.logpdf),
+                                  (density._score_pdf(xs), density.score)):
+        assert np.array_equal(got_f, ref(xs))
+        assert np.array_equal(got_pdf, density.pdf(xs))
 
 
 # ---------------------------------------------------------------------------

@@ -5,16 +5,15 @@ import math
 
 import numpy as np
 import pytest
-from scipy.optimize import minimize, rosen
 
 from bfstab import (DnResult, DomainError, GaussianMixture1D,
                     GaussianMixtureND, ProductFunction, bf_distance_full,
                     StandardGaussian, dn_distance, verify_thm_main)
 from bfstab.corpus import main_corpus
 from bfstab.densitynd import canonical_directions, marginal_parameters
-from bfstab.sphereopt import (_ITERATIONS, _RESTARTS, _augmentation, _dedup,
-                               _distances, _lattice, _nelder_mead, _refine,
-                               _seeds, _solve_rows, _tangent_basis)
+from bfstab import sphereopt
+from bfstab.sphereopt import (_ROUNDS, _augmentation, _dedup, _distances,
+                               _lattice, _refine, _solve_rows, _tangent_basis)
 from bfstab.transport1d import _directed_distance
 
 
@@ -33,6 +32,17 @@ def four_dim_mixture():
     return GaussianMixtureND(
         [0.3, 0.7], [[0.0, 1.0, -0.5, 0.2], [0.4, -0.3, 0.0, 1.1]],
         [np.diag([1.0, 2.0, 0.5, 1.5]), np.eye(4)])
+
+
+def seeded_mixture(seed, n, k):
+    rng = np.random.default_rng(seed)
+    weights = rng.uniform(0.2, 1.0, k)
+    covs = []
+    for _ in range(k):
+        q = np.linalg.qr(rng.standard_normal((n, n)))[0]
+        covs.append(q @ np.diag(rng.uniform(0.25, 4.0, n)) @ q.T)
+    return GaussianMixtureND(weights / weights.sum(),
+                             rng.uniform(-2.0, 2.0, (k, n)), covs)
 
 
 def test_one_dimensional_passthrough():
@@ -197,13 +207,21 @@ def test_dedup_keeps_the_greedy_set():
     near = base[7] + 1e-11 * np.array([0.0, 1.0, -1.0])
     rows = np.vstack([base, base[:40], -base[40:90], near, base[200:260]])
     rows = rows[rng.permutation(rows.shape[0])]
+    # antipodal pairs with a first coordinate within 1e-6 of 0, of equal
+    # and of opposite sign there
+    flat = canonical_directions(rng.standard_normal((30, 3)) * [0.0, 1, 1])
+    flat[:, 0] = rng.uniform(-1e-6, 1e-6, 30)
+    flip = -flat[:15]
+    flip[:, 0] *= -1.0
+    flat = np.vstack([flat, flip, -flat[15:]])
+    flat = flat[rng.permutation(flat.shape[0])]
     nu = four_dim_mixture()
     lattice = canonical_directions(np.vstack([_lattice(4, 4096),
                                               _augmentation(nu)]))
-    assert rows.shape[0] > 512 and lattice.shape[0] > 4096  # several blocks
-    for cand in (rows, lattice):
+    for cand in (rows, flat, lattice):
         assert np.array_equal(_dedup(cand), _greedy_dedup(cand))
     assert _dedup(rows).shape[0] == 500
+    assert _dedup(flat).shape[0] == 30
 
 
 @pytest.mark.parametrize("case_id", [None, "main-3d-01"])
@@ -223,66 +241,144 @@ def test_search_distances_match_single_solves(case_id):
         assert abs(value - ref.value) <= 1e-15
 
 
-def _scipy_nelder_mead(f, sim):
-    return minimize(f, sim[0], method="Nelder-Mead",
-                    options={"maxiter": _ITERATIONS, "initial_simplex": sim,
-                             "xatol": 1e-6, "fatol": 1e-12})
+# d_n of the Nelder-Mead search that the quasi-Newton refinement replaced,
+# at the default lattice: the new search may not fall below any of them by
+# more than its value_error
+_NELDER_MEAD_VALUES = {
+    "main-2d-00": 0.34549113632939543,
+    "main-2d-02": 0.41960079607213824,
+    "main-2d-04": 0.42636773423751345,
+    "main-2d-05": 0.3414637063442679,
+    "main-2d-06": 0.4671506012955303,
+    "main-2d-07": 0.33729969267478116,
+    "main-2d-10": 0.3972161104604334,
+    "main-2d-11": 0.33376752377174246,
+    "main-2d-12": 0.39665849025811206,
+    "main-2d-13": 0.5195030999472259,
+    "main-2d-14": 0.43704182153303617,
+    "main-3d-00": 0.3790940074192765,
+    "main-3d-01": 0.4736510037719639,
+    "main-3d-04": 0.30227464976003526,
+    "main-3d-05": 0.5164955444732254,
+    "main-3d-06": 0.40743441441255085,
+    "main-3d-08": 0.49914384156233144,
+    "main-3d-09": 0.5165776058881398,
+    "main-3d-10": 0.3752455619174847,
+    "main-3d-11": 0.39810029302650585,
+    "mixture-4d": 0.2334933535163918,
+    "mixture-5d": 0.4645931045727381,
+    "mixture-6d": 0.5272451104527351,
+}
 
 
-@pytest.mark.parametrize("case_id", ["skew-2d", "main-3d-01", "mixture-4d"])
-def test_lockstep_refinement_matches_scipy_nelder_mead(case_id):
-    # every restart of the lockstep search against SciPy refining its seed
-    # alone on the one-row objective the search used to hand it
-    if case_id == "skew-2d":
-        nu = skew_mixture_2d()
-    elif case_id == "mixture-4d":
-        nu = four_dim_mixture()
-    else:
-        nu = dict(main_corpus())[case_id]
-    cand = _dedup(canonical_directions(
-        np.vstack([_lattice(nu.dim, 512), _augmentation(nu)])))
-    seeds = _seeds(cand, _distances(nu, cand))
-    bases = [_tangent_basis(s) for s in seeds]
-    refined, solved = _refine(nu, seeds, bases)
-    assert len(refined) == _RESTARTS
-    t_dim = nu.dim - 1
-    sim = np.vstack([np.zeros(t_dim), 0.1 * np.eye(t_dim)])
-    for s, basis, (t, value, tried) in zip(seeds, bases, refined):
-        def neg(x, s=s, basis=basis):
-            vec = s + basis @ x
-            nrm = np.linalg.norm(vec)
-            if nrm < 1e-12:
-                return 0.0
-            return -float(_distances(nu, canonical_directions(vec / nrm))[0])
-
-        ref = _scipy_nelder_mead(neg, sim)
-        assert np.array_equal(t, ref.x)
-        assert value == ref.fun
-        assert tried == ref.nfev
-    # no point of these searches has norm zero, so every one is solved
-    assert solved == sum(r[2] for r in refined)
+def _no_weaker_inputs():
+    cases = {cid: nu for cid, nu in main_corpus()
+             if isinstance(nu, GaussianMixtureND) and nu.n_components >= 2}
+    cases["mixture-4d"] = four_dim_mixture()
+    cases["mixture-5d"] = seeded_mixture(5, 5, 2)
+    cases["mixture-6d"] = seeded_mixture(6, 6, 2)
+    return cases
 
 
-def test_nelder_mead_iteration_cap_matches_scipy():
-    # no search restart on the shipped cases reaches the cap (a 6-D Gaussian
-    # took 181 iterations at most), so it is checked on Rosenbrock's function
-    sim = np.vstack([np.zeros(3), 0.1 * np.eye(3)]) + [-1.2, 1.0, 1.0]
-    run = _nelder_mead(sim)
-    block, tried = run.send(None), 0
-    with pytest.raises(StopIteration) as stop:
-        while True:
-            tried += block.shape[0]
-            block = run.send(np.array([rosen(p) for p in block]))
-    x, value = stop.value.value
-    ref = _scipy_nelder_mead(rosen, sim)
-    assert ref.nit == _ITERATIONS and ref.status == 2
-    assert np.array_equal(x, ref.x)
-    assert value == ref.fun
-    assert tried == ref.nfev
+@pytest.fixture(scope="module")
+def searches():
+    """(measure, dn_distance result, _solve_rows calls) per input."""
+    calls = []
+    solve = sphereopt._solve_rows
+
+    def counted(nu, rows):
+        calls.append(rows.shape[0])
+        return solve(nu, rows)
+
+    out = {}
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sphereopt, "_solve_rows", counted)
+        for cid, nu in _no_weaker_inputs().items():
+            calls.clear()
+            out[cid] = (nu, dn_distance(nu), len(calls))
+    return out
+
+
+def test_refinement_is_no_weaker_than_nelder_mead(searches):
+    assert sorted(searches) == sorted(_NELDER_MEAD_VALUES)
+    for cid, (_, res, _) in searches.items():
+        assert res.value >= _NELDER_MEAD_VALUES[cid] - res.value_error, cid
+
+
+def test_one_kernel_call_per_round(searches):
+    # every restart's stencil in one call per round, plus the certification
+    for cid, (_, _, calls) in searches.items():
+        assert 2 <= calls <= _ROUNDS + 2, cid
+
+
+def _angle_oracle(nu, count=1024):
+    """max over the circle of d: a dense angle sweep, then golden section
+    around each of the two best local maxima."""
+    def dist(theta):
+        rows = np.column_stack([np.cos(theta), np.sin(theta)])
+        return _solve_rows(nu, canonical_directions(rows))[0]
+
+    step = math.pi / count
+    theta = step * np.arange(count)
+    values = dist(theta)
+    peaks = np.flatnonzero((values >= np.roll(values, 1))
+                           & (values >= np.roll(values, -1)))
+    best = float(values.max())
+    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
+    for k in peaks[np.argsort(-values[peaks])][:2]:
+        lo, hi = theta[k] - step, theta[k] + step
+        while hi - lo > 1e-8:
+            a, b = hi - inv_phi * (hi - lo), lo + inv_phi * (hi - lo)
+            fa, fb = dist(np.array([a, b]))
+            if fa >= fb:
+                hi = b
+            else:
+                lo = a
+            best = max(best, fa, fb)
+    return best
+
+
+@pytest.mark.parametrize("case_id", ["main-2d-04", "main-2d-07",
+                                     "main-2d-13"])
+def test_two_dimensional_search_meets_angle_oracle(searches, case_id):
+    nu, res, _ = searches[case_id]
+    oracle = _angle_oracle(nu)
+    assert res.value >= oracle - res.value_error - 1e-12
+    assert res.value <= oracle + res.value_error
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4, 5, 6])
+def test_rotated_gaussian_closed_form(dim):
+    # d along xi is 1 - min(s, 1/s) with s^2 = xi' C xi, so d_n comes from
+    # the extreme eigenvalues of C
+    rng = np.random.default_rng(dim)
+    q = np.linalg.qr(rng.standard_normal((dim, dim)))[0]
+    for lam in (np.geomspace(0.3, 2.0, dim), np.geomspace(0.8, 6.0, dim)):
+        nu = GaussianMixtureND([1.0], [rng.uniform(-1.0, 1.0, dim)],
+                               [q @ np.diag(lam) @ q.T])
+        exact = max(1.0 - math.sqrt(lam.min()),
+                    1.0 - 1.0 / math.sqrt(lam.max()), 0.0)
+        res = dn_distance(nu)
+        assert abs(res.value - exact) <= res.value_error + 1e-12
+        # the search seeds the eigenvectors, so refinement is checked
+        # apart: from a seed 0.3 rad off the worst eigenvector
+        worst = q[:, 0] if exact == 1.0 - math.sqrt(lam.min()) else q[:, -1]
+        off = _tangent_basis(worst)[:, 0]
+        seed = canonical_directions(math.cos(0.3) * worst
+                                    + math.sin(0.3) * off)[0]
+        basis = _tangent_basis(seed)
+        [t], _ = _refine(nu, [seed], [basis])
+        rows = canonical_directions(np.vstack([seed, seed + basis @ t]))
+        start, end = _solve_rows(nu, rows)[0]
+        assert start < exact - 1e-3
+        assert abs(end - exact) <= 1e-12
 
 
 # (value, argmax, coarse_max, directions_evaluated), recorded once the
-# kernel gave one-component rows their closed form. The three K = 1
+# refinement became quasi-Newton; every value is the one the Nelder-Mead
+# search found, bit for bit, and only the argmax and the counts moved.
+# Recorded first once the kernel gave one-component rows their closed
+# form. The three K = 1
 # products have closed-form marginals, which a batched
 # marginal_parameters call no longer moves; main-2d-prod-1 (K = 2 factors)
 # still ties between its two diagonals on the last bit of the marginal
@@ -290,17 +386,17 @@ def test_nelder_mead_iteration_cap_matches_scipy():
 _PINNED_SEARCHES = {
     "main-2d-prod-0": (0.14299451636990235,
                        [0.15279718525844344, 0.9882575677307496],
-                       0.14299451636990235, 919),
+                       0.14299451636990235, 537),
     "main-2d-prod-1": (0.1976411722475683,
-                       [0.7071067692073368, -0.7071067931657581],
-                       0.19764117224756825, 823),
+                       [0.7071067812034345, -0.7071067811696606],
+                       0.19764117224756825, 645),
     "main-3d-prod-1": (0.32972441970515,
                        [0.04292736911202153, 0.8738066721856274, 0.484375],
-                       0.32972441970515, 1146),
+                       0.32972441970515, 553),
     "qmc-4d-prod-0": (0.47965858052998056,
                       [0.04243993030259743, 0.8237342448775199,
                        0.35748858974667047, 0.4380212943829441],
-                      0.47965858052998056, 4833),
+                      0.47965858052998056, 4154),
 }
 
 
