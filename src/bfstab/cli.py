@@ -18,6 +18,7 @@ import io
 import json
 import math
 import os
+import re
 import sys
 import tempfile
 from concurrent.futures import ProcessPoolExecutor
@@ -41,7 +42,20 @@ _EXIT_BY_STATUS = {"pass": 0, "fail": 2, "inconclusive": 3, "error": 2}
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse defaults to exit code 2 on bad flags; the contract wants 1."""
+    """argparse defaults to exit code 2 on bad flags; the contract wants 1.
+
+    argparse also takes a word that starts with a minus sign for an option
+    unless it is one plain number, so ``--values -1,0.5`` would leave
+    --values without its list. Such a list is joined to its flag, as
+    ``--values=-1,0.5``, before parsing.
+    """
+
+    def parse_known_args(self, args=None, namespace=None):
+        args = list(sys.argv[1:] if args is None else args)
+        for i in range(len(args) - 1, 0, -1):
+            if args[i - 1] == "--values" and re.match(r"-[\d.]", args[i]):
+                args[i - 1:i + 1] = [f"--values={args[i]}"]
+        return super().parse_known_args(args, namespace)
 
     def error(self, message):
         self.print_usage(sys.stderr)

@@ -1,16 +1,23 @@
 """Supremum of the marginal transport distance over directions.
 
-d_n(nu) = sup over unit xi of d(<xi, X> law, gamma). Every evaluated direction
-certifies a lower bound, so the search is organized to make the certificate as
-strong as possible within a budget: a deterministic, prefix-nested lattice on
-the sphere (growing the lattice never loses points, which keeps the returned
-value monotone in the budget), a structure-aware augmentation (coordinate
-axes, normalized differences of component means, covariance eigenvectors),
-then quasi-Newton (BFGS) refinement in tangent coordinates from the best
+d_n(nu) = sup over unit xi of d(<xi, X> law, gamma). The distance at any
+one direction is a lower bound on d_n, certified at that direction, so the
+search is organized to make its best certified value as large as possible
+within a budget: a deterministic, prefix-nested lattice on the sphere
+(growing the lattice never loses points, which keeps the returned value
+monotone in the budget), a structure-aware augmentation (coordinate axes,
+normalized differences of component means, covariance eigenvectors), then
+quasi-Newton (BFGS) refinement in tangent coordinates from the best
 spread-out seeds. Directions are canonicalized against the antipodal map
-since opposite directions give the same marginal distance. Every distance
-the search itself evaluates comes from the batched kernel
-``gauss_distance_rows``: the whole lattice in one call, then one call per
+since opposite directions give the same marginal distance.
+
+The lattice only chooses where the refinement starts. Every lattice
+direction is ranked by a cheap estimate of its distance with an upper
+bound (``gauss_distance_estimates``), and only the directions whose upper
+bound reaches the last seed's value are certified. Where the bounds hold,
+the seeds, and so the result, are those of a search that certifies the
+whole lattice. Every certified distance comes from the batched kernel
+``gauss_distance_rows``: one call per ranking round, then one call per
 round for the central-difference stencils of all restarts, which advance
 in lockstep, and one call that certifies the final candidates.
 """
@@ -29,7 +36,8 @@ from .density1d import Density1D, StandardGaussian
 from .densitynd import (GaussianMixtureND, ProductFunction,
                         canonical_directions, marginal_parameters)
 from .errors import DomainError
-from .transport1d import bf_distance_full, gauss_distance_rows
+from .transport1d import (bf_distance_full, gauss_distance_estimates,
+                          gauss_distance_rows)
 
 __all__ = [
     "DnResult",
@@ -51,6 +59,11 @@ _STEP_TOL = 1e-10
 
 @dataclass(frozen=True)
 class DnResult:
+    """A sphere search: ``value`` is d at ``argmax``, certified up to
+    ``value_error``; ``coarse_max`` is the best certified lattice value and
+    ``refined_gain`` what refinement added to it; ``directions_evaluated``
+    counts the ranked lattice directions and the refinement's points."""
+
     value: float
     argmax: np.ndarray
     coarse_max: float
@@ -130,7 +143,9 @@ def _dedup(rows: np.ndarray, tol: float = 1e-10) -> np.ndarray:
 
 
 def _distances(nu: GaussianMixtureND, rows: np.ndarray) -> np.ndarray:
-    """d(<v, X> law, gamma) for canonical unit rows v, in one kernel call."""
+    """d(<v, X> law, gamma) for canonical unit rows v, in one kernel call:
+    the whole lattice certified, against which ``_lattice_values`` is
+    tested."""
     means, stds = marginal_parameters(nu, rows)
     weights = np.broadcast_to(nu.weights, means.shape)
     return gauss_distance_rows(weights, means, stds, tol=1e-10)[0]
@@ -155,16 +170,61 @@ def _tangent_basis(xi: np.ndarray) -> np.ndarray:
 
 
 def _seeds(cand: np.ndarray, values: np.ndarray) -> list:
-    """Spread-out seeds: best first, then best outside 0.15 rad of the picks."""
+    """Row indices of spread-out seeds: best first, then best outside 0.15
+    rad of the picks. Rows are read in the order of np.argsort(-values),
+    whose order among ties depends on the whole array."""
     seeds = []
     for idx in np.argsort(-values):
         if len(seeds) >= _RESTARTS:
             break
-        v = cand[idx]
-        if seeds and np.max(np.abs(np.array(seeds) @ v)) > math.cos(0.15):
+        if seeds and np.max(np.abs(cand[seeds] @ cand[idx])) > math.cos(0.15):
             continue
-        seeds.append(v)
+        seeds.append(idx)
     return seeds
+
+
+def _seed_floor(cand: np.ndarray, values: np.ndarray) -> float:
+    """The value of the last of the _RESTARTS seeds ``_seeds`` picks from
+    values. It reads no row below that value, so lowering the rows below
+    changes no seed, unless a value at or above it occurs twice: the order
+    among such ties depends on the rows below. So -inf if there is a tie
+    there or fewer than _RESTARTS seeds."""
+    picks = _seeds(cand, values)
+    if len(picks) < _RESTARTS:
+        return -math.inf
+    floor = values[picks[-1]]
+    top = values[values >= floor]
+    return floor if np.unique(top).size == top.size else -math.inf
+
+
+def _lattice_values(nu: GaussianMixtureND, cand: np.ndarray) -> np.ndarray:
+    """d(<v, X> law, gamma) at every row of cand ``_seeds`` can read, -inf at
+    the rest: it picks the same seeds as from d at every row.
+
+    Every row is ranked by an upper bound, the estimate plus its bound from
+    ``gauss_distance_estimates``. The first rows certified are those whose
+    upper bound reaches the seed floor (``_seed_floor``) of the lower
+    bounds; then, as long as a row not certified reaches the floor of the
+    certified values, those rows are certified too. Each round is one
+    kernel call on the marginal parameters of one batched
+    ``marginal_parameters`` call, so every value has the bits of
+    ``_distances`` on all of cand. A one-component mixture needs no
+    round: every estimate is then the kernel's closed form, bound 0.
+    """
+    means, stds = marginal_parameters(nu, cand)
+    weights = np.broadcast_to(nu.weights, means.shape)
+    estimate, bound = gauss_distance_estimates(weights, means, stds)
+    if not bound.any():
+        return estimate
+    upper = estimate + bound
+    values = np.full(cand.shape[0], -np.inf)
+    # ~(upper < floor), not upper >= floor: a NaN bound is certified too
+    todo = ~(upper < _seed_floor(cand, estimate - bound))
+    while todo.any():
+        values[todo] = gauss_distance_rows(weights[todo], means[todo],
+                                           stds[todo], tol=1e-10)[0]
+        todo = np.isneginf(values) & ~(upper < _seed_floor(cand, values))
+    return values
 
 
 def _quasi_newton(m: int):
@@ -244,9 +304,12 @@ def dn_distance(nu, *, directions: Optional[int] = None) -> DnResult:
     its d_n is its distance to gamma (tol 1e-10), with argmax [1.], one
     evaluation and no refinement. A ProductFunction is searched through its
     mixture. For an n-D mixture, ``directions`` is the coarse lattice size;
-    None picks 512 for n <= 3 and 4096 above. The returned value is a
-    certified lower bound on the supremum (it is the exact distance at the
-    reported argmax, up to value_error); the search cannot overshoot.
+    None picks 512 for n <= 3 and 4096 above. Only the lattice directions
+    that can become seeds are certified (``_lattice_values``); where the
+    estimates' bounds hold, the result is field for field that of a search
+    that certifies them all. The returned value is a certified lower bound
+    on the supremum (it is the exact distance at the reported argmax, up
+    to value_error); the search cannot overshoot.
     """
     if isinstance(nu, Density1D):
         value, error = bf_distance_full(nu, StandardGaussian(), tol=1e-10)
@@ -265,10 +328,10 @@ def dn_distance(nu, *, directions: Optional[int] = None) -> DnResult:
 
     cand = np.vstack([_lattice(nu.dim, int(directions)), _augmentation(nu)])
     cand = _dedup(canonical_directions(cand))
-    values = _distances(nu, cand)
+    values = _lattice_values(nu, cand)
     coarse_max = float(values.max())
 
-    seeds = _seeds(cand, values)
+    seeds = cand[_seeds(cand, values)]
     bases = [_tangent_basis(s) for s in seeds]
     refined, solved = _refine(nu, seeds, bases)
     finals = []

@@ -36,6 +36,12 @@ Mixtures have few components (at most 8 in the shipped suites), and
 reductions over such a short last axis cost more than the ndtr calls; the
 adds keep NumPy's reduction order, so values are bit for bit those of a
 stacked (points, K) formula.
+
+``gauss_distance_estimates`` is the kernel's cheap companion: on the same
+rows, working intervals and chunks it gives a trapezoid estimate of each
+distance on a quarter of the pre-scan points, with a heuristic bound on
+its gap to the certified value, so that a caller can rank many rows and
+certify only those that can matter.
 """
 
 from __future__ import annotations
@@ -57,6 +63,7 @@ __all__ = [
     "TransportMap1D",
     "bf_distance_full",
     "gauss_distance_rows",
+    "gauss_distance_estimates",
     "w2_squared_1d_full",
     "talagrand_deficit_1d_full",
     "bregman_integral_full",
@@ -103,6 +110,11 @@ _ROW_CHUNK = 1 << 17
 # source's first round has 31 points per node, and the integrand is
 # elementwise, so slices keep its temporaries this size at no cost in bits.
 _EVAL_SLICE = 1 << 14
+# ``gauss_distance_estimates`` reads every 4th pre-scan point, 65 in all,
+# and adds 1e-12 to each bound, far above the tail mass outside the
+# working interval.
+_ESTIMATE_STRIDE = 4
+_ESTIMATE_FLOOR = 1e-12
 # Tail mass the directed distance leaves outside its working interval.
 _DIST_TAIL = 1e-15
 # Error of a closed-form one-component row: its rounding is at most eps,
@@ -168,6 +180,16 @@ def _leading(mask):
     return cols, np.arange(cols.shape[1]) < count[:, None]
 
 
+def _scan_points(lo, hi, stride=1):
+    """Every stride-th pre-scan point of each working interval [lo, hi]:
+    np.linspace(lo[r], hi[r], _SCAN_POINTS)[::stride] for every row r, the
+    same values."""
+    xs = (np.arange(0, _SCAN_POINTS, stride)
+          * ((hi - lo) / (_SCAN_POINTS - 1))[:, None] + lo[:, None])
+    xs[:, -1] = hi
+    return xs
+
+
 def _distance_breaks(lo, hi, interior, deriv):
     """Panel breakpoints of the directed distance integrand, one row each.
 
@@ -187,10 +209,7 @@ def _distance_breaks(lo, hi, interior, deriv):
     8-panel split of [lo, hi] are breakpoints too. Returns a (B, M)
     NaN-padded array for ``adaptive_quad_rows``.
     """
-    # np.linspace(lo[r], hi[r], 257) for every row r, the same values
-    xs = (np.arange(_SCAN_POINTS) * ((hi - lo) / (_SCAN_POINTS - 1))[:, None]
-          + lo[:, None])
-    xs[:, -1] = hi
+    xs = _scan_points(lo, hi)
     # T' overflows to inf where the target's density underflows; the scan
     # needs only the sign of T' - 1 there
     with np.errstate(over="ignore"):
@@ -328,6 +347,40 @@ def _rows_deriv_pdf(x, weights, means, stds, log_w, log_norm, pdf=True):
     return (deriv, np.exp(logpdf)) if pdf else deriv
 
 
+class _RowMixtures:
+    """The (B, K) row mixtures of the batched routines, split as both treat
+    them: ``one`` marks the rows with one present component, and ``closed``
+    holds their d = 1 - min(s, 1/s) (see gauss_distance_rows). The other
+    rows, at indices ``quad``, keep their ``present`` mask, their working
+    intervals [lo, hi] and the (w, m, s, log w, log(s sqrt(2 pi))) arrays
+    ``_rows_deriv_pdf`` reads, and run in chunks."""
+
+    def __init__(self, weights, means, stds):
+        w = np.atleast_2d(np.asarray(weights, dtype=float))
+        m = np.atleast_2d(np.asarray(means, dtype=float))
+        s = np.broadcast_to(np.asarray(stds, dtype=float), w.shape)
+        present = w > 0.0
+        self.one = present.sum(axis=1) == 1
+        s_one = s[self.one, np.argmax(present[self.one], axis=1)]
+        self.closed = 1.0 - np.minimum(s_one, 1.0 / s_one)
+        self.quad = np.flatnonzero(~self.one)
+        w, m, s = w[self.quad], m[self.quad], s[self.quad]
+        self.present = present[self.quad]
+        z = float(-ndtri(_DIST_TAIL / 2.0))  # as GaussianMixture1D.working_interval
+        self.lo = np.min(np.where(self.present, m - z * s, np.inf), axis=1)
+        self.hi = np.max(np.where(self.present, m + z * s, -np.inf), axis=1)
+        with np.errstate(divide="ignore"):
+            log_w = np.log(w)
+        self.params = (w, m, s, log_w, np.log(s * SQRT_2PI))
+
+    def chunks(self, points):
+        """Slices of the ``quad`` rows that each evaluate at most _ROW_CHUNK
+        points x components (one row at least), at ``points`` a row."""
+        step = max(1, _ROW_CHUNK // (points * self.params[0].shape[1]))
+        for start in range(0, self.quad.size, step):
+            yield slice(start, start + step)
+
+
 def gauss_distance_rows(weights, means, stds, *, tol: float = 1e-9):
     """Directed distances d(u_b, gamma) of many 1-D mixtures u_b at once.
 
@@ -355,46 +408,84 @@ def gauss_distance_rows(weights, means, stds, *, tol: float = 1e-9):
     N(m, s^2), s log-uniform on [1e-3, 1e3] and m uniform on (-30, 30),
     that rounding reached 5.3 eps (1 + |m| / s); a multiple of 4 left 3
     of 600 rows short of the closed form, 8 none. These rows run in
-    chunks of at most _ROW_CHUNK pre-scan points x components. Returns (value, error), each of shape
-    (B,), in row order.
+    chunks of at most _ROW_CHUNK pre-scan points x components. Returns
+    (value, error), each of shape (B,), in row order.
     """
-    w = np.atleast_2d(np.asarray(weights, dtype=float))
-    m = np.atleast_2d(np.asarray(means, dtype=float))
-    s = np.broadcast_to(np.asarray(stds, dtype=float), w.shape)
-    present = w > 0.0
-    value = np.empty(w.shape[0])
-    error = np.empty(w.shape[0])
-    one = present.sum(axis=1) == 1
-    if one.any():
-        s_one = s[one, np.argmax(present[one], axis=1)]
-        value[one] = 1.0 - np.minimum(s_one, 1.0 / s_one)
-        error[one] = _ONE_COMPONENT_ERR
-    quad = np.flatnonzero(~one)
-    w, m, s, present = w[quad], m[quad], s[quad], present[quad]
+    batch = _RowMixtures(weights, means, stds)
+    value = np.empty(batch.one.size)
+    error = np.empty(batch.one.size)
+    value[batch.one] = batch.closed
+    error[batch.one] = _ONE_COMPONENT_ERR
+    _, m, s = batch.params[:3]
     rounding = _Z_ROUNDING * np.finfo(float).eps * (
-        1.0 + np.max(np.where(present, np.abs(m) / s, 0.0), axis=1))
-    z = float(-ndtri(_DIST_TAIL / 2.0))  # as GaussianMixture1D.working_interval
-    lo = np.min(np.where(present, m - z * s, np.inf), axis=1)
-    hi = np.max(np.where(present, m + z * s, -np.inf), axis=1)
-    with np.errstate(divide="ignore"):
-        log_w = np.log(w)
-    params = (w, m, s, log_w, np.log(s * SQRT_2PI))
-    step = max(1, _ROW_CHUNK // (_SCAN_POINTS * w.shape[1]))
-    for start in range(0, w.shape[0], step):
-        rows = slice(start, start + step)
-        chunk = [p[rows] for p in params]
+        1.0 + np.max(np.where(batch.present, np.abs(m) / s, 0.0), axis=1))
+    for rows in batch.chunks(_SCAN_POINTS):
+        chunk = [p[rows] for p in batch.params]
 
         def g(x, row):
             d, pdf = _rows_deriv_pdf(x, *(p[row] for p in chunk))
             return np.abs(1.0 - d) / np.maximum(1.0, d) * pdf
 
-        bp = _distance_breaks(lo[rows], hi[rows],
-                              np.where(present[rows], m[rows], np.nan),
+        bp = _distance_breaks(batch.lo[rows], batch.hi[rows],
+                              np.where(batch.present[rows], m[rows], np.nan),
                               lambda xs: _rows_deriv_pdf(xs, *chunk, pdf=False))
         res = adaptive_quad_rows(g, bp, tol_abs=tol, tol_rel=1e-12)
-        value[quad[rows]] = res.value
-        error[quad[rows]] = res.error + rounding[rows]
+        value[batch.quad[rows]] = res.value
+        error[batch.quad[rows]] = res.error + rounding[rows]
     return value, error
+
+
+def gauss_distance_estimates(weights, means, stds):
+    """Cheap estimates of the distances ``gauss_distance_rows`` certifies,
+    each with a bound on its gap to the certified value: (estimate, bound),
+    each of shape (B,), for the same row arrays.
+
+    A row with one present component gets the kernel's closed form, bit for
+    bit, and bound 0. Every other row gets the trapezoid rule for
+    |1 - T'| / max(1, T') u on every _ESTIMATE_STRIDE-th pre-scan point of
+    the kernel's working interval, 65 points h apart. Its bound is
+    |trapezoid at h - trapezoid at 2h|, plus the trapezoid share of every
+    cell where T' - 1 changes sign or |T' - 1| has a local minimum at one
+    of its ends, since the rule cannot resolve a kink of |1 - T'| inside
+    such a cell, plus the weight of every component narrower than h, whose
+    mass the rule can step over (the integrand is at most u), plus
+    _ESTIMATE_FLOOR. The bound is a heuristic, not an
+    enclosure: the tests check it against the certified values, and no
+    report carries it. Rows run in chunks of at most _ROW_CHUNK points x
+    components.
+    """
+    batch = _RowMixtures(weights, means, stds)
+    estimate = np.empty(batch.one.size)
+    bound = np.zeros(batch.one.size)
+    estimate[batch.one] = batch.closed
+    points = (_SCAN_POINTS - 1) // _ESTIMATE_STRIDE + 1
+    for rows in batch.chunks(points):
+        lo, hi = batch.lo[rows], batch.hi[rows]
+        xs = _scan_points(lo, hi, _ESTIMATE_STRIDE)
+        # T' overflows to inf where gamma's density underflows, where the
+        # integrand 1 - min(T', 1 / T') is 1
+        with np.errstate(over="ignore"):
+            deriv, pdf = _rows_deriv_pdf(xs, *(p[rows] for p in batch.params))
+        f = (1.0 - np.minimum(deriv, 1.0 / np.maximum(deriv, 1.0))) * pdf
+        h = (hi - lo)[:, None] * (_ESTIMATE_STRIDE / (_SCAN_POINTS - 1))
+        cells = 0.5 * h * (f[:, :-1] + f[:, 1:])
+        coarse = (h * (f[:, :-2:2] + f[:, 2::2])).sum(axis=1)
+        fine = cells.sum(axis=1)
+        dv = deriv - 1.0
+        sgn = np.sign(dv)
+        flip = sgn[:, :-1] * sgn[:, 1:] < 0
+        gap = np.abs(dv)
+        wall = np.full((gap.shape[0], 1), np.inf)
+        least = ((gap <= np.hstack([wall, gap[:, :-1]]))
+                 & (gap <= np.hstack([gap[:, 1:], wall])))
+        kinked = flip | least[:, :-1] | least[:, 1:]
+        w, _, s = (p[rows] for p in batch.params[:3])
+        estimate[batch.quad[rows]] = fine
+        bound[batch.quad[rows]] = (np.abs(fine - coarse)
+                                   + np.where(kinked, cells, 0.0).sum(axis=1)
+                                   + np.where(s < h, w, 0.0).sum(axis=1)
+                                   + _ESTIMATE_FLOOR)
+    return estimate, bound
 
 
 def bf_distance_full(u: Density1D, v: Density1D, *, tol: float = 1e-9):

@@ -614,6 +614,17 @@ def test_sweep_lambda_default_g(capsys):
     assert payload["summary"]["pass"] == 2
 
 
+def test_sweep_values_may_start_with_a_minus_sign(capsys):
+    # argparse takes "-1,0,0.5,2" for an option; after a space it is still
+    # the list of --values, the same as after "="
+    spaced = run_cli(capsys, "sweep", "--kind", "tilt", "--values",
+                     "-1,0,0.5,2", "--format", "csv")
+    joined = run_cli(capsys, "sweep", "--kind", "tilt",
+                     "--values=-1,0,0.5,2", "--format", "csv")
+    assert spaced[0] == 0 and spaced == joined
+    assert spaced[1].splitlines()[1].startswith("tilt--1,")
+
+
 def test_sweep_rejects_bad_values(capsys):
     code, _, err = run_cli(capsys, "sweep", "--kind", "sigma",
                            "--values", "0,1")

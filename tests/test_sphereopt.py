@@ -13,8 +13,9 @@ from bfstab.corpus import main_corpus
 from bfstab.densitynd import canonical_directions, marginal_parameters
 from bfstab import sphereopt
 from bfstab.sphereopt import (_ROUNDS, _augmentation, _dedup, _distances,
-                               _lattice, _refine, _solve_rows, _tangent_basis)
-from bfstab.transport1d import _directed_distance
+                               _lattice, _lattice_values, _refine, _seed_floor,
+                               _seeds, _solve_rows, _tangent_basis)
+from bfstab.transport1d import _directed_distance, gauss_distance_estimates
 
 
 def diag_gauss(*variances):
@@ -309,6 +310,74 @@ def test_one_kernel_call_per_round(searches):
     # every restart's stencil in one call per round, plus the certification
     for cid, (_, _, calls) in searches.items():
         assert 2 <= calls <= _ROUNDS + 2, cid
+
+
+# seeds of 5-D K = 3 mixtures, the shape of the benchmark's qmc-5d-00
+_FIVE_DIM_SEEDS = (11, 12, 13)
+
+
+@pytest.fixture(scope="module")
+def full_lattice(searches):
+    """Per input: (measure, its search, the search with every lattice row
+    certified by ``_distances``, that lattice, and d at each of its rows)."""
+    inputs = {cid: (nu, res) for cid, (nu, res, _) in searches.items()}
+    for seed in _FIVE_DIM_SEEDS:
+        nu = seeded_mixture(seed, 5, 3)
+        inputs[f"5d-k3-{seed}"] = (nu, dn_distance(nu))
+    out = {}
+    for cid, (nu, res) in inputs.items():
+        seen = []
+
+        def every_row(measure, rows):
+            seen.extend([rows, _distances(measure, rows)])
+            return seen[1]
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(sphereopt, "_lattice_values", every_row)
+            ref = dn_distance(nu)
+        out[cid] = (nu, res, ref, *seen)
+    return out
+
+
+def test_ranked_lattice_search_is_the_full_lattice_search(full_lattice):
+    # certifying only the rows whose upper bound reaches the last seed
+    # changes no seed, so no field of the result
+    for cid, (_, res, ref, _, _) in full_lattice.items():
+        for field in dataclasses.fields(DnResult):
+            assert np.array_equal(getattr(res, field.name),
+                                  getattr(ref, field.name)), (cid, field.name)
+
+
+def test_estimate_bound_covers_every_lattice_row(full_lattice):
+    for cid, (nu, _, _, cand, values) in full_lattice.items():
+        means, stds = marginal_parameters(nu, cand)
+        estimate, bound = gauss_distance_estimates(
+            np.broadcast_to(nu.weights, means.shape), means, stds)
+        assert np.all(np.abs(estimate - values) <= bound), cid
+
+
+def test_seed_floor_is_the_last_seed_value_unless_ties_reach_it():
+    rng = np.random.default_rng(3)
+    cand = canonical_directions(rng.standard_normal((600, 3)))
+    values = rng.uniform(0.0, 1.0, 600)
+    assert _seed_floor(cand, values) == values[_seeds(cand, values)[-1]]
+    # fewer than _RESTARTS seeds leave no floor
+    assert _seed_floor(cand[:5], values[:5]) == -math.inf
+    # np.argsort orders tied values by the whole array, so which of ten
+    # tied rows become seeds depends on the rows below them
+    values[rng.choice(600, 10, replace=False)] = 2.0
+    assert _seed_floor(cand, values) == -math.inf
+
+
+@pytest.mark.parametrize("seed", _FIVE_DIM_SEEDS)
+def test_five_dimensional_lattice_is_mostly_ranked_out(full_lattice, seed):
+    # at most a quarter of the 4,096-direction lattice is certified, each
+    # row with the bits it has when the whole lattice is certified
+    nu, _, _, cand, values = full_lattice[f"5d-k3-{seed}"]
+    ranked = _lattice_values(nu, cand)
+    certified = np.isfinite(ranked)
+    assert certified.sum() <= cand.shape[0] / 4
+    assert np.array_equal(ranked[certified], values[certified])
 
 
 def _angle_oracle(nu, count=1024):

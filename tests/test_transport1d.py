@@ -20,7 +20,8 @@ from bfstab.deficits import _pl_exponents, _pl_u_density
 from bfstab.density1d import GridDensity1D, gauss_logpdf
 from bfstab.densitynd import conditional_slice_batch
 from bfstab.transport1d import (_component_sum, _directed_distance,
-                                _rows_deriv_pdf, gauss_distance_rows)
+                                _rows_deriv_pdf, gauss_distance_estimates,
+                                gauss_distance_rows)
 
 GAUSS = StandardGaussian()
 
@@ -427,6 +428,50 @@ def test_padded_one_component_row_takes_closed_form(monkeypatch):
     assert np.array_equal(value[one], only)
     assert np.array_equal(error[one], only_err)
     assert np.all(only_err == transport1d._ONE_COMPONENT_ERR)
+
+
+def test_estimates_of_one_component_rows_are_the_closed_form():
+    # one-component rows, padded or not, get the kernel's value bit for bit
+    # and a zero bound; the other rows a positive bound
+    weights, means, stds = _mixed_rows()
+    one = np.count_nonzero(weights, axis=1) == 1
+    estimate, bound = gauss_distance_estimates(weights, means, stds)
+    value = gauss_distance_rows(weights, means, stds)[0]
+    assert np.array_equal(estimate[one], value[one])
+    assert np.all(bound[one] == 0.0) and np.all(bound[~one] > 0.0)
+
+
+def test_estimate_bound_covers_rows_with_narrow_components():
+    # most rows have a component narrower than the estimate's step; without
+    # their weights in the bound, 51 of these 400 rows fall outside it
+    rng = np.random.default_rng(44)
+    b, k = 400, 3
+    weights = rng.uniform(0.05, 1.0, (b, k))
+    weights /= weights.sum(axis=1, keepdims=True)
+    means = rng.uniform(-4.0, 4.0, (b, k))
+    stds = np.exp(rng.uniform(np.log(0.05), np.log(5.0), (b, k)))
+    estimate, bound = gauss_distance_estimates(weights, means, stds)
+    value = gauss_distance_rows(weights, means, stds)[0]
+    assert np.all(np.abs(estimate - value) <= bound)
+
+
+@pytest.mark.parametrize("spread", [(1e-3, 1e3, 30.0), (0.1, 10.0, 5.0)])
+def test_estimates_warn_nothing(spread):
+    # stds log-uniform on [lo, hi] and means uniform on (-m, m), a fifth of
+    # the components absent; CI runs with RuntimeWarning as an error
+    lo, hi, m = spread
+    rng = np.random.default_rng(41)
+    b, k = 300, 3
+    weights = rng.uniform(0.01, 1.0, (b, k))
+    weights[rng.uniform(size=(b, k)) < 0.2] = 0.0
+    weights[:, 0] += 0.01
+    weights /= weights.sum(axis=1, keepdims=True)
+    means = rng.uniform(-m, m, (b, k))
+    stds = np.exp(rng.uniform(np.log(lo), np.log(hi), (b, k)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        estimate, bound = gauss_distance_estimates(weights, means, stds)
+    assert np.all(np.isfinite(estimate)) and np.all(bound >= 0.0)
 
 
 def _stacked_deriv_pdf(x, weights, means, stds, log_w, log_norm):
