@@ -11,12 +11,15 @@ quasi-Newton (BFGS) refinement in tangent coordinates from the best
 spread-out seeds. Directions are canonicalized against the antipodal map
 since opposite directions give the same marginal distance.
 
-The lattice only chooses where the refinement starts. Every lattice
+The lattice only chooses where the refinement starts. Directions are
+ranked by one total order, value descending and then direction ascending
+(lexicographic), both for the seeds and for the final pick. Every lattice
 direction is ranked by a cheap estimate of its distance with an upper
 bound (``gauss_distance_estimates``), and only the directions whose upper
-bound reaches the last seed's value are certified. Where the bounds hold,
-the seeds, and so the result, are those of a search that certifies the
-whole lattice. Every certified distance comes from the batched kernel
+bound reaches the last seed's value are certified: no row below that value
+can reorder the rows above it, so where the bounds hold, the seeds, and so
+the result, are those of a search that certifies the whole lattice. Every
+certified distance comes from the batched kernel
 ``gauss_distance_rows``: one call per ranking round, then one call per
 round for the central-difference stencils of all restarts, which advance
 in lockstep, and one call that certifies the final candidates.
@@ -55,6 +58,8 @@ _STENCIL_STEP = 1e-5
 _ARMIJO = 1e-4
 _GTOL = 1e-9
 _STEP_TOL = 1e-10
+# Quadrature tolerance of every certified distance.
+_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -142,15 +147,6 @@ def _dedup(rows: np.ndarray, tol: float = 1e-10) -> np.ndarray:
     return rows[keep]
 
 
-def _distances(nu: GaussianMixtureND, rows: np.ndarray) -> np.ndarray:
-    """d(<v, X> law, gamma) for canonical unit rows v, in one kernel call:
-    the whole lattice certified, against which ``_lattice_values`` is
-    tested."""
-    means, stds = marginal_parameters(nu, rows)
-    weights = np.broadcast_to(nu.weights, means.shape)
-    return gauss_distance_rows(weights, means, stds, tol=1e-10)[0]
-
-
 def _solve_rows(nu: GaussianMixtureND, rows: np.ndarray):
     """(value, error) of d(<v, X> law, gamma) for canonical unit rows v, in
     one kernel call. Each row's marginal parameters come from a one-row
@@ -159,7 +155,7 @@ def _solve_rows(nu: GaussianMixtureND, rows: np.ndarray):
     means, stds = map(np.vstack, zip(*(marginal_parameters(nu, r[None])
                                         for r in rows)))
     return gauss_distance_rows(np.broadcast_to(nu.weights, means.shape),
-                               means, stds, tol=1e-10)
+                               means, stds, tol=_TOL)
 
 
 def _tangent_basis(xi: np.ndarray) -> np.ndarray:
@@ -169,12 +165,18 @@ def _tangent_basis(xi: np.ndarray) -> np.ndarray:
     return basis
 
 
+def _ranking(rows: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Row indices by value descending, ties by direction ascending in
+    lexicographic order: a total order, so the order among the rows above
+    any value does not depend on the rows below it."""
+    return np.lexsort(tuple(rows.T[::-1]) + (-values,))
+
+
 def _seeds(cand: np.ndarray, values: np.ndarray) -> list:
-    """Row indices of spread-out seeds: best first, then best outside 0.15
-    rad of the picks. Rows are read in the order of np.argsort(-values),
-    whose order among ties depends on the whole array."""
+    """Row indices of spread-out seeds, read in ``_ranking`` order: best
+    first, then best outside 0.15 rad of the picks."""
     seeds = []
-    for idx in np.argsort(-values):
+    for idx in _ranking(cand, values):
         if len(seeds) >= _RESTARTS:
             break
         if seeds and np.max(np.abs(cand[seeds] @ cand[idx])) > math.cos(0.15):
@@ -183,48 +185,40 @@ def _seeds(cand: np.ndarray, values: np.ndarray) -> list:
     return seeds
 
 
-def _seed_floor(cand: np.ndarray, values: np.ndarray) -> float:
-    """The value of the last of the _RESTARTS seeds ``_seeds`` picks from
-    values. It reads no row below that value, so lowering the rows below
-    changes no seed, unless a value at or above it occurs twice: the order
-    among such ties depends on the rows below. So -inf if there is a tie
-    there or fewer than _RESTARTS seeds."""
-    picks = _seeds(cand, values)
-    if len(picks) < _RESTARTS:
-        return -math.inf
-    floor = values[picks[-1]]
-    top = values[values >= floor]
-    return floor if np.unique(top).size == top.size else -math.inf
-
-
-def _lattice_values(nu: GaussianMixtureND, cand: np.ndarray) -> np.ndarray:
-    """d(<v, X> law, gamma) at every row of cand ``_seeds`` can read, -inf at
-    the rest: it picks the same seeds as from d at every row.
+def _lattice_values(nu: GaussianMixtureND, cand: np.ndarray):
+    """(values, seeds): d(<v, X> law, gamma) at every row of cand ``_seeds``
+    can read, -inf at the rest, and the seeds it picks from them, which are
+    the seeds of d at every row.
 
     Every row is ranked by an upper bound, the estimate plus its bound from
-    ``gauss_distance_estimates``. The first rows certified are those whose
-    upper bound reaches the seed floor (``_seed_floor``) of the lower
-    bounds; then, as long as a row not certified reaches the floor of the
-    certified values, those rows are certified too. Each round is one
-    kernel call on the marginal parameters of one batched
-    ``marginal_parameters`` call, so every value has the bits of
-    ``_distances`` on all of cand. A one-component mixture needs no
-    round: every estimate is then the kernel's closed form, bound 0.
+    ``gauss_distance_estimates``. The floor is the value of the last of the
+    _RESTARTS seeds, -inf if there are fewer: of the lower bounds at first,
+    then of the certified values. Each round certifies the rows not yet
+    certified whose upper bound reaches the floor, until none does; the
+    rows left out then rank below every row ``_seeds`` read. Each round is
+    one kernel call on the marginal parameters of one batched
+    ``marginal_parameters`` call, so every value has the bits the kernel
+    gives it on all of cand. A one-component mixture needs no round: every
+    estimate is then the kernel's closed form, bound 0.
     """
     means, stds = marginal_parameters(nu, cand)
     weights = np.broadcast_to(nu.weights, means.shape)
     estimate, bound = gauss_distance_estimates(weights, means, stds)
     if not bound.any():
-        return estimate
+        return estimate, _seeds(cand, estimate)
     upper = estimate + bound
     values = np.full(cand.shape[0], -np.inf)
-    # ~(upper < floor), not upper >= floor: a NaN bound is certified too
-    todo = ~(upper < _seed_floor(cand, estimate - bound))
-    while todo.any():
+    ranked = estimate - bound
+    while True:
+        seeds = _seeds(cand, ranked)
+        floor = ranked[seeds[-1]] if len(seeds) == _RESTARTS else -np.inf
+        # ~(upper < floor), not upper >= floor: a NaN bound is certified too
+        todo = np.isneginf(values) & ~(upper < floor)
+        if not todo.any():
+            return values, seeds
         values[todo] = gauss_distance_rows(weights[todo], means[todo],
-                                           stds[todo], tol=1e-10)[0]
-        todo = np.isneginf(values) & ~(upper < _seed_floor(cand, values))
-    return values
+                                           stds[todo], tol=_TOL)[0]
+        ranked = values
 
 
 def _quasi_newton(m: int):
@@ -301,7 +295,7 @@ def dn_distance(nu, *, directions: Optional[int] = None) -> DnResult:
     """Search the sphere for the largest marginal distance to gamma.
 
     nu is any measure the verifiers take. A Density1D has one direction:
-    its d_n is its distance to gamma (tol 1e-10), with argmax [1.], one
+    its d_n is its distance to gamma (tol _TOL), with argmax [1.], one
     evaluation and no refinement. A ProductFunction is searched through its
     mixture. For an n-D mixture, ``directions`` is the coarse lattice size;
     None picks 512 for n <= 3 and 4096 above. Only the lattice directions
@@ -309,10 +303,11 @@ def dn_distance(nu, *, directions: Optional[int] = None) -> DnResult:
     estimates' bounds hold, the result is field for field that of a search
     that certifies them all. The returned value is a certified lower bound
     on the supremum (it is the exact distance at the reported argmax, up
-    to value_error); the search cannot overshoot.
+    to value_error); the search cannot overshoot. Of the final candidates,
+    the first in ``_ranking`` order is returned.
     """
     if isinstance(nu, Density1D):
-        value, error = bf_distance_full(nu, StandardGaussian(), tol=1e-10)
+        value, error = bf_distance_full(nu, StandardGaussian(), tol=_TOL)
         return DnResult(value=value, argmax=np.ones(1), coarse_max=value,
                         refined_gain=0.0, directions_evaluated=1,
                         value_error=error)
@@ -328,10 +323,10 @@ def dn_distance(nu, *, directions: Optional[int] = None) -> DnResult:
 
     cand = np.vstack([_lattice(nu.dim, int(directions)), _augmentation(nu)])
     cand = _dedup(canonical_directions(cand))
-    values = _lattice_values(nu, cand)
+    values, picks = _lattice_values(nu, cand)
     coarse_max = float(values.max())
 
-    seeds = cand[_seeds(cand, values)]
+    seeds = cand[picks]
     bases = [_tangent_basis(s) for s in seeds]
     refined, solved = _refine(nu, seeds, bases)
     finals = []
@@ -339,11 +334,10 @@ def dn_distance(nu, *, directions: Optional[int] = None) -> DnResult:
         vec = s + basis @ t
         finals += [s, vec / np.linalg.norm(vec)]
 
-    # every final candidate certified in one kernel call; ties go to the
-    # lexicographically smallest direction
+    # every final candidate certified in one kernel call
     rows = canonical_directions(finals)
     value, error = _solve_rows(nu, rows)
-    best = min(range(len(rows)), key=lambda i: (-value[i], tuple(rows[i])))
+    best = _ranking(rows, value)[0]
     return DnResult(value=float(value[best]), argmax=rows[best],
                     coarse_max=coarse_max,
                     refined_gain=float(value[best]) - coarse_max,

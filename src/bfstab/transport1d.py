@@ -117,6 +117,10 @@ _ESTIMATE_STRIDE = 4
 _ESTIMATE_FLOOR = 1e-12
 # Tail mass the directed distance leaves outside its working interval.
 _DIST_TAIL = 1e-15
+# Least quadrature budget of a distance, a few eps for the rounding of its
+# integrand: a zero distance at tol 0 would otherwise have budget 0, which
+# no rule gap reaches.
+_ROUNDING_FLOOR = 8.0 * float(np.finfo(float).eps)
 # Error of a closed-form one-component row: its rounding is at most eps,
 # 2.2e-16 (see gauss_distance_rows), and this is 4.5 eps.
 _ONE_COMPONENT_ERR = 1e-15
@@ -276,7 +280,8 @@ def _directed_distance(mu: Density1D, nu: Density1D, tol: float):
             out[part] = np.abs(1.0 - s) / np.maximum(1.0, s) * pdf
         return out
 
-    return adaptive_quad(g, bp[np.isfinite(bp)], tol_abs=tol, tol_rel=1e-12)
+    return adaptive_quad(g, bp[np.isfinite(bp)],
+                         tol_abs=max(tol, _ROUNDING_FLOOR), tol_rel=1e-12)
 
 
 def _component_sum(parts):
@@ -429,7 +434,8 @@ def gauss_distance_rows(weights, means, stds, *, tol: float = 1e-9):
         bp = _distance_breaks(batch.lo[rows], batch.hi[rows],
                               np.where(batch.present[rows], m[rows], np.nan),
                               lambda xs: _rows_deriv_pdf(xs, *chunk, pdf=False))
-        res = adaptive_quad_rows(g, bp, tol_abs=tol, tol_rel=1e-12)
+        res = adaptive_quad_rows(g, bp, tol_abs=max(tol, _ROUNDING_FLOOR),
+                                 tol_rel=1e-12)
         value[batch.quad[rows]] = res.value
         error[batch.quad[rows]] = res.error + rounding[rows]
     return value, error
@@ -493,14 +499,18 @@ def bf_distance_full(u: Density1D, v: Density1D, *, tol: float = 1e-9):
     is zero iff v is a translate of u.
 
     Against gamma the one directed integral has no second direction to check
-    it against, so its error carries tol / 2 on top of the quadrature's
-    estimate, as the two-direction path carries half their gap.
+    it against, so its error carries half its budget, max(tol,
+    _ROUNDING_FLOOR) / 2, on top of the quadrature's estimate, as the
+    two-direction path carries half their gap. The two-direction error
+    carries _ROUNDING_FLOOR too: the rounding of two integrands that agree
+    is no part of their gap.
     """
     if isinstance(u, StandardGaussian):
         u, v = v, u
     if isinstance(v, StandardGaussian):
         res = _directed_distance(u, v, tol)
-        return min(max(res.value, 0.0), 1.0), res.error + 0.5 * tol
+        return (min(max(res.value, 0.0), 1.0),
+                res.error + 0.5 * max(tol, _ROUNDING_FLOOR))
     r_uv = _directed_distance(u, v, tol)
     r_vu = _directed_distance(v, u, tol)
     gap = abs(r_uv.value - r_vu.value)
@@ -510,7 +520,8 @@ def bf_distance_full(u: Density1D, v: Density1D, *, tol: float = 1e-9):
             "returning their average", NumericalWarning, stacklevel=2)
     value = 0.5 * (r_uv.value + r_vu.value)
     value = min(max(value, 0.0), 1.0)
-    return value, 0.5 * (r_uv.error + r_vu.error) + 0.5 * gap
+    return value, (0.5 * (r_uv.error + r_vu.error) + 0.5 * gap
+                   + _ROUNDING_FLOOR)
 
 
 def w2_squared_1d_full(nu: Density1D, *, tol: float = 1e-10):

@@ -12,10 +12,11 @@ from bfstab import (DnResult, DomainError, GaussianMixture1D,
 from bfstab.corpus import main_corpus
 from bfstab.densitynd import canonical_directions, marginal_parameters
 from bfstab import sphereopt
-from bfstab.sphereopt import (_ROUNDS, _augmentation, _dedup, _distances,
-                               _lattice, _lattice_values, _refine, _seed_floor,
-                               _seeds, _solve_rows, _tangent_basis)
-from bfstab.transport1d import _directed_distance, gauss_distance_estimates
+from bfstab.sphereopt import (_RESTARTS, _ROUNDS, _TOL, _augmentation,
+                               _dedup, _lattice, _lattice_values, _ranking,
+                               _refine, _seeds, _solve_rows, _tangent_basis)
+from bfstab.transport1d import (_directed_distance, gauss_distance_estimates,
+                                gauss_distance_rows)
 
 
 def diag_gauss(*variances):
@@ -225,6 +226,15 @@ def test_dedup_keeps_the_greedy_set():
     assert _dedup(flat).shape[0] == 30
 
 
+def _distances(nu, rows):
+    """d(<v, X> law, gamma) for canonical unit rows v, in one kernel call:
+    the whole lattice certified, against which ``_lattice_values`` is
+    tested."""
+    means, stds = marginal_parameters(nu, rows)
+    weights = np.broadcast_to(nu.weights, means.shape)
+    return gauss_distance_rows(weights, means, stds, tol=_TOL)[0]
+
+
 @pytest.mark.parametrize("case_id", [None, "main-3d-01"])
 def test_search_distances_match_single_solves(case_id):
     # the lattice of the search in one kernel call against one
@@ -238,7 +248,7 @@ def test_search_distances_match_single_solves(case_id):
     for v, value in zip(rows, values):
         means, stds = marginal_parameters(nu, v[None])
         marg = GaussianMixture1D(nu.weights, means[0], stds[0])
-        ref = _directed_distance(marg, gauss, 1e-10)
+        ref = _directed_distance(marg, gauss, _TOL)
         assert abs(value - ref.value) <= 1e-15
 
 
@@ -314,6 +324,10 @@ def test_one_kernel_call_per_round(searches):
 
 # seeds of 5-D K = 3 mixtures, the shape of the benchmark's qmc-5d-00
 _FIVE_DIM_SEEDS = (11, 12, 13)
+# products of equal K = 2 factors, searched as mixtures: their symmetric
+# directions tie up to rounding, and under the total order most of their
+# lattice still ranks out
+_SYMMETRIC_PRODUCTS = ("main-2d-prod-1", "main-3d-prod-0")
 
 
 @pytest.fixture(scope="module")
@@ -324,13 +338,17 @@ def full_lattice(searches):
     for seed in _FIVE_DIM_SEEDS:
         nu = seeded_mixture(seed, 5, 3)
         inputs[f"5d-k3-{seed}"] = (nu, dn_distance(nu))
+    for cid in _SYMMETRIC_PRODUCTS:
+        nu = dict(main_corpus())[cid].as_mixture()
+        inputs[cid] = (nu, dn_distance(nu))
     out = {}
     for cid, (nu, res) in inputs.items():
         seen = []
 
         def every_row(measure, rows):
-            seen.extend([rows, _distances(measure, rows)])
-            return seen[1]
+            values = _distances(measure, rows)
+            seen.extend([rows, values])
+            return values, _seeds(rows, values)
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(sphereopt, "_lattice_values", every_row)
@@ -356,17 +374,40 @@ def test_estimate_bound_covers_every_lattice_row(full_lattice):
         assert np.all(np.abs(estimate - values) <= bound), cid
 
 
-def test_seed_floor_is_the_last_seed_value_unless_ties_reach_it():
+def test_rows_below_the_last_seed_cannot_move_the_seeds():
     rng = np.random.default_rng(3)
     cand = canonical_directions(rng.standard_normal((600, 3)))
     values = rng.uniform(0.0, 1.0, 600)
-    assert _seed_floor(cand, values) == values[_seeds(cand, values)[-1]]
-    # fewer than _RESTARTS seeds leave no floor
-    assert _seed_floor(cand[:5], values[:5]) == -math.inf
-    # np.argsort orders tied values by the whole array, so which of ten
-    # tied rows become seeds depends on the rows below them
+    # ten tied maxima, which an unstable sort on the values alone orders
+    # by the whole array, and _ranking by their directions
     values[rng.choice(600, 10, replace=False)] = 2.0
-    assert _seed_floor(cand, values) == -math.inf
+    order = _ranking(cand, values)
+    assert order.tolist() == sorted(
+        range(600), key=lambda i: (-values[i], tuple(cand[i])))
+    seeds = _seeds(cand, values)
+    assert len(seeds) == _RESTARTS
+    lowered = np.where(values < values[seeds[-1]], -np.inf, values)
+    assert _seeds(cand, lowered) == seeds
+
+
+def test_fewer_seeds_than_restarts_certify_every_row():
+    # five rows give at most five seeds, so no floor: every row certified
+    nu = skew_mixture_2d()
+    cand = _dedup(canonical_directions(_lattice(2, 5)))
+    values, seeds = _lattice_values(nu, cand)
+    assert len(seeds) < _RESTARTS
+    assert np.array_equal(values, _distances(nu, cand))
+    assert seeds == _seeds(cand, values)
+
+
+@pytest.mark.parametrize("case_id", _SYMMETRIC_PRODUCTS)
+def test_symmetric_products_rank_out_part_of_the_lattice(full_lattice,
+                                                         case_id):
+    nu, _, _, cand, values = full_lattice[case_id]
+    ranked, _ = _lattice_values(nu, cand)
+    certified = np.isfinite(ranked)
+    assert certified.sum() < cand.shape[0]
+    assert np.array_equal(ranked[certified], values[certified])
 
 
 @pytest.mark.parametrize("seed", _FIVE_DIM_SEEDS)
@@ -374,7 +415,7 @@ def test_five_dimensional_lattice_is_mostly_ranked_out(full_lattice, seed):
     # at most a quarter of the 4,096-direction lattice is certified, each
     # row with the bits it has when the whole lattice is certified
     nu, _, _, cand, values = full_lattice[f"5d-k3-{seed}"]
-    ranked = _lattice_values(nu, cand)
+    ranked, _ = _lattice_values(nu, cand)
     certified = np.isfinite(ranked)
     assert certified.sum() <= cand.shape[0] / 4
     assert np.array_equal(ranked[certified], values[certified])
@@ -443,18 +484,18 @@ def test_rotated_gaussian_closed_form(dim):
         assert abs(end - exact) <= 1e-12
 
 
-# (value, argmax, coarse_max, directions_evaluated), recorded once the
-# refinement became quasi-Newton; every value is the one the Nelder-Mead
-# search found, bit for bit, and only the argmax and the counts moved.
-# Recorded first once the kernel gave one-component rows their closed
-# form. The three K = 1
-# products have closed-form marginals, which a batched
-# marginal_parameters call no longer moves; main-2d-prod-1 (K = 2 factors)
-# still ties between its two diagonals on the last bit of the marginal
-# parameters, so it catches such a call
+# (value, argmax, coarse_max, directions_evaluated); every value is the
+# one the Nelder-Mead search found, bit for bit. On the isotropic K = 1
+# products main-2d-prod-0 and qmc-4d-prod-0, d is the same in every
+# direction up to rounding, so the tie rule of ``_ranking`` (value
+# descending, then direction ascending) decides the argmax. The K = 1
+# products have closed-form marginals, which a batched marginal_parameters
+# call does not move; main-2d-prod-1 (K = 2 factors) ties between its two
+# diagonals on the last bit of the marginal parameters, so it catches
+# such a call
 _PINNED_SEARCHES = {
     "main-2d-prod-0": (0.14299451636990235,
-                       [0.15279718525844344, 0.9882575677307496],
+                       [0.012271538285719825, -0.9999247018391446],
                        0.14299451636990235, 537),
     "main-2d-prod-1": (0.1976411722475683,
                        [0.7071067812034345, -0.7071067811696606],
@@ -463,8 +504,8 @@ _PINNED_SEARCHES = {
                        [0.04292736911202153, 0.8738066721856274, 0.484375],
                        0.32972441970515, 553),
     "qmc-4d-prod-0": (0.47965858052998056,
-                      [0.04243993030259743, 0.8237342448775199,
-                       0.35748858974667047, 0.4380212943829441],
+                      [0.011541075821757738, 0.5929897807183027,
+                       -0.33181374724408946, 0.7335731460954467],
                       0.47965858052998056, 4154),
 }
 

@@ -159,6 +159,22 @@ def test_distance_translates_vanish():
         assert bf_distance_full(scaled(1.0, a), GAUSS)[0] < 1e-9
 
 
+@pytest.mark.parametrize("tol", [0.0, 1e-9])
+def test_zero_distances_cover_their_rounding(tol):
+    # at tol 0 the budget of a zero distance is a few eps, not 0, and the
+    # two-direction error covers the rounding that the gap cannot see
+    pairs = [(GAUSS, GAUSS), (scaled(1.0, 3.0), GAUSS)]
+    for (w1, w2), (m1, m2), (s1, s2), shift in (
+            ((0.5, 0.5), (-1.0, 1.0), (1.0, 1.0), 3.0),
+            ((0.3, 0.7), (-1.0, 2.0), (0.5, 1.5), 1.5)):
+        pairs.append((GaussianMixture1D([w1, w2], [m1, m2], [s1, s2]),
+                      GaussianMixture1D([w1, w2], [m1 + shift, m2 + shift],
+                                        [s1, s2])))
+    for u, v in pairs:
+        value, error = bf_distance_full(u, v, tol=tol)
+        assert 0.0 <= value <= error < 1e-9
+
+
 def test_distance_mixture_against_scipy_oracle():
     """Independent oracle: T, T' and the integral all built from scipy."""
     mix = mixture_pool()[0]
