@@ -434,7 +434,7 @@ def _add_common(p):
                    help="pass tolerance override")
     p.add_argument("--mc-budget", dest="mc_budget", type=_positive_int,
                    default=10 ** 6,
-                   help="Monte Carlo budget for high-dimensional stages")
+                   help="Sobol nodes per expectation above n = 3")
     p.add_argument("--directions", type=_positive_int, default=None,
                    help="coarse sphere-lattice size override")
     _add_output(p)

@@ -28,13 +28,14 @@ import numpy as np
 from .density1d import (Density1D, GaussianMixture1D, GridDensity1D,
                         WORKING_RADIUS, _breaks, entropy_rel_gauss_full,
                         fisher_rel_gauss_full, gauss_pdf)
-from .densitynd import (GaussianMixtureND, ProductFunction,
+from .densitynd import (_QMC_REPLICATES, GaussianMixtureND, ProductFunction,
+                        _average, _combine, _node_sets, _outer_orders,
                         conditional_slice_batch, entropy_fisher_nd,
                         entropy_rel_gauss_nd, knothe_w2_bound,
                         marginal_without)
 from .errors import (CapabilityError, DomainError, EvaluationError,
                      InvariantViolation)
-from .quadrature import adaptive_quad, gh_tensor
+from .quadrature import adaptive_quad
 from .sphereopt import DnResult, dn_distance
 from .transport1d import (bregman_integral_full, gauss_distance_rows,
                           talagrand_deficit_1d_full)
@@ -192,48 +193,32 @@ def _slice_distances(nu: GaussianMixtureND, axis: int, pts: np.ndarray):
                                tol=_INNER_TOL)
 
 
-def _corollary_axis_quad(nu, axis, orders):
-    """Mass-weighted E[d(slice, gamma)^2] along ``axis`` at each outer
-    order, plus the inner error of the first order's term.
+def _corollary_axis(nu, axis, sets):
+    """Per node set, the mass-weighted E[d(slice, gamma)^2] along ``axis``
+    and its inner error E[2 d err], as a (2, sets) array.
 
-    At each order the pinned points are every component of the marginal
-    without ``axis`` mapped through its Cholesky factor, so the outer
-    average runs over nu's own marginal; all orders share one kernel call.
+    The sets of ``densitynd._node_sets`` are anchored at each component of
+    the marginal without ``axis``, so the average runs over nu's own
+    marginal.
     """
-    # One call for every order and component, not densitynd._expect_gh:
-    # that route gives byte-identical reports but makes 2K kernel calls per
-    # axis, 15-22 % slower on 2-D K = 4 cases (2-core x86_64: main-2d-07
-    # 167/184 -> 194/224 ms, main-2d-05 161/172 -> 185/210 ms).
+    # one kernel call for all sets: a call per set and component, as
+    # densitynd._expectation makes, was 15-22 % slower on 2-D K = 4 cases
+    # (2-core x86_64: main-2d-07 167/184 -> 194/224 ms)
     rest = marginal_without(nu, axis)
-    rules = [gh_tensor(order, nu.dim - 1) for order in orders]
-    pts = [rest.means[k] + nodes @ rest._chol[k].T
-           for nodes, _ in rules for k in range(rest.n_components)]
+    pts = [rest.means[k] + z.T @ rest._chol[k].T
+           for pairs in sets for k, (z, _) in enumerate(pairs)]
     d, derr = _slice_distances(nu, axis, np.concatenate(pts))
-    weighted = []
-    werr = 0.0
+    terms = []
     pos = 0
-    for i, (_, wts) in enumerate(rules):
-        total = 0.0
-        for k in range(rest.n_components):
-            dk, ek = d[pos:pos + wts.size], derr[pos:pos + wts.size]
-            pos += wts.size
-            total += rest.weights[k] * float(wts @ (dk * dk))
-            if i == 0:
-                werr += rest.weights[k] * float(wts @ (2.0 * dk * ek))
-        weighted.append(total)
-    return weighted, werr
-
-
-def _corollary_axis_mc(nu, axis, budget, rng):
-    """Mass-weighted E[d(slice, gamma)^2] along ``axis`` from points drawn
-    from nu's marginal without ``axis``, with its standard error plus the
-    inner error."""
-    rest = marginal_without(nu, axis)
-    n_pts = max(min(budget, 2048), 64)
-    d, derr = _slice_distances(nu, axis, rest.sample(rng, n_pts))
-    weighted = float(np.mean(d * d))
-    se = float(np.std(d * d, ddof=1) / math.sqrt(n_pts))
-    return weighted, se + float(np.mean(2.0 * d * derr))
+    for pairs in sets:
+        sq = inner = 0.0
+        for k, (z, wts) in enumerate(pairs):
+            dk, ek = d[pos:pos + z.shape[1]], derr[pos:pos + z.shape[1]]
+            pos += z.shape[1]
+            sq += rest.weights[k] * _average(wts, dk * dk)
+            inner += rest.weights[k] * _average(wts, 2.0 * dk * ek)
+        terms.append(np.array([sq, inner]))
+    return np.stack(terms, axis=1)
 
 
 def _product_slice_distances(nu: ProductFunction):
@@ -257,11 +242,11 @@ def verify_corollary(nu, mc_budget: int = 10 ** 6, *,
     nu is a GaussianMixtureND or a ProductFunction of dimension >= 2. Each
     slice is weighed by its mass: the expectation runs over nu's own
     marginal without axis i, which is the form the tensorization argument
-    produces. For n <= 3 that average is a Gauss-Hermite rule anchored at
-    each marginal component, with the gap between two orders in the error;
-    above, it is a Monte Carlo mean over mc_budget / n draws per axis (at
-    least 64, at most 2048), with its standard error. A product needs no
-    outer average: its slices along axis i are all the factor h_i.
+    produces. It runs on ``densitynd._node_sets``, anchored at each marginal
+    component and drawn once for all axes: Gauss-Hermite for n <= 3, with
+    the gap of two orders in the error; above, 8 Sobol replicates sharing
+    mc_budget / n nodes per axis (64 to 2048), with their standard error. A
+    product needs no outer average: its slices along axis i are all h_i.
     """
     if isinstance(nu, Density1D) or nu.dim < 2:
         raise DomainError("the corollary needs dimension at least 2")
@@ -273,21 +258,18 @@ def verify_corollary(nu, mc_budget: int = 10 ** 6, *,
         weighted_terms = d * d
         err = float(np.sum(2.0 * d * derr))
         mode = "per-factor slices (product)"
-    elif nu.dim <= 3:
-        hi, lo = (64, 48) if nu.dim == 2 else (20, 14)
-        for axis in range(nu.dim):
-            (w_hi, w_lo), ierr = _corollary_axis_quad(nu, axis, (hi, lo))
-            weighted_terms[axis] = w_hi
-            err += abs(w_hi - w_lo) + ierr
-        mode = f"outer GH {hi}/{lo} anchored at the mixture"
     else:
-        rng = np.random.default_rng(seed)
-        per_axis = mc_budget // max(nu.dim, 1)
-        for axis in range(nu.dim):
-            weighted_terms[axis], se = _corollary_axis_mc(
-                nu, axis, per_axis, rng)
-            err += se
-        mode = "outer MC with standard error"
+        # every marginal without one axis has dimension n - 1 and nu's
+        # weights, so one draw of node sets serves all axes
+        n, orders = nu.dim, _outer_orders(nu.dim)
+        per_rep = max(min(mc_budget // n, 2048), 64) // _QMC_REPLICATES
+        sets = list(_node_sets(n, n - 1, nu.weights, orders, per_rep, seed))
+        for axis in range(n):
+            (weighted_terms[axis], inner), (gap, _) = _combine(
+                _corollary_axis(nu, axis, sets), n)
+            err += gap + inner
+        mode = ("outer GH %d/%d anchored at the mixture" % orders
+                if n <= 3 else "outer MC with standard error")
     lower = 0.5 * float(weighted_terms.sum())
     method = (f"{mode}; mass-weighted lower={lower:.9f}; per-axis weighted="
               + np.array2string(weighted_terms, precision=7, separator=","))

@@ -10,9 +10,10 @@ standard Gaussian, and a Knothe-Rosenblatt upper bound on W2 to it.
 nu-expectations, and one component pass at a node set gives log p (the
 log-sum-exp) and grad log p (the responsibilities). These and the
 Knothe-Rosenblatt cost go through one expectation, computed component-wise
-in whitened coordinates: for each anchor component k, standard Gaussian
-nodes z (Gauss-Hermite for n <= 3, scrambled Sobol replicates with an
-empirical error bar above) are mapped to x = m_k + L_k z, so the rule sees a
+in whitened coordinates. Standard Gaussian nodes z, from ``_node_sets`` for
+every n-D average (the corollary's outer one too: Gauss-Hermite for
+n <= 3, scrambled Sobol replicates with an empirical error bar above), are
+mapped to x = m_k + L_k z for each anchor component k, so the rule sees a
 standard Gaussian regardless of how eccentric the component is. The pass
 then whitens x against every component j with the stored inverse Cholesky
 factor, y_j = L_j^{-1} (x - m_j), one small matrix product each, and takes
@@ -108,19 +109,6 @@ class GaussianMixtureND:
             raise DomainError(f"points have dim {x.shape[1]}, mixture has {self.dim}")
         _, logs = _component_pass(self, np.ascontiguousarray(x.T))
         return _log_sum_exp(logs)[0] - 0.5 * self.dim * _LOG_2PI
-
-    def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        counts = rng.multinomial(size, self.weights)
-        out = np.empty((size, self.dim))
-        pos = 0
-        for k, cnt in enumerate(counts):
-            if cnt == 0:
-                continue
-            z = rng.standard_normal((cnt, self.dim))
-            out[pos:pos + cnt] = self.means[k] + z @ self._chol[k].T
-            pos += cnt
-        rng.shuffle(out, axis=0)
-        return out
 
     def marginal(self, axes) -> "GaussianMixtureND":
         axes = np.asarray(axes, dtype=int).reshape(-1)
@@ -291,6 +279,45 @@ _GH_CHECK = 48
 _QMC_REPLICATES = 8
 
 
+def _outer_orders(n: int):
+    """Gauss-Hermite orders (value, check) of the n-D averages dearer per
+    node than the information terms: Knothe-Rosenblatt and slice costs."""
+    return (64, 48) if n <= 2 else (20, 14)
+
+
+def _node_sets(n: int, dim: int, weights, orders, per_rep: int, seed: int):
+    """Standard normal node sets in R^dim for an average over a mixture
+    with ``weights``, chosen by the dimension n of the problem: one
+    Gauss-Hermite tensor rule per order of ``orders`` for n <= 3, built when
+    its set is drawn and shared by every component; above, Sobol replicates
+    in which component k gets max(w_k per_rep, 16) scrambled nodes from an
+    engine seeded seed + 1009 r + k (r the replicate). Yields each set as a
+    list of (z, wts) per component: z (dim, N) nodes as columns, wts their
+    weights, None for equal weights."""
+    if n <= 3:
+        for order in orders:
+            nodes, wts = gh_tensor(order, dim)
+            yield [(np.ascontiguousarray(nodes.T), wts)] * len(weights)
+        return
+    alloc = np.maximum((weights * per_rep).astype(int), 16)
+    for r in range(_QMC_REPLICATES):
+        pairs = []
+        for k, size in enumerate(alloc.tolist()):
+            # Sobol balance wants powers of two; draw up and trim
+            m_bits = max(int(math.ceil(math.log2(size))), 4)
+            engine = qmc.Sobol(d=dim, scramble=True, seed=seed + 1009 * r + k)
+            u = engine.random_base2(m_bits)[:size]
+            pairs.append((ndtri(np.clip(np.ascontiguousarray(u.T), 1e-15,
+                                        1.0 - 1e-15)), None))
+        yield pairs
+
+
+def _mixture_sets(nu: GaussianMixtureND, orders, mc_budget: int, seed: int):
+    """Node sets of an expectation over nu, at least 256 per replicate."""
+    return _node_sets(nu.dim, nu.dim, nu.weights, orders,
+                      max(mc_budget // _QMC_REPLICATES, 256), seed)
+
+
 def _row_sum(a: np.ndarray) -> np.ndarray:
     """np.sum(a, axis=0) as row adds, in the same order and so bit for bit
     (each column is summed first row to last), without the reduction's
@@ -365,49 +392,38 @@ def _entropy_integrand(nu: GaussianMixtureND, x, anchor, z):
     return (log_p + 0.5 * _row_sum(x * x),)
 
 
-def _expect_gh(nu: GaussianMixtureND, order: int, integrand) -> np.ndarray:
-    nodes, wts = gh_tensor(order, nu.dim)
-    z = np.ascontiguousarray(nodes.T)
-    total = 0.0
-    for k in range(nu.n_components):
-        x = nu.means[k][:, None] + nu._chol[k] @ z
-        # one wts @ row per integrand: one product with the rows stacked
-        # would sum in another order and move the last bits
-        total = total + np.array([nu.weights[k] * float(wts @ row)
-                                  for row in integrand(nu, x, k, z)])
-    return total
+def _average(wts, row) -> float:
+    """wts @ row, or the mean of row where wts is None (equal weights)."""
+    return float(np.mean(row)) if wts is None else float(wts @ row)
 
 
-def _expect_qmc(nu: GaussianMixtureND, budget: int, seed: int, integrand):
-    per_rep = max(budget // _QMC_REPLICATES, 256)
-    alloc = np.maximum((nu.weights * per_rep).astype(int), 16)
-    reps = []
-    for r in range(_QMC_REPLICATES):
+def _combine(per_set: np.ndarray, n: int, floor: float = 0.0):
+    """(value, error) of an n-D average from per-set estimates (last axis):
+    for n <= 3 the first Gauss-Hermite order and its gap to the second plus
+    ``floor``, above the Sobol replicates' mean and standard error."""
+    if n <= 3:
+        gap = np.abs(per_set[..., 0] - per_set[..., 1])
+        return per_set[..., 0], gap + floor
+    return (per_set.mean(axis=-1),
+            per_set.std(axis=-1, ddof=1) / math.sqrt(per_set.shape[-1]))
+
+
+def _expectation(nu: GaussianMixtureND, integrand, sets):
+    """E_nu of each row of ``integrand(nu, x, k, z)`` with errors, on node
+    sets anchored at nu's components: x = m_k + L_k z, and each set sums w_k
+    times each row's weighted mean. ``_combine`` gives value and error, a
+    Gauss-Hermite gap plus 1e-15 as two orders can agree by symmetry."""
+    totals = []
+    for pairs in sets:
         total = 0.0
-        for k in range(nu.n_components):
-            # Sobol balance wants powers of two; draw up and trim
-            m_bits = max(int(math.ceil(math.log2(alloc[k]))), 4)
-            engine = qmc.Sobol(d=nu.dim, scramble=True,
-                               seed=seed + 1009 * r + k)
-            u = engine.random_base2(m_bits)[: int(alloc[k])]
-            z = ndtri(np.clip(np.ascontiguousarray(u.T), 1e-15, 1.0 - 1e-15))
+        for k, (z, wts) in enumerate(pairs):
             x = nu.means[k][:, None] + nu._chol[k] @ z
-            total = total + np.array([nu.weights[k] * float(np.mean(row))
+            # one reduction per integrand row: one product with the rows
+            # stacked would sum in another order and move the last bits
+            total = total + np.array([nu.weights[k] * _average(wts, row)
                                       for row in integrand(nu, x, k, z)])
-        reps.append(total)
-    reps = np.stack(reps, axis=1)
-    return (reps.mean(axis=1),
-            reps.std(axis=1, ddof=1) / math.sqrt(_QMC_REPLICATES))
-
-
-def _expectation(nu: GaussianMixtureND, integrand, orders, mc_budget: int,
-                 seed: int):
-    """E_nu of each row of ``integrand(nu, x)`` with errors: the gap between
-    Gauss-Hermite ``orders`` for n <= 3, Sobol replicates above."""
-    if nu.dim > 3:
-        return _expect_qmc(nu, mc_budget, seed, integrand)
-    value, check = (_expect_gh(nu, order, integrand) for order in orders)
-    return value, np.abs(value - check) + 1e-15
+        totals.append(total)
+    return _combine(np.stack(totals, axis=1), nu.dim, floor=1e-15)
 
 
 def entropy_fisher_nd(nu: GaussianMixtureND, *, mc_budget: int = 10 ** 6,
@@ -420,8 +436,8 @@ def entropy_fisher_nd(nu: GaussianMixtureND, *, mc_budget: int = 10 ** 6,
     rule of order _GH_ORDER and the error its gap to order _GH_CHECK;
     above, the standard error of the Sobol replicates.
     """
-    value, err = _expectation(nu, _integrands, (_GH_ORDER, _GH_CHECK),
-                              mc_budget, seed)
+    value, err = _expectation(nu, _integrands, _mixture_sets(
+        nu, (_GH_ORDER, _GH_CHECK), mc_budget, seed))
     return tuple(zip(value.tolist(), err.tolist()))
 
 
@@ -429,8 +445,8 @@ def entropy_rel_gauss_nd(nu: GaussianMixtureND, *, mc_budget: int = 10 ** 6,
                          seed: int = 0):
     """(H, H_err) of ``entropy_fisher_nd`` bit for bit, on the same nodes,
     without the Fisher information's score pass."""
-    (value,), (err,) = _expectation(nu, _entropy_integrand,
-                                    (_GH_ORDER, _GH_CHECK), mc_budget, seed)
+    (value,), (err,) = _expectation(nu, _entropy_integrand, _mixture_sets(
+        nu, (_GH_ORDER, _GH_CHECK), mc_budget, seed))
     return float(value), float(err)
 
 
@@ -473,14 +489,14 @@ def knothe_w2_bound(nu: GaussianMixtureND, *, mc_budget: int = 10 ** 6,
     N <= 20^3 nonnegative node terms. A later R must win by more than both
     errors, so a rounding-level tie keeps the earlier label.
     """
-    orders = (64, 48) if nu.dim <= 2 else (20, 14)
+    # rotations keep dimension and weights: one draw serves all three
+    sets = list(_mixture_sets(nu, _outer_orders(nu.dim), mc_budget, seed))
     axes = np.linalg.eigh(nu.covariance())[1]
     best = None
     for label, q in (("identity", np.eye(nu.dim)),
                      ("principal-ascending", axes.T),
                      ("principal-descending", axes[:, ::-1].T)):
-        (value,), (err,) = _expectation(nu.rotate(q), _knothe_cost, orders,
-                                        mc_budget, seed)
+        (value,), (err,) = _expectation(nu.rotate(q), _knothe_cost, sets)
         err = float(err + 1e-12 * value)
         if best is None or value < best[0] - (err + best[1]):
             best = (float(value), err, label)

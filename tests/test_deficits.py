@@ -17,7 +17,7 @@ from bfstab import (CapabilityError, DeficitReport, DomainError,
                     verify_talagrand, verify_thm_main)
 from bfstab import deficits, densitynd
 from bfstab.corpus import _PL_GS, _SIN_BUMP, _sin_bump, main_corpus
-from bfstab.deficits import _corollary_axis_quad
+from bfstab.deficits import _corollary_axis
 
 LSI_SIGMA2 = 0.3181471805599453   # fisher/2 - entropy at sigma = 2
 TAL_SIGMA2 = 0.6137056388801092
@@ -214,8 +214,10 @@ def test_corollary_error_covers_higher_gauss_hermite_orders():
         rep = verify_corollary(nu)
         assert rep.status == "pass"
         oracle_gap = 0.0
+        sets = list(densitynd._node_sets(2, 1, nu.weights,
+                                         (64, 96, 128, 192, 256), 0, 0))
         for axis in range(nu.dim):
-            w, _ = _corollary_axis_quad(nu, axis, (64, 96, 128, 192, 256))
+            w = _corollary_axis(nu, axis, sets)[0]
             oracle_gap += 0.5 * max(abs(w[0] - wo) for wo in w[1:])
         assert oracle_gap <= rep.error_estimate, case_id
 
@@ -249,6 +251,49 @@ def test_corollary_monte_carlo_mixture_4d_passes():
     assert rep.method.startswith("outer MC with standard error;")
     assert rep.status == "pass", rep.method
     assert rep.lower_bound > 0.0
+
+
+def mix4d():
+    # the K = 2 mixture of test_corollary_monte_carlo_mixture_4d_passes
+    cov = np.array([[1.5, 0.4, 0.0, 0.2], [0.4, 0.8, -0.1, 0.0],
+                    [0.0, -0.1, 0.6, 0.3], [0.2, 0.0, 0.3, 2.0]])
+    return GaussianMixtureND(
+        [0.35, 0.65], [[-1.0, 0.5, 0.0, 1.2], [0.8, -0.4, 0.6, -0.3]],
+        [cov, np.diag([0.5, 1.5, 1.0, 0.7])])
+
+
+def test_corollary_monte_carlo_is_one_kernel_call_per_axis(monkeypatch):
+    # the Sobol replicates are drawn once and shared by the axes; each axis
+    # solves all 8 replicates' slices in one call: 1024 // 4 = 256 rows are
+    # 32 per replicate, of which component k gets max(int(32 w_k), 16)
+    nu = mix4d()
+    rows = []
+    original = deficits.gauss_distance_rows
+
+    def counted(weights, *args, **kwargs):
+        rows.append(weights.shape[0])
+        return original(weights, *args, **kwargs)
+
+    monkeypatch.setattr(deficits, "gauss_distance_rows", counted)
+    rep = verify_corollary(nu, mc_budget=1024)
+    assert rep.status == "pass"
+    assert rows == [8 * (16 + 20)] * nu.dim
+
+
+def test_corollary_monte_carlo_error_matches_replicate_spread():
+    # across 10 seeds (spaced so no two share a Sobol engine seed) each
+    # per-axis term spreads as far as its reported standard error says,
+    # within a factor 3 either way
+    nu = mix4d()
+    terms, errs = [], []
+    for seed in range(0, 100_000, 10_000):
+        sets = list(densitynd._node_sets(4, 3, nu.weights, None, 32, seed))
+        per_axis = [densitynd._combine(_corollary_axis(nu, axis, sets), 4)
+                    for axis in range(nu.dim)]
+        terms.append([value[0] for value, _ in per_axis])
+        errs.append([se[0] for _, se in per_axis])
+    ratio = np.std(terms, axis=0, ddof=1) / np.mean(errs, axis=0)
+    assert np.all((ratio > 1.0 / 3.0) & (ratio < 3.0)), ratio
 
 
 def test_corollary_needs_two_dims():

@@ -110,8 +110,11 @@ def test_relative_density_grad():
 
 
 def test_moments_and_sampling(rng):
+    # 200,000 draws from nu: component counts, then each component's draws
     nu = mix2d()
-    xs = nu.sample(rng, 200_000)
+    counts = rng.multinomial(200_000, nu.weights)
+    xs = np.concatenate([rng.multivariate_normal(m, c, size=cnt)
+                         for m, c, cnt in zip(nu.means, nu.covs, counts)])
     assert np.allclose(xs.mean(axis=0), nu.mean(), atol=0.02)
     assert np.allclose(np.cov(xs.T), nu.covariance(), atol=0.05)
 
@@ -404,6 +407,25 @@ def test_knothe_bound_gaussian_closed_form(n):
     # it is one standard error of 8 Sobol replicates, which a t law with 7
     # degrees of freedom exceeds about a third of the time, so allow three
     assert abs(value - exact) <= (err if n <= 3 else 3.0 * err)
+
+
+def test_knothe_bound_draws_its_sobol_sets_once(monkeypatch):
+    # the three rotations keep the dimension and the weights, so they share
+    # one draw: 8 replicates of one engine per component
+    rng = np.random.default_rng(4)
+    nu = GaussianMixtureND([0.3, 0.7], rng.uniform(-1.0, 1.0, (2, 4)),
+                           [np.eye(4), np.diag([0.5, 1.0, 1.5, 2.0])])
+    seeds = []
+    original = densitynd.qmc.Sobol
+
+    def counted(*args, **kwargs):
+        seeds.append(kwargs["seed"])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(densitynd.qmc, "Sobol", counted)
+    knothe_w2_bound(nu, mc_budget=4096, seed=3)
+    assert sorted(seeds) == sorted(3 + 1009 * r + k
+                                   for r in range(8) for k in range(2))
 
 
 @pytest.mark.parametrize("n", [2, 3])
