@@ -80,7 +80,10 @@ class GaussianMixtureND:
             raise DomainError("mixture weights must be strictly positive")
         if abs(w.sum() - 1.0) > 1e-12:
             raise DomainError(f"mixture weights sum to {w.sum()!r}, expected 1")
-        if np.max(np.abs(c - np.transpose(c, (0, 2, 1)))) > 1e-12:
+        # symmetric to rounding, relative to each block's largest entry
+        asym = np.max(np.abs(c - np.transpose(c, (0, 2, 1))), axis=(1, 2))
+        size = np.maximum(1.0, np.max(np.abs(c), axis=(1, 2)))
+        if np.any(asym > 1e-12 * size):
             raise DomainError("covariance blocks must be symmetric")
         eig_min = float(np.min(np.linalg.eigvalsh(c)))
         if eig_min <= _MIN_EIG:
@@ -160,11 +163,21 @@ def canonical_directions(rows) -> np.ndarray:
 
 
 def marginal_parameters(nu: GaussianMixtureND, rows: np.ndarray):
-    """(B, K) means and stds of the laws of <v_b, X> for unit rows v_b."""
+    """(B, K) means and stds of the laws of <v_b, X> for unit rows v_b.
+
+    Every sum runs coordinate by coordinate, elementwise, so a row's
+    parameters have the same bits whatever rows are batched with it. The
+    mean is sum_a v_a m_k[a]; the std is |L_k' v| through the Cholesky
+    factor L_k, so the variance is non-negative by construction.
+    """
     if rows.shape[1] != nu.dim:
         raise DomainError("direction dimension does not match the mixture")
-    means = rows @ nu.means.T
-    variances = np.einsum("ba,kac,bc->bk", rows, nu.covs, rows)
+    means, proj, variances = 0.0, 0.0, 0.0
+    for a in range(nu.dim):
+        means = means + rows[:, a, None] * nu.means[:, a]
+        proj = proj + rows[:, a, None, None] * nu._chol[:, a, :]
+    for j in range(nu.dim):
+        variances = variances + proj[:, :, j] * proj[:, :, j]
     return means, np.sqrt(variances)
 
 
@@ -522,5 +535,5 @@ def mixture_from_json(payload) -> GaussianMixtureND:
     try:
         return GaussianMixtureND(payload["weights"], payload["means"],
                                  payload["covs"])
-    except (DomainError, ConditioningError, ValueError) as exc:
+    except (DomainError, ConditioningError, TypeError, ValueError) as exc:
         raise ParseError(f"invalid mixture parameters: {exc}") from None

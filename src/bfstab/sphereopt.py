@@ -19,10 +19,14 @@ bound (``gauss_distance_estimates``), and only the directions whose upper
 bound reaches the last seed's value are certified: no row below that value
 can reorder the rows above it, so where the bounds hold, the seeds, and so
 the result, are those of a search that certifies the whole lattice. Every
-certified distance comes from the batched kernel
-``gauss_distance_rows``: one call per ranking round, then one call per
-round for the central-difference stencils of all restarts, which advance
-in lockstep, and one call that certifies the final candidates.
+certified distance comes from the batched kernel ``gauss_distance_rows``
+on the batch-invariant ``marginal_parameters``, so a direction's value
+and error do not depend on what it was batched with: one call per ranking
+round, then one call per round for the central-difference stencils of all
+restarts, which advance in lockstep. Each direction is certified once;
+the result is the first in ``_ranking`` order of the seeds, at their
+lattice values, and each restart's last accepted point, at the value its
+round gave it, so it is never below the best lattice value.
 """
 
 from __future__ import annotations
@@ -39,8 +43,8 @@ from .density1d import Density1D, StandardGaussian
 from .densitynd import (GaussianMixtureND, ProductFunction,
                         canonical_directions, marginal_parameters)
 from .errors import DomainError
-from .transport1d import (bf_distance_full, gauss_distance_estimates,
-                          gauss_distance_rows)
+from .transport1d import (_ONE_COMPONENT_ERR, bf_distance_full,
+                          gauss_distance_estimates, gauss_distance_rows)
 
 __all__ = [
     "DnResult",
@@ -66,8 +70,9 @@ _TOL = 1e-10
 class DnResult:
     """A sphere search: ``value`` is d at ``argmax``, certified up to
     ``value_error``; ``coarse_max`` is the best certified lattice value and
-    ``refined_gain`` what refinement added to it; ``directions_evaluated``
-    counts the ranked lattice directions and the refinement's points."""
+    ``refined_gain`` (>= 0) what refinement added to it;
+    ``directions_evaluated`` counts the ranked lattice directions, repeats
+    included, and the refinement's points."""
 
     value: float
     argmax: np.ndarray
@@ -116,44 +121,10 @@ def _augmentation(nu: GaussianMixtureND) -> np.ndarray:
     return cand
 
 
-def _dedup(rows: np.ndarray, tol: float = 1e-10) -> np.ndarray:
-    """Rows in order, less each row within tol of an earlier kept row.
-
-    A row is dropped when |<row, kept>| >= 1 - tol for a kept row before it
-    (the greedy rule). Unit rows that close lie within sqrt(2 tol) of plus
-    or minus each other, so only pairs whose first coordinates lie within
-    twice that of each other, or of each other's negative, are tested:
-    the rows and their negatives sorted on the first coordinate give them.
-    """
-    n = rows.shape[0]
-    margin = 2.0 * math.sqrt(2.0 * tol)
-    keys = np.concatenate([rows[:, 0], -rows[:, 0]])
-    order = np.argsort(keys, kind="stable")
-    owner, keys = np.tile(np.arange(n), 2)[order], keys[order]
-    # row i's candidates are owner[lo[i]:lo[i] + counts[i]], listed flat
-    lo = np.searchsorted(keys, rows[:, 0] - margin, side="left")
-    counts = np.searchsorted(keys, rows[:, 0] + margin, side="right") - lo
-    first = np.cumsum(counts) - counts
-    i = np.repeat(np.arange(n), counts)
-    j = owner[np.arange(i.size) + np.repeat(lo - first, counts)]
-    i, j = i[j < i], j[j < i]
-    near = np.abs(np.vecdot(rows[i], rows[j])) >= 1.0 - tol
-    i, j = i[near], j[near]
-    keep = np.ones(n, dtype=bool)
-    # i ascends, so every j < i is settled before row i is
-    starts = np.flatnonzero(np.diff(i, prepend=-1))
-    for k, js in zip(i[starts], np.split(j, starts[1:])):
-        keep[k] = not keep[js].any()
-    return rows[keep]
-
-
 def _solve_rows(nu: GaussianMixtureND, rows: np.ndarray):
     """(value, error) of d(<v, X> law, gamma) for canonical unit rows v, in
-    one kernel call. Each row's marginal parameters come from a one-row
-    ``marginal_parameters`` call: a batched product rounds differently, and
-    ties between symmetric directions turn on the last bit."""
-    means, stds = map(np.vstack, zip(*(marginal_parameters(nu, r[None])
-                                        for r in rows)))
+    one kernel call."""
+    means, stds = marginal_parameters(nu, rows)
     return gauss_distance_rows(np.broadcast_to(nu.weights, means.shape),
                                means, stds, tol=_TOL)
 
@@ -186,9 +157,10 @@ def _seeds(cand: np.ndarray, values: np.ndarray) -> list:
 
 
 def _lattice_values(nu: GaussianMixtureND, cand: np.ndarray):
-    """(values, seeds): d(<v, X> law, gamma) at every row of cand ``_seeds``
-    can read, -inf at the rest, and the seeds it picks from them, which are
-    the seeds of d at every row.
+    """(values, errors, seeds): d(<v, X> law, gamma) and its certified
+    error at every row of cand ``_seeds`` can read, -inf and inf at the
+    rest, and the seeds it picks from them, which are the seeds of d at
+    every row.
 
     Every row is ranked by an upper bound, the estimate plus its bound from
     ``gauss_distance_estimates``. The floor is the value of the last of the
@@ -196,18 +168,21 @@ def _lattice_values(nu: GaussianMixtureND, cand: np.ndarray):
     then of the certified values. Each round certifies the rows not yet
     certified whose upper bound reaches the floor, until none does; the
     rows left out then rank below every row ``_seeds`` read. Each round is
-    one kernel call on the marginal parameters of one batched
-    ``marginal_parameters`` call, so every value has the bits the kernel
-    gives it on all of cand. A one-component mixture needs no round: every
-    estimate is then the kernel's closed form, bound 0.
+    one kernel call on the rows' ``marginal_parameters``, which are those
+    of ``_solve_rows``, so each row is certified once, with the bits it has
+    in any batch. A one-component mixture needs no round: every estimate is
+    then the kernel's closed form, with the kernel's error
+    _ONE_COMPONENT_ERR.
     """
     means, stds = marginal_parameters(nu, cand)
     weights = np.broadcast_to(nu.weights, means.shape)
     estimate, bound = gauss_distance_estimates(weights, means, stds)
     if not bound.any():
-        return estimate, _seeds(cand, estimate)
+        errors = np.full(cand.shape[0], _ONE_COMPONENT_ERR)
+        return estimate, errors, _seeds(cand, estimate)
     upper = estimate + bound
     values = np.full(cand.shape[0], -np.inf)
+    errors = np.full(cand.shape[0], np.inf)
     ranked = estimate - bound
     while True:
         seeds = _seeds(cand, ranked)
@@ -215,9 +190,9 @@ def _lattice_values(nu: GaussianMixtureND, cand: np.ndarray):
         # ~(upper < floor), not upper >= floor: a NaN bound is certified too
         todo = np.isneginf(values) & ~(upper < floor)
         if not todo.any():
-            return values, seeds
-        values[todo] = gauss_distance_rows(weights[todo], means[todo],
-                                           stds[todo], tol=_TOL)[0]
+            return values, errors, seeds
+        values[todo], errors[todo] = gauss_distance_rows(
+            weights[todo], means[todo], stds[todo], tol=_TOL)
         ranked = values
 
 
@@ -225,16 +200,17 @@ def _quasi_newton(m: int):
     """Minimize from t = 0 in R^m, as a generator: BFGS on a difference
     gradient, with Armijo backtracking.
 
-    It yields each trial point, first t = 0, and is sent (f, g) there. The
-    step is -H g, H the inverse Hessian, which starts at the identity and
+    It yields each trial point, first t = 0, and is sent (f, g, info)
+    there, info being anything the caller keeps with the point. The step
+    is -H g, H the inverse Hessian, which starts at the identity and
     takes the BFGS update when s.y > 0, and is capped at _MAX_STEP in norm.
     A trial that meets Armijo's condition (_ARMIJO) is accepted; one that
     fails it is retried at half the step. It stops at |g|_inf <= _GTOL, at
     a step of norm <= _STEP_TOL, or after _ROUNDS trials, and returns the
-    last point accepted, which never scores above t = 0.
+    info of the last point accepted, which never scores above t = 0.
     """
     t, inv_hess, p = np.zeros(m), np.eye(m), None
-    f, g = yield t
+    f, g, info = yield t
     for _ in range(_ROUNDS - 1):
         if p is None:
             if np.max(np.abs(g)) <= _GTOL:
@@ -244,7 +220,7 @@ def _quasi_newton(m: int):
         if frac * np.linalg.norm(p) <= _STEP_TOL:
             break
         trial = t + frac * p
-        f_trial, g_trial = yield trial
+        f_trial, g_trial, info_trial = yield trial
         if f_trial > f + _ARMIJO * frac * float(g @ p):
             frac *= 0.5
             continue
@@ -254,7 +230,8 @@ def _quasi_newton(m: int):
             left = np.eye(m) - np.outer(s, y) / sy
             inv_hess = left @ inv_hess @ left.T + np.outer(s, s) / sy
         t, f, g, p = trial, f_trial, g_trial, None
-    return t
+        info = info_trial
+    return info
 
 
 def _refine(nu: GaussianMixtureND, seeds, bases):
@@ -265,8 +242,9 @@ def _refine(nu: GaussianMixtureND, seeds, bases):
     live restart submits a central-difference stencil, its trial point and
     the points _STENCIL_STEP either side of it along each tangent axis, and
     one kernel call solves the stencils of all restarts: a value and a
-    gradient at every trial. Returns each restart's t and the number of
-    points solved.
+    gradient at every trial. Returns, per restart, the (row, value, error)
+    of the point it accepted last, as the kernel call evaluated it, and the
+    number of points solved.
     """
     m = nu.dim - 1
     stencil = np.vstack([np.zeros(m), _STENCIL_STEP * np.eye(m),
@@ -279,12 +257,15 @@ def _refine(nu: GaussianMixtureND, seeds, bases):
         vecs = np.vstack([seeds[i] + (t + stencil) @ bases[i].T
                           for i, t in trials.items()])
         vecs /= np.linalg.norm(vecs, axis=1)[:, None]
-        values = -_solve_rows(nu, canonical_directions(vecs))[0]
-        solved += vecs.shape[0]
-        for i, v in zip(list(trials), values.reshape(len(trials), -1)):
+        rows = canonical_directions(vecs)
+        values, errors = _solve_rows(nu, rows)
+        solved += rows.shape[0]
+        k = stencil.shape[0]
+        for i, v, row, error in zip(list(trials), -values.reshape(-1, k),
+                                    rows[::k], errors[::k]):
             g = (v[1:m + 1] - v[m + 1:]) / (2.0 * _STENCIL_STEP)
             try:
-                trials[i] = runs[i].send((v[0], g))
+                trials[i] = runs[i].send((v[0], g, (row, -v[0], error)))
             except StopIteration as done:
                 results[i] = done.value
                 del trials[i]
@@ -303,8 +284,11 @@ def dn_distance(nu, *, directions: Optional[int] = None) -> DnResult:
     estimates' bounds hold, the result is field for field that of a search
     that certifies them all. The returned value is a certified lower bound
     on the supremum (it is the exact distance at the reported argmax, up
-    to value_error); the search cannot overshoot. Of the final candidates,
-    the first in ``_ranking`` order is returned.
+    to value_error); the search cannot overshoot. Each direction is
+    certified once: the result is the first in ``_ranking`` order of the
+    seeds, at their lattice values and errors, and each restart's last
+    accepted point, at the value and error of its round, so a one-row
+    ``_solve_rows`` at the argmax gives the same value and error.
     """
     if isinstance(nu, Density1D):
         value, error = bf_distance_full(nu, StandardGaussian(), tol=_TOL)
@@ -321,22 +305,17 @@ def dn_distance(nu, *, directions: Optional[int] = None) -> DnResult:
     if directions < 1:
         raise DomainError("directions must be positive")
 
-    cand = np.vstack([_lattice(nu.dim, int(directions)), _augmentation(nu)])
-    cand = _dedup(canonical_directions(cand))
-    values, picks = _lattice_values(nu, cand)
+    cand = canonical_directions(
+        np.vstack([_lattice(nu.dim, int(directions)), _augmentation(nu)]))
+    values, errors, picks = _lattice_values(nu, cand)
     coarse_max = float(values.max())
 
     seeds = cand[picks]
-    bases = [_tangent_basis(s) for s in seeds]
-    refined, solved = _refine(nu, seeds, bases)
-    finals = []
-    for s, basis, t in zip(seeds, bases, refined):
-        vec = s + basis @ t
-        finals += [s, vec / np.linalg.norm(vec)]
-
-    # every final candidate certified in one kernel call
-    rows = canonical_directions(finals)
-    value, error = _solve_rows(nu, rows)
+    refined, solved = _refine(nu, seeds, [_tangent_basis(s) for s in seeds])
+    # the seeds as certified on the lattice, then each restart's last
+    # accepted point as certified in its round
+    finals = list(zip(seeds, values[picks], errors[picks])) + refined
+    rows, value, error = map(np.array, zip(*finals))
     best = _ranking(rows, value)[0]
     return DnResult(value=float(value[best]), argmax=rows[best],
                     coarse_max=coarse_max,

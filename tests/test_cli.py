@@ -195,6 +195,16 @@ def test_density_file_factors_must_be_a_list(tmp_path, capsys, factors):
                                        "must be a non-empty list")
 
 
+def test_mixture_file_with_an_object_for_covs(tmp_path, capsys):
+    # {"covs": {"a": 1}} ended in a TypeError traceback
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({"weights": [1.0], "means": [[0.0, 0.0]],
+                                "covs": {"a": 1}}))
+    code, out, err = run_cli(capsys, "deficit", "--measure", f"file:{path}")
+    assert_usage_error(code, out, err,
+                       "bfstab: error: invalid mixture parameters")
+
+
 @pytest.mark.parametrize("argv", [
     ["deficit", "--measure", "gauss:a,1"],
     ["deficit", "--measure", "mix:[0,0,1]"],

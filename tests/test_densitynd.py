@@ -130,6 +130,23 @@ def test_validation_errors():
                           [[[1.0, 1.0], [1.0, 1.0]]])  # singular
 
 
+def test_symmetry_is_checked_relative_to_the_block():
+    # rotated 4-D covariances with eigenvalues near 1e4 are symmetric to
+    # rounding, which an absolute 1e-12 rejected on 46 of these 200
+    rng = np.random.default_rng(0)
+    for _ in range(200):
+        q = np.linalg.qr(rng.standard_normal((4, 4)))[0]
+        cov = q @ np.diag(1e4 * rng.uniform(0.5, 2.0, 4)) @ q.T
+        nu = GaussianMixtureND([1.0], [np.zeros(4)], [cov])
+        assert np.array_equal(nu.covs[0], nu.covs[0].T)
+    # a relative asymmetry of 1e-6 is still rejected, at either scale
+    for scale in (1.0, 1e4):
+        cov = scale * np.eye(2)
+        cov[0, 1] = 1e-6 * scale
+        with pytest.raises(DomainError, match="symmetric"):
+            GaussianMixtureND([1.0], [[0.0, 0.0]], [cov])
+
+
 def test_marginal_and_rotate():
     nu = mix2d()
     m0 = nu.marginal([0])
@@ -176,15 +193,22 @@ def test_canonical_directions_match_direction_bitwise():
 
 
 def test_marginal_parameters_rows_match_one_row_calls():
-    nu = mix2d()
-    rows = canonical_directions(np.random.default_rng(4).standard_normal((9, 2)))
-    means, stds = marginal_parameters(nu, rows)
-    for b, v in enumerate(rows):
-        m1, s1 = marginal_parameters(nu, v[None])
-        assert np.allclose(means[b], m1[0], rtol=0, atol=1e-15)
-        assert np.allclose(stds[b], s1[0], rtol=0, atol=1e-15)
+    # batch-invariant: each row has the bits of its one-row call, on every
+    # n-D main-corpus input
+    inputs = [("mix2d", mix2d())] + [
+        (cid, nu.as_mixture() if isinstance(nu, ProductFunction) else nu)
+        for cid, nu in main_corpus()
+        if isinstance(nu, (GaussianMixtureND, ProductFunction))]
+    rng = np.random.default_rng(4)
+    for cid, nu in inputs:
+        rows = canonical_directions(rng.standard_normal((43, nu.dim)))
+        means, stds = marginal_parameters(nu, rows)
+        for b, v in enumerate(rows):
+            m1, s1 = marginal_parameters(nu, v[None])
+            assert np.array_equal(means[b], m1[0]), (cid, b)
+            assert np.array_equal(stds[b], s1[0]), (cid, b)
     with pytest.raises(DomainError):
-        marginal_parameters(nu, np.ones((2, 3)) / math.sqrt(3.0))
+        marginal_parameters(mix2d(), np.ones((2, 3)) / math.sqrt(3.0))
 
 
 def test_marginal_parameters_match_hand_built():
@@ -487,6 +511,13 @@ def test_mixture_json_diagnostics():
     with pytest.raises(ParseError):
         mixture_from_json({"weights": [1.0], "means": [[0.0]],
                            "covs": [[[1.0, 0.0]]]})
+
+
+def test_mixture_json_object_for_numbers_is_a_parse_error():
+    # an object where a number array belongs ended in a TypeError
+    with pytest.raises(ParseError, match="invalid mixture parameters"):
+        mixture_from_json({"weights": [1.0], "means": [[0.0, 0.0]],
+                           "covs": {"a": 1}})
 
 
 def test_mixture_pickles_for_process_pools():

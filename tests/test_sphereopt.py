@@ -13,10 +13,10 @@ from bfstab.corpus import main_corpus
 from bfstab.densitynd import canonical_directions, marginal_parameters
 from bfstab import sphereopt
 from bfstab.sphereopt import (_RESTARTS, _ROUNDS, _TOL, _augmentation,
-                               _dedup, _lattice, _lattice_values, _ranking,
-                               _refine, _seeds, _solve_rows, _tangent_basis)
-from bfstab.transport1d import (_directed_distance, gauss_distance_estimates,
-                                gauss_distance_rows)
+                               _lattice, _lattice_values, _ranking, _refine,
+                               _seeds, _solve_rows, _tangent_basis)
+from bfstab.transport1d import (_ONE_COMPONENT_ERR, _directed_distance,
+                                gauss_distance_estimates)
 
 
 def diag_gauss(*variances):
@@ -194,56 +194,15 @@ def test_four_and_five_dimensional_diagonals():
     assert abs(abs(res.argmax[2]) - 1.0) < 1e-6
 
 
-def _greedy_dedup(rows, tol=1e-10):
-    # the one-row-at-a-time rule _dedup must reproduce
-    keep = []
-    for i in range(rows.shape[0]):
-        if not keep or np.max(np.abs(rows[keep] @ rows[i])) < 1.0 - tol:
-            keep.append(i)
-    return rows[keep]
-
-
-def test_dedup_keeps_the_greedy_set():
-    rng = np.random.default_rng(5)
-    base = canonical_directions(rng.standard_normal((500, 3)))
-    near = base[7] + 1e-11 * np.array([0.0, 1.0, -1.0])
-    rows = np.vstack([base, base[:40], -base[40:90], near, base[200:260]])
-    rows = rows[rng.permutation(rows.shape[0])]
-    # antipodal pairs with a first coordinate within 1e-6 of 0, of equal
-    # and of opposite sign there
-    flat = canonical_directions(rng.standard_normal((30, 3)) * [0.0, 1, 1])
-    flat[:, 0] = rng.uniform(-1e-6, 1e-6, 30)
-    flip = -flat[:15]
-    flip[:, 0] *= -1.0
-    flat = np.vstack([flat, flip, -flat[15:]])
-    flat = flat[rng.permutation(flat.shape[0])]
-    nu = four_dim_mixture()
-    lattice = canonical_directions(np.vstack([_lattice(4, 4096),
-                                              _augmentation(nu)]))
-    for cand in (rows, flat, lattice):
-        assert np.array_equal(_dedup(cand), _greedy_dedup(cand))
-    assert _dedup(rows).shape[0] == 500
-    assert _dedup(flat).shape[0] == 30
-
-
-def _distances(nu, rows):
-    """d(<v, X> law, gamma) for canonical unit rows v, in one kernel call:
-    the whole lattice certified, against which ``_lattice_values`` is
-    tested."""
-    means, stds = marginal_parameters(nu, rows)
-    weights = np.broadcast_to(nu.weights, means.shape)
-    return gauss_distance_rows(weights, means, stds, tol=_TOL)[0]
-
-
 @pytest.mark.parametrize("case_id", [None, "main-3d-01"])
 def test_search_distances_match_single_solves(case_id):
     # the lattice of the search in one kernel call against one
     # _directed_distance solve per direction
     nu = skew_mixture_2d() if case_id is None else dict(main_corpus())[case_id]
     assert nu.n_components >= 2
-    rows = _dedup(canonical_directions(
-        np.vstack([_lattice(nu.dim, 512), _augmentation(nu)])))
-    values = _distances(nu, rows)
+    rows = canonical_directions(
+        np.vstack([_lattice(nu.dim, 512), _augmentation(nu)]))
+    values = _solve_rows(nu, rows)[0]
     gauss = StandardGaussian()
     for v, value in zip(rows, values):
         means, stds = marginal_parameters(nu, v[None])
@@ -317,9 +276,40 @@ def test_refinement_is_no_weaker_than_nelder_mead(searches):
 
 
 def test_one_kernel_call_per_round(searches):
-    # every restart's stencil in one call per round, plus the certification
+    # every restart's stencil in one call per round, and nothing after
     for cid, (_, _, calls) in searches.items():
-        assert 2 <= calls <= _ROUNDS + 2, cid
+        assert 1 <= calls <= _ROUNDS, cid
+
+
+def test_refinement_never_loses_the_lattice_value(searches):
+    # the seeds rank with the refined points, so the result is at least
+    # the best certified lattice value, and a one-row solve at the argmax
+    # gives its bits
+    for cid, (nu, res, _) in searches.items():
+        assert res.refined_gain >= 0.0, cid
+        value, error = _solve_rows(nu, res.argmax[None])
+        assert (value[0], error[0]) == (res.value, res.value_error), cid
+
+
+def _corpus_mixtures():
+    """The n-D main-corpus inputs, each product as its mixture."""
+    return {cid: nu.as_mixture() if isinstance(nu, ProductFunction) else nu
+            for cid, nu in main_corpus()
+            if isinstance(nu, (GaussianMixtureND, ProductFunction))}
+
+
+@pytest.mark.parametrize("case_id", [
+    cid for cid, nu in _corpus_mixtures().items() if nu.n_components == 1])
+def test_one_component_search_keeps_its_lattice_maximum(case_id):
+    # every K = 1 direction is in closed form, certified to the kernel's
+    # one-component error; the lattice maximum is certified too, so the
+    # result cannot fall below it
+    nu = _corpus_mixtures()[case_id]
+    res = dn_distance(nu)
+    assert res.value >= res.coarse_max
+    assert res.value_error == _ONE_COMPONENT_ERR
+    value, error = _solve_rows(nu, res.argmax[None])
+    assert (value[0], error[0]) == (res.value, res.value_error)
 
 
 # seeds of 5-D K = 3 mixtures, the shape of the benchmark's qmc-5d-00
@@ -333,7 +323,8 @@ _SYMMETRIC_PRODUCTS = ("main-2d-prod-1", "main-3d-prod-0")
 @pytest.fixture(scope="module")
 def full_lattice(searches):
     """Per input: (measure, its search, the search with every lattice row
-    certified by ``_distances``, that lattice, and d at each of its rows)."""
+    certified by one ``_solve_rows`` call, that lattice, and d at each of
+    its rows)."""
     inputs = {cid: (nu, res) for cid, (nu, res, _) in searches.items()}
     for seed in _FIVE_DIM_SEEDS:
         nu = seeded_mixture(seed, 5, 3)
@@ -346,9 +337,9 @@ def full_lattice(searches):
         seen = []
 
         def every_row(measure, rows):
-            values = _distances(measure, rows)
+            values, errors = _solve_rows(measure, rows)
             seen.extend([rows, values])
-            return values, _seeds(rows, values)
+            return values, errors, _seeds(rows, values)
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(sphereopt, "_lattice_values", every_row)
@@ -393,10 +384,11 @@ def test_rows_below_the_last_seed_cannot_move_the_seeds():
 def test_fewer_seeds_than_restarts_certify_every_row():
     # five rows give at most five seeds, so no floor: every row certified
     nu = skew_mixture_2d()
-    cand = _dedup(canonical_directions(_lattice(2, 5)))
-    values, seeds = _lattice_values(nu, cand)
+    cand = canonical_directions(_lattice(2, 5))
+    values, errors, seeds = _lattice_values(nu, cand)
     assert len(seeds) < _RESTARTS
-    assert np.array_equal(values, _distances(nu, cand))
+    assert np.array_equal(np.vstack([values, errors]),
+                          np.vstack(_solve_rows(nu, cand)))
     assert seeds == _seeds(cand, values)
 
 
@@ -404,7 +396,7 @@ def test_fewer_seeds_than_restarts_certify_every_row():
 def test_symmetric_products_rank_out_part_of_the_lattice(full_lattice,
                                                          case_id):
     nu, _, _, cand, values = full_lattice[case_id]
-    ranked, _ = _lattice_values(nu, cand)
+    ranked, _, _ = _lattice_values(nu, cand)
     certified = np.isfinite(ranked)
     assert certified.sum() < cand.shape[0]
     assert np.array_equal(ranked[certified], values[certified])
@@ -415,7 +407,7 @@ def test_five_dimensional_lattice_is_mostly_ranked_out(full_lattice, seed):
     # at most a quarter of the 4,096-direction lattice is certified, each
     # row with the bits it has when the whole lattice is certified
     nu, _, _, cand, values = full_lattice[f"5d-k3-{seed}"]
-    ranked, _ = _lattice_values(nu, cand)
+    ranked, _, _ = _lattice_values(nu, cand)
     certified = np.isfinite(ranked)
     assert certified.sum() <= cand.shape[0] / 4
     assert np.array_equal(ranked[certified], values[certified])
@@ -477,9 +469,8 @@ def test_rotated_gaussian_closed_form(dim):
         seed = canonical_directions(math.cos(0.3) * worst
                                     + math.sin(0.3) * off)[0]
         basis = _tangent_basis(seed)
-        [t], _ = _refine(nu, [seed], [basis])
-        rows = canonical_directions(np.vstack([seed, seed + basis @ t]))
-        start, end = _solve_rows(nu, rows)[0]
+        [(_, end, _)], _ = _refine(nu, [seed], [basis])
+        start = _solve_rows(nu, seed[None])[0][0]
         assert start < exact - 1e-3
         assert abs(end - exact) <= 1e-12
 
@@ -488,25 +479,25 @@ def test_rotated_gaussian_closed_form(dim):
 # one the Nelder-Mead search found, bit for bit. On the isotropic K = 1
 # products main-2d-prod-0 and qmc-4d-prod-0, d is the same in every
 # direction up to rounding, so the tie rule of ``_ranking`` (value
-# descending, then direction ascending) decides the argmax. The K = 1
-# products have closed-form marginals, which a batched marginal_parameters
-# call does not move; main-2d-prod-1 (K = 2 factors) ties between its two
-# diagonals on the last bit of the marginal parameters, so it catches
-# such a call
+# descending, then direction ascending) decides the argmax.
+# main-2d-prod-1 (K = 2 factors) ties between its two diagonals on the
+# last bit of the marginal parameters, so it catches any change in how
+# they round. The counts include the candidate rows that duplicate
+# another, which ``_seeds`` never picks twice
 _PINNED_SEARCHES = {
     "main-2d-prod-0": (0.14299451636990235,
-                       [0.012271538285719825, -0.9999247018391446],
-                       0.14299451636990235, 537),
+                       [0.09801714032956078, 0.9951847266721969],
+                       0.14299451636990235, 542),
     "main-2d-prod-1": (0.1976411722475683,
-                       [0.7071067812034345, -0.7071067811696606],
-                       0.19764117224756825, 645),
+                       [0.7071067811933425, -0.7071067811797527],
+                       0.19764117224756825, 665),
     "main-3d-prod-1": (0.32972441970515,
                        [0.04292736911202153, 0.8738066721856274, 0.484375],
-                       0.32972441970515, 553),
+                       0.32972441970515, 561),
     "qmc-4d-prod-0": (0.47965858052998056,
-                      [0.011541075821757738, 0.5929897807183027,
-                       -0.33181374724408946, 0.7335731460954467],
-                      0.47965858052998056, 4154),
+                      [0.007818922888650274, 0.8808727679276528,
+                       0.4382195085545622, -0.17878952287685962],
+                      0.47965858052998056, 4163),
 }
 
 
