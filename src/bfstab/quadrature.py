@@ -1,14 +1,16 @@
 """Adaptive panel quadrature and Gauss-Hermite tensor rules.
 
 Integrands are vectorized callables (ndarray in, same-shape ndarray out). The
-adaptive integrator keeps a worklist of panels, evaluates two Gauss-Legendre
-rules, GL10 and GL21 (they share no node), on all active panels in a single
-integrand call, takes their gap as each panel's error, and bisects the
-panels whose local error exceeds a share of the budget proportional to panel
-width. ``adaptive_quad_rows`` runs many integrals in the same loop: every
-panel carries a row id, each row settles against its own budget (the
-per-integral bookkeeping of QUADPACK, Piessens et al. 1983), and one
-integrand call per round covers the panels of all rows.
+adaptive integrator keeps a worklist of panels, evaluates the 21-point
+Gauss-Kronrod rule K21 on all active panels in a single integrand call
+(QUADPACK's QK21: K21 is exact through degree 31 and nests the 10-point
+Gauss rule G10 in its nodes), takes K21 as each panel's value and
+|K21 - G10| as its error, and bisects the panels whose local error exceeds
+a share of the budget proportional to panel width. ``adaptive_quad_rows``
+runs many integrals in the same loop: every panel carries a row id, each
+row settles against its own budget (the per-integral bookkeeping of
+QUADPACK, Piessens et al. 1983), and one integrand call per round covers
+the panels of all rows.
 ``adaptive_quad`` is its one-row case. Integrands with expensive inner
 solves (transport-map quantile inversions, slice distances) thus see a
 handful of large batched calls instead of thousands of scalar ones.
@@ -22,24 +24,54 @@ from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial.hermite import hermgauss
-from numpy.polynomial.legendre import leggauss
 
 from .errors import DomainError, EvaluationError
 
 __all__ = ["QuadResult", "adaptive_quad", "adaptive_quad_rows", "gh_nodes",
            "gh_tensor"]
 
-# Gauss-Legendre orders of the check rule (_LOW) and the value rule
-# (_HIGH), the most rounds of bisection one call runs, and the most panels
-# one integral may split into.
-_LOW = 10
-_HIGH = 21
+# The most rounds of bisection one call runs, and the most panels one
+# integral may split into.
 _MAX_ROUNDS = 64
 _MAX_PANELS = 8192
-# the nodes of both rules side by side, and each rule's weights
-_GL_WL = leggauss(_LOW)[1]
-_GL_WH = leggauss(_HIGH)[1]
-_GL_NODES = np.concatenate([leggauss(_LOW)[0], leggauss(_HIGH)[0]])
+# The Gauss-Kronrod 10/21 pair on [-1, 1], from QUADPACK's QK21 (Piessens,
+# de Doncker-Kapenga, Ueberhuber and Kahaner 1983, after Kronrod 1965):
+# the non-negative Kronrod nodes in descending order, their K21 weights,
+# and the G10 weights of the Gauss nodes among them, 0.9739..., 0.8650...,
+# 0.6794..., 0.4333... and 0.1488.... Ascending over [-1, 1], the G10 nodes
+# sit at the odd positions of the 21 nodes.
+_QK21_XGK = (0.995657163025808080735527280689003,
+             0.973906528517171720077964012084452,
+             0.930157491355708226001207180059508,
+             0.865063366688984510732096688423493,
+             0.780817726586416897063717578345042,
+             0.679409568299024406234327365114874,
+             0.562757134668604683339000099272694,
+             0.433395394129247190799265943165784,
+             0.294392862701460198131126603103866,
+             0.148874338981631210884826001129720,
+             0.0)
+_QK21_WGK = (0.011694638867371874278064396062192,
+             0.032558162307964727478818972459390,
+             0.054755896574351996031381300244580,
+             0.075039674810919952767043140916190,
+             0.093125454583697605535065465083366,
+             0.109387158802297641899210590325805,
+             0.123491976262065851077208685185103,
+             0.134709217311473325928054001771707,
+             0.142775938577060080797094273138717,
+             0.147739104901338491374841515972068,
+             0.149445554002916905664936468389821)
+_QK21_WG = (0.066671344308688137593568809893332,
+            0.149451349150580593145776339657697,
+            0.219086362515982043995534934228163,
+            0.269266719309996355091226921569469,
+            0.295524224714752870173892994651338)
+# the 21 nodes and K21 weights in ascending node order, and the G10 weights
+# of nodes[1::2]
+_K21_NODES = np.concatenate([np.negative(_QK21_XGK[:-1]), _QK21_XGK[::-1]])
+_K21_WEIGHTS = np.concatenate([_QK21_WGK[:-1], _QK21_WGK[::-1]])
+_G10_WEIGHTS = np.concatenate([_QK21_WG, _QK21_WG[::-1]])
 
 
 @dataclass(frozen=True)
@@ -82,7 +114,8 @@ def adaptive_quad_rows(f, row_breakpoints, *, tol_abs: float = 1e-11,
     ``row_breakpoints`` is a (B, M) array: row r's finite entries seed its
     panels (they need not be sorted or distinct) and NaN pads shorter rows.
     ``f(x, row)`` is called once per round on the active panels of all
-    rows: x is (P, 31), and row[i] is the row of the points x[i].
+    rows: x is (P, 21), the K21 nodes of P panels, and row[i] is the row
+    of the points x[i].
     Each row keeps the budget max(tol_abs, tol_rel |row estimate|) and is
     settled, capped at _MAX_PANELS and accepted exactly as one integral
     is (see ``adaptive_quad``), so B rows in one call give the same results
@@ -103,17 +136,19 @@ def adaptive_quad_rows(f, row_breakpoints, *, tol_abs: float = 1e-11,
     ab = np.array([bp[row, col], bp[row, col + 1]])
 
     def eval_panels(ab, row):
-        """(2, P) array of GL21 values and |GL21 - GL10| errors."""
+        """(2, P) array of K21 values and |K21 - G10| errors."""
         mid = 0.5 * (ab[0] + ab[1])[:, None]
         half = 0.5 * (ab[1] - ab[0])[:, None]
-        pts = mid + half * _GL_NODES
+        pts = mid + half * _K21_NODES
         vals = np.asarray(f(pts, row), dtype=float).reshape(pts.shape)
         if not np.isfinite(vals).all():
             raise EvaluationError("integrand returned non-finite values")
         ve = np.empty((2, pts.shape[0]))
-        vlow = np.add.reduce(vals[:, :_LOW] * _GL_WL, axis=1) * half[:, 0]
-        np.multiply(np.add.reduce(vals[:, _LOW:] * _GL_WH, axis=1), half[:, 0], out=ve[0])
-        np.abs(ve[0] - vlow, out=ve[1])
+        # a basic slice keeps the product C-contiguous, so each panel's sum
+        # runs in the order it has in a one-panel call
+        g10 = np.add.reduce(vals[:, 1::2] * _G10_WEIGHTS, axis=1) * half[:, 0]
+        np.multiply(np.add.reduce(vals * _K21_WEIGHTS, axis=1), half[:, 0], out=ve[0])
+        np.abs(ve[0] - g10, out=ve[1])
         return ve
 
     ve = eval_panels(ab, row)
@@ -175,7 +210,7 @@ def adaptive_quad_rows(f, row_breakpoints, *, tol_abs: float = 1e-11,
     else:
         close(count > 0)
     # every split evaluates two new panels and adds one to the row
-    evaluations = (2 * n_panels - initial) * (_LOW + _HIGH)
+    evaluations = (2 * n_panels - initial) * _K21_NODES.size
     return QuadResult(done[0], done[1], evaluations, n_panels)
 
 
@@ -183,9 +218,10 @@ def adaptive_quad(f, breakpoints, *, tol_abs: float = 1e-11,
                   tol_rel: float = 1e-13) -> QuadResult:
     """Integrate ``f`` from breakpoints[0] to breakpoints[-1].
 
-    Interior breakpoints seed the initial panels; put known kinks there. The
-    per-panel error estimate is |GL21 - GL10|; a panel is settled once
-    its error fits its width-proportional share of the budget
+    Interior breakpoints seed the initial panels; put known kinks there.
+    Each panel's value is its K21 sum and its error estimate |K21 - G10|;
+    a panel is settled once its error fits its width-proportional share of
+    the budget
     max(tol_abs, tol_rel |estimate|), and all panels are settled once the
     total fits. Raises EvaluationError (carrying the partial result) if the
     error is still above ten times the budget when _MAX_PANELS panels or

@@ -27,6 +27,12 @@ restarts, which advance in lockstep. Each direction is certified once;
 the result is the first in ``_ranking`` order of the seeds, at their
 lattice values, and each restart's last accepted point, at the value its
 round gave it, so it is never below the best lattice value.
+
+A one-component mixture N(m, C) needs no refinement: along v its marginal
+distance is 1 - min(s, 1/s) with s^2 = v'Cv, which is largest at an
+eigenvector of C for the largest or the smallest eigenvalue, and
+``_augmentation`` puts C's eigenvectors on the lattice. Its search ends at
+the lattice, with no kernel call at all.
 """
 
 from __future__ import annotations
@@ -288,7 +294,11 @@ def dn_distance(nu, *, directions: Optional[int] = None) -> DnResult:
     certified once: the result is the first in ``_ranking`` order of the
     seeds, at their lattice values and errors, and each restart's last
     accepted point, at the value and error of its round, so a one-row
-    ``_solve_rows`` at the argmax gives the same value and error.
+    ``_solve_rows`` at the argmax gives the same value and error. A
+    one-component mixture skips the refinement, since its covariance
+    eigenvectors, where d peaks, are lattice rows: its result is the
+    first lattice row in ``_ranking`` order, with refined_gain 0 and
+    directions_evaluated the lattice size.
     """
     if isinstance(nu, Density1D):
         value, error = bf_distance_full(nu, StandardGaussian(), tol=_TOL)
@@ -311,7 +321,10 @@ def dn_distance(nu, *, directions: Optional[int] = None) -> DnResult:
     coarse_max = float(values.max())
 
     seeds = cand[picks]
-    refined, solved = _refine(nu, seeds, [_tangent_basis(s) for s in seeds])
+    refined, solved = [], 0
+    if nu.n_components > 1:
+        refined, solved = _refine(nu, seeds,
+                                  [_tangent_basis(s) for s in seeds])
     # the seeds as certified on the lattice, then each restart's last
     # accepted point as certified in its round
     finals = list(zip(seeds, values[picks], errors[picks])) + refined

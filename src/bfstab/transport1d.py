@@ -107,7 +107,7 @@ _TURN_STEPS = 20
 # with the number of rows.
 _ROW_CHUNK = 1 << 17
 # Points the directed distance's integrand evaluates at once: a grid
-# source's first round has 31 points per node, and the integrand is
+# source's first round has 21 points per node, and the integrand is
 # elementwise, so slices keep its temporaries this size at no cost in bits.
 _EVAL_SLICE = 1 << 14
 # ``gauss_distance_estimates`` reads every 4th pre-scan point, 65 in all,
@@ -126,7 +126,7 @@ _ROUNDING_FLOOR = 8.0 * float(np.finfo(float).eps)
 _ONE_COMPONENT_ERR = 1e-15
 # Multiple of eps (1 + max_k |m_k| / s_k) each quadrature row of the kernel
 # adds to its error for the rounding of z = (x - m_k) / s_k, which the
-# Gauss-Legendre estimate does not see (see gauss_distance_rows).
+# Gauss-Kronrod estimate does not see (see gauss_distance_rows).
 _Z_ROUNDING = 8.0
 
 
@@ -208,7 +208,7 @@ def _distance_breaks(lo, hi, interior, deriv):
     most 32 times), the turn is found between the neighbouring scan points
     (``_turns``); a turn past 0 is a dip across it, whose two sign changes
     are located and become breakpoints too. So every kink of |1 - T'| sits
-    on a panel edge, where the two Gauss-Legendre rules estimate the
+    on a panel edge, where the nested Gauss-Kronrod pair estimates the
     error honestly. The interior points inside (lo, hi) and the even
     8-panel split of [lo, hi] are breakpoints too. Returns a (B, M)
     NaN-padded array for ``adaptive_quad_rows``.
@@ -408,11 +408,12 @@ def gauss_distance_rows(weights, means, stds, *, tol: float = 1e-9):
     batched with it. Its error is the quadrature's estimate plus
     _Z_ROUNDING eps (1 + max_k |m_k| / s_k) over its present components:
     at nodes near a far, narrow component, z = (x - m_k) / s_k rounds by
-    about eps |m_k| / s_k, and two rule orders agree on the rounded
+    about eps |m_k| / s_k, and K21 and G10 agree on the rounded
     integrand, so their gap cannot see it. On rows of two equal halves of
     N(m, s^2), s log-uniform on [1e-3, 1e3] and m uniform on (-30, 30),
-    that rounding reached 5.3 eps (1 + |m| / s); a multiple of 4 left 3
-    of 600 rows short of the closed form, 8 none. These rows run in
+    that rounding reached 5.9 eps (1 + |m| / s) beyond the quadrature
+    estimate; a multiple of 4 left 32 of 600 rows short of the closed
+    form, 8 none. These rows run in
     chunks of at most _ROW_CHUNK pre-scan points x components. Returns
     (value, error), each of shape (B,), in row order.
     """

@@ -43,6 +43,33 @@ def test_rows_match_separate_calls():
     assert res.error[0] <= 1e-13 * abs(res.value[0])
 
 
+def test_many_rows_match_separate_calls():
+    # 24 rows put every round's panel count P far from a one-row call's, so
+    # a panel sum whose order depends on P or on the array's layout (a
+    # product that is not C-contiguous, for one) changes some row's bits.
+    # The odd rows are one short panel that settles at once, so their calls
+    # alone run at P = 1, where every layout of a (1, 21) array is
+    # contiguous
+    rng = np.random.default_rng(21)
+    scales = 10.0 ** rng.uniform(-6.0, 6.0, 24)
+    freqs = rng.uniform(0.3, 8.0, 24)
+    short = np.array([0.0, 0.3])
+    breaks = [np.sort(rng.uniform(-10.0, 10.0, rng.integers(2, 10)))
+              if r % 2 == 0 else rng.uniform(-3.0, 3.0) + short
+              for r in range(24)]
+
+    def f(x, r):
+        return scales[r] * np.abs(np.sin(freqs[r] * x)) * np.exp(-0.1 * x * x)
+
+    res = adaptive_quad_rows(lambda x, row: f(x, row[:, None]),
+                             padded(breaks), tol_abs=1e-9)
+    for r, bp in enumerate(breaks):
+        one = adaptive_quad(lambda x: f(x, r), bp, tol_abs=1e-9)
+        assert (res.value[r], res.error[r], res.evaluations[r],
+                res.panels[r]) == (one.value, one.error, one.evaluations,
+                                   one.panels), r
+
+
 def test_capped_row_is_accepted_within_ten_budgets(monkeypatch):
     # at 64 panels row 3 stops near 1e-6, inside 10x its 2e-7 budget
     monkeypatch.setattr(quadrature, "_MAX_PANELS", 64)
@@ -61,7 +88,24 @@ def test_one_row_matches_closed_form():
     res = adaptive_quad(lambda x: np.exp(-0.5 * x * x), [-12.0, 0.0, 12.0],
                         tol_abs=1e-13)
     assert abs(res.value - math.sqrt(2.0 * math.pi)) <= res.error + 1e-14
-    assert res.evaluations == 31 * (2 * res.panels - 2)
+    assert res.evaluations == 21 * (2 * res.panels - 2)
+
+
+def test_kronrod_rule_is_exact_through_degree_31():
+    nodes, weights = quadrature._K21_NODES, quadrature._K21_WEIGHTS
+    eps = np.finfo(float).eps
+    assert nodes.size == 21 and np.all(np.diff(nodes) > 0.0)
+    assert np.array_equal(nodes, -nodes[::-1])
+    for k in range(32):
+        exact = 0.0 if k % 2 else 2.0 / (k + 1)
+        assert abs(np.sum(weights * nodes ** k) - exact) <= 4.0 * eps, k
+    # and no further: degree 32 is off by about 4.4e-12
+    assert abs(np.sum(weights * nodes ** 32) - 2.0 / 33.0) > 1e-13
+    # the nested Gauss rule is G10, at the odd positions
+    g_nodes, g_weights = np.polynomial.legendre.leggauss(10)
+    assert np.allclose(nodes[1::2], g_nodes, rtol=0.0, atol=4.0 * eps)
+    assert np.allclose(quadrature._G10_WEIGHTS, g_weights, rtol=0.0,
+                       atol=4.0 * eps)
 
 
 def test_unconverged_row_raises_with_its_partial_result(monkeypatch):

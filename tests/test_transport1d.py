@@ -720,7 +720,7 @@ def test_grid_distance_settles_in_one_round(lam):
     u = _pl_u_density(_pl_exponents(_SIN_BUMP, lam)[0])
     res = _directed_distance(u, GAUSS, 1e-10)
     assert res.panels == u.nodes.size + 1
-    assert res.evaluations == 31 * res.panels
+    assert res.evaluations == 21 * res.panels
 
 
 @pytest.mark.parametrize("n", [41, 4097, 10001])
