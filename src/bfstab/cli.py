@@ -28,15 +28,12 @@ import numpy as np
 from . import __version__
 from .corpus import (DEFAULT_TOL, _SIN_BUMP, compatible, run_case,
                      suite_cases, suite_theorems, SUITES)
-from .deficits import GFun, lambda_limit_diagnostics
+from .deficits import _REPORT_FIELDS, GFun, lambda_limit_diagnostics
 from .density1d import (Density1D, GaussianMixture1D, StandardGaussian,
                         load_grid_csv)
 from .densitynd import ProductFunction, mixture_from_json
 from .errors import BfstabError, ParseError
 from .transport1d import bf_distance_full
-
-_REPORT_COLUMNS = ("case_id", "theorem", "deficit", "lower_bound", "margin",
-                   "error_estimate", "status", "method")
 
 _EXIT_BY_STATUS = {"pass": 0, "fail": 2, "inconclusive": 3, "error": 2}
 
@@ -198,11 +195,11 @@ def _emit(text: str, out_path):
 def _reports_csv(reports) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(_REPORT_COLUMNS)
+    writer.writerow(_REPORT_FIELDS)
     for rep in reports:
         row = rep.to_json_dict()
         writer.writerow([repr(row[c]) if isinstance(row[c], float)
-                         else row[c] for c in _REPORT_COLUMNS])
+                         else row[c] for c in _REPORT_FIELDS])
     return buf.getvalue()
 
 

@@ -10,8 +10,11 @@ p/phi, which overflows for wide densities.
 Densities come in three concrete flavors:
 
 * ``StandardGaussian``: gamma itself, with exact cdf/quantile.
-* ``GaussianMixture1D``: finite Gaussian mixtures; cdf analytic, quantile by
-  one safeguarded Newton solve of Phi^{-1}(F(x)) = z inside the closed-form
+* ``GaussianMixture1D``: finite Gaussian mixtures, evaluated by one
+  component pass that ``transport1d``'s row kernel shares: z_k, the
+  log-sum-exp of the component log-densities with the responsibilities,
+  and F and 1 - F from one ndtr(-|z_k|) per component; quantile by one
+  safeguarded Newton solve of Phi^{-1}(F(x)) = z inside the closed-form
   bracket [min_k, max_k] (m_k + s_k z). On that Gaussian scale both tails
   keep relative accuracy, the upper one through the survival side.
 * ``GridDensity1D``: strictly positive tabulated densities, log-linear
@@ -26,6 +29,7 @@ what can be checked cheaply.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -58,8 +62,10 @@ _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 WORKING_RADIUS = 10.0
 
 # Probabilities are clipped into [_PROB_FLOOR, _PROB_CEIL] before a normal
-# quantile is taken of them, so the result stays finite.
-_PROB_FLOOR = 1e-300
+# quantile is taken of them, so the result stays finite. The mixture
+# quantile solve reads S through the clip, which would be flat below a
+# higher floor, so the floor is the least positive double.
+_PROB_FLOOR = 5e-324
 _PROB_CEIL = 1.0 - 1e-16
 
 # Cap on the mixture quantile solve's iterations. Mixtures with means
@@ -78,19 +84,80 @@ def gauss_logpdf(x):
     return -0.5 * x * x - _LOG_SQRT_2PI
 
 
+def _components(x, means, stds):
+    """z_k = (x - m_k) / s_k for each component of a 1-D Gaussian mixture,
+    the start of its component pass. Each parameter of the pass is a
+    sequence over the components whose items broadcast against x: a
+    mixture's (K,) arrays, or (K, P, 1) columns for P mixtures, one per row
+    of x (P, n). Components are combined by element-wise maxima and
+    left-to-right adds, so the value at a point does not depend on the
+    other points or rows evaluated with it.
+    """
+    return [(x - m) / s for m, s in zip(means, stds)]
+
+
+def _mixture_log(zs, log_w, log_norm):
+    """(log u, e, total) of a mixture from its ``_components`` zs, with
+    log_norm_k = log(s_k sqrt(2 pi)): log u is the log-sum-exp of
+    log(w_k N_k) = -z_k^2 / 2 - log_norm_k + log w_k, e[k] is
+    exp(log(w_k N_k) - max_j log(w_j N_j)) and total their sum, so that
+    the responsibilities are e[k] / total."""
+    logs = [-0.5 * z * z - c + lw for z, c, lw in zip(zs, log_norm, log_w)]
+    top = functools.reduce(np.maximum, logs)
+    e = [np.exp(v - top) for v in logs]
+    total = sum(e)
+    return top + np.log(total), e, total
+
+
+def _mixture_masses(zs, weights):
+    """(F, 1 - F) of a mixture from its ``_components`` zs. One
+    ndtr(-|z_k|) per component gives both of its sides, so both tails
+    keep relative accuracy."""
+    F = Fc = 0.0
+    for z, w in zip(zs, weights):
+        tail = ndtr(-np.abs(z))
+        rest = 1.0 - tail
+        left = z < 0.0
+        F = F + np.where(left, tail, rest) * w
+        Fc = Fc + np.where(left, rest, tail) * w
+    return F, Fc
+
+
+def _phi_inverse(F, Fc):
+    """S = Phi^{-1}(F) from two-sided masses (F, 1 - F), each clipped to
+    [_PROB_FLOOR, _PROB_CEIL]; from the survival side where F > 1/2."""
+    F = np.clip(F, _PROB_FLOOR, _PROB_CEIL)
+    Fc = np.clip(Fc, _PROB_FLOOR, _PROB_CEIL)
+    low = F <= 0.5
+    S = ndtri(np.where(low, F, Fc))
+    return np.where(low, S, -S)
+
+
+def _mixture_span(means, stds, present, tail_mass):
+    """(lo, hi) over the last axis: the least m_k - z s_k and the greatest
+    m_k + z s_k of the ``present`` components, z = -Phi^{-1}(tail_mass / 2),
+    so that each component leaves at most tail_mass / 2 on either side."""
+    z = float(-ndtri(tail_mass / 2.0))
+    lo = np.min(np.where(present, means - z * stds, np.inf), axis=-1)
+    hi = np.max(np.where(present, means + z * stds, -np.inf), axis=-1)
+    return lo, hi
+
+
 class Density1D:
     """A strictly positive probability density on the line.
 
     All methods are vectorized over ndarray inputs. Masses go through one
     private pair: ``_mass(x)`` gives (m, upper), m = F(x) where F(x) <= 1/2
     and 1 - F(x) where ``upper``, and ``_invert(m, upper)`` inverts it.
-    ``_mass_logpdf(x)`` and ``_mass_logpdf_pdf(x)`` add logpdf, and pdf,
-    at the same points, and ``_logpdf_pdf(x)`` and ``_score_pdf(x)`` pair
-    pdf with logpdf or score, so a grid locates them once for all.
+    Each density defines ``_masses``, ``_mass`` unclipped, which ``cdf``
+    and ``survival`` read too. ``_mass_logpdf(x)`` and
+    ``_mass_logpdf_pdf(x)`` add logpdf, and pdf, at the same points, and
+    ``_logpdf_pdf(x)`` and ``_score_pdf(x)`` pair pdf with logpdf or
+    score, so a grid locates them, or a mixture runs its pass, once.
     """
 
     def pdf(self, x):
-        raise NotImplementedError
+        return np.exp(self.logpdf(x))
 
     def logpdf(self, x):
         raise NotImplementedError
@@ -100,17 +167,16 @@ class Density1D:
         raise NotImplementedError
 
     def cdf(self, x):
-        raise NotImplementedError
+        m, upper = self._masses(np.asarray(x, dtype=float))
+        return np.where(upper, 1.0 - m, m)
 
     def survival(self, x):
-        raise NotImplementedError
+        m, upper = self._masses(np.asarray(x, dtype=float))
+        return np.where(upper, m, 1.0 - m)
 
     def _masses(self, x):
-        """``_mass`` unclipped: ``cdf``, then ``survival`` on the upper points."""
-        m = np.asarray(self.cdf(x))
-        upper = m > 0.5
-        m[upper] = self.survival(x[upper])
-        return m, upper
+        """``_mass`` at the points x (an ndarray), unclipped."""
+        raise NotImplementedError
 
     def _mass(self, x):
         """(m, upper) at the points x, m clipped to [_PROB_FLOOR, _PROB_CEIL]."""
@@ -126,12 +192,13 @@ class Density1D:
     def _mass_logpdf_pdf(self, x):
         """``_mass_logpdf`` and ``pdf`` at the points x: what an integral
         over this density of its transport map reads."""
-        x = np.asarray(x, dtype=float)
-        return (*self._mass_logpdf(x), self.pdf(x))
+        m, upper, logpdf = self._mass_logpdf(x)
+        return m, upper, logpdf, np.exp(logpdf)
 
     def _logpdf_pdf(self, x):
         """(logpdf, pdf) at the points x: what an entropy integral reads."""
-        return self.logpdf(x), self.pdf(x)
+        logpdf = self.logpdf(x)
+        return logpdf, np.exp(logpdf)
 
     def _score_pdf(self, x):
         """(score, pdf) at the points x: what a Fisher integral reads."""
@@ -165,20 +232,14 @@ class Density1D:
 class StandardGaussian(Density1D):
     """The standard Gaussian measure gamma."""
 
-    def pdf(self, x):
-        return gauss_pdf(x)
-
     def logpdf(self, x):
         return gauss_logpdf(x)
 
     def score(self, x):
         return -np.asarray(x, dtype=float)
 
-    def cdf(self, x):
-        return ndtr(np.asarray(x, dtype=float))
-
-    def survival(self, x):
-        return ndtr(-np.asarray(x, dtype=float))
+    def _masses(self, x):
+        return ndtr(-np.abs(x)), x > 0.0
 
     def _invert(self, m, upper):
         z = ndtri(m)
@@ -196,10 +257,12 @@ class GaussianMixture1D(Density1D):
     """Finite Gaussian mixture sum_k w_k N(m_k, s_k^2).
 
     Weights must be positive and sum to 1 within 1e-12; standard deviations
-    must be positive and finite.
+    must be positive and finite. Every evaluation is the component pass
+    that ``transport1d``'s row kernel runs, with log w_k and
+    log(s_k sqrt(2 pi)) taken once at construction.
     """
 
-    __slots__ = ("weights", "means", "stds")
+    __slots__ = ("weights", "means", "stds", "_log_w", "_log_norm")
 
     def __init__(self, weights, means, stds):
         w = np.atleast_1d(np.asarray(weights, dtype=float)).copy()
@@ -215,44 +278,51 @@ class GaussianMixture1D(Density1D):
             raise DomainError(f"mixture weights sum to {float(w.sum())!r}, expected 1 within 1e-12")
         if np.any(s <= 0.0):
             raise DomainError("mixture stds must be positive")
-        for arr in (w, m, s):
-            arr.setflags(write=False)
         self.weights = w
         self.means = m
         self.stds = s
+        self._log_w = np.log(w)
+        self._log_norm = np.log(s * SQRT_2PI)
+        for arr in (w, m, s, self._log_w, self._log_norm):
+            arr.setflags(write=False)
 
     # -- basic evaluations -------------------------------------------------
 
-    def _z(self, x):
-        x = np.asarray(x, dtype=float)
-        return (x[..., None] - self.means) / self.stds
+    def _log_pass(self, x):
+        """(zs, log u, e, total) at the points x: ``_components`` and
+        ``_mixture_log``."""
+        zs = _components(np.asarray(x, dtype=float), self.means, self.stds)
+        return (zs, *_mixture_log(zs, self._log_w, self._log_norm))
 
-    def pdf(self, x):
-        z = self._z(x)
-        comp = np.exp(-0.5 * z * z) / (self.stds * SQRT_2PI)
-        return comp @ self.weights
-
-    def _log_terms(self, x):
-        """(z, log w_k N(x; m_k, s_k^2)) with components on the last axis."""
-        z = self._z(x)
-        return z, -0.5 * z * z - np.log(self.stds * SQRT_2PI) + np.log(self.weights)
+    def _score_of(self, zs, e, total):
+        """Responsibility-weighted component scores -z_k / s_k."""
+        return -sum(r * z / s for r, z, s in zip(e, zs, self.stds)) / total
 
     def logpdf(self, x):
-        _, logs = self._log_terms(x)
-        mx = logs.max(axis=-1, keepdims=True)
-        return np.squeeze(mx, -1) + np.log(np.exp(logs - mx).sum(axis=-1))
+        return self._log_pass(x)[1]
 
     def score(self, x):
-        """Responsibility-weighted component scores, via log-sum-exp."""
-        z, logs = self._log_terms(x)
-        resp = np.exp(logs - logs.max(axis=-1, keepdims=True))
-        return (resp * (-z / self.stds)).sum(axis=-1) / resp.sum(axis=-1)
+        zs, _, e, total = self._log_pass(x)
+        return self._score_of(zs, e, total)
 
-    def cdf(self, x):
-        return ndtr(self._z(x)) @ self.weights
+    def _score_pdf(self, x):
+        zs, logpdf, e, total = self._log_pass(x)
+        return self._score_of(zs, e, total), np.exp(logpdf)
 
-    def survival(self, x):
-        return ndtr(-self._z(x)) @ self.weights
+    def _masses_of(self, zs):
+        """``_masses`` from the ``_components`` zs."""
+        F, Fc = _mixture_masses(zs, self.weights)
+        upper = F > 0.5
+        return np.where(upper, Fc, F), upper
+
+    def _masses(self, x):
+        return self._masses_of(_components(x, self.means, self.stds))
+
+    def _mass_logpdf(self, x):
+        """One component pass serves the masses and the logpdf."""
+        zs, logpdf, _, _ = self._log_pass(x)
+        m, upper = self._masses_of(zs)
+        return np.clip(m, _PROB_FLOOR, _PROB_CEIL), upper, logpdf
 
     def mean(self):
         return float(self.weights @ self.means)
@@ -262,10 +332,8 @@ class GaussianMixture1D(Density1D):
         return float(self.weights @ (self.stds**2 + self.means**2) - m * m)
 
     def working_interval(self, tail_mass: float = 1e-14):
-        z = float(-ndtri(tail_mass / 2.0))
-        lo = float(np.min(self.means - z * self.stds))
-        hi = float(np.max(self.means + z * self.stds))
-        return (lo, hi)
+        lo, hi = _mixture_span(self.means, self.stds, True, tail_mass)
+        return (float(lo), float(hi))
 
     def __repr__(self):
         return (f"GaussianMixture1D(weights={self.weights.tolist()}, "
@@ -274,29 +342,11 @@ class GaussianMixture1D(Density1D):
     # -- quantiles -----------------------------------------------------------
 
     def _gauss_scale(self, x):
-        """(S, log S', (log u)') at the points x (n,), for S = Phi^{-1} o F.
-
-        One ndtr(-|z_k|) per component gives both of its masses, and S comes
-        from the survival side where F > 1/2, so both tails keep relative
-        accuracy. log S' = log u - log phi(S), log u by log-sum-exp.
-        """
-        z, logs = self._log_terms(x)
-        dlog = -z / self.stds
-        left = z < 0.0
-        tail = ndtr(-np.abs(z))
-        rest = 1.0 - tail
-        # row sums, not a BLAS product: a root must not depend on the other
-        # points solved in the same batch
-        F = (np.where(left, tail, rest) * self.weights).sum(axis=1)
-        Sv = (np.where(left, rest, tail) * self.weights).sum(axis=1)
-        low = F <= 0.5
-        S = ndtri(np.where(low, F, Sv))
-        S = np.where(low, S, -S)
-        mx = logs.max(axis=1)
-        resp = np.exp(logs - mx[:, None])
-        total = resp.sum(axis=1)
-        log_slope = mx + np.log(total) - gauss_logpdf(S)
-        return S, log_slope, (resp * dlog).sum(axis=1) / total
+        """(S, log S', (log u)') at the points x (n,), for S = Phi^{-1} o F:
+        one component pass, with log S' = log u - log phi(S)."""
+        zs, logpdf, e, total = self._log_pass(x)
+        S = _phi_inverse(*_mixture_masses(zs, self.weights))
+        return S, logpdf - gauss_logpdf(S), self._score_of(zs, e, total)
 
     # the benchmark's tracer (bench/layertrace.py) wraps both by name in
     # the class's own dict
@@ -481,9 +531,6 @@ class GridDensity1D(Density1D):
         x = np.asarray(x, dtype=float)
         return self._logpdf_in(x, self._piece(x))
 
-    def pdf(self, x):
-        return np.exp(self.logpdf(x))
-
     def score(self, x):
         """Piecewise log-slope; jumps at the nodes."""
         x = np.asarray(x, dtype=float)
@@ -492,11 +539,6 @@ class GridDensity1D(Density1D):
     def _score_in(self, x, i):
         """score at the points x of the pieces i."""
         return self._slope[i] - self._curv[i] * (x - self._anchor[i]) / self._scale2[i]
-
-    def _logpdf_pdf(self, x):
-        """One locate; pdf is exp(logpdf), as ``pdf`` takes it."""
-        logpdf = self.logpdf(x)
-        return logpdf, np.exp(logpdf)
 
     def _score_pdf(self, x):
         x = np.asarray(x, dtype=float)
@@ -530,19 +572,6 @@ class GridDensity1D(Density1D):
         m, upper = self._masses_in(x, i)
         return (np.clip(m, _PROB_FLOOR, _PROB_CEIL), upper,
                 self._logpdf_in(x, i))
-
-    def _mass_logpdf_pdf(self, x):
-        """pdf is exp(logpdf), as ``pdf`` takes it."""
-        m, upper, logpdf = self._mass_logpdf(x)
-        return m, upper, logpdf, np.exp(logpdf)
-
-    def cdf(self, x):
-        m, upper = self._masses(np.asarray(x, dtype=float))
-        return np.where(upper, 1.0 - m, m)
-
-    def survival(self, x):
-        m, upper = self._masses(np.asarray(x, dtype=float))
-        return np.where(upper, m, 1.0 - m)
 
     # the benchmark's tracer (bench/layertrace.py) wraps both by name in
     # the class's own dict

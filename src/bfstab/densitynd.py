@@ -29,10 +29,10 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import solve_triangular
-from scipy.special import ndtr, ndtri
+from scipy.special import ndtri
 from scipy.stats import qmc
 
-from .density1d import _PROB_CEIL, _PROB_FLOOR, GaussianMixture1D
+from .density1d import GaussianMixture1D, _mixture_masses, _phi_inverse
 from .errors import ConditioningError, DomainError, ParseError
 from .quadrature import gh_tensor
 
@@ -473,21 +473,15 @@ def _knothe_cost(nu: GaussianMixtureND, x, anchor, z):
     ys, _ = _component_pass(nu, x, anchor, z)
     log_diag = np.log(np.diagonal(nu._chol, axis1=1, axis2=2))
     log_w = np.log(nu.weights)[:, None] + np.zeros_like(x[0])
-    cdf = np.zeros_like(x)
-    sf = np.zeros_like(x)
+    cdf = np.empty_like(x)
+    sf = np.empty_like(x)
     for i in range(x.shape[0]):
         _, pi = _log_sum_exp(log_w.copy())
+        cdf[i], sf[i] = _mixture_masses([y[i] for y in ys],
+                                        [1.0] if pi is None else pi)
         for k, y in enumerate(ys):
-            tail = ndtr(-np.abs(y[i]))
-            left = y[i] < 0.0
-            p = 1.0 if pi is None else pi[k]
-            cdf[i] += p * np.where(left, tail, 1.0 - tail)
-            sf[i] += p * np.where(left, 1.0 - tail, tail)
             log_w[k] -= 0.5 * y[i] * y[i] + log_diag[k, i]
-    np.clip(cdf, _PROB_FLOOR, _PROB_CEIL, out=cdf)
-    np.clip(sf, _PROB_FLOOR, _PROB_CEIL, out=sf)
-    t = ndtri(np.where(cdf <= 0.5, cdf, sf))
-    gap = x - np.where(cdf <= 0.5, t, -t)
+    gap = x - _phi_inverse(cdf, sf)
     return (_row_sum(gap * gap),)
 
 

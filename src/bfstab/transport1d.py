@@ -29,13 +29,9 @@ _EVAL_SLICE points, so a grid's large first round adds no peak memory.
 A row of the batched kernel with one present component N(m, s^2) needs no
 integral: S = (x - m) / s has the constant derivative 1/s, so
 d = 1 - min(s, 1/s), returned with a rounding allowance of 1e-15 as its
-error. The other rows are integrated: the kernel evaluates T' and u one
-mixture component at a time, each on a contiguous array shaped like the
-points, and combines components with element-wise maxima and adds.
-Mixtures have few components (at most 8 in the shipped suites), and
-reductions over such a short last axis cost more than the ndtr calls; the
-adds keep NumPy's reduction order, so values are bit for bit those of a
-stacked (points, K) formula.
+error. The other rows are integrated, on the component pass of
+``density1d`` that GaussianMixture1D runs too, so a row's T' and u are
+bit for bit those of its own mixture.
 
 ``gauss_distance_estimates`` is the kernel's cheap companion: on the same
 rows, working intervals and chunks it gives a trapezoid estimate of each
@@ -47,16 +43,16 @@ certify only those that can matter.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.special import ndtr, ndtri
 
-from .density1d import (_PROB_CEIL, _PROB_FLOOR, SQRT_2PI, Density1D,
-                        GaussianMixture1D, GridDensity1D, StandardGaussian,
-                        _expect, _measure_breaks,
-                        entropy_rel_gauss_full, gauss_logpdf)
-from .errors import InvariantViolation, NumericalWarning
+from .density1d import (SQRT_2PI, Density1D, GaussianMixture1D, GridDensity1D,
+                        StandardGaussian, _components, _expect,
+                        _measure_breaks, _mixture_log, _mixture_masses,
+                        _mixture_span, _phi_inverse, entropy_rel_gauss_full,
+                        gauss_logpdf)
+from .errors import EvaluationError, InvariantViolation, NumericalWarning
 from .quadrature import adaptive_quad, adaptive_quad_rows
 
 __all__ = [
@@ -96,8 +92,11 @@ class TransportMap1D:
 # whose sign changes number at most _MAX_FLIPS gets breakpoints at them.
 _SCAN_POINTS = 257
 _MAX_FLIPS = 32
-# Illinois steps that locate each sign change inside its pre-scan cell.
-_KINK_STEPS = 8
+# Each sign change is located until its bracket is at most this share of
+# its pre-scan cell; more than _KINK_CAP Illinois steps raise (bisection
+# alone would reach it in 40).
+_KINK_WIDTH = 1e-12
+_KINK_CAP = 100
 # Golden-section steps that find where T' - 1 turns back towards 0 between
 # three pre-scan points (the bracket shrinks to 0.618^20 < 1e-4 of two
 # cells).
@@ -120,7 +119,8 @@ _DIST_TAIL = 1e-15
 # Least quadrature budget of a distance, a few eps for the rounding of its
 # integrand: a zero distance at tol 0 would otherwise have budget 0, which
 # no rule gap reaches.
-_ROUNDING_FLOOR = 8.0 * float(np.finfo(float).eps)
+_EPS = float(np.finfo(float).eps)
+_ROUNDING_FLOOR = 8.0 * _EPS
 # Error of a closed-form one-component row: its rounding is at most eps,
 # 2.2e-16 (see gauss_distance_rows), and this is 4.5 eps.
 _ONE_COMPONENT_ERR = 1e-15
@@ -131,30 +131,38 @@ _Z_ROUNDING = 8.0
 
 
 def _kinks(a, b, fa, fb, deriv):
-    """Roots of T' - 1 in the cells [a, b], by _KINK_STEPS Illinois steps.
+    """Roots of T' - 1 in the cells [a, b], by Illinois steps until each
+    bracket is at most _KINK_WIDTH of its cell wide, or 4 eps of its ends'
+    magnitude, below which the steps can no longer shrink it.
 
     a, b: (B, C) cell ends, where fa = T'(a) - 1 and fb = T'(b) - 1 have
     opposite signs; ``deriv`` maps (B, C) points to T' there. A secant
     point that is not finite (T' overflowed at a cell end) is replaced by
-    the cell's midpoint.
+    the cell's midpoint. Each root is the secant point of its final
+    bracket. More than _KINK_CAP steps raise EvaluationError.
     """
+    width = np.maximum(_KINK_WIDTH * (b - a),
+                       4.0 * _EPS * np.maximum(np.abs(a), np.abs(b)))
     side = np.zeros(a.shape)  # which end the last step kept: -1 a, +1 b
-    for _ in range(_KINK_STEPS):
+    for _ in range(_KINK_CAP):
         with np.errstate(invalid="ignore"):  # inf / inf where T' overflowed
             c = (a * fb - b * fa) / (fb - fa)
         c = np.where(np.isfinite(c), c, 0.5 * (a + b))
+        active = b - a > width
+        if not active.any():
+            return c
         fc = deriv(c) - 1.0
-        left = fc * fb > 0.0  # the root lies in [a, c]
-        right = fc * fa > 0.0  # the root lies in [c, b]
+        left = active & (fc * fb > 0.0)  # the root lies in [a, c]
+        right = active & (fc * fa > 0.0)  # the root lies in [c, b]
         fa = np.where(left & (side == 1.0), 0.5 * fa, fa)
         fb = np.where(right & (side == -1.0), 0.5 * fb, fb)
-        exact = ~(left | right)
+        exact = active & ~(left | right)
         a = np.where(right | exact, c, a)
         b = np.where(left | exact, c, b)
         fa = np.where(right, fc, fa)
         fb = np.where(left, fc, fb)
         side = np.where(left, 1.0, np.where(right, -1.0, side))
-    return c
+    raise EvaluationError("kink location did not converge")
 
 
 def _turns(a, b, sign, deriv):
@@ -280,76 +288,45 @@ def _directed_distance(mu: Density1D, nu: Density1D, tol: float):
             out[part] = np.abs(1.0 - s) / np.maximum(1.0, s) * pdf
         return out
 
-    return adaptive_quad(g, bp[np.isfinite(bp)],
-                         tol_abs=max(tol, _ROUNDING_FLOOR), tol_rel=1e-12)
+    res = adaptive_quad(g, bp[np.isfinite(bp)],
+                        tol_abs=max(tol, _ROUNDING_FLOOR), tol_rel=1e-12)
+    if isinstance(mu, GaussianMixture1D):
+        # the row kernel's allowance, on the same integrand
+        res = replace(res, error=res.error + float(
+            _z_rounding(mu.means, mu.stds, True)))
+    return res
 
 
-def _component_sum(parts):
-    """Sum of equal-shape arrays in the order np.add.reduce sums a last axis
-    of len(parts): one by one below 8 terms; from 8 on, 8 running sums
-    combined pairwise and then the leftover terms one by one; past 128
-    terms, the two halves (split at a multiple of 8) summed so and added.
-    """
-    n = len(parts)
-    if n > 128:
-        half = n // 2 - n // 2 % 8
-        return _component_sum(parts[:half]) + _component_sum(parts[half:])
-    if n < 8:
-        out, rest = parts[0], parts[1:]
-    else:
-        r = list(parts[:8])
-        for i in range(8, n - n % 8):
-            r[i % 8] = r[i % 8] + parts[i]
-        out = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
-        rest = parts[n - n % 8:]
-    for p in rest:
-        out = out + p
-    return out
+def _z_rounding(means, stds, present):
+    """_Z_ROUNDING eps (1 + max_k |m_k| / s_k) over the ``present``
+    components on the last axis: the rounding of z = (x - m_k) / s_k that
+    the quadrature's estimate does not see (see gauss_distance_rows)."""
+    return _Z_ROUNDING * _EPS * (1.0 + np.max(
+        np.where(present, np.abs(means) / stds, 0.0), axis=-1))
 
 
 def _rows_deriv_pdf(x, weights, means, stds, log_w, log_norm, pdf=True):
     """(T', u) at the points x (P, n) of row mixtures u against gamma, or
     T' alone if not ``pdf``.
 
-    The parameter arrays are (P, K), one row per row of x. The formulas are
-    those of TransportMap1D with a gamma target, T = Phi^{-1}(F_u) from the
-    survival side where F_u > 1/2, and both sides come from one ndtr call
-    on -|z| per component. Components are outermost: each one's terms are
-    contiguous arrays shaped like x, combined by element-wise maxima and by
-    ``_component_sum``, which adds in the order of a sum over a stacked
-    (P, n, K) axis, so the values are bit for bit those of the stacked
-    formula without its costly reductions over a short strided axis.
+    The parameters are (K, P, 1): component k of every row as a column,
+    one row per row of x. The formulas are TransportMap1D's with a gamma
+    target, on the component pass of ``density1d``, so every row's values
+    are bit for bit those of ``TransportMap1D(u, StandardGaussian())
+    .deriv`` and ``u.pdf`` for the GaussianMixture1D u of its present
+    components: an absent one adds exact zeros.
     """
-    logs, F, S = [], [], []
-    for k in range(weights.shape[1]):
-        # in-place steps in the stacked formula's order: the same values
-        # with fewer temporaries
-        z = x - means[:, k, None]
-        z /= stds[:, k, None]
-        log_k = -0.5 * z
-        log_k *= z
-        log_k -= log_norm[:, k, None]
-        log_k += log_w[:, k, None]
-        logs.append(log_k)
-        left = z < 0.0
-        tail = ndtr(np.negative(np.abs(z, out=z), out=z), out=z)
-        rest = 1.0 - tail
-        w = weights[:, k, None]
-        F.append(np.where(left, tail, rest) * w)
-        S.append(np.where(left, rest, tail) * w)
-    mx = logs[0].copy()
-    for v in logs[1:]:
-        np.maximum(mx, v, out=mx)
-    for v in logs:
-        np.exp(np.subtract(v, mx, out=v), out=v)
-    logpdf = mx + np.log(_component_sum(logs))
-    F = np.minimum(np.maximum(_component_sum(F), _PROB_FLOOR), _PROB_CEIL)
-    S = np.minimum(np.maximum(_component_sum(S), _PROB_FLOOR), _PROB_CEIL)
-    low = F <= 0.5
-    t = ndtri(np.where(low, F, S))
-    t = np.where(low, t, -t)
-    deriv = np.exp(logpdf - gauss_logpdf(t))
+    zs = _components(x, means, stds)
+    logpdf, _, _ = _mixture_log(zs, log_w, log_norm)
+    S = _phi_inverse(*_mixture_masses(zs, weights))
+    deriv = np.exp(logpdf - gauss_logpdf(S))
     return (deriv, np.exp(logpdf)) if pdf else deriv
+
+
+def _columns(params, rows):
+    """The (B, K) row parameters of ``rows`` as the (K, P, 1) columns
+    ``_rows_deriv_pdf`` reads."""
+    return [p[rows].T[:, :, None] for p in params]
 
 
 class _RowMixtures:
@@ -358,7 +335,7 @@ class _RowMixtures:
     holds their d = 1 - min(s, 1/s) (see gauss_distance_rows). The other
     rows, at indices ``quad``, keep their ``present`` mask, their working
     intervals [lo, hi] and the (w, m, s, log w, log(s sqrt(2 pi))) arrays
-    ``_rows_deriv_pdf`` reads, and run in chunks."""
+    that ``_columns`` hands to ``_rows_deriv_pdf``, and run in chunks."""
 
     def __init__(self, weights, means, stds):
         w = np.atleast_2d(np.asarray(weights, dtype=float))
@@ -371,9 +348,7 @@ class _RowMixtures:
         self.quad = np.flatnonzero(~self.one)
         w, m, s = w[self.quad], m[self.quad], s[self.quad]
         self.present = present[self.quad]
-        z = float(-ndtri(_DIST_TAIL / 2.0))  # as GaussianMixture1D.working_interval
-        self.lo = np.min(np.where(self.present, m - z * s, np.inf), axis=1)
-        self.hi = np.max(np.where(self.present, m + z * s, -np.inf), axis=1)
+        self.lo, self.hi = _mixture_span(m, s, self.present, _DIST_TAIL)
         with np.errstate(divide="ignore"):
             log_w = np.log(w)
         self.params = (w, m, s, log_w, np.log(s * SQRT_2PI))
@@ -406,7 +381,8 @@ def gauss_distance_rows(weights, means, stds, *, tol: float = 1e-9):
     quadrature budget of ``_directed_distance(u_b, gamma, tol)`` and agrees
     with it up to rounding; its (value, error) does not depend on the rows
     batched with it. Its error is the quadrature's estimate plus
-    _Z_ROUNDING eps (1 + max_k |m_k| / s_k) over its present components:
+    _Z_ROUNDING eps (1 + max_k |m_k| / s_k) over its present components,
+    as ``_directed_distance`` charges a mixture source:
     at nodes near a far, narrow component, z = (x - m_k) / s_k rounds by
     about eps |m_k| / s_k, and K21 and G10 agree on the rounded
     integrand, so their gap cannot see it. On rows of two equal halves of
@@ -423,18 +399,18 @@ def gauss_distance_rows(weights, means, stds, *, tol: float = 1e-9):
     value[batch.one] = batch.closed
     error[batch.one] = _ONE_COMPONENT_ERR
     _, m, s = batch.params[:3]
-    rounding = _Z_ROUNDING * np.finfo(float).eps * (
-        1.0 + np.max(np.where(batch.present, np.abs(m) / s, 0.0), axis=1))
+    rounding = _z_rounding(m, s, batch.present)
     for rows in batch.chunks(_SCAN_POINTS):
         chunk = [p[rows] for p in batch.params]
 
         def g(x, row):
-            d, pdf = _rows_deriv_pdf(x, *(p[row] for p in chunk))
+            d, pdf = _rows_deriv_pdf(x, *_columns(chunk, row))
             return np.abs(1.0 - d) / np.maximum(1.0, d) * pdf
 
+        columns = _columns(chunk, slice(None))
         bp = _distance_breaks(batch.lo[rows], batch.hi[rows],
                               np.where(batch.present[rows], m[rows], np.nan),
-                              lambda xs: _rows_deriv_pdf(xs, *chunk, pdf=False))
+                              lambda xs: _rows_deriv_pdf(xs, *columns, pdf=False))
         res = adaptive_quad_rows(g, bp, tol_abs=max(tol, _ROUNDING_FLOOR),
                                  tol_rel=1e-12)
         value[batch.quad[rows]] = res.value
@@ -472,7 +448,7 @@ def gauss_distance_estimates(weights, means, stds):
         # T' overflows to inf where gamma's density underflows, where the
         # integrand 1 - min(T', 1 / T') is 1
         with np.errstate(over="ignore"):
-            deriv, pdf = _rows_deriv_pdf(xs, *(p[rows] for p in batch.params))
+            deriv, pdf = _rows_deriv_pdf(xs, *_columns(batch.params, rows))
         f = (1.0 - np.minimum(deriv, 1.0 / np.maximum(deriv, 1.0))) * pdf
         h = (hi - lo)[:, None] * (_ESTIMATE_STRIDE / (_SCAN_POINTS - 1))
         cells = 0.5 * h * (f[:, :-1] + f[:, 1:])

@@ -170,6 +170,21 @@ def test_quantiles_bracketed_down_to_1e_300(mix):
     assert np.all(upper <= mix.cdf(x + delta))
 
 
+@pytest.mark.parametrize("mix", TAIL_MIXTURES,
+                         ids=["narrow-modes", "far-narrow", "apart", "bimodal",
+                              "dip"])
+def test_quantiles_below_the_normal_range(mix):
+    # the solve reads S = Phi^{-1}(F) through the probability clip, which
+    # must not flatten S above these masses
+    mass = np.array([1e-300, 1e-305, 1e-310])
+    for quantile, cdf, sign in ((mix.quantile, mix.cdf, 1.0),
+                                (mix.quantile_sf, mix.survival, -1.0)):
+        x = quantile(mass)
+        delta = sign * 1e-12 * (1.0 + np.abs(x))
+        assert np.all(cdf(x - delta) <= mass)
+        assert np.all(mass <= cdf(x + delta))
+
+
 def test_single_component_quantile_is_closed_form():
     # the bracket [min_k, max_k] (m_k + s_k z) is one point when K = 1
     mix = GaussianMixture1D([1.0], [1.5], [0.01])
