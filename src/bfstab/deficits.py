@@ -206,11 +206,11 @@ def _corollary_axis(nu, axis, sets):
     # (2-core x86_64: main-2d-07 167/184 -> 194/224 ms)
     rest = marginal_without(nu, axis)
     pts = [rest.means[k] + z.T @ rest._chol[k].T
-           for pairs in sets for k, (z, _) in enumerate(pairs)]
+           for pairs, _, _ in sets for k, (z, _) in enumerate(pairs)]
     d, derr = _slice_distances(nu, axis, np.concatenate(pts))
     terms = []
     pos = 0
-    for pairs in sets:
+    for pairs, _, _ in sets:
         sq = inner = 0.0
         for k, (z, wts) in enumerate(pairs):
             dk, ek = d[pos:pos + z.shape[1]], derr[pos:pos + z.shape[1]]
@@ -244,7 +244,8 @@ def verify_corollary(nu, mc_budget: int = 10 ** 6, *,
     marginal without axis i, which is the form the tensorization argument
     produces. It runs on ``densitynd._node_sets``, anchored at each marginal
     component and drawn once for all axes: Gauss-Hermite for n <= 3, with
-    the gap of two orders in the error; above, 8 Sobol replicates sharing
+    the gap of two orders in the error, plus the pruned rules' dropped mass
+    per axis, since d <= 1; above, 8 Sobol replicates sharing
     mc_budget / n nodes per axis (64 to 2048), with their standard error. A
     product needs no outer average: its slices along axis i are all h_i.
     """
@@ -264,10 +265,12 @@ def verify_corollary(nu, mc_budget: int = 10 ** 6, *,
         n, orders = nu.dim, _outer_orders(nu.dim)
         per_rep = max(min(mc_budget // n, 2048), 64) // _QMC_REPLICATES
         sets = list(_node_sets(n, n - 1, nu.weights, orders, per_rep, seed))
+        # the dropped-node allowance: d^2 <= 1 at every dropped node
+        dropped = sum(mass for _, mass, _ in sets)
         for axis in range(n):
-            (weighted_terms[axis], inner), (gap, _) = _combine(
-                _corollary_axis(nu, axis, sets), n)
-            err += gap + inner
+            (weighted_terms[axis], inner), (outer, _) = _combine(
+                _corollary_axis(nu, axis, sets), n, dropped=dropped)
+            err += outer + inner
         mode = ("outer GH %d/%d anchored at the mixture" % orders
                 if n <= 3 else "outer MC with standard error")
     lower = 0.5 * float(weighted_terms.sum())

@@ -300,17 +300,20 @@ def _outer_orders(n: int):
 
 def _node_sets(n: int, dim: int, weights, orders, per_rep: int, seed: int):
     """Standard normal node sets in R^dim for an average over a mixture
-    with ``weights``, chosen by the dimension n of the problem: one
-    Gauss-Hermite tensor rule per order of ``orders`` for n <= 3, built when
-    its set is drawn and shared by every component; above, Sobol replicates
+    with ``weights``, chosen by the dimension n of the problem: one pruned
+    Gauss-Hermite tensor rule per order of ``orders`` for n <= 3, cached by
+    ``gh_tensor`` and shared by every component; above, Sobol replicates
     in which component k gets max(w_k per_rep, 16) scrambled nodes from an
-    engine seeded seed + 1009 r + k (r the replicate). Yields each set as a
-    list of (z, wts) per component: z (dim, N) nodes as columns, wts their
-    weights, None for equal weights."""
+    engine seeded seed + 1009 r + k (r the replicate). Yields each set as
+    (pairs, dropped, radius): pairs a list of (z, wts) per component, z
+    (dim, N) nodes as columns and wts their weights (None for equal
+    weights); dropped the weight of the nodes the rule left out and radius
+    a bound on their |z|, both 0 for a Sobol replicate."""
     if n <= 3:
         for order in orders:
-            nodes, wts = gh_tensor(order, dim)
-            yield [(np.ascontiguousarray(nodes.T), wts)] * len(weights)
+            rule = gh_tensor(order, dim)
+            yield ([(rule.nodes, rule.weights)] * len(weights), rule.dropped,
+                   rule.radius)
         return
     alloc = np.maximum((weights * per_rep).astype(int), 16)
     for r in range(_QMC_REPLICATES):
@@ -322,7 +325,7 @@ def _node_sets(n: int, dim: int, weights, orders, per_rep: int, seed: int):
             u = engine.random_base2(m_bits)[:size]
             pairs.append((ndtri(np.clip(np.ascontiguousarray(u.T), 1e-15,
                                         1.0 - 1e-15)), None))
-        yield pairs
+        yield pairs, 0.0, 0.0
 
 
 def _mixture_sets(nu: GaussianMixtureND, orders, mc_budget: int, seed: int):
@@ -341,6 +344,12 @@ def _row_sum(a: np.ndarray) -> np.ndarray:
     return out
 
 
+def _log_consts(nu: GaussianMixtureND) -> np.ndarray:
+    """c_j = log w_j - log det L_j per component j."""
+    return np.log(nu.weights) - np.sum(
+        np.log(np.diagonal(nu._chol, axis1=1, axis2=2)), axis=1)
+
+
 def _component_pass(nu: GaussianMixtureND, x, anchor=None, z=None):
     """Whitened coordinates and log-weights of every component at the
     columns of x (n, N).
@@ -350,8 +359,7 @@ def _component_pass(nu: GaussianMixtureND, x, anchor=None, z=None):
     n log(2 pi) / 2. If x = m_k + L_k z for the ``anchor`` k, ys[k] is z
     itself and is not recomputed.
     """
-    const = np.log(nu.weights) - np.sum(
-        np.log(np.diagonal(nu._chol, axis1=1, axis2=2)), axis=1)
+    const = _log_consts(nu)
     ys = []
     logs = np.empty((nu.n_components, x.shape[1]))
     for j in range(nu.n_components):
@@ -405,38 +413,101 @@ def _entropy_integrand(nu: GaussianMixtureND, x, anchor, z):
     return (log_p + 0.5 * _row_sum(x * x),)
 
 
+def _information_bounds(nu: GaussianMixtureND, reach, radius):
+    """(2, K) bounds on |log p - log phi_n| and |grad log p + x|^2 at
+    x = m_k + L_k z, |z| <= radius, for each anchor k, where |x| <= reach[k].
+
+    The log-ratio lies in [c_k - radius^2 / 2, max_j c_j + log K +
+    reach^2 / 2] (c_j of ``_log_consts``): the log-sum-exp is at least its
+    anchor term and at most its largest constant plus log K. The score is
+    x minus an average of C_j^{-1} (x - m_j), so its norm is at most
+    reach + max_j ||L_j^{-1}||_2^2 (reach + |m_j|).
+    """
+    const = _log_consts(nu)
+    low = const - 0.5 * radius * radius
+    high = np.max(const) + math.log(nu.n_components) + 0.5 * reach * reach
+    pull = np.linalg.norm(nu._chol_inv, 2, axis=(1, 2)) ** 2 * (
+        reach[:, None] + np.linalg.norm(nu.means, axis=1))
+    score = reach + np.max(pull, axis=1)
+    return np.array([np.maximum(np.abs(low), np.abs(high)), score * score])
+
+
+def _entropy_bound(nu: GaussianMixtureND, reach, radius):
+    """The log-ratio row of ``_information_bounds``, bit for bit."""
+    return _information_bounds(nu, reach, radius)[:1]
+
+
 def _average(wts, row) -> float:
     """wts @ row, or the mean of row where wts is None (equal weights)."""
     return float(np.mean(row)) if wts is None else float(wts @ row)
 
 
-def _combine(per_set: np.ndarray, n: int, floor: float = 0.0):
+def _combine(per_set: np.ndarray, n: int, floor=0.0, dropped=0.0):
     """(value, error) of an n-D average from per-set estimates (last axis):
-    for n <= 3 the first Gauss-Hermite order and its gap to the second plus
-    ``floor``, above the Sobol replicates' mean and standard error."""
+    for n <= 3 the first Gauss-Hermite order, with error its gap to the
+    second plus the rounding ``floor`` plus the ``dropped``-node allowance
+    of the pruned rules; above, the Sobol replicates' mean and standard
+    error."""
     if n <= 3:
         gap = np.abs(per_set[..., 0] - per_set[..., 1])
-        return per_set[..., 0], gap + floor
+        return per_set[..., 0], gap + floor + dropped
     return (per_set.mean(axis=-1),
             per_set.std(axis=-1, ddof=1) / math.sqrt(per_set.shape[-1]))
 
 
-def _expectation(nu: GaussianMixtureND, integrand, sets):
+# Multiple of eps sum w |f| charged for the rounding of an n <= 3 average:
+# two orders can agree by symmetry, so their gap alone may read 0. Sized on
+# 40 seeded Gaussians (n = 2 and 3, eigenvalues log-uniform in [0.25, 4],
+# the sweep of test_gaussian_information_terms_within_error): beyond their
+# gap, the entropy and Fisher averages missed 40-digit closed forms by at
+# most 2.3 eps sum w |f|, and closed forms summed in double over the
+# eigenvalues sit up to 0.17 of the resulting error from those; 16 covers
+# both.
+_SUM_ROUNDING = 16.0
+_EPS = float(np.finfo(float).eps)
+
+
+def _allowance(nu: GaussianMixtureND, dropped: float, radius: float, bound):
+    """The dropped-node allowance of one node set anchored at nu's
+    components: its ``dropped`` mass times sum_k w_k B_k per integrand row,
+    where ``bound(nu, reach, radius)`` gives B_k as (rows, K), a bound on
+    |f| at x = m_k + L_k z over |z| <= radius, and so over |x| <= reach[k]
+    = |m_k| + ||L_k||_2 radius."""
+    if not dropped:
+        return 0.0
+    reach = (np.linalg.norm(nu.means, axis=1)
+             + np.linalg.norm(nu._chol, 2, axis=(1, 2)) * radius)
+    # one product per row, so a row's allowance does not depend on the
+    # rows bounded with it
+    return dropped * np.array([row @ nu.weights
+                               for row in bound(nu, reach, radius)])
+
+
+def _expectation(nu: GaussianMixtureND, integrand, sets, bound):
     """E_nu of each row of ``integrand(nu, x, k, z)`` with errors, on node
     sets anchored at nu's components: x = m_k + L_k z, and each set sums w_k
-    times each row's weighted mean. ``_combine`` gives value and error, a
-    Gauss-Hermite gap plus 1e-15 as two orders can agree by symmetry."""
+    times each row's weighted mean. ``_combine`` gives value and error: for
+    Gauss-Hermite sets the gap of two orders, plus _SUM_ROUNDING eps
+    sum_k w_k sum w |f| per row on the value order's set, plus every set's
+    dropped-node allowance (see ``_allowance``, which calls ``bound``)."""
     totals = []
-    for pairs in sets:
+    size = allowance = 0.0
+    for pairs, dropped, radius in sets:
         total = 0.0
         for k, (z, wts) in enumerate(pairs):
             x = nu.means[k][:, None] + nu._chol[k] @ z
+            rows = integrand(nu, x, k, z)
             # one reduction per integrand row: one product with the rows
             # stacked would sum in another order and move the last bits
             total = total + np.array([nu.weights[k] * _average(wts, row)
-                                      for row in integrand(nu, x, k, z)])
+                                      for row in rows])
+            if not totals:
+                size = size + np.array(
+                    [nu.weights[k] * _average(wts, np.abs(row)) for row in rows])
         totals.append(total)
-    return _combine(np.stack(totals, axis=1), nu.dim, floor=1e-15)
+        allowance = allowance + _allowance(nu, dropped, radius, bound)
+    return _combine(np.stack(totals, axis=1), nu.dim,
+                    floor=_SUM_ROUNDING * _EPS * size, dropped=allowance)
 
 
 def entropy_fisher_nd(nu: GaussianMixtureND, *, mc_budget: int = 10 ** 6,
@@ -445,12 +516,14 @@ def entropy_fisher_nd(nu: GaussianMixtureND, *, mc_budget: int = 10 ** 6,
 
     Returns ((H, H_err), (I, I_err)) for H = E_nu[log(p/phi_n)] and
     I = int |grad f|^2 / f dgamma = E_nu[|grad log p + x|^2], both from one
-    evaluation per node set. For n <= 3 the value is the Gauss-Hermite
-    rule of order _GH_ORDER and the error its gap to order _GH_CHECK;
-    above, the standard error of the Sobol replicates.
+    evaluation per node set. For n <= 3 the value is the pruned
+    Gauss-Hermite rule of order _GH_ORDER, and the error its gap to order
+    _GH_CHECK plus a rounding floor and the dropped-node allowance of
+    ``_information_bounds`` (see ``_expectation``); above, the standard
+    error of the Sobol replicates.
     """
     value, err = _expectation(nu, _integrands, _mixture_sets(
-        nu, (_GH_ORDER, _GH_CHECK), mc_budget, seed))
+        nu, (_GH_ORDER, _GH_CHECK), mc_budget, seed), _information_bounds)
     return tuple(zip(value.tolist(), err.tolist()))
 
 
@@ -459,7 +532,7 @@ def entropy_rel_gauss_nd(nu: GaussianMixtureND, *, mc_budget: int = 10 ** 6,
     """(H, H_err) of ``entropy_fisher_nd`` bit for bit, on the same nodes,
     without the Fisher information's score pass."""
     (value,), (err,) = _expectation(nu, _entropy_integrand, _mixture_sets(
-        nu, (_GH_ORDER, _GH_CHECK), mc_budget, seed))
+        nu, (_GH_ORDER, _GH_CHECK), mc_budget, seed), _entropy_bound)
     return float(value), float(err)
 
 
@@ -485,16 +558,28 @@ def _knothe_cost(nu: GaussianMixtureND, x, anchor, z):
     return (_row_sum(gap * gap),)
 
 
+# |Phi^-1| on density1d's [_PROB_FLOOR, _PROB_CEIL]: ndtri(5e-324) =
+# -38.4674
+_S_MAX = 38.5
+
+
+def _knothe_bound(nu: GaussianMixtureND, reach, radius):
+    """(1, K) bound on |x - S(x)|^2 where |x| <= reach[k]: each S_i is
+    Phi^-1 of a clipped probability, so |S(x)| <= sqrt(n) _S_MAX."""
+    return ((reach + math.sqrt(nu.dim) * _S_MAX) ** 2)[None, :]
+
+
 def knothe_w2_bound(nu: GaussianMixtureND, *, mc_budget: int = 10 ** 6,
                     seed: int = 0):
     """Upper bound on W2^2(nu, gamma_n) as (value, error, label of R): the
     least Knothe-Rosenblatt cost of R nu onto gamma_n, which is rotation
     invariant, over R = identity and the principal axes of Cov nu in
     ascending and descending variance order. It is W2^2 on products and on
-    Gaussians. Gauss-Hermite 64/48 up to n = 2 and 20/14 at n = 3; the
-    error adds 1e-12 value for rounding, above N eps value for the sum of
-    N <= 20^3 nonnegative node terms. A later R must win by more than both
-    errors, so a rounding-level tie keeps the earlier label.
+    Gaussians. Pruned Gauss-Hermite 64/48 up to n = 2 and 20/14 at n = 3,
+    with the dropped-node allowance of ``_knothe_bound``; the error adds
+    1e-12 value for rounding, above N eps value for the sum of N <= 7,896
+    nonnegative node terms (the pruned 20^3 rule). A later R must win by
+    more than both errors, so a rounding-level tie keeps the earlier label.
     """
     # rotations keep dimension and weights: one draw serves all three
     sets = list(_mixture_sets(nu, _outer_orders(nu.dim), mc_budget, seed))
@@ -503,7 +588,8 @@ def knothe_w2_bound(nu: GaussianMixtureND, *, mc_budget: int = 10 ** 6,
     for label, q in (("identity", np.eye(nu.dim)),
                      ("principal-ascending", axes.T),
                      ("principal-descending", axes[:, ::-1].T)):
-        (value,), (err,) = _expectation(nu.rotate(q), _knothe_cost, sets)
+        (value,), (err,) = _expectation(nu.rotate(q), _knothe_cost, sets,
+                                        _knothe_bound)
         err = float(err + 1e-12 * value)
         if best is None or value < best[0] - (err + best[1]):
             best = (float(value), err, label)

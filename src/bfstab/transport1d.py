@@ -42,6 +42,7 @@ certify only those that can matter.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, replace
 
@@ -93,10 +94,12 @@ class TransportMap1D:
 _SCAN_POINTS = 257
 _MAX_FLIPS = 32
 # Each sign change is located until its bracket is at most this share of
-# its pre-scan cell; more than _KINK_CAP Illinois steps raise (bisection
-# alone would reach it in 40).
+# its pre-scan cell, by up to _KINK_CAP Illinois steps and then, for the
+# cells still open, up to _KINK_BISECT bisection steps (40 halvings reach
+# the share from any bracket; two more absorb the rounding of midpoints).
 _KINK_WIDTH = 1e-12
 _KINK_CAP = 100
+_KINK_BISECT = math.ceil(math.log2(1.0 / _KINK_WIDTH)) + 2
 # Golden-section steps that find where T' - 1 turns back towards 0 between
 # three pre-scan points (the bracket shrinks to 0.618^20 < 1e-4 of two
 # cells).
@@ -139,18 +142,24 @@ def _kinks(a, b, fa, fb, deriv):
     opposite signs; ``deriv`` maps (B, C) points to T' there. A secant
     point that is not finite (T' overflowed at a cell end) is replaced by
     the cell's midpoint. Each root is the secant point of its final
-    bracket. More than _KINK_CAP steps raise EvaluationError.
+    bracket. Illinois steps stall where one end's T' - 1 is at rounding
+    level, so cells still open after _KINK_CAP of them are bisected, and
+    EvaluationError is raised only if _KINK_BISECT bisections leave a cell
+    open. A cell that closes within _KINK_CAP steps never sees a bisection,
+    so its root does not depend on the cells batched with it.
     """
     width = np.maximum(_KINK_WIDTH * (b - a),
                        4.0 * _EPS * np.maximum(np.abs(a), np.abs(b)))
     side = np.zeros(a.shape)  # which end the last step kept: -1 a, +1 b
-    for _ in range(_KINK_CAP):
+    for step in range(_KINK_CAP + _KINK_BISECT):
         with np.errstate(invalid="ignore"):  # inf / inf where T' overflowed
             c = (a * fb - b * fa) / (fb - fa)
         c = np.where(np.isfinite(c), c, 0.5 * (a + b))
         active = b - a > width
         if not active.any():
             return c
+        if step >= _KINK_CAP:
+            c = np.where(active, 0.5 * (a + b), c)
         fc = deriv(c) - 1.0
         left = active & (fc * fb > 0.0)  # the root lies in [a, c]
         right = active & (fc * fa > 0.0)  # the root lies in [c, b]

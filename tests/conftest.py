@@ -19,6 +19,42 @@ def rng():
     return np.random.default_rng(20260825)
 
 
+@pytest.fixture
+def full_tensor():
+    """Builds the unpruned Gauss-Hermite tensor rule of ``gh_nodes(order)``
+    in dim dimensions, first axis slowest: (dim, N) nodes and their product
+    weights."""
+    from bfstab.quadrature import gh_nodes
+
+    def build(order, dim):
+        z, w = gh_nodes(order)
+        grids = np.meshgrid(*[z] * dim, indexing="ij")
+        nodes = np.stack([g.ravel() for g in grids])
+        weights = np.ones(nodes.shape[1])
+        for g in np.meshgrid(*[w] * dim, indexing="ij"):
+            weights = weights * g.ravel()
+        return nodes, weights
+
+    return build
+
+
+@pytest.fixture
+def narrow_mixture():
+    """Builds a 3-D two-component mixture whose first component has
+    covariance Q diag(eps, 1, 2) Q' (Q from a seeded QR): at eps = 1e-6 and
+    1e-8 its corollary once stalled the kink location."""
+    from bfstab import GaussianMixtureND
+
+    def build(eps):
+        q, _ = np.linalg.qr(np.random.default_rng(3).standard_normal((3, 3)))
+        cov = (q * [eps, 1.0, 2.0]) @ q.T
+        return GaussianMixtureND([0.5, 0.5],
+                                 [[0.5, -0.3, 0.2], [-1.0, 0.8, 0.4]],
+                                 [0.5 * (cov + cov.T), np.eye(3)])
+
+    return build
+
+
 # one terminal line per acceptance criterion, independent of output capture
 _CRITERION_RE = re.compile(r"test_criterion_(\d+)")
 _criterion_outcomes = {}

@@ -296,6 +296,15 @@ def test_corollary_monte_carlo_error_matches_replicate_spread():
     assert np.all((ratio > 1.0 / 3.0) & (ratio < 3.0)), ratio
 
 
+@pytest.mark.parametrize("eps", [1e-6, 1e-8])
+def test_corollary_with_a_near_singular_component_ends_in_a_verdict(
+        narrow_mixture, eps):
+    # kink location on its slice rows once stalled where one end's
+    # T' - 1 was at rounding level, and the corollary raised
+    rep = verify_corollary(narrow_mixture(eps))
+    assert rep.status == "pass", rep.method
+
+
 def test_corollary_needs_two_dims():
     with pytest.raises(DomainError):
         verify_corollary(GaussianMixtureND([1.0], [[0.0]], [[[4.0]]]))

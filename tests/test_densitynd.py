@@ -17,9 +17,11 @@ from bfstab import (ConditioningError, DomainError,
 from bfstab import densitynd
 from bfstab.corpus import main_corpus
 from bfstab.density1d import _PROB_CEIL, _PROB_FLOOR
+from bfstab.deficits import lsi_deficit
 from bfstab.densitynd import (_integrands, _knothe_cost, _log_ratio_and_score,
                               canonical_directions, conditional_slice_batch,
                               knothe_w2_bound, marginal_parameters)
+from bfstab.quadrature import _GH_PRUNE, gh_tensor
 
 # frozen closed forms for N(0, 4 I_2) against gamma_2
 ENT_4I2 = 1.6137056388801092
@@ -488,6 +490,120 @@ def test_knothe_bound_tensorizes_on_products(case_id):
     parts = [w2_squared_1d_full(h) for h in prod.factors]
     assert (abs(value - sum(v for v, _ in parts))
             <= err + sum(e for _, e in parts))
+
+
+# ---------------------------------------------------------------------------
+# pruned Gauss-Hermite rules: the dropped-node allowance and rounding floor
+
+
+# (integrand, its bound, the orders of its rule at n = 3)
+AVERAGES = [(_integrands, densitynd._information_bounds, (64, 48)),
+            (_knothe_cost, densitynd._knothe_bound, (20, 14))]
+
+
+@pytest.mark.parametrize("integrand, bound, orders", AVERAGES)
+def test_dropped_node_allowance_bounds_the_dropped_terms(
+        integrand, bound, orders, full_tensor, narrow_mixture):
+    # on a mixture with a 1e-8 eigenvalue, each pruned rule's allowance
+    # bounds sum_k w_k sum w |f| over the nodes it dropped
+    nu = narrow_mixture(1e-8)
+    for order in orders:
+        rule = gh_tensor(order, 3)
+        nodes, weights = full_tensor(order, 3)
+        gone = weights < _GH_PRUNE
+        if not gone.any():
+            assert rule.dropped == 0.0
+            continue
+        z, w = nodes[:, gone], weights[gone]
+        dropped = 0.0
+        for k in range(nu.n_components):
+            x = nu.means[k][:, None] + nu._chol[k] @ z
+            dropped = dropped + nu.weights[k] * np.array(
+                [w @ np.abs(row) for row in integrand(nu, x, k, z)])
+        allowance = densitynd._allowance(nu, rule.dropped, rule.radius, bound)
+        assert np.all(dropped <= allowance), order
+
+
+@pytest.mark.parametrize("integrand, bound, orders", AVERAGES)
+def test_full_tensor_value_lies_within_the_pruned_error(
+        integrand, bound, orders, full_tensor, narrow_mixture):
+    # the full rule's value differs from the pruned one's by the dropped
+    # terms and by rounding, so by at most the allowance plus the rounding
+    # floor: the pruned error without its gap between orders
+    nu = narrow_mixture(1e-8)
+    k = nu.n_components
+
+    def pruned(order):
+        rule = gh_tensor(order, 3)
+        return [(rule.nodes, rule.weights)] * k, rule.dropped, rule.radius
+
+    value, err = densitynd._expectation(
+        nu, integrand, [pruned(o) for o in orders], bound)
+    check, _ = densitynd._expectation(
+        nu, integrand, [pruned(o) for o in orders[::-1]], bound)
+    exact, _ = densitynd._expectation(
+        nu, integrand, [([full_tensor(o, 3)] * k, 0.0, 0.0) for o in orders],
+        bound)
+    assert np.all(np.abs(exact - value) <= err - np.abs(value - check))
+
+
+def test_entropy_alone_keeps_the_bits_of_the_joint_pass(narrow_mixture):
+    # the Talagrand route reads H from entropy_rel_gauss_nd, the main
+    # theorem from entropy_fisher_nd: value and error must agree bit for
+    # bit, the dropped-node allowance included
+    for nu in (narrow_mixture(1e-8), mix3d(), mix2d()):
+        assert densitynd.entropy_rel_gauss_nd(nu) == entropy_fisher_nd(nu)[0]
+
+
+def test_dropped_node_allowance_is_negligible_on_the_corpus():
+    # at most 1.2e-22 over the n <= 3 corpus (main-3d-02, Fisher, order 64)
+    for case_id, nu in main_corpus():
+        if isinstance(nu, ProductFunction):
+            nu = nu.as_mixture()
+        if not isinstance(nu, GaussianMixtureND):
+            continue
+        for orders, bound in (((64, 48), densitynd._information_bounds),
+                              (densitynd._outer_orders(nu.dim),
+                               densitynd._knothe_bound)):
+            for order in orders:
+                rule = gh_tensor(order, nu.dim)
+                allowance = densitynd._allowance(nu, rule.dropped, rule.radius,
+                                                 bound)
+                assert np.all(allowance <= 1e-20), (case_id, order)
+        # the corollary's outer rules, on the marginals without one axis
+        for order in densitynd._outer_orders(nu.dim):
+            assert gh_tensor(order, nu.dim - 1).dropped <= 1e-20
+
+
+def test_gaussian_information_terms_within_error():
+    # 40 seeded Gaussians, n = 2 and 3, eigenvalues log-uniform in
+    # [0.25, 4]: H, I, delta_LS and W2^2 each within its own error of the
+    # closed form, with no slack added. The closed forms are summed over
+    # the eigenvalues of the stored covariance without cancellation; H, I
+    # and delta_LS sit within 0.17 of each error from 40-digit references.
+    # The error's rounding floor of 16 eps sum w |f| was sized here: with
+    # the former fixed 1e-15 and the full tensor rules, I missed these
+    # closed forms by up to 1.7 times its error.
+    rng = np.random.default_rng(11)
+    for i in range(40):
+        n = 2 + i % 2
+        q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        eigs = np.exp(rng.uniform(math.log(0.25), math.log(4.0), n))
+        cov = (q * eigs) @ q.T
+        mean = rng.uniform(-1.0, 1.0, n)
+        nu = gaussian_nd(mean, 0.5 * (cov + cov.T))
+        lam = np.linalg.eigvalsh(nu.covs[0])
+        u, v = lam - 1.0, 1.0 / lam - 1.0
+        exact = {"H": 0.5 * (np.sum(u - np.log1p(u)) + mean @ mean),
+                 "I": np.sum(u * u / lam) + mean @ mean,
+                 "delta": 0.5 * np.sum(v - np.log1p(v)),
+                 "W2": mean @ mean + np.sum((np.sqrt(lam) - 1.0) ** 2)}
+        (h, h_err), (fi, fi_err) = entropy_fisher_nd(nu)
+        w2, w2_err, _ = knothe_w2_bound(nu)
+        got = {"H": (h, h_err), "I": (fi, fi_err), "delta": lsi_deficit(nu),
+               "W2": (w2, w2_err)}
+        for name, (value, err) in got.items():
+            assert abs(value - exact[name]) <= err, (i, name)
 
 
 # ---------------------------------------------------------------------------

@@ -147,3 +147,57 @@ def test_breakpoint_validation():
         adaptive_quad(lambda x: x, [0.0, np.nan, 1.0])
     with pytest.raises(DomainError):
         adaptive_quad(lambda x: x, [1.0, 1.0])
+
+
+# ---------------------------------------------------------------------------
+# Gauss-Hermite rules
+
+# (order, dim): kept nodes of the pruned tensor rule, of order ** dim
+KEPT = {(64, 3): 85_448, (48, 3): 52_984, (64, 2): 2_336, (48, 2): 1_660,
+        (64, 1): 54, (48, 1): 44, (20, 3): 7_896, (14, 3): 2_744,
+        (20, 2): 400, (14, 2): 196}
+
+
+@pytest.mark.parametrize("order, dim", sorted(KEPT))
+def test_pruned_tensor_keeps_the_heavy_nodes_of_the_full_rule(order, dim,
+                                                             full_tensor):
+    rule = quadrature.gh_tensor(order, dim)
+    nodes, weights = full_tensor(order, dim)
+    heavy = weights >= quadrature._GH_PRUNE
+    assert rule.weights.size == KEPT[order, dim] == np.count_nonzero(heavy)
+    assert rule.nodes.shape == (dim, rule.weights.size)
+    assert rule.nodes.flags.c_contiguous
+    # the same nodes in the same order, with the same bits
+    assert np.array_equal(rule.nodes, nodes[:, heavy])
+    assert np.array_equal(rule.weights, weights[heavy])
+    assert np.all(rule.weights >= quadrature._GH_PRUNE)
+    eps = np.finfo(float).eps
+    assert abs(np.sum(rule.weights) + rule.dropped - 1.0) <= 4.0 * eps
+    assert rule.dropped == pytest.approx(np.sum(weights[~heavy]), rel=1e-12,
+                                         abs=0.0)
+    assert rule.radius >= np.max(np.sqrt(np.sum(nodes * nodes, axis=0)))
+
+
+def test_pruned_tensor_integrates_high_moments():
+    # E[z1^2 z2^4 z3^6] = 1 * 3 * 15 for the standard Gaussian on R^3
+    rule = quadrature.gh_tensor(64, 3)
+    z = rule.nodes
+    value = rule.weights @ (z[0] ** 2 * z[1] ** 4 * z[2] ** 6)
+    assert abs(value - 45.0) <= 1e-13 * 45.0
+
+
+def test_cached_rules_are_read_only():
+    # every caller shares the cached arrays, so none may write into them
+    rule = quadrature.gh_tensor(20, 2)
+    assert quadrature.gh_tensor(20, 2) is rule
+    for array in (rule.nodes, rule.weights, *quadrature.gh_nodes(20)):
+        with pytest.raises(ValueError):
+            array[0] = 0.0
+
+
+def test_gauss_hermite_order_with_overflowing_weights_raises():
+    # NumPy's hermgauss returns NaN weights at order 400
+    with pytest.raises(DomainError, match="order 400"):
+        quadrature.gh_nodes(400)
+    z, w = quadrature.gh_nodes(256)
+    assert np.all(np.isfinite(w)) and abs(np.sum(w) - 1.0) < 1e-13

@@ -654,6 +654,28 @@ def test_single_direction_covers_oracle(kink_pairs):
     assert abs(res.value - ref) <= res.error + ref_err
 
 
+def test_kink_location_bisects_where_illinois_steps_stall():
+    # T' - 1 jumps from -1.8e-12 to +28 at 0.3 in cell 0: each Illinois
+    # step moves the left end by a rounding-level amount, and 100 of them
+    # leave the bracket open, so bisection closes it. Cell 1 (a parabola)
+    # closes within the Illinois cap and returns its own point whatever it
+    # is batched with.
+    def curve(x):
+        return 0.2 + x * (1.0 + x)
+
+    def deriv(x):
+        step = np.where(x < 0.3, 1.0 - 1.8e-12, 29.0)
+        return np.where(np.arange(x.shape[1]) == 0, step, curve(x))
+
+    a, b = np.zeros((1, 2)), np.ones((1, 2))
+    roots = transport1d._kinks(a, b, deriv(a) - 1.0, deriv(b) - 1.0, deriv)
+    assert abs(roots[0, 0] - 0.3) <= transport1d._KINK_WIDTH
+    assert abs(roots[0, 1] - 0.5 * (math.sqrt(4.2) - 1.0)) <= 1e-12
+    alone = transport1d._kinks(a[:, 1:], b[:, 1:], curve(a[:, 1:]) - 1.0,
+                               curve(b[:, 1:]) - 1.0, curve)
+    assert alone[0, 0] == roots[0, 1]
+
+
 def test_gamma_side_quantities_invert_no_quantile(monkeypatch):
     # separated narrow modes stalled the mixture quantile inversion, and the
     # gamma-side Bregman integrand spiked between separated modes
