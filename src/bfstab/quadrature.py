@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import NamedTuple
+from typing import NamedTuple, Optional
 
 import numpy as np
 from numpy.polynomial.hermite import hermgauss
@@ -79,13 +79,16 @@ _G10_WEIGHTS = np.concatenate([_QK21_WG, _QK21_WG[::-1]])
 class QuadResult:
     """Value with a conservative absolute error estimate.
 
-    ``adaptive_quad_rows`` returns one with a (B,) array in each field.
+    ``adaptive_quad_rows`` returns one with a (B,) array in each field, and
+    ``extra`` the (C, B) integrals of an integrand's extra columns (None
+    for a plain integrand).
     """
 
     value: float
     error: float
     evaluations: int
     panels: int
+    extra: Optional[np.ndarray] = None
 
 
 def _row_sums(x, counts):
@@ -116,13 +119,19 @@ def adaptive_quad_rows(f, row_breakpoints, *, tol_abs: float = 1e-11,
     panels (they need not be sorted or distinct) and NaN pads shorter rows.
     ``f(x, row)`` is called once per round on the active panels of all
     rows: x is (P, 21), the K21 nodes of P panels, and row[i] is the row
-    of the points x[i].
+    of the points x[i]. It returns the (P, 21) values, or a pair (values,
+    extra) whose extra (C, P, 21) holds C more integrands at the same
+    points: each gets the K21 rule on the value's panels and is folded in
+    as they settle, so every settle, split and cap decision reads the value
+    alone and the value, error, evaluations and panels keep the bits of a
+    plain call. An extra column has no error estimate of its own.
     Each row keeps the budget max(tol_abs, tol_rel |row estimate|) and is
     settled, capped at _MAX_PANELS and accepted exactly as one integral
     is (see ``adaptive_quad``), so B rows in one call give the same results
-    as B calls. Returns a QuadResult whose fields are (B,) arrays. Raises
-    EvaluationError if a row ends above ten times its budget or the
-    integrand returns a non-finite value.
+    as B calls. Returns a QuadResult whose fields are (B,) arrays, with the
+    extra columns' (C, B) integrals in ``extra``. Raises EvaluationError if
+    a row ends above ten times its budget or the integrand returns a
+    non-finite value.
     """
     bp = np.sort(np.atleast_2d(np.asarray(row_breakpoints, dtype=float)), axis=1)
     n_rows = bp.shape[0]
@@ -137,29 +146,40 @@ def adaptive_quad_rows(f, row_breakpoints, *, tol_abs: float = 1e-11,
     ab = np.array([bp[row, col], bp[row, col + 1]])
 
     def eval_panels(ab, row):
-        """(2, P) array of K21 values and |K21 - G10| errors."""
+        """(2 + C, P) array of K21 values, |K21 - G10| errors and the K21
+        sums of the C extra columns."""
         mid = 0.5 * (ab[0] + ab[1])[:, None]
         half = 0.5 * (ab[1] - ab[0])[:, None]
         pts = mid + half * _K21_NODES
-        vals = np.asarray(f(pts, row), dtype=float).reshape(pts.shape)
+        out = f(pts, row)
+        vals, extra = out if isinstance(out, tuple) else (out, None)
+        vals = np.asarray(vals, dtype=float).reshape(pts.shape)
         if not np.isfinite(vals).all():
             raise EvaluationError("integrand returned non-finite values")
-        ve = np.empty((2, pts.shape[0]))
+        columns = 0 if extra is None else extra.shape[0]
+        ve = np.empty((2 + columns, pts.shape[0]))
         # a basic slice keeps the product C-contiguous, so each panel's sum
         # runs in the order it has in a one-panel call
         g10 = np.add.reduce(vals[:, 1::2] * _G10_WEIGHTS, axis=1) * half[:, 0]
         np.multiply(np.add.reduce(vals * _K21_WEIGHTS, axis=1), half[:, 0], out=ve[0])
         np.abs(ve[0] - g10, out=ve[1])
+        if columns:
+            np.multiply(np.add.reduce(extra * _K21_WEIGHTS, axis=2),
+                        half[:, 0], out=ve[2:])
+            if not np.isfinite(ve[2:]).all():
+                raise EvaluationError("integrand returned non-finite values")
         return ve
 
     ve = eval_panels(ab, row)
     initial = count.copy()
-    done = np.zeros((2, n_rows))  # settled value and error per row
+    # settled value, error and extra integrals per row
+    done = np.zeros((ve.shape[0], n_rows))
     n_panels = count.copy()  # settled and active panels per row
 
     def close(rows):
         """Fold the rows' active panels in if within 10x budget, else raise."""
-        v, e = done + _row_sums(ve, count)
+        total = done + _row_sums(ve, count)
+        v, e = total[:2]
         for r in np.flatnonzero(rows):
             if e[r] > 10.0 * max(tol_abs, tol_rel * abs(v[r])):
                 where = f" in row {r}" if n_rows > 1 else ""
@@ -167,7 +187,7 @@ def adaptive_quad_rows(f, row_breakpoints, *, tol_abs: float = 1e-11,
                     f"adaptive_quad did not converge{where}: error estimate "
                     f"{e[r]:.3e} with {n_panels[r]} panels",
                     value=v[r], error=e[r])
-        done[0, rows], done[1, rows] = v[rows], e[rows]
+        done[:, rows] = total[:, rows]
         count[rows] = 0
         return rows[row]
 
@@ -212,7 +232,8 @@ def adaptive_quad_rows(f, row_breakpoints, *, tol_abs: float = 1e-11,
         close(count > 0)
     # every split evaluates two new panels and adds one to the row
     evaluations = (2 * n_panels - initial) * _K21_NODES.size
-    return QuadResult(done[0], done[1], evaluations, n_panels)
+    return QuadResult(done[0], done[1], evaluations, n_panels,
+                      done[2:] if done.shape[0] > 2 else None)
 
 
 def adaptive_quad(f, breakpoints, *, tol_abs: float = 1e-11,

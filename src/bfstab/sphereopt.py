@@ -22,11 +22,13 @@ the result, are those of a search that certifies the whole lattice. Every
 certified distance comes from the batched kernel ``gauss_distance_rows``
 on the batch-invariant ``marginal_parameters``, so a direction's value
 and error do not depend on what it was batched with: one call per ranking
-round, then one call per round for the central-difference stencils of all
-restarts, which advance in lockstep. Each direction is certified once;
-the result is the first in ``_ranking`` order of the seeds, at their
-lattice values, and each restart's last accepted point, at the value its
-round gave it, so it is never below the best lattice value.
+round, then one call per refinement round, in which every restart, all
+advancing in lockstep, submits one row and gets back its certified value
+and the exact gradient the kernel integrates with it. Each direction is
+certified once; the result is the first in ``_ranking`` order of the
+seeds, at their lattice values, and each restart's last accepted point,
+at the value its round gave it, so it is never below the best lattice
+value.
 
 A one-component mixture N(m, C) needs no refinement: along v its marginal
 distance is 1 - min(s, 1/s) with s^2 = v'Cv, which is largest at an
@@ -37,6 +39,7 @@ the lattice, with no kernel call at all.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -58,13 +61,11 @@ __all__ = [
 ]
 
 # Quasi-Newton refinement: seeds refined, kernel rounds per search, the
-# largest step (in radians), the central-difference step, Armijo's
-# sufficient-increase constant, and the gradient and step sizes at which a
-# restart stops.
+# largest step (in radians), Armijo's sufficient-increase constant, and the
+# gradient and step sizes at which a restart stops.
 _RESTARTS = 8
 _ROUNDS = 60
 _MAX_STEP = 0.1
-_STENCIL_STEP = 1e-5
 _ARMIJO = 1e-4
 _GTOL = 1e-9
 _STEP_TOL = 1e-10
@@ -127,12 +128,36 @@ def _augmentation(nu: GaussianMixtureND) -> np.ndarray:
     return cand
 
 
-def _solve_rows(nu: GaussianMixtureND, rows: np.ndarray):
+def _solve_rows(nu: GaussianMixtureND, rows: np.ndarray, grad: bool = False):
     """(value, error) of d(<v, X> law, gamma) for canonical unit rows v, in
-    one kernel call."""
+    one kernel call; with ``grad``, (value, error, gradient), the (B, n)
+    gradient of d by v from the same call (``_direction_gradient``), and
+    value and error with the bits they have without it."""
     means, stds = marginal_parameters(nu, rows)
-    return gauss_distance_rows(np.broadcast_to(nu.weights, means.shape),
-                               means, stds, tol=_TOL)
+    out = gauss_distance_rows(np.broadcast_to(nu.weights, means.shape),
+                              means, stds, tol=_TOL, grad=grad)
+    if not grad:
+        return out
+    value, error, d_means, d_stds = out
+    return value, error, _direction_gradient(nu, rows, stds, d_means, d_stds)
+
+
+def _direction_gradient(nu, rows, stds, d_means, d_stds):
+    """(B, n) gradient of d by the row v, from its (B, K) derivatives by the
+    marginal means a_k = v . m_k and stds s_k = |L_k' v|: da_k/dv = m_k
+    and ds_k/dv = C_k v / s_k. Every sum runs elementwise, coordinate by
+    coordinate and component by component left to right, as in
+    ``marginal_parameters``, so a row's gradient has the same bits
+    whatever rows are batched with it."""
+    ratio = d_stds / stds
+    grad = np.empty(rows.shape)
+    for a in range(nu.dim):
+        cov_v = 0.0
+        for c in range(nu.dim):
+            cov_v = cov_v + rows[:, c, None] * nu.covs[:, a, c]
+        terms = d_means * nu.means[:, a] + ratio * cov_v
+        grad[:, a] = functools.reduce(np.add, terms.T)
+    return grad
 
 
 def _tangent_basis(xi: np.ndarray) -> np.ndarray:
@@ -203,8 +228,8 @@ def _lattice_values(nu: GaussianMixtureND, cand: np.ndarray):
 
 
 def _quasi_newton(m: int):
-    """Minimize from t = 0 in R^m, as a generator: BFGS on a difference
-    gradient, with Armijo backtracking.
+    """Minimize from t = 0 in R^m, as a generator: BFGS with Armijo
+    backtracking, on the gradient the caller sends.
 
     It yields each trial point, first t = 0, and is sent (f, g, info)
     there, info being anything the caller keeps with the point. The step
@@ -243,35 +268,46 @@ def _quasi_newton(m: int):
 def _refine(nu: GaussianMixtureND, seeds, bases):
     """``_quasi_newton`` from every seed in lockstep, in tangent coordinates.
 
-    Restart i minimizes -d(<v, X> law, gamma) over v = s_i + bases[i] @ t
-    normalized; |v|^2 = 1 + |t|^2, so v never vanishes. Each round, every
-    live restart submits a central-difference stencil, its trial point and
-    the points _STENCIL_STEP either side of it along each tangent axis, and
-    one kernel call solves the stencils of all restarts: a value and a
-    gradient at every trial. Returns, per restart, the (row, value, error)
-    of the point it accepted last, as the kernel call evaluated it, and the
-    number of points solved.
+    Restart i minimizes -d(<v, X> law, gamma) over v = w / |w|, w = s_i +
+    bases[i] @ t; |w|^2 = 1 + |t|^2, so w never vanishes. Each round, every
+    live restart submits its trial point, and one ``_solve_rows`` call
+    gives each its certified value and its gradient by the canonical row
+    r = +-v. The chain rule takes that to t: dd/dt = bases[i]' (I - v v')
+    (+-dd/dr) / |w|, summed elementwise over coordinates, so a restart's
+    trials do not depend on the restarts run with it. Returns, per
+    restart, the (row, value, error) of the point it accepted last, as the
+    kernel call evaluated it, and the number of points solved.
     """
-    m = nu.dim - 1
-    stencil = np.vstack([np.zeros(m), _STENCIL_STEP * np.eye(m),
-                         -_STENCIL_STEP * np.eye(m)])
+    seeds, bases = np.asarray(seeds), np.asarray(bases)
+    n, m = bases.shape[1:]
     runs = [_quasi_newton(m) for _ in seeds]
     trials = {i: run.send(None) for i, run in enumerate(runs)}
     results = [None] * len(runs)
     solved = 0
     while trials:
-        vecs = np.vstack([seeds[i] + (t + stencil) @ bases[i].T
-                          for i, t in trials.items()])
-        vecs /= np.linalg.norm(vecs, axis=1)[:, None]
+        live = list(trials)
+        t, basis = np.array([trials[i] for i in live]), bases[live]
+        vecs = seeds[live]
+        for j in range(m):
+            vecs = vecs + t[:, j, None] * basis[:, :, j]
+        norms = np.linalg.norm(vecs, axis=1)
+        vecs /= norms[:, None]
         rows = canonical_directions(vecs)
-        values, errors = _solve_rows(nu, rows)
+        values, errors, grad = _solve_rows(nu, rows, grad=True)
         solved += rows.shape[0]
-        k = stencil.shape[0]
-        for i, v, row, error in zip(list(trials), -values.reshape(-1, k),
-                                    rows[::k], errors[::k]):
-            g = (v[1:m + 1] - v[m + 1:]) / (2.0 * _STENCIL_STEP)
+        # the part of dd/dr orthogonal to r, then the chain rule to t, with
+        # the sign of r = +-v and 1 / |w|
+        radial = sum(rows[:, a] * grad[:, a] for a in range(n))
+        scale = np.where(np.sum(rows * vecs, axis=1) < 0.0, -1.0, 1.0) / norms
+        tangent = [(grad[:, a] - radial * rows[:, a]) * scale
+                   for a in range(n)]
+        slopes = np.column_stack([
+            sum(basis[:, a, j] * tangent[a] for a in range(n))
+            for j in range(m)])
+        for i, row, value, error, slope in zip(live, rows, values, errors,
+                                               slopes):
             try:
-                trials[i] = runs[i].send((v[0], g, (row, -v[0], error)))
+                trials[i] = runs[i].send((-value, -slope, (row, value, error)))
             except StopIteration as done:
                 results[i] = done.value
                 del trials[i]

@@ -314,22 +314,65 @@ def _z_rounding(means, stds, present):
         np.where(present, np.abs(means) / stds, 0.0), axis=-1))
 
 
-def _rows_deriv_pdf(x, weights, means, stds, log_w, log_norm, pdf=True):
-    """(T', u) at the points x (P, n) of row mixtures u against gamma, or
-    T' alone if not ``pdf``.
+def _rows_pass(x, weights, means, stds, log_w, log_norm):
+    """(zs, e, total, S, T', log u) at the points x (P, n) of row mixtures
+    u against gamma: the component pass of ``density1d`` (its z_k, its
+    log-sum-exp terms e_k and their sum), S = Phi^{-1}(F) and T' = u /
+    phi(S).
 
     The parameters are (K, P, 1): component k of every row as a column,
     one row per row of x. The formulas are TransportMap1D's with a gamma
-    target, on the component pass of ``density1d``, so every row's values
-    are bit for bit those of ``TransportMap1D(u, StandardGaussian())
-    .deriv`` and ``u.pdf`` for the GaussianMixture1D u of its present
-    components: an absent one adds exact zeros.
+    target, so every row's T' and log u are bit for bit those of
+    ``TransportMap1D(u, StandardGaussian()).deriv`` and ``u.logpdf`` for
+    the GaussianMixture1D u of its present components: an absent one adds
+    exact zeros.
     """
     zs = _components(x, means, stds)
-    logpdf, _, _ = _mixture_log(zs, log_w, log_norm)
+    logpdf, e, total = _mixture_log(zs, log_w, log_norm)
     S = _phi_inverse(*_mixture_masses(zs, weights))
-    deriv = np.exp(logpdf - gauss_logpdf(S))
+    return zs, e, total, S, np.exp(logpdf - gauss_logpdf(S)), logpdf
+
+
+def _rows_deriv_pdf(x, *params, pdf=True):
+    """(T', u) at the points x of row mixtures u against gamma, or T' alone
+    if not ``pdf``: ``_rows_pass`` on the same (K, P, 1) parameters."""
+    *_, deriv, logpdf = _rows_pass(x, *params)
     return (deriv, np.exp(logpdf)) if pdf else deriv
+
+
+def _distance_integrand(x, weights, means, stds, log_w, log_norm, grad):
+    """f = |1 - T'| / max(1, T') u at the points x of row mixtures u against
+    gamma, and if ``grad`` its (2K, P, n) derivatives by the K means a_k,
+    then the K stds s_k, of each row.
+
+    With z_k = (x - a_k) / s_k, p_k = w_k phi(z_k) / s_k, F = sum w_k
+    Phi(z_k) and S = Phi^{-1}(F), f is u - phi(S) where T' >= 1 and
+    u - u^2 / phi(S) where T' < 1, so its derivative is du + S dF there
+    and (1 - 2 T') du - T'^2 S dF here, with du/da_k = p_k z_k / s_k,
+    du/ds_k = p_k (z_k^2 - 1) / s_k, dF/da_k = -p_k and dF/ds_k = -p_k z_k.
+    p_k is u times the responsibility e_k / total of the component pass,
+    and p_k z_k is formed before any division by s_k, so a far, narrow
+    component underflows to 0 rather than overflowing. The value has the
+    bits it has without ``grad``.
+    """
+    zs, e, total, S, deriv, logpdf = _rows_pass(x, weights, means, stds,
+                                                log_w, log_norm)
+    pdf = np.exp(logpdf)
+    value = np.abs(1.0 - deriv) / np.maximum(1.0, deriv) * pdf
+    if not grad:
+        return value
+    above = deriv >= 1.0
+    t = np.minimum(deriv, 1.0)  # T' may overflow where it is >= 1
+    du = np.where(above, 1.0, 1.0 - 2.0 * t)
+    dF = np.where(above, S, -t * t * S)
+    scale = pdf / total
+    d_means, d_stds = [], []
+    for z, s, e_k in zip(zs, stds, e):
+        p = e_k * scale
+        pz = p * z
+        d_means.append(du * pz / s - dF * p)
+        d_stds.append(du * (pz * z - p) / s - dF * pz)
+    return value, np.array(d_means + d_stds)
 
 
 def _columns(params, rows):
@@ -340,8 +383,9 @@ def _columns(params, rows):
 
 class _RowMixtures:
     """The (B, K) row mixtures of the batched routines, split as both treat
-    them: ``one`` marks the rows with one present component, and ``closed``
-    holds their d = 1 - min(s, 1/s) (see gauss_distance_rows). The other
+    them: ``one`` marks the rows with one present component, ``k_one`` and
+    ``s_one`` hold that component's index and std, and ``closed`` their
+    d = 1 - min(s, 1/s) (see gauss_distance_rows). The other
     rows, at indices ``quad``, keep their ``present`` mask, their working
     intervals [lo, hi] and the (w, m, s, log w, log(s sqrt(2 pi))) arrays
     that ``_columns`` hands to ``_rows_deriv_pdf``, and run in chunks."""
@@ -352,8 +396,9 @@ class _RowMixtures:
         s = np.broadcast_to(np.asarray(stds, dtype=float), w.shape)
         present = w > 0.0
         self.one = present.sum(axis=1) == 1
-        s_one = s[self.one, np.argmax(present[self.one], axis=1)]
-        self.closed = 1.0 - np.minimum(s_one, 1.0 / s_one)
+        self.k_one = np.argmax(present[self.one], axis=1)
+        self.s_one = s[self.one, self.k_one]
+        self.closed = 1.0 - np.minimum(self.s_one, 1.0 / self.s_one)
         self.quad = np.flatnonzero(~self.one)
         w, m, s = w[self.quad], m[self.quad], s[self.quad]
         self.present = present[self.quad]
@@ -370,7 +415,8 @@ class _RowMixtures:
             yield slice(start, start + step)
 
 
-def gauss_distance_rows(weights, means, stds, *, tol: float = 1e-9):
+def gauss_distance_rows(weights, means, stds, *, tol: float = 1e-9,
+                        grad: bool = False):
     """Directed distances d(u_b, gamma) of many 1-D mixtures u_b at once.
 
     Row b of the (B, K) arrays is u_b = sum_k w_bk N(m_bk, s_bk^2); a zero
@@ -401,6 +447,17 @@ def gauss_distance_rows(weights, means, stds, *, tol: float = 1e-9):
     form, 8 none. These rows run in
     chunks of at most _ROW_CHUNK pre-scan points x components. Returns
     (value, error), each of shape (B,), in row order.
+
+    With ``grad``, it returns (value, error, d_means, d_stds): value and
+    error with the bits they have without it, and the derivatives of each
+    distance by its rows' means and stds, (B, K) each, zero at an absent
+    component. A one-component row's is the closed form's: dd/ds is -1
+    for s < 1 and 1/s^2 for s >= 1, and dd/dm is 0. Every other row's is
+    the integral of the integrand's derivative (``_distance_integrand``),
+    taken under the integral sign: the integrand is continuous where
+    T' = 1, and those points are panel edges, so the K21 rule on the
+    value's settled panels integrates each smooth piece, in the same
+    quadrature call as the value. The gradient has no error estimate.
     """
     batch = _RowMixtures(weights, means, stds)
     value = np.empty(batch.one.size)
@@ -408,13 +465,17 @@ def gauss_distance_rows(weights, means, stds, *, tol: float = 1e-9):
     value[batch.one] = batch.closed
     error[batch.one] = _ONE_COMPONENT_ERR
     _, m, s = batch.params[:3]
+    if grad:
+        slopes = np.zeros((2, batch.one.size, batch.present.shape[1]))
+        s_one = batch.s_one
+        slopes[1, np.flatnonzero(batch.one), batch.k_one] = np.where(
+            s_one < 1.0, -1.0, 1.0 / (s_one * s_one))
     rounding = _z_rounding(m, s, batch.present)
     for rows in batch.chunks(_SCAN_POINTS):
         chunk = [p[rows] for p in batch.params]
 
         def g(x, row):
-            d, pdf = _rows_deriv_pdf(x, *_columns(chunk, row))
-            return np.abs(1.0 - d) / np.maximum(1.0, d) * pdf
+            return _distance_integrand(x, *_columns(chunk, row), grad)
 
         columns = _columns(chunk, slice(None))
         bp = _distance_breaks(batch.lo[rows], batch.hi[rows],
@@ -424,6 +485,11 @@ def gauss_distance_rows(weights, means, stds, *, tol: float = 1e-9):
                                  tol_rel=1e-12)
         value[batch.quad[rows]] = res.value
         error[batch.quad[rows]] = res.error + rounding[rows]
+        if grad:
+            slopes[:, batch.quad[rows]] = res.extra.reshape(
+                2, -1, res.extra.shape[1]).transpose(0, 2, 1)
+    if grad:
+        return value, error, slopes[0], slopes[1]
     return value, error
 
 

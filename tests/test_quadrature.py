@@ -70,6 +70,37 @@ def test_many_rows_match_separate_calls():
                                    one.panels), r
 
 
+def test_extra_columns_ride_on_the_value_panels():
+    # two extra integrands, exp(x / 4) and cos(2 x), on the panels the wave
+    # settles: the wave's result keeps its bits, and each extra column is
+    # its closed form over the row's span
+    def with_extra(x, row):
+        return wave(x, row[:, None]), np.array([np.exp(0.25 * x),
+                                                np.cos(2.0 * x)])
+
+    bp = padded(ROW_BREAKS)
+    plain = adaptive_quad_rows(lambda x, row: wave(x, row[:, None]), bp,
+                               tol_abs=1e-9)
+    res = adaptive_quad_rows(with_extra, bp, tol_abs=1e-9)
+    for field in ("value", "error", "evaluations", "panels"):
+        assert np.array_equal(getattr(res, field), getattr(plain, field))
+    assert plain.extra is None and res.extra.shape == (2, len(ROW_BREAKS))
+    a = np.array([r.min() for r in ROW_BREAKS])
+    b = np.array([r.max() for r in ROW_BREAKS])
+    exact = [4.0 * (np.exp(0.25 * b) - np.exp(0.25 * a)),
+             0.5 * (np.sin(2.0 * b) - np.sin(2.0 * a))]
+    for got, want in zip(res.extra, exact):
+        assert np.all(np.abs(got - want) <= 1e-14 * np.abs(want))
+
+
+def test_non_finite_extra_columns_raise():
+    def bad(x, row):
+        return wave(x, row[:, None]), np.array([np.where(x > 5.0, np.inf, x)])
+
+    with pytest.raises(EvaluationError, match="non-finite"):
+        adaptive_quad_rows(bad, padded(ROW_BREAKS), tol_abs=1e-9)
+
+
 def test_capped_row_is_accepted_within_ten_budgets(monkeypatch):
     # at 64 panels row 3 stops near 1e-6, inside 10x its 2e-7 budget
     monkeypatch.setattr(quadrature, "_MAX_PANELS", 64)

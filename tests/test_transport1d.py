@@ -444,6 +444,65 @@ def test_padded_one_component_row_takes_closed_form(monkeypatch):
     assert np.all(only_err == transport1d._ONE_COMPONENT_ERR)
 
 
+def _gradient_rows():
+    """Rows of K = 2 to 4 present components among four columns, one of
+    them with a far, narrow component."""
+    rng = np.random.default_rng(41)
+    b, k = 9, 4
+    present = np.arange(k) < 2 + np.arange(b)[:, None] % 3
+    weights = np.where(present, rng.uniform(0.2, 1.0, (b, k)), 0.0)
+    weights /= weights.sum(axis=1, keepdims=True)
+    means = rng.uniform(-2.0, 2.0, (b, k))
+    stds = np.exp(rng.uniform(np.log(0.3), np.log(3.0), (b, k)))
+    means[4, 1], stds[4, 1] = 9.0, 0.01
+    return weights, means, stds
+
+
+def test_distance_gradient_matches_central_differences():
+    # the derivative under the integral sign, on the value's panels,
+    # against central differences of the certified distance
+    weights, means, stds = _gradient_rows()
+    tol, h = 1e-13, 1e-6
+    _, _, d_means, d_stds = gauss_distance_rows(weights, means, stds,
+                                                tol=tol, grad=True)
+
+    def slope(dm, ds):
+        up = gauss_distance_rows(weights, means + dm, stds + ds, tol=tol)[0]
+        down = gauss_distance_rows(weights, means - dm, stds - ds, tol=tol)[0]
+        return (up - down) / (2.0 * h)
+
+    for k in range(weights.shape[1]):
+        step = np.zeros_like(means)
+        step[:, k] = h
+        present = weights[:, k] > 0.0
+        for grad, diff in ((d_means, slope(step, 0.0)),
+                           (d_stds, slope(0.0, step))):
+            assert np.all(np.abs(grad[present, k] - diff[present]) <= 1e-8), k
+            assert np.all(grad[~present, k] == 0.0), k
+
+
+def test_distance_gradient_keeps_the_value_and_error_bits():
+    for weights, means, stds in (_gradient_rows(), _mixed_rows()):
+        value, error = gauss_distance_rows(weights, means, stds, tol=1e-10)
+        out = gauss_distance_rows(weights, means, stds, tol=1e-10, grad=True)
+        assert np.array_equal(out[0], value)
+        assert np.array_equal(out[1], error)
+
+
+def test_one_component_distance_gradient_is_the_closed_form():
+    # d = 1 - min(s, 1/s): dd/ds is -1 below s = 1 and 1/s^2 above it, and
+    # d does not depend on the mean; padded rows too
+    weights, means, stds = _mixed_rows()
+    one = np.count_nonzero(weights, axis=1) == 1
+    _, _, d_means, d_stds = gauss_distance_rows(weights, means, stds,
+                                                grad=True)
+    s = np.where(weights[one] > 0.0, stds[one], np.nan)
+    slope = np.where(s < 1.0, -1.0, 1.0 / (s * s))
+    assert np.array_equal(d_stds[one], np.where(np.isnan(s), 0.0, slope))
+    assert np.all(d_means[one] == 0.0)
+    assert np.any(s < 1.0) and np.any(s > 1.0)
+
+
 def test_estimates_of_one_component_rows_are_the_closed_form():
     # one-component rows, padded or not, get the kernel's value bit for bit
     # and a zero bound; the other rows a positive bound
