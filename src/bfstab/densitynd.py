@@ -12,13 +12,15 @@ log-sum-exp) and grad log p (the responsibilities). These and the
 Knothe-Rosenblatt cost go through one expectation, computed component-wise
 in whitened coordinates. Standard Gaussian nodes z, from ``_node_sets`` for
 every n-D average (the corollary's outer one too: Gauss-Hermite for
-n <= 3, scrambled Sobol replicates with an empirical error bar above), are
-mapped to x = m_k + L_k z for each anchor component k, so the rule sees a
-standard Gaussian regardless of how eccentric the component is. The pass
-then whitens x against every component j with the stored inverse Cholesky
-factor, y_j = L_j^{-1} (x - m_j), one small matrix product each, and takes
-y_k = z for the anchor itself. Nodes are columns, so every sum over the
-short coordinate axis is a run of row adds.
+n <= 3, scrambled Sobol replicates with an empirical error bar above, drawn
+by the package's own generator ``_sobol.sobol``, equal bit for bit to
+SciPy's ``qmc.Sobol``), are mapped to x = m_k + L_k z for each anchor
+component k, so the rule sees a standard Gaussian regardless of how
+eccentric the component is. The pass then whitens x against every
+component j with the stored inverse Cholesky factor, y_j = L_j^{-1}
+(x - m_j), one small matrix product each, and takes y_k = z for the anchor
+itself. Nodes are columns, so every sum over the short coordinate axis is
+a run of row adds.
 """
 
 from __future__ import annotations
@@ -30,8 +32,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import solve_triangular
 from scipy.special import ndtri
-from scipy.stats import qmc
 
+from ._sobol import sobol
 from .density1d import GaussianMixture1D, _mixture_masses, _phi_inverse
 from .errors import ConditioningError, DomainError, ParseError
 from .quadrature import gh_tensor
@@ -303,8 +305,9 @@ def _node_sets(n: int, dim: int, weights, orders, per_rep: int, seed: int):
     with ``weights``, chosen by the dimension n of the problem: one pruned
     Gauss-Hermite tensor rule per order of ``orders`` for n <= 3, cached by
     ``gh_tensor`` and shared by every component; above, Sobol replicates
-    in which component k gets max(w_k per_rep, 16) scrambled nodes from an
-    engine seeded seed + 1009 r + k (r the replicate). Yields each set as
+    in which component k gets the first max(w_k per_rep, 16) points of the
+    sequence scrambled with seed seed + 1009 r + k (r the replicate), the
+    exact count the rule uses. Yields each set as
     (pairs, dropped, radius): pairs a list of (z, wts) per component, z
     (dim, N) nodes as columns and wts their weights (None for equal
     weights); dropped the weight of the nodes the rule left out and radius
@@ -319,12 +322,8 @@ def _node_sets(n: int, dim: int, weights, orders, per_rep: int, seed: int):
     for r in range(_QMC_REPLICATES):
         pairs = []
         for k, size in enumerate(alloc.tolist()):
-            # Sobol balance wants powers of two; draw up and trim
-            m_bits = max(int(math.ceil(math.log2(size))), 4)
-            engine = qmc.Sobol(d=dim, scramble=True, seed=seed + 1009 * r + k)
-            u = engine.random_base2(m_bits)[:size]
-            pairs.append((ndtri(np.clip(np.ascontiguousarray(u.T), 1e-15,
-                                        1.0 - 1e-15)), None))
+            u = sobol(dim, size, seed + 1009 * r + k)
+            pairs.append((ndtri(np.clip(u.T, 1e-15, 1.0 - 1e-15)), None))
         yield pairs, 0.0, 0.0
 
 

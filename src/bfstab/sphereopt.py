@@ -3,13 +3,14 @@
 d_n(nu) = sup over unit xi of d(<xi, X> law, gamma). The distance at any
 one direction is a lower bound on d_n, certified at that direction, so the
 search is organized to make its best certified value as large as possible
-within a budget: a deterministic, prefix-nested lattice on the sphere
-(growing the lattice never loses points, which keeps the returned value
-monotone in the budget), a structure-aware augmentation (coordinate axes,
-normalized differences of component means, covariance eigenvectors), then
-quasi-Newton (BFGS) refinement in tangent coordinates from the best
-spread-out seeds. Directions are canonicalized against the antipodal map
-since opposite directions give the same marginal distance.
+within a budget: a deterministic, prefix-nested lattice on the sphere,
+mapped from the first points of the unscrambled Sobol sequence
+(``_sobol.sobol``; growing the lattice never loses points, which keeps the
+returned value monotone in the budget), a structure-aware augmentation
+(coordinate axes, normalized differences of component means, covariance
+eigenvectors), then quasi-Newton (BFGS) refinement in tangent coordinates
+from the best spread-out seeds. Directions are canonicalized against the
+antipodal map since opposite directions give the same marginal distance.
 
 The lattice only chooses where the refinement starts. Directions are
 ranked by one total order, value descending and then direction ascending
@@ -46,8 +47,8 @@ from typing import Optional
 
 import numpy as np
 from scipy.special import ndtri
-from scipy.stats import qmc
 
+from ._sobol import sobol
 from .density1d import Density1D, StandardGaussian
 from .densitynd import (GaussianMixtureND, ProductFunction,
                         canonical_directions, marginal_parameters)
@@ -90,10 +91,10 @@ class DnResult:
 
 
 def _sobol_block(d: int, count: int) -> np.ndarray:
-    """First ``count`` unscrambled Sobol points after dropping the origin."""
-    m = max(int(math.ceil(math.log2(count + 1))), 1)
-    eng = qmc.Sobol(d=d, scramble=False)
-    return eng.random_base2(m)[1:count + 1]
+    """First ``count`` unscrambled Sobol points after dropping the origin:
+    the Gray-code prefix of count + 1 points, so a larger count only adds
+    points."""
+    return sobol(d, count + 1)[1:]
 
 
 def _lattice(dim: int, count: int) -> np.ndarray:

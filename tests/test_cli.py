@@ -547,6 +547,36 @@ def test_budget_and_jobs_below_one_are_parse_errors(capsys, mix2d_file,
     assert_parse_error(capsys, mix2d_file, command, option, value)
 
 
+@pytest.mark.parametrize("theorem", ["main", "corollary"])
+@pytest.mark.parametrize("option,value", [
+    ("--mc-budget", "20000000000"),
+    ("--mc-budget", str(cli._MAX_MC_BUDGET + 1)),
+    ("--directions", str(cli._MAX_DIRECTIONS + 1))])
+def test_draws_past_the_sobol_range_are_parse_errors(capsys, tmp_path,
+                                                     theorem, option, value):
+    # a 4-D budget of 2e10 used to end in MemoryError, reported as the
+    # catch-all error status with exit 2
+    path = tmp_path / "m4.json"
+    path.write_text(json.dumps({"weights": [1.0], "means": [[0.0] * 4],
+                                "covs": [np.eye(4).tolist()]}))
+    with pytest.raises(SystemExit) as exc:
+        main(["deficit", "--measure", f"file:{path}", "--theorem", theorem,
+              option, value])
+    assert exc.value.code == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert option in out.err
+
+
+def test_largest_draws_parse():
+    args = cli.build_parser().parse_args(
+        ["verify", "--suite", "main-corpus",
+         "--mc-budget", str(cli._MAX_MC_BUDGET),
+         "--directions", str(cli._MAX_DIRECTIONS)])
+    assert (args.mc_budget, args.directions) == (cli._MAX_MC_BUDGET,
+                                                 cli._MAX_DIRECTIONS)
+
+
 def test_process_pool_is_capped_at_the_task_count(monkeypatch):
     sizes = []
 

@@ -442,13 +442,13 @@ def test_knothe_bound_draws_its_sobol_sets_once(monkeypatch):
     nu = GaussianMixtureND([0.3, 0.7], rng.uniform(-1.0, 1.0, (2, 4)),
                            [np.eye(4), np.diag([0.5, 1.0, 1.5, 2.0])])
     seeds = []
-    original = densitynd.qmc.Sobol
+    original = densitynd.sobol
 
-    def counted(*args, **kwargs):
-        seeds.append(kwargs["seed"])
-        return original(*args, **kwargs)
+    def counted(dim, n, seed=None):
+        seeds.append(seed)
+        return original(dim, n, seed)
 
-    monkeypatch.setattr(densitynd.qmc, "Sobol", counted)
+    monkeypatch.setattr(densitynd, "sobol", counted)
     knothe_w2_bound(nu, mc_budget=4096, seed=3)
     assert sorted(seeds) == sorted(3 + 1009 * r + k
                                    for r in range(8) for k in range(2))
