@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import DomainError
 
-__all__ = ["MAX_POINTS", "sobol"]
+__all__ = ["MAX_POINTS", "check_count", "sobol"]
 
 _BITS = 30
 MAX_POINTS = 2 ** _BITS
@@ -59,14 +59,19 @@ def _directions(j: int) -> np.ndarray:
     return v
 
 
+def check_count(n: int) -> None:
+    """DomainError unless 0 <= n <= MAX_POINTS, the draws the engine has."""
+    if not 0 <= n <= MAX_POINTS:
+        raise DomainError(f"{n} Sobol points asked for; a 30-bit engine "
+                          f"has at most 2^30 = {MAX_POINTS}")
+
+
 def sobol(dim: int, n: int, seed=None) -> np.ndarray:
     """The first n points of the dim-dimensional Sobol sequence, (n, dim),
     unscrambled for seed None and scrambled by ``seed`` otherwise. The
     array is the transpose of a C-ordered (dim, n) one, so each
     coordinate's n values are contiguous."""
-    if not 0 <= n <= MAX_POINTS:
-        raise DomainError(f"{n} Sobol points asked for; a 30-bit engine "
-                          f"has at most 2^30 = {MAX_POINTS}")
+    check_count(n)
     v = np.stack([_directions(j) for j in range(dim)])
     shift = np.zeros(dim, dtype=np.int64)
     if seed is not None:

@@ -29,16 +29,17 @@ from .density1d import (Density1D, GaussianMixture1D, GridDensity1D,
                         WORKING_RADIUS, _breaks, entropy_rel_gauss_full,
                         fisher_rel_gauss_full, gauss_pdf)
 from .densitynd import (_QMC_REPLICATES, GaussianMixtureND, ProductFunction,
-                        _average, _combine, _node_sets, _outer_orders,
-                        conditional_slice_batch, entropy_fisher_nd,
-                        entropy_rel_gauss_nd, knothe_w2_bound,
-                        marginal_without)
+                        _average, _closed_form, _combine,
+                        _gaussian_information, _node_sets, _outer_orders,
+                        _rounding, conditional_slice_batch,
+                        entropy_fisher_nd, entropy_rel_gauss_nd,
+                        knothe_w2_bound, marginal_without)
 from .errors import (CapabilityError, DomainError, EvaluationError,
                      InvariantViolation)
 from .quadrature import adaptive_quad
 from .sphereopt import DnResult, dn_distance
-from .transport1d import (bregman_integral_full, gauss_distance_rows,
-                          talagrand_deficit_1d_full)
+from .transport1d import (_ONE_COMPONENT_ERR, bregman_integral_full,
+                          gauss_distance_rows, talagrand_deficit_1d_full)
 
 __all__ = [
     "DeficitReport",
@@ -118,13 +119,25 @@ def lsi_deficit(nu, *, mc_budget: int = 10 ** 6, seed: int = 0):
       * Density1D: adaptive 1-D quadrature;
       * ProductFunction: the sum of its factors' 1-D deficits, since
         entropy and Fisher information tensorize;
-      * GaussianMixtureND: whitened Gauss-Hermite for n <= 3, scrambled
-        Sobol replicates above (``mc_budget``, ``seed``).
+      * a one-component GaussianMixtureND N(m, C): the closed form
+        (tr C^-1 - n + log det C) / 2, with no node set;
+      * any other GaussianMixtureND: whitened Gauss-Hermite for n <= 3,
+        scrambled Sobol replicates above (``mc_budget``, ``seed``).
     """
+    return _lsi_deficit(nu, mc_budget, seed)[:2]
+
+
+def _lsi_deficit(nu, mc_budget: int, seed: int):
+    """(value, error, closed) of ``lsi_deficit``, closed telling whether
+    nu took the one-component closed form, so a caller routes once."""
+    closed = (isinstance(nu, GaussianMixtureND)
+              and _closed_form(nu, mc_budget))
     if isinstance(nu, ProductFunction):
         parts = [_lsi_deficit_1d(h) for h in nu.factors]
         value = sum(v for v, _ in parts)
         err = sum(e for _, e in parts)
+    elif closed:
+        value, err = _gaussian_information(nu)[2]
     elif isinstance(nu, GaussianMixtureND):
         (e, e_err), (fi, fi_err) = entropy_fisher_nd(
             nu, mc_budget=mc_budget, seed=seed)
@@ -138,7 +151,7 @@ def lsi_deficit(nu, *, mc_budget: int = 10 ** 6, seed: int = 0):
     if value < -(1e-7 + err):
         raise InvariantViolation(
             f"log-Sobolev deficit {value:.3e} below the numerical guard")
-    return float(value), float(err)
+    return float(value), float(err), closed
 
 
 # ---------------------------------------------------------------------------
@@ -171,9 +184,10 @@ def verify_thm_main(nu, *, directions: Optional[int] = None,
     under-estimates the supremum, so the check is conservative: a sharper
     search can only shrink the margin.
     """
-    deficit, d_err = lsi_deficit(nu, mc_budget=mc_budget, seed=seed)
+    deficit, d_err, closed = _lsi_deficit(nu, mc_budget, seed)
     res, lower, dn_err = _dn_bound(nu, directions)
-    method = (f"entropy+fisher whitened-GH/QMC; {_dn_method(res)}")
+    terms = "closed-form Gaussian" if closed else "whitened-GH/QMC"
+    method = f"entropy+fisher {terms}; {_dn_method(res)}"
     return DeficitReport.build(case_id=case_id, theorem="main",
                                deficit=deficit, lower_bound=lower,
                                error=d_err + dn_err, tol=tol, method=method)
@@ -242,16 +256,20 @@ def verify_corollary(nu, mc_budget: int = 10 ** 6, *,
     nu is a GaussianMixtureND or a ProductFunction of dimension >= 2. Each
     slice is weighed by its mass: the expectation runs over nu's own
     marginal without axis i, which is the form the tensorization argument
-    produces. It runs on ``densitynd._node_sets``, anchored at each marginal
-    component and drawn once for all axes: Gauss-Hermite for n <= 3, with
-    the gap of two orders in the error, plus the pruned rules' dropped mass
-    per axis, since d <= 1; above, 8 Sobol replicates sharing
-    mc_budget / n nodes per axis (64 to 2048), with their standard error. A
-    product needs no outer average: its slices along axis i are all h_i.
+    produces. A mixture's runs on ``densitynd._node_sets``, anchored at
+    each marginal component and drawn once for all axes: Gauss-Hermite for
+    n <= 3, with the gap of two orders in the error, plus the pruned rules'
+    dropped mass per axis, since d <= 1; above, 8 Sobol replicates sharing
+    mc_budget / n nodes per axis (64 to 2048), with their standard error.
+    Neither a product nor a Gaussian needs the outer average: a product's
+    slices along axis i are all h_i, and a Gaussian N(m, C)'s are all
+    N(., s_i^2) with s_i^2 = 1 / (C^-1)_ii, whatever the pinned point, so
+    d_i = 1 - min(s_i, 1 / s_i) in closed form, with the one-component
+    kernel row's error plus the ``densitynd._rounding`` of d_i.
     """
     if isinstance(nu, Density1D) or nu.dim < 2:
         raise DomainError("the corollary needs dimension at least 2")
-    deficit, d_err = lsi_deficit(nu, mc_budget=mc_budget, seed=seed)
+    deficit, d_err, closed = _lsi_deficit(nu, mc_budget, seed)
     weighted_terms = np.zeros(nu.dim)
     err = 0.0
     if isinstance(nu, ProductFunction):
@@ -259,6 +277,16 @@ def verify_corollary(nu, mc_budget: int = 10 ** 6, *,
         weighted_terms = d * d
         err = float(np.sum(2.0 * d * derr))
         mode = "per-factor slices (product)"
+    elif closed:
+        # (C^-1)_ii is the squared norm of column i of L^-1
+        s = np.sum(nu._chol_inv[0] ** 2, axis=0) ** -0.5
+        d = 1.0 - np.minimum(s, 1.0 / s)
+        # _rounding of the terms 1 and 1 - d_i, which is linear in them
+        step = _ONE_COMPONENT_ERR + _rounding(nu, 1.0) * (2.0 - d)
+        weighted_terms = d * d
+        # |d^2 - e^2| <= step (2 d + step) for |d - e| <= step
+        err = float(np.sum(step * (2.0 * d + step)))
+        mode = "one Gaussian slice per axis"
     else:
         # every marginal without one axis has dimension n - 1 and nu's
         # weights, so one draw of node sets serves all axes
@@ -292,9 +320,10 @@ def verify_talagrand(nu, *, case_id: str = "", tol: float = 1e-6,
 
     A Density1D and a ProductFunction are exact (the quantile coupling, and
     coordinatewise tensorization of both entropy and W2). An n-D
-    GaussianMixtureND bounds W2^2 from above by ``knothe_w2_bound`` (Sobol
-    replicates from ``mc_budget`` and ``seed`` above n = 3), so its deficit
-    is a lower bound and a shortfall is inconclusive, never a failure.
+    GaussianMixtureND bounds W2^2 from above by ``knothe_w2_bound`` (closed
+    form for one component, else Sobol replicates from ``mc_budget`` and
+    ``seed`` above n = 3), so its deficit is a lower bound and a shortfall
+    is inconclusive, never a failure.
     """
     if not isinstance(nu, (Density1D, ProductFunction, GaussianMixtureND)):
         raise DomainError("verify_talagrand expects a 1-D density, a product "

@@ -6,14 +6,18 @@ slices (the conditional law along one axis at a fixed value of the others,
 again a 1-D mixture), relative entropy and Fisher information w.r.t. the
 standard Gaussian, and a Knothe-Rosenblatt upper bound on W2 to it.
 
-``entropy_fisher_nd`` computes the two information terms together: both are
-nu-expectations, and one component pass at a node set gives log p (the
-log-sum-exp) and grad log p (the responsibilities). These and the
-Knothe-Rosenblatt cost go through one expectation, computed component-wise
-in whitened coordinates. Standard Gaussian nodes z, from ``_node_sets`` for
-every n-D average (the corollary's outer one too: Gauss-Hermite for
-n <= 3, scrambled Sobol replicates with an empirical error bar above, drawn
-by the package's own generator ``_sobol.sobol``, equal bit for bit to
+``entropy_fisher_nd`` computes the two information terms together. For a
+Gaussian (one component) they and the Knothe-Rosenblatt cost are closed
+forms in the stored Cholesky factor and its inverse, each charged a
+rounding term that scales with the covariance's condition number, and no
+node set is drawn. For a mixture both are nu-expectations, and one
+component pass at a node set gives log p (the log-sum-exp) and grad log p
+(the responsibilities). These and the Knothe-Rosenblatt cost go through
+one expectation, computed component-wise in whitened coordinates.
+Standard Gaussian nodes z, from ``_node_sets`` for every n-D average of a
+mixture (the corollary's outer one too: Gauss-Hermite for n <= 3,
+scrambled Sobol replicates with an empirical error bar above, drawn by
+the package's own generator ``_sobol.sobol``, equal bit for bit to
 SciPy's ``qmc.Sobol``), are mapped to x = m_k + L_k z for each anchor
 component k, so the rule sees a standard Gaussian regardless of how
 eccentric the component is. The pass then whitens x against every
@@ -33,7 +37,7 @@ import numpy as np
 from scipy.linalg import solve_triangular
 from scipy.special import ndtri
 
-from ._sobol import sobol
+from ._sobol import check_count, sobol
 from .density1d import GaussianMixture1D, _mixture_masses, _phi_inverse
 from .errors import ConditioningError, DomainError, ParseError
 from .quadrature import gh_tensor
@@ -287,7 +291,8 @@ class ProductFunction:
 
 
 # ---------------------------------------------------------------------------
-# mixture expectations: whitened Gauss-Hermite (n <= 3), Sobol replicates above
+# expectations over mixtures of two or more components (a Gaussian takes the
+# closed forms below): whitened Gauss-Hermite (n <= 3), Sobol replicates above
 
 _GH_ORDER = 64
 _GH_CHECK = 48
@@ -327,10 +332,16 @@ def _node_sets(n: int, dim: int, weights, orders, per_rep: int, seed: int):
         yield pairs, 0.0, 0.0
 
 
+def _per_replicate(mc_budget: int) -> int:
+    """Sobol nodes per replicate of an expectation over nu: an equal share
+    of mc_budget, at least 256."""
+    return max(mc_budget // _QMC_REPLICATES, 256)
+
+
 def _mixture_sets(nu: GaussianMixtureND, orders, mc_budget: int, seed: int):
-    """Node sets of an expectation over nu, at least 256 per replicate."""
+    """Node sets of an expectation over nu, ``_per_replicate`` each."""
     return _node_sets(nu.dim, nu.dim, nu.weights, orders,
-                      max(mc_budget // _QMC_REPLICATES, 256), seed)
+                      _per_replicate(mc_budget), seed)
 
 
 def _row_sum(a: np.ndarray) -> np.ndarray:
@@ -457,11 +468,12 @@ def _combine(per_set: np.ndarray, n: int, floor=0.0, dropped=0.0):
 # Multiple of eps sum w |f| charged for the rounding of an n <= 3 average:
 # two orders can agree by symmetry, so their gap alone may read 0. Sized on
 # 40 seeded Gaussians (n = 2 and 3, eigenvalues log-uniform in [0.25, 4],
-# the sweep of test_gaussian_information_terms_within_error): beyond their
-# gap, the entropy and Fisher averages missed 40-digit closed forms by at
-# most 2.3 eps sum w |f|, and closed forms summed in double over the
-# eigenvalues sit up to 0.17 of the resulting error from those; 16 covers
-# both.
+# the sweep of test_gaussian_information_terms_within_error, which runs
+# them as two equal halves now that one component takes the closed forms
+# below): beyond their gap, the entropy and Fisher averages missed 40-digit
+# closed forms by at most 2.3 eps sum w |f|, and closed forms summed in
+# double over the eigenvalues sit up to 0.17 of the resulting error from
+# those; 16 covers both.
 _SUM_ROUNDING = 16.0
 _EPS = float(np.finfo(float).eps)
 
@@ -514,13 +526,16 @@ def entropy_fisher_nd(nu: GaussianMixtureND, *, mc_budget: int = 10 ** 6,
     """Ent_gamma and Fisher information of the relative density, with errors.
 
     Returns ((H, H_err), (I, I_err)) for H = E_nu[log(p/phi_n)] and
-    I = int |grad f|^2 / f dgamma = E_nu[|grad log p + x|^2], both from one
-    evaluation per node set. For n <= 3 the value is the pruned
-    Gauss-Hermite rule of order _GH_ORDER, and the error its gap to order
-    _GH_CHECK plus a rounding floor and the dropped-node allowance of
-    ``_information_bounds`` (see ``_expectation``); above, the standard
-    error of the Sobol replicates.
+    I = int |grad f|^2 / f dgamma = E_nu[|grad log p + x|^2]. A Gaussian
+    (one component) takes the closed forms of ``_gaussian_information``.
+    A mixture takes both from one evaluation per node set: for n <= 3 the
+    value is the pruned Gauss-Hermite rule of order _GH_ORDER, and the
+    error its gap to order _GH_CHECK plus a rounding floor and the
+    dropped-node allowance of ``_information_bounds`` (see
+    ``_expectation``); above, the standard error of the Sobol replicates.
     """
+    if _closed_form(nu, mc_budget):
+        return _gaussian_information(nu)[:2]
     value, err = _expectation(nu, _integrands, _mixture_sets(
         nu, (_GH_ORDER, _GH_CHECK), mc_budget, seed), _information_bounds)
     return tuple(zip(value.tolist(), err.tolist()))
@@ -530,6 +545,8 @@ def entropy_rel_gauss_nd(nu: GaussianMixtureND, *, mc_budget: int = 10 ** 6,
                          seed: int = 0):
     """(H, H_err) of ``entropy_fisher_nd`` bit for bit, on the same nodes,
     without the Fisher information's score pass."""
+    if _closed_form(nu, mc_budget):
+        return _gaussian_information(nu)[0]
     (value,), (err,) = _expectation(nu, _entropy_integrand, _mixture_sets(
         nu, (_GH_ORDER, _GH_CHECK), mc_budget, seed), _entropy_bound)
     return float(value), float(err)
@@ -574,25 +591,98 @@ def knothe_w2_bound(nu: GaussianMixtureND, *, mc_budget: int = 10 ** 6,
     least Knothe-Rosenblatt cost of R nu onto gamma_n, which is rotation
     invariant, over R = identity and the principal axes of Cov nu in
     ascending and descending variance order. It is W2^2 on products and on
-    Gaussians. Pruned Gauss-Hermite 64/48 up to n = 2 and 20/14 at n = 3,
-    with the dropped-node allowance of ``_knothe_bound``; the error adds
-    1e-12 value for rounding, above N eps value for the sum of N <= 7,896
+    Gaussians. A Gaussian's cost is the closed form of
+    ``_gaussian_knothe``. A mixture's is pruned Gauss-Hermite 64/48 up to
+    n = 2 and 20/14 at n = 3, with the dropped-node allowance of
+    ``_knothe_bound``, and Sobol replicates above; the error adds 1e-12
+    value for rounding, above N eps value for the sum of N <= 7,896
     nonnegative node terms (the pruned 20^3 rule). A later R must win by
     more than both errors, so a rounding-level tie keeps the earlier label.
     """
-    # rotations keep dimension and weights: one draw serves all three
-    sets = list(_mixture_sets(nu, _outer_orders(nu.dim), mc_budget, seed))
+    if _closed_form(nu, mc_budget):
+        cost = _gaussian_knothe
+    else:
+        # rotations keep dimension and weights: one draw serves all three
+        sets = list(_mixture_sets(nu, _outer_orders(nu.dim), mc_budget, seed))
+
+        def cost(rotated):
+            (value,), (err,) = _expectation(rotated, _knothe_cost, sets,
+                                            _knothe_bound)
+            return float(value), float(err + 1e-12 * value)
+
     axes = np.linalg.eigh(nu.covariance())[1]
     best = None
     for label, q in (("identity", np.eye(nu.dim)),
                      ("principal-ascending", axes.T),
                      ("principal-descending", axes[:, ::-1].T)):
-        (value,), (err,) = _expectation(nu.rotate(q), _knothe_cost, sets,
-                                        _knothe_bound)
-        err = float(err + 1e-12 * value)
+        value, err = cost(nu.rotate(q))
         if best is None or value < best[0] - (err + best[1]):
-            best = (float(value), err, label)
+            best = (value, err, label)
     return best
+
+
+# ---------------------------------------------------------------------------
+# one-component measures: closed forms from the stored factors
+
+# Multiple of n kappa(C) eps sum |terms| charged for the rounding of a
+# Gaussian closed form, kappa(C) = (||L||_2 ||L^-1||_2)^2 the covariance's
+# condition number: the Cholesky factor and its inverse carry relative
+# errors of about n kappa eps (Higham, Accuracy and Stability of Numerical
+# Algorithms, 2nd ed., 2002, ch. 8 and 10). Sized against 40-digit closed
+# forms on 760 seeded Gaussians at n = 2 to 5, eigenvalues log-uniform on
+# ranges from [0.9, 1.1] to [1e-4, 1e4]: no miss of H, I, delta_LS, the cost or the
+# corollary bound passed 0.33 of this term
+# (test_gaussian_closed_forms_cover_mpmath).
+_CLOSED_ROUNDING = 1.0
+
+
+def _closed_form(nu: GaussianMixtureND, mc_budget: int) -> bool:
+    """Whether nu takes the closed forms: one component. The budget is
+    checked first, as the node sets would check it, so the route does not
+    change which budgets are accepted."""
+    if nu.n_components > 1:
+        return False
+    if nu.dim > 3:
+        check_count(_per_replicate(mc_budget))
+    return True
+
+
+def _rounding(nu: GaussianMixtureND, *terms) -> float:
+    """_CLOSED_ROUNDING n kappa(C) eps sum |terms| for a one-component nu."""
+    kappa = (np.linalg.norm(nu._chol[0], 2)
+             * np.linalg.norm(nu._chol_inv[0], 2)) ** 2
+    return float(_CLOSED_ROUNDING * nu.dim * kappa * _EPS
+                 * sum(abs(t) for t in terms))
+
+
+def _gaussian_information(nu: GaussianMixtureND):
+    """((H, err), (I, err), (delta, err)) of N(m, C) = nu against gamma_n:
+    H = (tr C + |m|^2 - n - log det C) / 2, I = |m|^2 + tr C - 2 n +
+    tr C^-1 and delta_LS = I / 2 - H = (tr C^-1 - n + log det C) / 2,
+    taken directly so the |m|^2 and tr C terms never cancel in floating
+    point. tr C^-1 = ||L^-1||_F^2 and log det C = 2 sum log L_ii come from
+    the stored factors; each error is ``_rounding`` of its terms."""
+    n, m = nu.dim, nu.means[0]
+    mm, tr = float(m @ m), float(np.trace(nu.covs[0]))
+    tr_inv = float(np.sum(nu._chol_inv[0] ** 2))
+    log_det = 2.0 * float(np.sum(np.log(np.diagonal(nu._chol[0]))))
+    h = (0.5 * tr, 0.5 * mm, -0.5 * n, -0.5 * log_det)
+    fi = (mm, tr, -2.0 * n, tr_inv)
+    delta = (0.5 * tr_inv, -0.5 * n, 0.5 * log_det)
+    return tuple((sum(t), _rounding(nu, *t)) for t in (h, fi, delta))
+
+
+def _gaussian_knothe(nu: GaussianMixtureND):
+    """(cost, err) of the Knothe-Rosenblatt map of N(m, C) = nu onto
+    gamma_n, x -> L^-1 (x - m): E |x - L^-1 (x - m)|^2 = |m|^2 +
+    ||L - I||_F^2, with err the ``_rounding`` of |m|^2, ||L||_F^2,
+    2 tr L and n, the terms of the expanded square."""
+    m, low = nu.means[0], nu._chol[0]
+    mm = float(m @ m)
+    gap = low - np.eye(nu.dim)
+    return (mm + float(np.sum(gap * gap)),
+            _rounding(nu, mm, float(np.sum(low * low)),
+                      2.0 * float(np.trace(low)), nu.dim))
 
 
 def mixture_from_json(payload) -> GaussianMixtureND:

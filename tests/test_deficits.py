@@ -223,22 +223,31 @@ def test_corollary_error_covers_higher_gauss_hermite_orders():
 
 
 def test_corollary_monte_carlo_gaussian_closed_form():
-    # n = 4 takes the outer Monte Carlo path. Every slice of N(m, C) along
-    # axis i is Gaussian with std s_i = (C^-1)_ii^(-1/2), whatever the
-    # pinned point, so the bound is 1/2 sum_i (|1 - s_i| / max(1, s_i))^2
+    # n = 4 takes the outer Monte Carlo path on two equal halves of N(m, C).
+    # Every slice of N(m, C) along axis i is Gaussian with std s_i =
+    # (C^-1)_ii^(-1/2), whatever the pinned point, so the bound is
+    # 1/2 sum_i (|1 - s_i| / max(1, s_i))^2
     a = np.array([[1.2, 0.3, -0.4, 0.1], [0.0, 0.6, 0.5, -0.2],
                   [0.3, -0.1, 0.4, 0.7], [0.2, 0.8, 0.0, 1.5]])
     cov = a @ a.T + 0.05 * np.eye(4)
-    nu = GaussianMixtureND([1.0], [[0.3, -0.5, 1.0, 0.0]], [cov])
+    mean = [0.3, -0.5, 1.0, 0.0]
     s = np.diag(np.linalg.inv(cov)) ** -0.5
     assert s.min() < 1.0 < s.max()
     d = np.abs(1.0 - s) / np.maximum(1.0, s)
-    rep = verify_corollary(nu, mc_budget=1024)
+    rep = verify_corollary(GaussianMixtureND([0.5, 0.5], [mean, mean],
+                                             [cov, cov]), mc_budget=1024)
     assert rep.method.startswith("outer MC with standard error;")
     assert abs(rep.lower_bound - 0.5 * float(d @ d)) <= rep.error_estimate
     # every draw sees the same slices, so only the inner solve is left
     assert abs(rep.lower_bound - 0.5 * float(d @ d)) <= 1e-10
     assert rep.status == "pass"
+    # the Gaussian itself takes one slice row per axis, and no node set
+    one = verify_corollary(GaussianMixtureND([1.0], [mean], [cov]),
+                           mc_budget=1024)
+    assert one.method.startswith("one Gaussian slice per axis;")
+    assert abs(one.lower_bound - 0.5 * float(d @ d)) <= one.error_estimate
+    assert one.error_estimate < 1e-13 < rep.error_estimate
+    assert one.status == "pass"
 
 
 def test_corollary_monte_carlo_mixture_4d_passes():

@@ -4,6 +4,7 @@ import itertools
 import math
 import pickle
 
+import mpmath
 import numpy as np
 import pytest
 from scipy import stats
@@ -17,7 +18,7 @@ from bfstab import (ConditioningError, DomainError,
 from bfstab import densitynd
 from bfstab.corpus import main_corpus
 from bfstab.density1d import _PROB_CEIL, _PROB_FLOOR
-from bfstab.deficits import lsi_deficit
+from bfstab.deficits import lsi_deficit, verify_corollary
 from bfstab.densitynd import (_integrands, _knothe_cost, _log_ratio_and_score,
                               canonical_directions, conditional_slice_batch,
                               knothe_w2_bound, marginal_parameters)
@@ -46,6 +47,12 @@ def mix3d():
 
 def gaussian_nd(mean, cov):
     return GaussianMixtureND([1.0], [mean], [cov])
+
+
+def gaussian_halves(mean, cov):
+    """N(m, C) as two equal halves: the node-set route, with the closed
+    forms of the one-component N(m, C) as its oracle."""
+    return GaussianMixtureND([0.5, 0.5], [mean, mean], [cov, cov])
 
 
 def gaussian_entropy(mean, cov):
@@ -312,9 +319,11 @@ def test_entropy_fisher_gaussian_closed_form(n):
 
 
 def test_entropy_fisher_qmc_path_dim4():
+    # two equal halves of a Gaussian take the Sobol replicates
     cov = np.diag([4.0, 1.0, 1.0, 1.0])
-    nu = gaussian_nd(np.zeros(4), cov)
+    nu = gaussian_halves(np.zeros(4), cov)
     (ent, ent_err), (fis, fis_err) = entropy_fisher_nd(nu, seed=5)
+    assert ent_err > 0.0 and fis_err > 0.0
     assert abs(ent - gaussian_entropy(np.zeros(4), cov)) < 5 * ent_err + 1e-3
     assert abs(fis - gaussian_fisher(np.zeros(4), cov)) < 5 * fis_err + 1e-2
 
@@ -420,14 +429,16 @@ def test_component_pass_matches_inverse_covariance_oracle(k, n):
 def test_knothe_bound_gaussian_closed_form(n):
     # in its principal axes a Gaussian is a product, where the
     # Knothe-Rosenblatt map is the Brenier map, so a randomly rotated
-    # N(m, C) must come back with |m|^2 + tr C + n - 2 tr C^{1/2}
+    # N(m, C), here as two equal halves on the node sets, must come back
+    # with |m|^2 + tr C + n - 2 tr C^{1/2}
     rng = np.random.default_rng(20 + n)
     q, _ = np.linalg.qr(rng.standard_normal((n, n)))
     eigs = rng.uniform(0.3, 3.0, n)
     mean = rng.uniform(-1.0, 1.0, n)
-    nu = gaussian_nd(mean, q @ np.diag(eigs) @ q.T)
     exact = mean @ mean + eigs.sum() + n - 2.0 * np.sqrt(eigs).sum()
-    value, err, label = knothe_w2_bound(nu, mc_budget=16384, seed=1)
+    value, err, label = knothe_w2_bound(
+        gaussian_halves(mean, q @ np.diag(eigs) @ q.T), mc_budget=16384,
+        seed=1)
     assert label.startswith("principal")
     # up to n = 3 the error is the Gauss-Hermite gap plus rounding; above
     # it is one standard error of 8 Sobol replicates, which a t law with 7
@@ -459,11 +470,12 @@ def test_knothe_label_ignores_rounding_level_cost_changes(monkeypatch, n):
     # on a rotated Gaussian both principal orders give the Brenier map, so
     # their costs tie up to rounding; nudging the three costs by 1e-14
     # relative, in every direction, must keep the earlier label and report
-    # that rotation's own value and error
+    # that rotation's own value and error (on the node sets of two equal
+    # halves; the closed form of one component is checked below)
     rng = np.random.default_rng(40 + n)
     q, _ = np.linalg.qr(rng.standard_normal((n, n)))
-    nu = gaussian_nd(rng.uniform(-1.0, 1.0, n),
-                     q @ np.diag(rng.uniform(0.3, 3.0, n)) @ q.T)
+    nu = gaussian_halves(rng.uniform(-1.0, 1.0, n),
+                         q @ np.diag(rng.uniform(0.3, 3.0, n)) @ q.T)
     original = densitynd._expectation
     runs = []
 
@@ -479,6 +491,30 @@ def test_knothe_label_ignores_rounding_level_cost_changes(monkeypatch, n):
         assert label == "principal-ascending"
         (kept,), (kept_err,) = runs[1]
         assert (value, err) == (float(kept), float(kept_err + 1e-12 * kept))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_knothe_closed_form_label_ignores_changes_within_its_error(
+        monkeypatch, n):
+    # the closed form's error is its rounding term, so the two principal
+    # costs of a rotated Gaussian, equal in exact arithmetic, must keep the
+    # earlier label under nudges of 0.4 of each error in every direction
+    rng = np.random.default_rng(40 + n)
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    nu = gaussian_nd(rng.uniform(-1.0, 1.0, n),
+                     q @ np.diag(rng.uniform(0.3, 3.0, n)) @ q.T)
+    original = densitynd._gaussian_knothe
+    runs = []
+
+    def nudged(rotated):
+        value, err = original(rotated)
+        runs.append((value + signs[len(runs)] * 0.4 * err, err))
+        return runs[-1]
+
+    monkeypatch.setattr(densitynd, "_gaussian_knothe", nudged)
+    for signs in itertools.product((-1.0, 0.0, 1.0), repeat=3):
+        runs.clear()
+        assert knothe_w2_bound(nu) == (*runs[1], "principal-ascending")
 
 
 @pytest.mark.parametrize("case_id", ["main-2d-prod-0", "main-2d-prod-1",
@@ -577,10 +613,11 @@ def test_dropped_node_allowance_is_negligible_on_the_corpus():
 
 def test_gaussian_information_terms_within_error():
     # 40 seeded Gaussians, n = 2 and 3, eigenvalues log-uniform in
-    # [0.25, 4]: H, I, delta_LS and W2^2 each within its own error of the
-    # closed form, with no slack added. The closed forms are summed over
-    # the eigenvalues of the stored covariance without cancellation; H, I
-    # and delta_LS sit within 0.17 of each error from 40-digit references.
+    # [0.25, 4], each as two equal halves on the node sets: H, I, delta_LS
+    # and W2^2 each within its own error of the closed form, with no slack
+    # added. The closed forms are summed over the eigenvalues of the stored
+    # covariance without cancellation; H, I and delta_LS sit within 0.17 of
+    # each error from 40-digit references.
     # The error's rounding floor of 16 eps sum w |f| was sized here: with
     # the former fixed 1e-15 and the full tensor rules, I missed these
     # closed forms by up to 1.7 times its error.
@@ -591,7 +628,7 @@ def test_gaussian_information_terms_within_error():
         eigs = np.exp(rng.uniform(math.log(0.25), math.log(4.0), n))
         cov = (q * eigs) @ q.T
         mean = rng.uniform(-1.0, 1.0, n)
-        nu = gaussian_nd(mean, 0.5 * (cov + cov.T))
+        nu = gaussian_halves(mean, 0.5 * (cov + cov.T))
         lam = np.linalg.eigvalsh(nu.covs[0])
         u, v = lam - 1.0, 1.0 / lam - 1.0
         exact = {"H": 0.5 * (np.sum(u - np.log1p(u)) + mean @ mean),
@@ -604,6 +641,60 @@ def test_gaussian_information_terms_within_error():
                "W2": (w2, w2_err)}
         for name, (value, err) in got.items():
             assert abs(value - exact[name]) <= err, (i, name)
+
+
+def _mpmath_gaussian_terms(nu):
+    """H, I, delta_LS and W2^2 of the one-component nu against gamma_n,
+    and its corollary bound 1/2 sum_i d_i^2, to 40 digits from its stored
+    mean and covariance: Cholesky, inverse and eigenvalues in mpmath."""
+    with mpmath.workdps(40):
+        n = nu.dim
+        c = mpmath.matrix(nu.covs[0].tolist())
+        m2 = mpmath.fsum(mpmath.mpf(x) ** 2 for x in nu.means[0])
+        inv = c ** -1
+        low = mpmath.cholesky(c)
+        tr = mpmath.fsum(c[i, i] for i in range(n))
+        tr_inv = mpmath.fsum(inv[i, i] for i in range(n))
+        log_det = 2 * mpmath.fsum(mpmath.log(low[i, i]) for i in range(n))
+        lam = mpmath.eigsy(c, eigvals_only=True)
+        s = [1 / mpmath.sqrt(inv[i, i]) for i in range(n)]
+        return {
+            "H": (tr + m2 - n - log_det) / 2,
+            "I": m2 + tr - 2 * n + tr_inv,
+            "delta": (tr_inv - n + log_det) / 2,
+            "W2": m2 + mpmath.fsum((mpmath.sqrt(x) - 1) ** 2 for x in lam),
+            "corollary": mpmath.fsum((1 - min(v, 1 / v)) ** 2 for v in s) / 2}
+
+
+def test_gaussian_closed_forms_cover_mpmath():
+    # the wide sweep of H, I, delta_LS and the Knothe-Rosenblatt cost:
+    # 40 Gaussians (n = 2 and 3, eigenvalues log-uniform on [1e-3, 1e3],
+    # condition numbers up to about 1e5, means U(-1, 1)) and 20 more at
+    # n = 4 and 5, each value within its own error of 40-digit closed
+    # forms, with no slack; the corollary bound too. On the n <= 3 node
+    # sets I missed these by up to 283 times its error. The closed forms'
+    # rounding term _CLOSED_ROUNDING n kappa eps sum |terms| was sized
+    # on 760 seeded Gaussians (the first 40 here among them): no miss
+    # passed 0.33 of it.
+    for seed, count, dims in ((11, 40, (2, 3)), (12, 20, (4, 5))):
+        rng = np.random.default_rng(seed)
+        for i in range(count):
+            n = dims[i % 2]
+            q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+            eigs = np.exp(rng.uniform(math.log(1e-3), math.log(1e3), n))
+            cov = (q * eigs) @ q.T
+            nu = gaussian_nd(rng.uniform(-1.0, 1.0, n), 0.5 * (cov + cov.T))
+            exact = _mpmath_gaussian_terms(nu)
+            (h, h_err), (fi, fi_err) = entropy_fisher_nd(nu)
+            w2, w2_err, _ = knothe_w2_bound(nu)
+            rep = verify_corollary(nu)
+            delta, delta_err = lsi_deficit(nu)
+            got = {"H": (h, h_err), "I": (fi, fi_err),
+                   "delta": (delta, delta_err), "W2": (w2, w2_err),
+                   "corollary": (rep.lower_bound,
+                                 rep.error_estimate - delta_err)}
+            for name, (value, err) in got.items():
+                assert abs(value - exact[name]) <= err, (seed, i, name)
 
 
 # ---------------------------------------------------------------------------

@@ -63,6 +63,10 @@ def _mixture_4d():
     return GaussianMixtureND([1.0], [[0.0, 0.0, 0.0, 0.0]], [np.eye(4)])
 
 
+def _halves_4d():
+    return GaussianMixtureND([0.5, 0.5], [np.zeros(4)] * 2, [np.eye(4)] * 2)
+
+
 class _Drawn(Exception):
     pass
 
@@ -76,15 +80,19 @@ def _recording(sizes):
 
 def test_largest_cli_budget_draws_the_whole_engine(monkeypatch):
     # the bounds of --mc-budget and --directions are the values at which
-    # the largest draw is exactly the engine's range
+    # the largest draw is exactly the engine's range: a replicate then has
+    # 2^30 points, of which each of two equal halves draws 2^29, and the
+    # lattice draws 2^30; a Gaussian takes its closed forms and draws none
     sizes = []
     monkeypatch.setattr(densitynd, "sobol", _recording(sizes))
+    lsi_deficit(_mixture_4d(), mc_budget=_MAX_MC_BUDGET, seed=0)
+    assert sizes == []
     with pytest.raises(_Drawn):
-        lsi_deficit(_mixture_4d(), mc_budget=_MAX_MC_BUDGET, seed=0)
+        lsi_deficit(_halves_4d(), mc_budget=_MAX_MC_BUDGET, seed=0)
     monkeypatch.setattr(sphereopt, "sobol", _recording(sizes))
     with pytest.raises(_Drawn):
         sphereopt.dn_distance(_mixture_4d(), directions=_MAX_DIRECTIONS)
-    assert sizes == [MAX_POINTS, MAX_POINTS]
+    assert sizes == [MAX_POINTS // 2, MAX_POINTS]
 
 
 def test_one_past_the_largest_budget_is_a_domain_error():
