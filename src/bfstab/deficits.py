@@ -27,7 +27,8 @@ import numpy as np
 
 from .density1d import (Density1D, GaussianMixture1D, GridDensity1D,
                         WORKING_RADIUS, _breaks, entropy_rel_gauss_full,
-                        fisher_rel_gauss_full, gauss_pdf)
+                        fisher_rel_gauss_full, gauss_information_rows,
+                        gauss_pdf)
 from .densitynd import (_QMC_REPLICATES, GaussianMixtureND, ProductFunction,
                         _average, _closed_form, _combine,
                         _gaussian_information, _node_sets, _outer_orders,
@@ -110,15 +111,25 @@ def _lsi_deficit_1d(nu: Density1D):
     return 0.5 * fi.value - e.value, 0.5 * fi.error + e.error
 
 
+def _lsi_deficit_rows(weights, means, stds):
+    """The sum of 1/2 I - H over 1-D mixture rows (the layout of
+    ``gauss_information_rows``), and of its error, from one kernel call."""
+    h, h_err, fi, fi_err = gauss_information_rows(weights, means, stds)
+    return sum((0.5 * fi - h).tolist()), sum((0.5 * fi_err + h_err).tolist())
+
+
 def lsi_deficit(nu, *, mc_budget: int = 10 ** 6, seed: int = 0):
     """delta_LS = 1/2 I(nu|gamma) - H(nu|gamma) as (value, error).
 
     Both terms are nu-expectations in log space, E_nu[|grad log p + x|^2]
     and E_nu[log p - log phi_n]:
 
-      * Density1D: adaptive 1-D quadrature;
+      * GaussianMixture1D: adaptive 1-D quadrature, both terms in one
+        ``gauss_information_rows`` call;
       * ProductFunction: the sum of its factors' 1-D deficits, since
-        entropy and Fisher information tensorize;
+        entropy and Fisher information tensorize, with every factor's two
+        terms in one ``gauss_information_rows`` call;
+      * any other Density1D: adaptive 1-D quadrature, one call per term;
       * a one-component GaussianMixtureND N(m, C): the closed form
         (tr C^-1 - n + log det C) / 2, with no node set;
       * any other GaussianMixtureND: whitened Gauss-Hermite for n <= 3,
@@ -133,9 +144,10 @@ def _lsi_deficit(nu, mc_budget: int, seed: int):
     closed = (isinstance(nu, GaussianMixtureND)
               and _closed_form(nu, mc_budget))
     if isinstance(nu, ProductFunction):
-        parts = [_lsi_deficit_1d(h) for h in nu.factors]
-        value = sum(v for v, _ in parts)
-        err = sum(e for _, e in parts)
+        value, err = _lsi_deficit_rows(*nu.factor_rows)
+    elif isinstance(nu, GaussianMixture1D):
+        value, err = _lsi_deficit_rows(nu.weights[None], nu.means[None],
+                                       nu.stds[None])
     elif closed:
         value, err = _gaussian_information(nu)[2]
     elif isinstance(nu, GaussianMixtureND):
@@ -238,14 +250,7 @@ def _corollary_axis(nu, axis, sets):
 def _product_slice_distances(nu: ProductFunction):
     """d(h_i, gamma) and its error per factor: every slice of a product
     along axis i is the factor h_i, whatever the pinned point."""
-    k = max(h.weights.size for h in nu.factors)
-    w = np.zeros((nu.dim, k))
-    m = np.zeros((nu.dim, k))
-    s = np.ones((nu.dim, k))
-    for i, h in enumerate(nu.factors):
-        n = h.weights.size
-        w[i, :n], m[i, :n], s[i, :n] = h.weights, h.means, h.stds
-    return gauss_distance_rows(w, m, s, tol=_INNER_TOL)
+    return gauss_distance_rows(*nu.factor_rows, tol=_INNER_TOL)
 
 
 def verify_corollary(nu, mc_budget: int = 10 ** 6, *,

@@ -36,7 +36,7 @@ import numpy as np
 from scipy.special import log_ndtr, ndtr, ndtri, ndtri_exp
 
 from .errors import DomainError, EvaluationError, ParseError, UnderflowError
-from .quadrature import QuadResult, adaptive_quad
+from .quadrature import QuadResult, adaptive_quad, adaptive_quad_rows
 
 __all__ = [
     "SQRT_2PI",
@@ -49,6 +49,7 @@ __all__ = [
     "GridDensity1D",
     "entropy_rel_gauss_full",
     "fisher_rel_gauss_full",
+    "gauss_information_rows",
     "load_grid_csv",
 ]
 
@@ -107,6 +108,13 @@ def _mixture_log(zs, log_w, log_norm):
     e = [np.exp(v - top) for v in logs]
     total = sum(e)
     return top + np.log(total), e, total
+
+
+def _mixture_score(zs, e, total, stds):
+    """The score (log u)' of a mixture from its ``_components`` zs and the
+    ``_mixture_log`` terms e and total: the responsibility-weighted
+    component scores -z_k / s_k."""
+    return -sum(r * z / s for r, z, s in zip(e, zs, stds)) / total
 
 
 def _mixture_masses(zs, weights):
@@ -294,20 +302,16 @@ class GaussianMixture1D(Density1D):
         zs = _components(np.asarray(x, dtype=float), self.means, self.stds)
         return (zs, *_mixture_log(zs, self._log_w, self._log_norm))
 
-    def _score_of(self, zs, e, total):
-        """Responsibility-weighted component scores -z_k / s_k."""
-        return -sum(r * z / s for r, z, s in zip(e, zs, self.stds)) / total
-
     def logpdf(self, x):
         return self._log_pass(x)[1]
 
     def score(self, x):
         zs, _, e, total = self._log_pass(x)
-        return self._score_of(zs, e, total)
+        return _mixture_score(zs, e, total, self.stds)
 
     def _score_pdf(self, x):
         zs, logpdf, e, total = self._log_pass(x)
-        return self._score_of(zs, e, total), np.exp(logpdf)
+        return _mixture_score(zs, e, total, self.stds), np.exp(logpdf)
 
     def _masses_of(self, zs):
         """``_masses`` from the ``_components`` zs."""
@@ -346,7 +350,8 @@ class GaussianMixture1D(Density1D):
         one component pass, with log S' = log u - log phi(S)."""
         zs, logpdf, e, total = self._log_pass(x)
         S = _phi_inverse(*_mixture_masses(zs, self.weights))
-        return S, logpdf - gauss_logpdf(S), self._score_of(zs, e, total)
+        return (S, logpdf - gauss_logpdf(S),
+                _mixture_score(zs, e, total, self.stds))
 
     # the benchmark's tracer (bench/layertrace.py) wraps both by name in
     # the class's own dict
@@ -627,18 +632,29 @@ def _measure_interval(nu: Density1D):
     return min(lo, -WORKING_RADIUS), max(hi, WORKING_RADIUS)
 
 
-def _measure_breaks(nu: Density1D):
-    """Panel breakpoints of ``_measure_interval(nu)``: a mixture's m_k and
-    m_k +- 8 s_k, so no narrow component hides between quadrature nodes,
-    or a grid's nodes, where its score jumps."""
-    lo, hi = _measure_interval(nu)
-    interior = ()
+def _mixture_breaks(means, stds, present, lo, hi):
+    """Panel breakpoints of F mixtures' intervals [lo, hi], (F,) each, as
+    an (F, 9 + 3K) array from the (F, K) means, stds and ``present`` mask:
+    the 9-point split of each interval, then each present component's m_k
+    and m_k +- 8 s_k that fall inside it, so no narrow component hides
+    between quadrature nodes, and NaN in place of the rest."""
+    interior = np.concatenate([means, means - 8.0 * stds, means + 8.0 * stds],
+                              axis=1)
+    inside = (np.tile(np.broadcast_to(present, means.shape), 3)
+              & (interior > lo[:, None]) & (interior < hi[:, None]))
+    return np.concatenate([np.linspace(lo, hi, 9, axis=1),
+                           np.where(inside, interior, np.nan)], axis=1)
+
+
+def _measure_breaks(nu: Density1D, lo: float, hi: float):
+    """Panel breakpoints of nu's interval [lo, hi] (``_measure_interval``):
+    a mixture's ``_mixture_breaks``, or a grid's nodes, where its score
+    jumps."""
     if isinstance(nu, GaussianMixture1D):
-        interior = np.concatenate([nu.means, nu.means - 8.0 * nu.stds,
-                                   nu.means + 8.0 * nu.stds])
-    elif isinstance(nu, GridDensity1D):
-        interior = nu.nodes
-    return _breaks(lo, hi, interior)
+        bp = _mixture_breaks(nu.means[None], nu.stds[None], True,
+                             np.array([lo]), np.array([hi]))[0]
+        return bp[np.isfinite(bp)]
+    return _breaks(lo, hi, nu.nodes if isinstance(nu, GridDensity1D) else ())
 
 
 def _expect(nu: Density1D, fn, tol: float) -> QuadResult:
@@ -656,11 +672,58 @@ def _expect(nu: Density1D, fn, tol: float) -> QuadResult:
         f, pdf = fn(x)
         return f * pdf
 
-    res = adaptive_quad(g, _measure_breaks(nu), tol_abs=tol)
-    edges = np.asarray(_measure_interval(nu))
-    tail = _TAIL_MASS * float(np.sum(np.abs(fn(edges)[0])))
+    lo, hi = _measure_interval(nu)
+    res = adaptive_quad(g, _measure_breaks(nu, lo, hi), tol_abs=tol)
+    tail = _TAIL_MASS * float(np.sum(np.abs(fn(np.array([lo, hi]))[0])))
     return QuadResult(res.value, res.error + tail, res.evaluations,
                       res.panels)
+
+
+def gauss_information_rows(weights, means, stds, *, tol: float = 1e-11):
+    """H(u_b | gamma) and I(u_b | gamma) of many 1-D mixtures u_b at once:
+    (H, H_err, I, I_err), each of shape (B,), in row order.
+
+    Row b of the (B, K) arrays is u_b = sum_k w_bk N(m_bk, s_bk^2); a zero
+    weight marks an absent component, whose mean and std must still be
+    finite (the rows of ``transport1d.gauss_distance_rows``). Each row gets
+    the interval, breakpoints, budget and tail bound that
+    ``entropy_rel_gauss_full`` and ``fisher_rel_gauss_full`` give the
+    GaussianMixture1D of its present components, and keeps their bits:
+    the 2B integrals are the rows of one ``adaptive_quad_rows`` call, which
+    settles each row alone, and each round runs one component pass over
+    all of its points, to which an absent component adds exact zeros.
+    """
+    w = np.atleast_2d(np.asarray(weights, dtype=float))
+    m = np.atleast_2d(np.asarray(means, dtype=float))
+    s = np.atleast_2d(np.asarray(stds, dtype=float))
+    present = w > 0.0
+    lo, hi = _mixture_span(m, s, present, _TAIL_MASS)
+    lo, hi = np.minimum(lo, -WORKING_RADIUS), np.maximum(hi, WORKING_RADIUS)
+    with np.errstate(divide="ignore"):
+        log_w = np.log(w)
+    params = (m, s, log_w, np.log(s * SQRT_2PI))
+    n = w.shape[0]
+
+    def terms(x, rows):
+        """(log u - log phi, (score + x)^2, u) at the points x, one row of
+        x per mixture in ``rows``."""
+        m, s, log_w, log_norm = (p[rows].T[:, :, None] for p in params)
+        zs = _components(x, m, s)
+        logpdf, e, total = _mixture_log(zs, log_w, log_norm)
+        r = _mixture_score(zs, e, total, s) + x
+        return logpdf - gauss_logpdf(x), r * r, np.exp(logpdf)
+
+    def g(x, row):
+        # rows n and up are the Fisher integrals of mixtures row - n
+        fisher = row >= n
+        h, fi, pdf = terms(x, row - n * fisher)
+        return np.where(fisher[:, None], fi, h) * pdf
+
+    bp = _mixture_breaks(m, s, present, lo, hi)
+    res = adaptive_quad_rows(g, np.concatenate([bp, bp]), tol_abs=tol)
+    h, fi, _ = terms(np.stack([lo, hi], axis=1), slice(None))
+    return (res.value[:n], res.error[:n] + _TAIL_MASS * np.abs(h).sum(axis=1),
+            res.value[n:], res.error[n:] + _TAIL_MASS * np.abs(fi).sum(axis=1))
 
 
 def entropy_rel_gauss_full(nu: Density1D, *, tol: float = 1e-11) -> QuadResult:

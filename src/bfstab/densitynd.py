@@ -256,7 +256,13 @@ def conditional_slice_batch(nu: GaussianMixtureND, axis: int,
 
 
 class ProductFunction:
-    """Tensor product of 1-D mixtures, viewable as a diagonal ND mixture."""
+    """Tensor product of 1-D mixtures, viewable as a diagonal ND mixture.
+
+    ``factor_rows`` holds the factors as the (weights, means, stds) rows
+    the batched 1-D kernels take: read-only (F, K) arrays, K the largest
+    component count, built once at construction, with zero weights (mean
+    0, std 1) padding the shorter factors.
+    """
 
     def __init__(self, factors):
         if not factors:
@@ -265,6 +271,14 @@ class ProductFunction:
             if not isinstance(f, GaussianMixture1D):
                 raise DomainError("product factors must be 1-D Gaussian mixtures")
         self.factors = list(factors)
+        shape = (self.dim, max(f.weights.size for f in self.factors))
+        w, m, s = np.zeros(shape), np.zeros(shape), np.ones(shape)
+        for i, f in enumerate(self.factors):
+            n = f.weights.size
+            w[i, :n], m[i, :n], s[i, :n] = f.weights, f.means, f.stds
+        for arr in (w, m, s):
+            arr.setflags(write=False)
+        self.factor_rows = (w, m, s)
 
     @property
     def dim(self) -> int:

@@ -11,9 +11,13 @@ runs many integrals in the same loop: every panel carries a row id, each
 row settles against its own budget (the per-integral bookkeeping of
 QUADPACK, Piessens et al. 1983), and one integrand call per round covers
 the panels of all rows.
-``adaptive_quad`` is its one-row case. Integrands with expensive inner
-solves (transport-map quantile inversions, slice distances) thus see a
-handful of large batched calls instead of thousands of scalar ones.
+``adaptive_quad`` is its one-row case. Two kernels batch their rows
+through it: ``transport1d.gauss_distance_rows`` (the distances of slices
+and of sphere-search directions to gamma) and
+``density1d.gauss_information_rows`` (the entropy and Fisher integrals of
+a 1-D mixture, or of every factor of a product, in one call). Integrands
+with expensive inner solves thus see a handful of large batched calls
+instead of thousands of scalar ones.
 """
 
 from __future__ import annotations

@@ -50,9 +50,9 @@ import numpy as np
 
 from .density1d import (SQRT_2PI, Density1D, GaussianMixture1D, GridDensity1D,
                         StandardGaussian, _components, _expect,
-                        _measure_breaks, _mixture_log, _mixture_masses,
-                        _mixture_span, _phi_inverse, entropy_rel_gauss_full,
-                        gauss_logpdf)
+                        _measure_breaks, _measure_interval, _mixture_log,
+                        _mixture_masses, _mixture_span, _phi_inverse,
+                        entropy_rel_gauss_full, gauss_logpdf)
 from .errors import EvaluationError, InvariantViolation, NumericalWarning
 from .quadrature import adaptive_quad, adaptive_quad_rows
 
@@ -622,5 +622,6 @@ def bregman_integral_full(u: Density1D, *, tol: float = 1e-11):
         pdf = np.exp(log_u)
         return np.exp(log_phi) - pdf + pdf * (log_u - log_phi)
 
-    res = adaptive_quad(g, _measure_breaks(u), tol_abs=tol, tol_rel=1e-12)
+    res = adaptive_quad(g, _measure_breaks(u, *_measure_interval(u)),
+                        tol_abs=tol, tol_rel=1e-12)
     return max(res.value, 0.0), res.error  # the integrand is >= 0

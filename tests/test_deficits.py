@@ -15,7 +15,7 @@ from bfstab import (CapabilityError, DeficitReport, DomainError,
                     ProductFunction, lambda_limit_diagnostics, lsi_deficit,
                     pl_deficit_check, sup_convolution, verify_corollary,
                     verify_talagrand, verify_thm_main)
-from bfstab import deficits, densitynd
+from bfstab import deficits, density1d, densitynd, quadrature
 from bfstab.corpus import _PL_GS, _SIN_BUMP, _sin_bump, main_corpus
 from bfstab.deficits import _corollary_axis
 
@@ -105,6 +105,36 @@ def test_lsi_deficit_nd_gaussian():
     nu = GaussianMixtureND([1.0], [[0.0, 0.0]], [4.0 * np.eye(2)])
     val, err = lsi_deficit(nu)
     assert abs(val - 2 * LSI_SIGMA2) < 1e-9 + err
+
+
+def test_product_deficit_is_one_quadrature_call_with_per_factor_bits(
+        monkeypatch):
+    # factors of K = 1, 2 and 4, one with a std of 1e-3: the deficit and its
+    # error keep the bits of the sum of the factors' one-term-per-call
+    # deficits, from one adaptive_quad_rows call for all 2F integrals
+    factors = [GaussianMixture1D([1.0], [0.3], [1e-3]),
+               GaussianMixture1D([0.4, 0.6], [-1.0, 2.0], [0.5, 1.5]),
+               GaussianMixture1D([0.1, 0.2, 0.3, 0.4], [-3.0, -1.0, 0.5, 4.0],
+                                 [0.2, 1.0, 2.0, 0.7])]
+    calls = []
+    original = quadrature.adaptive_quad_rows
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(quadrature, "adaptive_quad_rows", counted)
+    monkeypatch.setattr(density1d, "adaptive_quad_rows", counted)
+    for order in (factors, factors[::-1]):
+        parts = [deficits._lsi_deficit_1d(h) for h in order]
+        calls.clear()
+        assert lsi_deficit(ProductFunction(order)) == (
+            sum(v for v, _ in parts), sum(e for _, e in parts))
+        assert len(calls) == 1
+    for h in factors:
+        part = deficits._lsi_deficit_1d(h)
+        calls.clear()
+        assert lsi_deficit(h) == part and len(calls) == 1
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])

@@ -11,9 +11,9 @@ from scipy.special import ndtri
 
 from bfstab import density1d
 from bfstab import (ConditioningError, DomainError, GaussianMixture1D,
-                    GridDensity1D, ParseError, StandardGaussian,
-                    entropy_rel_gauss_full, fisher_rel_gauss_full,
-                    load_grid_csv)
+                    GridDensity1D, ParseError, ProductFunction,
+                    StandardGaussian, entropy_rel_gauss_full,
+                    fisher_rel_gauss_full, load_grid_csv)
 from bfstab.corpus import _SIN_BUMP
 from bfstab.deficits import _pl_exponents, _pl_u_density
 
@@ -292,6 +292,51 @@ def test_grid_expectation_locates_each_point_once(monkeypatch, functional):
     monkeypatch.setattr(np, "searchsorted", counted)
     functional(nu)
     assert evals and calls == evals
+
+
+def test_information_rows_keep_the_bits_of_the_one_mixture_functionals():
+    # K = 1-6, stds log-uniform on [1e-3, 1e3], means U(-30, 30): each row's
+    # (H, H_err, I, I_err) is that of entropy_rel_gauss_full and
+    # fisher_rel_gauss_full on its own mixture, alone, batched with the
+    # others (padded to K = 6) and in shuffled order
+    rng = np.random.default_rng(20261020)
+    mixes = []
+    for k in [1, 2, 3, 4, 5, 6] * 4:
+        w = rng.uniform(0.05, 1.0, k)
+        mixes.append(GaussianMixture1D(
+            w / w.sum(), rng.uniform(-30.0, 30.0, k),
+            np.exp(rng.uniform(math.log(1e-3), math.log(1e3), k))))
+    ref = np.array([[r for f in (entropy_rel_gauss_full, fisher_rel_gauss_full)
+                     for r in (f(mix).value, f(mix).error)] for mix in mixes])
+    for mix, row in zip(mixes, ref):
+        got = density1d.gauss_information_rows(
+            mix.weights[None], mix.means[None], mix.stds[None])
+        assert np.array_equal(np.concatenate(got), row)
+    assert np.array_equal(np.stack(density1d.gauss_information_rows(
+        *ProductFunction(mixes).factor_rows), axis=1), ref)
+    order = rng.permutation(len(mixes))
+    got = density1d.gauss_information_rows(
+        *ProductFunction([mixes[i] for i in order]).factor_rows)
+    assert np.array_equal(np.stack(got, axis=1), ref[order])
+
+
+@pytest.mark.parametrize("functional", [entropy_rel_gauss_full,
+                                        fisher_rel_gauss_full])
+@pytest.mark.parametrize("nu", [mixtures()[2], _pl_u_density(
+    _pl_exponents(_SIN_BUMP, 0.5)[0])])
+def test_expectation_takes_its_interval_once(monkeypatch, functional, nu):
+    # the breakpoints and the tail edges read one interval; a grid's costs
+    # two quantile inversions
+    calls = []
+    original = density1d._measure_interval
+
+    def counted(nu):
+        calls.append(nu)
+        return original(nu)
+
+    monkeypatch.setattr(density1d, "_measure_interval", counted)
+    functional(nu)
+    assert calls == [nu]
 
 
 @pytest.mark.parametrize("density", [GAUSS, *mixtures(),

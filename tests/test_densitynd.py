@@ -247,6 +247,16 @@ def test_product_as_mixture_pdf_factorizes():
     assert np.allclose(nu.logpdf(pts), ref, atol=1e-12)
 
 
+def test_product_factor_rows_pad_the_shorter_factors():
+    h1 = GaussianMixture1D([0.3, 0.7], [-1.0, 1.0], [0.8, 1.1])
+    h2 = GaussianMixture1D([1.0], [0.5], [2.0])
+    w, m, s = ProductFunction([h1, h2]).factor_rows
+    assert np.array_equal(w, [[0.3, 0.7], [1.0, 0.0]])
+    assert np.array_equal(m, [[-1.0, 1.0], [0.5, 0.0]])
+    assert np.array_equal(s, [[0.8, 1.1], [2.0, 1.0]])
+    assert not any(arr.flags.writeable for arr in (w, m, s))
+
+
 # ---------------------------------------------------------------------------
 # conditional slices
 
