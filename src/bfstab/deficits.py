@@ -198,7 +198,12 @@ def verify_thm_main(nu, *, directions: Optional[int] = None,
     """
     deficit, d_err, closed = _lsi_deficit(nu, mc_budget, seed)
     res, lower, dn_err = _dn_bound(nu, directions)
-    terms = "closed-form Gaussian" if closed else "whitened-GH/QMC"
+    if isinstance(nu, ProductFunction):
+        terms = "per-factor 1-D quadrature"
+    elif isinstance(nu, Density1D):
+        terms = "1-D quadrature"
+    else:
+        terms = "closed-form Gaussian" if closed else "whitened-GH/QMC"
     method = f"entropy+fisher {terms}; {_dn_method(res)}"
     return DeficitReport.build(case_id=case_id, theorem="main",
                                deficit=deficit, lower_bound=lower,

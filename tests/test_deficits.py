@@ -194,6 +194,17 @@ def test_main_theorem_mixture_2d():
     assert "dn=" in rep.method
 
 
+@pytest.mark.parametrize("nu, terms", [
+    (scaled(2.0), "1-D quadrature"),
+    (ProductFunction([scaled(2.0), scaled(0.5, 1.0)]),
+     "per-factor 1-D quadrature"),
+    (GaussianMixtureND([1.0], [[0.0, 0.0]], [4.0 * np.eye(2)]),
+     "closed-form Gaussian"),
+    (mix2d(), "whitened-GH/QMC")])
+def test_main_theorem_method_names_the_information_route(nu, terms):
+    assert verify_thm_main(nu).method.startswith(f"entropy+fisher {terms}; ")
+
+
 def test_main_theorem_mixture_4d():
     nu = GaussianMixtureND(
         [0.3, 0.7], [[0.0, 1.0, -0.5, 0.2], [0.4, -0.3, 0.0, 1.1]],
