@@ -97,6 +97,12 @@ def _components(x, means, stds):
     return [(x - m) / s for m, s in zip(means, stds)]
 
 
+def _columns(params, rows):
+    """The (B, K) row parameters of ``rows`` as the (K, P, 1) columns
+    that the component pass reads (see ``_components``)."""
+    return [p[rows].T[:, :, None] for p in params]
+
+
 def _mixture_log(zs, log_w, log_norm):
     """(log u, e, total) of a mixture from its ``_components`` zs, with
     log_norm_k = log(s_k sqrt(2 pi)): log u is the log-sum-exp of
@@ -707,7 +713,7 @@ def gauss_information_rows(weights, means, stds, *, tol: float = 1e-11):
     def terms(x, rows):
         """(log u - log phi, (score + x)^2, u) at the points x, one row of
         x per mixture in ``rows``."""
-        m, s, log_w, log_norm = (p[rows].T[:, :, None] for p in params)
+        m, s, log_w, log_norm = _columns(params, rows)
         zs = _components(x, m, s)
         logpdf, e, total = _mixture_log(zs, log_w, log_norm)
         r = _mixture_score(zs, e, total, s) + x

@@ -49,7 +49,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .density1d import (SQRT_2PI, Density1D, GaussianMixture1D, GridDensity1D,
-                        StandardGaussian, _components, _expect,
+                        StandardGaussian, _columns, _components, _expect,
                         _measure_breaks, _measure_interval, _mixture_log,
                         _mixture_masses, _mixture_span, _phi_inverse,
                         entropy_rel_gauss_full, gauss_logpdf)
@@ -373,12 +373,6 @@ def _distance_integrand(x, weights, means, stds, log_w, log_norm, grad):
         d_means.append(du * pz / s - dF * p)
         d_stds.append(du * (pz * z - p) / s - dF * pz)
     return value, np.array(d_means + d_stds)
-
-
-def _columns(params, rows):
-    """The (B, K) row parameters of ``rows`` as the (K, P, 1) columns
-    ``_rows_deriv_pdf`` reads."""
-    return [p[rows].T[:, :, None] for p in params]
 
 
 class _RowMixtures:
