@@ -644,11 +644,11 @@ def _mixture_breaks(means, stds, present, lo, hi):
     the 9-point split of each interval, then each present component's m_k
     and m_k +- 8 s_k that fall inside it, so no narrow component hides
     between quadrature nodes, and NaN in place of the rest."""
+    means = np.where(present, means, np.nan)
     interior = np.concatenate([means, means - 8.0 * stds, means + 8.0 * stds],
                               axis=1)
-    inside = (np.tile(np.broadcast_to(present, means.shape), 3)
-              & (interior > lo[:, None]) & (interior < hi[:, None]))
-    return np.concatenate([np.linspace(lo, hi, 9, axis=1),
+    inside = (interior > lo[:, None]) & (interior < hi[:, None])
+    return np.concatenate([np.linspace(lo, hi, 9).T,
                            np.where(inside, interior, np.nan)], axis=1)
 
 
