@@ -306,8 +306,9 @@ def test_information_rows_keep_the_bits_of_the_one_mixture_functionals():
         mixes.append(GaussianMixture1D(
             w / w.sum(), rng.uniform(-30.0, 30.0, k),
             np.exp(rng.uniform(math.log(1e-3), math.log(1e3), k))))
-    ref = np.array([[r for f in (entropy_rel_gauss_full, fisher_rel_gauss_full)
-                     for r in (f(mix).value, f(mix).error)] for mix in mixes])
+    ref = np.array([[x for f in (entropy_rel_gauss_full, fisher_rel_gauss_full)
+                     for res in [f(mix)] for x in (res.value, res.error)]
+                    for mix in mixes])
     for mix, row in zip(mixes, ref):
         got = density1d.gauss_information_rows(
             mix.weights[None], mix.means[None], mix.stds[None])
