@@ -619,10 +619,16 @@ class GridDensity1D(Density1D):
 
 
 def _breaks(lo, hi, interior=()):
-    pts = [lo, hi]
-    pts.extend(float(t) for t in interior if lo < t < hi)
-    pts.extend(np.linspace(lo, hi, 9)[1:-1])
-    return sorted(set(pts))
+    """Panel breakpoints of [lo, hi]: its 9-point split, then the interior
+    points inside it, NaN in place of the rest. lo and hi are floats, or
+    (B,) arrays with a (B, M) interior, one row of breakpoints each (the
+    NaN-padded rows of ``adaptive_quad_rows``, which sorts them and drops
+    repeats)."""
+    lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+    interior = np.asarray(interior, dtype=float)
+    inside = (interior > lo[..., None]) & (interior < hi[..., None])
+    return np.concatenate([np.linspace(lo, hi, 9).T,
+                           np.where(inside, interior, np.nan)], axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -631,6 +637,10 @@ def _breaks(lo, hi, interior=()):
 
 # nu-mass left outside the integration interval of the expectations below
 _TAIL_MASS = 1e-15
+# absolute tolerance of the entropy and Fisher integrals: the default of
+# entropy_rel_gauss_full and fisher_rel_gauss_full, and the one of every
+# gauss_information_rows row, so each row keeps their bits
+_INFO_TOL = 1e-11
 
 
 def _measure_interval(nu: Density1D):
@@ -638,29 +648,26 @@ def _measure_interval(nu: Density1D):
     return min(lo, -WORKING_RADIUS), max(hi, WORKING_RADIUS)
 
 
-def _mixture_breaks(means, stds, present, lo, hi):
-    """Panel breakpoints of F mixtures' intervals [lo, hi], (F,) each, as
-    an (F, 9 + 3K) array from the (F, K) means, stds and ``present`` mask:
-    the 9-point split of each interval, then each present component's m_k
-    and m_k +- 8 s_k that fall inside it, so no narrow component hides
-    between quadrature nodes, and NaN in place of the rest."""
-    means = np.where(present, means, np.nan)
-    interior = np.concatenate([means, means - 8.0 * stds, means + 8.0 * stds],
-                              axis=1)
-    inside = (interior > lo[:, None]) & (interior < hi[:, None])
-    return np.concatenate([np.linspace(lo, hi, 9).T,
-                           np.where(inside, interior, np.nan)], axis=1)
+def _mixture_interior(means, stds):
+    """Each component's m_k and m_k +- 8 s_k, over the last axis: the
+    interior breakpoints of a mixture's expectations, so no narrow
+    component hides between quadrature nodes."""
+    return np.concatenate([means, means - 8.0 * stds, means + 8.0 * stds],
+                          axis=-1)
 
 
 def _measure_breaks(nu: Density1D, lo: float, hi: float):
     """Panel breakpoints of nu's interval [lo, hi] (``_measure_interval``):
-    a mixture's ``_mixture_breaks``, or a grid's nodes, where its score
-    jumps."""
+    ``_breaks`` with a mixture's ``_mixture_interior``, or a grid's nodes,
+    where its score jumps."""
     if isinstance(nu, GaussianMixture1D):
-        bp = _mixture_breaks(nu.means[None], nu.stds[None], True,
-                             np.array([lo]), np.array([hi]))[0]
-        return bp[np.isfinite(bp)]
-    return _breaks(lo, hi, nu.nodes if isinstance(nu, GridDensity1D) else ())
+        interior = _mixture_interior(nu.means, nu.stds)
+    elif isinstance(nu, GridDensity1D):
+        interior = nu.nodes
+    else:
+        interior = ()
+    bp = _breaks(lo, hi, interior)
+    return bp[np.isfinite(bp)]
 
 
 def _expect(nu: Density1D, fn, tol: float) -> QuadResult:
@@ -685,19 +692,21 @@ def _expect(nu: Density1D, fn, tol: float) -> QuadResult:
                       res.panels)
 
 
-def gauss_information_rows(weights, means, stds, *, tol: float = 1e-11):
+def gauss_information_rows(weights, means, stds):
     """H(u_b | gamma) and I(u_b | gamma) of many 1-D mixtures u_b at once:
     (H, H_err, I, I_err), each of shape (B,), in row order.
 
     Row b of the (B, K) arrays is u_b = sum_k w_bk N(m_bk, s_bk^2); a zero
     weight marks an absent component, whose mean and std must still be
     finite (the rows of ``transport1d.gauss_distance_rows``). Each row gets
-    the interval, breakpoints, budget and tail bound that
+    the interval, breakpoints, budget (``_INFO_TOL``) and tail bound that
     ``entropy_rel_gauss_full`` and ``fisher_rel_gauss_full`` give the
     GaussianMixture1D of its present components, and keeps their bits:
     the 2B integrals are the rows of one ``adaptive_quad_rows`` call, which
     settles each row alone, and each round runs one component pass over
     all of its points, to which an absent component adds exact zeros.
+    An integral that does not converge raises EvaluationError naming its
+    term and, when there are several rows, its row as the factor.
     """
     w = np.atleast_2d(np.asarray(weights, dtype=float))
     m = np.atleast_2d(np.asarray(means, dtype=float))
@@ -725,14 +734,27 @@ def gauss_information_rows(weights, means, stds, *, tol: float = 1e-11):
         h, fi, pdf = terms(x, row - n * fisher)
         return np.where(fisher[:, None], fi, h) * pdf
 
-    bp = _mixture_breaks(m, s, present, lo, hi)
-    res = adaptive_quad_rows(g, np.concatenate([bp, bp]), tol_abs=tol)
+    bp = _breaks(lo, hi, _mixture_interior(np.where(present, m, np.nan), s))
+    try:
+        res = adaptive_quad_rows(g, np.concatenate([bp, bp]),
+                                 tol_abs=_INFO_TOL)
+    except EvaluationError as exc:
+        if exc.row is None:
+            raise
+        # name the term and the factor in place of the 2B-row index
+        term = "Fisher information" if exc.row >= n else "entropy"
+        if n > 1:
+            term += f" of factor {exc.row % n}"
+        raise EvaluationError(
+            str(exc).replace(f"row {exc.row}", f"the {term}"),
+            value=exc.value, error=exc.error) from None
     h, fi, _ = terms(np.stack([lo, hi], axis=1), slice(None))
     return (res.value[:n], res.error[:n] + _TAIL_MASS * np.abs(h).sum(axis=1),
             res.value[n:], res.error[n:] + _TAIL_MASS * np.abs(fi).sum(axis=1))
 
 
-def entropy_rel_gauss_full(nu: Density1D, *, tol: float = 1e-11) -> QuadResult:
+def entropy_rel_gauss_full(nu: Density1D, *,
+                           tol: float = _INFO_TOL) -> QuadResult:
     """H(nu | gamma) = E_nu[log p - log phi] with an error estimate.
 
     The error includes the bound on the tails beyond the interval.
@@ -745,7 +767,8 @@ def entropy_rel_gauss_full(nu: Density1D, *, tol: float = 1e-11) -> QuadResult:
     return _expect(nu, fn, tol)
 
 
-def fisher_rel_gauss_full(nu: Density1D, *, tol: float = 1e-11) -> QuadResult:
+def fisher_rel_gauss_full(nu: Density1D, *,
+                          tol: float = _INFO_TOL) -> QuadResult:
     """I(nu | gamma) = E_nu[(score + x)^2] with an error estimate.
 
     The error includes the bound on the tails beyond the interval.

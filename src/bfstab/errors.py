@@ -36,13 +36,16 @@ class UnderflowError(BfstabError, ArithmeticError):
 class EvaluationError(BfstabError, RuntimeError):
     """Numerical routine failed to reach its target accuracy.
 
-    Carries the partial result when one exists (``value``/``error`` attributes).
+    Carries the partial result when one exists (``value``/``error``
+    attributes), and ``row``, the row of a batched quadrature that failed,
+    or None.
     """
 
-    def __init__(self, message, value=None, error=None):
+    def __init__(self, message, value=None, error=None, row=None):
         super().__init__(message)
         self.value = value
         self.error = error
+        self.row = row
 
 
 class CapabilityError(BfstabError, NotImplementedError):

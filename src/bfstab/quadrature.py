@@ -134,8 +134,8 @@ def adaptive_quad_rows(f, row_breakpoints, *, tol_abs: float = 1e-11,
     is (see ``adaptive_quad``), so B rows in one call give the same results
     as B calls. Returns a QuadResult whose fields are (B,) arrays, with the
     extra columns' (C, B) integrals in ``extra``. Raises EvaluationError if
-    a row ends above ten times its budget or the integrand returns a
-    non-finite value.
+    a row ends above ten times its budget (naming the row, which the
+    error's ``row`` holds) or the integrand returns a non-finite value.
     """
     bp = np.sort(np.atleast_2d(np.asarray(row_breakpoints, dtype=float)), axis=1)
     n_rows = bp.shape[0]
@@ -190,7 +190,7 @@ def adaptive_quad_rows(f, row_breakpoints, *, tol_abs: float = 1e-11,
                 raise EvaluationError(
                     f"adaptive_quad did not converge{where}: error estimate "
                     f"{e[r]:.3e} with {n_panels[r]} panels",
-                    value=v[r], error=e[r])
+                    value=v[r], error=e[r], row=int(r))
         done[:, rows] = total[:, rows]
         count[rows] = 0
         return rows[row]

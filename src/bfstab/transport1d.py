@@ -49,10 +49,10 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .density1d import (SQRT_2PI, Density1D, GaussianMixture1D, GridDensity1D,
-                        StandardGaussian, _columns, _components, _expect,
-                        _measure_breaks, _measure_interval, _mixture_log,
-                        _mixture_masses, _mixture_span, _phi_inverse,
-                        entropy_rel_gauss_full, gauss_logpdf)
+                        StandardGaussian, _breaks, _columns, _components,
+                        _expect, _measure_breaks, _measure_interval,
+                        _mixture_log, _mixture_masses, _mixture_span,
+                        _phi_inverse, entropy_rel_gauss_full, gauss_logpdf)
 from .errors import EvaluationError, InvariantViolation, NumericalWarning
 from .quadrature import adaptive_quad, adaptive_quad_rows
 
@@ -227,8 +227,8 @@ def _distance_breaks(lo, hi, interior, deriv):
     are located and become breakpoints too. So every kink of |1 - T'| sits
     on a panel edge, where the nested Gauss-Kronrod pair estimates the
     error honestly. The interior points inside (lo, hi) and the even
-    8-panel split of [lo, hi] are breakpoints too. Returns a (B, M)
-    NaN-padded array for ``adaptive_quad_rows``.
+    8-panel split of [lo, hi] are breakpoints too (``_breaks``). Returns a
+    (B, M) NaN-padded array for ``adaptive_quad_rows``.
     """
     xs = _scan_points(lo, hi)
     # T' overflows to inf where the target's density underflows; the scan
@@ -270,10 +270,7 @@ def _distance_breaks(lo, hi, interior, deriv):
                       np.where(real, fa, -1.0), np.where(real, fb, 1.0), deriv)
         interior = np.concatenate([interior, np.where(real, kink, np.nan)],
                                   axis=1)
-    inside = (interior > lo[:, None]) & (interior < hi[:, None])
-    # every 32nd pre-scan point: np.linspace(lo, hi, 9), the same values
-    split = xs[:, ::(_SCAN_POINTS - 1) // 8]
-    return np.concatenate([split, np.where(inside, interior, np.nan)], axis=1)
+    return _breaks(lo, hi, interior)
 
 
 def _directed_distance(mu: Density1D, nu: Density1D, tol: float):

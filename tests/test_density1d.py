@@ -9,8 +9,9 @@ from hypothesis import given, strategies as st
 from scipy import integrate, stats
 from scipy.special import ndtri
 
-from bfstab import density1d
-from bfstab import (ConditioningError, DomainError, GaussianMixture1D,
+from bfstab import density1d, quadrature
+from bfstab import (ConditioningError, DomainError, EvaluationError,
+                    GaussianMixture1D,
                     GridDensity1D, ParseError, ProductFunction,
                     StandardGaussian, entropy_rel_gauss_full,
                     fisher_rel_gauss_full, load_grid_csv)
@@ -319,6 +320,33 @@ def test_information_rows_keep_the_bits_of_the_one_mixture_functionals():
     got = density1d.gauss_information_rows(
         *ProductFunction([mixes[i] for i in order]).factor_rows)
     assert np.array_equal(np.stack(got, axis=1), ref[order])
+
+
+@pytest.mark.parametrize("factors, target, message", [
+    (3, 4, "did not converge in the Fisher information of factor 1: "),
+    (3, 2, "did not converge in the entropy of factor 2: "),
+    (1, 1, "did not converge in the Fisher information: ")])
+def test_information_rows_name_the_term_and_factor_that_fail(
+        monkeypatch, factors, target, message):
+    # a jump at an irrational point, added to one of the 2F integrands, keeps
+    # that row from settling within 24 panels: the error names its term and
+    # factor, not the row index of the kernel's 2F integrals, and carries
+    # the partial result
+    real = density1d.adaptive_quad_rows
+
+    def rough(f, bp, **kwargs):
+        def g(x, row):
+            jump = (row[:, None] == target) & (x > math.sqrt(2.0))
+            return f(x, row) + jump
+        return real(g, bp, **kwargs)
+
+    monkeypatch.setattr(density1d, "adaptive_quad_rows", rough)
+    monkeypatch.setattr(quadrature, "_MAX_PANELS", 24)
+    rows = ProductFunction(mixtures()[4 - factors:]).factor_rows
+    with pytest.raises(EvaluationError) as info:
+        density1d.gauss_information_rows(*rows)
+    assert message in str(info.value) and "row" not in str(info.value)
+    assert info.value.error > 0.0 and info.value.value is not None
 
 
 @pytest.mark.parametrize("functional", [entropy_rel_gauss_full,
