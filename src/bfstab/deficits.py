@@ -139,17 +139,19 @@ def lsi_deficit(nu, *, mc_budget: int = 10 ** 6, seed: int = 0):
 
 
 def _lsi_deficit(nu, mc_budget: int, seed: int):
-    """(value, error, closed) of ``lsi_deficit``, closed telling whether
-    nu took the one-component closed form, so a caller routes once."""
-    closed = (isinstance(nu, GaussianMixtureND)
-              and _closed_form(nu, mc_budget))
+    """(value, error, unit) of ``lsi_deficit``: unit is the rounding unit
+    ``densitynd._rounding`` of a nu that took the one-component closed
+    form, and None for any other, so a caller routes once and takes
+    kappa(C) once."""
+    unit = (_rounding(nu) if isinstance(nu, GaussianMixtureND)
+            and _closed_form(nu, mc_budget) else None)
     if isinstance(nu, ProductFunction):
         value, err = _lsi_deficit_rows(*nu.factor_rows)
     elif isinstance(nu, GaussianMixture1D):
         value, err = _lsi_deficit_rows(nu.weights[None], nu.means[None],
                                        nu.stds[None])
-    elif closed:
-        value, err = _gaussian_information(nu)[2]
+    elif unit is not None:
+        value, err = _gaussian_information(nu, unit)[2]
     elif isinstance(nu, GaussianMixtureND):
         (e, e_err), (fi, fi_err) = entropy_fisher_nd(
             nu, mc_budget=mc_budget, seed=seed)
@@ -163,7 +165,7 @@ def _lsi_deficit(nu, mc_budget: int, seed: int):
     if value < -(1e-7 + err):
         raise InvariantViolation(
             f"log-Sobolev deficit {value:.3e} below the numerical guard")
-    return float(value), float(err), closed
+    return float(value), float(err), unit
 
 
 # ---------------------------------------------------------------------------
@@ -196,14 +198,15 @@ def verify_thm_main(nu, *, directions: Optional[int] = None,
     under-estimates the supremum, so the check is conservative: a sharper
     search can only shrink the margin.
     """
-    deficit, d_err, closed = _lsi_deficit(nu, mc_budget, seed)
+    deficit, d_err, unit = _lsi_deficit(nu, mc_budget, seed)
     res, lower, dn_err = _dn_bound(nu, directions)
     if isinstance(nu, ProductFunction):
         terms = "per-factor 1-D quadrature"
     elif isinstance(nu, Density1D):
         terms = "1-D quadrature"
     else:
-        terms = "closed-form Gaussian" if closed else "whitened-GH/QMC"
+        terms = ("closed-form Gaussian" if unit is not None
+                 else "whitened-GH/QMC")
     method = f"entropy+fisher {terms}; {_dn_method(res)}"
     return DeficitReport.build(case_id=case_id, theorem="main",
                                deficit=deficit, lower_bound=lower,
@@ -275,11 +278,12 @@ def verify_corollary(nu, mc_budget: int = 10 ** 6, *,
     slices along axis i are all h_i, and a Gaussian N(m, C)'s are all
     N(., s_i^2) with s_i^2 = 1 / (C^-1)_ii, whatever the pinned point, so
     d_i = 1 - min(s_i, 1 / s_i) in closed form, with the one-component
-    kernel row's error plus the ``densitynd._rounding`` of d_i.
+    kernel row's error plus the rounding of d_i at the ``densitynd._rounding``
+    unit that the deficit's closed form took.
     """
     if isinstance(nu, Density1D) or nu.dim < 2:
         raise DomainError("the corollary needs dimension at least 2")
-    deficit, d_err, closed = _lsi_deficit(nu, mc_budget, seed)
+    deficit, d_err, unit = _lsi_deficit(nu, mc_budget, seed)
     weighted_terms = np.zeros(nu.dim)
     err = 0.0
     if isinstance(nu, ProductFunction):
@@ -287,12 +291,12 @@ def verify_corollary(nu, mc_budget: int = 10 ** 6, *,
         weighted_terms = d * d
         err = float(np.sum(2.0 * d * derr))
         mode = "per-factor slices (product)"
-    elif closed:
+    elif unit is not None:
         # (C^-1)_ii is the squared norm of column i of L^-1
         s = np.sum(nu._chol_inv[0] ** 2, axis=0) ** -0.5
         d = 1.0 - np.minimum(s, 1.0 / s)
-        # _rounding of the terms 1 and 1 - d_i, which is linear in them
-        step = _ONE_COMPONENT_ERR + _rounding(nu, 1.0) * (2.0 - d)
+        # the charge of the terms 1 and 1 - d_i, which is linear in them
+        step = _ONE_COMPONENT_ERR + unit * (2.0 - d)
         weighted_terms = d * d
         # |d^2 - e^2| <= step (2 d + step) for |d - e| <= step
         err = float(np.sum(step * (2.0 * d + step)))

@@ -549,7 +549,7 @@ def entropy_fisher_nd(nu: GaussianMixtureND, *, mc_budget: int = 10 ** 6,
     ``_expectation``); above, the standard error of the Sobol replicates.
     """
     if _closed_form(nu, mc_budget):
-        return _gaussian_information(nu)[:2]
+        return _gaussian_information(nu, _rounding(nu))[:2]
     value, err = _expectation(nu, _integrands, _mixture_sets(
         nu, (_GH_ORDER, _GH_CHECK), mc_budget, seed), _information_bounds)
     return tuple(zip(value.tolist(), err.tolist()))
@@ -560,7 +560,7 @@ def entropy_rel_gauss_nd(nu: GaussianMixtureND, *, mc_budget: int = 10 ** 6,
     """(H, H_err) of ``entropy_fisher_nd`` bit for bit, on the same nodes,
     without the Fisher information's score pass."""
     if _closed_form(nu, mc_budget):
-        return _gaussian_information(nu)[0]
+        return _gaussian_information(nu, _rounding(nu))[0]
     (value,), (err,) = _expectation(nu, _entropy_integrand, _mixture_sets(
         nu, (_GH_ORDER, _GH_CHECK), mc_budget, seed), _entropy_bound)
     return float(value), float(err)
@@ -661,21 +661,23 @@ def _closed_form(nu: GaussianMixtureND, mc_budget: int) -> bool:
     return True
 
 
-def _rounding(nu: GaussianMixtureND, *terms) -> float:
-    """_CLOSED_ROUNDING n kappa(C) eps sum |terms| for a one-component nu."""
+def _rounding(nu: GaussianMixtureND) -> float:
+    """_CLOSED_ROUNDING n kappa(C) eps for a one-component nu: a closed form
+    is charged this times sum |terms|. kappa takes two SVDs, so a caller
+    takes it once per measure and scales it for each closed form."""
     kappa = (np.linalg.norm(nu._chol[0], 2)
              * np.linalg.norm(nu._chol_inv[0], 2)) ** 2
-    return float(_CLOSED_ROUNDING * nu.dim * kappa * _EPS
-                 * sum(abs(t) for t in terms))
+    return float(_CLOSED_ROUNDING * nu.dim * kappa * _EPS)
 
 
-def _gaussian_information(nu: GaussianMixtureND):
+def _gaussian_information(nu: GaussianMixtureND, unit: float):
     """((H, err), (I, err), (delta, err)) of N(m, C) = nu against gamma_n:
     H = (tr C + |m|^2 - n - log det C) / 2, I = |m|^2 + tr C - 2 n +
     tr C^-1 and delta_LS = I / 2 - H = (tr C^-1 - n + log det C) / 2,
     taken directly so the |m|^2 and tr C terms never cancel in floating
     point. tr C^-1 = ||L^-1||_F^2 and log det C = 2 sum log L_ii come from
-    the stored factors; each error is ``_rounding`` of its terms."""
+    the stored factors; each error is ``unit`` = ``_rounding(nu)`` times
+    the sum of its terms' absolute values."""
     n, m = nu.dim, nu.means[0]
     mm, tr = float(m @ m), float(np.trace(nu.covs[0]))
     tr_inv = float(np.sum(nu._chol_inv[0] ** 2))
@@ -683,7 +685,7 @@ def _gaussian_information(nu: GaussianMixtureND):
     h = (0.5 * tr, 0.5 * mm, -0.5 * n, -0.5 * log_det)
     fi = (mm, tr, -2.0 * n, tr_inv)
     delta = (0.5 * tr_inv, -0.5 * n, 0.5 * log_det)
-    return tuple((sum(t), _rounding(nu, *t)) for t in (h, fi, delta))
+    return tuple((sum(t), unit * sum(map(abs, t))) for t in (h, fi, delta))
 
 
 def _gaussian_knothe(nu: GaussianMixtureND):
@@ -695,8 +697,9 @@ def _gaussian_knothe(nu: GaussianMixtureND):
     mm = float(m @ m)
     gap = low - np.eye(nu.dim)
     return (mm + float(np.sum(gap * gap)),
-            _rounding(nu, mm, float(np.sum(low * low)),
-                      2.0 * float(np.trace(low)), nu.dim))
+            _rounding(nu) * sum(map(abs, (mm, float(np.sum(low * low)),
+                                          2.0 * float(np.trace(low)),
+                                          nu.dim))))
 
 
 def mixture_from_json(payload) -> GaussianMixtureND:

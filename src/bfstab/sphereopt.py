@@ -19,7 +19,12 @@ direction is ranked by a cheap estimate of its distance with an upper
 bound (``gauss_distance_estimates``), and only the directions whose upper
 bound reaches the last seed's value are certified: no row below that value
 can reorder the rows above it, so where the bounds hold, the seeds, and so
-the result, are those of a search that certifies the whole lattice. Every
+the result, are those of a search that certifies the whole lattice. The
+bound charges a kink only where a dip of |T' - 1| can reach 0, so on a
+5-D mixture of three components one round certifies about 10 of 4,123
+rows. The seed picker reads only the top of that order: it sorts the
+values once and ranks a run of tied values by direction only when it
+reaches the run. Every
 certified distance comes from the batched kernel ``gauss_distance_rows``
 on the batch-invariant ``marginal_parameters``, so a direction's value
 and error do not depend on what it was batched with: one call per ranking
@@ -177,14 +182,30 @@ def _ranking(rows: np.ndarray, values: np.ndarray) -> np.ndarray:
 
 def _seeds(cand: np.ndarray, values: np.ndarray) -> list:
     """Row indices of spread-out seeds, read in ``_ranking`` order: best
-    first, then best outside 0.15 rad of the picks."""
+    first, then best outside 0.15 rad of the picks.
+
+    The values are sorted once, descending with NaN last as in
+    ``_ranking``; a run of equal values (NaN equal to NaN, as the sort
+    takes it) is put in ``_ranking`` order only when the sweep reaches it.
+    Each pick marks every row within 0.15 rad of it in one sweep, so a row
+    read is only looked up."""
+    order = np.argsort(-values, kind="stable")
+    key = values[order]
+    ties = (key[1:] == key[:-1]) | (np.isnan(key[1:]) & np.isnan(key[:-1]))
+    starts = np.flatnonzero(np.concatenate([[True], ~ties]))
+    near = np.zeros(cand.shape[0], dtype=bool)
     seeds = []
-    for idx in _ranking(cand, values):
-        if len(seeds) >= _RESTARTS:
-            break
-        if seeds and np.max(np.abs(cand[seeds] @ cand[idx])) > math.cos(0.15):
-            continue
-        seeds.append(idx)
+    for start, end in zip(starts, [*starts[1:], order.size]):
+        run = order[start:end]
+        if run.size > 1:
+            run = run[_ranking(cand[run], values[run])]
+        for idx in run:
+            if near[idx]:
+                continue
+            seeds.append(idx)
+            if len(seeds) == _RESTARTS:
+                return seeds
+            near |= np.abs(cand @ cand[idx]) > math.cos(0.15)
     return seeds
 
 
@@ -199,7 +220,12 @@ def _lattice_values(nu: GaussianMixtureND, cand: np.ndarray):
     _RESTARTS seeds, -inf if there are fewer: of the lower bounds at first,
     then of the certified values. Each round certifies the rows not yet
     certified whose upper bound reaches the floor, until none does; the
-    rows left out then rank below every row ``_seeds`` read. Each round is
+    rows left out then rank below every row ``_seeds`` read. The bound
+    charges a kink of |1 - T'| only where its dip can reach 0, so the
+    first round takes the seed contenders alone: 9 to 11 rows of the
+    4,123 on 5-D mixtures of three components, with no second round, and
+    21 of 570 and 170 of 530 on the symmetric products main-3d-prod-0 and
+    main-2d-prod-1. Each round is
     one kernel call on the rows' ``marginal_parameters``, which are those
     of ``_solve_rows``, so each row is certified once, with the bits it has
     in any batch. A one-component mixture needs no round: every estimate is

@@ -494,9 +494,14 @@ def gauss_distance_estimates(weights, means, stds):
     |1 - T'| / max(1, T') u on every _ESTIMATE_STRIDE-th pre-scan point of
     the kernel's working interval, 65 points h apart. Its bound is
     |trapezoid at h - trapezoid at 2h|, plus the trapezoid share of every
-    cell where T' - 1 changes sign or |T' - 1| has a local minimum at one
-    of its ends, since the rule cannot resolve a kink of |1 - T'| inside
-    such a cell, plus the weight of every component narrower than h, whose
+    cell where T' - 1 changes sign, or where |T' - 1| has a local minimum
+    at one of its ends that its dip can take to 0, since the rule cannot
+    resolve a kink of |1 - T'| inside such a cell. The dip can reach 0 when
+    |T' - 1| at the minimum is at most the larger difference to its two
+    neighbours, or at an end point to its one neighbour: the reach test
+    that ``_distance_breaks`` applies to turns. A minimum further from 0
+    is a smooth stretch of |1 - T'| that the step-halving term sees. Added
+    to these is the weight of every component narrower than h, whose
     mass the rule can step over (the integrand is at most u), plus
     _ESTIMATE_FLOOR. The bound is a heuristic, not an
     enclosure: the tests check it against the certified values, and no
@@ -522,12 +527,20 @@ def gauss_distance_estimates(weights, means, stds):
         fine = cells.sum(axis=1)
         dv = deriv - 1.0
         sgn = np.sign(dv)
-        flip = sgn[:, :-1] * sgn[:, 1:] < 0
+        kinked = sgn[:, :-1] * sgn[:, 1:] < 0
         gap = np.abs(dv)
-        wall = np.full((gap.shape[0], 1), np.inf)
-        least = ((gap <= np.hstack([wall, gap[:, :-1]]))
-                 & (gap <= np.hstack([gap[:, 1:], wall])))
-        kinked = flip | least[:, :-1] | least[:, 1:]
+        # a local minimum of |T' - 1| whose dip can reach 0 kinks both its
+        # cells: the reach test of _distance_breaks, |T' - 1| <= the larger
+        # neighbour difference, taken as 2 |T' - 1| <= the larger neighbour
+        # so an overflowed T' needs no inf - inf; an end point has one cell
+        # and one neighbour
+        mid, left, right = gap[:, 1:-1], gap[:, :-2], gap[:, 2:]
+        dip = ((mid <= left) & (mid <= right)
+               & (mid <= 0.5 * np.maximum(left, right)))
+        kinked[:, :-1] |= dip
+        kinked[:, 1:] |= dip
+        kinked[:, 0] |= gap[:, 0] <= 0.5 * gap[:, 1]
+        kinked[:, -1] |= gap[:, -1] <= 0.5 * gap[:, -2]
         w, _, s = (p[rows] for p in batch.params[:3])
         estimate[batch.quad[rows]] = fine
         bound[batch.quad[rows]] = (np.abs(fine - coarse)

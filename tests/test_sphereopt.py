@@ -362,6 +362,13 @@ def _qmc_5d_00():
     return draw(5)
 
 
+def _qmc_4d_prod_0():
+    """The lsi-nd benchmark's 4-D product at its default seed, as a
+    mixture."""
+    h = GaussianMixture1D([1.0], [-1.7760418170506553], [1.9218151055868749])
+    return ProductFunction([h] * 4).as_mixture()
+
+
 # seeds of 5-D K = 3 mixtures, the shape of the benchmark's qmc-5d-00
 _FIVE_DIM_SEEDS = (11, 12, 13)
 # products of equal K = 2 factors, searched as mixtures: their symmetric
@@ -431,6 +438,79 @@ def test_rows_below_the_last_seed_cannot_move_the_seeds():
     assert _seeds(cand, lowered) == seeds
 
 
+def _lexsort_seeds(cand, values):
+    """The seed picker that ranks every row with one full lexsort, then
+    reads the ranking with one product against the picks per row: the
+    oracle of ``_seeds``."""
+    seeds = []
+    for idx in _ranking(cand, values):
+        if len(seeds) >= _RESTARTS:
+            break
+        if seeds and np.max(np.abs(cand[seeds] @ cand[idx])) > math.cos(0.15):
+            continue
+        seeds.append(idx)
+    return seeds
+
+
+def _search_lattice(nu):
+    return canonical_directions(np.vstack([
+        _lattice(nu.dim, 512 if nu.dim <= 3 else 4096), _augmentation(nu)]))
+
+
+_SEED_INPUTS = ("main-2d-01", "main-2d-prod-0", "qmc-4d-prod-0", "5d-k3-11",
+                "nan", "nan-only", "duplicates", "five-rows")
+
+
+@pytest.fixture(scope="module")
+def seed_inputs():
+    """(rows, values) per name of _SEED_INPUTS, on which the seed pickers
+    are compared."""
+    corpus = _corpus_mixtures()
+    out = {}
+    # a Gaussian lattice whose seeds lie past its 100th ranked row
+    nu = corpus["main-2d-01"]
+    cand = _search_lattice(nu)
+    values = _lattice_values(nu, cand)[0]
+    assert list(_ranking(cand, values)).index(
+        _lexsort_seeds(cand, values)[-1]) > 100
+    out["main-2d-01"] = (cand, values)
+    # isotropic products: three distinct values over the whole lattice
+    for cid, nu in (("main-2d-prod-0", corpus["main-2d-prod-0"]),
+                    ("qmc-4d-prod-0", _qmc_4d_prod_0())):
+        cand = _search_lattice(nu)
+        values = _lattice_values(nu, cand)[0]
+        assert np.unique(values).size == 3
+        out[cid] = (cand, values)
+    # a second round: nine certified rows, -inf at the rest
+    nu = seeded_mixture(11, 5, 3)
+    cand = _search_lattice(nu)
+    values = _lattice_values(nu, cand)[0]
+    assert np.isfinite(values).sum() == 9
+    out["5d-k3-11"] = (cand, values)
+    # NaN values, tied among themselves and with finite ties
+    rng = np.random.default_rng(5)
+    cand = canonical_directions(rng.standard_normal((300, 3)))
+    values = rng.choice([0.1, 0.2, 0.3, np.nan], 300)
+    out["nan"] = (cand, values)
+    out["nan-only"] = (cand, np.full(300, np.nan))
+    # a diagonal covariance: its eigenvectors repeat the axis rows
+    nu = diag_gauss(4.0, 1.0, 0.25)
+    cand = _search_lattice(nu)
+    assert np.unique(cand, axis=0).shape[0] < cand.shape[0]
+    out["duplicates"] = (cand, _lattice_values(nu, cand)[0])
+    # fewer rows than restarts
+    cand = canonical_directions(_lattice(2, 5))
+    out["five-rows"] = (cand, _solve_rows(skew_mixture_2d(), cand)[0])
+    assert sorted(out) == sorted(_SEED_INPUTS)
+    return out
+
+
+@pytest.mark.parametrize("name", _SEED_INPUTS)
+def test_seeds_match_the_full_lexsort_picker(seed_inputs, name):
+    cand, values = seed_inputs[name]
+    assert _seeds(cand, values) == _lexsort_seeds(cand, values)
+
+
 def test_fewer_seeds_than_restarts_certify_every_row():
     # five rows give at most five seeds, so no floor: every row certified
     nu = skew_mixture_2d()
@@ -453,13 +533,24 @@ def test_symmetric_products_rank_out_part_of_the_lattice(full_lattice,
 
 
 @pytest.mark.parametrize("seed", _FIVE_DIM_SEEDS)
-def test_five_dimensional_lattice_is_mostly_ranked_out(full_lattice, seed):
-    # at most a quarter of the 4,096-direction lattice is certified, each
-    # row with the bits it has when the whole lattice is certified
+def test_five_dimensional_lattice_is_mostly_ranked_out(full_lattice, seed,
+                                                       monkeypatch):
+    # one kernel call certifies at most 32 of the 4,123 rows, each with the
+    # bits it has when the whole lattice is certified: the second round
+    # finds no uncertified row whose upper bound reaches the last seed
     nu, _, _, cand, values = full_lattice[f"5d-k3-{seed}"]
+    calls = []
+    solve = sphereopt.gauss_distance_rows
+
+    def counted(weights, means, stds, **kwargs):
+        calls.append(weights.shape[0])
+        return solve(weights, means, stds, **kwargs)
+
+    monkeypatch.setattr(sphereopt, "gauss_distance_rows", counted)
     ranked, _, _ = _lattice_values(nu, cand)
     certified = np.isfinite(ranked)
-    assert certified.sum() <= cand.shape[0] / 4
+    assert len(calls) == 1 and calls[0] <= 32
+    assert certified.sum() == calls[0]
     assert np.array_equal(ranked[certified], values[certified])
 
 
@@ -535,9 +626,11 @@ def test_rotated_gaussian_closed_form(dim):
 # (value descending, then direction ascending) decides the argmax.
 # main-2d-prod-1 (K = 2 factors) ties between its two diagonals on the
 # last bit of the marginal parameters, so it catches any change in how
-# they round. The counts include the candidate rows that duplicate
-# another, which ``_seeds`` never picks twice; a K = 1 count is the
-# lattice alone, as its search does not refine
+# they round. 5d-k3-11, a 5-D mixture of three components, certifies 9
+# of its 4,123 lattice rows in one round, so it catches a lattice stage
+# that drops a contender. The counts include the candidate rows that
+# duplicate another, which ``_seeds`` never picks twice; a K = 1 count is
+# the lattice alone, as its search does not refine
 _PINNED_SEARCHES = {
     "main-2d-prod-0": (0.14299451636990235,
                        [0.09801714032956078, 0.9951847266721969],
@@ -552,6 +645,11 @@ _PINNED_SEARCHES = {
                       [0.007818922888650274, 0.8808727679276528,
                        0.4382195085545622, -0.17878952287685962],
                       0.47965858052998056, 4107),
+    "5d-k3-11": (0.5521238177959902,
+                 [0.0635002925847878, -0.29219797844689593,
+                  -0.37390368040900335, -0.7223535958129397,
+                  0.49898835119260226],
+                 0.549462904318194, 4270),
 }
 
 
@@ -561,10 +659,9 @@ def test_tie_sensitive_search_results_are_pinned(case_id):
     # up to rounding, so a last-bit change in the search moves the argmax
     # and the evaluation count
     if case_id == "qmc-4d-prod-0":
-        # the 4-D product of the lsi-nd benchmark at its default seed
-        h = GaussianMixture1D([1.0], [-1.7760418170506553],
-                              [1.9218151055868749])
-        nu = ProductFunction([h] * 4).as_mixture()
+        nu = _qmc_4d_prod_0()
+    elif case_id == "5d-k3-11":
+        nu = seeded_mixture(11, 5, 3)
     else:
         nu = dict(main_corpus())[case_id].as_mixture()
     res = dn_distance(nu)
@@ -582,9 +679,7 @@ def test_refinement_does_not_depend_on_its_batch(case_id):
         nu = _qmc_5d_00()
     else:
         nu = dict(main_corpus())[case_id]
-    cand = canonical_directions(
-        np.vstack([_lattice(nu.dim, 512 if nu.dim <= 3 else 4096),
-                   _augmentation(nu)]))
+    cand = _search_lattice(nu)
     _, _, picks = _lattice_values(nu, cand)
     seeds = cand[picks]
     assert len(seeds) == _RESTARTS
