@@ -11,7 +11,7 @@ __version__ = "0.1.0"
 
 from .errors import (BfstabError, CapabilityError, ConditioningError,
                      DomainError, EvaluationError, InvariantViolation,
-                     NumericalWarning, ParseError, UnderflowError)
+                     ParseError, UnderflowError)
 from .density1d import (Density1D, GaussianMixture1D, GridDensity1D,
                         StandardGaussian, entropy_rel_gauss_full,
                         fisher_rel_gauss_full, load_grid_csv)
@@ -35,7 +35,7 @@ __all__ = [
     # errors
     "BfstabError", "DomainError", "ParseError", "ConditioningError",
     "UnderflowError", "EvaluationError", "CapabilityError",
-    "InvariantViolation", "NumericalWarning",
+    "InvariantViolation",
     # one-dimensional densities
     "Density1D", "GaussianMixture1D", "GridDensity1D", "StandardGaussian",
     "entropy_rel_gauss_full", "fisher_rel_gauss_full", "load_grid_csv",

@@ -656,17 +656,21 @@ def _mixture_interior(means, stds):
                           axis=-1)
 
 
+def _interior(nu: Density1D):
+    """The points where nu has structure of its own, interior breakpoints of
+    every 1-D integral over it: a mixture's ``_mixture_interior``, or a
+    grid's nodes, where its score jumps; none for gamma."""
+    if isinstance(nu, GaussianMixture1D):
+        return _mixture_interior(nu.means, nu.stds)
+    if isinstance(nu, GridDensity1D):
+        return nu.nodes
+    return np.empty(0)
+
+
 def _measure_breaks(nu: Density1D, lo: float, hi: float):
     """Panel breakpoints of nu's interval [lo, hi] (``_measure_interval``):
-    ``_breaks`` with a mixture's ``_mixture_interior``, or a grid's nodes,
-    where its score jumps."""
-    if isinstance(nu, GaussianMixture1D):
-        interior = _mixture_interior(nu.means, nu.stds)
-    elif isinstance(nu, GridDensity1D):
-        interior = nu.nodes
-    else:
-        interior = ()
-    bp = _breaks(lo, hi, interior)
+    ``_breaks`` with nu's ``_interior``."""
+    bp = _breaks(lo, hi, _interior(nu))
     return bp[np.isfinite(bp)]
 
 

@@ -1,4 +1,4 @@
-"""Semantic exception hierarchy and warning categories."""
+"""Semantic exception hierarchy."""
 
 __all__ = [
     "BfstabError",
@@ -9,7 +9,6 @@ __all__ = [
     "EvaluationError",
     "CapabilityError",
     "InvariantViolation",
-    "NumericalWarning",
 ]
 
 
@@ -54,7 +53,3 @@ class CapabilityError(BfstabError, NotImplementedError):
 
 class InvariantViolation(BfstabError, AssertionError):
     """A documented postcondition failed; indicates a bug, not bad input."""
-
-
-class NumericalWarning(UserWarning):
-    """Raised when two redundant computations disagree more than expected."""

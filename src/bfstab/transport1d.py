@@ -10,18 +10,24 @@ derivative is always evaluated through the densities, T'(x) = u(x)/v(T(x)),
 never by finite differences. Against gamma the map S = Phi^{-1} o F_u has a
 closed form, so every 1-D quantity with gamma on one side is an integral
 over u of S, with no quantile inversion: d(u, gamma) is the one directed
-integral from u (``gauss_distance_rows`` batches it over many mixtures;
-both put each kink of |1 - T'| on a panel edge), W2^2(u, gamma) =
-E_u[(y - S(y))^2], and so is the Bregman-type integral
+integral from u, ``_directed_distance`` (``gauss_distance_rows`` batches
+it over many mixtures; both put each kink of |1 - T'| on a panel edge),
+W2^2(u, gamma) = E_u[(y - S(y))^2], and so is the Bregman-type integral
 int (T' - 1 - log T') dgamma of T = S^{-1}. Between two non-Gaussian
-densities both directed integrals are computed; they agree analytically, so
-a gap beyond 1e-6 raises a NumericalWarning and the average is returned.
+densities the quantile coupling, with p = Phi(z), makes d one integral on
+the Gaussian scale (``_pair_distance``),
 
-The directed integral's first panels also end at the points where the
+    d(u, v) = E_gamma[1 - exp(-|log u(x_u(z)) - log v(x_v(z))|)],
+
+where x_u(z) solves S_u(x) = z: symmetric in u and v by construction, and
+free of the ratio u / v(T), which overflows between separated modes.
+
+The directed integrals' first panels also end at the points where the
 source has structure of its own: a mixture's means, or a grid's nodes,
-where its log-density kinks. A grid is log-linear between nodes, so its
-panels are smooth; on the 4097-node PL grid every one settles in the first
-round. The integrand reads the source once per set of points
+where its log-density kinks; the pair integral's end at S_u and S_v of
+both sides' ``density1d._interior``. A grid is log-linear between nodes, so
+its panels are smooth; on the 4097-node PL grid every one settles in the
+first round. The grid's integrand reads it once per set of points
 (``Density1D._mass_logpdf_pdf``: a grid locates the points in its node
 table once for mass, log-density and density) and runs in slices of
 _EVAL_SLICE points, so a grid's large first round adds no peak memory.
@@ -43,17 +49,17 @@ certify only those that can matter.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .density1d import (SQRT_2PI, Density1D, GaussianMixture1D, GridDensity1D,
+from .density1d import (SQRT_2PI, Density1D, GaussianMixture1D,
                         StandardGaussian, _breaks, _columns, _components,
-                        _expect, _measure_breaks, _measure_interval,
+                        _expect, _interior, _measure_breaks, _measure_interval,
                         _mixture_log, _mixture_masses, _mixture_span,
-                        _phi_inverse, entropy_rel_gauss_full, gauss_logpdf)
-from .errors import EvaluationError, InvariantViolation, NumericalWarning
+                        _phi_inverse, entropy_rel_gauss_full, gauss_logpdf,
+                        gauss_pdf)
+from .errors import EvaluationError, InvariantViolation
 from .quadrature import adaptive_quad, adaptive_quad_rows
 
 __all__ = [
@@ -117,7 +123,7 @@ _EVAL_SLICE = 1 << 14
 # working interval.
 _ESTIMATE_STRIDE = 4
 _ESTIMATE_FLOOR = 1e-12
-# Tail mass the directed distance leaves outside its working interval.
+# Tail mass each distance integral leaves outside its working interval.
 _DIST_TAIL = 1e-15
 # Least quadrature budget of a distance, a few eps for the rounding of its
 # integrand: a zero distance at tol 0 would otherwise have budget 0, which
@@ -212,12 +218,13 @@ def _scan_points(lo, hi, stride=1):
 
 
 def _distance_breaks(lo, hi, interior, deriv):
-    """Panel breakpoints of the directed distance integrand, one row each.
+    """Panel breakpoints of a distance integrand, one row each.
 
-    lo, hi: (B,) working intervals of the sources; interior: (B, K) points
-    where the source itself has structure, NaN-padded: a mixture's means,
-    or a grid's nodes, where its log-density kinks (so a grid source is
-    log-linear on each panel). ``deriv`` maps (B, n) points to T' there.
+    lo, hi: (B,) working intervals; interior: (B, K) points where the
+    integrand has structure of its own, NaN-padded: a mixture's means, or a
+    grid source's nodes, where its log-density kinks (so a grid source is
+    log-linear on each panel), or, on the Gaussian scale of a pair, both
+    sides' structure mapped there. ``deriv`` maps (B, n) points to T' there.
     T' - 1 is pre-scanned on 257 points. Where it changes sign between 1
     and 32 times, each sign change is located inside its cell
     (``_kinks``) and becomes a breakpoint. Where it turns back towards 0
@@ -273,15 +280,16 @@ def _distance_breaks(lo, hi, interior, deriv):
     return _breaks(lo, hi, interior)
 
 
-def _directed_distance(mu: Density1D, nu: Density1D, tol: float):
-    tmap = TransportMap1D(mu, nu)
+def _directed_distance(mu: Density1D, tol: float):
+    """d(mu, gamma) as the directed integral over mu: a QuadResult. A
+    mixture adds the row kernel's allowance for the rounding of
+    z = (x - m_k) / s_k to the quadrature's estimate (see
+    gauss_distance_rows)."""
+    tmap = TransportMap1D(mu, StandardGaussian())
     lo, hi = mu.working_interval(_DIST_TAIL)
-    if isinstance(mu, GaussianMixture1D):
-        interior = mu.means
-    elif isinstance(mu, GridDensity1D):
-        interior = mu.nodes
-    else:
-        interior = np.empty(0)
+    # a mixture's panels end at its means, as a kernel row's do
+    mixture = isinstance(mu, GaussianMixture1D)
+    interior = mu.means if mixture else _interior(mu)
     bp = _distance_breaks(np.array([lo]), np.array([hi]), interior[None, :],
                           lambda xs: tmap.deriv(xs.ravel()).reshape(xs.shape))
 
@@ -296,8 +304,7 @@ def _directed_distance(mu: Density1D, nu: Density1D, tol: float):
 
     res = adaptive_quad(g, bp[np.isfinite(bp)],
                         tol_abs=max(tol, _ROUNDING_FLOOR), tol_rel=1e-12)
-    if isinstance(mu, GaussianMixture1D):
-        # the row kernel's allowance, on the same integrand
+    if mixture:
         res = replace(res, error=res.error + float(
             _z_rounding(mu.means, mu.stds, True)))
     return res
@@ -309,6 +316,45 @@ def _z_rounding(means, stds, present):
     the quadrature's estimate does not see (see gauss_distance_rows)."""
     return _Z_ROUNDING * _EPS * (1.0 + np.max(
         np.where(present, np.abs(means) / stds, 0.0), axis=-1))
+
+
+def _pair_distance(u: Density1D, v: Density1D, tol: float):
+    """d(u, v) = E_gamma[-expm1(-|L(z)|)], L(z) = log u(x_u(z)) -
+    log v(x_v(z)), for two densities neither of which is gamma: (value,
+    error).
+
+    x_u = TransportMap1D(gamma, u) is a mixture's Newton solve or a grid's
+    closed-form inverse. exp(L) is T' at x_u(z), so ``_distance_breaks``
+    puts each zero of L on a panel edge, with S_u and S_v of both sides'
+    ``_interior`` as interior points: a component of weight w spans mass w
+    in z, however narrow. The error is the quadrature's estimate, plus
+    _DIST_TAIL for the gamma-mass outside the interval (the integrand is at
+    most phi), plus _ROUNDING_FLOOR.
+    """
+    gauss = StandardGaussian()
+    x_u, x_v = TransportMap1D(gauss, u), TransportMap1D(gauss, v)
+
+    def log_ratio(z):
+        return u.logpdf(x_u(z)) - v.logpdf(x_v(z))
+
+    def deriv(zs):
+        # exp(L) overflows to inf where L passes 709, between separated
+        # modes; the breakpoint search needs only the sign of exp(L) - 1
+        with np.errstate(over="ignore"):
+            return np.exp(log_ratio(zs.ravel())).reshape(zs.shape)
+
+    lo, hi = gauss.working_interval(_DIST_TAIL)
+    interior = np.concatenate([TransportMap1D(d, gauss)(_interior(d))
+                               for d in (u, v)])
+    bp = _distance_breaks(np.array([lo]), np.array([hi]), interior[None, :],
+                          deriv)
+
+    def g(z):
+        return -np.expm1(-np.abs(log_ratio(z))) * gauss_pdf(z)
+
+    res = adaptive_quad(g, bp[np.isfinite(bp)],
+                        tol_abs=max(tol, _ROUNDING_FLOOR), tol_rel=1e-12)
+    return res.value, res.error + _DIST_TAIL + _ROUNDING_FLOOR
 
 
 def _rows_pass(x, weights, means, stds, log_w, log_norm):
@@ -424,8 +470,8 @@ def gauss_distance_rows(weights, means, stds, *, tol: float = 1e-9,
     of the distance of the given s.
 
     Every other row gets the working interval, pre-scan, breakpoints and
-    quadrature budget of ``_directed_distance(u_b, gamma, tol)`` and agrees
-    with it up to rounding; its (value, error) does not depend on the rows
+    quadrature budget of ``_directed_distance(u_b, tol)`` and agrees with
+    it up to rounding; its (value, error) does not depend on the rows
     batched with it. Its error is the quadrature's estimate plus
     _Z_ROUNDING eps (1 + max_k |m_k| / s_k) over its present components,
     as ``_directed_distance`` charges a mixture source:
@@ -554,30 +600,21 @@ def bf_distance_full(u: Density1D, v: Density1D, *, tol: float = 1e-9):
     """Distance in [0, 1] with error estimate: (value, error). The value
     is zero iff v is a translate of u.
 
-    Against gamma the one directed integral has no second direction to check
-    it against, so its error carries half its budget, max(tol,
-    _ROUNDING_FLOOR) / 2, on top of the quadrature's estimate, as the
-    two-direction path carries half their gap. The two-direction error
-    carries _ROUNDING_FLOOR too: the rounding of two integrands that agree
-    is no part of their gap.
+    Each kind of input has one route. Against gamma it is the directed
+    integral over the other side, ``_directed_distance``, with no second
+    direction to check it against, so its error carries half its budget,
+    max(tol, _ROUNDING_FLOOR) / 2, on top of its own. Every other pair is
+    one integral on the Gaussian scale (``_pair_distance``).
     """
     if isinstance(u, StandardGaussian):
         u, v = v, u
-    if isinstance(v, StandardGaussian):
-        res = _directed_distance(u, v, tol)
-        return (min(max(res.value, 0.0), 1.0),
-                res.error + 0.5 * max(tol, _ROUNDING_FLOOR))
-    r_uv = _directed_distance(u, v, tol)
-    r_vu = _directed_distance(v, u, tol)
-    gap = abs(r_uv.value - r_vu.value)
-    if gap >= 1e-6:
-        warnings.warn(
-            f"directed transport integrals disagree by {gap:.3e}; "
-            "returning their average", NumericalWarning, stacklevel=2)
-    value = 0.5 * (r_uv.value + r_vu.value)
-    value = min(max(value, 0.0), 1.0)
-    return value, (0.5 * (r_uv.error + r_vu.error) + 0.5 * gap
-                   + _ROUNDING_FLOOR)
+    if not isinstance(v, StandardGaussian):
+        value, error = _pair_distance(u, v, tol)
+    else:
+        res = _directed_distance(u, tol)
+        value = res.value
+        error = res.error + 0.5 * max(tol, _ROUNDING_FLOOR)
+    return min(max(value, 0.0), 1.0), error
 
 
 def w2_squared_1d_full(nu: Density1D, *, tol: float = 1e-10):

@@ -277,13 +277,20 @@ def test_distance_to_a_translate_of_gamma_matches_gamma(capsys, u, c):
 
 
 def test_distance_between_separated_mixtures(capsys):
-    # both directed integrals invert a mixture quantile across flat stretches
-    # of the other's cdf; they must agree (no NumericalWarning)
+    # the Gaussian-scale integral inverts both mixtures' quantiles, each
+    # across the flat stretch of its cdf between its modes; no warning fires
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         value, err = _distance(capsys, NARROW_MODES,
                                "mix:[0.5,-3,0.16;0.5,3,0.49]")
     assert 0.0 < value <= 1.0 and err < 1e-8
+
+
+def test_narrow_modes_against_a_mixture_are_pinned(capsys):
+    # the pair of the CI verdict step against a SciPy oracle; the average of
+    # the two directed integrals read 0.9057077834778 +- 4.9e-9 here
+    value, err = _distance(capsys, NARROW_MODES, "mix:[0.5,-1,1;0.5,1,0.5]")
+    assert abs(value - 0.9057077879416) <= err <= 1e-9
 
 
 def test_talagrand_separated_modes_and_narrow_gaussian_pass(capsys):

@@ -203,11 +203,10 @@ def test_search_distances_match_single_solves(case_id):
     rows = canonical_directions(
         np.vstack([_lattice(nu.dim, 512), _augmentation(nu)]))
     values = _solve_rows(nu, rows)[0]
-    gauss = StandardGaussian()
     for v, value in zip(rows, values):
         means, stds = marginal_parameters(nu, v[None])
         marg = GaussianMixture1D(nu.weights, means[0], stds[0])
-        ref = _directed_distance(marg, gauss, _TOL)
+        ref = _directed_distance(marg, _TOL)
         assert abs(value - ref.value) <= 1e-15
 
 

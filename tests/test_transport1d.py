@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import integrate, stats
 from scipy.optimize import brentq
-from scipy.special import ndtr, ndtri
+from scipy.special import logsumexp, ndtr, ndtri
 
 from bfstab import (GaussianMixture1D, GaussianMixtureND, StandardGaussian,
                     TransportMap1D, bf_distance_full, bregman_integral_full,
@@ -162,7 +162,7 @@ def test_distance_translates_vanish():
 @pytest.mark.parametrize("tol", [0.0, 1e-9])
 def test_zero_distances_cover_their_rounding(tol):
     # at tol 0 the budget of a zero distance is a few eps, not 0, and the
-    # two-direction error covers the rounding that the gap cannot see
+    # pair integral's error covers the rounding of its integrand
     pairs = [(GAUSS, GAUSS), (scaled(1.0, 3.0), GAUSS)]
     for (w1, w2), (m1, m2), (s1, s2), shift in (
             ((0.5, 0.5), (-1.0, 1.0), (1.0, 1.0), 3.0),
@@ -232,6 +232,29 @@ def test_distance_against_gamma_side_oracle_on_pool():
         ref, ref_err = _gamma_side_oracle(mix)
         value, err = bf_distance_full(mix, GAUSS, tol=1e-10)
         assert abs(value - ref) <= err + ref_err, mix
+
+
+# d(mix, gamma) of K >= 2 mixtures, (value, error) bit for bit from the
+# directed integral over the mixture, so that a change of its route shows
+_PINNED_GAMMA_DISTANCES = {
+    ("pool-0", 1e-9): (0.33446841355047396, 5.017823297888385e-10),
+    ("pool-2", 1e-10): (0.3674870027245317, 5.2149088091652296e-11),
+    ("narrow", 1e-9): (0.8768595142405987, 1.1055615735843872e-09),
+    ("main-1d-17", 1e-10): (0.3694102486641764, 5.310846983802326e-11),
+}
+
+
+@pytest.mark.parametrize("case,tol", list(_PINNED_GAMMA_DISTANCES))
+def test_mixture_distances_to_gamma_are_pinned(case, tol):
+    if case.startswith("pool-"):
+        mix = mixture_pool()[int(case[5:])]
+    elif case == "narrow":
+        mix = GaussianMixture1D([0.5, 0.5], [-8.0, 8.0], [0.05, 0.05])
+    else:
+        mix = dict(main_corpus())[case]
+    pinned = _PINNED_GAMMA_DISTANCES[case, tol]
+    assert bf_distance_full(mix, GAUSS, tol=tol) == pinned
+    assert bf_distance_full(GAUSS, mix, tol=tol) == pinned
 
 
 @pytest.mark.parametrize("case,tol", [("pool-2", 1e-9), ("main-1d-17", 1e-10),
@@ -326,7 +349,7 @@ def test_row_kernel_matches_per_row_distance():
     value, error = gauss_distance_rows(weights, means, stds, tol=1e-9)
     for r, (batch, b) in enumerate(batches):
         u = _row_mixture(batch, b)
-        ref = _directed_distance(u, GAUSS, 1e-9)
+        ref = _directed_distance(u, 1e-9)
         assert abs(value[r] - ref.value) <= 1e-15, r
         if u.weights.size == 1:
             assert error[r] == transport1d._ONE_COMPONENT_ERR, r
@@ -355,7 +378,7 @@ def test_one_component_rows_match_quadrature():
         exact = 1 - min(Fraction(s[r]), 1 / Fraction(s[r]))
         assert abs(Fraction(value[r]) - exact) <= Fraction(error[r]), r
         ref = _directed_distance(GaussianMixture1D([1.0], [m[r]], [s[r]]),
-                                 GAUSS, 1e-10)
+                                 1e-10)
         rounding = eps * (1.0 + abs(m[r]) / s[r])
         assert abs(value[r] - ref.value) <= error[r] + ref.error + rounding, r
     assert np.all(error > 0.0) and np.all(error <= 1e-15)
@@ -622,16 +645,6 @@ def test_sixteen_component_rows_cover_quadrature_oracle():
         assert abs(value[r] - ref) <= error[r] + ref_err, r
 
 
-def test_directed_integrals_agree():
-    # between two non-Gaussian densities both directions are computed
-    pool = mixture_pool()
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")  # NumericalWarning must not fire
-        for u, v in zip(pool, pool[1:]):
-            value, err = bf_distance_full(u, v)
-            assert err < 1e-8
-
-
 def _random_pairs(count):
     """The first ``count`` of 100 seeded pairs of random mixtures: 1-4
     components, weights U(0.2, 1), means U(-4, 4), stds log-uniform on
@@ -689,28 +702,115 @@ def _mixture_pair_oracle(u, v):
     return sum(p[0] for p in pieces), sum(p[1] for p in pieces)
 
 
-@pytest.fixture(scope="module")
-def kink_pairs():
-    """Pairs 33 and 35 of _random_pairs(100), each with its oracle."""
-    pairs = _random_pairs(36)
-    return {i: (*pairs[i], *_mixture_pair_oracle(*pairs[i])) for i in (33, 35)}
+def _wide_pairs(count):
+    """The first ``count`` seeded pairs of wide-range mixtures: 1-6
+    components, Dirichlet weights, means U(-30, 30), stds log-uniform on
+    [1e-3, 1e3]."""
+    rng = np.random.default_rng(1)
+
+    def mix():
+        k = int(rng.integers(1, 7))
+        w = rng.dirichlet(np.ones(k))
+        m = rng.uniform(-30.0, 30.0, k)
+        s = np.exp(rng.uniform(math.log(1e-3), math.log(1e3), k))
+        return GaussianMixture1D(w, m, s)
+
+    return [(mix(), mix()) for _ in range(count)]
 
 
-@pytest.mark.parametrize("pair", [33, 35])
-def test_two_direction_average_covers_oracle(kink_pairs, pair):
-    # with a fixed 8 Illinois steps a kink stayed up to 6.9e-5 from its
-    # root, which one directed integral did not see in its own error (pair
-    # 33 from u, pair 35 from v); bf_distance_full's half-gap term covered
-    # it, and the average must keep covering the oracle
-    u, v, ref, ref_err = kink_pairs[pair]
+def _gauss_scale_oracle(u, v, radius=8.5, scan=2001):
+    """d(u, v) from SciPy alone, on the Gaussian scale: E_gamma of
+    -expm1(-|L(z)|), L(z) = log u(x_u(z)) - log v(x_v(z)), over
+    [-radius, radius] (gamma leaves 2e-17 outside).
+
+    x_u(z) is the brentq root of F_u(x) = Phi(z), or of 1 - F_u(x) =
+    Phi(-z) for z > 0, inside [min_k, max_k] (m_k + s_k z), where F_u lies
+    on either side of Phi(z). The zeros of L, the kinks of the integrand,
+    are brentq roots in the sign changes of L on a ``scan``-point grid, and
+    integrate.quad runs between consecutive panel edges: the kinks and
+    Phi^{-1}(F(m_k +- 8 s_k)) of each side's components, so no kink and no
+    narrow component lies inside a panel."""
+    def quantile(mix, z):
+        w, m, s = mix.weights, mix.means, mix.stds
+        ends = m + s * z
+        a, b = ends.min(), ends.max()
+        if a == b:
+            return a
+        pad = 1e-12 * (b - a)
+        if z <= 0.0:
+            p = ndtr(z)
+            return brentq(lambda x: float(w @ ndtr((x - m) / s)) - p,
+                          a - pad, b + pad, xtol=1e-300, rtol=1e-15)
+        q = ndtr(-z)
+        return brentq(lambda x: q - float(w @ ndtr((m - x) / s)),
+                      a - pad, b + pad, xtol=1e-300, rtol=1e-15)
+
+    def logpdf(mix, x):
+        z = (x - mix.means) / mix.stds
+        return float(logsumexp(-0.5 * z * z, b=mix.weights
+                               / (mix.stds * math.sqrt(2.0 * math.pi))))
+
+    def log_ratio(z):
+        return logpdf(u, quantile(u, z)) - logpdf(v, quantile(v, z))
+
+    def integrand(z):
+        return -math.expm1(-abs(log_ratio(z))) * stats.norm.pdf(z)
+
+    def gauss_scale(mix, x):
+        lower = float(mix.weights @ ndtr((x - mix.means) / mix.stds))
+        if lower <= 0.5:
+            return float(ndtri(lower))
+        return -float(ndtri(float(mix.weights @ ndtr((mix.means - x)
+                                                      / mix.stds))))
+
+    zs = np.linspace(-radius, radius, scan)
+    ls = [log_ratio(z) for z in zs]
+    kinks = [brentq(log_ratio, a, b, xtol=1e-300, rtol=1e-15)
+             for a, b, fa, fb in zip(zs, zs[1:], ls, ls[1:]) if fa * fb < 0]
+    edges = {gauss_scale(d, x) for d in (u, v)
+             for x in np.concatenate([d.means, d.means - 8.0 * d.stds,
+                                      d.means + 8.0 * d.stds])}
+    edges = [-radius, *sorted(e for e in edges.union(kinks)
+                              if -radius < e < radius), radius]
+    pieces = [integrate.quad(integrand, a, b, limit=200, epsabs=1e-14,
+                             epsrel=1e-13)
+              for a, b in zip(edges, edges[1:])]
+    return sum(p[0] for p in pieces), sum(p[1] for p in pieces)
+
+
+@pytest.mark.parametrize("pair", [0, 34])
+def test_wide_range_pair_covers_gauss_scale_oracle(pair):
+    # the average of the two directed integrals read 0.490 +- 0.44 on pair
+    # 0, whose distance is 0.92690. On pair 34, L dips across 0 and back
+    # within 0.0076 near z = -0.67, which the oracle's scan finds on 2,001
+    # points and not on 801
+    u, v = _wide_pairs(pair + 1)[pair]
+    ref, ref_err = _gauss_scale_oracle(u, v)
     value, err = bf_distance_full(u, v)
     assert abs(value - ref) <= err + ref_err
 
 
-def test_single_direction_covers_oracle(kink_pairs):
-    u, v, ref, ref_err = kink_pairs[33]
-    res = _directed_distance(u, v, 1e-9)
-    assert abs(res.value - ref) <= res.error + ref_err
+def _oracle_pair(pair):
+    """Pair ``pair`` of _random_pairs(100) (an int), or "pool-i", the pool's
+    mixtures i and i + 1."""
+    if isinstance(pair, int):
+        return _random_pairs(pair + 1)[pair]
+    i = int(pair[5:])
+    return tuple(mixture_pool()[i:i + 2])
+
+
+@pytest.mark.parametrize("pair", [19, 33, 35, "pool-0", "pool-1", "pool-2"])
+def test_pair_distance_covers_oracle(pair):
+    # the one Gaussian-scale integral against the oracle. Before it, the
+    # average of the two directed integrals needed its half-gap term to
+    # cover pairs 33 and 35, where a kink 6.9e-5 from its root went unseen
+    # by one direction, and pair 19, which the integral from v missed by
+    # 82 times its error
+    u, v = _oracle_pair(pair)
+    ref, ref_err = _mixture_pair_oracle(u, v)
+    value, err = bf_distance_full(u, v)
+    assert abs(value - ref) <= err + ref_err
+    assert err <= 1e-8
 
 
 def test_kink_location_bisects_where_illinois_steps_stall():
@@ -785,7 +885,7 @@ def test_grid_distance_integrand_locates_each_point_once(monkeypatch):
         return quad(g, breakpoints, **kw)
 
     monkeypatch.setattr(transport1d, "adaptive_quad", capture)
-    _directed_distance(_grid(), GAUSS, 1e-10)
+    _directed_distance(_grid(), 1e-10)
     [g] = integrands
     calls = []
     search = np.searchsorted
@@ -811,7 +911,7 @@ def test_grid_distance_settles_in_one_round(lam):
     # each node is a panel edge, so u is log-linear on every panel: 4,096
     # panels between the nodes and two more at the kinks of |1 - T'|
     u = _pl_u_density(_pl_exponents(_SIN_BUMP, lam)[0])
-    res = _directed_distance(u, GAUSS, 1e-10)
+    res = _directed_distance(u, 1e-10)
     assert res.panels == u.nodes.size + 1
     assert res.evaluations == 21 * res.panels
 
@@ -835,9 +935,27 @@ def test_grid_distance_covers_a_quartered_reference(monkeypatch, n):
         return breaks(lo, hi, np.append(cuts, x[-1])[None, :], deriv)
 
     monkeypatch.setattr(transport1d, "_distance_breaks", quartered)
-    ref = _directed_distance(u, GAUSS, 1e-14)
+    ref = _directed_distance(u, 1e-14)
     assert ref.panels >= 4 * (n - 1)
     assert abs(value - ref.value) <= err + ref.error
+
+
+def test_grid_against_its_translate_is_at_distance_zero():
+    # both sides' nodes on the Gaussian scale are the same panel edges, and
+    # L = log u(x_u) - log v(x_v) vanishes up to rounding
+    u = _grid()
+    v = GridDensity1D(u.nodes + 2.5, u.values)
+    value, err = bf_distance_full(u, v)
+    assert 0.0 <= value <= err < 1e-12
+
+
+def test_grid_against_a_translate_of_gamma_matches_gamma():
+    # N(1, 1) is a mixture, so d(grid, N(1, 1)) is the Gaussian-scale pair
+    # integral and d(grid, gamma) the directed integral over the grid
+    u = _grid()
+    value, err = bf_distance_full(u, GaussianMixture1D([1.0], [1.0], [1.0]))
+    ref, ref_err = bf_distance_full(u, GAUSS)
+    assert abs(value - ref) <= err + ref_err
 
 
 # ---------------------------------------------------------------------------
