@@ -26,8 +26,9 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .density1d import (Density1D, GaussianMixture1D, GridDensity1D,
-                        WORKING_RADIUS, _breaks, entropy_rel_gauss_full,
-                        fisher_rel_gauss_full, gauss_information_rows,
+                        WORKING_RADIUS, _breaks, _closed_information,
+                        _information_rows, _is_gaussian,
+                        entropy_rel_gauss_full, fisher_rel_gauss_full,
                         gauss_pdf)
 from .densitynd import (_QMC_REPLICATES, GaussianMixtureND, ProductFunction,
                         _average, _closed_form, _combine,
@@ -106,16 +107,19 @@ class DeficitReport:
 
 
 def _lsi_deficit_1d(nu: Density1D):
+    if _is_gaussian(nu):
+        return _closed_information(nu, 2)
     fi = fisher_rel_gauss_full(nu)
     e = entropy_rel_gauss_full(nu)
     return 0.5 * fi.value - e.value, 0.5 * fi.error + e.error
 
 
 def _lsi_deficit_rows(weights, means, stds):
-    """The sum of 1/2 I - H over 1-D mixture rows (the layout of
-    ``gauss_information_rows``), and of its error, from one kernel call."""
-    h, h_err, fi, fi_err = gauss_information_rows(weights, means, stds)
-    return sum((0.5 * fi - h).tolist()), sum((0.5 * fi_err + h_err).tolist())
+    """The sum of delta_LS over 1-D mixture rows (the layout of
+    ``gauss_information_rows``), and of its error, from one kernel call:
+    a Gaussian row's closed form, 1/2 I - H for the others."""
+    delta, err = _information_rows(weights, means, stds)[4:]
+    return sum(delta.tolist()), sum(err.tolist())
 
 
 def lsi_deficit(nu, *, mc_budget: int = 10 ** 6, seed: int = 0):

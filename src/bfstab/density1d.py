@@ -696,26 +696,106 @@ def _expect(nu: Density1D, fn, tol: float) -> QuadResult:
                       res.panels)
 
 
+# Multiple of eps sum |terms| charged for the rounding of a Gaussian's
+# closed-form information terms, here and (times n kappa(C)) in
+# ``densitynd``. A 1-D term list below is summed by ``_sum2``, so what is
+# left is each term's own rounding and one final rounding, at most about
+# 2 u sum |terms| = eps sum |terms| (u = eps / 2, the unit roundoff).
+# Against 40-digit closed forms on 100,000 seeded N(m, s^2), m uniform on
+# (-30, 30) and s log-uniform on [1e-6, 1e6] (default_rng(20261020)), H,
+# I and delta_LS missed by at most 0.64, 0.66 and 0.66 of this charge
+# (test_single_gaussian_information_covers_mpmath). It is also the largest
+# constant under which the 4-D Gaussian of
+# test_corollary_monte_carlo_gaussian_closed_form keeps its error below
+# 1e-13 with room.
+_CLOSED_ROUNDING = 1.5
+_EPS = float(np.finfo(float).eps)
+
+
+def _sum2(terms):
+    """The sum of ``terms`` (arrays or floats, broadcast together) as
+    Ogita, Rump and Oishi's Sum2 (SIAM J. Sci. Comput. 26, 2005) computes
+    it: each add's rounding error is recovered exactly and summed apart,
+    so the result is about as accurate as a sum in twice the working
+    precision, rounded once."""
+    total, carry = terms[0], 0.0
+    for t in terms[1:]:
+        new = total + t
+        back = new - total
+        carry = carry + ((total - (new - back)) + (t - back))
+        total = new
+    return total + carry
+
+
+def _single_components(present):
+    """(one, k): which rows of a (B, K) ``present`` mask have exactly one
+    present component, and that component's index in each of those rows.
+    The batched kernels treat such a row as the Gaussian N(m_k, s_k^2)."""
+    one = present.sum(axis=1) == 1
+    return one, np.argmax(present[one], axis=1)
+
+
+def _gaussian_information(m, s):
+    """((H, err), (I, err), (delta, err)) of the Gaussians N(m, s^2)
+    against gamma, for arrays m and s: H = (m^2 + s^2 - 1) / 2 - log s,
+    I = m^2 + s^2 - 2 + 1 / s^2 and delta_LS = I / 2 - H = (1 / s^2 - 1) / 2
+    + log s, taken directly so the m^2 and s^2 terms never cancel. Each is
+    the ``_sum2`` of the terms of ``densitynd``'s closed forms at n = 1,
+    charged _CLOSED_ROUNDING eps times the sum of their absolute values."""
+    log_s, inv2 = np.log(s), s ** -2.0
+    h = (0.5 * s * s, 0.5 * m * m, -0.5, -log_s)
+    fi = (m * m, s * s, -2.0, inv2)
+    delta = (0.5 * inv2, -0.5, log_s)
+    return tuple((_sum2(t), _CLOSED_ROUNDING * _EPS * sum(map(np.abs, t)))
+                 for t in (h, fi, delta))
+
+
+def _is_gaussian(nu: Density1D) -> bool:
+    """Whether nu is a one-component GaussianMixture1D, whose entropy and
+    Fisher information take the closed forms."""
+    return isinstance(nu, GaussianMixture1D) and nu.weights.size == 1
+
+
 def gauss_information_rows(weights, means, stds):
     """H(u_b | gamma) and I(u_b | gamma) of many 1-D mixtures u_b at once:
     (H, H_err, I, I_err), each of shape (B,), in row order.
 
     Row b of the (B, K) arrays is u_b = sum_k w_bk N(m_bk, s_bk^2); a zero
     weight marks an absent component, whose mean and std must still be
-    finite (the rows of ``transport1d.gauss_distance_rows``). Each row gets
+    finite (the rows of ``transport1d.gauss_distance_rows``). A row with one
+    present component is the Gaussian N(m, s^2) and takes the closed forms
+    of ``_gaussian_information``, with no quadrature. Every other row gets
     the interval, breakpoints, budget (``_INFO_TOL``) and tail bound that
     ``entropy_rel_gauss_full`` and ``fisher_rel_gauss_full`` give the
-    GaussianMixture1D of its present components, and keeps their bits:
-    the 2B integrals are the rows of one ``adaptive_quad_rows`` call, which
-    settles each row alone, and each round runs one component pass over
-    all of its points, to which an absent component adds exact zeros.
-    An integral that does not converge raises EvaluationError naming its
-    term and, when there are several rows, its row as the factor.
+    GaussianMixture1D of its present components. Either way a row keeps
+    the bits of those functionals: the 2B' integrals of the B' integrated
+    rows are the rows of one ``adaptive_quad_rows`` call, which settles
+    each row alone, and each round runs one component pass over all of
+    its points, to which an absent component adds exact zeros. An integral
+    that does not converge raises EvaluationError naming its term and,
+    when there are several rows, its row as the factor.
     """
+    return tuple(_information_rows(weights, means, stds)[:4])
+
+
+def _information_rows(weights, means, stds):
+    """(H, H_err, I, I_err, delta, delta_err) as a (6, B) array: the rows of
+    ``gauss_information_rows`` and each row's delta_LS = I / 2 - H with its
+    error. A Gaussian row's delta is its own closed form; an integrated
+    row's is I / 2 - H, charged I_err / 2 + H_err."""
     w = np.atleast_2d(np.asarray(weights, dtype=float))
     m = np.atleast_2d(np.asarray(means, dtype=float))
     s = np.atleast_2d(np.asarray(stds, dtype=float))
     present = w > 0.0
+    one, k_one = _single_components(present)
+    out = np.empty((6, w.shape[0]))
+    out[:, one] = np.reshape(
+        _gaussian_information(m[one, k_one], s[one, k_one]), (6, -1))
+    quad = np.flatnonzero(~one)
+    if not quad.size:
+        return out
+    named = w.shape[0] > 1
+    w, m, s, present = w[quad], m[quad], s[quad], present[quad]
     lo, hi = _mixture_span(m, s, present, _TAIL_MASS)
     lo, hi = np.minimum(lo, -WORKING_RADIUS), np.maximum(hi, WORKING_RADIUS)
     with np.errstate(divide="ignore"):
@@ -747,22 +827,38 @@ def gauss_information_rows(weights, means, stds):
             raise
         # name the term and the factor in place of the 2B-row index
         term = "Fisher information" if exc.row >= n else "entropy"
-        if n > 1:
-            term += f" of factor {exc.row % n}"
+        if named:
+            term += f" of factor {quad[exc.row % n]}"
         raise EvaluationError(
             str(exc).replace(f"row {exc.row}", f"the {term}"),
             value=exc.value, error=exc.error) from None
     h, fi, _ = terms(np.stack([lo, hi], axis=1), slice(None))
-    return (res.value[:n], res.error[:n] + _TAIL_MASS * np.abs(h).sum(axis=1),
-            res.value[n:], res.error[n:] + _TAIL_MASS * np.abs(fi).sum(axis=1))
+    out[:4, quad] = (
+        res.value[:n], res.error[:n] + _TAIL_MASS * np.abs(h).sum(axis=1),
+        res.value[n:], res.error[n:] + _TAIL_MASS * np.abs(fi).sum(axis=1))
+    h, h_err, fi, fi_err = out[:4, quad]
+    out[4:, quad] = 0.5 * fi - h, 0.5 * fi_err + h_err
+    return out
+
+
+def _closed_information(nu: GaussianMixture1D, term: int):
+    """(value, error) of term 0 (H), 1 (I) or 2 (delta_LS) of
+    ``_gaussian_information`` for the one component of nu."""
+    value, error = _gaussian_information(nu.means, nu.stds)[term]
+    return float(value[0]), float(error[0])
 
 
 def entropy_rel_gauss_full(nu: Density1D, *,
                            tol: float = _INFO_TOL) -> QuadResult:
     """H(nu | gamma) = E_nu[log p - log phi] with an error estimate.
 
-    The error includes the bound on the tails beyond the interval.
+    A one-component GaussianMixture1D N(m, s^2) takes the closed form
+    (m^2 + s^2 - 1) / 2 - log s, with a rounding charge as its error and
+    ``tol`` unused. Any other density takes adaptive quadrature, and the
+    error includes the bound on the tails beyond the interval.
     """
+    if _is_gaussian(nu):
+        return QuadResult(*_closed_information(nu, 0), 0, 0)
 
     def fn(x):
         logpdf, pdf = nu._logpdf_pdf(x)
@@ -775,8 +871,13 @@ def fisher_rel_gauss_full(nu: Density1D, *,
                           tol: float = _INFO_TOL) -> QuadResult:
     """I(nu | gamma) = E_nu[(score + x)^2] with an error estimate.
 
-    The error includes the bound on the tails beyond the interval.
+    A one-component GaussianMixture1D N(m, s^2) takes the closed form
+    m^2 + s^2 - 2 + 1 / s^2, with a rounding charge as its error and
+    ``tol`` unused. Any other density takes adaptive quadrature, and the
+    error includes the bound on the tails beyond the interval.
     """
+    if _is_gaussian(nu):
+        return QuadResult(*_closed_information(nu, 1), 0, 0)
 
     def fn(x):
         score, pdf = nu._score_pdf(x)

@@ -38,7 +38,8 @@ from scipy.linalg import solve_triangular
 from scipy.special import ndtri
 
 from ._sobol import check_count, sobol
-from .density1d import GaussianMixture1D, _mixture_masses, _phi_inverse
+from .density1d import (_CLOSED_ROUNDING, _EPS, GaussianMixture1D,
+                        _mixture_masses, _phi_inverse)
 from .errors import ConditioningError, DomainError, ParseError
 from .quadrature import gh_tensor
 
@@ -489,7 +490,6 @@ def _combine(per_set: np.ndarray, n: int, floor=0.0, dropped=0.0):
 # double over the eigenvalues sit up to 0.17 of the resulting error from
 # those; 16 covers both.
 _SUM_ROUNDING = 16.0
-_EPS = float(np.finfo(float).eps)
 
 
 def _allowance(nu: GaussianMixtureND, dropped: float, radius: float, bound):
@@ -638,16 +638,17 @@ def knothe_w2_bound(nu: GaussianMixtureND, *, mc_budget: int = 10 ** 6,
 # ---------------------------------------------------------------------------
 # one-component measures: closed forms from the stored factors
 
-# Multiple of n kappa(C) eps sum |terms| charged for the rounding of a
-# Gaussian closed form, kappa(C) = (||L||_2 ||L^-1||_2)^2 the covariance's
-# condition number: the Cholesky factor and its inverse carry relative
-# errors of about n kappa eps (Higham, Accuracy and Stability of Numerical
-# Algorithms, 2nd ed., 2002, ch. 8 and 10). Sized against 40-digit closed
-# forms on 760 seeded Gaussians at n = 2 to 5, eigenvalues log-uniform on
-# ranges from [0.9, 1.1] to [1e-4, 1e4]: no miss of H, I, delta_LS, the cost or the
-# corollary bound passed 0.33 of this term
-# (test_gaussian_closed_forms_cover_mpmath).
-_CLOSED_ROUNDING = 1.0
+# A Gaussian closed form is charged density1d's _CLOSED_ROUNDING times
+# n kappa(C) eps sum |terms| for its rounding, kappa(C) = (||L||_2
+# ||L^-1||_2)^2 the covariance's condition number: the Cholesky factor and
+# its inverse carry relative errors of about n kappa eps (Higham, Accuracy
+# and Stability of Numerical Algorithms, 2nd ed., 2002, ch. 8 and 10).
+# Against 40-digit closed forms on 760 seeded Gaussians at n = 2 to 5,
+# eigenvalues log-uniform on ranges from [0.9, 1.1] to [1e-4, 1e4], no
+# miss of H, I, delta_LS, the cost or the corollary bound passed 0.33
+# n kappa eps sum |terms|, 0.083 of this charge
+# (test_gaussian_closed_forms_cover_mpmath); the 1-D closed forms, where
+# n kappa = 1, set the constant.
 
 
 def _closed_form(nu: GaussianMixtureND, mc_budget: int) -> bool:

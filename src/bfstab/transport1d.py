@@ -57,8 +57,8 @@ from .density1d import (SQRT_2PI, Density1D, GaussianMixture1D,
                         StandardGaussian, _breaks, _columns, _components,
                         _expect, _interior, _measure_breaks, _measure_interval,
                         _mixture_log, _mixture_masses, _mixture_span,
-                        _phi_inverse, entropy_rel_gauss_full, gauss_logpdf,
-                        gauss_pdf)
+                        _phi_inverse, _single_components,
+                        entropy_rel_gauss_full, gauss_logpdf, gauss_pdf)
 from .errors import EvaluationError, InvariantViolation
 from .quadrature import adaptive_quad, adaptive_quad_rows
 
@@ -420,7 +420,9 @@ def _distance_integrand(x, weights, means, stds, log_w, log_norm, grad):
 
 class _RowMixtures:
     """The (B, K) row mixtures of the batched routines, split as both treat
-    them: ``one`` marks the rows with one present component, ``k_one`` and
+    them: ``one`` marks the rows with one present component (the split of
+    ``density1d._single_components``, which the information kernel
+    ``gauss_information_rows`` makes too), ``k_one`` and
     ``s_one`` hold that component's index and std, and ``closed`` their
     d = 1 - min(s, 1/s) (see gauss_distance_rows). The other
     rows, at indices ``quad``, keep their ``present`` mask, their working
@@ -432,8 +434,7 @@ class _RowMixtures:
         m = np.atleast_2d(np.asarray(means, dtype=float))
         s = np.broadcast_to(np.asarray(stds, dtype=float), w.shape)
         present = w > 0.0
-        self.one = present.sum(axis=1) == 1
-        self.k_one = np.argmax(present[self.one], axis=1)
+        self.one, self.k_one = _single_components(present)
         self.s_one = s[self.one, self.k_one]
         self.closed = 1.0 - np.minimum(self.s_one, 1.0 / self.s_one)
         self.quad = np.flatnonzero(~self.one)

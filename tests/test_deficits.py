@@ -15,7 +15,7 @@ from bfstab import (CapabilityError, DeficitReport, DomainError,
                     ProductFunction, lambda_limit_diagnostics, lsi_deficit,
                     pl_deficit_check, sup_convolution, verify_corollary,
                     verify_talagrand, verify_thm_main)
-from bfstab import deficits, density1d, densitynd, quadrature
+from bfstab import deficits, density1d, densitynd, quadrature, transport1d
 from bfstab.corpus import _PL_GS, _SIN_BUMP, _sin_bump, main_corpus
 from bfstab.deficits import _corollary_axis
 
@@ -111,7 +111,9 @@ def test_product_deficit_is_one_quadrature_call_with_per_factor_bits(
         monkeypatch):
     # factors of K = 1, 2 and 4, one with a std of 1e-3: the deficit and its
     # error keep the bits of the sum of the factors' one-term-per-call
-    # deficits, from one adaptive_quad_rows call for all 2F integrals
+    # deficits, from one adaptive_quad_rows call for the integrals of the
+    # K >= 2 factors; the single Gaussian takes its closed form, and alone
+    # it takes no call
     factors = [GaussianMixture1D([1.0], [0.3], [1e-3]),
                GaussianMixture1D([0.4, 0.6], [-1.0, 2.0], [0.5, 1.5]),
                GaussianMixture1D([0.1, 0.2, 0.3, 0.4], [-3.0, -1.0, 0.5, 4.0],
@@ -134,7 +136,27 @@ def test_product_deficit_is_one_quadrature_call_with_per_factor_bits(
     for h in factors:
         part = deficits._lsi_deficit_1d(h)
         calls.clear()
-        assert lsi_deficit(h) == part and len(calls) == 1
+        assert lsi_deficit(h) == part and len(calls) == (h.weights.size > 1)
+
+
+def test_gaussian_product_takes_no_quadrature(monkeypatch):
+    # a product of single Gaussians: its information terms and every slice
+    # distance are closed forms, so neither lsi_deficit nor
+    # verify_corollary makes an adaptive_quad_rows call
+    calls = []
+    original = quadrature.adaptive_quad_rows
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    for module in (quadrature, density1d, transport1d):
+        monkeypatch.setattr(module, "adaptive_quad_rows", counted)
+    nu = ProductFunction([scaled(2.0), scaled(0.5, 1.0), scaled(1e-3, 0.3)])
+    value, err = lsi_deficit(nu)
+    rep = verify_corollary(nu)
+    assert calls == [] and rep.status == "pass"
+    assert rep.deficit == value and 0.0 < err < 1e-9
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])

@@ -3,6 +3,7 @@
 import math
 import pickle
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -14,7 +15,7 @@ from bfstab import (ConditioningError, DomainError, EvaluationError,
                     GaussianMixture1D,
                     GridDensity1D, ParseError, ProductFunction,
                     StandardGaussian, entropy_rel_gauss_full,
-                    fisher_rel_gauss_full, load_grid_csv)
+                    fisher_rel_gauss_full, load_grid_csv, lsi_deficit)
 from bfstab.corpus import _SIN_BUMP
 from bfstab.deficits import _pl_exponents, _pl_u_density
 
@@ -325,28 +326,100 @@ def test_information_rows_keep_the_bits_of_the_one_mixture_functionals():
 @pytest.mark.parametrize("factors, target, message", [
     (3, 4, "did not converge in the Fisher information of factor 1: "),
     (3, 2, "did not converge in the entropy of factor 2: "),
-    (1, 1, "did not converge in the Fisher information: ")])
+    (1, 1, "did not converge in the Fisher information: "),
+    (4, 7, "did not converge in the Fisher information of factor 3: ")])
 def test_information_rows_name_the_term_and_factor_that_fail(
         monkeypatch, factors, target, message):
     # a jump at an irrational point, added to one of the 2F integrands, keeps
     # that row from settling within 24 panels: the error names its term and
-    # factor, not the row index of the kernel's 2F integrals, and carries
-    # the partial result
+    # factor, not the row index of the kernel's integrals, and carries the
+    # partial result. target is term * F + factor in the product's
+    # numbering; the kernel integrates only the factors of two or more
+    # components (one or two single Gaussians come first here), all their
+    # entropies first, so it sees the target as row term * len(mixed) +
+    # mixed.index(factor)
+    rows = ProductFunction(mixtures()[4 - factors:]).factor_rows
+    term, factor = divmod(target, factors)
+    mixed = [i for i, w in enumerate(rows[0]) if np.count_nonzero(w) > 1]
+    row_of_target = term * len(mixed) + mixed.index(factor)
     real = density1d.adaptive_quad_rows
 
     def rough(f, bp, **kwargs):
         def g(x, row):
-            jump = (row[:, None] == target) & (x > math.sqrt(2.0))
+            jump = (row[:, None] == row_of_target) & (x > math.sqrt(2.0))
             return f(x, row) + jump
         return real(g, bp, **kwargs)
 
     monkeypatch.setattr(density1d, "adaptive_quad_rows", rough)
     monkeypatch.setattr(quadrature, "_MAX_PANELS", 24)
-    rows = ProductFunction(mixtures()[4 - factors:]).factor_rows
     with pytest.raises(EvaluationError) as info:
         density1d.gauss_information_rows(*rows)
     assert message in str(info.value) and "row" not in str(info.value)
     assert info.value.error > 0.0 and info.value.value is not None
+
+
+def test_integrated_rows_keep_their_bits_beside_gaussian_rows():
+    # the factors of K = 1, 2 and 4 of test_deficits' product (the CI's
+    # prod3.json): the single Gaussian takes the closed forms and the other
+    # two rows give the same bits with and without it in the batch
+    factors = [GaussianMixture1D([1.0], [0.3], [1e-3]),
+               GaussianMixture1D([0.4, 0.6], [-1.0, 2.0], [0.5, 1.5]),
+               GaussianMixture1D([0.1, 0.2, 0.3, 0.4], [-3.0, -1.0, 0.5, 4.0],
+                                 [0.2, 1.0, 2.0, 0.7])]
+    both = np.stack(density1d.gauss_information_rows(
+        *ProductFunction(factors).factor_rows))
+    alone = np.stack(density1d.gauss_information_rows(
+        *ProductFunction(factors[1:]).factor_rows))
+    assert np.array_equal(both[:, 1:], alone)
+
+
+def _mpmath_gaussian_information(m, s):
+    """H, I and delta_LS of N(m, s^2) against gamma to 40 digits."""
+    with mpmath.workdps(40):
+        m, s = mpmath.mpf(float(m)), mpmath.mpf(float(s))
+        h = (m * m + s * s - 1) / 2 - mpmath.log(s)
+        fi = m * m + s * s - 2 + 1 / (s * s)
+        return h, fi, fi / 2 - h
+
+
+def _misses(nu):
+    """(|miss|, error) of H, I and delta_LS of the single Gaussian nu
+    against 40-digit closed forms."""
+    exact = _mpmath_gaussian_information(nu.means[0], nu.stds[0])
+    got = [(res.value, res.error) for res in (entropy_rel_gauss_full(nu),
+                                              fisher_rel_gauss_full(nu))]
+    got.append(lsi_deficit(nu))
+    with mpmath.workdps(40):
+        return [(float(abs(mpmath.mpf(value) - x)), err)
+                for (value, err), x in zip(got, exact)]
+
+
+def test_single_gaussian_information_covers_mpmath():
+    # 2,000 seeded N(m, s^2), m uniform on (-30, 30) and s log-uniform on
+    # [1e-6, 1e6]: H, I and delta_LS (lsi_deficit, formed from the closed
+    # forms directly, so the m^2 terms do not cancel) each within its own
+    # error of 40-digit closed forms, with no slack. The worst miss here is
+    # 0.64 of its error (I). density1d._CLOSED_ROUNDING was sized on
+    # 100,000 such pairs (default_rng(20261020)), where the worst was 0.66.
+    rng = np.random.default_rng(37)
+    for m, s in zip(rng.uniform(-30.0, 30.0, 2000),
+                    np.exp(rng.uniform(math.log(1e-6), math.log(1e6), 2000))):
+        for miss, err in _misses(GaussianMixture1D([1.0], [m], [s])):
+            assert miss <= err, (m, s)
+
+
+@pytest.mark.parametrize("s", [1e-3, 1e-6, 1e-12])
+def test_narrow_gaussian_errors_are_tight(s):
+    # the quadrature charged these 1e-15 |f| at +-10, far outside the
+    # Gaussian's own tails: at s = 1e-6 an entropy error of 0.1 on 13.4.
+    # The closed forms' H and I errors cover their miss against 40-digit
+    # values and are within 16 times it; where a lucky rounding makes the
+    # miss smaller than one ulp of the value, within 16 ulps (here they
+    # are 3.5 to 10.6 times the miss)
+    nu = GaussianMixture1D([1.0], [0.5], [s])
+    for (miss, err), value in zip(_misses(nu)[:2], (
+            entropy_rel_gauss_full(nu).value, fisher_rel_gauss_full(nu).value)):
+        assert miss <= err <= 16.0 * max(miss, np.spacing(value))
 
 
 @pytest.mark.parametrize("functional", [entropy_rel_gauss_full,
