@@ -27,7 +27,7 @@ import numpy as np
 
 from .density1d import (Density1D, GaussianMixture1D, GridDensity1D,
                         WORKING_RADIUS, _breaks, _closed_information,
-                        _information_rows, _is_gaussian,
+                        _information_rows, _is_gaussian, _single_components,
                         entropy_rel_gauss_full, fisher_rel_gauss_full,
                         gauss_pdf)
 from .densitynd import (_QMC_REPLICATES, GaussianMixtureND, ProductFunction,
@@ -205,9 +205,12 @@ def verify_thm_main(nu, *, directions: Optional[int] = None,
     deficit, d_err, unit = _lsi_deficit(nu, mc_budget, seed)
     res, lower, dn_err = _dn_bound(nu, directions)
     if isinstance(nu, ProductFunction):
-        terms = "per-factor 1-D quadrature"
+        closed = _single_components(nu.factor_rows[0] > 0.0)[0].all()
+        terms = "per-factor " + ("closed-form Gaussian" if closed
+                                 else "1-D quadrature")
     elif isinstance(nu, Density1D):
-        terms = "1-D quadrature"
+        terms = ("closed-form Gaussian" if _is_gaussian(nu)
+                 else "1-D quadrature")
     else:
         terms = ("closed-form Gaussian" if unit is not None
                  else "whitened-GH/QMC")

@@ -217,13 +217,20 @@ def test_main_theorem_mixture_2d():
 
 
 @pytest.mark.parametrize("nu, terms", [
-    (scaled(2.0), "1-D quadrature"),
-    (ProductFunction([scaled(2.0), scaled(0.5, 1.0)]),
+    (GaussianMixture1D([0.4, 0.6], [-1.0, 2.0], [0.5, 1.5]),
+     "1-D quadrature"),
+    (ProductFunction([scaled(2.0), GaussianMixture1D([0.4, 0.6], [-1.0, 2.0],
+                                                     [0.5, 1.5])]),
      "per-factor 1-D quadrature"),
     (GaussianMixtureND([1.0], [[0.0, 0.0]], [4.0 * np.eye(2)]),
      "closed-form Gaussian"),
-    (mix2d(), "whitened-GH/QMC")])
+    (mix2d(), "whitened-GH/QMC"),
+    (scaled(2.0), "closed-form Gaussian"),
+    (ProductFunction([scaled(2.0), scaled(0.5, 1.0)]),
+     "per-factor closed-form Gaussian")])
 def test_main_theorem_method_names_the_information_route(nu, terms):
+    # a single Gaussian, and a product of them, take the closed forms; a
+    # mixture, or a product with one mixture factor, is integrated
     assert verify_thm_main(nu).method.startswith(f"entropy+fisher {terms}; ")
 
 
