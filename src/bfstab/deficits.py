@@ -128,11 +128,15 @@ def lsi_deficit(nu, *, mc_budget: int = 10 ** 6, seed: int = 0):
     Both terms are nu-expectations in log space, E_nu[|grad log p + x|^2]
     and E_nu[log p - log phi_n]:
 
-      * GaussianMixture1D: adaptive 1-D quadrature, both terms in one
-        ``gauss_information_rows`` call;
+      * one-component GaussianMixture1D N(m, s^2): the closed form
+        (1 / s^2 - 1) / 2 + log s, with no quadrature;
+      * any other GaussianMixture1D: adaptive 1-D quadrature, both terms
+        in one ``gauss_information_rows`` call;
       * ProductFunction: the sum of its factors' 1-D deficits, since
-        entropy and Fisher information tensorize, with every factor's two
-        terms in one ``gauss_information_rows`` call;
+        entropy and Fisher information tensorize: each single-Gaussian
+        factor's closed form, and the two terms of every other factor in
+        one ``gauss_information_rows`` call (none when all factors are
+        single Gaussians);
       * any other Density1D: adaptive 1-D quadrature, one call per term;
       * a one-component GaussianMixtureND N(m, C): the closed form
         (tr C^-1 - n + log det C) / 2, with no node set;

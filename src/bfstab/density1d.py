@@ -5,7 +5,9 @@ The reference measure throughout is the standard Gaussian gamma with density
 phi(x) = exp(-x^2/2)/sqrt(2 pi). Both relative functionals are expectations
 under the density p itself, in log space: H(nu | gamma) = E_nu[log p - log phi]
 and I(nu | gamma) = E_nu[(score + x)^2] with score = (log p)'. Neither forms
-p/phi, which overflows for wide densities.
+p/phi, which overflows for wide densities. A single Gaussian N(m, s^2)
+takes both, and delta_LS = I / 2 - H, in closed form instead, charged for
+rounding only, so a narrow one is not charged for tails it does not have.
 
 Densities come in three concrete flavors:
 
@@ -703,7 +705,7 @@ def _expect(nu: Density1D, fn, tol: float) -> QuadResult:
 # 2 u sum |terms| = eps sum |terms| (u = eps / 2, the unit roundoff).
 # Against 40-digit closed forms on 100,000 seeded N(m, s^2), m uniform on
 # (-30, 30) and s log-uniform on [1e-6, 1e6] (default_rng(20261020)), H,
-# I and delta_LS missed by at most 0.64, 0.66 and 0.66 of this charge
+# I and delta_LS missed by at most 0.64, 0.66 and 0.65 of this charge
 # (test_single_gaussian_information_covers_mpmath). It is also the largest
 # constant under which the 4-D Gaussian of
 # test_corollary_monte_carlo_gaussian_closed_form keeps its error below
@@ -713,16 +715,15 @@ _EPS = float(np.finfo(float).eps)
 
 
 def _sum2(terms):
-    """The sum of ``terms`` (arrays or floats, broadcast together) as
-    Ogita, Rump and Oishi's Sum2 (SIAM J. Sci. Comput. 26, 2005) computes
-    it: each add's rounding error is recovered exactly and summed apart,
-    so the result is about as accurate as a sum in twice the working
-    precision, rounded once."""
+    """The sum of the floats ``terms`` as Ogita, Rump and Oishi's Sum2
+    (SIAM J. Sci. Comput. 26, 2005) computes it: each add's rounding error
+    is recovered exactly and summed apart, so the result is about as
+    accurate as a sum in twice the working precision, rounded once."""
     total, carry = terms[0], 0.0
     for t in terms[1:]:
         new = total + t
         back = new - total
-        carry = carry + ((total - (new - back)) + (t - back))
+        carry += (total - (new - back)) + (t - back)
         total = new
     return total + carry
 
@@ -735,19 +736,20 @@ def _single_components(present):
     return one, np.argmax(present[one], axis=1)
 
 
-def _gaussian_information(m, s):
-    """((H, err), (I, err), (delta, err)) of the Gaussians N(m, s^2)
-    against gamma, for arrays m and s: H = (m^2 + s^2 - 1) / 2 - log s,
-    I = m^2 + s^2 - 2 + 1 / s^2 and delta_LS = I / 2 - H = (1 / s^2 - 1) / 2
-    + log s, taken directly so the m^2 and s^2 terms never cancel. Each is
-    the ``_sum2`` of the terms of ``densitynd``'s closed forms at n = 1,
-    charged _CLOSED_ROUNDING eps times the sum of their absolute values."""
-    log_s, inv2 = np.log(s), s ** -2.0
+def _gaussian_information(m: float, s: float):
+    """(H, H_err, I, I_err, delta, delta_err) of N(m, s^2) against gamma:
+    H = (m^2 + s^2 - 1) / 2 - log s, I = m^2 + s^2 - 2 + 1 / s^2 and
+    delta_LS = I / 2 - H = (1 / s^2 - 1) / 2 + log s, taken directly so the
+    m^2 and s^2 terms never cancel. Each is the ``_sum2`` of the terms of
+    ``densitynd``'s closed forms at n = 1, charged _CLOSED_ROUNDING eps
+    times the sum of their absolute values. Python floats: a batch holds
+    a few Gaussian rows, where NumPy's per-call cost would dominate."""
+    log_s, inv2 = math.log(s), s ** -2.0
     h = (0.5 * s * s, 0.5 * m * m, -0.5, -log_s)
     fi = (m * m, s * s, -2.0, inv2)
     delta = (0.5 * inv2, -0.5, log_s)
-    return tuple((_sum2(t), _CLOSED_ROUNDING * _EPS * sum(map(np.abs, t)))
-                 for t in (h, fi, delta))
+    return tuple(x for t in (h, fi, delta) for x in (
+        _sum2(t), _CLOSED_ROUNDING * _EPS * sum(map(abs, t))))
 
 
 def _is_gaussian(nu: Density1D) -> bool:
@@ -789,8 +791,8 @@ def _information_rows(weights, means, stds):
     present = w > 0.0
     one, k_one = _single_components(present)
     out = np.empty((6, w.shape[0]))
-    out[:, one] = np.reshape(
-        _gaussian_information(m[one, k_one], s[one, k_one]), (6, -1))
+    out[:, one] = np.reshape([_gaussian_information(*row) for row in zip(
+        m[one, k_one].tolist(), s[one, k_one].tolist())], (-1, 6)).T
     quad = np.flatnonzero(~one)
     if not quad.size:
         return out
@@ -844,8 +846,8 @@ def _information_rows(weights, means, stds):
 def _closed_information(nu: GaussianMixture1D, term: int):
     """(value, error) of term 0 (H), 1 (I) or 2 (delta_LS) of
     ``_gaussian_information`` for the one component of nu."""
-    value, error = _gaussian_information(nu.means, nu.stds)[term]
-    return float(value[0]), float(error[0])
+    return _gaussian_information(float(nu.means[0]),
+                                 float(nu.stds[0]))[2 * term:2 * term + 2]
 
 
 def entropy_rel_gauss_full(nu: Density1D, *,

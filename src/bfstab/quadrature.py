@@ -15,7 +15,8 @@ the panels of all rows.
 through it: ``transport1d.gauss_distance_rows`` (the distances of slices
 and of sphere-search directions to gamma) and
 ``density1d.gauss_information_rows`` (the entropy and Fisher integrals of
-a 1-D mixture, or of every factor of a product, in one call). Integrands
+a 1-D mixture, or of every factor of a product that is not a single
+Gaussian, in one call; a single Gaussian takes closed forms). Integrands
 with expensive inner solves thus see a handful of large batched calls
 instead of thousands of scalar ones.
 """
