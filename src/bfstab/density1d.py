@@ -706,10 +706,10 @@ def _expect(nu: Density1D, fn, tol: float) -> QuadResult:
 # Against 40-digit closed forms on 100,000 seeded N(m, s^2), m uniform on
 # (-30, 30) and s log-uniform on [1e-6, 1e6] (default_rng(20261020)), H,
 # I and delta_LS missed by at most 0.64, 0.66 and 0.65 of this charge
-# (test_single_gaussian_information_covers_mpmath). It is also the largest
-# constant under which the 4-D Gaussian of
-# test_corollary_monte_carlo_gaussian_closed_form keeps its error below
-# 1e-13 with room.
+# (test_single_gaussian_information_covers_mpmath). The n-D charges scale
+# with it: above about 1.8 the 4-D Gaussian of
+# test_corollary_monte_carlo_gaussian_closed_form would pass its 1e-13
+# error bound (at 1.5 it reads 8.2e-14).
 _CLOSED_ROUNDING = 1.5
 _EPS = float(np.finfo(float).eps)
 
