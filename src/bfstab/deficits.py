@@ -479,30 +479,39 @@ def _sup_conv_fn(g: GFun, lam: float):
     if not 0.0 < lam < 1.0:
         raise DomainError("lambda must lie strictly inside (0, 1)")
     if g.kind != "generic":
-        raw = _sup_conv_quadratic(g, lam)
+        quadratic = _sup_conv_quadratic(g, lam)
+
+        def raw(z):
+            return quadratic(z), g(z)
     else:
         c = (1.0 - lam) / (2.0 * lam)
         xs, step = _PL_XS, _PL_XS[1] - _PL_XS[0]
-        breaks, idx = _upper_envelope(g(xs) - c * xs * xs, 2.0 * c * xs)
+        gxs = g(xs)
+        breaks, idx = _upper_envelope(gxs - c * xs * xs, 2.0 * c * xs)
 
-        def psi(x, z):
-            return g(x) - c * (x - z) ** 2
+        def psi(gx, x, z):
+            """g(x) - c (x - z)^2, from gx = g(x)."""
+            return gx - c * (x - z) ** 2
 
         def raw(z):
+            """(the refined grid maximum, g(z)) at the points z."""
+            gz = g(z)
             j = idx[np.searchsorted(breaks, z, side="left")]
             jm, jp = np.maximum(j - 1, 0), np.minimum(j + 1, xs.size - 1)
-            # parabola vertex through three uniformly spaced nodes, clamped
-            # to the bracketing cells; g is re-evaluated exactly there
-            y0, y1, y2 = psi(xs[jm], z), psi(xs[j], z), psi(xs[jp], z)
+            # parabola vertex through three uniformly spaced nodes, read
+            # from the node table, clamped to the bracketing cells; g is
+            # evaluated exactly there
+            y0, y1, y2 = (psi(gxs[k], xs[k], z) for k in (jm, j, jp))
             hump = y0 - 2.0 * y1 + y2
             with np.errstate(divide="ignore", invalid="ignore"):
                 shift = np.where(hump < -1e-300,
                                  0.5 * step * (y0 - y2) / hump, 0.0)
             vertex = np.clip(xs[j] + shift, xs[jm], xs[jp])
-            return np.max(np.stack([y1, psi(vertex, z), psi(z, z)]), axis=0)
+            return np.max(np.stack([y1, psi(g(vertex), vertex, z),
+                                    psi(gz, z, z)]), axis=0), gz
 
     def h(z):
-        val, low = raw(z), g(z)
+        val, low = raw(z)
         if np.any(val < low - 1e-10):
             raise InvariantViolation("sup-convolution fell below its input")
         return np.maximum(val, low)

@@ -170,6 +170,8 @@ class Density1D:
     ``_mass_logpdf_pdf(x)`` add logpdf, and pdf, at the same points, and
     ``_logpdf_pdf(x)`` and ``_score_pdf(x)`` pair pdf with logpdf or
     score, so a grid locates them, or a mixture runs its pass, once.
+    ``_panel_mass_logpdf_pdf(x)`` reads the rows of x as quadrature
+    panels, which a grid locates once each.
     """
 
     def pdf(self, x):
@@ -210,6 +212,13 @@ class Density1D:
         over this density of its transport map reads."""
         m, upper, logpdf = self._mass_logpdf(x)
         return m, upper, logpdf, np.exp(logpdf)
+
+    def _panel_mass_logpdf_pdf(self, x):
+        """``_mass_logpdf_pdf`` at the (P, n) points x, the ascending nodes
+        of P quadrature panels, one panel a row, each array shaped like x:
+        here as one set of points."""
+        return tuple(a.reshape(x.shape)
+                     for a in self._mass_logpdf_pdf(x.ravel()))
 
     def _logpdf_pdf(self, x):
         """(logpdf, pdf) at the points x: what an entropy integral reads."""
@@ -571,12 +580,17 @@ class GridDensity1D(Density1D):
         z = dt * (x[tail] - self._anchor[it]) / self._scale[it]
         m[tail] = self._base[it] * np.exp(
             log_ndtr(z) - self._tail_log_phi[np.minimum(it, 1)])
-        k, dk = i[~tail], d[~tail]
-        j = k - (dk > 0)  # the piece's base node
-        dx = dk * (x[~tail] - self.nodes[j])
-        m[~tail] = self._base[k] + self.values[j] * dx * _expm1_over(
-            dk * self._slope[k] * dx)
+        m[~tail] = self._inner_mass(x[~tail], i[~tail], d[~tail])
         return np.minimum(m, 1.0 - m), (d < 0) != (m > 0.5)
+
+    def _inner_mass(self, x, k, d):
+        """F, or 1 - F where d < 0, at the points x of the panels k (no
+        tail), of directions d = _dir[k], read from the piece's base node.
+        k and d are shaped like x, or (P, 1) columns for the P rows of x."""
+        j = k - (d > 0)  # the piece's base node
+        dx = d * (x - self.nodes[j])
+        return self._base[k] + self.values[j] * dx * _expm1_over(
+            d * self._slope[k] * dx)
 
     def _mass_logpdf(self, x):
         """One locate serves the masses and the logpdf gather."""
@@ -585,6 +599,42 @@ class GridDensity1D(Density1D):
         m, upper = self._masses_in(x, i)
         return (np.clip(m, _PROB_FLOOR, _PROB_CEIL), upper,
                 self._logpdf_in(x, i))
+
+    def _panel_mass_logpdf_pdf(self, x):
+        """``_mass_logpdf_pdf`` at the (P, n) points x, the ascending nodes
+        of P quadrature panels, with each panel's piece located once.
+
+        A panel whose breakpoints include every node lies in one piece,
+        the one of its middle point. Its piece's parameters are gathered
+        once and broadcast over its n points through the per-point
+        formulas, so every value has the bits of ``_mass_logpdf_pdf``. A
+        panel in a tail, or one whose end points round out of its middle
+        point's piece (a panel a few ulps wide beside a node), keeps the
+        per-point route.
+        """
+        i = self._piece(x[:, x.shape[1] // 2])
+        ends = self.nodes[np.clip([i - 1, i], 0, self.nodes.size - 1)]
+        whole = ((i > 0) & (i < self.nodes.size)
+                 & (x[:, 0] >= ends[0]) & (x[:, -1] < ends[1]))
+        if whole.all():
+            return self._panels_in(x, i[:, None])
+        out = (np.empty(x.shape), np.empty(x.shape, dtype=bool),
+               np.empty(x.shape), np.empty(x.shape))
+        rest = ~whole
+        for o, a, b in zip(out, self._panels_in(x[whole], i[whole, None]),
+                           self._mass_logpdf_pdf(x[rest].ravel())):
+            o[whole] = a
+            o[rest] = b.reshape(-1, x.shape[1])
+        return out
+
+    def _panels_in(self, x, k):
+        """``_mass_logpdf_pdf`` at the (P, n) points x of the panels k, a
+        (P, 1) column."""
+        d = self._dir[k]
+        m = self._inner_mass(x, k, d)
+        logpdf = self._logpdf_in(x, k)
+        return (np.clip(np.minimum(m, 1.0 - m), _PROB_FLOOR, _PROB_CEIL),
+                (d < 0) != (m > 0.5), logpdf, np.exp(logpdf))
 
     # the benchmark's tracer (bench/layertrace.py) wraps both by name in
     # the class's own dict

@@ -18,7 +18,9 @@ and of sphere-search directions to gamma) and
 a 1-D mixture, or of every factor of a product that is not a single
 Gaussian, in one call; a single Gaussian takes closed forms). Integrands
 with expensive inner solves thus see a handful of large batched calls
-instead of thousands of scalar ones.
+instead of thousands of scalar ones. ``transport1d._directed_distance``
+calls it with one row, for its (P, 21) panels: a grid source locates each
+panel in its node table once.
 """
 
 from __future__ import annotations

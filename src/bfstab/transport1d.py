@@ -27,10 +27,13 @@ source has structure of its own: a mixture's means, or a grid's nodes,
 where its log-density kinks; the pair integral's end at S_u and S_v of
 both sides' ``density1d._interior``. A grid is log-linear between nodes, so
 its panels are smooth; on the 4097-node PL grid every one settles in the
-first round. The grid's integrand reads it once per set of points
-(``Density1D._mass_logpdf_pdf``: a grid locates the points in its node
-table once for mass, log-density and density) and runs in slices of
-_EVAL_SLICE points, so a grid's large first round adds no peak memory.
+first round. The directed integral reads its source one K21 panel at a
+time (``Density1D._panel_mass_logpdf_pdf``): a grid panel lies in one
+piece of the node table, located once from its middle node, whose
+parameters serve all 21 points for mass, log-density and density with
+the bits of a point-by-point read. The integrand runs in slices of whole
+panels of at most _EVAL_SLICE points, so a grid's large first round adds
+no peak memory.
 
 A row of the batched kernel with one present component N(m, s^2) needs no
 integral: S = (x - m) / s has the constant derivative 1/s, so
@@ -49,7 +52,7 @@ certify only those that can matter.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -60,7 +63,7 @@ from .density1d import (SQRT_2PI, Density1D, GaussianMixture1D,
                         _phi_inverse, _single_components,
                         entropy_rel_gauss_full, gauss_logpdf, gauss_pdf)
 from .errors import EvaluationError, InvariantViolation
-from .quadrature import adaptive_quad, adaptive_quad_rows
+from .quadrature import QuadResult, adaptive_quad, adaptive_quad_rows
 
 __all__ = [
     "TransportMap1D",
@@ -114,9 +117,10 @@ _TURN_STEPS = 20
 # K arrays of the chunk's points, 1 MiB in all, so its memory does not grow
 # with the number of rows.
 _ROW_CHUNK = 1 << 17
-# Points the directed distance's integrand evaluates at once: a grid
-# source's first round has 21 points per node, and the integrand is
-# elementwise, so slices keep its temporaries this size at no cost in bits.
+# Most points the directed distance's integrand evaluates at once, in
+# whole K21 panels (780 of them): a grid source's first round has a panel
+# per node, and each panel's values do not depend on the panels beside
+# it, so slices keep its temporaries this size at no cost in bits.
 _EVAL_SLICE = 1 << 14
 # ``gauss_distance_estimates`` reads every 4th pre-scan point, 65 in all,
 # and adds 1e-12 to each bound, far above the tail mass outside the
@@ -293,21 +297,23 @@ def _directed_distance(mu: Density1D, tol: float):
     bp = _distance_breaks(np.array([lo]), np.array([hi]), interior[None, :],
                           lambda xs: tmap.deriv(xs.ravel()).reshape(xs.shape))
 
-    def g(x):
+    def g(x, row):
         out = np.empty_like(x)
-        for start in range(0, x.size, _EVAL_SLICE):
-            part = slice(start, start + _EVAL_SLICE)
-            m, upper, logpdf, pdf = mu._mass_logpdf_pdf(x[part])
+        step = _EVAL_SLICE // x.shape[1]
+        for start in range(0, x.shape[0], step):
+            part = slice(start, start + step)
+            m, upper, logpdf, pdf = mu._panel_mass_logpdf_pdf(x[part])
             s = tmap._deriv(m, upper, logpdf)
             out[part] = np.abs(1.0 - s) / np.maximum(1.0, s) * pdf
         return out
 
-    res = adaptive_quad(g, bp[np.isfinite(bp)],
-                        tol_abs=max(tol, _ROUNDING_FLOOR), tol_rel=1e-12)
+    res = adaptive_quad_rows(g, bp, tol_abs=max(tol, _ROUNDING_FLOOR),
+                             tol_rel=1e-12)
+    error = float(res.error[0])
     if mixture:
-        res = replace(res, error=res.error + float(
-            _z_rounding(mu.means, mu.stds, True)))
-    return res
+        error += float(_z_rounding(mu.means, mu.stds, True))
+    return QuadResult(float(res.value[0]), error, int(res.evaluations[0]),
+                      int(res.panels[0]))
 
 
 def _z_rounding(means, stds, present):
@@ -440,6 +446,11 @@ class _RowMixtures:
         self.quad = np.flatnonzero(~self.one)
         w, m, s = w[self.quad], m[self.quad], s[self.quad]
         self.present = present[self.quad]
+        if not self.quad.size:
+            # no row to integrate: the callers read only the (0, K) shapes
+            self.lo = self.hi = np.empty(0)
+            self.params = (w, m, s, w, s)
+            return
         self.lo, self.hi = _mixture_span(m, s, self.present, _DIST_TAIL)
         with np.errstate(divide="ignore"):
             log_w = np.log(w)

@@ -539,6 +539,51 @@ def test_sup_convolution_envelope_dominates_grid_maximum(name):
         assert np.all(np.diff(breaks) >= 0.0)
 
 
+def _sup_convolution_per_node(fn, lam, z):
+    """h_lam(z) with g evaluated afresh at every node the refinement
+    reads: the generic sup-convolution as it was before it read g's node
+    table."""
+    g = GFun.from_callable(fn)
+    c = (1.0 - lam) / (2.0 * lam)
+    xs = deficits._PL_XS
+    step = xs[1] - xs[0]
+    breaks, idx = deficits._upper_envelope(g(xs) - c * xs * xs, 2.0 * c * xs)
+
+    def psi(x, z):
+        return g(x) - c * (x - z) ** 2
+
+    j = idx[np.searchsorted(breaks, z, side="left")]
+    jm, jp = np.maximum(j - 1, 0), np.minimum(j + 1, xs.size - 1)
+    y0, y1, y2 = psi(xs[jm], z), psi(xs[j], z), psi(xs[jp], z)
+    hump = y0 - 2.0 * y1 + y2
+    with np.errstate(divide="ignore", invalid="ignore"):
+        shift = np.where(hump < -1e-300, 0.5 * step * (y0 - y2) / hump, 0.0)
+    vertex = np.clip(xs[j] + shift, xs[jm], xs[jp])
+    val = np.max(np.stack([y1, psi(vertex, z), psi(z, z)]), axis=0)
+    return np.maximum(val, g(z))
+
+
+@pytest.mark.parametrize("name", sorted(_ENVELOPE_GS))
+def test_sup_convolution_reads_g_from_its_node_table(name):
+    # the same bits as with g evaluated at every node read, from the table
+    # of g on _PL_XS and two more points per z: the vertex and z itself
+    fn = _ENVELOPE_GS[name]
+    seen = []
+
+    def counted(x):
+        seen.append(np.size(x))
+        return fn(x)
+
+    xs = deficits._PL_XS
+    zs = np.concatenate([np.random.default_rng(11).uniform(-12.0, 12.0, 400),
+                         xs[::16]])
+    for lam in (1e-4, 1e-3, 0.1, 0.5, 0.9, 0.999, 0.9999):
+        seen.clear()
+        h = sup_convolution(GFun.from_callable(counted), lam, zs)
+        assert h.tobytes() == _sup_convolution_per_node(fn, lam, zs).tobytes()
+        assert sum(seen) <= xs.size + 2 * zs.size
+
+
 @pytest.mark.parametrize("lam", [0.1, 0.5, 0.9])
 def test_sup_convolution_grid_allowance_covers_finer_grid(monkeypatch, lam):
     # pl_deficit_check charges a flat 1e-7 for the grid sup-convolution; B on

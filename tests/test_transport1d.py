@@ -19,6 +19,7 @@ from bfstab.corpus import _SIN_BUMP, main_corpus
 from bfstab.deficits import _pl_exponents, _pl_u_density
 from bfstab.density1d import GridDensity1D
 from bfstab.densitynd import conditional_slice_batch
+from bfstab.quadrature import _K21_NODES, adaptive_quad
 from bfstab.transport1d import (_columns, _directed_distance,
                                 _rows_deriv_pdf, gauss_distance_estimates,
                                 gauss_distance_rows)
@@ -872,38 +873,107 @@ def test_mass_logpdf_pdf_matches_separate_calls(density):
     assert np.array_equal(pdf, density.pdf(xs))
     for got, ref in zip(density._mass_logpdf(xs), (m, upper, logpdf)):
         assert np.array_equal(got, ref)
+    # as K21 panels: between nodes, in each tail, a few ulps wide beside a
+    # node on either side, and across a node; a grid locates a tail panel,
+    # one across a node and one whose end rounds onto the node to its right
+    # point by point
+    node = nodes[100]
+    a = np.concatenate([nodes[:-1], [-40.0, 6.0, node - 4e-15, node],
+                        0.5 * (nodes[1:] + nodes[:-1])[::5]])
+    b = np.concatenate([nodes[1:], [-5.0, 40.0, node, node + 4e-15],
+                        a[-40:] + 0.055])
+    x = 0.5 * (a + b)[:, None] + 0.5 * (b - a)[:, None] * _K21_NODES
+    for got, ref in zip(density._panel_mass_logpdf_pdf(x),
+                        density._mass_logpdf_pdf(x.ravel())):
+        assert got.shape == x.shape
+        assert got.tobytes() == ref.tobytes()
 
 
 def test_grid_distance_integrand_locates_each_point_once(monkeypatch):
-    # the map's mass, the log-density and the density used to locate the
-    # same points three times
+    # each panel lies between two nodes, so one searchsorted value locates
+    # its 21 points; the integrand runs on whole panels, at most
+    # _EVAL_SLICE points at a time
     integrands = []
-    quad = transport1d.adaptive_quad
+    quad = transport1d.adaptive_quad_rows
 
     def capture(g, breakpoints, **kw):
         integrands.append(g)
         return quad(g, breakpoints, **kw)
 
-    monkeypatch.setattr(transport1d, "adaptive_quad", capture)
-    _directed_distance(_grid(), 1e-10)
+    monkeypatch.setattr(transport1d, "adaptive_quad_rows", capture)
+    u = _grid()
+    _directed_distance(u, 1e-10)
     [g] = integrands
-    calls = []
-    search = np.searchsorted
+    calls, points = [], []
+    search, panels = np.searchsorted, GridDensity1D._panel_mass_logpdf_pdf
 
     def counted(a, v, *args, **kw):
         calls.append(np.size(v))
         return search(a, v, *args, **kw)
 
+    def sized(self, x):
+        points.append(x.size)
+        return panels(self, x)
+
     monkeypatch.setattr(np, "searchsorted", counted)
-    size = transport1d._EVAL_SLICE
-    for n, sizes in ((31 * 9, [31 * 9]), (size + 31, [size, 31])):
+    monkeypatch.setattr(GridDensity1D, "_panel_mass_logpdf_pdf", sized)
+    # four panels in each of the grid's 200 cells
+    cuts = u.nodes[:-1, None] + np.diff(u.nodes)[:, None] * np.arange(5) / 4
+    a, b = cuts[:, :-1].ravel(), cuts[:, 1:].ravel()
+    x = 0.5 * (a + b)[:, None] + 0.5 * (b - a)[:, None] * _K21_NODES
+    step = transport1d._EVAL_SLICE // 21
+    for n, sizes in ((9, [9]), (x.shape[0], [step, x.shape[0] - step])):
         calls.clear()
-        g(np.linspace(-6.0, 7.0, n))
+        points.clear()
+        g(x[:n], np.zeros(n, dtype=int))
         assert calls == sizes
-    t = TransportMap1D(_grid(), GAUSS)
+        assert points == [21 * k for k in sizes]
+        assert max(points) <= transport1d._EVAL_SLICE
+    t = TransportMap1D(u, GAUSS)
     calls.clear()
     t.deriv(np.linspace(-6.0, 7.0, 257))
     assert calls == [257]
+
+
+def _per_point_distance(mu, tol):
+    """d(mu, gamma) of a grid source with its integrand read point by
+    point through ``adaptive_quad``: the directed distance as it was
+    evaluated before a grid located each panel once."""
+    tmap = TransportMap1D(mu, GAUSS)
+    lo, hi = mu.working_interval(transport1d._DIST_TAIL)
+    bp = transport1d._distance_breaks(
+        np.array([lo]), np.array([hi]), mu.nodes[None, :],
+        lambda xs: tmap.deriv(xs.ravel()).reshape(xs.shape))
+
+    def g(x):
+        m, upper, logpdf, pdf = mu._mass_logpdf_pdf(x)
+        s = tmap._deriv(m, upper, logpdf)
+        return np.abs(1.0 - s) / np.maximum(1.0, s) * pdf
+
+    return adaptive_quad(g, bp[np.isfinite(bp)],
+                         tol_abs=max(tol, transport1d._ROUNDING_FLOOR),
+                         tol_rel=1e-12)
+
+
+def _sin2x_grid():
+    # the grid of the CI verdict step
+    x = np.linspace(-10.0, 10.0, 4097)
+    return GridDensity1D(x, np.exp(np.sin(2.0 * x) - 0.5 * x * x))
+
+
+@pytest.mark.parametrize("case", ["pl-0.1", "pl-0.5", "pl-0.9", "sin2x",
+                                  "tails"])
+def test_grid_distance_keeps_the_bits_of_a_per_point_integrand(case):
+    if case.startswith("pl-"):
+        lam = float(case[3:])
+        u = _pl_u_density(_pl_exponents(_SIN_BUMP, lam)[0])
+    else:
+        u = _sin2x_grid() if case == "sin2x" else _grid()
+    lo, hi = u.working_interval(transport1d._DIST_TAIL)
+    # only _grid()'s working interval reaches into the tail pieces
+    assert (lo < u.nodes[0] and hi > u.nodes[-1]) == (case == "tails")
+    for tol in (1e-9, 1e-10, 1e-12):
+        assert _directed_distance(u, tol) == _per_point_distance(u, tol)
 
 
 @pytest.mark.parametrize("lam", [0.1, 0.5, 0.9])
