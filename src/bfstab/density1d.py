@@ -689,8 +689,8 @@ def _breaks(lo, hi, interior=()):
 
 # nu-mass left outside the integration interval of the expectations below
 _TAIL_MASS = 1e-15
-# absolute tolerance of the entropy and Fisher integrals: the default of
-# entropy_rel_gauss_full and fisher_rel_gauss_full, and the one of every
+# absolute tolerance of the entropy and Fisher integrals: the one of
+# entropy_rel_gauss_full and fisher_rel_gauss_full, and of every
 # gauss_information_rows row, so each row keeps their bits
 _INFO_TOL = 1e-11
 
@@ -900,14 +900,13 @@ def _closed_information(nu: GaussianMixture1D, term: int):
                                  float(nu.stds[0]))[2 * term:2 * term + 2]
 
 
-def entropy_rel_gauss_full(nu: Density1D, *,
-                           tol: float = _INFO_TOL) -> QuadResult:
+def entropy_rel_gauss_full(nu: Density1D) -> QuadResult:
     """H(nu | gamma) = E_nu[log p - log phi] with an error estimate.
 
     A one-component GaussianMixture1D N(m, s^2) takes the closed form
-    (m^2 + s^2 - 1) / 2 - log s, with a rounding charge as its error and
-    ``tol`` unused. Any other density takes adaptive quadrature, and the
-    error includes the bound on the tails beyond the interval.
+    (m^2 + s^2 - 1) / 2 - log s, with a rounding charge as its error. Any
+    other density takes adaptive quadrature to the budget _INFO_TOL, and
+    the error includes the bound on the tails beyond the interval.
     """
     if _is_gaussian(nu):
         return QuadResult(*_closed_information(nu, 0), 0, 0)
@@ -916,17 +915,16 @@ def entropy_rel_gauss_full(nu: Density1D, *,
         logpdf, pdf = nu._logpdf_pdf(x)
         return logpdf - gauss_logpdf(x), pdf
 
-    return _expect(nu, fn, tol)
+    return _expect(nu, fn, _INFO_TOL)
 
 
-def fisher_rel_gauss_full(nu: Density1D, *,
-                          tol: float = _INFO_TOL) -> QuadResult:
+def fisher_rel_gauss_full(nu: Density1D) -> QuadResult:
     """I(nu | gamma) = E_nu[(score + x)^2] with an error estimate.
 
     A one-component GaussianMixture1D N(m, s^2) takes the closed form
-    m^2 + s^2 - 2 + 1 / s^2, with a rounding charge as its error and
-    ``tol`` unused. Any other density takes adaptive quadrature, and the
-    error includes the bound on the tails beyond the interval.
+    m^2 + s^2 - 2 + 1 / s^2, with a rounding charge as its error. Any
+    other density takes adaptive quadrature to the budget _INFO_TOL, and
+    the error includes the bound on the tails beyond the interval.
     """
     if _is_gaussian(nu):
         return QuadResult(*_closed_information(nu, 1), 0, 0)
@@ -936,7 +934,7 @@ def fisher_rel_gauss_full(nu: Density1D, *,
         r = score + x
         return r * r, pdf
 
-    return _expect(nu, fn, tol)
+    return _expect(nu, fn, _INFO_TOL)
 
 
 def load_grid_csv(path) -> GridDensity1D:

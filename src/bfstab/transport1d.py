@@ -12,8 +12,11 @@ closed form, so every 1-D quantity with gamma on one side is an integral
 over u of S, with no quantile inversion: d(u, gamma) is the one directed
 integral from u, ``_directed_distance`` (``gauss_distance_rows`` batches
 it over many mixtures; both put each kink of |1 - T'| on a panel edge),
-W2^2(u, gamma) = E_u[(y - S(y))^2], and so is the Bregman-type integral
-int (T' - 1 - log T') dgamma of T = S^{-1}. Between two non-Gaussian
+W2^2(u, gamma) = E_u[(y - S(y))^2], and so is the Bregman integral
+B = int (T' - 1 - log T') dgamma of T = S^{-1}. Gaussian integration by
+parts makes the 1-D Talagrand deficit the identity 2 H - W2^2 = 2 B, so
+``talagrand_deficit_1d_full`` is that one integral, with no entropy or
+W2 integral and no cancellation between them. Between two non-Gaussian
 densities the quantile coupling, with p = Phi(z), makes d one integral on
 the Gaussian scale (``_pair_distance``),
 
@@ -56,13 +59,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .density1d import (SQRT_2PI, Density1D, GaussianMixture1D,
-                        StandardGaussian, _breaks, _columns, _components,
-                        _expect, _interior, _measure_breaks, _measure_interval,
-                        _mixture_log, _mixture_masses, _mixture_span,
-                        _phi_inverse, _single_components,
-                        entropy_rel_gauss_full, gauss_logpdf, gauss_pdf)
-from .errors import EvaluationError, InvariantViolation
+from .density1d import (_TAIL_MASS, SQRT_2PI, WORKING_RADIUS, Density1D,
+                        GaussianMixture1D, StandardGaussian, _breaks,
+                        _columns, _components, _expect, _interior,
+                        _measure_breaks, _mixture_log, _mixture_masses,
+                        _mixture_span, _phi_inverse, _single_components,
+                        gauss_logpdf, gauss_pdf)
+from .errors import EvaluationError
 from .quadrature import QuadResult, adaptive_quad, adaptive_quad_rows
 
 __all__ = [
@@ -141,6 +144,17 @@ _ONE_COMPONENT_ERR = 1e-15
 # adds to its error for the rounding of z = (x - m_k) / s_k, which the
 # Gauss-Kronrod estimate does not see (see gauss_distance_rows).
 _Z_ROUNDING = 8.0
+# Absolute budgets of the W2 and Bregman integrals.
+_W2_TOL = 1e-10
+_BREGMAN_TOL = 1e-11
+# Multiple of eps (1 + max_k |m_k| / s_k) R that the Bregman integral adds
+# to its error for rounding, R = int (phi(S) + u + u |log S'|) dy (see
+# bregman_integral_full). Against 40-digit values of s - 1 - log s on
+# 100,000 seeded N(m, s^2), m uniform on (-30, 30) and s log-uniform on
+# [1e-6, 1e6] (default_rng(20261020)), the miss beyond the quadrature
+# estimate and the tail charge reached 0.34 of eps (1 + |m| / s) R, 0.46
+# of this charge.
+_BREGMAN_ROUNDING = 0.75
 
 
 def _kinks(a, b, fa, fb, deriv):
@@ -316,12 +330,18 @@ def _directed_distance(mu: Density1D, tol: float):
                       int(res.panels[0]))
 
 
+def _z_reach(means, stds, present):
+    """1 + max_k |m_k| / s_k over the ``present`` components on the last
+    axis: the rounding of z = (x - m_k) / s_k, in units of eps, that a
+    quadrature's estimate does not see (see gauss_distance_rows)."""
+    return 1.0 + np.max(np.where(present, np.abs(means) / stds, 0.0),
+                        axis=-1)
+
+
 def _z_rounding(means, stds, present):
-    """_Z_ROUNDING eps (1 + max_k |m_k| / s_k) over the ``present``
-    components on the last axis: the rounding of z = (x - m_k) / s_k that
-    the quadrature's estimate does not see (see gauss_distance_rows)."""
-    return _Z_ROUNDING * _EPS * (1.0 + np.max(
-        np.where(present, np.abs(means) / stds, 0.0), axis=-1))
+    """_Z_ROUNDING eps ``_z_reach``: a distance's charge for that
+    rounding."""
+    return _Z_ROUNDING * _EPS * _z_reach(means, stds, present)
 
 
 def _pair_distance(u: Density1D, v: Density1D, tol: float):
@@ -629,8 +649,9 @@ def bf_distance_full(u: Density1D, v: Density1D, *, tol: float = 1e-9):
     return min(max(value, 0.0), 1.0), error
 
 
-def w2_squared_1d_full(nu: Density1D, *, tol: float = 1e-10):
-    """W2(nu, gamma)^2 = E_nu[(y - S(y))^2] with an error estimate.
+def w2_squared_1d_full(nu: Density1D):
+    """W2(nu, gamma)^2 = E_nu[(y - S(y))^2] with an error estimate, to the
+    absolute budget _W2_TOL.
 
     S = Phi^{-1} o F_nu pushes nu to gamma. The error includes the bound on
     nu's tails beyond the integration interval.
@@ -641,40 +662,72 @@ def w2_squared_1d_full(nu: Density1D, *, tol: float = 1e-10):
         gap = y - smap(y)
         return gap * gap, nu.pdf(y)
 
-    res = _expect(nu, fn, tol)
+    res = _expect(nu, fn, _W2_TOL)
     return res.value, res.error
 
 
-def talagrand_deficit_1d_full(nu: Density1D, *, tol: float = 1e-10):
+def talagrand_deficit_1d_full(nu: Density1D):
     """2 H(nu | gamma) - W2(nu, gamma)^2 >= 0 with an error estimate:
-    (value, error)."""
-    h = entropy_rel_gauss_full(nu, tol=tol)
-    w2, w2_err = w2_squared_1d_full(nu, tol=tol)
-    value = 2.0 * h.value - w2
-    err = 2.0 * h.error + w2_err
-    if value < -1e-8 - err:
-        raise InvariantViolation(
-            f"Talagrand deficit {value:.3e} fell below the numerical guard")
-    return value, err
+    (value, error), as (2 B, 2 B_err) for (B, B_err) =
+    ``bregman_integral_full(nu)``.
+
+    For the monotone map T pushing gamma to nu, Gaussian integration by
+    parts, int x T dgamma = int T' dgamma, turns the deficit into the
+    identity 2 H - W2^2 = 2 int (T' - 1 - log T') dgamma = 2 B
+    (Cordero-Erausquin, Arch. Ration. Mech. Anal. 161, 2002): one
+    integral of a non-negative integrand, where 2 H - W2^2 cancels two
+    integrals.
+    """
+    value, error = bregman_integral_full(nu)
+    return 2.0 * value, 2.0 * error
 
 
-def bregman_integral_full(u: Density1D, *, tol: float = 1e-11):
-    """int (T' - 1 - log T') dgamma >= 0 for the monotone map T pushing
-    gamma to u: (value, error).
+def bregman_integral_full(u: Density1D):
+    """B = int (T' - 1 - log T') dgamma >= 0 for the monotone map T pushing
+    gamma to u: (value, error), to the budget _BREGMAN_TOL.
 
     Substituting y = T(x) moves the integral to the target u:
     int (phi(S) - u + u log S') dy with S = T^{-1} = Phi^{-1} o F_u and
     log S' = log u - log phi(S). T' = 1/S' is never formed: it overflows
-    between separated modes of u.
+    between separated modes of u. Each point reads u once
+    (``_mass_logpdf``), on the interval and breakpoints of the entropy
+    integral (``_measure_interval``, ``_measure_breaks``).
+
+    The error has three parts. The quadrature's estimate. A rounding
+    charge, _BREGMAN_ROUNDING eps (1 + max_k |m_k| / s_k) R, with
+    R = int (phi(S) + u + u |log S'|) dy the size of the terms, taken as an
+    extra column of the same quadrature; the max term, a mixture's only,
+    is the rounding of z = (y - m_k) / s_k at a far, narrow component,
+    which K21 and G10 see alike (see gauss_distance_rows). And the u-mass
+    outside the interval: each side of u's own working interval carries
+    at most _TAIL_MASS / 2 of it, where the integrand is u f with
+    f = 1/S' - 1 + log S' >= 0, charged twice f at that edge, as
+    ``density1d._expect`` charges its tails.
     """
-    smap = TransportMap1D(u, StandardGaussian())
+    gauss = StandardGaussian()
 
-    def g(y):
-        log_u = u.logpdf(y)
-        log_phi = gauss_logpdf(smap(y))
-        pdf = np.exp(log_u)
-        return np.exp(log_phi) - pdf + pdf * (log_u - log_phi)
+    def log_u_phi(y):
+        m, upper, log_u = u._mass_logpdf(y)
+        return log_u, gauss_logpdf(gauss._invert(m, upper))
 
-    res = adaptive_quad(g, _measure_breaks(u, *_measure_interval(u)),
-                        tol_abs=tol, tol_rel=1e-12)
-    return max(res.value, 0.0), res.error  # the integrand is >= 0
+    def g(x, row):
+        log_u, log_phi = log_u_phi(x.ravel())
+        phi, pdf = np.exp(log_phi), np.exp(log_u)
+        log_slope = log_u - log_phi
+        value = phi - pdf + pdf * log_slope
+        size = phi + pdf + pdf * np.abs(log_slope)
+        return value.reshape(x.shape), size.reshape((1, *x.shape))
+
+    # _measure_interval, with u's own working interval kept for the tails
+    lo_u, hi_u = u.working_interval(_TAIL_MASS)
+    lo, hi = min(lo_u, -WORKING_RADIUS), max(hi_u, WORKING_RADIUS)
+    res = adaptive_quad_rows(g, _measure_breaks(u, lo, hi)[None, :],
+                             tol_abs=_BREGMAN_TOL, tol_rel=1e-12)
+    reach = (float(_z_reach(u.means, u.stds, True))
+             if isinstance(u, GaussianMixture1D) else 1.0)
+    log_u, log_phi = log_u_phi(np.array([lo_u, hi_u]))
+    log_slope = log_u - log_phi
+    tail = _TAIL_MASS * float(np.sum(np.exp(-log_slope) - 1.0 + log_slope))
+    error = (float(res.error[0]) + tail + _BREGMAN_ROUNDING * _EPS * reach
+             * float(res.extra[0, 0]))
+    return max(float(res.value[0]), 0.0), error  # the integrand is >= 0

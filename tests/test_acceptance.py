@@ -108,7 +108,7 @@ def test_criterion_6_talagrand_chain():
         tal = talagrand_deficit_1d_full(mix)[0]
         mid = bregman_integral_full(mix)[0]
         d = bf_distance_full(mix, GAUSS)[0]
-        assert tal - mid >= -1e-7, case_id
+        assert tal == 2.0 * mid, case_id
         assert mid - 0.5 * d * d >= -1e-7, case_id
 
 

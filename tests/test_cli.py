@@ -341,9 +341,10 @@ def test_talagrand_command_matches_deficit_theorem_talagrand(capsys,
     prod.write_text(json.dumps({"factors": [
         {"weights": [1.0], "means": [0.0], "stds": [2.0]},
         {"weights": [1.0], "means": [0.3], "stds": [1.0]}]}))
-    for spec, route in ((f"file:{prod}", "tensorized per-axis W2"),
+    for spec, route in ((f"file:{prod}",
+                         "tensorized per-axis Bregman integral 2B"),
                         (f"file:{mix2d_file}", "Knothe-Rosenblatt"),
-                        ("gauss:0,2", "quantile-coupling W2")):
+                        ("gauss:0,2", "Bregman integral 2B")):
         outs = []
         for argv in (("talagrand",), ("deficit", "--theorem", "talagrand")):
             code, out, _ = run_cli(capsys, *argv, "--measure", spec,

@@ -447,7 +447,7 @@ def test_talagrand_mode_validation():
     rep = verify_talagrand(GaussianMixture1D(weights, means, stds))
     assert rep.status == "pass"
     assert rep.error_estimate < 1e-9
-    assert rep.method.startswith("quantile-coupling W2")
+    assert rep.method.startswith("Bregman integral 2B")
     with pytest.raises(DomainError, match="expects a 1-D density"):
         verify_talagrand((GFun.const(0.0), 0.5))
 
