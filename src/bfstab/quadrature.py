@@ -1,17 +1,20 @@
 """Adaptive panel quadrature and Gauss-Hermite tensor rules.
 
 Integrands are vectorized callables (ndarray in, same-shape ndarray out). The
-adaptive integrator keeps a worklist of panels, evaluates the 21-point
-Gauss-Kronrod rule K21 on all active panels in a single integrand call
-(QUADPACK's QK21: K21 is exact through degree 31 and nests the 10-point
-Gauss rule G10 in its nodes), takes K21 as each panel's value and
-|K21 - G10| as its error, and bisects the panels whose local error exceeds
-a share of the budget proportional to panel width. ``adaptive_quad_rows``
+adaptive integrator keeps a worklist of panels, evaluates a nested
+Gauss-Kronrod pair on all active panels in a single integrand call, takes
+the Kronrod sum as each panel's value and its gap to the nested Gauss sum
+as its error, and bisects the panels whose local error exceeds a share of
+the budget proportional to panel width. The pair is QUADPACK's 21-point
+K21 (QK21: exact through degree 31, nesting the 10-point Gauss rule G10)
+unless the caller passes another: the 7-point K7, which nests G3 and is
+exact through degree 11, serves integrands that are smooth on every seed
+panel. ``adaptive_quad_rows``
 runs many integrals in the same loop: every panel carries a row id, each
 row settles against its own budget (the per-integral bookkeeping of
 QUADPACK, Piessens et al. 1983), and one integrand call per round covers
 the panels of all rows.
-``adaptive_quad`` is its one-row case. Two kernels batch their rows
+``adaptive_quad`` is its one-row case, on K21. Two kernels batch their rows
 through it: ``transport1d.gauss_distance_rows`` (the distances of slices
 and of sphere-search directions to gamma) and
 ``density1d.gauss_information_rows`` (the entropy and Fisher integrals of
@@ -19,8 +22,9 @@ a 1-D mixture, or of every factor of a product that is not a single
 Gaussian, in one call; a single Gaussian takes closed forms). Integrands
 with expensive inner solves thus see a handful of large batched calls
 instead of thousands of scalar ones. ``transport1d._directed_distance``
-calls it with one row, for its (P, 21) panels: a grid source locates each
-panel in its node table once.
+calls it with one row, for its (P, n) panels: a grid source, log-linear
+between its nodes, puts K7 on each cell and locates it in its node table
+once; any other source keeps K21.
 """
 
 from __future__ import annotations
@@ -35,8 +39,8 @@ from numpy.polynomial.hermite import hermgauss
 
 from .errors import DomainError, EvaluationError
 
-__all__ = ["GHTensor", "QuadResult", "adaptive_quad", "adaptive_quad_rows",
-           "gh_nodes", "gh_tensor"]
+__all__ = ["GHTensor", "K21", "K7", "KronrodPair", "QuadResult",
+           "adaptive_quad", "adaptive_quad_rows", "gh_nodes", "gh_tensor"]
 
 # The most rounds of bisection one call runs, and the most panels one
 # integral may split into.
@@ -75,11 +79,41 @@ _QK21_WG = (0.066671344308688137593568809893332,
             0.219086362515982043995534934228163,
             0.269266719309996355091226921569469,
             0.295524224714752870173892994651338)
-# the 21 nodes and K21 weights in ascending node order, and the G10 weights
-# of nodes[1::2]
+# The Gauss-Kronrod 3/7 pair on [-1, 1] (Kronrod 1965; Laurie 1997), laid
+# out as QK21: K7 is exact through degree 11 and nests the 3-point Gauss
+# rule G3, whose nodes 0.7745... = sqrt(3/5) and 0 carry the weights 5/9
+# and 8/9.
+_QK7_XGK = (0.960491268708020283423507092629080,
+            0.774596669241483377035853079956480,
+            0.434243749346802558002071502844628,
+            0.0)
+_QK7_WGK = (0.104656226026467265193823857192073,
+            0.268488089868333440728569280666710,
+            0.401397414775962222905051818618432,
+            0.450916538658474142345110087045571)
+_QK7_WG = (0.555555555555555555555555555555556,
+           0.888888888888888888888888888888889)
+
+
+class KronrodPair(NamedTuple):
+    """A nested Gauss-Kronrod pair on [-1, 1]: the Kronrod nodes ascending
+    and their weights, and the weights of the Gauss nodes, which sit at
+    nodes[1::2]."""
+
+    nodes: np.ndarray
+    weights: np.ndarray
+    gauss_weights: np.ndarray
+
+
+# each pair's nodes and Kronrod weights in ascending node order, and the
+# Gauss weights of nodes[1::2]; 0 is a Gauss node of G3, not of G10
 _K21_NODES = np.concatenate([np.negative(_QK21_XGK[:-1]), _QK21_XGK[::-1]])
 _K21_WEIGHTS = np.concatenate([_QK21_WGK[:-1], _QK21_WGK[::-1]])
 _G10_WEIGHTS = np.concatenate([_QK21_WG, _QK21_WG[::-1]])
+K21 = KronrodPair(_K21_NODES, _K21_WEIGHTS, _G10_WEIGHTS)
+K7 = KronrodPair(np.concatenate([np.negative(_QK7_XGK[:-1]), _QK7_XGK[::-1]]),
+                 np.concatenate([_QK7_WGK[:-1], _QK7_WGK[::-1]]),
+                 np.concatenate([_QK7_WG, _QK7_WG[-2::-1]]))
 
 
 @dataclass(frozen=True)
@@ -119,16 +153,19 @@ def _row_sums(x, counts):
 
 
 def adaptive_quad_rows(f, row_breakpoints, *, tol_abs: float = 1e-11,
-                       tol_rel: float = 1e-13) -> QuadResult:
+                       tol_rel: float = 1e-13,
+                       pair: KronrodPair = K21) -> QuadResult:
     """Integrate B integrals at once, row r over the span of its breakpoints.
 
     ``row_breakpoints`` is a (B, M) array: row r's finite entries seed its
     panels (they need not be sorted or distinct) and NaN pads shorter rows.
     ``f(x, row)`` is called once per round on the active panels of all
-    rows: x is (P, 21), the K21 nodes of P panels, and row[i] is the row
-    of the points x[i]. It returns the (P, 21) values, or a pair (values,
-    extra) whose extra (C, P, 21) holds C more integrands at the same
-    points: each gets the K21 rule on the value's panels and is folded in
+    rows: x is (P, n), the n Kronrod nodes of ``pair`` (K21 unless given)
+    on P panels, and row[i] is the row of the points x[i]. Each panel's
+    value is its Kronrod sum and its error the gap to the nested Gauss sum.
+    f returns the (P, n) values, or a tuple (values, extra) whose extra
+    (C, P, n) holds C more integrands at the same points: each gets the
+    Kronrod rule on the value's panels and is folded in
     as they settle, so every settle, split and cap decision reads the value
     alone and the value, error, evaluations and panels keep the bits of a
     plain call. An extra column has no error estimate of its own.
@@ -153,11 +190,11 @@ def adaptive_quad_rows(f, row_breakpoints, *, tol_abs: float = 1e-11,
     ab = np.array([bp[row, col], bp[row, col + 1]])
 
     def eval_panels(ab, row):
-        """(2 + C, P) array of K21 values, |K21 - G10| errors and the K21
-        sums of the C extra columns."""
+        """(2 + C, P) array of Kronrod values, |Kronrod - Gauss| errors and
+        the Kronrod sums of the C extra columns."""
         mid = 0.5 * (ab[0] + ab[1])[:, None]
         half = 0.5 * (ab[1] - ab[0])[:, None]
-        pts = mid + half * _K21_NODES
+        pts = mid + half * pair.nodes
         out = f(pts, row)
         vals, extra = out if isinstance(out, tuple) else (out, None)
         vals = np.asarray(vals, dtype=float).reshape(pts.shape)
@@ -167,11 +204,13 @@ def adaptive_quad_rows(f, row_breakpoints, *, tol_abs: float = 1e-11,
         ve = np.empty((2 + columns, pts.shape[0]))
         # a basic slice keeps the product C-contiguous, so each panel's sum
         # runs in the order it has in a one-panel call
-        g10 = np.add.reduce(vals[:, 1::2] * _G10_WEIGHTS, axis=1) * half[:, 0]
-        np.multiply(np.add.reduce(vals * _K21_WEIGHTS, axis=1), half[:, 0], out=ve[0])
-        np.abs(ve[0] - g10, out=ve[1])
+        gauss = (np.add.reduce(vals[:, 1::2] * pair.gauss_weights, axis=1)
+                 * half[:, 0])
+        np.multiply(np.add.reduce(vals * pair.weights, axis=1), half[:, 0],
+                    out=ve[0])
+        np.abs(ve[0] - gauss, out=ve[1])
         if columns:
-            np.multiply(np.add.reduce(extra * _K21_WEIGHTS, axis=2),
+            np.multiply(np.add.reduce(extra * pair.weights, axis=2),
                         half[:, 0], out=ve[2:])
             if not np.isfinite(ve[2:]).all():
                 raise EvaluationError("integrand returned non-finite values")
@@ -238,7 +277,7 @@ def adaptive_quad_rows(f, row_breakpoints, *, tol_abs: float = 1e-11,
     else:
         close(count > 0)
     # every split evaluates two new panels and adds one to the row
-    evaluations = (2 * n_panels - initial) * _K21_NODES.size
+    evaluations = (2 * n_panels - initial) * pair.nodes.size
     return QuadResult(done[0], done[1], evaluations, n_panels,
                       done[2:] if done.shape[0] > 2 else None)
 

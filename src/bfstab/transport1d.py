@@ -29,12 +29,13 @@ The directed integrals' first panels also end at the points where the
 source has structure of its own: a mixture's means, or a grid's nodes,
 where its log-density kinks; the pair integral's end at S_u and S_v of
 both sides' ``density1d._interior``. A grid is log-linear between nodes, so
-its panels are smooth; on the 4097-node PL grid every one settles in the
-first round. The directed integral reads its source one K21 panel at a
-time (``Density1D._panel_mass_logpdf_pdf``): a grid panel lies in one
-piece of the node table, located once from its middle node, whose
-parameters serve all 21 points for mass, log-density and density with
-the bits of a point-by-point read. The integrand runs in slices of whole
+its panels are smooth and take the 7-point Kronrod pair K7/G3, where a
+mixture's take K21; on the 4097-node PL grid every one settles in the
+first round. The directed integral reads its source one panel at a time
+(``Density1D._panel_mass_logpdf_pdf``): a grid panel lies in one piece of
+the node table, located once from its middle node, whose parameters
+serve all its points for mass, log-density and density with the bits of
+a point-by-point read. The integrand runs in slices of whole
 panels of at most _EVAL_SLICE points, so a grid's large first round adds
 no peak memory.
 
@@ -60,13 +61,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .density1d import (_TAIL_MASS, SQRT_2PI, WORKING_RADIUS, Density1D,
-                        GaussianMixture1D, StandardGaussian, _breaks,
-                        _columns, _components, _expect, _interior,
+                        GaussianMixture1D, GridDensity1D, StandardGaussian,
+                        _breaks, _columns, _components, _expect, _interior,
                         _measure_breaks, _mixture_log, _mixture_masses,
                         _mixture_span, _phi_inverse, _single_components,
                         gauss_logpdf, gauss_pdf)
 from .errors import EvaluationError
-from .quadrature import QuadResult, adaptive_quad, adaptive_quad_rows
+from .quadrature import K7, K21, QuadResult, adaptive_quad, adaptive_quad_rows
 
 __all__ = [
     "TransportMap1D",
@@ -121,9 +122,10 @@ _TURN_STEPS = 20
 # with the number of rows.
 _ROW_CHUNK = 1 << 17
 # Most points the directed distance's integrand evaluates at once, in
-# whole K21 panels (780 of them): a grid source's first round has a panel
-# per node, and each panel's values do not depend on the panels beside
-# it, so slices keep its temporaries this size at no cost in bits.
+# whole panels (780 of K21, 2,340 of K7): a grid source's first round
+# has a panel per node, and each panel's values do not depend on the
+# panels beside it, so slices keep its temporaries this size at no cost in
+# bits.
 _EVAL_SLICE = 1 << 14
 # ``gauss_distance_estimates`` reads every 4th pre-scan point, 65 in all,
 # and adds 1e-12 to each bound, far above the tail mass outside the
@@ -302,7 +304,10 @@ def _directed_distance(mu: Density1D, tol: float):
     """d(mu, gamma) as the directed integral over mu: a QuadResult. A
     mixture adds the row kernel's allowance for the rounding of
     z = (x - m_k) / s_k to the quadrature's estimate (see
-    gauss_distance_rows)."""
+    gauss_distance_rows). A grid source is log-linear on each cell between
+    its nodes, which are panel edges, so its cells take the 3/7 Kronrod
+    pair; any other source keeps K21 (a mixture's panels run between its
+    means)."""
     tmap = TransportMap1D(mu, StandardGaussian())
     lo, hi = mu.working_interval(_DIST_TAIL)
     # a mixture's panels end at its means, as a kernel row's do
@@ -322,7 +327,8 @@ def _directed_distance(mu: Density1D, tol: float):
         return out
 
     res = adaptive_quad_rows(g, bp, tol_abs=max(tol, _ROUNDING_FLOOR),
-                             tol_rel=1e-12)
+                             tol_rel=1e-12,
+                             pair=K7 if isinstance(mu, GridDensity1D) else K21)
     error = float(res.error[0])
     if mixture:
         error += float(_z_rounding(mu.means, mu.stds, True))

@@ -16,6 +16,7 @@ from bfstab import (CapabilityError, DeficitReport, DomainError,
                     pl_deficit_check, sup_convolution, verify_corollary,
                     verify_talagrand, verify_thm_main)
 from bfstab import deficits, density1d, densitynd, quadrature, transport1d
+from bfstab.cli import parse_g_spec
 from bfstab.corpus import _PL_GS, _SIN_BUMP, _sin_bump, main_corpus
 from bfstab.deficits import _corollary_axis
 
@@ -261,6 +262,72 @@ def test_corollary_mixture_2d():
     assert rep.status == "pass"
     assert "mass-weighted lower=" in rep.method
     assert "literal" not in rep.method
+
+
+# The per-axis weighted terms of every corollary-corpus case, then of the
+# five corollary-nd benchmark cases at their default seed: 3-D mixtures and
+# products, a 2-D product, and two 4-D Monte Carlo cases.
+_COROLLARY_TERMS = (
+    (0.0563900416862925, 0.06084888612281221),
+    (0.024992037266610357, 0.00022384005078886844),
+    (0.10789605245466251, 0.1020016406868703),
+    (0.029402018590190215, 0.07220091869600355),
+    (0.08661703559814307, 0.1088991482854682),
+    (0.027134786708972933, 0.06651699590570932),
+    (0.1803054180483779, 0.12678705092042547),
+    (0.09129535038534448, 0.06692451527824197),
+    (0.16838666067129063, 0.14682270532124653),
+    (0.07618793189130649, 0.014768733257428572),
+    (0.07012407264174675, 0.11089067522486298),
+    (0.07846192262196257, 0.03899267424880176),
+    (0.08136824093430098, 0.08365324769106419),
+    (0.09069684231863001, 0.15986628081912352),
+    (0.08712078553903886, 0.17182289429699688),
+    (0.020447431711862238, 0.020447431711862238),
+    (0.024166767434878902, 0.024166767434878902),
+    (0.0902735725646245, 0.0902735725646245),
+    (0.015721093993744297, 0.0459363875727012, 0.10036597843977732),
+    (0.05755204631695504, 0.04594617856960709, 0.05543146131971255),
+    (0.1913033058892114, 0.006485569949645642, 0.19592558952983616),
+    (0.0006053433528268218, 0.00033556214900648757, 0.008452366393183721),
+    (0.014670793338997512, 0.056764865751565405, 0.0815485723115477),
+    (0.1411043644759078, 0.07883255867850476, 0.11164736159534139),
+    (0.04117621259706171, 0.06880994988130731, 0.05412405082106967),
+    (0.14334515787580812, 0.2063176623197963, 0.013954810020744493),
+    (0.13523493366312062, 0.09992744980998144, 0.11100784987179227),
+    (0.04485547155362394, 0.04273540946256886, 0.18019290966832102),
+    (0.04701034389314769, 0.06454701814684215, 0.04154512033114497),
+    (0.060006911803381684, 0.1150907622694041, 0.05715037258526626),
+    (0.09759347220390505, 0.09759347220390505, 0.09759347220390505),
+    (0.10871819294989775, 0.10871819294989775, 0.10871819294989775),
+    (0.1913033058892114, 0.006485569949645642, 0.19592558952983616),
+    (0.10871819294989775, 0.10871819294989775, 0.10871819294989775),
+    (0.020447431711862238, 0.020447431711862238),
+    (0.10455151703398394, 0.004366535717877409, 0.07490439387098942,
+     0.10156901851921721),
+    (0.23007235387603575, 0.23007235387603575, 0.23007235387603575,
+     0.23007235387603575),
+)
+
+
+@pytest.mark.parametrize("values", [
+    *_COROLLARY_TERMS,
+    # signed zeros, magnitudes under the printed 1e-7, mixed widths
+    (-0.0,), (0.0, -0.0), (1e-8,), (5e-8, 0.3), (1e-7, 0.5, 0.25),
+    (1.5, -2.25, 100.125), (1234.5678, 0.1), (0.99999995,),
+    (0.12345675, 3.0), (1e-5, -0.0), (-1.23456789e-5, 2e-5),
+    # scientific notation: past 1e8, under 1e-4, a span over 1000,
+    # three-digit exponents, and a subnormal left to NumPy
+    (1e8,), (99999999.0, 1.0), (0.001, 1.0001), (1e-300, 1.0),
+    (5e-324, 1e-20),
+    # lines that wrap at 75 columns, two of them filled to the last column
+    tuple(np.linspace(-1.0, 1.0, 23)), tuple(10.0 ** np.arange(-9, 9)),
+    (0.0,) * 40, (0.25,) * 40,
+])
+def test_corollary_terms_text_is_numpys(values):
+    values = np.array(values)
+    assert (deficits._terms_text(values)
+            == np.array2string(values, precision=7, separator=","))
 
 
 def test_corollary_wide_gaussian_warns_nothing():
@@ -537,6 +604,92 @@ def test_sup_convolution_envelope_dominates_grid_maximum(name):
         breaks, _ = deficits._upper_envelope(fn(xs) - c * xs * xs,
                                              2.0 * c * xs)
         assert np.all(np.diff(breaks) >= 0.0)
+
+
+def _chain_envelope(a, b):
+    """The upper envelope as the point-by-point monotone chain builds it,
+    the reference of ``deficits._upper_envelope``."""
+    a_l, b_l = a.tolist(), b.tolist()
+    hull = []
+    for i, (a3, b3) in enumerate(zip(a_l, b_l)):
+        while len(hull) >= 2:
+            (a1, b1, _), (a2, b2, _) = hull[-2], hull[-1]
+            if (a1 - a3) * (b2 - b1) > (a1 - a2) * (b3 - b1):
+                break
+            hull.pop()
+        hull.append((a3, b3, i))
+    idx = np.array([line[2] for line in hull])
+    return (a[idx[:-1]] - a[idx[1:]]) / (b[idx[1:]] - b[idx[:-1]]), idx
+
+
+def _random_smooth_gs(count, seed):
+    """Seeded smooth g's: a damped sine plus a slow cosine."""
+    rng = np.random.default_rng(seed)
+    return [lambda x, c=rng.normal(size=6): (
+        c[0] * np.sin(2.0 * c[1] * x + c[2]) * np.exp(-0.25 * abs(c[3]) * x * x)
+        + c[4] * np.cos(c[5] * x)) for _ in range(count)]
+
+
+def test_upper_envelope_keeps_the_bits_of_the_chain():
+    # the concave runs appended in bulk, the rest line by line: the same
+    # comparisons as the point-by-point chain, so the same breaks and lines
+    xs = deficits._PL_XS
+    gs = ([(fn, (1e-4, 1e-3, 0.1, 0.5, 0.9, 0.999, 0.9999))
+           for fn in _ENVELOPE_GS.values()]
+          + [(parse_g_spec("bump"), (0.1, 0.4, 0.5, 0.9))]
+          + [(fn, np.linspace(0.05, 0.95, 11))
+             for fn in _random_smooth_gs(40, 17)])
+    for fn, lams in gs:
+        for lam in lams:
+            c = (1.0 - lam) / (2.0 * lam)
+            a, b = fn(xs) - c * xs * xs, 2.0 * c * xs
+            breaks, idx = deficits._upper_envelope(a, b)
+            ref_breaks, ref_idx = _chain_envelope(a, b)
+            assert idx.tobytes() == ref_idx.tobytes()
+            assert breaks.tobytes() == ref_breaks.tobytes()
+    # and on the fewest lines, and on lines through one point, where every
+    # test is a tie and the middle lines pop
+    for a, b in (([1.0], [0.0]), ([1.0, 2.0], [0.0, 1.0]),
+                 ([0.0, 1.0, 0.0], [-1.0, 0.0, 1.0]),
+                 ([0.0, -1.0, 0.0], [-1.0, 0.0, 1.0]),
+                 ([1.0, 0.5, 0.0, -0.5, -1.0], [-2.0, -1.0, 0.0, 1.0, 2.0])):
+        a, b = np.array(a), np.array(b)
+        for got, ref in zip(deficits._upper_envelope(a, b),
+                            _chain_envelope(a, b)):
+            assert got.tobytes() == ref.tobytes()
+
+
+def _b_reference(h, breaks, order):
+    """B = int e^{h} dgamma on [-13, 13] relative to e^peak, as
+    ``_exp_integral`` scales it, by Gauss-Legendre of the given order on
+    every cell between the 9-point split and all envelope breaks."""
+    x, w = np.polynomial.legendre.leggauss(order)
+    ends = np.unique(np.concatenate([np.linspace(-13.0, 13.0, 9),
+                                     breaks[np.abs(breaks) < 13.0]]))
+    a, b = ends[:-1, None], ends[1:, None]
+    pts = 0.5 * (a + b) + 0.5 * (b - a) * x
+    edges = np.array([-13.0, 0.0, 13.0])
+    peak = float(np.max(h(edges) - 0.5 * edges ** 2))
+    vals = np.exp(h(pts.ravel()).reshape(pts.shape) - 0.5 * pts * pts - peak)
+    return float(np.sum(vals * w * 0.5 * (b - a))) / math.sqrt(2.0 * math.pi)
+
+
+@pytest.mark.parametrize("g, lam", [("sinbump", lam) for lam in
+                                    (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8,
+                                     0.9)] + [("bump", 0.5)])
+def test_b_error_covers_a_reference_split_at_every_envelope_break(g, lam):
+    # h_lam kinks where the grid argmax skips a node; with those breaks
+    # inside panels, B at lam 0.4 missed this reference by 1.02e-12 while
+    # reporting 1.18e-13
+    g = _SIN_BUMP if g == "sinbump" else parse_g_spec(g)
+    c = (1.0 - lam) / (2.0 * lam)
+    xs = deficits._PL_XS
+    breaks, _ = deficits._upper_envelope(g(xs) - c * xs * xs, 2.0 * c * xs)
+    h = deficits._sup_conv_fn(g, lam)
+    _, value, error = deficits._exp_integral(h)
+    ref20, ref30 = (_b_reference(h, breaks, n) for n in (20, 30))
+    assert abs(ref20 - ref30) <= 1e-13
+    assert abs(value - ref30) <= error
 
 
 def _sup_convolution_per_node(fn, lam, z):

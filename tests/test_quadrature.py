@@ -139,6 +139,42 @@ def test_kronrod_rule_is_exact_through_degree_31():
                        atol=4.0 * eps)
 
 
+def test_kronrod_3_7_pair_is_exact_through_degree_11():
+    nodes, weights, g_weights = quadrature.K7
+    eps = np.finfo(float).eps
+    assert nodes.size == 7 and np.all(np.diff(nodes) > 0.0)
+    assert np.array_equal(nodes, -nodes[::-1])
+    for k in range(12):
+        exact = 0.0 if k % 2 else 2.0 / (k + 1)
+        assert abs(np.sum(weights * nodes ** k) - exact) <= 4.0 * eps, k
+    # and no further: degree 12 is off by about 2.8e-4
+    assert abs(np.sum(weights * nodes ** 12) - 2.0 / 13.0) > 1e-5
+    # the nested Gauss rule is G3, at the odd positions, exact through 5
+    g_nodes, g_ref = np.polynomial.legendre.leggauss(3)
+    assert np.allclose(nodes[1::2], g_nodes, rtol=0.0, atol=4.0 * eps)
+    assert np.allclose(g_weights, g_ref, rtol=0.0, atol=4.0 * eps)
+    for k in range(6):
+        exact = 0.0 if k % 2 else 2.0 / (k + 1)
+        assert abs(np.sum(g_weights * nodes[1::2] ** k) - exact) <= 4.0 * eps
+
+
+def test_rows_on_the_3_7_pair_settle_as_one_integral_does():
+    # a rule passed to adaptive_quad_rows sizes every panel's points and the
+    # evaluation count, and a smooth integrand still settles to its budget
+    seen = []
+
+    def f(x, row):
+        seen.append(x.shape[1])
+        return np.exp(-0.5 * x * x)
+
+    res = adaptive_quad_rows(f, [[-12.0, 0.0, 12.0]], tol_abs=1e-13,
+                             pair=quadrature.K7)
+    assert set(seen) == {7}
+    assert res.evaluations[0] == 7 * (2 * res.panels[0] - 2)
+    assert abs(res.value[0] - math.sqrt(2.0 * math.pi)) <= res.error[0] + 1e-14
+    assert res.panels[0] > 2 and res.error[0] <= 1e-13 * res.value[0]
+
+
 def test_unconverged_row_raises_with_its_partial_result(monkeypatch):
     # row 1 jumps at an irrational point, so no panel edge lands on it
     def f(x, row):

@@ -21,7 +21,7 @@ from bfstab.corpus import _SIN_BUMP, main_corpus, talagrand_1d_corpus
 from bfstab.deficits import _pl_exponents, _pl_u_density
 from bfstab.density1d import GridDensity1D
 from bfstab.densitynd import conditional_slice_batch
-from bfstab.quadrature import _K21_NODES, adaptive_quad
+from bfstab.quadrature import K7, _K21_NODES, QuadResult, adaptive_quad_rows
 from bfstab.transport1d import (_columns, _directed_distance,
                                 _rows_deriv_pdf, gauss_distance_estimates,
                                 gauss_distance_rows)
@@ -950,7 +950,7 @@ def test_grid_distance_integrand_locates_each_point_once(monkeypatch):
 
 def _per_point_distance(mu, tol):
     """d(mu, gamma) of a grid source with its integrand read point by
-    point through ``adaptive_quad``: the directed distance as it was
+    point, on the grid's 3/7 Kronrod pair: the directed distance as it was
     evaluated before a grid located each panel once."""
     tmap = TransportMap1D(mu, GAUSS)
     lo, hi = mu.working_interval(transport1d._DIST_TAIL)
@@ -958,14 +958,16 @@ def _per_point_distance(mu, tol):
         np.array([lo]), np.array([hi]), mu.nodes[None, :],
         lambda xs: tmap.deriv(xs.ravel()).reshape(xs.shape))
 
-    def g(x):
-        m, upper, logpdf, pdf = mu._mass_logpdf_pdf(x)
+    def g(x, row):
+        m, upper, logpdf, pdf = mu._mass_logpdf_pdf(x.ravel())
         s = tmap._deriv(m, upper, logpdf)
-        return np.abs(1.0 - s) / np.maximum(1.0, s) * pdf
+        return (np.abs(1.0 - s) / np.maximum(1.0, s) * pdf).reshape(x.shape)
 
-    return adaptive_quad(g, bp[np.isfinite(bp)],
-                         tol_abs=max(tol, transport1d._ROUNDING_FLOOR),
-                         tol_rel=1e-12)
+    res = adaptive_quad_rows(g, bp,
+                             tol_abs=max(tol, transport1d._ROUNDING_FLOOR),
+                             tol_rel=1e-12, pair=K7)
+    return QuadResult(float(res.value[0]), float(res.error[0]),
+                      int(res.evaluations[0]), int(res.panels[0]))
 
 
 def _sin2x_grid():
@@ -992,11 +994,12 @@ def test_grid_distance_keeps_the_bits_of_a_per_point_integrand(case):
 @pytest.mark.parametrize("lam", [0.1, 0.5, 0.9])
 def test_grid_distance_settles_in_one_round(lam):
     # each node is a panel edge, so u is log-linear on every panel: 4,096
-    # panels between the nodes and two more at the kinks of |1 - T'|
+    # panels between the nodes and two more at the kinks of |1 - T'|, each
+    # on the grid's 7-point Kronrod rule
     u = _pl_u_density(_pl_exponents(_SIN_BUMP, lam)[0])
     res = _directed_distance(u, 1e-10)
     assert res.panels == u.nodes.size + 1
-    assert res.evaluations == 21 * res.panels
+    assert res.evaluations == 7 * res.panels
 
 
 @pytest.mark.parametrize("n", [41, 4097, 10001])
