@@ -13,8 +13,8 @@ from .errors import (BfstabError, CapabilityError, ConditioningError,
                      DomainError, EvaluationError, InvariantViolation,
                      ParseError, UnderflowError)
 from .density1d import (Density1D, GaussianMixture1D, GridDensity1D,
-                        StandardGaussian, entropy_rel_gauss_full,
-                        fisher_rel_gauss_full, load_grid_csv)
+                        StandardGaussian, entropy_fisher_1d,
+                        load_grid_csv)
 from .transport1d import (TransportMap1D, bf_distance_full,
                           bregman_integral_full, talagrand_deficit_1d_full,
                           w2_squared_1d_full)
@@ -38,7 +38,7 @@ __all__ = [
     "InvariantViolation",
     # one-dimensional densities
     "Density1D", "GaussianMixture1D", "GridDensity1D", "StandardGaussian",
-    "entropy_rel_gauss_full", "fisher_rel_gauss_full", "load_grid_csv",
+    "entropy_fisher_1d", "load_grid_csv",
     # transport
     "TransportMap1D", "bf_distance_full", "w2_squared_1d_full",
     "talagrand_deficit_1d_full", "bregman_integral_full",

@@ -30,10 +30,8 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .density1d import (Density1D, GaussianMixture1D, GridDensity1D,
-                        WORKING_RADIUS, _breaks, _closed_information,
-                        _information_rows, _is_gaussian, _single_components,
-                        entropy_rel_gauss_full, fisher_rel_gauss_full,
-                        gauss_pdf)
+                        WORKING_RADIUS, _breaks, _information_rows,
+                        _single_components, entropy_fisher_1d, gauss_pdf)
 from .densitynd import (_QMC_REPLICATES, GaussianMixtureND, ProductFunction,
                         _average, _closed_form, _combine,
                         _gaussian_information, _node_sets, _outer_orders,
@@ -110,17 +108,9 @@ class DeficitReport:
 # log-Sobolev deficit
 
 
-def _lsi_deficit_1d(nu: Density1D):
-    if _is_gaussian(nu):
-        return _closed_information(nu, 2)
-    fi = fisher_rel_gauss_full(nu)
-    e = entropy_rel_gauss_full(nu)
-    return 0.5 * fi.value - e.value, 0.5 * fi.error + e.error
-
-
 def _lsi_deficit_rows(weights, means, stds):
     """The sum of delta_LS over 1-D mixture rows (the layout of
-    ``gauss_information_rows``), and of its error, from one kernel call:
+    ``density1d._information_rows``), and of its error, from one kernel call:
     a Gaussian row's closed form, 1/2 I - H for the others."""
     delta, err = _information_rows(weights, means, stds)[4:]
     return sum(delta.tolist()), sum(err.tolist())
@@ -135,13 +125,13 @@ def lsi_deficit(nu, *, mc_budget: int = 10 ** 6, seed: int = 0):
       * one-component GaussianMixture1D N(m, s^2): the closed form
         (1 / s^2 - 1) / 2 + log s, with no quadrature;
       * any other GaussianMixture1D: adaptive 1-D quadrature, both terms
-        in one ``gauss_information_rows`` call;
+        in one call of the row kernel ``density1d._information_rows``;
       * ProductFunction: the sum of its factors' 1-D deficits, since
         entropy and Fisher information tensorize: each single-Gaussian
         factor's closed form, and the two terms of every other factor in
-        one ``gauss_information_rows`` call (none when all factors are
-        single Gaussians);
-      * any other Density1D: adaptive 1-D quadrature, one call per term;
+        one row-kernel call (none when all factors are single Gaussians);
+      * any other Density1D (gamma or a grid): ``entropy_fisher_1d``,
+        adaptive 1-D quadrature, one call per term;
       * a one-component GaussianMixtureND N(m, C): the closed form
         (tr C^-1 - n + log det C) / 2, with no node set;
       * any other GaussianMixtureND: whitened Gauss-Hermite for n <= 3,
@@ -164,13 +154,12 @@ def _lsi_deficit(nu, mc_budget: int, seed: int):
                                        nu.stds[None])
     elif unit is not None:
         value, err = _gaussian_information(nu, unit)[2]
-    elif isinstance(nu, GaussianMixtureND):
-        (e, e_err), (fi, fi_err) = entropy_fisher_nd(
-            nu, mc_budget=mc_budget, seed=seed)
+    elif isinstance(nu, (GaussianMixtureND, Density1D)):
+        (e, e_err), (fi, fi_err) = (
+            entropy_fisher_nd(nu, mc_budget=mc_budget, seed=seed)
+            if isinstance(nu, GaussianMixtureND) else entropy_fisher_1d(nu))
         value = 0.5 * fi - e
         err = 0.5 * fi_err + e_err
-    elif isinstance(nu, Density1D):
-        value, err = _lsi_deficit_1d(nu)
     else:
         raise DomainError("lsi_deficit expects a 1-D density, a product or "
                           "an n-D Gaussian mixture")
@@ -217,8 +206,8 @@ def verify_thm_main(nu, *, directions: Optional[int] = None,
         terms = "per-factor " + ("closed-form Gaussian" if closed
                                  else "1-D quadrature")
     elif isinstance(nu, Density1D):
-        terms = ("closed-form Gaussian" if _is_gaussian(nu)
-                 else "1-D quadrature")
+        closed = isinstance(nu, GaussianMixture1D) and nu.weights.size == 1
+        terms = "closed-form Gaussian" if closed else "1-D quadrature"
     else:
         terms = ("closed-form Gaussian" if unit is not None
                  else "whitened-GH/QMC")

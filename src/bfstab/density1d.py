@@ -49,9 +49,7 @@ __all__ = [
     "StandardGaussian",
     "GaussianMixture1D",
     "GridDensity1D",
-    "entropy_rel_gauss_full",
-    "fisher_rel_gauss_full",
-    "gauss_information_rows",
+    "entropy_fisher_1d",
     "load_grid_csv",
 ]
 
@@ -168,8 +166,10 @@ class Density1D:
     Each density defines ``_masses``, ``_mass`` unclipped, which ``cdf``
     and ``survival`` read too. ``_mass_logpdf(x)`` and
     ``_mass_logpdf_pdf(x)`` add logpdf, and pdf, at the same points, and
-    ``_logpdf_pdf(x)`` and ``_score_pdf(x)`` pair pdf with logpdf or
-    score, so a grid locates them, or a mixture runs its pass, once.
+    ``_logpdf_pdf(x)`` pairs pdf with logpdf, so a grid locates them, or
+    a mixture runs its pass, once. gamma and a grid pair pdf with the
+    score (log p)' in ``_score_pdf(x)``, what their Fisher integral reads;
+    a mixture's score is ``_mixture_score`` of its ``_log_pass``.
     ``_panel_mass_logpdf_pdf(x)`` reads the rows of x as quadrature
     panels, which a grid locates once each.
     """
@@ -178,10 +178,6 @@ class Density1D:
         return np.exp(self.logpdf(x))
 
     def logpdf(self, x):
-        raise NotImplementedError
-
-    def score(self, x):
-        """Derivative of the log-density, d log p / dx."""
         raise NotImplementedError
 
     def cdf(self, x):
@@ -225,10 +221,6 @@ class Density1D:
         logpdf = self.logpdf(x)
         return logpdf, np.exp(logpdf)
 
-    def _score_pdf(self, x):
-        """(score, pdf) at the points x: what a Fisher integral reads."""
-        return self.score(x), self.pdf(x)
-
     def _invert(self, m, upper):
         """The x with F(x) = m, or 1 - F(x) = m where ``upper``; any m in
         (0, 1), elementwise and shaped like m."""
@@ -260,8 +252,8 @@ class StandardGaussian(Density1D):
     def logpdf(self, x):
         return gauss_logpdf(x)
 
-    def score(self, x):
-        return -np.asarray(x, dtype=float)
+    def _score_pdf(self, x):
+        return -np.asarray(x, dtype=float), self.pdf(x)
 
     def _masses(self, x):
         return ndtr(-np.abs(x)), x > 0.0
@@ -321,14 +313,6 @@ class GaussianMixture1D(Density1D):
 
     def logpdf(self, x):
         return self._log_pass(x)[1]
-
-    def score(self, x):
-        zs, _, e, total = self._log_pass(x)
-        return _mixture_score(zs, e, total, self.stds)
-
-    def _score_pdf(self, x):
-        zs, logpdf, e, total = self._log_pass(x)
-        return _mixture_score(zs, e, total, self.stds), np.exp(logpdf)
 
     def _masses_of(self, zs):
         """``_masses`` from the ``_components`` zs."""
@@ -553,16 +537,13 @@ class GridDensity1D(Density1D):
         x = np.asarray(x, dtype=float)
         return self._logpdf_in(x, self._piece(x))
 
-    def score(self, x):
-        """Piecewise log-slope; jumps at the nodes."""
-        x = np.asarray(x, dtype=float)
-        return self._score_in(x, self._piece(x))
-
     def _score_in(self, x, i):
         """score at the points x of the pieces i."""
         return self._slope[i] - self._curv[i] * (x - self._anchor[i]) / self._scale2[i]
 
     def _score_pdf(self, x):
+        """(score, pdf) at the points x, the score the piecewise log-slope,
+        which jumps at the nodes."""
         x = np.asarray(x, dtype=float)
         i = self._piece(x)
         return self._score_in(x, i), np.exp(self._logpdf_in(x, i))
@@ -689,9 +670,8 @@ def _breaks(lo, hi, interior=()):
 
 # nu-mass left outside the integration interval of the expectations below
 _TAIL_MASS = 1e-15
-# absolute tolerance of the entropy and Fisher integrals: the one of
-# entropy_rel_gauss_full and fisher_rel_gauss_full, and of every
-# gauss_information_rows row, so each row keeps their bits
+# absolute tolerance of the entropy and Fisher integrals, of a grid or
+# gamma and of every ``_information_rows`` row alike
 _INFO_TOL = 1e-11
 
 
@@ -802,39 +782,28 @@ def _gaussian_information(m: float, s: float):
         _sum2(t), _CLOSED_ROUNDING * _EPS * sum(map(abs, t))))
 
 
-def _is_gaussian(nu: Density1D) -> bool:
-    """Whether nu is a one-component GaussianMixture1D, whose entropy and
-    Fisher information take the closed forms."""
-    return isinstance(nu, GaussianMixture1D) and nu.weights.size == 1
-
-
-def gauss_information_rows(weights, means, stds):
-    """H(u_b | gamma) and I(u_b | gamma) of many 1-D mixtures u_b at once:
-    (H, H_err, I, I_err), each of shape (B,), in row order.
+def _information_rows(weights, means, stds):
+    """H(u_b | gamma) and I(u_b | gamma) of many 1-D mixtures u_b at once,
+    with each delta_LS = I / 2 - H: (H, H_err, I, I_err, delta, delta_err)
+    as a (6, B) array, in row order.
 
     Row b of the (B, K) arrays is u_b = sum_k w_bk N(m_bk, s_bk^2); a zero
     weight marks an absent component, whose mean and std must still be
     finite (the rows of ``transport1d.gauss_distance_rows``). A row with one
     present component is the Gaussian N(m, s^2) and takes the closed forms
-    of ``_gaussian_information``, with no quadrature. Every other row gets
-    the interval, breakpoints, budget (``_INFO_TOL``) and tail bound that
-    ``entropy_rel_gauss_full`` and ``fisher_rel_gauss_full`` give the
-    GaussianMixture1D of its present components. Either way a row keeps
-    the bits of those functionals: the 2B' integrals of the B' integrated
-    rows are the rows of one ``adaptive_quad_rows`` call, which settles
-    each row alone, and each round runs one component pass over all of
-    its points, to which an absent component adds exact zeros. An integral
+    of ``_gaussian_information``, its delta included, with no quadrature.
+    Every other row is integrated over the span of its present components
+    (``_mixture_span``, widened to +-WORKING_RADIUS), with their
+    ``_mixture_interior`` as breakpoints, to the budget ``_INFO_TOL``, and
+    charged for the tails as ``_expect`` charges them; its delta is
+    I / 2 - H, charged I_err / 2 + H_err. A row keeps its bits whatever
+    rows it is batched with: the 2B' integrals of the B' integrated rows
+    are the rows of one ``adaptive_quad_rows`` call, which settles each
+    row alone, and each round runs one component pass over all of its
+    points, to which an absent component adds exact zeros. An integral
     that does not converge raises EvaluationError naming its term and,
     when there are several rows, its row as the factor.
     """
-    return tuple(_information_rows(weights, means, stds)[:4])
-
-
-def _information_rows(weights, means, stds):
-    """(H, H_err, I, I_err, delta, delta_err) as a (6, B) array: the rows of
-    ``gauss_information_rows`` and each row's delta_LS = I / 2 - H with its
-    error. A Gaussian row's delta is its own closed form; an integrated
-    row's is I / 2 - H, charged I_err / 2 + H_err."""
     w = np.atleast_2d(np.asarray(weights, dtype=float))
     m = np.atleast_2d(np.asarray(means, dtype=float))
     s = np.atleast_2d(np.asarray(stds, dtype=float))
@@ -893,48 +862,34 @@ def _information_rows(weights, means, stds):
     return out
 
 
-def _closed_information(nu: GaussianMixture1D, term: int):
-    """(value, error) of term 0 (H), 1 (I) or 2 (delta_LS) of
-    ``_gaussian_information`` for the one component of nu."""
-    return _gaussian_information(float(nu.means[0]),
-                                 float(nu.stds[0]))[2 * term:2 * term + 2]
+def entropy_fisher_1d(nu: Density1D):
+    """((H, H_err), (I, I_err)): H(nu | gamma) = E_nu[log p - log phi] and
+    I(nu | gamma) = E_nu[(score + x)^2], each with an error estimate; the
+    1-D twin of ``densitynd.entropy_fisher_nd``.
 
-
-def entropy_rel_gauss_full(nu: Density1D) -> QuadResult:
-    """H(nu | gamma) = E_nu[log p - log phi] with an error estimate.
-
-    A one-component GaussianMixture1D N(m, s^2) takes the closed form
-    (m^2 + s^2 - 1) / 2 - log s, with a rounding charge as its error. Any
-    other density takes adaptive quadrature to the budget _INFO_TOL, and
-    the error includes the bound on the tails beyond the interval.
+    A GaussianMixture1D is one row of ``_information_rows``: a single
+    Gaussian N(m, s^2) takes the closed forms (m^2 + s^2 - 1) / 2 - log s
+    and m^2 + s^2 - 2 + 1 / s^2, with a rounding charge as their error, and
+    any other mixture one quadrature of both terms. gamma and a grid take
+    one ``_expect`` per term, to the budget _INFO_TOL, and each error
+    includes the bound on the tails beyond the interval.
     """
-    if _is_gaussian(nu):
-        return QuadResult(*_closed_information(nu, 0), 0, 0)
+    if isinstance(nu, GaussianMixture1D):
+        h, h_err, fi, fi_err = _information_rows(
+            nu.weights[None], nu.means[None], nu.stds[None])[:4, 0].tolist()
+        return (h, h_err), (fi, fi_err)
 
-    def fn(x):
+    def entropy(x):
         logpdf, pdf = nu._logpdf_pdf(x)
         return logpdf - gauss_logpdf(x), pdf
 
-    return _expect(nu, fn, _INFO_TOL)
-
-
-def fisher_rel_gauss_full(nu: Density1D) -> QuadResult:
-    """I(nu | gamma) = E_nu[(score + x)^2] with an error estimate.
-
-    A one-component GaussianMixture1D N(m, s^2) takes the closed form
-    m^2 + s^2 - 2 + 1 / s^2, with a rounding charge as its error. Any
-    other density takes adaptive quadrature to the budget _INFO_TOL, and
-    the error includes the bound on the tails beyond the interval.
-    """
-    if _is_gaussian(nu):
-        return QuadResult(*_closed_information(nu, 1), 0, 0)
-
-    def fn(x):
+    def fisher(x):
         score, pdf = nu._score_pdf(x)
         r = score + x
         return r * r, pdf
 
-    return _expect(nu, fn, _INFO_TOL)
+    return tuple((res.value, res.error) for res in (
+        _expect(nu, entropy, _INFO_TOL), _expect(nu, fisher, _INFO_TOL)))
 
 
 def load_grid_csv(path) -> GridDensity1D:

@@ -17,7 +17,7 @@ the panels of all rows.
 ``adaptive_quad`` is its one-row case, on K21. Two kernels batch their rows
 through it: ``transport1d.gauss_distance_rows`` (the distances of slices
 and of sphere-search directions to gamma) and
-``density1d.gauss_information_rows`` (the entropy and Fisher integrals of
+``density1d._information_rows`` (the entropy and Fisher integrals of
 a 1-D mixture, or of every factor of a product that is not a single
 Gaussian, in one call; a single Gaussian takes closed forms). Integrands
 with expensive inner solves thus see a handful of large batched calls

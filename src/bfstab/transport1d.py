@@ -454,7 +454,7 @@ class _RowMixtures:
     """The (B, K) row mixtures of the batched routines, split as both treat
     them: ``one`` marks the rows with one present component (the split of
     ``density1d._single_components``, which the information kernel
-    ``gauss_information_rows`` makes too), ``k_one`` and
+    ``_information_rows`` makes too), ``k_one`` and
     ``s_one`` hold that component's index and std, and ``closed`` their
     d = 1 - min(s, 1/s) (see gauss_distance_rows). The other
     rows, at indices ``quad``, keep their ``present`` mask, their working

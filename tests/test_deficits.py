@@ -12,7 +12,8 @@ from hypothesis import given, settings, strategies as st
 from bfstab import (CapabilityError, DeficitReport, DomainError,
                     EvaluationError, GFun,
                     GaussianMixture1D, GaussianMixtureND, PLTriple,
-                    ProductFunction, lambda_limit_diagnostics, lsi_deficit,
+                    ProductFunction, entropy_fisher_1d,
+                    lambda_limit_diagnostics, lsi_deficit,
                     pl_deficit_check, sup_convolution, verify_corollary,
                     verify_talagrand, verify_thm_main)
 from bfstab import deficits, density1d, densitynd, quadrature, transport1d
@@ -111,10 +112,10 @@ def test_lsi_deficit_nd_gaussian():
 def test_product_deficit_is_one_quadrature_call_with_per_factor_bits(
         monkeypatch):
     # factors of K = 1, 2 and 4, one with a std of 1e-3: the deficit and its
-    # error keep the bits of the sum of the factors' one-term-per-call
-    # deficits, from one adaptive_quad_rows call for the integrals of the
-    # K >= 2 factors; the single Gaussian takes its closed form, and alone
-    # it takes no call
+    # error keep the bits of the sum of the factors' own deficits, from one
+    # adaptive_quad_rows call for the integrals of the K >= 2 factors; the
+    # single Gaussian takes its closed form, and alone it takes no call. A
+    # K >= 2 factor's own deficit is 1/2 I - H of entropy_fisher_1d
     factors = [GaussianMixture1D([1.0], [0.3], [1e-3]),
                GaussianMixture1D([0.4, 0.6], [-1.0, 2.0], [0.5, 1.5]),
                GaussianMixture1D([0.1, 0.2, 0.3, 0.4], [-3.0, -1.0, 0.5, 4.0],
@@ -128,16 +129,19 @@ def test_product_deficit_is_one_quadrature_call_with_per_factor_bits(
 
     monkeypatch.setattr(quadrature, "adaptive_quad_rows", counted)
     monkeypatch.setattr(density1d, "adaptive_quad_rows", counted)
-    for order in (factors, factors[::-1]):
-        parts = [deficits._lsi_deficit_1d(h) for h in order]
-        calls.clear()
-        assert lsi_deficit(ProductFunction(order)) == (
-            sum(v for v, _ in parts), sum(e for _, e in parts))
-        assert len(calls) == 1
+    parts = []
     for h in factors:
-        part = deficits._lsi_deficit_1d(h)
         calls.clear()
-        assert lsi_deficit(h) == part and len(calls) == (h.weights.size > 1)
+        parts.append(lsi_deficit(h))
+        assert len(calls) == (h.weights.size > 1)
+        if h.weights.size > 1:
+            (e, e_err), (fi, fi_err) = entropy_fisher_1d(h)
+            assert parts[-1] == (0.5 * fi - e, 0.5 * fi_err + e_err)
+    for step in (1, -1):
+        calls.clear()
+        assert lsi_deficit(ProductFunction(factors[::step])) == (
+            sum(v for v, _ in parts[::step]), sum(e for _, e in parts[::step]))
+        assert len(calls) == 1
 
 
 def test_gaussian_product_takes_no_quadrature(monkeypatch):

@@ -14,8 +14,8 @@ from bfstab import density1d, quadrature
 from bfstab import (ConditioningError, DomainError, EvaluationError,
                     GaussianMixture1D,
                     GridDensity1D, ParseError, ProductFunction,
-                    StandardGaussian, entropy_rel_gauss_full,
-                    fisher_rel_gauss_full, load_grid_csv, lsi_deficit)
+                    StandardGaussian, entropy_fisher_1d, load_grid_csv,
+                    lsi_deficit)
 from bfstab.corpus import _SIN_BUMP
 from bfstab.deficits import _pl_exponents, _pl_u_density
 
@@ -83,21 +83,31 @@ def test_mixture_logpdf_consistent():
 
 
 def test_score_matches_logpdf_central_difference():
+    # a mixture's score is _mixture_score of its component pass, which the
+    # information kernel's Fisher integrand and the quantile solve's Halley
+    # step read
     h = 1e-6
     mix = mixtures()[3]
+
+    def mixture_score(x):
+        zs, _, e, total = mix._log_pass(x)
+        return density1d._mixture_score(zs, e, total, mix.stds)
+
     xs = np.linspace(-4, 4, 17)
     num = (mix.logpdf(xs + h) - mix.logpdf(xs - h)) / (2 * h)
-    assert np.allclose(mix.score(xs), num, atol=1e-7)
+    assert np.allclose(mixture_score(xs), num, atol=1e-7)
     # far out every component density underflows; the score is still the
     # widest component's, -(x - 0) / 1
-    assert np.isclose(mix.score(np.array([60.0]))[0], -60.0)
+    assert np.isclose(mixture_score(np.array([60.0]))[0], -60.0)
     # a grid's score is its piecewise log-slope; probe between nodes and in
     # both Gaussian tails
     xs_g, vals = _gaussian_grid(n=61, lo=-3.0, hi=3.0)
     grid = GridDensity1D(xs_g, vals)
     probe = np.concatenate([[-4.5, -3.2], 0.5 * (xs_g[:-1] + xs_g[1:]), [3.3, 5.0]])
     num = (grid.logpdf(probe + h) - grid.logpdf(probe - h)) / (2 * h)
-    assert np.allclose(grid.score(probe), num, atol=1e-6)
+    assert np.allclose(grid._score_pdf(probe)[0], num, atol=1e-6)
+    # gamma's is -x, exactly
+    assert np.array_equal(GAUSS._score_pdf(probe)[0], -probe)
 
 
 @given(mixture_strategy(), st.floats(1e-7, 1.0 - 1e-7))
@@ -224,7 +234,7 @@ def test_mixture_validation_errors():
 
 def test_entropy_closed_form_scaled_gaussian():
     nu = GaussianMixture1D([1.0], [0.0], [2.0])
-    assert abs(entropy_rel_gauss_full(nu).value - ENTROPY_SIGMA2) < 1e-12
+    assert abs(entropy_fisher_1d(nu)[0][0] - ENTROPY_SIGMA2) < 1e-12
 
 
 def test_entropy_closed_form_shifted():
@@ -232,7 +242,7 @@ def test_entropy_closed_form_shifted():
     for a, s in ((0.3, 1.0), (-1.0, 0.5), (2.0, 1.7)):
         nu = GaussianMixture1D([1.0], [a], [s])
         ref = 0.5 * (a * a + s * s - 1.0 - math.log(s * s))
-        assert abs(entropy_rel_gauss_full(nu).value - ref) < 1e-11
+        assert abs(entropy_fisher_1d(nu)[0][0] - ref) < 1e-11
 
 
 def test_entropy_mixture_against_scipy_quad():
@@ -242,12 +252,12 @@ def test_entropy_mixture_against_scipy_quad():
         return mix.pdf(x) * (mix.logpdf(x) - GAUSS.logpdf(x))
 
     ref, err = integrate.quad(integrand, -40, 40, limit=300)
-    assert abs(entropy_rel_gauss_full(mix).value - ref) < 1e-9 + err
+    assert abs(entropy_fisher_1d(mix)[0][0] - ref) < 1e-9 + err
 
 
 def test_fisher_closed_form_scaled_gaussian():
     nu = GaussianMixture1D([1.0], [0.0], [2.0])
-    assert abs(fisher_rel_gauss_full(nu).value - FISHER_SIGMA2) < 1e-11
+    assert abs(entropy_fisher_1d(nu)[1][0] - FISHER_SIGMA2) < 1e-11
 
 
 def test_fisher_mixture_against_scipy_quad():
@@ -262,13 +272,11 @@ def test_fisher_mixture_against_scipy_quad():
         return (dp / p + x) ** 2 * p
 
     ref, err = integrate.quad(integrand, -30, 30, limit=300)
-    assert abs(fisher_rel_gauss_full(mix).value - ref) < 1e-8 + err
+    assert abs(entropy_fisher_1d(mix)[1][0] - ref) < 1e-8 + err
 
 
-@pytest.mark.parametrize("functional", [entropy_rel_gauss_full,
-                                        fisher_rel_gauss_full])
-def test_grid_expectation_locates_each_point_once(monkeypatch, functional):
-    # the integrand read logpdf or score, then pdf, and so located every
+def test_grid_expectation_locates_each_point_once(monkeypatch):
+    # the integrands read logpdf or score, then pdf, and so located every
     # point twice
     nu = _pl_u_density(_pl_exponents(_SIN_BUMP, 0.5)[0])
     assert isinstance(nu, GridDensity1D) and nu.nodes.size == 4097
@@ -292,15 +300,34 @@ def test_grid_expectation_locates_each_point_once(monkeypatch, functional):
 
     monkeypatch.setattr(density1d, "adaptive_quad", capture)
     monkeypatch.setattr(np, "searchsorted", counted)
-    functional(nu)
+    entropy_fisher_1d(nu)
     assert evals and calls == evals
+
+
+# (H, H_err, I, I_err) of the first mixture of each K = 1-6 in
+# test_information_rows_keep_the_bits_of_the_one_mixture_functionals, as
+# the one-mixture functionals gave them: the closed forms for K = 1, one
+# adaptive_quad call per term otherwise
+_ONE_MIXTURE_BITS = [
+    ("0x1.51b904edd7d0bp+13", "0x1.fb1909a0d7125p-39",
+     "0x1.51dcdb0e44527p+14", "0x1.fae34895667bap-38"),
+    ("0x1.125604262c3dcp+14", "0x1.ad747d25b48adp-28",
+     "0x1.1b4d2bfcc51b2p+15", "0x1.b0dc7c0f2ec0fp-27"),
+    ("0x1.81aec09be7806p+8", "0x1.afc08d744b4bcp-34",
+     "0x1.843fa68a1a88bp+9", "0x1.b4119907e6fefp-33"),
+    ("0x1.92bf821abd35ap+7", "0x1.760a25bb79c4ep-36",
+     "0x1.a92103f19057cp+8", "0x1.5515bbbba5972p-35"),
+    ("0x1.1e2b96ff76be2p+6", "0x1.55d792c6b1eddp-37",
+     "0x1.ed76d790b8780p+10", "0x1.4da668d652260p-35"),
+    ("0x1.c0a34e29aac98p+15", "0x1.1094d2ebb94a7p-24",
+     "0x1.35dafe35ead3fp+17", "0x1.1f2883dc6bb37p-23")]
 
 
 def test_information_rows_keep_the_bits_of_the_one_mixture_functionals():
     # K = 1-6, stds log-uniform on [1e-3, 1e3], means U(-30, 30): each row's
-    # (H, H_err, I, I_err) is that of entropy_rel_gauss_full and
-    # fisher_rel_gauss_full on its own mixture, alone, batched with the
-    # others (padded to K = 6) and in shuffled order
+    # (H, H_err, I, I_err) is that of its own mixture alone, batched with
+    # the others (padded to K = 6) and in shuffled order, and the first
+    # mixture of each K keeps the bits _ONE_MIXTURE_BITS records
     rng = np.random.default_rng(20261020)
     mixes = []
     for k in [1, 2, 3, 4, 5, 6] * 4:
@@ -308,19 +335,17 @@ def test_information_rows_keep_the_bits_of_the_one_mixture_functionals():
         mixes.append(GaussianMixture1D(
             w / w.sum(), rng.uniform(-30.0, 30.0, k),
             np.exp(rng.uniform(math.log(1e-3), math.log(1e3), k))))
-    ref = np.array([[x for f in (entropy_rel_gauss_full, fisher_rel_gauss_full)
-                     for res in [f(mix)] for x in (res.value, res.error)]
-                    for mix in mixes])
-    for mix, row in zip(mixes, ref):
-        got = density1d.gauss_information_rows(
-            mix.weights[None], mix.means[None], mix.stds[None])
-        assert np.array_equal(np.concatenate(got), row)
-    assert np.array_equal(np.stack(density1d.gauss_information_rows(
-        *ProductFunction(mixes).factor_rows), axis=1), ref)
+    ref = np.array([density1d._information_rows(
+        mix.weights[None], mix.means[None], mix.stds[None])[:4, 0]
+        for mix in mixes])
+    assert np.array_equal(ref[:6], [[float.fromhex(x) for x in row]
+                                    for row in _ONE_MIXTURE_BITS])
+    assert np.array_equal(density1d._information_rows(
+        *ProductFunction(mixes).factor_rows)[:4].T, ref)
     order = rng.permutation(len(mixes))
-    got = density1d.gauss_information_rows(
+    got = density1d._information_rows(
         *ProductFunction([mixes[i] for i in order]).factor_rows)
-    assert np.array_equal(np.stack(got, axis=1), ref[order])
+    assert np.array_equal(got[:4].T, ref[order])
 
 
 @pytest.mark.parametrize("factors, target, message", [
@@ -353,7 +378,7 @@ def test_information_rows_name_the_term_and_factor_that_fail(
     monkeypatch.setattr(density1d, "adaptive_quad_rows", rough)
     monkeypatch.setattr(quadrature, "_MAX_PANELS", 24)
     with pytest.raises(EvaluationError) as info:
-        density1d.gauss_information_rows(*rows)
+        density1d._information_rows(*rows)
     assert message in str(info.value) and "row" not in str(info.value)
     assert info.value.error > 0.0 and info.value.value is not None
 
@@ -366,10 +391,9 @@ def test_integrated_rows_keep_their_bits_beside_gaussian_rows():
                GaussianMixture1D([0.4, 0.6], [-1.0, 2.0], [0.5, 1.5]),
                GaussianMixture1D([0.1, 0.2, 0.3, 0.4], [-3.0, -1.0, 0.5, 4.0],
                                  [0.2, 1.0, 2.0, 0.7])]
-    both = np.stack(density1d.gauss_information_rows(
-        *ProductFunction(factors).factor_rows))
-    alone = np.stack(density1d.gauss_information_rows(
-        *ProductFunction(factors[1:]).factor_rows))
+    both = density1d._information_rows(*ProductFunction(factors).factor_rows)
+    alone = density1d._information_rows(
+        *ProductFunction(factors[1:]).factor_rows)
     assert np.array_equal(both[:, 1:], alone)
 
 
@@ -386,9 +410,7 @@ def _misses(nu):
     """(|miss|, error) of H, I and delta_LS of the single Gaussian nu
     against 40-digit closed forms."""
     exact = _mpmath_gaussian_information(nu.means[0], nu.stds[0])
-    got = [(res.value, res.error) for res in (entropy_rel_gauss_full(nu),
-                                              fisher_rel_gauss_full(nu))]
-    got.append(lsi_deficit(nu))
+    got = [*entropy_fisher_1d(nu), lsi_deficit(nu)]
     with mpmath.workdps(40):
         return [(float(abs(mpmath.mpf(value) - x)), err)
                 for (value, err), x in zip(got, exact)]
@@ -417,18 +439,16 @@ def test_narrow_gaussian_errors_are_tight(s):
     # miss smaller than one ulp of the value, within 16 ulps (here they
     # are 3.5 to 10.6 times the miss)
     nu = GaussianMixture1D([1.0], [0.5], [s])
-    for (miss, err), value in zip(_misses(nu)[:2], (
-            entropy_rel_gauss_full(nu).value, fisher_rel_gauss_full(nu).value)):
+    for (miss, err), (value, _) in zip(_misses(nu)[:2], entropy_fisher_1d(nu)):
         assert miss <= err <= 16.0 * max(miss, np.spacing(value))
 
 
-@pytest.mark.parametrize("functional", [entropy_rel_gauss_full,
-                                        fisher_rel_gauss_full])
-@pytest.mark.parametrize("nu", [mixtures()[2], _pl_u_density(
-    _pl_exponents(_SIN_BUMP, 0.5)[0])])
-def test_expectation_takes_its_interval_once(monkeypatch, functional, nu):
-    # the breakpoints and the tail edges read one interval; a grid's costs
-    # two quantile inversions
+def test_expectation_takes_its_interval_once(monkeypatch):
+    # the breakpoints and the tail edges of an _expect integral read one
+    # interval; a grid's costs two quantile inversions. A grid's entropy
+    # and Fisher information are two such integrals. (A mixture's take
+    # _mixture_span, in the row kernel.)
+    nu = _pl_u_density(_pl_exponents(_SIN_BUMP, 0.5)[0])
     calls = []
     original = density1d._measure_interval
 
@@ -437,20 +457,39 @@ def test_expectation_takes_its_interval_once(monkeypatch, functional, nu):
         return original(nu)
 
     monkeypatch.setattr(density1d, "_measure_interval", counted)
-    functional(nu)
-    assert calls == [nu]
+    entropy_fisher_1d(nu)
+    assert calls == [nu, nu]
+
+
+def _sin2x_grid41():
+    # the CI's 41-node exp(sin 2x - x^2 / 2) grid, cells 0.5 wide
+    x = np.linspace(-10.0, 10.0, 41)
+    return GridDensity1D(x, np.exp(np.sin(2.0 * x) - 0.5 * x * x))
+
+
+def test_entropy_fisher_1d_keeps_the_bits_of_a_grid_and_of_gamma():
+    # one _expect integral per term on a grid, as the one-term functionals
+    # gave them; gamma's log-ratio and score gap are exact zeros, and so
+    # are both terms and their errors
+    got = entropy_fisher_1d(_sin2x_grid41())
+    assert [x.hex() for term in got for x in term] == [
+        "0x1.76ee6a35ed7f0p-3", "0x1.0b16d7f2003bfp-49",
+        "0x1.ca78ea75938f6p+0", "0x1.6908a69032600p-48"]
+    assert entropy_fisher_1d(GAUSS) == ((0.0, 0.0), (0.0, 0.0))
 
 
 @pytest.mark.parametrize("density", [GAUSS, *mixtures(),
                                      _pl_u_density(_pl_exponents(_SIN_BUMP,
                                                                  0.5)[0])])
 def test_pdf_pairs_match_separate_calls(density):
+    # gamma and a grid pair pdf with their score for the Fisher integral
     xs = np.concatenate([[-40.0, -9.0], np.linspace(-6.0, 7.0, 2001),
                          [9.0, 40.0]])
-    for (got_f, got_pdf), ref in ((density._logpdf_pdf(xs), density.logpdf),
-                                  (density._score_pdf(xs), density.score)):
-        assert np.array_equal(got_f, ref(xs))
-        assert np.array_equal(got_pdf, density.pdf(xs))
+    logpdf, pdf = density._logpdf_pdf(xs)
+    assert np.array_equal(logpdf, density.logpdf(xs))
+    assert np.array_equal(pdf, density.pdf(xs))
+    if not isinstance(density, GaussianMixture1D):
+        assert np.array_equal(density._score_pdf(xs)[1], density.pdf(xs))
 
 
 # ---------------------------------------------------------------------------
@@ -506,7 +545,8 @@ def test_grid_density_piece_boundaries(grid):
              (log_v[-1] - log_v[-2]) / (n[-1] - n[-2]))):
         at = np.array([node, outer])
         assert np.all(np.abs(d.logpdf(at) - lv) <= 1e-12 * (1.0 + abs(lv)))
-        assert np.all(np.abs(d.score(at) - slope) <= 1e-12 * (1.0 + abs(slope)))
+        assert np.all(np.abs(d._score_pdf(at)[0] - slope)
+                      <= 1e-12 * (1.0 + abs(slope)))
     span = n[-1] - n[0]
     deep = np.array([n[0] - 20.0 * span, n[0] - 20.0, n[-1] + 20.0,
                      n[-1] + 20.0 * span])
@@ -516,7 +556,7 @@ def test_grid_density_piece_boundaries(grid):
     assert np.all(np.abs(d.cdf(x) + d.survival(x) - 1.0) <= 4.0 * eps)
     assert np.array_equal(d.pdf(x), np.exp(d.logpdf(x)))
     back = pickle.loads(pickle.dumps(d))
-    for method in ("logpdf", "pdf", "score", "cdf", "survival"):
+    for method in ("logpdf", "pdf", "cdf", "survival"):
         assert np.array_equal(getattr(back, method)(x), getattr(d, method)(x))
     p = np.array([1e-300, 1e-20, 0.3, 0.7, 1.0 - 1e-16])
     for method in ("quantile", "quantile_sf"):

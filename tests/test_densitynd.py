@@ -12,9 +12,8 @@ from scipy.special import logsumexp, ndtr, ndtri
 
 from bfstab import (ConditioningError, DomainError,
                     GaussianMixture1D, GaussianMixtureND, ParseError,
-                    ProductFunction, entropy_fisher_nd, entropy_rel_gauss_full,
-                    fisher_rel_gauss_full, marginal_without, mixture_from_json,
-                    w2_squared_1d_full)
+                    ProductFunction, entropy_fisher_1d, entropy_fisher_nd,
+                    marginal_without, mixture_from_json, w2_squared_1d_full)
 from bfstab import densitynd
 from bfstab.corpus import main_corpus
 from bfstab.density1d import _PROB_CEIL, _PROB_FLOOR
@@ -344,8 +343,9 @@ def test_entropy_mixture_matches_1d_embedding():
                            (h.stds ** 2)[:, None, None])
     # 1-D embedded mixture must agree with the adaptive 1-D integrals
     (ent, ent_err), (fis, fis_err) = entropy_fisher_nd(nu)
-    assert abs(ent - entropy_rel_gauss_full(h).value) < 1e-9 + ent_err
-    assert abs(fis - fisher_rel_gauss_full(h).value) < 1e-9 + fis_err
+    (ent_1d, _), (fis_1d, _) = entropy_fisher_1d(h)
+    assert abs(ent - ent_1d) < 1e-9 + ent_err
+    assert abs(fis - fis_1d) < 1e-9 + fis_err
 
 
 def test_entropy_fisher_gh_match_product_factor_sums():
@@ -355,12 +355,11 @@ def test_entropy_fisher_gh_match_product_factor_sums():
     assert prod.dim == 2 and prod.factors[0].weights.size == 2
     nu = prod.as_mixture()
     (ent, ent_err), (fis, fis_err) = entropy_fisher_nd(nu)
-    ent_1d = [entropy_rel_gauss_full(h) for h in prod.factors]
-    fis_1d = [fisher_rel_gauss_full(h) for h in prod.factors]
-    assert (abs(ent - sum(r.value for r in ent_1d))
-            <= ent_err + sum(r.error for r in ent_1d))
-    assert (abs(fis - sum(r.value for r in fis_1d))
-            <= fis_err + sum(r.error for r in fis_1d))
+    ent_1d, fis_1d = zip(*map(entropy_fisher_1d, prod.factors))
+    assert (abs(ent - sum(v for v, _ in ent_1d))
+            <= ent_err + sum(e for _, e in ent_1d))
+    assert (abs(fis - sum(v for v, _ in fis_1d))
+            <= fis_err + sum(e for _, e in fis_1d))
 
 
 # ---------------------------------------------------------------------------
