@@ -275,17 +275,28 @@ def test_fisher_mixture_against_scipy_quad():
     assert abs(entropy_fisher_1d(mix)[1][0] - ref) < 1e-8 + err
 
 
-def test_grid_expectation_locates_each_point_once(monkeypatch):
+# The ids of the two tests below name the term an integral computes by the
+# one-term functionals that computed it before entropy_fisher_1d; the grid
+# case of the first test was its second density, nu1
+_TERM_IDS = ["entropy_rel_gauss_full", "fisher_rel_gauss_full"]
+
+
+@pytest.mark.parametrize("term", [0, 1], ids=_TERM_IDS)
+def test_grid_expectation_locates_each_point_once(monkeypatch, term):
     # the integrands read logpdf or score, then pdf, and so located every
-    # point twice
+    # point twice; entropy_fisher_1d runs the entropy integral (term 0),
+    # then the Fisher one (term 1)
     nu = _pl_u_density(_pl_exponents(_SIN_BUMP, 0.5)[0])
     assert isinstance(nu, GridDensity1D) and nu.nodes.size == 4097
     evals, calls, inside = [], [], [False]
     quad, search = density1d.adaptive_quad, np.searchsorted
 
     def capture(g, breakpoints, **kw):
+        evals.append([])
+        calls.append([])
+
         def counted_g(x):
-            evals.append(np.size(x))
+            evals[-1].append(np.size(x))
             inside[0] = True
             try:
                 return g(x)
@@ -295,13 +306,14 @@ def test_grid_expectation_locates_each_point_once(monkeypatch):
 
     def counted(a, v, *args, **kw):
         if inside[0]:
-            calls.append(np.size(v))
+            calls[-1].append(np.size(v))
         return search(a, v, *args, **kw)
 
     monkeypatch.setattr(density1d, "adaptive_quad", capture)
     monkeypatch.setattr(np, "searchsorted", counted)
     entropy_fisher_1d(nu)
-    assert evals and calls == evals
+    assert len(evals) == 2
+    assert evals[term] and calls[term] == evals[term]
 
 
 # (H, H_err, I, I_err) of the first mixture of each K = 1-6 in
@@ -443,22 +455,35 @@ def test_narrow_gaussian_errors_are_tight(s):
         assert miss <= err <= 16.0 * max(miss, np.spacing(value))
 
 
-def test_expectation_takes_its_interval_once(monkeypatch):
+@pytest.mark.parametrize("term", [0, 1],
+                         ids=[f"nu1-{name}" for name in _TERM_IDS])
+def test_expectation_takes_its_interval_once(monkeypatch, term):
     # the breakpoints and the tail edges of an _expect integral read one
     # interval; a grid's costs two quantile inversions. A grid's entropy
-    # and Fisher information are two such integrals. (A mixture's take
+    # (term 0) and Fisher information (term 1) are two such integrals, and
+    # entropy_fisher_1d reads no interval outside them. (A mixture's take
     # _mixture_span, in the row kernel.)
     nu = _pl_u_density(_pl_exponents(_SIN_BUMP, 0.5)[0])
-    calls = []
-    original = density1d._measure_interval
+    integrals, outside, current = [], [], [None]
+    expect, interval = density1d._expect, density1d._measure_interval
+
+    def counted_expect(*args, **kw):
+        current[0] = []
+        integrals.append(current[0])
+        try:
+            return expect(*args, **kw)
+        finally:
+            current[0] = None
 
     def counted(nu):
-        calls.append(nu)
-        return original(nu)
+        (outside if current[0] is None else current[0]).append(nu)
+        return interval(nu)
 
+    monkeypatch.setattr(density1d, "_expect", counted_expect)
     monkeypatch.setattr(density1d, "_measure_interval", counted)
     entropy_fisher_1d(nu)
-    assert calls == [nu, nu]
+    assert len(integrals) == 2 and not outside
+    assert integrals[term] == [nu]
 
 
 def _sin2x_grid41():
