@@ -36,8 +36,6 @@ from .densitynd import _QMC_REPLICATES, ProductFunction, mixture_from_json
 from .errors import BfstabError, ParseError
 from .transport1d import bf_distance_full
 
-_EXIT_BY_STATUS = {"pass": 0, "fail": 2, "inconclusive": 3, "error": 2}
-
 
 class _Parser(argparse.ArgumentParser):
     """argparse defaults to exit code 2 on bad flags; the contract wants 1.
@@ -193,21 +191,34 @@ def _emit(text: str, out_path):
         raise
 
 
-def _reports_csv(reports) -> str:
+def _csv(header, rows) -> str:
+    """A CSV table, each float written as its repr, so it reads back to
+    the same bits."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(_REPORT_FIELDS)
-    for rep in reports:
-        row = rep.to_json_dict()
-        writer.writerow([repr(row[c]) if isinstance(row[c], float)
-                         else row[c] for c in _REPORT_FIELDS])
+    writer.writerow(header)
+    writer.writerows([repr(x) if isinstance(x, float) else x for x in row]
+                     for row in rows)
     return buf.getvalue()
+
+
+def _reports_csv(reports) -> str:
+    return _csv(_REPORT_FIELDS, ([getattr(rep, c) for c in _REPORT_FIELDS]
+                                 for rep in reports))
 
 
 def _payload_json(command: str, config: dict, body: dict) -> str:
     payload = {"command": command, "version": __version__, "config": config}
     payload.update(body)
     return json.dumps(payload, indent=2) + "\n"
+
+
+def _exit_code(statuses) -> int:
+    """The exit code of reports with these statuses: 2 if any fails or
+    errs, else 3 if any is inconclusive, else 0."""
+    if {"fail", "error"} & set(statuses):
+        return 2
+    return 3 if "inconclusive" in statuses else 0
 
 
 def _emit_reports(args, config: dict, reports) -> int:
@@ -222,11 +233,7 @@ def _emit_reports(args, config: dict, reports) -> int:
                         for k in ("pass", "fail", "inconclusive", "error")},
             "reports": [r.to_json_dict() for r in reports]})
     _emit(text, args.out)
-    if counts.get("fail", 0) or counts.get("error", 0):
-        return 2
-    if counts.get("inconclusive", 0):
-        return 3
-    return 0
+    return _exit_code(counts)
 
 
 # ---------------------------------------------------------------------------
@@ -281,25 +288,11 @@ def _cmd_distance(args) -> int:
     value, err = bf_distance_full(u, v, tol=args.tol)
     config = {"u": args.u, "v": args.v, "tol": args.tol}
     if args.format == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["value", "error_estimate"])
-        writer.writerow([repr(value), repr(err)])
-        _emit(buf.getvalue(), args.out)
+        _emit(_csv(("value", "error_estimate"), [(value, err)]), args.out)
     else:
         _emit(_payload_json("distance", config,
                             {"value": value, "error_estimate": err}), args.out)
     return 0
-
-
-def _emit_report(args, config: dict, rep, **body) -> int:
-    """Write one report (plus any extra JSON fields); exit by its status."""
-    if args.format == "csv":
-        _emit(_reports_csv([rep]), args.out)
-    else:
-        _emit(_payload_json(args.command, config,
-                            {"report": rep.to_json_dict(), **body}), args.out)
-    return _EXIT_BY_STATUS[rep.status]
 
 
 def _require_compatible(objs, theorem: str, what: str):
@@ -311,23 +304,31 @@ def _require_compatible(objs, theorem: str, what: str):
         raise ParseError(f"--theorem {theorem} does not apply to {what}{hint}")
 
 
-def _single_report_cmd(args, obj, theorem) -> int:
+def _single_report_cmd(args, obj, theorem, config: dict, **body) -> int:
+    """Verify one case and write its report, with the ``config`` settings
+    and any extra JSON fields in ``body``; exit by its status."""
     rep = run_case(args.case_id, obj, theorem, **_budget_kwargs(args))
-    config = _science_config(args, [theorem], theorem=theorem)
-    return _emit_report(args, config, rep)
+    if args.format == "csv":
+        _emit(_reports_csv([rep]), args.out)
+    else:
+        config = _science_config(args, [theorem], **config)
+        _emit(_payload_json(args.command, config,
+                            {"report": rep.to_json_dict(), **body}), args.out)
+    return _exit_code([rep.status])
 
 
 def _cmd_deficit(args) -> int:
     if args.theorem == "pl":
         if args.g is None:
             raise ParseError("--theorem pl needs --g and --lam")
-        return _single_report_cmd(args, (parse_g_spec(args.g), args.lam),
-                                  "pl")
-    if args.measure is None:
+        obj = (parse_g_spec(args.g), args.lam)
+    elif args.measure is None:
         raise ParseError("--measure is required")
-    obj = parse_density_spec(args.measure)
-    _require_compatible([obj], args.theorem, f"--measure {args.measure}")
-    return _single_report_cmd(args, obj, args.theorem)
+    else:
+        obj = parse_density_spec(args.measure)
+        _require_compatible([obj], args.theorem, f"--measure {args.measure}")
+    return _single_report_cmd(args, obj, args.theorem,
+                              {"theorem": args.theorem})
 
 
 def _cmd_verify(args) -> int:
@@ -387,13 +388,11 @@ def _cmd_pl_check(args) -> int:
         raise ParseError("--diagnostics needs --format json: a CSV report "
                          "has no place for the lambda-limit table")
     g = parse_g_spec(args.g)
-    kw = _budget_kwargs(args)
-    rep = run_case(args.case_id, (g, args.lam), "pl", **kw)
-    config = _science_config(args, ["pl"], g=args.g, lam=args.lam)
     body = {}
     if args.diagnostics:
         body["diagnostics"] = [vars(r) for r in lambda_limit_diagnostics(g)]
-    return _emit_report(args, config, rep, **body)
+    return _single_report_cmd(args, (g, args.lam), "pl",
+                              {"g": args.g, "lam": args.lam}, **body)
 
 
 # ---------------------------------------------------------------------------

@@ -30,8 +30,9 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .density1d import (Density1D, GaussianMixture1D, GridDensity1D,
-                        WORKING_RADIUS, _breaks, _information_rows,
-                        _single_components, entropy_fisher_1d, gauss_pdf)
+                        WORKING_RADIUS, _breaks, _gauss_distance,
+                        _information_rows, _RowMixtures, entropy_fisher_1d,
+                        gauss_pdf)
 from .densitynd import (_QMC_REPLICATES, GaussianMixtureND, ProductFunction,
                         _average, _closed_form, _combine,
                         _gaussian_information, _node_sets, _outer_orders,
@@ -202,7 +203,7 @@ def verify_thm_main(nu, *, directions: Optional[int] = None,
     deficit, d_err, unit = _lsi_deficit(nu, mc_budget, seed)
     res, lower, dn_err = _dn_bound(nu, directions)
     if isinstance(nu, ProductFunction):
-        closed = _single_components(nu.factor_rows[0] > 0.0)[0].all()
+        closed = not _RowMixtures(*nu.factor_rows).quad.size
         terms = "per-factor " + ("closed-form Gaussian" if closed
                                  else "1-D quadrature")
     elif isinstance(nu, Density1D):
@@ -342,7 +343,7 @@ def verify_corollary(nu, mc_budget: int = 10 ** 6, *,
     elif unit is not None:
         # (C^-1)_ii is the squared norm of column i of L^-1
         s = np.sum(nu._chol_inv[0] ** 2, axis=0) ** -0.5
-        d = 1.0 - np.minimum(s, 1.0 / s)
+        d = _gauss_distance(s)
         # the charge of the terms 1 and 1 - d_i, which is linear in them
         step = _ONE_COMPONENT_ERR + unit * (2.0 - d)
         weighted_terms = d * d

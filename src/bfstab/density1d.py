@@ -24,6 +24,10 @@ Densities come in three concrete flavors:
   log-slope at the end node; cdf and quantile are closed-form per piece, so
   no iteration is ever needed.
 
+The batched kernels, ``_information_rows`` here and ``transport1d``'s
+distance kernels, read many mixtures as zero-padded (B, K) rows, which
+``_RowMixtures`` alone splits into Gaussians and rows to integrate.
+
 Regularity beyond positivity (continuity, a differentiable log-density,
 normalization) is the caller's responsibility; constructors validate only
 what can be checked cheaply.
@@ -73,6 +77,11 @@ _PROB_CEIL = 1.0 - 1e-16
 # within +-30 and stds in [1e-4, 30] took at most 22 per point, with mass
 # down to 1e-300.
 _SOLVE_STEPS = 200
+
+# Mass that an integral over a density leaves outside its interval: the
+# expectations below and ``transport1d``'s distance integrals alike.
+_TAIL_MASS = 1e-15
+_EPS = float(np.finfo(float).eps)
 
 
 def gauss_pdf(x):
@@ -157,6 +166,53 @@ def _mixture_span(means, stds, present, tail_mass):
     return lo, hi
 
 
+def _gauss_distance(s):
+    """d(N(m, s^2), gamma) = 1 - min(s, 1/s): S = (x - m) / s has the
+    constant derivative 1/s (see ``transport1d.gauss_distance_rows``)."""
+    return 1.0 - np.minimum(s, 1.0 / s)
+
+
+class _RowMixtures:
+    """The (B, K) row mixtures u_b = sum_k w_bk N(m_bk, s_bk^2) of the
+    batched kernels, split as they all treat them. A zero weight marks an
+    absent component, whose mean and std must still be finite; ``stds``
+    may be (K,), shared by all rows. ``one`` marks the rows with one
+    present component, the Gaussians that take closed forms, whose index,
+    mean and std are ``k_one``, ``m_one`` and ``s_one``, and whose
+    distance to gamma is ``closed``. The other rows, at indices ``quad``,
+    keep their ``present`` mask, their span [lo, hi] (``_mixture_span``
+    at _TAIL_MASS) and the (w, m, s, log w, log(s sqrt(2 pi))) arrays that
+    ``_columns`` hands to the component pass."""
+
+    def __init__(self, weights, means, stds):
+        w = np.atleast_2d(np.asarray(weights, dtype=float))
+        m = np.atleast_2d(np.asarray(means, dtype=float))
+        s = np.asarray(stds, dtype=float)
+        if s.shape != w.shape:
+            s = np.broadcast_to(s, w.shape)
+        present = w > 0.0
+        self.one = present.sum(axis=1) == 1
+        self.k_one = np.argmax(present[self.one], axis=1)
+        self.m_one = m[self.one, self.k_one]
+        self.s_one = s[self.one, self.k_one]
+        self.quad = np.flatnonzero(~self.one)
+        self.present = present[self.quad]
+        if not self.quad.size:
+            # no row to integrate: the callers read only the (0, K) shapes
+            self.lo = self.hi = np.empty(0)
+            self.params = (np.empty(self.present.shape),) * 5
+            return
+        w, m, s = w[self.quad], m[self.quad], s[self.quad]
+        self.lo, self.hi = _mixture_span(m, s, self.present, _TAIL_MASS)
+        with np.errstate(divide="ignore"):
+            log_w = np.log(w)
+        self.params = (w, m, s, log_w, np.log(s * SQRT_2PI))
+
+    @property
+    def closed(self):
+        return _gauss_distance(self.s_one)
+
+
 class Density1D:
     """A strictly positive probability density on the line.
 
@@ -165,13 +221,12 @@ class Density1D:
     and 1 - F(x) where ``upper``, and ``_invert(m, upper)`` inverts it.
     Each density defines ``_masses``, ``_mass`` unclipped, which ``cdf``
     and ``survival`` read too. ``_mass_logpdf(x)`` and
-    ``_mass_logpdf_pdf(x)`` add logpdf, and pdf, at the same points, and
-    ``_logpdf_pdf(x)`` pairs pdf with logpdf, so a grid locates them, or
-    a mixture runs its pass, once. gamma and a grid pair pdf with the
-    score (log p)' in ``_score_pdf(x)``, what their Fisher integral reads;
-    a mixture's score is ``_mixture_score`` of its ``_log_pass``.
-    ``_panel_mass_logpdf_pdf(x)`` reads the rows of x as quadrature
-    panels, which a grid locates once each.
+    ``_mass_logpdf_pdf(x)`` add logpdf, and pdf, at the same points, so a
+    grid locates them, or a mixture runs its pass, once. gamma and a grid
+    pair pdf with the score (log p)' in ``_score_pdf(x)``, what their
+    Fisher integral reads; a mixture's score is ``_mixture_score`` of its
+    ``_log_pass``. ``_panel_mass_logpdf_pdf(x)`` reads the rows of x as
+    quadrature panels, which a grid locates once each.
     """
 
     def pdf(self, x):
@@ -215,11 +270,6 @@ class Density1D:
         here as one set of points."""
         return tuple(a.reshape(x.shape)
                      for a in self._mass_logpdf_pdf(x.ravel()))
-
-    def _logpdf_pdf(self, x):
-        """(logpdf, pdf) at the points x: what an entropy integral reads."""
-        logpdf = self.logpdf(x)
-        return logpdf, np.exp(logpdf)
 
     def _invert(self, m, upper):
         """The x with F(x) = m, or 1 - F(x) = m where ``upper``; any m in
@@ -668,8 +718,6 @@ def _breaks(lo, hi, interior=()):
 # functionals relative to gamma, as nu-expectations in log space
 # ---------------------------------------------------------------------------
 
-# nu-mass left outside the integration interval of the expectations below
-_TAIL_MASS = 1e-15
 # absolute tolerance of the entropy and Fisher integrals, of a grid or
 # gamma and of every ``_information_rows`` row alike
 _INFO_TOL = 1e-11
@@ -741,7 +789,6 @@ def _expect(nu: Density1D, fn, tol: float) -> QuadResult:
 # test_corollary_monte_carlo_gaussian_closed_form would pass its 1e-13
 # error bound (at 1.5 it reads 8.2e-14).
 _CLOSED_ROUNDING = 1.5
-_EPS = float(np.finfo(float).eps)
 
 
 def _sum2(terms):
@@ -756,14 +803,6 @@ def _sum2(terms):
         carry += (total - (new - back)) + (t - back)
         total = new
     return total + carry
-
-
-def _single_components(present):
-    """(one, k): which rows of a (B, K) ``present`` mask have exactly one
-    present component, and that component's index in each of those rows.
-    The batched kernels treat such a row as the Gaussian N(m_k, s_k^2)."""
-    one = present.sum(axis=1) == 1
-    return one, np.argmax(present[one], axis=1)
 
 
 def _gaussian_information(m: float, s: float):
@@ -787,14 +826,12 @@ def _information_rows(weights, means, stds):
     with each delta_LS = I / 2 - H: (H, H_err, I, I_err, delta, delta_err)
     as a (6, B) array, in row order.
 
-    Row b of the (B, K) arrays is u_b = sum_k w_bk N(m_bk, s_bk^2); a zero
-    weight marks an absent component, whose mean and std must still be
-    finite (the rows of ``transport1d.gauss_distance_rows``). A row with one
+    The rows are split as ``_RowMixtures`` splits them. A row with one
     present component is the Gaussian N(m, s^2) and takes the closed forms
     of ``_gaussian_information``, its delta included, with no quadrature.
-    Every other row is integrated over the span of its present components
-    (``_mixture_span``, widened to +-WORKING_RADIUS), with their
-    ``_mixture_interior`` as breakpoints, to the budget ``_INFO_TOL``, and
+    Every other row is integrated over its span, widened to
+    +-WORKING_RADIUS, with the ``_mixture_interior`` of its present
+    components as breakpoints, to the budget ``_INFO_TOL``, and
     charged for the tails as ``_expect`` charges them; its delta is
     I / 2 - H, charged I_err / 2 + H_err. A row keeps its bits whatever
     rows it is batched with: the 2B' integrals of the B' integrated rows
@@ -804,25 +841,18 @@ def _information_rows(weights, means, stds):
     that does not converge raises EvaluationError naming its term and,
     when there are several rows, its row as the factor.
     """
-    w = np.atleast_2d(np.asarray(weights, dtype=float))
-    m = np.atleast_2d(np.asarray(means, dtype=float))
-    s = np.atleast_2d(np.asarray(stds, dtype=float))
-    present = w > 0.0
-    one, k_one = _single_components(present)
-    out = np.empty((6, w.shape[0]))
+    batch = _RowMixtures(weights, means, stds)
+    one, quad = batch.one, batch.quad
+    out = np.empty((6, one.size))
     out[:, one] = np.reshape([_gaussian_information(*row) for row in zip(
-        m[one, k_one].tolist(), s[one, k_one].tolist())], (-1, 6)).T
-    quad = np.flatnonzero(~one)
+        batch.m_one.tolist(), batch.s_one.tolist())], (-1, 6)).T
     if not quad.size:
         return out
-    named = w.shape[0] > 1
-    w, m, s, present = w[quad], m[quad], s[quad], present[quad]
-    lo, hi = _mixture_span(m, s, present, _TAIL_MASS)
-    lo, hi = np.minimum(lo, -WORKING_RADIUS), np.maximum(hi, WORKING_RADIUS)
-    with np.errstate(divide="ignore"):
-        log_w = np.log(w)
-    params = (m, s, log_w, np.log(s * SQRT_2PI))
-    n = w.shape[0]
+    lo = np.minimum(batch.lo, -WORKING_RADIUS)
+    hi = np.maximum(batch.hi, WORKING_RADIUS)
+    params = batch.params[1:]
+    m, s = params[:2]
+    n = quad.size
 
     def terms(x, rows):
         """(log u - log phi, (score + x)^2, u) at the points x, one row of
@@ -839,7 +869,8 @@ def _information_rows(weights, means, stds):
         h, fi, pdf = terms(x, row - n * fisher)
         return np.where(fisher[:, None], fi, h) * pdf
 
-    bp = _breaks(lo, hi, _mixture_interior(np.where(present, m, np.nan), s))
+    bp = _breaks(lo, hi,
+                 _mixture_interior(np.where(batch.present, m, np.nan), s))
     try:
         res = adaptive_quad_rows(g, np.concatenate([bp, bp]),
                                  tol_abs=_INFO_TOL)
@@ -848,7 +879,7 @@ def _information_rows(weights, means, stds):
             raise
         # name the term and the factor in place of the 2B-row index
         term = "Fisher information" if exc.row >= n else "entropy"
-        if named:
+        if one.size > 1:
             term += f" of factor {quad[exc.row % n]}"
         raise EvaluationError(
             str(exc).replace(f"row {exc.row}", f"the {term}"),
@@ -880,8 +911,8 @@ def entropy_fisher_1d(nu: Density1D):
         return (h, h_err), (fi, fi_err)
 
     def entropy(x):
-        logpdf, pdf = nu._logpdf_pdf(x)
-        return logpdf - gauss_logpdf(x), pdf
+        logpdf = nu.logpdf(x)
+        return logpdf - gauss_logpdf(x), np.exp(logpdf)
 
     def fisher(x):
         score, pdf = nu._score_pdf(x)

@@ -39,12 +39,13 @@ a point-by-point read. The integrand runs in slices of whole
 panels of at most _EVAL_SLICE points, so a grid's large first round adds
 no peak memory.
 
-A row of the batched kernel with one present component N(m, s^2) needs no
-integral: S = (x - m) / s has the constant derivative 1/s, so
-d = 1 - min(s, 1/s), returned with a rounding allowance of 1e-15 as its
-error. The other rows are integrated, on the component pass of
-``density1d`` that GaussianMixture1D runs too, so a row's T' and u are
-bit for bit those of its own mixture.
+The batched kernel takes its rows as ``density1d._RowMixtures`` splits
+them. A row with one present component N(m, s^2) needs no integral:
+S = (x - m) / s has the constant derivative 1/s, so d = 1 - min(s, 1/s),
+returned with a rounding allowance of 1e-15 as its error. The other rows
+are integrated, on the component pass of ``density1d`` that
+GaussianMixture1D runs too, so a row's T' and u are bit for bit those of
+its own mixture.
 
 ``gauss_distance_estimates`` is the kernel's cheap companion: on the same
 rows, working intervals and chunks it gives a trapezoid estimate of each
@@ -60,12 +61,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .density1d import (_TAIL_MASS, SQRT_2PI, WORKING_RADIUS, Density1D,
+from .density1d import (_EPS, _TAIL_MASS, WORKING_RADIUS, Density1D,
                         GaussianMixture1D, GridDensity1D, StandardGaussian,
                         _breaks, _columns, _components, _expect, _interior,
                         _measure_breaks, _mixture_log, _mixture_masses,
-                        _mixture_span, _phi_inverse, _single_components,
-                        gauss_logpdf, gauss_pdf)
+                        _phi_inverse, _RowMixtures, gauss_logpdf, gauss_pdf)
 from .errors import EvaluationError
 from .quadrature import K7, K21, QuadResult, adaptive_quad, adaptive_quad_rows
 
@@ -132,12 +132,9 @@ _EVAL_SLICE = 1 << 14
 # working interval.
 _ESTIMATE_STRIDE = 4
 _ESTIMATE_FLOOR = 1e-12
-# Tail mass each distance integral leaves outside its working interval.
-_DIST_TAIL = 1e-15
 # Least quadrature budget of a distance, a few eps for the rounding of its
 # integrand: a zero distance at tol 0 would otherwise have budget 0, which
 # no rule gap reaches.
-_EPS = float(np.finfo(float).eps)
 _ROUNDING_FLOOR = 8.0 * _EPS
 # Error of a closed-form one-component row: its rounding is at most eps,
 # 2.2e-16 (see gauss_distance_rows), and this is 4.5 eps.
@@ -300,8 +297,9 @@ def _distance_breaks(lo, hi, interior, deriv):
     return _breaks(lo, hi, interior)
 
 
-def _directed_distance(mu: Density1D, tol: float):
-    """d(mu, gamma) as the directed integral over mu: a QuadResult. A
+def _directed_distance(mu: Density1D, budget: float):
+    """d(mu, gamma) as the directed integral over mu, to the absolute
+    ``budget`` (``bf_distance_full`` floors it): a QuadResult. A
     mixture adds the row kernel's allowance for the rounding of
     z = (x - m_k) / s_k to the quadrature's estimate (see
     gauss_distance_rows). A grid source is log-linear on each cell between
@@ -309,7 +307,7 @@ def _directed_distance(mu: Density1D, tol: float):
     pair; any other source keeps K21 (a mixture's panels run between its
     means)."""
     tmap = TransportMap1D(mu, StandardGaussian())
-    lo, hi = mu.working_interval(_DIST_TAIL)
+    lo, hi = mu.working_interval(_TAIL_MASS)
     # a mixture's panels end at its means, as a kernel row's do
     mixture = isinstance(mu, GaussianMixture1D)
     interior = mu.means if mixture else _interior(mu)
@@ -326,8 +324,7 @@ def _directed_distance(mu: Density1D, tol: float):
             out[part] = np.abs(1.0 - s) / np.maximum(1.0, s) * pdf
         return out
 
-    res = adaptive_quad_rows(g, bp, tol_abs=max(tol, _ROUNDING_FLOOR),
-                             tol_rel=1e-12,
+    res = adaptive_quad_rows(g, bp, tol_abs=budget, tol_rel=1e-12,
                              pair=K7 if isinstance(mu, GridDensity1D) else K21)
     error = float(res.error[0])
     if mixture:
@@ -350,17 +347,17 @@ def _z_rounding(means, stds, present):
     return _Z_ROUNDING * _EPS * _z_reach(means, stds, present)
 
 
-def _pair_distance(u: Density1D, v: Density1D, tol: float):
+def _pair_distance(u: Density1D, v: Density1D, budget: float):
     """d(u, v) = E_gamma[-expm1(-|L(z)|)], L(z) = log u(x_u(z)) -
-    log v(x_v(z)), for two densities neither of which is gamma: (value,
-    error).
+    log v(x_v(z)), for two densities neither of which is gamma, to the
+    absolute ``budget``: (value, error).
 
     x_u = TransportMap1D(gamma, u) is a mixture's Newton solve or a grid's
     closed-form inverse. exp(L) is T' at x_u(z), so ``_distance_breaks``
     puts each zero of L on a panel edge, with S_u and S_v of both sides'
     ``_interior`` as interior points: a component of weight w spans mass w
     in z, however narrow. The error is the quadrature's estimate, plus
-    _DIST_TAIL for the gamma-mass outside the interval (the integrand is at
+    _TAIL_MASS for the gamma-mass outside the interval (the integrand is at
     most phi), plus _ROUNDING_FLOOR.
     """
     gauss = StandardGaussian()
@@ -375,7 +372,7 @@ def _pair_distance(u: Density1D, v: Density1D, tol: float):
         with np.errstate(over="ignore"):
             return np.exp(log_ratio(zs.ravel())).reshape(zs.shape)
 
-    lo, hi = gauss.working_interval(_DIST_TAIL)
+    lo, hi = gauss.working_interval(_TAIL_MASS)
     interior = np.concatenate([TransportMap1D(d, gauss)(_interior(d))
                                for d in (u, v)])
     bp = _distance_breaks(np.array([lo]), np.array([hi]), interior[None, :],
@@ -384,9 +381,9 @@ def _pair_distance(u: Density1D, v: Density1D, tol: float):
     def g(z):
         return -np.expm1(-np.abs(log_ratio(z))) * gauss_pdf(z)
 
-    res = adaptive_quad(g, bp[np.isfinite(bp)],
-                        tol_abs=max(tol, _ROUNDING_FLOOR), tol_rel=1e-12)
-    return res.value, res.error + _DIST_TAIL + _ROUNDING_FLOOR
+    res = adaptive_quad(g, bp[np.isfinite(bp)], tol_abs=budget,
+                        tol_rel=1e-12)
+    return res.value, res.error + _TAIL_MASS + _ROUNDING_FLOOR
 
 
 def _rows_pass(x, weights, means, stds, log_w, log_norm):
@@ -450,67 +447,35 @@ def _distance_integrand(x, weights, means, stds, log_w, log_norm, grad):
     return value, np.array(d_means + d_stds)
 
 
-class _RowMixtures:
-    """The (B, K) row mixtures of the batched routines, split as both treat
-    them: ``one`` marks the rows with one present component (the split of
-    ``density1d._single_components``, which the information kernel
-    ``_information_rows`` makes too), ``k_one`` and
-    ``s_one`` hold that component's index and std, and ``closed`` their
-    d = 1 - min(s, 1/s) (see gauss_distance_rows). The other
-    rows, at indices ``quad``, keep their ``present`` mask, their working
-    intervals [lo, hi] and the (w, m, s, log w, log(s sqrt(2 pi))) arrays
-    that ``_columns`` hands to ``_rows_deriv_pdf``, and run in chunks."""
-
-    def __init__(self, weights, means, stds):
-        w = np.atleast_2d(np.asarray(weights, dtype=float))
-        m = np.atleast_2d(np.asarray(means, dtype=float))
-        s = np.broadcast_to(np.asarray(stds, dtype=float), w.shape)
-        present = w > 0.0
-        self.one, self.k_one = _single_components(present)
-        self.s_one = s[self.one, self.k_one]
-        self.closed = 1.0 - np.minimum(self.s_one, 1.0 / self.s_one)
-        self.quad = np.flatnonzero(~self.one)
-        w, m, s = w[self.quad], m[self.quad], s[self.quad]
-        self.present = present[self.quad]
-        if not self.quad.size:
-            # no row to integrate: the callers read only the (0, K) shapes
-            self.lo = self.hi = np.empty(0)
-            self.params = (w, m, s, w, s)
-            return
-        self.lo, self.hi = _mixture_span(m, s, self.present, _DIST_TAIL)
-        with np.errstate(divide="ignore"):
-            log_w = np.log(w)
-        self.params = (w, m, s, log_w, np.log(s * SQRT_2PI))
-
-    def chunks(self, points):
-        """Slices of the ``quad`` rows that each evaluate at most _ROW_CHUNK
-        points x components (one row at least), at ``points`` a row."""
-        step = max(1, _ROW_CHUNK // (points * self.params[0].shape[1]))
-        for start in range(0, self.quad.size, step):
-            yield slice(start, start + step)
+def _chunks(batch, points):
+    """Slices of the ``quad`` rows of the ``_RowMixtures`` batch that each
+    evaluate at most _ROW_CHUNK points x components (one row at least), at
+    ``points`` a row."""
+    step = max(1, _ROW_CHUNK // (points * batch.params[0].shape[1]))
+    for start in range(0, batch.quad.size, step):
+        yield slice(start, start + step)
 
 
 def gauss_distance_rows(weights, means, stds, *, tol: float = 1e-9,
                         grad: bool = False):
     """Directed distances d(u_b, gamma) of many 1-D mixtures u_b at once.
 
-    Row b of the (B, K) arrays is u_b = sum_k w_bk N(m_bk, s_bk^2); a zero
-    weight marks an absent component, whose mean and std must still be
-    finite. ``stds`` may be (K,), shared by all rows.
-
-    A row with one present component, N(m, s^2), has S = (x - m) / s, so
-    T' = 1/s is constant and d = |1 - 1/s| / max(1, 1/s) = 1 - min(s, 1/s)
-    exactly; it is computed so, with no pre-scan or quadrature. The value
-    is 0 only for s = 1: fl(1/s) < 1 for every float s > 1, and 1 - s is
-    at least eps/2 for s < 1. Its error is _ONE_COMPONENT_ERR, which bounds
+    The (B, K) arrays hold the row mixtures u_b that
+    ``density1d._RowMixtures`` splits. A row with one present component,
+    N(m, s^2), has S = (x - m) / s, so T' = 1/s is constant and
+    d = |1 - 1/s| / max(1, 1/s) = 1 - min(s, 1/s) exactly; it is computed
+    so, with no pre-scan or quadrature. The value is 0 only for s = 1:
+    fl(1/s) < 1 for every float s > 1, and 1 - s is at least eps/2 for
+    s < 1. Its error is _ONE_COMPONENT_ERR, which bounds
     the rounding of the two operations: each is off by at most eps/2
     relative to a result at most 1, so the value is within eps = 2.2e-16
     of the distance of the given s.
 
     Every other row gets the working interval, pre-scan, breakpoints and
-    quadrature budget of ``_directed_distance(u_b, tol)`` and agrees with
-    it up to rounding; its (value, error) does not depend on the rows
-    batched with it. Its error is the quadrature's estimate plus
+    quadrature budget, max(tol, _ROUNDING_FLOOR), of the directed integral
+    ``_directed_distance`` of ``bf_distance_full(u_b, gamma, tol=tol)``,
+    and agrees with it up to rounding; its (value, error) does not depend
+    on the rows batched with it. Its error is the quadrature's estimate plus
     _Z_ROUNDING eps (1 + max_k |m_k| / s_k) over its present components,
     as ``_directed_distance`` charges a mixture source:
     at nodes near a far, narrow component, z = (x - m_k) / s_k rounds by
@@ -546,7 +511,7 @@ def gauss_distance_rows(weights, means, stds, *, tol: float = 1e-9,
         slopes[1, np.flatnonzero(batch.one), batch.k_one] = np.where(
             s_one < 1.0, -1.0, 1.0 / (s_one * s_one))
     rounding = _z_rounding(m, s, batch.present)
-    for rows in batch.chunks(_SCAN_POINTS):
+    for rows in _chunks(batch, _SCAN_POINTS):
         chunk = [p[rows] for p in batch.params]
 
         def g(x, row):
@@ -597,7 +562,7 @@ def gauss_distance_estimates(weights, means, stds):
     bound = np.zeros(batch.one.size)
     estimate[batch.one] = batch.closed
     points = (_SCAN_POINTS - 1) // _ESTIMATE_STRIDE + 1
-    for rows in batch.chunks(points):
+    for rows in _chunks(batch, points):
         lo, hi = batch.lo[rows], batch.hi[rows]
         xs = _scan_points(lo, hi, _ESTIMATE_STRIDE)
         # T' overflows to inf where gamma's density underflows, where the
@@ -638,20 +603,22 @@ def bf_distance_full(u: Density1D, v: Density1D, *, tol: float = 1e-9):
     """Distance in [0, 1] with error estimate: (value, error). The value
     is zero iff v is a translate of u.
 
-    Each kind of input has one route. Against gamma it is the directed
-    integral over the other side, ``_directed_distance``, with no second
-    direction to check it against, so its error carries half its budget,
-    max(tol, _ROUNDING_FLOOR) / 2, on top of its own. Every other pair is
-    one integral on the Gaussian scale (``_pair_distance``).
+    Each kind of input has one route, to the quadrature budget
+    max(tol, _ROUNDING_FLOOR). Against gamma it is the directed integral
+    over the other side, ``_directed_distance``, with no second direction
+    to check it against, so its error carries half its budget on top of
+    its own. Every other pair is one integral on the Gaussian scale
+    (``_pair_distance``).
     """
+    budget = max(tol, _ROUNDING_FLOOR)
     if isinstance(u, StandardGaussian):
         u, v = v, u
     if not isinstance(v, StandardGaussian):
-        value, error = _pair_distance(u, v, tol)
+        value, error = _pair_distance(u, v, budget)
     else:
-        res = _directed_distance(u, tol)
+        res = _directed_distance(u, budget)
         value = res.value
-        error = res.error + 0.5 * max(tol, _ROUNDING_FLOOR)
+        error = res.error + 0.5 * budget
     return min(max(value, 0.0), 1.0), error
 
 

@@ -13,7 +13,7 @@ import pytest
 from bfstab import cli
 from bfstab.cli import main, parse_density_spec, parse_g_spec
 from bfstab.corpus import _PL_GS
-from bfstab.deficits import GFun, lambda_limit_diagnostics
+from bfstab.deficits import DeficitReport, GFun, lambda_limit_diagnostics
 from bfstab.density1d import GaussianMixture1D, StandardGaussian
 from bfstab.densitynd import GaussianMixtureND, ProductFunction
 from bfstab.errors import ParseError
@@ -284,6 +284,41 @@ def test_distance_between_separated_mixtures(capsys):
         value, err = _distance(capsys, NARROW_MODES,
                                "mix:[0.5,-3,0.16;0.5,3,0.49]")
     assert 0.0 < value <= 1.0 and err < 1e-8
+
+
+def test_distance_tolerance_past_the_panel_cap_exits_one(tmp_path, capsys):
+    # wide pair 2 of test_transport1d._wide_pairs (u has a component of std
+    # 1.1e-3 at 21.3): the default --tol is met, 1e-13 is not by the
+    # quadrature's 8,192-panel cap, so that run exits 1 with a message that
+    # names its error estimate and panel count
+    paths = []
+    for name, w, m, s in (
+            ("u", [0.046361875995988934, 0.1773651225640914,
+                   0.24913886994774512, 0.1399817354117064,
+                   0.3871523960804682],
+             [-18.503024458791884, 18.1418496680718, -18.520564436567984,
+              -25.106842958189237, 21.31361845722421],
+             [147.12991262701786, 181.6446363799795, 0.6783570082572813,
+              0.044084947880404256, 0.0011029376741770085]),
+            ("v", [0.11620690495235513, 0.22506192994050397,
+                   0.5388477551366213, 0.11988340997051952],
+             [-17.086909970221583, 8.35988280399527, 18.303289988700584,
+              27.820252370698256],
+             [0.008001086811733591, 0.7821216885136724, 233.50445626352482,
+              0.34379649256545813])):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps({"weights": w, "means": m, "stds": s}))
+        paths.append(f"file:{path}")
+    argv = ("distance", "--u", paths[0], "--v", paths[1])
+    code, out, _ = run_cli(capsys, *argv)
+    payload = json.loads(out)
+    assert code == 0
+    assert abs(payload["value"] - 0.7510562764488) < 1e-13
+    assert payload["error_estimate"] < 5.1e-10
+    code, out, err = run_cli(capsys, *argv, "--tol", "1e-13")
+    assert_usage_error(code, out, err,
+                       "bfstab: error: adaptive_quad did not converge: "
+                       "error estimate 6.618e-09 with 6163 panels")
 
 
 def test_narrow_modes_against_a_mixture_are_pinned(capsys):
@@ -607,6 +642,30 @@ def test_process_pool_is_capped_at_the_task_count(monkeypatch):
     assert cli._run_tasks(tasks, 64) == ["case-0", "case-1", "case-2"]
     assert cli._run_tasks(tasks, 2) == ["case-0", "case-1", "case-2"]
     assert sizes == [3, 2]
+
+
+@pytest.mark.parametrize("statuses,expected", [
+    (["pass"], 0), (["fail"], 2), (["inconclusive"], 3), (["error"], 2),
+    (["pass", "pass"], 0), (["pass", "inconclusive"], 3),
+    (["inconclusive", "fail"], 2), (["error", "inconclusive"], 2)])
+def test_exit_code_follows_the_report_statuses(monkeypatch, capsys, statuses,
+                                               expected):
+    # one rule for one report and for many: 2 if any fails or errs, else 3
+    # if any is inconclusive, else 0
+    def fake_run_case(case_id, obj, theorem, **kw):
+        return DeficitReport(case_id, theorem, 0.0, 0.0, 0.0, 0.0,
+                             pending.pop(0), "fake")
+
+    monkeypatch.setattr(cli, "run_case", fake_run_case)
+    values = ",".join(str(i + 1) for i in range(len(statuses)))
+    pending = list(statuses)
+    assert run_cli(capsys, "sweep", "--kind", "sigma", "--values",
+                   values)[0] == expected
+    if len(statuses) == 1:
+        for argv in (("deficit", "--measure", "gauss:0,2"),
+                     ("pl-check", "--g", "zero", "--lam", "0.5")):
+            pending = list(statuses)
+            assert run_cli(capsys, *argv)[0] == expected, argv
 
 
 def test_verify_unknown_suite_exits_one(capsys):

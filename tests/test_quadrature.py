@@ -115,6 +115,36 @@ def test_capped_row_is_accepted_within_ten_budgets(monkeypatch):
     assert 2e-7 < res.error[2] <= 2e-6 and res.panels[2] > 32
 
 
+def test_row_at_the_panel_cap_folds_in_or_raises():
+    # row 1 is a staircase of 1,000 unit steps at points no bisection
+    # reaches, so its step panels never settle and it meets the unpatched
+    # _MAX_PANELS with the same panels and error at both budgets below;
+    # row 0 settles on its first panel
+    def f(x, row):
+        return np.where(row[:, None] == 1, np.floor(1000.0 * x + 0.3),
+                        np.exp(-x * x))
+
+    bp = np.array([[-1.0, 1.0], [0.0, 1.0]])
+    # within 10x its budget the capped row is folded in, and the other row
+    # keeps the bits of a lone call
+    res = adaptive_quad_rows(f, bp, tol_abs=5e-6, tol_rel=0.0)
+    assert 5e-6 < res.error[1] <= 5e-5
+    assert quadrature._MAX_PANELS - 1000 < res.panels[1] <= quadrature._MAX_PANELS
+    for r in range(2):
+        one = adaptive_quad_rows(lambda x, row: f(x, row + r), bp[r:r + 1],
+                                 tol_abs=5e-6, tol_rel=0.0)
+        assert (res.value[r], res.error[r], res.evaluations[r],
+                res.panels[r]) == (one.value[0], one.error[0],
+                                   one.evaluations[0], one.panels[0]), r
+    # beyond 10x the error carries that row's partial result
+    with pytest.raises(EvaluationError, match=(
+            f"in row 1: error estimate {res.error[1]:.3e} with "
+            f"{res.panels[1]} panels")) as info:
+        adaptive_quad_rows(f, bp, tol_abs=1e-6, tol_rel=0.0)
+    assert info.value.row == 1
+    assert (info.value.value, info.value.error) == (res.value[1], res.error[1])
+
+
 def test_one_row_matches_closed_form():
     res = adaptive_quad(lambda x: np.exp(-0.5 * x * x), [-12.0, 0.0, 12.0],
                         tol_abs=1e-13)

@@ -953,7 +953,7 @@ def _per_point_distance(mu, tol):
     point, on the grid's 3/7 Kronrod pair: the directed distance as it was
     evaluated before a grid located each panel once."""
     tmap = TransportMap1D(mu, GAUSS)
-    lo, hi = mu.working_interval(transport1d._DIST_TAIL)
+    lo, hi = mu.working_interval(transport1d._TAIL_MASS)
     bp = transport1d._distance_breaks(
         np.array([lo]), np.array([hi]), mu.nodes[None, :],
         lambda xs: tmap.deriv(xs.ravel()).reshape(xs.shape))
@@ -984,7 +984,7 @@ def test_grid_distance_keeps_the_bits_of_a_per_point_integrand(case):
         u = _pl_u_density(_pl_exponents(_SIN_BUMP, lam)[0])
     else:
         u = _sin2x_grid() if case == "sin2x" else _grid()
-    lo, hi = u.working_interval(transport1d._DIST_TAIL)
+    lo, hi = u.working_interval(transport1d._TAIL_MASS)
     # only _grid()'s working interval reaches into the tail pieces
     assert (lo < u.nodes[0] and hi > u.nodes[-1]) == (case == "tails")
     for tol in (1e-9, 1e-10, 1e-12):
