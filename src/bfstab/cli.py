@@ -26,14 +26,14 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 
 from . import __version__
-from ._sobol import MAX_POINTS
 from .corpus import (DEFAULT_TOL, _SIN_BUMP, compatible, run_case,
                      suite_cases, suite_theorems, SUITES)
 from .deficits import _REPORT_FIELDS, GFun, lambda_limit_diagnostics
 from .density1d import (Density1D, GaussianMixture1D, StandardGaussian,
                         load_grid_csv)
-from .densitynd import _QMC_REPLICATES, ProductFunction, mixture_from_json
+from .densitynd import _MAX_MC_BUDGET, ProductFunction, mixture_from_json
 from .errors import BfstabError, ParseError
+from .sphereopt import _MAX_DIRECTIONS
 from .transport1d import bf_distance_full
 
 
@@ -413,11 +413,6 @@ def _checked(convert, ok, what: str):
 
 
 _positive_int = _checked(int, lambda n: n >= 1, "at least 1")
-# the largest draws a 30-bit Sobol engine serves: an n >= 4 expectation
-# draws up to mc_budget // 8 points per replicate, and the n >= 4 sphere
-# lattice directions + 1 (the origin first)
-_MAX_MC_BUDGET = _QMC_REPLICATES * (MAX_POINTS + 1) - 1
-_MAX_DIRECTIONS = MAX_POINTS - 1
 _mc_budget = _checked(int, lambda n: 1 <= n <= _MAX_MC_BUDGET,
                       f"between 1 and {_MAX_MC_BUDGET}")
 _directions = _checked(int, lambda n: 1 <= n <= _MAX_DIRECTIONS,

@@ -260,12 +260,6 @@ def _corollary_axis(nu, axis, sets):
     return np.stack(terms, axis=1)
 
 
-def _product_slice_distances(nu: ProductFunction):
-    """d(h_i, gamma) and its error per factor: every slice of a product
-    along axis i is the factor h_i, whatever the pinned point."""
-    return gauss_distance_rows(*nu.factor_rows, tol=_INNER_TOL)
-
-
 def _terms_text(values) -> str:
     """The text ``np.array2string(values, precision=7, separator=",")``
     gives a 1-D array, by its rules, at about a sixth of its cost.
@@ -336,7 +330,8 @@ def verify_corollary(nu, mc_budget: int = 10 ** 6, *,
     weighted_terms = np.zeros(nu.dim)
     err = 0.0
     if isinstance(nu, ProductFunction):
-        d, derr = _product_slice_distances(nu)
+        # every slice along axis i is the factor h_i: one row per factor
+        d, derr = gauss_distance_rows(*nu.factor_rows, tol=_INNER_TOL)
         weighted_terms = d * d
         err = float(np.sum(2.0 * d * derr))
         mode = "per-factor slices (product)"

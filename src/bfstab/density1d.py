@@ -41,7 +41,8 @@ import math
 import numpy as np
 from scipy.special import log_ndtr, ndtr, ndtri, ndtri_exp
 
-from .errors import DomainError, EvaluationError, ParseError, UnderflowError
+from .errors import (CapabilityError, DomainError, EvaluationError,
+                     ParseError, UnderflowError)
 from .quadrature import QuadResult, adaptive_quad, adaptive_quad_rows
 
 __all__ = [
@@ -78,9 +79,11 @@ _PROB_CEIL = 1.0 - 1e-16
 # down to 1e-300.
 _SOLVE_STEPS = 200
 
-# Mass that an integral over a density leaves outside its interval: the
-# expectations below and ``transport1d``'s distance integrals alike.
+# Mass that an integral over a density leaves outside its interval, the
+# expectations below and ``transport1d``'s distance integrals alike, half
+# on each side: a Gaussian's beyond _TAIL_Z standard deviations.
 _TAIL_MASS = 1e-15
+_TAIL_Z = float(-ndtri(_TAIL_MASS / 2.0))
 _EPS = float(np.finfo(float).eps)
 
 
@@ -156,13 +159,18 @@ def _phi_inverse(F, Fc):
     return np.where(low, S, -S)
 
 
-def _mixture_span(means, stds, present, tail_mass):
+def _mixture_span(means, stds, present):
     """(lo, hi) over the last axis: the least m_k - z s_k and the greatest
-    m_k + z s_k of the ``present`` components, z = -Phi^{-1}(tail_mass / 2),
-    so that each component leaves at most tail_mass / 2 on either side."""
-    z = float(-ndtri(tail_mass / 2.0))
-    lo = np.min(np.where(present, means - z * stds, np.inf), axis=-1)
-    hi = np.max(np.where(present, means + z * stds, -np.inf), axis=-1)
+    m_k + z s_k of the ``present`` components, z = _TAIL_Z. A span that
+    rounds to one double, as m +- 8.3 does at m = 3e17, is a
+    CapabilityError: no integral over its mixture can resolve it."""
+    lo = np.min(np.where(present, means - _TAIL_Z * stds, np.inf), axis=-1)
+    hi = np.max(np.where(present, means + _TAIL_Z * stds, -np.inf), axis=-1)
+    if np.any(lo >= hi):
+        at = float(np.ravel(lo)[np.argmax(np.ravel(lo >= hi))])
+        raise CapabilityError(f"a mixture's working interval [{at!r}, {at!r}] "
+                              "holds fewer than two doubles: its stds are "
+                              "too small beside its means")
     return lo, hi
 
 
@@ -180,9 +188,9 @@ class _RowMixtures:
     present component, the Gaussians that take closed forms, whose index,
     mean and std are ``k_one``, ``m_one`` and ``s_one``, and whose
     distance to gamma is ``closed``. The other rows, at indices ``quad``,
-    keep their ``present`` mask, their span [lo, hi] (``_mixture_span``
-    at _TAIL_MASS) and the (w, m, s, log w, log(s sqrt(2 pi))) arrays that
-    ``_columns`` hands to the component pass."""
+    keep their ``present`` mask, their span [lo, hi] (each row's
+    ``working_interval``) and the (w, m, s, log w, log(s sqrt(2 pi)))
+    arrays that ``_columns`` hands to the component pass."""
 
     def __init__(self, weights, means, stds):
         w = np.atleast_2d(np.asarray(weights, dtype=float))
@@ -203,7 +211,7 @@ class _RowMixtures:
             self.params = (np.empty(self.present.shape),) * 5
             return
         w, m, s = w[self.quad], m[self.quad], s[self.quad]
-        self.lo, self.hi = _mixture_span(m, s, self.present, _TAIL_MASS)
+        self.lo, self.hi = _mixture_span(m, s, self.present)
         with np.errstate(divide="ignore"):
             log_w = np.log(w)
         self.params = (w, m, s, log_w, np.log(s * SQRT_2PI))
@@ -291,8 +299,8 @@ class Density1D:
         x = self._invert(m, np.full(m.shape, upper))
         return float(x) if m.ndim == 0 else x
 
-    def working_interval(self, tail_mass: float = 1e-14):
-        """Interval carrying all but ``tail_mass`` of the probability."""
+    def working_interval(self):
+        """Interval carrying all but _TAIL_MASS of the probability."""
         raise NotImplementedError
 
 
@@ -312,9 +320,8 @@ class StandardGaussian(Density1D):
         z = ndtri(m)
         return np.where(upper, -z, z)
 
-    def working_interval(self, tail_mass: float = 1e-14):
-        z = float(-ndtri(tail_mass / 2.0))
-        return (-z, z)
+    def working_interval(self):
+        return (-_TAIL_Z, _TAIL_Z)
 
     def __repr__(self):
         return "StandardGaussian()"
@@ -386,8 +393,8 @@ class GaussianMixture1D(Density1D):
         m = self.mean()
         return float(self.weights @ (self.stds**2 + self.means**2) - m * m)
 
-    def working_interval(self, tail_mass: float = 1e-14):
-        lo, hi = _mixture_span(self.means, self.stds, True, tail_mass)
+    def working_interval(self):
+        lo, hi = _mixture_span(self.means, self.stds, True)
         return (float(lo), float(hi))
 
     def __repr__(self):
@@ -695,9 +702,9 @@ class GridDensity1D(Density1D):
         x[~tail] = self.nodes[j] + dk * dx
         return x
 
-    def working_interval(self, tail_mass: float = 1e-14):
-        lo = self.quantile(tail_mass / 2.0)
-        hi = self.quantile_sf(tail_mass / 2.0)
+    def working_interval(self):
+        lo = self.quantile(_TAIL_MASS / 2.0)
+        hi = self.quantile_sf(_TAIL_MASS / 2.0)
         return (min(lo, float(self.nodes[0])), max(hi, float(self.nodes[-1])))
 
 
@@ -723,9 +730,20 @@ def _breaks(lo, hi, interior=()):
 _INFO_TOL = 1e-11
 
 
-def _measure_interval(nu: Density1D):
-    lo, hi = nu.working_interval(_TAIL_MASS)
-    return min(lo, -WORKING_RADIUS), max(hi, WORKING_RADIUS)
+def _window(lo, hi):
+    """A measure's working interval [lo, hi], floats or (B,) arrays of row
+    spans, widened to +-WORKING_RADIUS: the window of its entropy, Fisher
+    and Bregman integrals."""
+    return np.minimum(lo, -WORKING_RADIUS), np.maximum(hi, WORKING_RADIUS)
+
+
+def _edge_charge(f):
+    """_TAIL_MASS sum |f| over the last axis, f at the two edges of a
+    ``_window``: the bound on E_nu[|f|] beyond them. Each tail carries at
+    most _TAIL_MASS / 2 of nu, where the log-ratio and the squared score
+    gap grow at most quadratically and nu is Gaussian, so twice |f| at
+    the edge bounds the conditional mean of |f| there."""
+    return _TAIL_MASS * np.abs(f).sum(axis=-1)
 
 
 def _mixture_interior(means, stds):
@@ -747,31 +765,20 @@ def _interior(nu: Density1D):
     return np.empty(0)
 
 
-def _measure_breaks(nu: Density1D, lo: float, hi: float):
-    """Panel breakpoints of nu's interval [lo, hi] (``_measure_interval``):
-    ``_breaks`` with nu's ``_interior``."""
-    bp = _breaks(lo, hi, _interior(nu))
-    return bp[np.isfinite(bp)]
-
-
 def _expect(nu: Density1D, fn, tol: float) -> QuadResult:
-    """E_nu[f(X)] over ``_measure_interval(nu)``, where fn(x) gives (f(x),
-    pdf(x)) at once, with an error estimate that includes a bound on the
-    tails left out.
-
-    Each tail beyond the interval carries at most _TAIL_MASS / 2 of nu. The
-    log-ratio and the squared score gap grow at most quadratically there,
-    and nu's tails are Gaussian, so twice |f| at the edge bounds the
-    conditional mean of |f| over each tail.
+    """E_nu[f(X)] over the ``_window`` of nu, with the ``_breaks`` of nu's
+    ``_interior``, where fn(x) gives (f(x), pdf(x)) at once, with an error
+    estimate that includes the ``_edge_charge`` for the tails left out.
     """
 
     def g(x):
         f, pdf = fn(x)
         return f * pdf
 
-    lo, hi = _measure_interval(nu)
-    res = adaptive_quad(g, _measure_breaks(nu, lo, hi), tol_abs=tol)
-    tail = _TAIL_MASS * float(np.sum(np.abs(fn(np.array([lo, hi]))[0])))
+    lo, hi = _window(*nu.working_interval())
+    bp = _breaks(lo, hi, _interior(nu))
+    res = adaptive_quad(g, bp[np.isfinite(bp)], tol_abs=tol)
+    tail = float(_edge_charge(fn(np.array([lo, hi]))[0]))
     return QuadResult(res.value, res.error + tail, res.evaluations,
                       res.panels)
 
@@ -812,8 +819,13 @@ def _gaussian_information(m: float, s: float):
     m^2 and s^2 terms never cancel. Each is the ``_sum2`` of the terms of
     ``densitynd``'s closed forms at n = 1, charged _CLOSED_ROUNDING eps
     times the sum of their absolute values. Python floats: a batch holds
-    a few Gaussian rows, where NumPy's per-call cost would dominate."""
-    log_s, inv2 = math.log(s), s ** -2.0
+    a few Gaussian rows, where NumPy's per-call cost would dominate. An s
+    below about 7.5e-155, where 1/s^2 overflows, is a CapabilityError."""
+    try:
+        log_s, inv2 = math.log(s), s ** -2.0
+    except OverflowError:
+        raise CapabilityError(f"1/s^2 passes the double range at s = {s!r}, "
+                              "below about 7.5e-155") from None
     h = (0.5 * s * s, 0.5 * m * m, -0.5, -log_s)
     fi = (m * m, s * s, -2.0, inv2)
     delta = (0.5 * inv2, -0.5, log_s)
@@ -829,10 +841,10 @@ def _information_rows(weights, means, stds):
     The rows are split as ``_RowMixtures`` splits them. A row with one
     present component is the Gaussian N(m, s^2) and takes the closed forms
     of ``_gaussian_information``, its delta included, with no quadrature.
-    Every other row is integrated over its span, widened to
-    +-WORKING_RADIUS, with the ``_mixture_interior`` of its present
-    components as breakpoints, to the budget ``_INFO_TOL``, and
-    charged for the tails as ``_expect`` charges them; its delta is
+    Every other row is integrated over the ``_window`` of its span, with
+    the ``_mixture_interior`` of its present components as breakpoints, to
+    the budget ``_INFO_TOL``, and charged the ``_edge_charge`` of each term,
+    as ``_expect`` charges it; its delta is
     I / 2 - H, charged I_err / 2 + H_err. A row keeps its bits whatever
     rows it is batched with: the 2B' integrals of the B' integrated rows
     are the rows of one ``adaptive_quad_rows`` call, which settles each
@@ -848,8 +860,7 @@ def _information_rows(weights, means, stds):
         batch.m_one.tolist(), batch.s_one.tolist())], (-1, 6)).T
     if not quad.size:
         return out
-    lo = np.minimum(batch.lo, -WORKING_RADIUS)
-    hi = np.maximum(batch.hi, WORKING_RADIUS)
+    lo, hi = _window(batch.lo, batch.hi)
     params = batch.params[1:]
     m, s = params[:2]
     n = quad.size
@@ -885,9 +896,8 @@ def _information_rows(weights, means, stds):
             str(exc).replace(f"row {exc.row}", f"the {term}"),
             value=exc.value, error=exc.error) from None
     h, fi, _ = terms(np.stack([lo, hi], axis=1), slice(None))
-    out[:4, quad] = (
-        res.value[:n], res.error[:n] + _TAIL_MASS * np.abs(h).sum(axis=1),
-        res.value[n:], res.error[n:] + _TAIL_MASS * np.abs(fi).sum(axis=1))
+    out[:4, quad] = (res.value[:n], res.error[:n] + _edge_charge(h),
+                     res.value[n:], res.error[n:] + _edge_charge(fi))
     h, h_err, fi, fi_err = out[:4, quad]
     out[4:, quad] = 0.5 * fi - h, 0.5 * fi_err + h_err
     return out

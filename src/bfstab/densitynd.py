@@ -37,7 +37,7 @@ import numpy as np
 from scipy.linalg import solve_triangular
 from scipy.special import ndtri
 
-from ._sobol import check_count, sobol
+from ._sobol import MAX_POINTS, check_count, sobol
 from .density1d import (_CLOSED_ROUNDING, _EPS, GaussianMixture1D,
                         _mixture_masses, _phi_inverse)
 from .errors import ConditioningError, DomainError, ParseError
@@ -199,7 +199,6 @@ class SliceBatch:
     renormalized, keeping at least its largest component.
     """
 
-    axis: int
     weights: np.ndarray       # (B, K) rows sum to 1; 0 = absent
     means: np.ndarray         # (B, K)
     stds: np.ndarray          # (K,)
@@ -253,7 +252,7 @@ def conditional_slice_batch(nu: GaussianMixtureND, axis: int,
         s_cond[k] = math.sqrt(var)
         m_cond[:, k] = nu.means[k][axis] + g @ ys[k]
     weights = np.ones((pts.shape[0], 1)) if resp is None else resp.T
-    return SliceBatch(axis=axis, weights=weights, means=m_cond, stds=s_cond)
+    return SliceBatch(weights=weights, means=m_cond, stds=s_cond)
 
 
 class ProductFunction:
@@ -351,6 +350,10 @@ def _per_replicate(mc_budget: int) -> int:
     """Sobol nodes per replicate of an expectation over nu: an equal share
     of mc_budget, at least 256."""
     return max(mc_budget // _QMC_REPLICATES, 256)
+
+
+# the largest mc_budget the engine can draw: _per_replicate of it is MAX_POINTS
+_MAX_MC_BUDGET = _QMC_REPLICATES * (MAX_POINTS + 1) - 1
 
 
 def _mixture_sets(nu: GaussianMixtureND, orders, mc_budget: int, seed: int):

@@ -53,7 +53,7 @@ from typing import Optional
 import numpy as np
 from scipy.special import ndtri
 
-from ._sobol import sobol
+from ._sobol import MAX_POINTS, sobol
 from .density1d import Density1D, StandardGaussian
 from .densitynd import (GaussianMixtureND, ProductFunction,
                         canonical_directions, marginal_parameters)
@@ -100,6 +100,9 @@ def _sobol_block(d: int, count: int) -> np.ndarray:
     the Gray-code prefix of count + 1 points, so a larger count only adds
     points."""
     return sobol(d, count + 1)[1:]
+
+
+_MAX_DIRECTIONS = MAX_POINTS - 1  # the largest count the engine can draw
 
 
 def _lattice(dim: int, count: int) -> np.ndarray:

@@ -61,11 +61,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .density1d import (_EPS, _TAIL_MASS, WORKING_RADIUS, Density1D,
-                        GaussianMixture1D, GridDensity1D, StandardGaussian,
-                        _breaks, _columns, _components, _expect, _interior,
-                        _measure_breaks, _mixture_log, _mixture_masses,
-                        _phi_inverse, _RowMixtures, gauss_logpdf, gauss_pdf)
+from .density1d import (_EPS, _TAIL_MASS, Density1D, GaussianMixture1D,
+                        GridDensity1D, StandardGaussian, _breaks, _columns,
+                        _components, _expect, _interior, _mixture_log,
+                        _mixture_masses, _phi_inverse, _RowMixtures, _window,
+                        gauss_logpdf, gauss_pdf)
 from .errors import EvaluationError
 from .quadrature import K7, K21, QuadResult, adaptive_quad, adaptive_quad_rows
 
@@ -307,7 +307,7 @@ def _directed_distance(mu: Density1D, budget: float):
     pair; any other source keeps K21 (a mixture's panels run between its
     means)."""
     tmap = TransportMap1D(mu, StandardGaussian())
-    lo, hi = mu.working_interval(_TAIL_MASS)
+    lo, hi = mu.working_interval()
     # a mixture's panels end at its means, as a kernel row's do
     mixture = isinstance(mu, GaussianMixture1D)
     interior = mu.means if mixture else _interior(mu)
@@ -372,7 +372,7 @@ def _pair_distance(u: Density1D, v: Density1D, budget: float):
         with np.errstate(over="ignore"):
             return np.exp(log_ratio(zs.ravel())).reshape(zs.shape)
 
-    lo, hi = gauss.working_interval(_TAIL_MASS)
+    lo, hi = gauss.working_interval()
     interior = np.concatenate([TransportMap1D(d, gauss)(_interior(d))
                                for d in (u, v)])
     bp = _distance_breaks(np.array([lo]), np.array([hi]), interior[None, :],
@@ -403,13 +403,6 @@ def _rows_pass(x, weights, means, stds, log_w, log_norm):
     logpdf, e, total = _mixture_log(zs, log_w, log_norm)
     S = _phi_inverse(*_mixture_masses(zs, weights))
     return zs, e, total, S, np.exp(logpdf - gauss_logpdf(S)), logpdf
-
-
-def _rows_deriv_pdf(x, *params, pdf=True):
-    """(T', u) at the points x of row mixtures u against gamma, or T' alone
-    if not ``pdf``: ``_rows_pass`` on the same (K, P, 1) parameters."""
-    *_, deriv, logpdf = _rows_pass(x, *params)
-    return (deriv, np.exp(logpdf)) if pdf else deriv
 
 
 def _distance_integrand(x, weights, means, stds, log_w, log_norm, grad):
@@ -520,7 +513,7 @@ def gauss_distance_rows(weights, means, stds, *, tol: float = 1e-9,
         columns = _columns(chunk, slice(None))
         bp = _distance_breaks(batch.lo[rows], batch.hi[rows],
                               np.where(batch.present[rows], m[rows], np.nan),
-                              lambda xs: _rows_deriv_pdf(xs, *columns, pdf=False))
+                              lambda xs: _rows_pass(xs, *columns)[4])
         res = adaptive_quad_rows(g, bp, tol_abs=max(tol, _ROUNDING_FLOOR),
                                  tol_rel=1e-12)
         value[batch.quad[rows]] = res.value
@@ -568,7 +561,8 @@ def gauss_distance_estimates(weights, means, stds):
         # T' overflows to inf where gamma's density underflows, where the
         # integrand 1 - min(T', 1 / T') is 1
         with np.errstate(over="ignore"):
-            deriv, pdf = _rows_deriv_pdf(xs, *_columns(batch.params, rows))
+            *_, deriv, logpdf = _rows_pass(xs, *_columns(batch.params, rows))
+            pdf = np.exp(logpdf)
         f = (1.0 - np.minimum(deriv, 1.0 / np.maximum(deriv, 1.0))) * pdf
         h = (hi - lo)[:, None] * (_ESTIMATE_STRIDE / (_SCAN_POINTS - 1))
         cells = 0.5 * h * (f[:, :-1] + f[:, 1:])
@@ -663,8 +657,8 @@ def bregman_integral_full(u: Density1D):
     int (phi(S) - u + u log S') dy with S = T^{-1} = Phi^{-1} o F_u and
     log S' = log u - log phi(S). T' = 1/S' is never formed: it overflows
     between separated modes of u. Each point reads u once
-    (``_mass_logpdf``), on the interval and breakpoints of the entropy
-    integral (``_measure_interval``, ``_measure_breaks``).
+    (``_mass_logpdf``), on the window and breakpoints of the entropy
+    integral (``_window``, ``_breaks`` of ``_interior``).
 
     The error has three parts. The quadrature's estimate. A rounding
     charge, _BREGMAN_ROUNDING eps (1 + max_k |m_k| / s_k) R, with
@@ -691,10 +685,9 @@ def bregman_integral_full(u: Density1D):
         size = phi + pdf + pdf * np.abs(log_slope)
         return value.reshape(x.shape), size.reshape((1, *x.shape))
 
-    # _measure_interval, with u's own working interval kept for the tails
-    lo_u, hi_u = u.working_interval(_TAIL_MASS)
-    lo, hi = min(lo_u, -WORKING_RADIUS), max(hi_u, WORKING_RADIUS)
-    res = adaptive_quad_rows(g, _measure_breaks(u, lo, hi)[None, :],
+    lo_u, hi_u = u.working_interval()  # kept for the tails
+    lo, hi = _window(lo_u, hi_u)
+    res = adaptive_quad_rows(g, _breaks(lo, hi, _interior(u))[None, :],
                              tol_abs=_BREGMAN_TOL, tol_rel=1e-12)
     reach = (float(_z_reach(u.means, u.stds, True))
              if isinstance(u, GaussianMixture1D) else 1.0)

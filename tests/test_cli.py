@@ -452,6 +452,39 @@ def test_pl_check_past_the_double_range(capsys):
         assert row["entropy_limit"] == pytest.approx(72.0 * m, rel=1e-13)
 
 
+@pytest.mark.parametrize("argv", [
+    ("deficit", "--measure", "gauss:0,1e-320"),
+    ("sweep", "--kind", "sigma", "--values", "1e-160")])
+def test_fisher_information_past_the_double_range(capsys, argv):
+    # 1/s^2 overflows below s of about 7.5e-155; it used to end in
+    # OverflowError, reported as the catch-all error status
+    code, out, err = run_cli(capsys, *argv, "--format", "csv")
+    assert code == 2 and err == ""
+    row = next(csv.DictReader(io.StringIO(out)))
+    assert row["status"] == "error"
+    assert row["method"].startswith("error: CapabilityError: ")
+    assert "7.5e-155" in row["method"]
+
+
+@pytest.mark.parametrize("command", ["deficit", "talagrand"])
+def test_window_of_one_double_is_a_capability_error(capsys, command):
+    # [m - 8.3, m + 8.3] rounds to the one double m at m = 3e17; it used
+    # to end in DomainError from the quadrature
+    code, out, err = run_cli(capsys, command, "--measure", "gauss:3e17,1",
+                             "--format", "csv")
+    assert code == 2 and err == ""
+    row = next(csv.DictReader(io.StringIO(out)))
+    assert row["status"] == "error"
+    assert row["method"] == (
+        "error: CapabilityError: a mixture's working interval [3e+17, 3e+17] "
+        "holds fewer than two doubles: its stds are too small beside its "
+        "means")
+    code, out, err = run_cli(capsys, "distance", "--u", "gauss:3e17,1",
+                             "--v", "gauss:0,1")
+    assert code == 1 and out == ""
+    assert "holds fewer than two doubles" in err
+
+
 def test_pl_check_diagnostics_need_json(capsys):
     # CSV output computed the lambda-limit table, then printed only the
     # report row, with exit 0

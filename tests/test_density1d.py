@@ -10,8 +10,9 @@ from hypothesis import given, strategies as st
 from scipy import integrate, stats
 from scipy.special import ndtri
 
-from bfstab import density1d, quadrature
-from bfstab import (ConditioningError, DomainError, EvaluationError,
+from bfstab import density1d, quadrature, transport1d
+from bfstab import (CapabilityError, ConditioningError, DomainError,
+                    EvaluationError, bregman_integral_full,
                     GaussianMixture1D,
                     GridDensity1D, ParseError, ProductFunction,
                     StandardGaussian, entropy_fisher_1d, load_grid_csv,
@@ -459,13 +460,13 @@ def test_narrow_gaussian_errors_are_tight(s):
                          ids=[f"nu1-{name}" for name in _TERM_IDS])
 def test_expectation_takes_its_interval_once(monkeypatch, term):
     # the breakpoints and the tail edges of an _expect integral read one
-    # interval; a grid's costs two quantile inversions. A grid's entropy
-    # (term 0) and Fisher information (term 1) are two such integrals, and
-    # entropy_fisher_1d reads no interval outside them. (A mixture's take
-    # _mixture_span, in the row kernel.)
+    # window; a grid's interval costs two quantile inversions. A grid's
+    # entropy (term 0) and Fisher information (term 1) are two such
+    # integrals, and entropy_fisher_1d reads no window outside them. (A
+    # mixture's take _mixture_span, in the row kernel.)
     nu = _pl_u_density(_pl_exponents(_SIN_BUMP, 0.5)[0])
     integrals, outside, current = [], [], [None]
-    expect, interval = density1d._expect, density1d._measure_interval
+    expect, window = density1d._expect, density1d._window
 
     def counted_expect(*args, **kw):
         current[0] = []
@@ -475,15 +476,89 @@ def test_expectation_takes_its_interval_once(monkeypatch, term):
         finally:
             current[0] = None
 
-    def counted(nu):
-        (outside if current[0] is None else current[0]).append(nu)
-        return interval(nu)
+    def counted(lo, hi):
+        (outside if current[0] is None else current[0]).append((lo, hi))
+        return window(lo, hi)
 
     monkeypatch.setattr(density1d, "_expect", counted_expect)
-    monkeypatch.setattr(density1d, "_measure_interval", counted)
+    monkeypatch.setattr(density1d, "_window", counted)
     entropy_fisher_1d(nu)
     assert len(integrals) == 2 and not outside
-    assert integrals[term] == [nu]
+    assert integrals[term] == [nu.working_interval()]
+
+
+@pytest.mark.parametrize("kind", ["gamma", "mixture", "grid", "rows"])
+def test_windows_read_the_working_interval(monkeypatch, kind):
+    # every window of an entropy, Fisher or Bregman integral is widened
+    # from the measure's one working interval, and a _RowMixtures row's
+    # span is the working interval of its present components, bit for bit
+    z = -float(ndtri(density1d._TAIL_MASS / 2.0))
+    if kind == "rows":
+        rng = np.random.default_rng(44)
+        weights = rng.dirichlet(np.ones(4), size=6)
+        weights[1, :2] = 0.0
+        weights[4, 1:] = 0.0
+        weights /= weights.sum(axis=1, keepdims=True)
+        means = rng.uniform(-20.0, 20.0, (6, 4))
+        stds = np.exp(rng.uniform(-5.0, 3.0, (6, 4)))
+        batch = density1d._RowMixtures(weights, means, stds)
+        assert batch.quad.tolist() == [0, 1, 2, 3, 5]
+        for i, row in enumerate(batch.quad):
+            keep = weights[row] > 0.0
+            u = GaussianMixture1D(weights[row][keep], means[row][keep],
+                                  stds[row][keep])
+            assert (batch.lo[i], batch.hi[i]) == u.working_interval()
+            assert batch.lo[i] == np.min(means[row][keep] - z * stds[row][keep])
+        return
+    nu = {"gamma": GAUSS,
+          "mixture": GaussianMixture1D([0.3, 0.7], [-1.0, 11.5], [0.6, 1.2]),
+          "grid": _pl_u_density(_pl_exponents(_SIN_BUMP, 0.5)[0])}[kind]
+    seen, window = [], density1d._window
+
+    def recorded(lo, hi):
+        seen.append((np.ravel(lo).tolist(), np.ravel(hi).tolist()))
+        return window(lo, hi)
+
+    monkeypatch.setattr(density1d, "_window", recorded)
+    monkeypatch.setattr(transport1d, "_window", recorded)
+    entropy_fisher_1d(nu)
+    bregman_integral_full(nu)
+    lo, hi = nu.working_interval()
+    # gamma and a grid take one _expect per term, a mixture one row
+    assert seen == [([lo], [hi])] * (2 if kind == "mixture" else 3)
+    # each component leaves _TAIL_MASS / 2 beyond either end
+    if kind == "gamma":
+        assert (lo, hi) == (-z, z)
+    elif kind == "mixture":
+        assert (lo, hi) == (-1.0 - z * 0.6, 11.5 + z * 1.2)
+    else:
+        assert (lo, hi) == (
+            min(nu.quantile(density1d._TAIL_MASS / 2.0), nu.nodes[0]),
+            max(nu.quantile_sf(density1d._TAIL_MASS / 2.0), nu.nodes[-1]))
+    assert window(lo, hi) == (min(lo, -10.0), max(hi, 10.0))
+
+
+def test_collapsed_working_interval_is_a_capability_error():
+    # at 3e17 the span m +- 8.3 s rounds to m; at 1e17 it keeps 3 doubles
+    assert np.spacing(1e17) == 16.0
+    lo, hi = GaussianMixture1D([1.0], [1e17], [1.0]).working_interval()
+    assert (lo, hi) == (1e17 - 16.0, 1e17 + 16.0)
+    with pytest.raises(CapabilityError, match="fewer than two doubles"):
+        GaussianMixture1D([1.0], [3e17], [1.0]).working_interval()
+    # one collapsed row in a batch stops the batch
+    with pytest.raises(CapabilityError, match=r"\[3e\+17, 3e\+17\]"):
+        transport1d.gauss_distance_rows(
+            [[0.5, 0.5], [0.5, 0.5]], [[0.0, 1.0], [3e17, 3e17]],
+            [[1.0, 2.0], [1.0, 2.0]])
+
+
+def test_fisher_information_past_the_double_range_is_a_capability_error():
+    # 1/s^2 is finite down to s = 1 / sqrt(max double), about 7.46e-155
+    (_, _), (fi, _) = entropy_fisher_1d(GaussianMixture1D([1.0], [0.0],
+                                                          [7.5e-155]))
+    assert math.isfinite(fi)
+    with pytest.raises(CapabilityError, match="7.5e-155"):
+        entropy_fisher_1d(GaussianMixture1D([1.0], [0.0], [7.4e-155]))
 
 
 def _sin2x_grid41():

@@ -11,10 +11,10 @@ from scipy.stats import qmc
 
 from bfstab import densitynd, sphereopt
 from bfstab._sobol import MAX_POINTS, _directions, sobol
-from bfstab.cli import _MAX_DIRECTIONS, _MAX_MC_BUDGET
 from bfstab.deficits import lsi_deficit
-from bfstab.densitynd import GaussianMixtureND
+from bfstab.densitynd import _MAX_MC_BUDGET, GaussianMixtureND
 from bfstab.errors import DomainError
+from bfstab.sphereopt import _MAX_DIRECTIONS
 
 DIMS = [1, 2, 3, 4, 5, 6, 7, 12, 40]
 # no seed, seed 0, the last replicate's second component at seed 3 (the

@@ -22,9 +22,8 @@ from bfstab.deficits import _pl_exponents, _pl_u_density
 from bfstab.density1d import GridDensity1D
 from bfstab.densitynd import conditional_slice_batch
 from bfstab.quadrature import K7, _K21_NODES, QuadResult, adaptive_quad_rows
-from bfstab.transport1d import (_columns, _directed_distance,
-                                _rows_deriv_pdf, gauss_distance_estimates,
-                                gauss_distance_rows)
+from bfstab.transport1d import (_columns, _directed_distance, _rows_pass,
+                                gauss_distance_estimates, gauss_distance_rows)
 
 GAUSS = StandardGaussian()
 
@@ -126,7 +125,7 @@ def test_map_to_a_mixture_solves_once_per_call(monkeypatch):
     monkeypatch.setattr(GaussianMixture1D, "_solve_gauss_scale", counted)
     for u, v in _random_pairs(3):
         t = TransportMap1D(u, v)
-        xs = np.linspace(*u.working_interval(1e-12), 41)
+        xs = np.linspace(*u.working_interval(), 41)
         calls.clear()
         y = t(xs)
         assert calls == [41]
@@ -344,7 +343,7 @@ def test_row_kernel_matches_per_row_distance():
     assert np.count_nonzero(first.weights[2]) == 1
     two = _row_mixture(first, 0)
     assert two.weights.size == 2
-    lo, hi = two.working_interval(1e-15)
+    lo, hi = two.working_interval()
     sgn = np.sign(TransportMap1D(two, GAUSS).deriv(np.linspace(lo, hi, 257))
                   - 1.0)
     assert 1 <= np.count_nonzero(sgn[:-1] * sgn[1:] < 0) <= 32
@@ -597,9 +596,8 @@ def test_row_kernel_component_major_matches_stacked(k):
     cells = rng.uniform(lo[:, None], hi[:, None], (b, 5))
     for x, rows in [(prescan, np.arange(b)), (panels, row),
                     (cells, np.arange(b))]:
-        deriv, pdf = _rows_deriv_pdf(x, *_columns(params, rows))
-        assert np.array_equal(
-            _rows_deriv_pdf(x, *_columns(params, rows), pdf=False), deriv)
+        *_, deriv, logpdf = _rows_pass(x, *_columns(params, rows))
+        pdf = np.exp(logpdf)
         for r, p in enumerate(rows):
             keep = weights[p] > 0.0
             u = GaussianMixture1D(weights[p][keep], means[p][keep],
@@ -953,7 +951,7 @@ def _per_point_distance(mu, tol):
     point, on the grid's 3/7 Kronrod pair: the directed distance as it was
     evaluated before a grid located each panel once."""
     tmap = TransportMap1D(mu, GAUSS)
-    lo, hi = mu.working_interval(transport1d._TAIL_MASS)
+    lo, hi = mu.working_interval()
     bp = transport1d._distance_breaks(
         np.array([lo]), np.array([hi]), mu.nodes[None, :],
         lambda xs: tmap.deriv(xs.ravel()).reshape(xs.shape))
@@ -984,7 +982,7 @@ def test_grid_distance_keeps_the_bits_of_a_per_point_integrand(case):
         u = _pl_u_density(_pl_exponents(_SIN_BUMP, lam)[0])
     else:
         u = _sin2x_grid() if case == "sin2x" else _grid()
-    lo, hi = u.working_interval(transport1d._TAIL_MASS)
+    lo, hi = u.working_interval()
     # only _grid()'s working interval reaches into the tail pieces
     assert (lo < u.nodes[0] and hi > u.nodes[-1]) == (case == "tails")
     for tol in (1e-9, 1e-10, 1e-12):
